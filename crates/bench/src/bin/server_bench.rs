@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nlq_bench::mixture_data;
-use nlq_client::{Client, TraceRecord};
+use nlq_client::Client;
 use nlq_engine::Db;
 use nlq_linalg::Vector;
 use nlq_server::{serve, ServerConfig};
@@ -253,10 +253,8 @@ fn main() {
         eprintln!("measuring {workload} ...");
         let mut m = measure(addr, workload, sql, expect_summary, clients, queries_each);
         // Where did the time go? Aggregate this workload's per-phase
-        // wall time out of the server's trace ring.
-        let (records, next_after) = drain_traces(addr, last_trace_id);
-        last_trace_id = next_after;
-        m.phase_shares = phase_shares(&records);
+        // wall time out of the server's retained traces.
+        (m.phase_shares, last_trace_id) = phase_shares(addr, last_trace_id);
         results.push(m);
     }
 
@@ -300,10 +298,9 @@ fn main() {
     // fresh snapshot of the trace ring plus a block scan over it —
     // the cost of a dashboard polling the catalog on the hot path.
     {
-        // Discard earlier workloads' trace records so the phase
-        // shares below reflect only the catalog queries.
-        let (_, next_after) = drain_traces(addr, last_trace_id);
-        last_trace_id = next_after;
+        // Skip earlier workloads' trace records so the phase shares
+        // below reflect only the catalog queries.
+        (_, last_trace_id) = phase_shares(addr, last_trace_id);
         eprintln!("measuring sys_catalog ...");
         let mut m = measure(
             addr,
@@ -313,8 +310,7 @@ fn main() {
             clients,
             per_client,
         );
-        let (records, _) = drain_traces(addr, last_trace_id);
-        m.phase_shares = phase_shares(&records);
+        (m.phase_shares, _) = phase_shares(addr, last_trace_id);
         results.push(m);
     }
     handle.shutdown();
@@ -398,9 +394,7 @@ fn main() {
     ] {
         eprintln!("measuring {workload} ...");
         let mut m = measure(saddr, workload, sql, false, clients, queries_each);
-        let (records, next_after) = drain_traces(saddr, last_sharded_trace);
-        last_sharded_trace = next_after;
-        m.phase_shares = phase_shares(&records);
+        (m.phase_shares, last_sharded_trace) = phase_shares(saddr, last_sharded_trace);
         results.push(m);
     }
     let cache_stats = sdb.plan_cache_stats();
@@ -763,43 +757,47 @@ fn measure_scaling(n: usize, d: usize, shards: usize, smoke: bool) -> Vec<ScaleS
     out
 }
 
-/// Pages every trace record with id greater than `after` out of the
-/// server's recent-query ring; returns them with the new high-water id.
-fn drain_traces(addr: std::net::SocketAddr, after: u64) -> (Vec<TraceRecord>, u64) {
+/// Fraction of total statement wall time attributable to each phase
+/// over the retained traces with id greater than `after` — one
+/// `GROUP BY phase` over `sys.spans`, normalized by the statements'
+/// total wall time from `sys.queries`. Time no span covers (queueing,
+/// relay waits) is reported as `other`, so the shares sum to 1 over the
+/// workload. Returns the shares with the new high-water trace id; the
+/// two catalog statements issued here land in the next window (two
+/// statements among a workload's hundreds).
+fn phase_shares(addr: std::net::SocketAddr, after: u64) -> (Vec<(String, f64)>, u64) {
     let mut c = Client::connect(addr).expect("trace connect");
-    let mut all = Vec::new();
-    let mut after = after;
-    loop {
-        let page = c.trace(false, after, 256).expect("trace page");
-        let Some(last) = page.last() else { break };
-        after = last.id;
-        all.extend(page);
-    }
-    (all, after)
-}
-
-/// Fraction of total statement wall time attributable to each phase.
-/// Span gaps (queueing, relay waits) are reported as `other`, so the
-/// shares sum to 1 over the workload.
-fn phase_shares(records: &[TraceRecord]) -> Vec<(String, f64)> {
-    let mut by_phase: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut total = 0u64;
-    for r in records {
-        total += r.total_nanos;
-        let mut spanned = 0u64;
-        for s in &r.spans {
-            *by_phase.entry(s.phase.name()).or_default() += s.dur_nanos;
-            spanned += s.dur_nanos;
-        }
-        *by_phase.entry("other").or_default() += r.total_nanos.saturating_sub(spanned);
-    }
-    if total == 0 {
-        return Vec::new();
-    }
-    by_phase
+    let rs = c
+        .execute(&format!(
+            "SELECT max(trace_id), sum(total_us) FROM sys.queries WHERE trace_id > {after}"
+        ))
+        .expect("sys.queries totals");
+    let total = rs.value(0, 1).as_f64().filter(|t| *t > 0.0);
+    let (Some(upto), Some(total)) = (rs.value(0, 0).as_i64(), total) else {
+        return (Vec::new(), after);
+    };
+    // Bounded above so this session's own catalog queries stay out.
+    let rs = c
+        .execute(&format!(
+            "SELECT phase, sum(dur_us) FROM sys.spans \
+             WHERE trace_id > {after} AND trace_id <= {upto} GROUP BY phase"
+        ))
+        .expect("sys.spans by phase");
+    let mut by_phase: BTreeMap<String, f64> = rs
+        .rows
+        .iter()
+        .map(|r| {
+            let phase = r[0].as_str().expect("phase name").to_owned();
+            (phase, r[1].as_f64().unwrap_or(0.0))
+        })
+        .collect();
+    let spanned: f64 = by_phase.values().sum();
+    *by_phase.entry("other".into()).or_default() += (total - spanned).max(0.0);
+    let shares = by_phase
         .into_iter()
-        .map(|(name, nanos)| (name.to_string(), nanos as f64 / total as f64))
-        .collect()
+        .map(|(name, micros)| (name, micros / total))
+        .collect();
+    (shares, upto as u64)
 }
 
 #[allow(clippy::too_many_arguments)]

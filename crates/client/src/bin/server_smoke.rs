@@ -1,7 +1,9 @@
 //! Scripted end-to-end smoke session against a running `nlq-server`,
 //! used by CI: load → CREATE SUMMARY → summary-hit aggregate → scoring
-//! UDF query → chunked streaming → client-initiated cancel → METRICS
-//! → SHUTDOWN. Exits nonzero on the first mismatch.
+//! UDF query → chunked streaming → client-initiated cancel →
+//! `sys.metrics` / `sys.queries` → SHUTDOWN. Introspection is SQL over
+//! the `sys.*` catalog plus one Prometheus scrape; nothing else. Exits
+//! nonzero on the first mismatch.
 //!
 //! ```text
 //! server_smoke --addr HOST:PORT [--skip-shutdown] [--expect-chunks N]
@@ -11,8 +13,8 @@
 //!
 //! `--expect-chunks N` asserts the large streamed query arrives in at
 //! least `N` chunk frames (pair it with the server's `--chunk-bytes`).
-//! `--expect-slow` asserts the slow-query ring is non-empty afterward
-//! (pair it with the server's `--slow-query-ms 0`).
+//! `--expect-slow` asserts `sys.queries` marks every retained statement
+//! slow afterward (pair it with the server's `--slow-query-ms 0`).
 //! `--ingest` runs the feature-serving script instead (pair it with a
 //! low server `--refresh-ms`): stream 10k rows through the chunked
 //! INSERT grammar, wait for the refresh daemon to publish a model,
@@ -21,14 +23,14 @@
 //! `--sharded N` runs the scatter/gather script instead (pair it with
 //! the server's `--shards N`): a Γ-merged aggregate across shards, a
 //! cancelled sharded stream, a plan-cache hit surfaced by `EXPLAIN`,
-//! and per-shard metrics.
+//! and per-shard metrics in `sys.metrics`.
 //! `--feed N` streams ingest envelopes into the existing `F` table
 //! starting at key `N`, with no DDL and no shutdown — the CI crash job
 //! backgrounds this and `kill -9`s the server mid-stream, so a dropped
 //! connection is the expected way out (exit 0).
 //! `--verify-recovery` runs after that server restarts on the same
 //! `--wal-dir`: the row count must be a whole number of acked
-//! envelopes, summary and scan paths must agree, `STATUS` must carry
+//! envelopes, summary and scan paths must agree, `sys.wal` must carry
 //! the recovery counters, the refresh daemon must republish a model,
 //! and batch scores must still match the ingested formula.
 //! `--sys` runs the introspection script instead: real statements must
@@ -43,6 +45,19 @@ use std::time::{Duration, Instant};
 
 use nlq_client::Client;
 use nlq_storage::Value;
+
+/// One registry sample read back through `sys.metrics`.
+fn metric(c: &mut Client, name: &str, labels: &str) -> Result<f64, String> {
+    let rs = c
+        .execute(&format!(
+            "SELECT value FROM sys.metrics WHERE metric = '{name}' AND labels = '{labels}'"
+        ))
+        .map_err(|e| format!("sys.metrics: {e}"))?;
+    rs.rows
+        .first()
+        .and_then(|r| r[0].as_f64())
+        .ok_or_else(|| format!("sys.metrics missing {name}{{{labels}}}"))
+}
 
 fn run(
     addr: &str,
@@ -157,34 +172,21 @@ fn run(
     c.ping().map_err(|e| format!("ping after cancel: {e}"))?;
     println!("cancel ok (session survives an abandoned stream)");
 
-    // METRICS must reflect this very session.
-    let metrics = c.metrics().map_err(|e| format!("metrics: {e}"))?;
-    let executes = metrics
-        .lookup("command.execute.count")
-        .and_then(|v| v.as_i64())
-        .ok_or("metrics missing command.execute.count")?;
-    if executes < 7 {
+    // sys.metrics must reflect this very session.
+    let executes = metric(&mut c, "command_requests_total", "command=\"execute\"")?;
+    if executes < 7.0 {
         return Err(format!("execute count {executes}, want >= 7"));
     }
-    let cancels = metrics
-        .lookup("cancel_requests")
-        .and_then(|v| v.as_i64())
-        .ok_or("metrics missing cancel_requests")?;
-    if cancels < 1 {
+    let cancels = metric(&mut c, "cancel_requests", "")?;
+    if cancels < 1.0 {
         return Err(format!("cancel_requests {cancels}, want >= 1"));
     }
-    let streamed = metrics
-        .lookup("chunks_streamed")
-        .and_then(|v| v.as_i64())
-        .ok_or("metrics missing chunks_streamed")?;
-    if streamed < chunks as i64 {
+    let streamed = metric(&mut c, "chunks_streamed", "")?;
+    if streamed < chunks as f64 {
         return Err(format!("chunks_streamed {streamed}, want >= {chunks}"));
     }
-    let hits = metrics
-        .lookup("summary_hits")
-        .and_then(|v| v.as_i64())
-        .ok_or("metrics missing summary_hits")?;
-    if hits < 1 {
+    let hits = metric(&mut c, "summary_hits", "")?;
+    if hits < 1.0 {
         return Err(format!("summary_hits {hits}, want >= 1"));
     }
     println!("metrics ok ({executes} executes, {hits} summary hits)");
@@ -210,39 +212,64 @@ fn run(
     }
     println!("explain analyze ok ({} plan lines)", plan.len());
 
-    // TRACE pages the server's recent-query ring: every statement this
-    // session ran should be retained with its phase spans.
-    let records = c.trace(false, 0, 256).map_err(|e| format!("trace: {e}"))?;
-    if records.is_empty() {
-        return Err("TRACE returned no records".into());
+    // sys.queries / sys.spans serve the server's retained traces: every
+    // statement this session ran should be there with its phase spans.
+    let rs = c
+        .execute("SELECT trace_id, sql FROM sys.queries")
+        .map_err(|e| format!("sys.queries: {e}"))?;
+    if rs.rows.is_empty() {
+        return Err("sys.queries returned no records".into());
     }
-    if !records.iter().any(|r| !r.spans.is_empty()) {
-        return Err("TRACE records carry no spans".into());
+    if !rs
+        .rows
+        .iter()
+        .any(|r| r[1].as_str().is_some_and(|sql| sql.contains("FROM BIG")))
+    {
+        return Err("sys.queries missing this session's queries".into());
     }
-    if !records.iter().any(|r| r.sql.contains("FROM BIG")) {
-        return Err("TRACE missing this session's queries".into());
+    let retained = rs.rows.len();
+    let last_id = rs
+        .rows
+        .iter()
+        .filter_map(|r| r[0].as_i64())
+        .max()
+        .unwrap_or(0);
+    let rs = c
+        .execute("SELECT count(*) FROM sys.spans")
+        .map_err(|e| format!("sys.spans: {e}"))?;
+    if rs.value(0, 0).as_i64().unwrap_or(0) == 0 {
+        return Err("sys.spans carries no spans".into());
     }
-    // Paging: asking after the last id returns nothing new.
-    let last_id = records.iter().map(|r| r.id).max().unwrap_or(0);
-    let page2 = c
-        .trace(false, last_id, 256)
-        .map_err(|e| format!("trace page 2: {e}"))?;
-    if page2.iter().any(|r| r.id <= last_id) {
-        return Err("TRACE paging returned stale records".into());
+    // Paging: `trace_id > cursor` returns only newer records — here,
+    // the two catalog queries above.
+    let rs = c
+        .execute(&format!(
+            "SELECT min(trace_id) FROM sys.queries WHERE trace_id > {last_id}"
+        ))
+        .map_err(|e| format!("sys.queries page 2: {e}"))?;
+    if rs.value(0, 0).as_i64().is_some_and(|id| id <= last_id) {
+        return Err("sys.queries paging returned stale records".into());
     }
-    println!("trace ok ({} records retained)", records.len());
+    println!("trace ok ({retained} records retained)");
 
     if expect_slow {
-        let slow = c
-            .trace(true, 0, 256)
-            .map_err(|e| format!("slow trace: {e}"))?;
-        if slow.is_empty() {
-            return Err("slow-query ring is empty under --expect-slow".into());
+        let rs = c
+            .execute("SELECT slow, count(*) FROM sys.queries GROUP BY slow")
+            .map_err(|e| format!("slow queries: {e}"))?;
+        let count_of = |flag: i64| {
+            rs.rows
+                .iter()
+                .find(|r| r[0].as_i64() == Some(flag))
+                .and_then(|r| r[1].as_i64())
+                .unwrap_or(0)
+        };
+        if count_of(1) == 0 {
+            return Err("no slow queries retained under --expect-slow".into());
         }
-        if !slow.iter().all(|r| r.slow) {
-            return Err("slow ring contains records not marked slow".into());
+        if count_of(0) != 0 {
+            return Err("a zero slow-query threshold left statements not marked slow".into());
         }
-        println!("slow log ok ({} slow queries retained)", slow.len());
+        println!("slow log ok ({} slow queries retained)", count_of(1));
     }
 
     // Prometheus exposition must parse and must cover the latency
@@ -356,40 +383,27 @@ fn run_sharded(addr: &str, skip_shutdown: bool, shards: usize) -> Result<(), Str
     println!("cancel ok (abandoned sharded stream, session survives)");
 
     // Per-shard metrics and the plan-cache counters must be exported.
-    let metrics = c.metrics().map_err(|e| format!("metrics: {e}"))?;
-    let reported = metrics
-        .lookup("shards")
-        .and_then(|v| v.as_i64())
-        .ok_or("metrics missing shards")?;
-    if reported != shards as i64 {
+    let reported = metric(&mut c, "shards", "")?;
+    if reported != shards as f64 {
         return Err(format!("metrics report {reported} shards, want {shards}"));
     }
-    let mut scanned_total = 0i64;
+    let mut scanned_total = 0.0;
     for shard in 0..shards {
-        let key = format!("shard.{shard}.queries");
-        let q = metrics
-            .lookup(&key)
-            .and_then(|v| v.as_i64())
-            .ok_or_else(|| format!("metrics missing {key}"))?;
-        if q < 1 {
-            return Err(format!("{key} = {q}, want >= 1"));
+        let label = format!("shard=\"{shard}\"");
+        let q = metric(&mut c, "shard_queries_total", &label)?;
+        if q < 1.0 {
+            return Err(format!("shard_queries_total{{{label}}} = {q}, want >= 1"));
         }
-        scanned_total += metrics
-            .lookup(&format!("shard.{shard}.rows_scanned"))
-            .and_then(|v| v.as_i64())
-            .unwrap_or(0);
+        scanned_total += metric(&mut c, "shard_rows_scanned_total", &label)?;
     }
-    if scanned_total < 1000 {
+    if scanned_total < 1000.0 {
         return Err(format!(
             "per-shard rows_scanned sums to {scanned_total}, want >= 1000"
         ));
     }
-    let hits = metrics
-        .lookup("plan_cache.hits")
-        .and_then(|v| v.as_i64())
-        .ok_or("metrics missing plan_cache.hits")?;
-    if hits < 1 {
-        return Err(format!("plan_cache.hits = {hits}, want >= 1"));
+    let hits = metric(&mut c, "plan_cache_hits_total", "")?;
+    if hits < 1.0 {
+        return Err(format!("plan_cache_hits_total = {hits}, want >= 1"));
     }
     println!("shard metrics ok ({shards} shards, {scanned_total} rows scanned, {hits} cache hits)");
 
@@ -555,10 +569,10 @@ fn run_sys(addr: &str, skip_shutdown: bool, shards: usize) -> Result<(), String>
         println!("sys.wal ok (volatile server, empty durability table)");
     } else {
         let rs = c
-            .execute("SELECT value FROM sys.wal WHERE metric = 'wal.checkpoints'")
+            .execute("SELECT value FROM sys.wal WHERE metric = 'checkpoints_total'")
             .map_err(|e| format!("sys.wal checkpoints: {e}"))?;
-        let checkpoints = rs.value(0, 0).as_i64().unwrap_or(0);
-        if checkpoints < 1 {
+        let checkpoints = rs.value(0, 0).as_f64().unwrap_or(0.0);
+        if checkpoints < 1.0 {
             return Err(format!(
                 "sys.wal reports {checkpoints} checkpoints after CHECKPOINT"
             ));
@@ -634,12 +648,8 @@ fn run_ingest(addr: &str, skip_shutdown: bool) -> Result<(), String> {
     // the folds above it must refit and publish `sf_beta` on its own.
     let deadline = Instant::now() + Duration::from_secs(20);
     let refreshes = loop {
-        let metrics = c.metrics().map_err(|e| format!("metrics: {e}"))?;
-        let n = metrics
-            .lookup("model_refreshes_total")
-            .and_then(|v| v.as_i64())
-            .ok_or("metrics missing model_refreshes_total")?;
-        if n >= 1 {
+        let n = metric(&mut c, "model_refreshes_total", "")?;
+        if n >= 1.0 {
             break n;
         }
         if Instant::now() >= deadline {
@@ -711,17 +721,13 @@ fn run_ingest(addr: &str, skip_shutdown: bool) -> Result<(), String> {
     }
     println!("abort ok (mid-envelope abort committed nothing)");
 
-    // Serving counters, both over METRICS and the Prometheus scrape.
-    let metrics = c.metrics().map_err(|e| format!("metrics: {e}"))?;
+    // Serving counters, both in sys.metrics and the Prometheus scrape.
     for (key, floor) in [
-        ("ingest_rows_total", total_rows),
-        ("batch_score_keys_total", 1003),
-        ("model_refreshes_total", 1),
+        ("ingest_rows_total", total_rows as f64),
+        ("batch_score_keys_total", 1003.0),
+        ("model_refreshes_total", 1.0),
     ] {
-        let v = metrics
-            .lookup(key)
-            .and_then(|v| v.as_i64())
-            .ok_or_else(|| format!("metrics missing {key}"))?;
+        let v = metric(&mut c, key, "")?;
         if v < floor {
             return Err(format!("{key} = {v}, want >= {floor}"));
         }
@@ -866,36 +872,31 @@ fn run_verify_recovery(addr: &str, skip_shutdown: bool) -> Result<(), String> {
     }
     println!("consistency ok (summary path and scan path agree after replay)");
 
-    // STATUS must surface what recovery actually did.
-    let status = c.status().map_err(|e| format!("status: {e}"))?;
-    let replayed = status
-        .lookup("recovery.replayed_records")
-        .and_then(|v| v.as_i64())
-        .ok_or("STATUS missing recovery.replayed_records")?;
-    if replayed < 1 {
-        return Err(format!("recovery.replayed_records = {replayed}, want >= 1"));
+    // sys.wal must surface what recovery actually did.
+    let rs = c
+        .execute("SELECT metric, value FROM sys.wal")
+        .map_err(|e| format!("sys.wal: {e}"))?;
+    let wal = |name: &str| {
+        rs.rows
+            .iter()
+            .find(|r| r[0].as_str() == Some(name))
+            .and_then(|r| r[1].as_f64())
+    };
+    let replayed =
+        wal("recovery_replayed_records").ok_or("sys.wal missing recovery_replayed_records")?;
+    if replayed < 1.0 {
+        return Err(format!("recovery_replayed_records = {replayed}, want >= 1"));
     }
-    let envelopes = status
-        .lookup("recovery.replayed_envelopes")
-        .and_then(|v| v.as_i64())
-        .unwrap_or(0);
-    if status.lookup("wal.log_bytes").is_none() {
-        return Err("STATUS missing wal.log_bytes on a durable server".into());
+    let envelopes = wal("recovery_replayed_envelopes").unwrap_or(0.0);
+    if wal("wal_log_bytes").is_none() {
+        return Err("sys.wal missing wal_log_bytes on a durable server".into());
     }
-    println!("status ok ({replayed} records / {envelopes} envelopes replayed)");
+    println!("sys.wal ok ({replayed} records / {envelopes} envelopes replayed)");
 
     // The refresh daemon must rediscover the replayed summary and
     // republish a model on its own.
     let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let metrics = c.metrics().map_err(|e| format!("metrics: {e}"))?;
-        let n = metrics
-            .lookup("model_refreshes_total")
-            .and_then(|v| v.as_i64())
-            .ok_or("metrics missing model_refreshes_total")?;
-        if n >= 1 {
-            break;
-        }
+    while metric(&mut c, "model_refreshes_total", "")? < 1.0 {
         if Instant::now() >= deadline {
             return Err("refresh counter never advanced after recovery".into());
         }

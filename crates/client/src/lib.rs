@@ -13,10 +13,13 @@
 //! ```
 //!
 //! One [`Client`] is one server session: the connection carries the
-//! session id (from the server's `Hello`), per-session settings set
-//! via [`Client::set_option`], and the stats of the last statement
-//! (via [`Client::status`]). Requests are strictly serial per
-//! connection; use one client per thread for concurrency.
+//! session id (from the server's `Hello`) and per-session settings set
+//! via [`Client::set_option`]; every result carries its statement's
+//! execution stats. Requests are strictly serial per connection; use
+//! one client per thread for concurrency. Introspection is SQL: query
+//! the server's `sys.*` catalog (`sys.queries`, `sys.spans`,
+//! `sys.sessions`, `sys.metrics`, …) through [`Client::execute`];
+//! [`Client::metrics_prometheus`] is the one non-SQL telemetry call.
 //!
 //! ## Streaming
 //!
@@ -38,7 +41,7 @@ use nlq_server::wire::{
 };
 use nlq_storage::Value;
 
-pub use nlq_obs::{validate_exposition, Outcome, Phase, Span, TraceRecord};
+pub use nlq_obs::validate_exposition;
 
 /// A query result received over the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,15 +61,6 @@ impl RemoteResult {
     /// Panics when out of range.
     pub fn value(&self, row: usize, col: usize) -> &Value {
         &self.rows[row][col]
-    }
-
-    /// Looks up a `(name, value)`-shaped result (STATUS / METRICS) by
-    /// name.
-    pub fn lookup(&self, name: &str) -> Option<&Value> {
-        self.rows
-            .iter()
-            .find(|r| r.first().and_then(Value::as_str) == Some(name))
-            .and_then(|r| r.get(1))
     }
 }
 
@@ -265,16 +259,6 @@ impl Client {
         })
     }
 
-    /// This session's settings and last-statement stats.
-    pub fn status(&mut self) -> Result<RemoteResult> {
-        self.expect_result(&Request::Status)
-    }
-
-    /// Server-wide metrics.
-    pub fn metrics(&mut self) -> Result<RemoteResult> {
-        self.expect_result(&Request::Metrics)
-    }
-
     /// Server-wide metrics as Prometheus text exposition.
     pub fn metrics_prometheus(&mut self) -> Result<String> {
         match self.round_trip(&Request::MetricsProm)? {
@@ -282,40 +266,6 @@ impl Client {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             other => Err(ClientError::Protocol(format!(
                 "expected MetricsText, got {other:?}"
-            ))),
-        }
-    }
-
-    /// One page of the server's retained query traces: records with
-    /// id greater than `after_id`, oldest first, at most `limit`.
-    /// `slow_only` reads the slow-query ring instead of the
-    /// recent-trace ring. Page forward by passing the last record's
-    /// `id` back as `after_id`. Use [`Client::trace_page`] to also see
-    /// whether the cursor has fallen behind the ring.
-    pub fn trace(
-        &mut self,
-        slow_only: bool,
-        after_id: u64,
-        limit: u32,
-    ) -> Result<Vec<TraceRecord>> {
-        self.trace_page(slow_only, after_id, limit)
-            .map(|p| p.records)
-    }
-
-    /// Like [`Client::trace`], but also reports whether the page is
-    /// `truncated`: some record newer than `after_id` was already
-    /// evicted from the ring, so the pager has missed traces it can
-    /// never read.
-    pub fn trace_page(&mut self, slow_only: bool, after_id: u64, limit: u32) -> Result<TracePage> {
-        match self.round_trip(&Request::Trace {
-            slow_only,
-            after_id,
-            limit,
-        })? {
-            Response::Trace { records, truncated } => Ok(TracePage { records, truncated }),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "expected Trace, got {other:?}"
             ))),
         }
     }
@@ -389,16 +339,6 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<()> {
         self.expect_ok(&Request::Shutdown)
     }
-}
-
-/// One page of retained query traces (see [`Client::trace_page`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracePage {
-    /// Retained records with id greater than the cursor, oldest first.
-    pub records: Vec<TraceRecord>,
-    /// Whether a record newer than the cursor was already evicted —
-    /// the pager has missed traces it can never read.
-    pub truncated: bool,
 }
 
 /// An open streamed-INSERT envelope (see [`Client::begin_ingest`]).
@@ -536,8 +476,8 @@ impl RowStream<'_> {
     }
 
     /// The server-minted query id for this statement (reads up to the
-    /// stream header). Joins the trace record and the `sys.queries` /
-    /// `sys.spans` catalog rows for this execution.
+    /// stream header). Joins the `sys.queries` / `sys.spans` catalog
+    /// rows for this execution.
     pub fn query_id(&mut self) -> Result<u64> {
         self.ensure_started()?;
         Ok(self.query_id)

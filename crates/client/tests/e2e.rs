@@ -10,6 +10,16 @@ use nlq_server::wire::ErrorCode;
 use nlq_server::{serve, ServerConfig, ServerHandle};
 use nlq_storage::Value;
 
+/// One registry sample read back through `sys.metrics`.
+fn metric(c: &mut Client, name: &str, labels: &str) -> f64 {
+    let rs = c
+        .execute(&format!(
+            "SELECT value FROM sys.metrics WHERE metric = '{name}' AND labels = '{labels}'"
+        ))
+        .unwrap();
+    rs.value(0, 0).as_f64().unwrap()
+}
+
 fn start(config: ServerConfig) -> (Arc<Db>, ServerHandle) {
     let db = Arc::new(Db::new(4));
     let handle = serve(Arc::clone(&db) as Arc<dyn SqlEngine>, config).expect("bind");
@@ -71,14 +81,18 @@ fn concurrent_clients_share_one_db() {
                 let got = rs.value(0, 1).as_f64().unwrap();
                 assert!((got - (k as f64 * 2.0)).abs() < 1e-12, "client {k}: {got}");
 
-                // Session state is per-connection.
-                let status = c.status().unwrap();
-                assert_eq!(
-                    status.lookup("last.block_path"),
-                    Some(&Value::Int(1)),
-                    "client {k}"
-                );
-                c.metrics().unwrap();
+                // Session state is per-connection: this session's row
+                // counts exactly its own seven statements.
+                let me = c.session_id();
+                let rs = c
+                    .execute(&format!(
+                        "SELECT statements, block_scan FROM sys.sessions WHERE session = {me}"
+                    ))
+                    .unwrap();
+                assert_eq!(rs.rows.len(), 1, "client {k}");
+                assert_eq!(rs.value(0, 0), &Value::Int(7), "client {k}");
+                assert_eq!(rs.value(0, 1), &Value::Str("default".into()));
+                c.execute("SELECT count(*) FROM sys.metrics").unwrap();
             })
         })
         .collect();
@@ -88,21 +102,12 @@ fn concurrent_clients_share_one_db() {
 
     // Server-wide metrics reflect all sessions.
     let mut c = Client::connect(addr).unwrap();
-    let metrics = c.metrics().unwrap();
-    let accepted = metrics
-        .lookup("connections_accepted")
-        .unwrap()
-        .as_i64()
-        .unwrap();
-    assert!(accepted > CLIENTS as i64, "accepted = {accepted}");
-    let executes = metrics
-        .lookup("command.execute.count")
-        .unwrap()
-        .as_i64()
-        .unwrap();
-    assert!(executes >= CLIENTS as i64 * 6, "executes = {executes}");
-    let hits = metrics.lookup("summary_hits").unwrap().as_i64().unwrap();
-    assert!(hits >= CLIENTS as i64, "summary_hits = {hits}");
+    let accepted = metric(&mut c, "connections_accepted", "");
+    assert!(accepted > CLIENTS as f64, "accepted = {accepted}");
+    let executes = metric(&mut c, "command_requests_total", "command=\"execute\"");
+    assert!(executes >= CLIENTS as f64 * 6.0, "executes = {executes}");
+    let hits = metric(&mut c, "summary_hits", "");
+    assert!(hits >= CLIENTS as f64, "summary_hits = {hits}");
     drop(c);
     handle.shutdown();
 }
@@ -261,11 +266,13 @@ fn per_session_options_and_errors() {
     let off = c.execute("SELECT sum(X1) FROM R").unwrap();
     assert!(!off.stats.block_path);
     assert_eq!(on.value(0, 0), off.value(0, 0));
-    let status = c.status().unwrap();
-    assert_eq!(
-        status.lookup("block_scan").and_then(Value::as_str),
-        Some("off")
-    );
+    let me = c.session_id();
+    let rs = c
+        .execute(&format!(
+            "SELECT block_scan FROM sys.sessions WHERE session = {me}"
+        ))
+        .unwrap();
+    assert_eq!(rs.value(0, 0), &Value::Str("off".into()));
     drop(c);
     handle.shutdown();
 }
@@ -303,8 +310,7 @@ fn query_timeout_reports_timeout_frame() {
     }
     // The session survives a timed-out statement.
     c.ping().unwrap();
-    let metrics = c.metrics().unwrap();
-    assert_eq!(metrics.lookup("query_timeouts"), Some(&Value::Int(1)));
+    assert_eq!(metric(&mut c, "query_timeouts", ""), 1.0);
     drop(c);
     handle.shutdown();
 }

@@ -7,8 +7,8 @@ use nlq_linalg::{Matrix, Vector};
 use nlq_models::{MatrixShape, Nlq};
 use nlq_obs::{render_spans, thread_cpu_nanos, Phase, Span, Trace};
 use nlq_storage::{
-    replay_wal, CheckpointManifest, Column, DataType, FileIo, Row, Schema, StorageError, Table,
-    Value, Wal, WalIo, WalRecord, WalStatsSnapshot,
+    replay_wal, CheckpointManifest, Column, FileIo, Row, Schema, StorageError, Table, Value, Wal,
+    WalIo, WalRecord, WalStatsSnapshot,
 };
 use nlq_summary::{SummaryData, SummaryDef, SummaryStore};
 use nlq_udf::pack::{assemble_blocks, unpack_block, unpack_nlq};
@@ -19,6 +19,7 @@ use crate::catalog::{Catalog, CatalogEntry};
 use crate::exec::{check_cancelled, result_to_table, ExecContext};
 use crate::expr::{Binder, BoundSchema};
 use crate::parser::parse;
+use crate::serve::{beta_table, centroid_table, lambda_table, mu_table};
 use crate::sys::SystemTableProvider;
 use crate::{sqlgen, EngineError, Result};
 
@@ -198,7 +199,7 @@ impl ExecOptions {
 }
 
 /// What crash recovery did while opening a durable engine, reported
-/// through `STATUS` and the metrics surface.
+/// through the metrics surface (`sys.wal`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
     /// Committed WAL payload records re-applied during replay.
@@ -824,10 +825,26 @@ impl Db {
     /// process dies before it, replay skips the already-snapshotted
     /// envelopes via the manifest horizon.
     pub fn checkpoint(&self) -> Result<bool> {
+        self.checkpoint_if_log_reaches(0)
+    }
+
+    /// [`Db::checkpoint`], but only while the live log holds at least
+    /// `min_log_bytes` — the auto-checkpoint entry point. The size is
+    /// read once without the gate (the common "not yet" answer never
+    /// blocks behind in-flight envelopes) and again under it: of several sessions that
+    /// cross the threshold together, the first resets the log and the
+    /// rest return `false` instead of snapshotting every table again.
+    pub fn checkpoint_if_log_reaches(&self, min_log_bytes: u64) -> Result<bool> {
         let Some(ws) = &self.wal else {
             return Ok(false);
         };
+        if ws.wal.bytes() < min_log_bytes {
+            return Ok(false);
+        }
         let _gate = ws.gate.write().expect("wal gate");
+        if ws.wal.bytes() < min_log_bytes {
+            return Ok(false);
+        }
         let horizon = ws.wal.next_eid();
         let tmp = ws.dir.join("checkpoint.tmp");
         let cur = ws.dir.join("checkpoint");
@@ -1085,49 +1102,28 @@ impl Db {
     // Model tables (§3.5: models are stored in the DBMS as tables)
     // -----------------------------------------------------------------
 
+    /// Publishes (or replaces) a pre-built model table under `name`.
+    pub fn publish_model(&self, name: &str, table: Table) -> Result<()> {
+        self.drop_if_exists(name);
+        self.register_table(name, table)
+    }
+
     /// Stores a regression model as the one-row table
     /// `name(b0, b1..bd)` — "this table layout allows retrieving all
     /// coefficients in a single I/O".
     pub fn register_beta(&self, name: &str, intercept: f64, beta: &Vector) -> Result<()> {
-        let mut columns = vec![Column::new("b0", DataType::Float)];
-        for a in 1..=beta.len() {
-            columns.push(Column::new(format!("b{a}"), DataType::Float));
-        }
-        let mut table = Table::new(Schema::new(columns), 1);
-        let mut row: Row = vec![Value::Float(intercept)];
-        row.extend(beta.as_slice().iter().map(|&v| Value::Float(v)));
-        table.insert(row)?;
-        self.drop_if_exists(name);
-        self.register_table(name, table)
+        self.publish_model(name, beta_table(intercept, beta)?)
     }
 
     /// Stores a d × k loading matrix as `name(j, X1..Xd)` with one row
     /// per component `j = 1..k`.
     pub fn register_lambda(&self, name: &str, lambda: &Matrix) -> Result<()> {
-        let d = lambda.rows();
-        let mut columns = vec![Column::new("j", DataType::Int)];
-        for a in 1..=d {
-            columns.push(Column::new(format!("X{a}"), DataType::Float));
-        }
-        let mut table = Table::new(Schema::new(columns), 1);
-        for j in 0..lambda.cols() {
-            let mut row: Row = vec![Value::Int(j as i64 + 1)];
-            row.extend((0..d).map(|a| Value::Float(lambda[(a, j)])));
-            table.insert(row)?;
-        }
-        self.drop_if_exists(name);
-        self.register_table(name, table)
+        self.publish_model(name, lambda_table(lambda)?)
     }
 
     /// Stores a mean vector as the one-row table `name(X1..Xd)`.
     pub fn register_mu(&self, name: &str, mu: &Vector) -> Result<()> {
-        let columns = (1..=mu.len())
-            .map(|a| Column::new(format!("X{a}"), DataType::Float))
-            .collect();
-        let mut table = Table::new(Schema::new(columns), 1);
-        table.insert(mu.as_slice().iter().map(|&v| Value::Float(v)).collect())?;
-        self.drop_if_exists(name);
-        self.register_table(name, table)
+        self.publish_model(name, mu_table(mu)?)
     }
 
     /// Scores a batch of primary keys against a registered model table
@@ -1147,19 +1143,7 @@ impl Db {
 
     /// Stores cluster centroids as `name(j, X1..Xd)`, `j = 1..k`.
     pub fn register_centroids(&self, name: &str, centroids: &[Vector]) -> Result<()> {
-        let d = centroids.first().map_or(0, Vector::len);
-        let mut columns = vec![Column::new("j", DataType::Int)];
-        for a in 1..=d {
-            columns.push(Column::new(format!("X{a}"), DataType::Float));
-        }
-        let mut table = Table::new(Schema::new(columns), 1);
-        for (j, c) in centroids.iter().enumerate() {
-            let mut row: Row = vec![Value::Int(j as i64 + 1)];
-            row.extend(c.as_slice().iter().map(|&v| Value::Float(v)));
-            table.insert(row)?;
-        }
-        self.drop_if_exists(name);
-        self.register_table(name, table)
+        self.publish_model(name, centroid_table(centroids)?)
     }
 }
 
@@ -1347,8 +1331,7 @@ fn render_analyze(total_nanos: u64, stats: &ExecStats) -> Vec<String> {
 }
 
 /// Snapshot of one shard's cumulative activity, as reported through
-/// [`SqlEngine::shard_metrics`] into METRICS and the Prometheus
-/// export.
+/// [`SqlEngine::engine_stats`] into the server's metric registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMetricsSnapshot {
     /// Shard index, `0..shards`.
@@ -1363,8 +1346,7 @@ pub struct ShardMetricsSnapshot {
     pub busy_nanos: u64,
 }
 
-/// Counters of a SQL-text-keyed prepared-plan cache
-/// ([`SqlEngine::plan_cache_stats`]).
+/// Counters of a SQL-text-keyed prepared-plan cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Statements answered from a cached parse (no parse ran).
@@ -1373,6 +1355,34 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Plans currently cached.
     pub entries: u64,
+}
+
+/// What a durable engine reports about its write-ahead log(s).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DurabilityStats {
+    /// WAL counters since open (summed across per-shard logs).
+    pub wal: WalStatsSnapshot,
+    /// Bytes currently in the live log file(s) — resets to 0 at each
+    /// checkpoint.
+    pub log_bytes: u64,
+    /// What crash recovery replayed when the engine opened (zeroes for
+    /// a clean durable start).
+    pub recovery: RecoveryInfo,
+}
+
+/// Everything an engine reports about itself, in one snapshot
+/// ([`SqlEngine::engine_stats`]) — the engine-side input of the
+/// server's metric registry.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Per-shard activity counters; empty for an unsharded engine
+    /// (which counts as one shard).
+    pub shards: Vec<ShardMetricsSnapshot>,
+    /// Prepared-plan cache counters (`None` when the engine keeps no
+    /// cache).
+    pub plan_cache: Option<PlanCacheStats>,
+    /// Write-ahead-log state (`None` on a volatile engine).
+    pub durability: Option<DurabilityStats>,
 }
 
 /// Point-in-time refresh signal for one registered Γ summary, as a
@@ -1419,22 +1429,10 @@ pub trait SqlEngine: Send + Sync {
     /// execution options.
     fn execute_with(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet>;
 
-    /// Number of independent shards behind this engine (1 when
-    /// unsharded).
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// Per-shard activity counters (empty when unsharded).
-    fn shard_metrics(&self) -> Vec<ShardMetricsSnapshot> {
-        Vec::new()
-    }
-
-    /// Prepared-plan cache counters (`None` when the engine keeps no
-    /// cache).
-    fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        None
-    }
+    /// Shard counters, plan-cache counters, and durability state in
+    /// one snapshot. Cheap (counter reads), but only asked for when a
+    /// metrics surface is read — never per statement.
+    fn engine_stats(&self) -> EngineStats;
 
     /// Appends pre-evaluated rows to a table (the streamed-ingest
     /// commit). The batch is atomic from the reader's point of view:
@@ -1469,46 +1467,19 @@ pub trait SqlEngine: Send + Sync {
     /// state — exact by Γ additivity.
     fn summary_gamma(&self, name: &str) -> Result<Nlq>;
 
-    /// Publishes (or replaces) a regression model as the one-row table
-    /// `name(b0, b1..bd)` — on a sharded engine, replicated
-    /// everywhere, like any model table.
-    fn publish_beta(&self, name: &str, intercept: f64, beta: &Vector) -> Result<()>;
+    /// Publishes (or replaces) a model table — one of the layouts
+    /// [`crate::beta_table`], [`crate::centroid_table`],
+    /// [`crate::lambda_table`] build. On a sharded engine the table is
+    /// replicated everywhere, so scoring joins stay shard-local.
+    fn publish_model(&self, name: &str, table: Table) -> Result<()>;
 
-    /// Publishes (or replaces) cluster centroids as `name(j, X1..Xd)`.
-    fn publish_centroids(&self, name: &str, centroids: &[Vector]) -> Result<()>;
-
-    /// Publishes (or replaces) a d × k PCA loading matrix as
-    /// `name(j, X1..Xd)` with one row per component.
-    fn publish_lambda(&self, _name: &str, _lambda: &Matrix) -> Result<()> {
-        Err(EngineError::Unsupported(
-            "engine does not support publishing PCA loadings".into(),
-        ))
-    }
-
-    /// WAL counters (`None` when the engine keeps no write-ahead log).
-    /// On a sharded engine, the sum across per-shard logs.
-    fn wal_stats(&self) -> Option<WalStatsSnapshot> {
-        None
-    }
-
-    /// Bytes currently in the live WAL file(s) — resets to 0 at each
-    /// checkpoint, making it the auto-checkpoint trigger input (`None`
-    /// when the engine keeps no log).
-    fn wal_log_bytes(&self) -> Option<u64> {
-        None
-    }
-
-    /// Snapshots tables + DDL and durably truncates the log(s); `false`
-    /// (a no-op) on a volatile engine.
-    fn checkpoint(&self) -> Result<bool> {
-        Ok(false)
-    }
-
-    /// What crash recovery replayed when the engine opened (`None` on
-    /// a volatile engine; zeroes for a clean durable start).
-    fn recovery_info(&self) -> Option<RecoveryInfo> {
-        None
-    }
+    /// Snapshots tables + DDL and durably truncates the log(s), but
+    /// only while the live log holds at least `min_log_bytes` (0 =
+    /// unconditionally), re-checked under the checkpoint gate so
+    /// sessions that cross an auto-checkpoint threshold together
+    /// snapshot once. `false` when nothing was done — always, on a
+    /// volatile engine.
+    fn checkpoint(&self, min_log_bytes: u64) -> Result<bool>;
 
     /// Registers the virtual `sys.*` namespace every `sys.`-prefixed
     /// table reference resolves through (default: ignored, for engines
@@ -1520,6 +1491,17 @@ pub trait SqlEngine: Send + Sync {
 impl SqlEngine for Db {
     fn execute_with(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet> {
         Db::execute_with(self, sql, opts)
+    }
+
+    fn engine_stats(&self) -> EngineStats {
+        EngineStats {
+            durability: self.wal.as_ref().map(|ws| DurabilityStats {
+                wal: ws.wal.stats().snapshot(),
+                log_bytes: ws.wal.bytes(),
+                recovery: ws.recovery,
+            }),
+            ..EngineStats::default()
+        }
     }
 
     fn ingest_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
@@ -1589,32 +1571,12 @@ impl SqlEngine for Db {
         }
     }
 
-    fn publish_beta(&self, name: &str, intercept: f64, beta: &Vector) -> Result<()> {
-        self.register_beta(name, intercept, beta)
+    fn publish_model(&self, name: &str, table: Table) -> Result<()> {
+        Db::publish_model(self, name, table)
     }
 
-    fn publish_centroids(&self, name: &str, centroids: &[Vector]) -> Result<()> {
-        self.register_centroids(name, centroids)
-    }
-
-    fn publish_lambda(&self, name: &str, lambda: &Matrix) -> Result<()> {
-        self.register_lambda(name, lambda)
-    }
-
-    fn wal_stats(&self) -> Option<WalStatsSnapshot> {
-        Db::wal_stats(self)
-    }
-
-    fn wal_log_bytes(&self) -> Option<u64> {
-        Db::wal_log_bytes(self)
-    }
-
-    fn checkpoint(&self) -> Result<bool> {
-        Db::checkpoint(self)
-    }
-
-    fn recovery_info(&self) -> Option<RecoveryInfo> {
-        Db::recovery_info(self)
+    fn checkpoint(&self, min_log_bytes: u64) -> Result<bool> {
+        self.checkpoint_if_log_reaches(min_log_bytes)
     }
 
     fn set_system_tables(&self, provider: Arc<dyn SystemTableProvider>) {

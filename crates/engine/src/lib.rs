@@ -46,14 +46,14 @@ mod token;
 
 pub use ast::{Expr, OrderKey, Projection, SelectStmt, Statement, TableRef};
 pub use db::{
-    explain_analyze_footer, load_checkpoint, phase_spans, statement_is_logged, Db, ExecOptions,
-    ExecStats, NlqMethod, PlanCacheStats, RecoveryInfo, ResultSet, ShardMetricsSnapshot, SqlEngine,
-    SummaryRefreshState,
+    explain_analyze_footer, load_checkpoint, phase_spans, statement_is_logged, Db, DurabilityStats,
+    EngineStats, ExecOptions, ExecStats, NlqMethod, PlanCacheStats, RecoveryInfo, ResultSet,
+    ShardMetricsSnapshot, SqlEngine, SummaryRefreshState,
 };
 pub use error::EngineError;
 pub use exec::{result_to_table, AggPartial};
 pub use parser::parse;
-pub use serve::MAX_SCORE_KEYS;
+pub use serve::{beta_table, centroid_table, lambda_table, mu_table, MAX_SCORE_KEYS};
 pub use sys::{SystemTableProvider, SYS_PREFIX};
 
 /// Convenience result alias for engine operations.

@@ -10,8 +10,9 @@
 
 use std::time::Instant;
 
+use nlq_linalg::{Matrix, Vector};
 use nlq_obs::{Phase, Span};
-use nlq_storage::{bitmap_mask_tail, bitmap_words, Row, Table, Value};
+use nlq_storage::{bitmap_mask_tail, bitmap_words, Column, DataType, Row, Schema, Table, Value};
 use nlq_udf::ScalarBatchArg;
 
 use crate::db::{Db, ExecOptions, ResultSet};
@@ -20,6 +21,70 @@ use crate::{EngineError, Result};
 /// Hard cap on keys per batch-scoring request: one round trip must
 /// stay bounded in memory and frame size.
 pub const MAX_SCORE_KEYS: usize = 65_536;
+
+// ---------------------------------------------------------------------
+// Model tables (§3.5: models are stored in the DBMS as tables)
+// ---------------------------------------------------------------------
+
+fn float_columns(prefix: &str, range: std::ops::RangeInclusive<usize>) -> Vec<Column> {
+    range
+        .map(|a| Column::new(format!("{prefix}{a}"), DataType::Float))
+        .collect()
+}
+
+fn model_table(columns: Vec<Column>, rows: impl IntoIterator<Item = Row>) -> Result<Table> {
+    let mut table = Table::new(Schema::new(columns), 1);
+    for row in rows {
+        table.insert(row)?;
+    }
+    Ok(table)
+}
+
+/// The `(j, X1..Xd)` layout shared by centroids and PCA loadings: one
+/// row per component, `j = 1..k`.
+fn component_table(d: usize, components: impl Iterator<Item = Vec<f64>>) -> Result<Table> {
+    let mut columns = vec![Column::new("j", DataType::Int)];
+    columns.extend(float_columns("X", 1..=d));
+    model_table(
+        columns,
+        components.enumerate().map(|(j, c)| {
+            let mut row: Row = vec![Value::Int(j as i64 + 1)];
+            row.extend(c.into_iter().map(Value::Float));
+            row
+        }),
+    )
+}
+
+/// A regression model as the one-row table `(b0, b1..bd)` — "this
+/// table layout allows retrieving all coefficients in a single I/O".
+pub fn beta_table(intercept: f64, beta: &Vector) -> Result<Table> {
+    let row = std::iter::once(intercept)
+        .chain(beta.as_slice().iter().copied())
+        .map(Value::Float)
+        .collect();
+    model_table(float_columns("b", 0..=beta.len()), [row])
+}
+
+/// A mean vector as the one-row table `(X1..Xd)`.
+pub fn mu_table(mu: &Vector) -> Result<Table> {
+    let row = mu.as_slice().iter().map(|&v| Value::Float(v)).collect();
+    model_table(float_columns("X", 1..=mu.len()), [row])
+}
+
+/// Cluster centroids as `(j, X1..Xd)`, `j = 1..k`.
+pub fn centroid_table(centroids: &[Vector]) -> Result<Table> {
+    let d = centroids.first().map_or(0, Vector::len);
+    component_table(d, centroids.iter().map(|c| c.as_slice().to_vec()))
+}
+
+/// A d × k loading matrix as `(j, X1..Xd)`, one row per component.
+pub fn lambda_table(lambda: &Matrix) -> Result<Table> {
+    let d = lambda.rows();
+    component_table(
+        d,
+        (0..lambda.cols()).map(|j| (0..d).map(|a| lambda[(a, j)]).collect()),
+    )
+}
 
 /// A model table's layout, classified for scoring.
 enum ModelKind {
@@ -56,8 +121,8 @@ impl ModelKind {
     }
 }
 
-/// Classifies a registered model table by the layouts
-/// [`Db::register_beta`] and [`Db::register_centroids`] produce.
+/// Classifies a registered model table by the layouts [`beta_table`]
+/// and [`centroid_table`] produce.
 fn classify_model(name: &str, m: &Table) -> Result<ModelKind> {
     let schema = m.schema();
     let first = schema

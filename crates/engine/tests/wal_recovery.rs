@@ -56,6 +56,40 @@ fn reopen_replays_statements_and_envelopes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sessions whose envelopes cross the auto-checkpoint threshold
+/// together must snapshot once: the log size is re-checked under the
+/// checkpoint gate, so the losers see the reset log and return.
+#[test]
+fn concurrent_threshold_crossings_checkpoint_exactly_once() {
+    const SESSIONS: usize = 8;
+    let dir = temp_dir("ckpt-once");
+    let db = Arc::new(Db::open_durable(2, &dir, false).unwrap());
+    db.execute("CREATE TABLE t (i INT, x FLOAT)").unwrap();
+    let barrier = Arc::new(std::sync::Barrier::new(SESSIONS));
+    let sessions: Vec<_> = (0..SESSIONS as i64)
+        .map(|k| {
+            let (db, barrier) = (Arc::clone(&db), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let row = vec![Value::Int(k), Value::Float(1.0)];
+                SqlEngine::ingest_rows(db.as_ref(), "t", vec![row]).unwrap();
+                // Every envelope is committed — the log is past the
+                // threshold for all of them — before anyone checks it.
+                barrier.wait();
+                SqlEngine::checkpoint(db.as_ref(), 1).unwrap()
+            })
+        })
+        .collect();
+    let took = sessions
+        .into_iter()
+        .map(|t| t.join().unwrap())
+        .filter(|&took| took)
+        .count();
+    assert_eq!(took, 1, "exactly one session snapshots");
+    assert_eq!(db.wal_stats().unwrap().checkpoints, 1);
+    assert_eq!(db.wal_log_bytes(), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn checkpoint_truncates_log_and_survives_reopen() {
     let dir = temp_dir("ckpt");

@@ -20,7 +20,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nlq_engine::{ExecOptions, SqlEngine, SummaryRefreshState};
+use nlq_engine::{
+    beta_table, centroid_table, lambda_table, ExecOptions, SqlEngine, SummaryRefreshState,
+};
 use nlq_linalg::Vector;
 use nlq_models::{GammaModelSet, KMeans, KMeansConfig, MatrixShape, PcaInput, RefreshSpec};
 use nlq_storage::Value;
@@ -306,38 +308,8 @@ impl RefreshLoop {
     /// un-refreshed bindings retrigger next tick.
     pub fn tick(&mut self) -> Result<u64> {
         self.ticks += 1;
-        // Summary names are case-insensitive engine-side (the store keys
-        // by lowercase but reports the name as written), so normalize
-        // here or bindings would never match a summary created as `S`.
-        let states: HashMap<String, SummaryRefreshState> = self
-            .engine
-            .summary_refresh_states()
-            .into_iter()
-            .map(|st| (st.name.to_ascii_lowercase(), st))
-            .collect();
-        if self.config.auto_discover {
-            let eligible: Vec<String> = states
-                .values()
-                .filter(|st| Self::eligible(st))
-                .map(|st| st.name.clone())
-                .collect();
-            for name in eligible {
-                if !self.has_binding(&name, |k| matches!(k, BindingKind::Regression)) {
-                    self.add_binding(Binding::regression(&name));
-                }
-                let lc = name.to_ascii_lowercase();
-                if !self.has_binding(&name, |k| matches!(k, BindingKind::Kmeans { .. })) {
-                    if let Some(k) = self.probe_rows(&format!("{lc}_centroids")) {
-                        self.add_binding(Binding::kmeans(&name, k));
-                    }
-                }
-                if !self.has_binding(&name, |k| matches!(k, BindingKind::Pca { .. })) {
-                    if let Some(c) = self.probe_rows(&format!("{lc}_lambda")) {
-                        self.add_binding(Binding::pca(&name, c));
-                    }
-                }
-            }
-        }
+        let states = self.summary_states();
+        self.discover(&states);
         let mut published = 0u64;
         for bi in 0..self.bindings.len() {
             let b = self.bindings[bi].clone();
@@ -386,6 +358,46 @@ impl RefreshLoop {
         Ok(published)
     }
 
+    /// The engine's refresh signals keyed by lowercase summary name.
+    /// Summary names are case-insensitive engine-side (the store keys
+    /// by lowercase but reports the name as written), so normalize here
+    /// or bindings would never match a summary created as `S`.
+    fn summary_states(&self) -> HashMap<String, SummaryRefreshState> {
+        self.engine
+            .summary_refresh_states()
+            .into_iter()
+            .map(|st| (st.name.to_ascii_lowercase(), st))
+            .collect()
+    }
+
+    /// Auto-discovery (a no-op unless configured): binds every eligible
+    /// summary that has no binding yet, registering it in the progress
+    /// ledger so its lag counts from this moment.
+    fn discover(&mut self, states: &HashMap<String, SummaryRefreshState>) {
+        if !self.config.auto_discover {
+            return;
+        }
+        for (lc, st) in states {
+            if !Self::eligible(st) {
+                continue;
+            }
+            let name = &st.name;
+            if !self.has_binding(name, |k| matches!(k, BindingKind::Regression)) {
+                self.add_binding(Binding::regression(name));
+            }
+            if !self.has_binding(name, |k| matches!(k, BindingKind::Kmeans { .. })) {
+                if let Some(k) = self.probe_rows(&format!("{lc}_centroids")) {
+                    self.add_binding(Binding::kmeans(name, k));
+                }
+            }
+            if !self.has_binding(name, |k| matches!(k, BindingKind::Pca { .. })) {
+                if let Some(c) = self.probe_rows(&format!("{lc}_lambda")) {
+                    self.add_binding(Binding::pca(name, c));
+                }
+            }
+        }
+    }
+
     fn has_binding(&self, summary: &str, kind: impl Fn(&BindingKind) -> bool) -> bool {
         self.bindings
             .iter()
@@ -430,8 +442,8 @@ impl RefreshLoop {
             }
         };
         let reg = set.regression().expect("regression enabled");
-        self.engine
-            .publish_beta(&b.model, reg.intercept(), reg.coefficients())?;
+        let table = beta_table(reg.intercept(), reg.coefficients())?;
+        self.engine.publish_model(&b.model, table)?;
         Ok(())
     }
 
@@ -457,7 +469,8 @@ impl RefreshLoop {
             }
         };
         let pca = set.pca().expect("pca enabled");
-        self.engine.publish_lambda(&b.model, pca.lambda())?;
+        let table = lambda_table(pca.lambda())?;
+        self.engine.publish_model(&b.model, table)?;
         Ok(())
     }
 
@@ -489,7 +502,8 @@ impl RefreshLoop {
             None => KMeans::fit(&data, &config)?,
         };
         entry.seeds = Some(model.centroids().to_vec());
-        self.engine.publish_centroids(&b.model, model.centroids())?;
+        let table = centroid_table(model.centroids())?;
+        self.engine.publish_model(&b.model, table)?;
         Ok(())
     }
 }
@@ -581,12 +595,22 @@ impl RefreshDaemon {
         let refreshes = Arc::new(AtomicU64::new(0));
         let ticks = Arc::new(AtomicU64::new(0));
         let progress = Arc::new(RefreshProgress::default());
+        // Bind on the caller's thread, before the daemon thread exists:
+        // explicit bindings and everything discoverable right now are in
+        // the ledger when this returns, so `staleness()` (and ingest
+        // back-pressure) never reads 0 just because no tick has run yet.
+        let mut lp = RefreshLoop::with_progress(
+            Arc::clone(&engine),
+            bindings,
+            config,
+            Arc::clone(&progress),
+        );
+        let states = lp.summary_states();
+        lp.discover(&states);
         let (stop2, refreshes2, ticks2) = (stop.clone(), refreshes.clone(), ticks.clone());
-        let (engine2, progress2) = (Arc::clone(&engine), Arc::clone(&progress));
         let handle = std::thread::Builder::new()
             .name("nlq-refresh".into())
             .spawn(move || {
-                let mut lp = RefreshLoop::with_progress(engine2, bindings, config, progress2);
                 while !stop2.load(Ordering::Relaxed) {
                     if let Some(g) = &gate {
                         if !g.acquire(&stop2) {

@@ -90,8 +90,9 @@ fn streaming_ingest_matches_bulk_load_then_score() {
         let beta =
             nlq_linalg::Vector::from_vec(vec![rng.range_f64(-2.0, 2.0), rng.range_f64(-2.0, 2.0)]);
         let b0 = rng.range_f64(-1.0, 1.0);
-        streamed.publish_beta("m", b0, &beta).unwrap();
-        bulk.publish_beta("m", b0, &beta).unwrap();
+        let model = nlq_engine::beta_table(b0, &beta).unwrap();
+        streamed.publish_model("m", model.clone()).unwrap();
+        bulk.publish_model("m", model).unwrap();
 
         // Batch scoring agrees key for key (present, absent, and
         // NULL-featured keys all covered by the random draw).
@@ -328,9 +329,13 @@ fn auto_discovery_adopts_regression_kmeans_and_pca_bindings() {
     let c: Vec<nlq_linalg::Vector> = (0..3)
         .map(|j| nlq_linalg::Vector::from_vec(vec![j as f64, -(j as f64)]))
         .collect();
-    engine.publish_centroids("s_centroids", &c).unwrap();
+    engine
+        .publish_model("s_centroids", nlq_engine::centroid_table(&c).unwrap())
+        .unwrap();
     let lambda = nlq_linalg::Matrix::identity(2);
-    engine.publish_lambda("s_lambda", &lambda).unwrap();
+    engine
+        .publish_model("s_lambda", nlq_engine::lambda_table(&lambda).unwrap())
+        .unwrap();
 
     let cfg = RefreshConfig {
         auto_discover: true,

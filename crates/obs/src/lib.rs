@@ -113,25 +113,8 @@ pub enum Phase {
     Other,
 }
 
-/// Every phase, in pipeline order (the render order).
-pub const PHASES: [Phase; 13] = [
-    Phase::Parse,
-    Phase::Plan,
-    Phase::SummaryLookup,
-    Phase::PointLookup,
-    Phase::Scatter,
-    Phase::Scan,
-    Phase::Ingest,
-    Phase::Wal,
-    Phase::Finalize,
-    Phase::Gather,
-    Phase::Encode,
-    Phase::Stream,
-    Phase::Other,
-];
-
 impl Phase {
-    /// Stable lowercase name (used in renders and on the wire).
+    /// Stable lowercase name (used in renders and `sys.spans`).
     pub fn name(self) -> &'static str {
         match self {
             Phase::Parse => "parse",
@@ -148,30 +131,6 @@ impl Phase {
             Phase::Wal => "wal",
             Phase::Other => "other",
         }
-    }
-
-    /// Wire tag for this phase.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            Phase::Parse => 0,
-            Phase::Plan => 1,
-            Phase::SummaryLookup => 2,
-            Phase::Scan => 3,
-            Phase::Finalize => 4,
-            Phase::Encode => 5,
-            Phase::Stream => 6,
-            Phase::Other => 7,
-            Phase::Scatter => 8,
-            Phase::Gather => 9,
-            Phase::PointLookup => 10,
-            Phase::Ingest => 11,
-            Phase::Wal => 12,
-        }
-    }
-
-    /// Inverse of [`Phase::as_u8`].
-    pub fn from_u8(b: u8) -> Option<Phase> {
-        PHASES.into_iter().find(|p| p.as_u8() == b)
     }
 }
 
@@ -272,29 +231,6 @@ impl Outcome {
             Outcome::CancelledQueued => "cancelled-queued",
             Outcome::Timeout => "timeout",
         }
-    }
-
-    /// Wire tag for this outcome.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            Outcome::Ok => 0,
-            Outcome::Error => 1,
-            Outcome::Cancelled => 2,
-            Outcome::CancelledQueued => 3,
-            Outcome::Timeout => 4,
-        }
-    }
-
-    /// Inverse of [`Outcome::as_u8`].
-    pub fn from_u8(b: u8) -> Option<Outcome> {
-        Some(match b {
-            0 => Outcome::Ok,
-            1 => Outcome::Error,
-            2 => Outcome::Cancelled,
-            3 => Outcome::CancelledQueued,
-            4 => Outcome::Timeout,
-            _ => return None,
-        })
     }
 }
 
@@ -401,11 +337,12 @@ impl std::fmt::Debug for Trace {
     }
 }
 
-/// A completed statement's trace as the server retains and ships it.
+/// A completed statement's trace as the server retains it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
-    /// Server-wide monotone trace id (paging cursor for `TRACE`).
-    /// Assigned at completion, so ids are retention-ordered.
+    /// Server-wide monotone trace id (`sys.queries.trace_id`, the
+    /// paging cursor). Assigned at completion, so ids are
+    /// retention-ordered.
     pub id: u64,
     /// Globally unique query id minted at admission (before queueing),
     /// the join key across `sys.queries`, `sys.spans`, `RowsHeader`,
@@ -471,9 +408,6 @@ pub struct TraceRing {
     next: AtomicU64,
     /// Records overwritten after the ring wrapped.
     evicted: AtomicU64,
-    /// Highest record id evicted so far (0 = none). Lets `TRACE`
-    /// paging report truncation when `after_id` has fallen off.
-    max_evicted_id: AtomicU64,
 }
 
 impl TraceRing {
@@ -484,13 +418,7 @@ impl TraceRing {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             next: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            max_evicted_id: AtomicU64::new(0),
         }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Records pushed over the ring's lifetime (retained or evicted).
@@ -503,13 +431,6 @@ impl TraceRing {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Whether a `TRACE` page anchored at `after_id` is missing
-    /// evicted records: true when some record with id > `after_id`
-    /// has already been overwritten.
-    pub fn truncated(&self, after_id: u64) -> bool {
-        self.max_evicted_id.load(Ordering::Relaxed) > after_id
-    }
-
     /// Retains `record`, evicting the oldest once full.
     pub fn push(&self, record: TraceRecord) {
         let slot = self.next.fetch_add(1, Ordering::Relaxed) as usize % self.slots.len();
@@ -517,23 +438,19 @@ impl TraceRing {
             .lock()
             .expect("trace ring slot")
             .replace(record);
-        if let Some(old) = prev {
+        if prev.is_some() {
             self.evicted.fetch_add(1, Ordering::Relaxed);
-            self.max_evicted_id.fetch_max(old.id, Ordering::Relaxed);
         }
     }
 
-    /// The retained records with id greater than `after_id`, oldest
-    /// first, at most `limit` — the `TRACE` command's paging shape.
-    pub fn page(&self, after_id: u64, limit: usize) -> Vec<TraceRecord> {
+    /// A snapshot of the retained records, oldest (lowest id) first.
+    pub fn records(&self) -> Vec<TraceRecord> {
         let mut out: Vec<TraceRecord> = self
             .slots
             .iter()
             .filter_map(|s| s.lock().expect("trace ring slot").clone())
-            .filter(|r| r.id > after_id)
             .collect();
         out.sort_by_key(|r| r.id);
-        out.truncate(limit);
         out
     }
 }
@@ -816,20 +733,15 @@ mod tests {
     }
 
     #[test]
-    fn ring_retains_last_n_and_pages() {
+    fn ring_retains_last_n_in_id_order() {
         let ring = TraceRing::new(4);
         for id in 1..=10u64 {
             ring.push(record(id, 1, id, format!("SELECT {id}"), id * 10));
         }
-        let all = ring.page(0, 100);
         assert_eq!(
-            all.iter().map(|r| r.id).collect::<Vec<_>>(),
+            ring.records().iter().map(|r| r.id).collect::<Vec<_>>(),
             vec![7, 8, 9, 10]
         );
-        let after = ring.page(8, 100);
-        assert_eq!(after.iter().map(|r| r.id).collect::<Vec<_>>(), vec![9, 10]);
-        let limited = ring.page(0, 2);
-        assert_eq!(limited.iter().map(|r| r.id).collect::<Vec<_>>(), vec![7, 8]);
         assert_eq!(ring.pushed(), 10);
     }
 
@@ -847,32 +759,24 @@ mod tests {
             }
         });
         assert_eq!(ring.pushed(), 400);
-        assert_eq!(ring.page(0, 100).len(), 8);
+        assert_eq!(ring.records().len(), 8);
     }
 
     #[test]
-    fn ring_wraparound_reports_eviction_and_truncation() {
+    fn ring_wraparound_counts_evictions() {
         let ring = TraceRing::new(4);
         for id in 1..=4u64 {
             ring.push(record(id, 1, id, String::new(), 1));
         }
-        // Full but nothing overwritten yet: no eviction, no truncation.
+        // Full but nothing overwritten yet.
         assert_eq!(ring.evicted(), 0);
-        assert!(!ring.truncated(0));
         // Wrap: ids 1..=3 fall off.
         for id in 5..=7u64 {
             ring.push(record(id, 1, id, String::new(), 1));
         }
         assert_eq!(ring.evicted(), 3);
-        // A cursor before (or at) an evicted id has missed records.
-        assert!(ring.truncated(0));
-        assert!(ring.truncated(2));
-        // The highest evicted id is 3, so paging after 3 is complete.
-        assert!(!ring.truncated(3));
-        assert!(!ring.truncated(6));
-        // Paging still returns what's retained.
         assert_eq!(
-            ring.page(0, 100).iter().map(|r| r.id).collect::<Vec<_>>(),
+            ring.records().iter().map(|r| r.id).collect::<Vec<_>>(),
             vec![4, 5, 6, 7]
         );
     }
@@ -902,24 +806,6 @@ mod tests {
         assert_eq!(r.rows(), 100);
         // WAL bytes are accounted separately, not as payload bytes.
         assert_eq!(r.bytes(), 4096);
-    }
-
-    #[test]
-    fn phase_and_outcome_tags_round_trip() {
-        for p in PHASES {
-            assert_eq!(Phase::from_u8(p.as_u8()), Some(p));
-        }
-        for o in [
-            Outcome::Ok,
-            Outcome::Error,
-            Outcome::Cancelled,
-            Outcome::CancelledQueued,
-            Outcome::Timeout,
-        ] {
-            assert_eq!(Outcome::from_u8(o.as_u8()), Some(o));
-        }
-        assert_eq!(Phase::from_u8(200), None);
-        assert_eq!(Outcome::from_u8(200), None);
     }
 
     #[test]

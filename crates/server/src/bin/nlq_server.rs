@@ -18,7 +18,7 @@
 //! and ingest envelope is logged to a write-ahead log under `DIR`
 //! before it is applied, and an ack means the data survives `kill
 //! -9`. Restarting with the same `DIR` replays the log (recovery
-//! counters show up under `STATUS`). `--no-fsync` keeps the log but
+//! counters show up in `sys.wal`). `--no-fsync` keeps the log but
 //! skips the per-commit fsync (group commit still batches writes) —
 //! faster, durable against process crash but not against power loss.
 //! `--checkpoint-bytes N` checkpoints (snapshot + log truncation)
@@ -177,7 +177,7 @@ fn main() -> ExitCode {
         (None, true) => Arc::new(ShardedDb::new(shards, (workers / shards).max(1))),
         (None, false) => Arc::new(Db::new(workers)),
     };
-    if let Some(info) = db.recovery_info() {
+    if let Some(info) = db.engine_stats().durability.map(|d| d.recovery) {
         eprintln!(
             "recovered: {} records ({} envelopes) replayed, {} torn bytes truncated, \
              {} tables from checkpoint",

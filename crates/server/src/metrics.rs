@@ -1,9 +1,18 @@
-//! Server-wide counters, gauges, and latency histograms.
+//! Server-wide counters, gauges, and latency histograms — and the one
+//! registry that names them.
 //!
-//! Everything here is updated from connection and pool threads and
-//! rendered on demand by the `METRICS` command — either as a
-//! two-column `(metric, value)` result set or as Prometheus text
-//! exposition. Latencies go into fixed `AtomicHistogram`s over
+//! Everything here is updated from connection and pool threads with
+//! plain atomic increments. Reading goes through `samples`: one list
+//! of `(family, labels, kind, help, value)` [`Sample`]s covering the
+//! server counters, per-command request/error counters and latency
+//! histograms, shard and plan-cache counters, and WAL/recovery state.
+//! `sys.metrics`, `sys.wal`, and the Prometheus exposition
+//! ([`render_prometheus`]) are generic renderings of that list, so they
+//! cannot disagree; a metric's name appears exactly once, where its
+//! sample is built. The list is assembled only when one of those
+//! surfaces is read — never per statement.
+//!
+//! Latencies go into fixed `AtomicHistogram`s over
 //! `log10(microseconds)` in `[0, 7)` — bucket `b` covers
 //! `[10^(b/2), 10^((b+1)/2))` µs, spanning 1 µs to 10 s in 14
 //! buckets. Recording is lock-free: a bucket index is computed from
@@ -13,8 +22,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use nlq_engine::{EngineStats, ShardMetricsSnapshot};
 use nlq_obs::PromText;
-use nlq_storage::Value;
+
+use crate::server::Shared;
 
 /// Commands tracked separately in the metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,18 +34,14 @@ pub enum Command {
     Execute,
     /// `SetOption` requests.
     SetOption,
-    /// `Status` requests.
-    Status,
-    /// `Metrics` requests (both result-set and Prometheus forms).
-    Metrics,
+    /// `MetricsProm` requests (Prometheus scrapes).
+    MetricsProm,
     /// `Ping` requests.
     Ping,
     /// `Shutdown` requests.
     Shutdown,
     /// `Cancel` requests (handled inline by session readers).
     Cancel,
-    /// `Trace` requests (recent/slow query trace pages).
-    Trace,
     /// Streamed-ingest envelopes (`InsertDone` commits; the header and
     /// chunk frames are unacknowledged and fold into this command).
     Ingest,
@@ -45,17 +52,15 @@ pub enum Command {
 }
 
 /// How many commands the metrics arrays track.
-const NCOMMANDS: usize = 11;
+const NCOMMANDS: usize = 9;
 
 const COMMANDS: [(Command, &str); NCOMMANDS] = [
     (Command::Execute, "execute"),
     (Command::SetOption, "set_option"),
-    (Command::Status, "status"),
-    (Command::Metrics, "metrics"),
+    (Command::MetricsProm, "metrics"),
     (Command::Ping, "ping"),
     (Command::Shutdown, "shutdown"),
     (Command::Cancel, "cancel"),
-    (Command::Trace, "trace"),
     (Command::Ingest, "ingest"),
     (Command::BatchScore, "batch_score"),
     (Command::Checkpoint, "checkpoint"),
@@ -116,6 +121,7 @@ fn bucket_index(micros: f64) -> BucketIndex {
 /// A fixed-bucket latency histogram updated with plain atomic
 /// increments — no mutex, so concurrent recorders never contend
 /// beyond the cache line.
+#[derive(Default)]
 struct AtomicHistogram {
     buckets: [AtomicU64; LAT_BUCKETS],
     below: AtomicU64,
@@ -126,15 +132,6 @@ struct AtomicHistogram {
 }
 
 impl AtomicHistogram {
-    fn new() -> AtomicHistogram {
-        AtomicHistogram {
-            buckets: Default::default(),
-            below: AtomicU64::new(0),
-            above: AtomicU64::new(0),
-            sum_micros: AtomicU64::new(0),
-        }
-    }
-
     fn record(&self, micros: u64) {
         self.sum_micros.fetch_add(micros, Ordering::Relaxed);
         match bucket_index(micros.max(1) as f64) {
@@ -166,6 +163,7 @@ impl AtomicHistogram {
 }
 
 /// All server metrics; cheap to share behind an `Arc`.
+#[derive(Default)]
 pub struct Metrics {
     counts: [AtomicU64; NCOMMANDS],
     errors: [AtomicU64; NCOMMANDS],
@@ -206,56 +204,18 @@ pub struct Metrics {
     pub ingest_rows: AtomicU64,
     /// Keys scored through `BatchScore` requests.
     pub batch_score_keys: AtomicU64,
-    /// Models published by the refresh daemon (mirrored from the
-    /// daemon's own counter at render time).
-    pub model_refreshes: AtomicU64,
     /// Ingest envelopes refused with a retry hint because the refresh
     /// daemon was too far behind (`--staleness-bound`).
     pub ingest_backpressure: AtomicU64,
-    /// Trace records overwritten after the rings wrapped (recent +
-    /// slow rings; mirrored from the rings at render time). When this
-    /// grows, `TRACE` pages anchored at old cursors report
-    /// `truncated`.
-    pub trace_ring_evicted: AtomicU64,
     /// CPU nanoseconds attributed to completed queries (worker thread
     /// plus per-shard executors, summed at gather).
     pub query_cpu_nanos: AtomicU64,
-    /// Rows folded into bound summaries since their models were last
-    /// published — the refresh daemon's worst-case lag (mirrored at
-    /// render time; 0 without a daemon).
-    pub refresh_lag_rows: AtomicU64,
 }
 
 impl Metrics {
     /// Fresh, all-zero metrics.
     pub fn new() -> Metrics {
-        Metrics {
-            counts: Default::default(),
-            errors: Default::default(),
-            latency: std::array::from_fn(|_| AtomicHistogram::new()),
-            connections_rejected: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            sessions_active: AtomicU64::new(0),
-            query_timeouts: AtomicU64::new(0),
-            queue_rejections: AtomicU64::new(0),
-            results_too_large: AtomicU64::new(0),
-            queries_cancelled: AtomicU64::new(0),
-            queries_cancelled_queued: AtomicU64::new(0),
-            cancel_requests: AtomicU64::new(0),
-            bytes_streamed: AtomicU64::new(0),
-            chunks_streamed: AtomicU64::new(0),
-            summary_hits: AtomicU64::new(0),
-            summary_misses: AtomicU64::new(0),
-            summary_stale_rebuilds: AtomicU64::new(0),
-            slow_queries: AtomicU64::new(0),
-            ingest_rows: AtomicU64::new(0),
-            batch_score_keys: AtomicU64::new(0),
-            model_refreshes: AtomicU64::new(0),
-            ingest_backpressure: AtomicU64::new(0),
-            trace_ring_evicted: AtomicU64::new(0),
-            query_cpu_nanos: AtomicU64::new(0),
-            refresh_lag_rows: AtomicU64::new(0),
-        }
+        Metrics::default()
     }
 
     /// Records one completed command with its wall-clock latency.
@@ -276,482 +236,258 @@ impl Metrics {
             .fetch_add(stale_rebuilds, Ordering::Relaxed);
     }
 
-    /// The named gauges/counters as `(name, value)` pairs, in render
-    /// order.
-    fn named(&self, queue_depth: usize, workers_busy: usize) -> Vec<(&'static str, u64)> {
-        vec![
-            ("queue_depth", queue_depth as u64),
-            ("workers_busy", workers_busy as u64),
-            (
-                "connections_accepted",
-                self.connections_accepted.load(Ordering::Relaxed),
-            ),
-            (
-                "connections_rejected",
-                self.connections_rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "sessions_active",
-                self.sessions_active.load(Ordering::Relaxed),
-            ),
-            (
-                "query_timeouts",
-                self.query_timeouts.load(Ordering::Relaxed),
-            ),
-            (
-                "queue_rejections",
-                self.queue_rejections.load(Ordering::Relaxed),
-            ),
-            (
-                "results_too_large",
-                self.results_too_large.load(Ordering::Relaxed),
-            ),
-            (
-                "queries_cancelled",
-                self.queries_cancelled.load(Ordering::Relaxed),
-            ),
-            (
-                "queries_cancelled_queued",
-                self.queries_cancelled_queued.load(Ordering::Relaxed),
-            ),
-            (
-                "cancel_requests",
-                self.cancel_requests.load(Ordering::Relaxed),
-            ),
-            (
-                "bytes_streamed",
-                self.bytes_streamed.load(Ordering::Relaxed),
-            ),
-            (
-                "chunks_streamed",
-                self.chunks_streamed.load(Ordering::Relaxed),
-            ),
-            ("summary_hits", self.summary_hits.load(Ordering::Relaxed)),
-            (
-                "summary_misses",
-                self.summary_misses.load(Ordering::Relaxed),
-            ),
-            (
-                "summary_stale_rebuilds",
-                self.summary_stale_rebuilds.load(Ordering::Relaxed),
-            ),
-            ("slow_queries", self.slow_queries.load(Ordering::Relaxed)),
-            (
-                "ingest_rows_total",
-                self.ingest_rows.load(Ordering::Relaxed),
-            ),
-            (
-                "batch_score_keys_total",
-                self.batch_score_keys.load(Ordering::Relaxed),
-            ),
-            (
-                "model_refreshes_total",
-                self.model_refreshes.load(Ordering::Relaxed),
-            ),
-            (
-                "ingest_backpressure_total",
-                self.ingest_backpressure.load(Ordering::Relaxed),
-            ),
-            (
-                "trace_ring_evicted_total",
-                self.trace_ring_evicted.load(Ordering::Relaxed),
-            ),
-            (
-                "query_cpu_us_total",
-                self.query_cpu_nanos.load(Ordering::Relaxed) / 1_000,
-            ),
-            (
-                "refresh_lag_rows",
-                self.refresh_lag_rows.load(Ordering::Relaxed),
-            ),
-        ]
-    }
+    /// Every sample this struct owns: the plain counters, then the
+    /// per-command request/error counters and latency histograms
+    /// (cumulative `_bucket` series in seconds, as Prometheus
+    /// convention wants).
+    fn samples(&self, out: &mut Vec<Sample>) {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        #[rustfmt::skip]
+        let counters: [(&'static str, &'static str, &AtomicU64); 17] = [
+            ("connections_accepted", "Connections accepted", &self.connections_accepted),
+            ("connections_rejected", "Connections refused by admission control", &self.connections_rejected),
+            ("query_timeouts", "Queries that hit the per-query wall-clock limit", &self.query_timeouts),
+            ("queue_rejections", "Queries refused because the pool queue was full", &self.queue_rejections),
+            ("results_too_large", "Results dropped for exceeding row or byte limits", &self.results_too_large),
+            ("queries_cancelled", "Queries cancelled mid-execution", &self.queries_cancelled),
+            ("queries_cancelled_queued", "Queries cancelled while still queued", &self.queries_cancelled_queued),
+            ("cancel_requests", "Cancel frames received", &self.cancel_requests),
+            ("bytes_streamed", "RowsChunk payload bytes written to sockets", &self.bytes_streamed),
+            ("chunks_streamed", "RowsChunk frames written to sockets", &self.chunks_streamed),
+            ("summary_hits", "Statements answered from a materialized summary", &self.summary_hits),
+            ("summary_misses", "Summary probes that fell back to a scan", &self.summary_misses),
+            ("summary_stale_rebuilds", "Stale summaries rebuilt on demand", &self.summary_stale_rebuilds),
+            ("slow_queries", "Queries at or above the slow-query threshold", &self.slow_queries),
+            ("ingest_rows_total", "Rows committed through ingest envelopes", &self.ingest_rows),
+            ("batch_score_keys_total", "Keys scored through BatchScore requests", &self.batch_score_keys),
+            ("ingest_backpressure_total", "Ingest envelopes refused with a retry hint", &self.ingest_backpressure),
+        ];
+        out.extend(counters.map(|(family, help, a)| counter(family, help, load(a))));
+        out.push(counter(
+            "query_cpu_us_total",
+            "CPU microseconds attributed to completed queries",
+            load(&self.query_cpu_nanos) / 1_000,
+        ));
+        out.push(gauge(
+            "sessions_active",
+            "Currently open sessions",
+            load(&self.sessions_active),
+        ));
 
-    /// Renders every metric as `(name, value)` rows. `queue_depth` and
-    /// `workers_busy` are sampled by the caller (the pool owns them).
-    pub fn render(&self, queue_depth: usize, workers_busy: usize) -> Vec<Vec<Value>> {
-        let mut rows = Vec::new();
-        for (name, v) in self.named(queue_depth, workers_busy) {
-            rows.push(vec![Value::Str(name.to_owned()), Value::Int(v as i64)]);
-        }
-        for (i, (_, name)) in COMMANDS.iter().enumerate() {
-            let count = self.counts[i].load(Ordering::Relaxed);
-            rows.push(vec![
-                Value::Str(format!("command.{name}.count")),
-                Value::Int(count as i64),
-            ]);
-            rows.push(vec![
-                Value::Str(format!("command.{name}.errors")),
-                Value::Int(self.errors[i].load(Ordering::Relaxed) as i64),
-            ]);
-            if count == 0 {
-                continue;
-            }
-            let hist = &self.latency[i];
-            for (b, n) in hist.counts().into_iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                rows.push(vec![
-                    Value::Str(format!(
-                        "command.{name}.latency_us[{:.0},{:.0})",
-                        bucket_bound_micros(b),
-                        bucket_bound_micros(b + 1)
-                    )),
-                    Value::Int(n as i64),
-                ]);
-            }
-            if hist.above() > 0 {
-                rows.push(vec![
-                    Value::Str(format!("command.{name}.latency_us[10s,inf)")),
-                    Value::Int(hist.above() as i64),
-                ]);
-            }
-        }
-        rows
-    }
-
-    /// Renders every metric in the Prometheus text exposition format:
-    /// the named gauges/counters as `nlq_<name>` families, per-command
-    /// request/error counters with a `command` label, and per-command
-    /// latency histograms with cumulative `_bucket` series (in
-    /// seconds, as Prometheus convention wants).
-    pub fn render_prometheus(&self, queue_depth: usize, workers_busy: usize) -> String {
-        let mut p = PromText::new();
-        for (name, v) in self.named(queue_depth, workers_busy) {
-            let kind = match name {
-                "queue_depth" | "workers_busy" | "sessions_active" | "refresh_lag_rows" => "gauge",
-                _ => "counter",
-            };
-            let full = format!("nlq_{name}");
-            p.family(&full, kind, name);
-            p.sample(&full, &[], v as f64);
-        }
-
-        p.family(
-            "nlq_command_requests_total",
-            "counter",
+        let per_command = |family, help, values: &[AtomicU64; NCOMMANDS]| {
+            let named = values.iter().zip(COMMANDS);
+            named
+                .map(|(a, (_, name))| counter(family, help, load(a)).label("command", name))
+                .collect::<Vec<_>>()
+        };
+        out.extend(per_command(
+            "command_requests_total",
             "Requests handled, by command",
-        );
-        for (i, (_, name)) in COMMANDS.iter().enumerate() {
-            p.sample(
-                "nlq_command_requests_total",
-                &[("command", name)],
-                self.counts[i].load(Ordering::Relaxed) as f64,
-            );
-        }
-        p.family(
-            "nlq_command_errors_total",
-            "counter",
+            &self.counts,
+        ));
+        out.extend(per_command(
+            "command_errors_total",
             "Requests that failed, by command",
-        );
-        for (i, (_, name)) in COMMANDS.iter().enumerate() {
-            p.sample(
-                "nlq_command_errors_total",
-                &[("command", name)],
-                self.errors[i].load(Ordering::Relaxed) as f64,
-            );
-        }
-
-        p.family(
-            "nlq_command_latency_seconds",
-            "histogram",
-            "Request wall-clock latency, by command",
-        );
-        for (i, (_, name)) in COMMANDS.iter().enumerate() {
-            let hist = &self.latency[i];
-            let counts = hist.counts();
+            &self.errors,
+        ));
+        for (hist, (_, name)) in self.latency.iter().zip(COMMANDS) {
+            let series = |suffix, value: f64| {
+                let family = "command_latency_seconds";
+                let help = "Request wall-clock latency, by command";
+                let s = sample(family, Kind::Histogram, help, value).label("command", name);
+                Sample { suffix, ..s }
+            };
             // Cumulative buckets: everything at or under the bucket's
-            // upper bound, which includes the legacy "below" samples.
+            // upper bound, which includes the "below" samples.
             let mut cumulative = hist.below();
-            for (b, n) in counts.into_iter().enumerate() {
+            for (b, n) in hist.counts().into_iter().enumerate() {
                 cumulative += n;
-                let le = format!("{}", bucket_bound_micros(b + 1) / 1e6);
-                p.sample(
-                    "nlq_command_latency_seconds_bucket",
-                    &[("command", name), ("le", &le)],
-                    cumulative as f64,
-                );
+                let le = bucket_bound_micros(b + 1) / 1e6;
+                out.push(series("_bucket", cumulative as f64).label("le", le));
             }
-            p.sample(
-                "nlq_command_latency_seconds_bucket",
-                &[("command", name), ("le", "+Inf")],
-                hist.total() as f64,
-            );
-            p.sample(
-                "nlq_command_latency_seconds_sum",
-                &[("command", name)],
-                hist.sum_micros() as f64 / 1e6,
-            );
-            p.sample(
-                "nlq_command_latency_seconds_count",
-                &[("command", name)],
-                hist.total() as f64,
-            );
+            let total = hist.total() as f64;
+            out.push(series("_bucket", total).label("le", "+Inf"));
+            out.push(series("_sum", hist.sum_micros() as f64 / 1e6));
+            out.push(series("_count", total));
         }
-        p.finish()
     }
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
+/// What a sample's family is, in Prometheus `# TYPE` terms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone since process start.
+    Counter,
+    /// A point-in-time level.
+    Gauge,
+    /// A `_bucket` / `_sum` / `_count` series.
+    Histogram,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
     }
 }
 
-/// Renders the engine-side gauges — shard count, per-shard counters,
-/// and plan-cache state — as `(name, value)` METRICS rows. A plain
-/// single-`Db` engine reports `shards = 1` with no per-shard rows and
-/// no plan cache.
-pub fn render_engine_rows(
-    shard_count: usize,
-    shards: &[nlq_engine::ShardMetricsSnapshot],
-    plan_cache: Option<nlq_engine::PlanCacheStats>,
-) -> Vec<Vec<Value>> {
-    let mut rows = vec![vec![
-        Value::Str("shards".into()),
-        Value::Int(shard_count as i64),
-    ]];
-    for s in shards {
-        let i = s.shard;
-        rows.push(vec![
-            Value::Str(format!("shard.{i}.queries")),
-            Value::Int(s.queries as i64),
-        ]);
-        rows.push(vec![
-            Value::Str(format!("shard.{i}.rows_scanned")),
-            Value::Int(s.rows_scanned as i64),
-        ]);
-        rows.push(vec![
-            Value::Str(format!("shard.{i}.queue_depth")),
-            Value::Int(s.queue_depth as i64),
-        ]);
-        rows.push(vec![
-            Value::Str(format!("shard.{i}.busy_us")),
-            Value::Int((s.busy_nanos / 1_000) as i64),
-        ]);
-    }
-    if let Some(c) = plan_cache {
-        rows.push(vec![
-            Value::Str("plan_cache.hits".into()),
-            Value::Int(c.hits as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("plan_cache.misses".into()),
-            Value::Int(c.misses as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("plan_cache.entries".into()),
-            Value::Int(c.entries as i64),
-        ]);
-    }
-    rows
+/// One metric sample: the unit both `sys.metrics` and the Prometheus
+/// exposition render.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sample {
+    /// Family name, without the exposition's `nlq_` prefix.
+    pub family: &'static str,
+    /// Histogram series suffix (`_bucket`, `_sum`, `_count`); empty
+    /// for counters and gauges.
+    pub suffix: &'static str,
+    /// Label pairs, in render order.
+    pub labels: Vec<(&'static str, String)>,
+    /// The family's type.
+    pub kind: Kind,
+    /// The family's one-line description.
+    pub help: &'static str,
+    /// The sample value.
+    pub value: f64,
 }
 
-/// Renders the engine-side gauges as Prometheus text exposition
-/// families (appended after the server families by the caller).
-pub fn render_engine_prometheus(
-    shard_count: usize,
-    shards: &[nlq_engine::ShardMetricsSnapshot],
-    plan_cache: Option<nlq_engine::PlanCacheStats>,
-) -> String {
+impl Sample {
+    fn label(mut self, key: &'static str, value: impl ToString) -> Sample {
+        self.labels.push((key, value.to_string()));
+        self
+    }
+
+    /// The sample's full name: family plus histogram suffix (the
+    /// `sys.metrics.metric` column).
+    pub fn name(&self) -> String {
+        format!("{}{}", self.family, self.suffix)
+    }
+
+    /// The labels as `k="v",k2="v2"` — the `sys.metrics.labels` column,
+    /// identical to the exposition's label block for the label values
+    /// this registry produces (none needs escaping).
+    pub fn label_text(&self) -> String {
+        let pairs: Vec<String> = self
+            .labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{v}\""))
+            .collect();
+        pairs.join(",")
+    }
+}
+
+fn sample(family: &'static str, kind: Kind, help: &'static str, value: f64) -> Sample {
+    Sample {
+        family,
+        suffix: "",
+        labels: Vec::new(),
+        kind,
+        help,
+        value,
+    }
+}
+
+fn counter(family: &'static str, help: &'static str, value: u64) -> Sample {
+    sample(family, Kind::Counter, help, value as f64)
+}
+
+fn gauge(family: &'static str, help: &'static str, value: u64) -> Sample {
+    sample(family, Kind::Gauge, help, value as f64)
+}
+
+/// The registry: every sample the server exposes, each family's
+/// samples contiguous.
+pub(crate) fn samples(shared: &Shared) -> Vec<Sample> {
+    let (refreshes, lag) = shared
+        .daemon
+        .lock()
+        .expect("daemon")
+        .as_ref()
+        .map_or((0, 0), |d| (d.refreshes(), d.staleness()));
+    let evicted = shared.traces.evicted() + shared.slow_traces.evicted();
+    #[rustfmt::skip]
+    let mut out = vec![
+        gauge("queue_depth", "Statements waiting in the pool queue", shared.pool.queue_depth() as u64),
+        gauge("workers_busy", "Pool workers executing a statement", shared.pool.workers_busy() as u64),
+        counter("model_refreshes_total", "Models published by the refresh daemon", refreshes),
+        gauge("refresh_lag_rows", "Rows folded into bound summaries since their models were last published", lag),
+        counter("trace_ring_evicted_total", "Trace records overwritten after the recent or slow ring wrapped", evicted),
+    ];
+    shared.metrics.samples(&mut out);
+    let stats = shared.db.engine_stats();
+    engine_samples(&stats, &mut out);
+    out.extend(durability_samples(&stats));
+    out
+}
+
+/// Shard count, per-shard counters, and plan-cache state. A plain
+/// single-`Db` engine reports `shards = 1` with no per-shard series
+/// and no plan cache.
+fn engine_samples(stats: &EngineStats, out: &mut Vec<Sample>) {
+    let shards = stats.shards.len().max(1) as u64;
+    out.push(gauge("shards", "Number of engine shards", shards));
+    type ShardValue = fn(&ShardMetricsSnapshot) -> f64;
+    #[rustfmt::skip]
+    let per_shard: [(&'static str, Kind, &'static str, ShardValue); 4] = [
+        ("shard_queries_total", Kind::Counter, "Statements executed, by shard", |s| s.queries as f64),
+        ("shard_rows_scanned_total", Kind::Counter, "Base-table rows scanned, by shard", |s| s.rows_scanned as f64),
+        ("shard_queue_depth", Kind::Gauge, "Jobs waiting on the shard's executor, by shard", |s| s.queue_depth as f64),
+        ("shard_busy_seconds_total", Kind::Counter, "Executor-thread busy time, by shard", |s| s.busy_nanos as f64 / 1e9),
+    ];
+    for (family, kind, help, value) in per_shard {
+        out.extend(
+            stats
+                .shards
+                .iter()
+                .map(|s| sample(family, kind, help, value(s)).label("shard", s.shard)),
+        );
+    }
+    if let Some(c) = stats.plan_cache {
+        out.extend([
+            counter("plan_cache_hits_total", "Plan-cache hits", c.hits),
+            counter("plan_cache_misses_total", "Plan-cache misses", c.misses),
+            gauge("plan_cache_entries", "Plans currently cached", c.entries),
+        ]);
+    }
+}
+
+/// WAL counters since open, live log size, and what the last recovery
+/// replayed — the slice of the registry `sys.wal` serves. Empty for a
+/// volatile engine (no `--wal-dir`).
+pub(crate) fn durability_samples(stats: &EngineStats) -> Vec<Sample> {
+    let Some(d) = stats.durability else {
+        return Vec::new();
+    };
+    #[rustfmt::skip]
+    let out = [
+        counter("wal_bytes_total", "Bytes appended to the write-ahead log since open", d.wal.bytes),
+        counter("wal_records_total", "Records appended to the write-ahead log since open", d.wal.records),
+        counter("wal_fsyncs_total", "fsync calls issued", d.wal.fsyncs),
+        counter("checkpoints_total", "Checkpoints taken since open", d.wal.checkpoints),
+        gauge("wal_log_bytes", "Live write-ahead log size (drops to zero at checkpoint)", d.log_bytes),
+        gauge("recovery_replayed_records", "Committed WAL records re-applied at the last open", d.recovery.replayed_records),
+        gauge("recovery_replayed_envelopes", "Committed envelopes re-applied at the last open", d.recovery.replayed_envelopes),
+        gauge("recovery_truncated_bytes", "Torn-tail bytes discarded at the last open", d.recovery.truncated_bytes),
+        gauge("recovery_checkpoint_tables", "Tables restored from the checkpoint snapshot at the last open", d.recovery.checkpoint_tables),
+    ];
+    out.into()
+}
+
+/// Renders samples in the Prometheus text exposition format: each
+/// family as `nlq_<family>`, its `# HELP` / `# TYPE` header written
+/// once, where the family's first sample appears.
+pub fn render_prometheus(samples: &[Sample]) -> String {
     let mut p = PromText::new();
-    p.family("nlq_shards", "gauge", "Number of engine shards");
-    p.sample("nlq_shards", &[], shard_count as f64);
-    if !shards.is_empty() {
-        p.family(
-            "nlq_shard_queries_total",
-            "counter",
-            "Statements executed, by shard",
-        );
-        for s in shards {
-            let label = s.shard.to_string();
-            p.sample(
-                "nlq_shard_queries_total",
-                &[("shard", &label)],
-                s.queries as f64,
-            );
+    let mut family = "";
+    for s in samples {
+        if s.family != family {
+            family = s.family;
+            p.family(&format!("nlq_{family}"), s.kind.name(), s.help);
         }
-        p.family(
-            "nlq_shard_rows_scanned_total",
-            "counter",
-            "Base-table rows scanned, by shard",
-        );
-        for s in shards {
-            let label = s.shard.to_string();
-            p.sample(
-                "nlq_shard_rows_scanned_total",
-                &[("shard", &label)],
-                s.rows_scanned as f64,
-            );
-        }
-        p.family(
-            "nlq_shard_queue_depth",
-            "gauge",
-            "Jobs waiting on the shard's executor, by shard",
-        );
-        for s in shards {
-            let label = s.shard.to_string();
-            p.sample(
-                "nlq_shard_queue_depth",
-                &[("shard", &label)],
-                s.queue_depth as f64,
-            );
-        }
-        p.family(
-            "nlq_shard_busy_seconds_total",
-            "counter",
-            "Executor-thread busy time, by shard",
-        );
-        for s in shards {
-            let label = s.shard.to_string();
-            p.sample(
-                "nlq_shard_busy_seconds_total",
-                &[("shard", &label)],
-                s.busy_nanos as f64 / 1e9,
-            );
-        }
-    }
-    if let Some(c) = plan_cache {
-        p.family("nlq_plan_cache_hits_total", "counter", "Plan-cache hits");
-        p.sample("nlq_plan_cache_hits_total", &[], c.hits as f64);
-        p.family(
-            "nlq_plan_cache_misses_total",
-            "counter",
-            "Plan-cache misses",
-        );
-        p.sample("nlq_plan_cache_misses_total", &[], c.misses as f64);
-        p.family("nlq_plan_cache_entries", "gauge", "Plans currently cached");
-        p.sample("nlq_plan_cache_entries", &[], c.entries as f64);
-    }
-    p.finish()
-}
-
-/// Renders the durability gauges — WAL counters since open, current
-/// log size, and what the last recovery replayed — as `(name, value)`
-/// METRICS rows. A volatile engine (no `--wal-dir`) contributes no
-/// rows at all.
-pub fn render_wal_rows(
-    wal: Option<nlq_storage::WalStatsSnapshot>,
-    log_bytes: Option<u64>,
-    recovery: Option<nlq_engine::RecoveryInfo>,
-) -> Vec<Vec<Value>> {
-    let mut rows = Vec::new();
-    if let Some(w) = wal {
-        rows.push(vec![
-            Value::Str("wal.bytes".into()),
-            Value::Int(w.bytes as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("wal.records".into()),
-            Value::Int(w.records as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("wal.fsyncs".into()),
-            Value::Int(w.fsyncs as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("wal.checkpoints".into()),
-            Value::Int(w.checkpoints as i64),
-        ]);
-    }
-    if let Some(b) = log_bytes {
-        rows.push(vec![
-            Value::Str("wal.log_bytes".into()),
-            Value::Int(b as i64),
-        ]);
-    }
-    if let Some(r) = recovery {
-        rows.push(vec![
-            Value::Str("recovery.replayed_records".into()),
-            Value::Int(r.replayed_records as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("recovery.replayed_envelopes".into()),
-            Value::Int(r.replayed_envelopes as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("recovery.truncated_bytes".into()),
-            Value::Int(r.truncated_bytes as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("recovery.checkpoint_tables".into()),
-            Value::Int(r.checkpoint_tables as i64),
-        ]);
-    }
-    rows
-}
-
-/// Renders the durability gauges as Prometheus text exposition
-/// families (appended after the engine families by the caller). Emits
-/// nothing for a volatile engine.
-pub fn render_wal_prometheus(
-    wal: Option<nlq_storage::WalStatsSnapshot>,
-    log_bytes: Option<u64>,
-    recovery: Option<nlq_engine::RecoveryInfo>,
-) -> String {
-    let mut p = PromText::new();
-    if let Some(w) = wal {
-        p.family(
-            "nlq_wal_bytes_total",
-            "counter",
-            "Bytes appended to the write-ahead log since open",
-        );
-        p.sample("nlq_wal_bytes_total", &[], w.bytes as f64);
-        p.family(
-            "nlq_wal_records_total",
-            "counter",
-            "Records appended to the write-ahead log since open",
-        );
-        p.sample("nlq_wal_records_total", &[], w.records as f64);
-        p.family("nlq_wal_fsyncs_total", "counter", "fsync calls issued");
-        p.sample("nlq_wal_fsyncs_total", &[], w.fsyncs as f64);
-        p.family(
-            "nlq_checkpoints_total",
-            "counter",
-            "Checkpoints taken since open",
-        );
-        p.sample("nlq_checkpoints_total", &[], w.checkpoints as f64);
-    }
-    if let Some(b) = log_bytes {
-        p.family(
-            "nlq_wal_log_bytes",
-            "gauge",
-            "Live write-ahead log size (drops to zero at checkpoint)",
-        );
-        p.sample("nlq_wal_log_bytes", &[], b as f64);
-    }
-    if let Some(r) = recovery {
-        p.family(
-            "nlq_recovery_replayed_records",
-            "gauge",
-            "Committed WAL records re-applied at the last open",
-        );
-        p.sample(
-            "nlq_recovery_replayed_records",
-            &[],
-            r.replayed_records as f64,
-        );
-        p.family(
-            "nlq_recovery_replayed_envelopes",
-            "gauge",
-            "Committed envelopes re-applied at the last open",
-        );
-        p.sample(
-            "nlq_recovery_replayed_envelopes",
-            &[],
-            r.replayed_envelopes as f64,
-        );
-        p.family(
-            "nlq_recovery_truncated_bytes",
-            "gauge",
-            "Torn-tail bytes discarded at the last open",
-        );
-        p.sample(
-            "nlq_recovery_truncated_bytes",
-            &[],
-            r.truncated_bytes as f64,
-        );
+        let labels: Vec<(&str, &str)> = s.labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        p.sample(&format!("nlq_{}", s.name()), &labels, s.value);
     }
     p.finish()
 }
@@ -760,6 +496,12 @@ pub fn render_wal_prometheus(
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    fn own_samples(m: &Metrics) -> Vec<Sample> {
+        let mut out = Vec::new();
+        m.samples(&mut out);
+        out
+    }
 
     #[test]
     fn record_and_render() {
@@ -773,73 +515,78 @@ mod tests {
         m.bytes_streamed.fetch_add(4096, Ordering::Relaxed);
         m.chunks_streamed.fetch_add(2, Ordering::Relaxed);
 
-        let rows = m.render(5, 2);
-        let get = |name: &str| -> i64 {
-            rows.iter()
-                .find(|r| r[0].as_str() == Some(name))
-                .unwrap_or_else(|| panic!("missing metric {name}"))[1]
-                .as_i64()
-                .unwrap()
+        let samples = own_samples(&m);
+        let get = |name: &str, labels: &str| -> f64 {
+            samples
+                .iter()
+                .find(|s| s.name() == name && s.label_text() == labels)
+                .unwrap_or_else(|| panic!("missing metric {name}{{{labels}}}"))
+                .value
         };
-        assert_eq!(get("queue_depth"), 5);
-        assert_eq!(get("workers_busy"), 2);
-        assert_eq!(get("queries_cancelled"), 1);
-        assert_eq!(get("bytes_streamed"), 4096);
-        assert_eq!(get("chunks_streamed"), 2);
-        assert_eq!(get("command.cancel.count"), 1);
-        assert_eq!(get("command.execute.count"), 2);
-        assert_eq!(get("command.execute.errors"), 1);
-        assert_eq!(get("command.ping.count"), 1);
-        assert_eq!(get("summary_hits"), 3);
-        assert_eq!(get("summary_misses"), 1);
-        assert_eq!(get("summary_stale_rebuilds"), 2);
-        // Both execute latencies landed in some histogram bucket.
-        let hist_total: i64 = rows
-            .iter()
-            .filter(|r| {
-                r[0].as_str()
-                    .is_some_and(|s| s.starts_with("command.execute.latency_us["))
-            })
-            .map(|r| r[1].as_i64().unwrap())
-            .sum();
-        assert_eq!(hist_total, 2);
+        assert_eq!(get("queries_cancelled", ""), 1.0);
+        assert_eq!(get("bytes_streamed", ""), 4096.0);
+        assert_eq!(get("chunks_streamed", ""), 2.0);
+        assert_eq!(get("command_requests_total", "command=\"cancel\""), 1.0);
+        assert_eq!(get("command_requests_total", "command=\"execute\""), 2.0);
+        assert_eq!(get("command_errors_total", "command=\"execute\""), 1.0);
+        assert_eq!(get("command_requests_total", "command=\"ping\""), 1.0);
+        assert_eq!(get("summary_hits", ""), 3.0);
+        assert_eq!(get("summary_misses", ""), 1.0);
+        assert_eq!(get("summary_stale_rebuilds", ""), 2.0);
+        // Both execute latencies landed in the histogram.
+        assert_eq!(
+            get(
+                "command_latency_seconds_bucket",
+                "command=\"execute\",le=\"+Inf\""
+            ),
+            2.0
+        );
+        assert_eq!(
+            get("command_latency_seconds_count", "command=\"execute\""),
+            2.0
+        );
     }
 
     #[test]
-    fn wal_rows_render_only_for_durable_engines() {
-        assert!(render_wal_rows(None, None, None).is_empty());
-        assert_eq!(render_wal_prometheus(None, None, None), "");
+    fn durability_samples_exist_only_for_durable_engines() {
+        assert!(durability_samples(&EngineStats::default()).is_empty());
 
-        let snap = nlq_storage::WalStatsSnapshot {
-            bytes: 128,
-            records: 3,
-            fsyncs: 2,
-            replayed: 0,
-            checkpoints: 1,
+        let stats = EngineStats {
+            durability: Some(nlq_engine::DurabilityStats {
+                wal: nlq_storage::WalStatsSnapshot {
+                    bytes: 128,
+                    records: 3,
+                    fsyncs: 2,
+                    replayed: 0,
+                    checkpoints: 1,
+                },
+                log_bytes: 64,
+                recovery: nlq_engine::RecoveryInfo {
+                    replayed_records: 7,
+                    replayed_envelopes: 4,
+                    truncated_bytes: 13,
+                    checkpoint_tables: 2,
+                },
+            }),
+            ..EngineStats::default()
         };
-        let info = nlq_engine::RecoveryInfo {
-            replayed_records: 7,
-            replayed_envelopes: 4,
-            truncated_bytes: 13,
-            checkpoint_tables: 2,
+        let samples = durability_samples(&stats);
+        let get = |name: &str| -> f64 {
+            samples
+                .iter()
+                .find(|s| s.family == name)
+                .unwrap_or_else(|| panic!("missing metric {name}"))
+                .value
         };
-        let rows = render_wal_rows(Some(snap), Some(64), Some(info));
-        let get = |name: &str| -> i64 {
-            rows.iter()
-                .find(|r| r[0].as_str() == Some(name))
-                .unwrap_or_else(|| panic!("missing metric {name}"))[1]
-                .as_i64()
-                .unwrap()
-        };
-        assert_eq!(get("wal.bytes"), 128);
-        assert_eq!(get("wal.fsyncs"), 2);
-        assert_eq!(get("wal.checkpoints"), 1);
-        assert_eq!(get("wal.log_bytes"), 64);
-        assert_eq!(get("recovery.replayed_records"), 7);
-        assert_eq!(get("recovery.truncated_bytes"), 13);
-        assert_eq!(get("recovery.checkpoint_tables"), 2);
+        assert_eq!(get("wal_bytes_total"), 128.0);
+        assert_eq!(get("wal_fsyncs_total"), 2.0);
+        assert_eq!(get("checkpoints_total"), 1.0);
+        assert_eq!(get("wal_log_bytes"), 64.0);
+        assert_eq!(get("recovery_replayed_records"), 7.0);
+        assert_eq!(get("recovery_truncated_bytes"), 13.0);
+        assert_eq!(get("recovery_checkpoint_tables"), 2.0);
 
-        let text = render_wal_prometheus(Some(snap), Some(64), Some(info));
+        let text = render_prometheus(&samples);
         nlq_obs::validate_exposition(&text).expect("valid exposition");
         assert!(text.contains("nlq_wal_fsyncs_total 2"));
         assert!(text.contains("nlq_checkpoints_total 1"));
@@ -925,7 +672,7 @@ mod tests {
         for &micros in &samples {
             m.record(Command::Execute, Duration::from_micros(micros), true);
         }
-        let text = m.render_prometheus(0, 0);
+        let text = render_prometheus(&own_samples(&m));
         nlq_obs::validate_exposition(&text).expect("valid exposition");
 
         // Parse the execute command's bucket series back out and check

@@ -60,7 +60,6 @@ use std::time::{Duration, Instant};
 use nlq_engine::{EngineError, ExecOptions, ExecStats, SqlEngine};
 use nlq_feature::{IngestStream, RefreshConfig, RefreshDaemon, TickGate};
 use nlq_obs::{Outcome, Phase, Span, Trace, TraceRecord, TraceRing};
-use nlq_storage::Value;
 
 use crate::metrics::{Command, Metrics};
 use crate::pool::{SubmitError, WorkerPool};
@@ -208,6 +207,15 @@ impl ActiveQuery {
     }
 }
 
+/// What `sys.sessions` reads of a live session, shared between the
+/// session thread (writer) and catalog snapshots (readers).
+pub(crate) struct SessionInfo {
+    /// Statements the session has completed.
+    pub(crate) statements: AtomicU64,
+    /// The session's `block_scan` option as set: `default`, `on`, `off`.
+    pub(crate) block_scan: Mutex<&'static str>,
+}
+
 /// A live session as the accept thread tracks it for the drain (and
 /// as `sys.sessions` snapshots it).
 pub(crate) struct LiveSession {
@@ -216,9 +224,7 @@ pub(crate) struct LiveSession {
     active: Arc<ActiveQuery>,
     /// Peer address of the connection, as accepted.
     pub(crate) peer: String,
-    /// Statements the session has completed (shared with the session
-    /// thread's own counter).
-    pub(crate) statements: Arc<AtomicU64>,
+    pub(crate) info: Arc<SessionInfo>,
 }
 
 pub(crate) struct Shared {
@@ -237,8 +243,9 @@ pub(crate) struct Shared {
     pub(crate) traces: TraceRing,
     /// Ring of queries that crossed the slow-query threshold.
     pub(crate) slow_traces: TraceRing,
-    /// Server-wide monotone trace id (the `TRACE` paging cursor).
-    /// Assigned at completion, so ids are retention-ordered.
+    /// Server-wide monotone trace id (`sys.queries.trace_id`, the
+    /// paging cursor). Assigned at completion, so ids are
+    /// retention-ordered.
     next_trace_id: AtomicU64,
     /// Server-wide query id, minted at admission — before queueing —
     /// and threaded through `ExecOptions` into every span, shard
@@ -252,33 +259,15 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Mirrors state owned elsewhere — the refresh daemon's publish
-    /// counter and lag, the trace rings' eviction counts — into the
-    /// metrics so `METRICS` / Prometheus scrapes and `sys.metrics`
-    /// see them without holding the source locks longer than a load.
-    pub(crate) fn sync_derived_metrics(&self) {
-        if let Some(d) = self.daemon.lock().expect("daemon").as_ref() {
-            self.metrics
-                .model_refreshes
-                .store(d.refreshes(), Ordering::Relaxed);
-            self.metrics
-                .refresh_lag_rows
-                .store(d.staleness(), Ordering::Relaxed);
-        }
-        self.metrics.trace_ring_evicted.store(
-            self.traces.evicted() + self.slow_traces.evicted(),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// How many folded rows the refresh daemon is behind its last
-    /// published models, when a daemon is running.
-    fn refresh_staleness(&self) -> Option<u64> {
-        self.daemon
-            .lock()
-            .expect("daemon")
-            .as_ref()
-            .map(|d| d.staleness())
+    /// Every retained trace record, oldest first: the union of the
+    /// recent and slow rings (a slow statement sits in both until the
+    /// recent ring wraps past it), de-duplicated on trace id.
+    pub(crate) fn retained_traces(&self) -> Vec<TraceRecord> {
+        let mut all = self.traces.records();
+        all.extend(self.slow_traces.records());
+        all.sort_by_key(|r| r.id);
+        all.dedup_by_key(|r| r.id);
+        all
     }
 
     /// Whether an `InsertDone` must be refused with a retry hint:
@@ -286,19 +275,18 @@ impl Shared {
     /// than the configured staleness bound.
     fn ingest_backpressure(&self) -> Option<u64> {
         let bound = self.config.staleness_bound?;
-        let lag = self.refresh_staleness()?;
+        let lag = self.daemon.lock().expect("daemon").as_ref()?.staleness();
         (lag > bound).then_some(lag)
     }
 
     /// Checkpoints inline after a committed envelope once the live WAL
-    /// crosses the configured size threshold. Failures are logged, not
-    /// fatal — the log is still intact, so durability is unaffected.
+    /// crosses the configured size threshold (the engine re-checks the
+    /// size under its checkpoint gate, so sessions crossing together
+    /// snapshot once). Failures are logged, not fatal — the log is
+    /// still intact, so durability is unaffected.
     fn maybe_checkpoint(&self) {
-        let Some(threshold) = self.config.checkpoint_bytes else {
-            return;
-        };
-        if self.db.wal_log_bytes().is_some_and(|b| b >= threshold) {
-            if let Err(e) = self.db.checkpoint() {
+        if let Some(threshold) = self.config.checkpoint_bytes {
+            if let Err(e) = self.db.checkpoint(threshold) {
                 eprintln!("auto-checkpoint failed: {e}");
             }
         }
@@ -439,21 +427,24 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_default();
-        let statements = Arc::new(AtomicU64::new(0));
+        let info = Arc::new(SessionInfo {
+            statements: AtomicU64::new(0),
+            block_scan: Mutex::new("default"),
+        });
         if let Ok(read_half) = stream.try_clone() {
             shared.live.lock().expect("live list").push(LiveSession {
                 id,
                 read_half,
                 active: Arc::clone(&active),
                 peer: peer.clone(),
-                statements: Arc::clone(&statements),
+                info: Arc::clone(&info),
             });
         }
         let conn_shared = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name(format!("nlq-session-{id}"))
             .spawn(move || {
-                session_loop(stream, id, peer, statements, &active, &conn_shared);
+                session_loop(stream, id, peer, info, &active, &conn_shared);
                 conn_shared
                     .metrics
                     .sessions_active
@@ -528,10 +519,9 @@ struct Session {
     peer: String,
     /// `None` = server default; `Some` = per-session override.
     block_scan: Option<bool>,
-    last_stats: Option<ExecStats>,
-    /// Statements completed; shared with the accept thread's
-    /// [`LiveSession`] so `sys.sessions` reads it live.
-    statements: Arc<AtomicU64>,
+    /// Shared with the accept thread's [`LiveSession`] so
+    /// `sys.sessions` reads it live.
+    info: Arc<SessionInfo>,
     /// 1-based count of `Execute` requests received; its value for
     /// the current statement is the stream's sequence number. The
     /// client keeps the same count, which is how both sides agree on
@@ -566,7 +556,7 @@ fn session_loop(
     stream: TcpStream,
     id: u64,
     peer: String,
-    statements: Arc<AtomicU64>,
+    info: Arc<SessionInfo>,
     active: &Arc<ActiveQuery>,
     shared: &Arc<Shared>,
 ) {
@@ -578,8 +568,7 @@ fn session_loop(
         id,
         peer,
         block_scan: None,
-        last_stats: None,
-        statements,
+        info,
         execute_seq: 0,
         ingest: IngestSlot::Idle,
     };
@@ -796,12 +785,10 @@ fn command_of(req: &Request) -> Command {
     match req {
         Request::Execute { .. } => Command::Execute,
         Request::SetOption { .. } => Command::SetOption,
-        Request::Status => Command::Status,
-        Request::Metrics | Request::MetricsProm => Command::Metrics,
+        Request::MetricsProm => Command::MetricsProm,
         Request::Ping => Command::Ping,
         Request::Shutdown => Command::Shutdown,
         Request::Cancel { .. } => Command::Cancel,
-        Request::Trace { .. } => Command::Trace,
         Request::InsertHeader { .. }
         | Request::InsertChunk { .. }
         | Request::InsertDone
@@ -836,8 +823,7 @@ fn batch_score(
                 .metrics
                 .batch_score_keys
                 .fetch_add(keys.len() as u64, Ordering::Relaxed);
-            session.last_stats = Some(rs.stats);
-            session.statements.fetch_add(1, Ordering::Relaxed);
+            session.info.statements.fetch_add(1, Ordering::Relaxed);
             Response::Result {
                 columns: rs.columns,
                 rows: rs.rows,
@@ -865,72 +851,16 @@ fn handle_request(request: Request, session: &mut Session, shared: &Arc<Shared>)
     match request {
         Request::Ping => Response::Pong,
         Request::SetOption { name, value } => set_option(session, &name, &value),
-        Request::Status => status(session, shared),
-        Request::Checkpoint => match shared.db.checkpoint() {
+        Request::Checkpoint => match shared.db.checkpoint(0) {
             Ok(_) => Response::Ok,
             Err(e) => Response::Error {
                 code: ErrorCode::Sql,
                 message: e.to_string(),
             },
         },
-        Request::Metrics => {
-            shared.sync_derived_metrics();
-            let mut rows = shared
-                .metrics
-                .render(shared.pool.queue_depth(), shared.pool.workers_busy());
-            rows.extend(crate::metrics::render_engine_rows(
-                shared.db.shard_count(),
-                &shared.db.shard_metrics(),
-                shared.db.plan_cache_stats(),
-            ));
-            rows.extend(crate::metrics::render_wal_rows(
-                shared.db.wal_stats(),
-                shared.db.wal_log_bytes(),
-                shared.db.recovery_info(),
-            ));
-            Response::Result {
-                columns: vec!["metric".into(), "value".into()],
-                rows,
-                stats: WireStats::default(),
-            }
-        }
-        Request::MetricsProm => {
-            shared.sync_derived_metrics();
-            let mut text = shared
-                .metrics
-                .render_prometheus(shared.pool.queue_depth(), shared.pool.workers_busy());
-            text.push_str(&crate::metrics::render_engine_prometheus(
-                shared.db.shard_count(),
-                &shared.db.shard_metrics(),
-                shared.db.plan_cache_stats(),
-            ));
-            text.push_str(&crate::metrics::render_wal_prometheus(
-                shared.db.wal_stats(),
-                shared.db.wal_log_bytes(),
-                shared.db.recovery_info(),
-            ));
-            Response::MetricsText { text }
-        }
-        Request::Trace {
-            slow_only,
-            after_id,
-            limit,
-        } => {
-            let ring = if slow_only {
-                &shared.slow_traces
-            } else {
-                &shared.traces
-            };
-            // Clamp the page so the reply always fits one frame even
-            // with long SQL texts.
-            let limit = (limit as usize).clamp(1, 256);
-            Response::Trace {
-                records: ring.page(after_id, limit),
-                // The cursor points below an overwritten record: the
-                // client has missed traces it can never page to.
-                truncated: ring.truncated(after_id),
-            }
-        }
+        Request::MetricsProm => Response::MetricsText {
+            text: crate::metrics::render_prometheus(&crate::metrics::samples(shared)),
+        },
         // Execute, Shutdown, Cancel, and the ingest/scoring family are
         // handled in the session loop (they need the writer, the drain
         // flag, the reader, or the session's ingest slot).
@@ -949,82 +879,20 @@ fn handle_request(request: Request, session: &mut Session, shared: &Arc<Shared>)
 }
 
 fn set_option(session: &mut Session, name: &str, value: &str) -> Response {
-    match (name, value) {
-        ("block_scan", "on") => session.block_scan = Some(true),
-        ("block_scan", "off") => session.block_scan = Some(false),
-        ("block_scan", "default") => session.block_scan = None,
+    let (setting, label) = match (name, value) {
+        ("block_scan", "on") => (Some(true), "on"),
+        ("block_scan", "off") => (Some(false), "off"),
+        ("block_scan", "default") => (None, "default"),
         _ => {
             return Response::Error {
                 code: ErrorCode::Protocol,
                 message: format!("unknown option {name}={value}"),
             }
         }
-    }
+    };
+    session.block_scan = setting;
+    *session.info.block_scan.lock().expect("session info") = label;
     Response::Ok
-}
-
-fn status(session: &Session, shared: &Arc<Shared>) -> Response {
-    let mut rows = vec![
-        vec![
-            Value::Str("session_id".into()),
-            Value::Int(session.id as i64),
-        ],
-        vec![
-            Value::Str("block_scan".into()),
-            Value::Str(
-                match session.block_scan {
-                    None => "default",
-                    Some(true) => "on",
-                    Some(false) => "off",
-                }
-                .into(),
-            ),
-        ],
-        vec![
-            Value::Str("statements".into()),
-            Value::Int(session.statements.load(Ordering::Relaxed) as i64),
-        ],
-    ];
-    if let Some(s) = &session.last_stats {
-        rows.push(vec![
-            Value::Str("last.rows_scanned".into()),
-            Value::Int(s.rows_scanned as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("last.blocks_scanned".into()),
-            Value::Int(s.blocks_scanned as i64),
-        ]);
-        rows.push(vec![
-            Value::Str("last.block_path".into()),
-            Value::Int(i64::from(s.block_path)),
-        ]);
-        rows.push(vec![
-            Value::Str("last.summary_path".into()),
-            Value::Int(i64::from(s.summary_path)),
-        ]);
-        rows.push(vec![
-            Value::Str("last.cancelled".into()),
-            Value::Int(i64::from(s.cancelled)),
-        ]);
-    }
-    // Durability: `wal.*` and `recovery.*` rows appear only for a
-    // durable engine (opened with `--wal-dir`).
-    rows.extend(crate::metrics::render_wal_rows(
-        shared.db.wal_stats(),
-        shared.db.wal_log_bytes(),
-        shared.db.recovery_info(),
-    ));
-    if let Some(lag) = shared.refresh_staleness() {
-        rows.push(vec![
-            Value::Str("refresh.staleness".into()),
-            Value::Int(lag as i64),
-        ]);
-    }
-    Response::Result {
-        columns: vec!["property".into(), "value".into()],
-        rows,
-        stats: WireStats::default(),
-    }
 }
 
 /// What the pool worker streams back to the session thread. Chunk
@@ -1378,7 +1246,7 @@ fn relay_stream(
         out
     };
     let finish = |session: &mut Session, end: StreamEnd| -> StreamEnd {
-        session.statements.fetch_add(1, Ordering::Relaxed);
+        session.info.statements.fetch_add(1, Ordering::Relaxed);
         trace.record(Span::new(Phase::Stream, write_nanos.get()).bytes(stream_bytes.get()));
         end
     };
@@ -1408,7 +1276,6 @@ fn relay_stream(
                 timed_write(writer, &payload)?;
             }
             Ok(StreamMsg::Done { payload, stats }) => {
-                session.last_stats = Some(stats);
                 shared.metrics.record_summary(
                     stats.summary_hits,
                     stats.summary_misses,
@@ -1431,7 +1298,6 @@ fn relay_stream(
                 cancelled_queued,
             }) => {
                 if let Some(stats) = stats {
-                    session.last_stats = Some(stats);
                     shared.metrics.record_summary(
                         stats.summary_hits,
                         stats.summary_misses,

@@ -39,6 +39,7 @@ use nlq_engine::SystemTableProvider;
 use nlq_obs::{Phase, Span, TraceRecord};
 use nlq_storage::{Column, DataType, Schema, Table, Value};
 
+use crate::metrics::Sample;
 use crate::server::Shared;
 
 /// The `sys.*` provider registered by [`crate::serve`]; holds the
@@ -117,8 +118,8 @@ fn phase_micros(record: &TraceRecord, phase: Phase) -> Value {
     )
 }
 
-/// `sys.queries`: one row per retained trace-ring record, newest ring
-/// content only (the ring's capacity is the retention bound).
+/// `sys.queries`: one row per retained trace record — the union of the
+/// recent and slow rings (each ring's capacity is its retention bound).
 fn queries(shared: &Arc<Shared>) -> Table {
     let cols = [
         ("query_id", DataType::Int),
@@ -150,8 +151,7 @@ fn queries(shared: &Arc<Shared>) -> Table {
         ("detail", DataType::Str),
     ];
     let rows = shared
-        .traces
-        .page(0, usize::MAX)
+        .retained_traces()
         .into_iter()
         .map(|r| {
             vec![
@@ -208,7 +208,7 @@ fn spans(shared: &Arc<Shared>) -> Table {
         ("blocks", DataType::Int),
     ];
     let mut rows = Vec::new();
-    for r in shared.traces.page(0, usize::MAX) {
+    for r in shared.retained_traces() {
         for (i, s) in r.spans.iter().enumerate() {
             rows.push(span_row(&r, i, s));
         }
@@ -238,6 +238,7 @@ fn sessions(shared: &Arc<Shared>) -> Table {
         ("session", DataType::Int),
         ("peer", DataType::Str),
         ("statements", DataType::Int),
+        ("block_scan", DataType::Str),
     ];
     let rows = shared
         .live
@@ -248,7 +249,8 @@ fn sessions(shared: &Arc<Shared>) -> Table {
             vec![
                 int(s.id),
                 Value::Str(s.peer.clone()),
-                int(s.statements.load(Ordering::Relaxed)),
+                int(s.info.statements.load(Ordering::Relaxed)),
+                Value::Str((*s.info.block_scan.lock().expect("session info")).to_owned()),
             ]
         })
         .collect();
@@ -267,7 +269,8 @@ fn shards(shared: &Arc<Shared>) -> Table {
     ];
     let rows = shared
         .db
-        .shard_metrics()
+        .engine_stats()
+        .shards
         .into_iter()
         .map(|s| {
             vec![
@@ -340,30 +343,36 @@ fn summaries(shared: &Arc<Shared>) -> Table {
     build(&cols, rows)
 }
 
-/// `sys.wal`: durability gauges as `(metric, value)` rows — empty for
-/// a volatile engine, same shape as the `STATUS` wal rows.
-fn wal(shared: &Arc<Shared>) -> Table {
-    build(
-        &[("metric", DataType::Str), ("value", DataType::Int)],
-        crate::metrics::render_wal_rows(
-            shared.db.wal_stats(),
-            shared.db.wal_log_bytes(),
-            shared.db.recovery_info(),
-        ),
-    )
+/// Renders registry samples as `(metric, labels, value)` rows.
+fn sample_table(samples: Vec<Sample>) -> Table {
+    let cols = [
+        ("metric", DataType::Str),
+        ("labels", DataType::Str),
+        ("value", DataType::Float),
+    ];
+    let rows = samples
+        .iter()
+        .map(|s| {
+            vec![
+                Value::Str(s.name()),
+                Value::Str(s.label_text()),
+                Value::Float(s.value),
+            ]
+        })
+        .collect();
+    build(&cols, rows)
 }
 
-/// `sys.metrics`: every server and engine counter as `(metric, value)`
-/// rows — the `METRICS` result set, queryable.
+/// `sys.wal`: the durability slice of the registry — empty for a
+/// volatile engine.
+fn wal(shared: &Arc<Shared>) -> Table {
+    sample_table(crate::metrics::durability_samples(
+        &shared.db.engine_stats(),
+    ))
+}
+
+/// `sys.metrics`: every sample in the registry — what the Prometheus
+/// scrape exposes, queryable.
 fn metrics(shared: &Arc<Shared>) -> Table {
-    shared.sync_derived_metrics();
-    let mut rows = shared
-        .metrics
-        .render(shared.pool.queue_depth(), shared.pool.workers_busy());
-    rows.extend(crate::metrics::render_engine_rows(
-        shared.db.shard_count(),
-        &shared.db.shard_metrics(),
-        shared.db.plan_cache_stats(),
-    ));
-    build(&[("metric", DataType::Str), ("value", DataType::Int)], rows)
+    sample_table(crate::metrics::samples(shared))
 }

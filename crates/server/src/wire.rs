@@ -30,31 +30,30 @@
 
 use std::io::{self, Read, Write};
 
-use nlq_obs::{Outcome, Phase, Span, TraceRecord};
 use nlq_storage::Value;
 
 /// Hard ceiling on a frame payload (64 MiB).
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Protocol version spoken by this build (in `Hello`).
-/// Version 2 added streamed results and cancellation; version 3 added
-/// trace retrieval (`TRACE`) and Prometheus-format metrics; version 4
-/// added the feature-serving loop: chunked streaming INSERT
-/// (`InsertHeader` / `InsertChunk`* / `InsertDone` → `InsertAck`) and
-/// single-round-trip batch scoring (`BatchScore`); version 5 added
-/// durability: an explicit `Checkpoint` request and the `Retry` error
-/// code carried by ingest back-pressure rejections.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// Protocol version spoken by this build (in `Hello`). Client and
+/// server ship from one workspace, so there is exactly one version: a
+/// client refuses a server whose `Hello` carries any other number.
+///
+/// The request surface is: `Execute` (streamed reply) and `Cancel`;
+/// `SetOption`, `Ping`, `Shutdown`, `Checkpoint`; the ingest envelope
+/// (`InsertHeader` / `InsertChunk`* / `InsertDone` | `InsertAbort`);
+/// `BatchScore`; and `MetricsProm`, the Prometheus scrape. All other
+/// introspection is SQL over the `sys.*` catalog through `Execute`.
+/// Request tags `0x03`, `0x04` and `0x08` are unassigned and answered
+/// with [`ErrorCode::Protocol`] like any unknown tag.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 // Request tags.
 const REQ_EXECUTE: u8 = 0x01;
 const REQ_SET_OPTION: u8 = 0x02;
-const REQ_STATUS: u8 = 0x03;
-const REQ_METRICS: u8 = 0x04;
 const REQ_PING: u8 = 0x05;
 const REQ_SHUTDOWN: u8 = 0x06;
 const REQ_CANCEL: u8 = 0x07;
-const REQ_TRACE: u8 = 0x08;
 const REQ_METRICS_PROM: u8 = 0x09;
 const REQ_INSERT_HEADER: u8 = 0x0A;
 const REQ_INSERT_CHUNK: u8 = 0x0B;
@@ -73,7 +72,6 @@ const RESP_ROWS_HEADER: u8 = 0x85;
 const RESP_ROWS_CHUNK: u8 = 0x86;
 const RESP_ROWS_DONE: u8 = 0x87;
 const RESP_METRICS_TEXT: u8 = 0x88;
-const RESP_TRACE: u8 = 0x89;
 const RESP_INSERT_ACK: u8 = 0x8A;
 
 // Value tags.
@@ -97,10 +95,6 @@ pub enum Request {
         /// Option value.
         value: String,
     },
-    /// Describe this session (id, settings, last statement's stats).
-    Status,
-    /// Server-wide counters, latency histograms, and gauges.
-    Metrics,
     /// Liveness probe.
     Ping,
     /// Ask the server to shut down gracefully (drain, then exit).
@@ -115,17 +109,6 @@ pub enum Request {
     Cancel {
         /// 1-based `Execute` count identifying the statement.
         seq: u64,
-    },
-    /// Page through the server's retained query traces (the recent
-    /// ring, or the slow-query ring).
-    Trace {
-        /// Read the slow-query ring instead of the recent-trace ring.
-        slow_only: bool,
-        /// Return only records with id strictly greater than this
-        /// (paging cursor; 0 starts from the oldest retained record).
-        after_id: u64,
-        /// Maximum records to return (the server may clamp further).
-        limit: u32,
     },
     /// Server-wide metrics in the Prometheus text exposition format.
     MetricsProm,
@@ -317,16 +300,6 @@ pub enum Response {
         /// Prometheus text exposition.
         text: String,
     },
-    /// Reply to [`Request::Trace`]: a page of retained trace records
-    /// in ascending id order.
-    Trace {
-        /// The page of records.
-        records: Vec<TraceRecord>,
-        /// Whether the ring evicted records the page's `after_id`
-        /// cursor should have covered — the pager has a gap it can
-        /// never fill.
-        truncated: bool,
-    },
     /// Reply to [`Request::InsertDone`]: the streamed batch committed.
     InsertAck {
         /// Rows accepted into the table (and folded into any fresh Γ
@@ -472,23 +445,11 @@ impl Request {
                 put_str(&mut buf, name);
                 put_str(&mut buf, value);
             }
-            Request::Status => buf.push(REQ_STATUS),
-            Request::Metrics => buf.push(REQ_METRICS),
             Request::Ping => buf.push(REQ_PING),
             Request::Shutdown => buf.push(REQ_SHUTDOWN),
             Request::Cancel { seq } => {
                 buf.push(REQ_CANCEL);
                 buf.extend_from_slice(&seq.to_be_bytes());
-            }
-            Request::Trace {
-                slow_only,
-                after_id,
-                limit,
-            } => {
-                buf.push(REQ_TRACE);
-                buf.push(u8::from(*slow_only));
-                buf.extend_from_slice(&after_id.to_be_bytes());
-                buf.extend_from_slice(&limit.to_be_bytes());
             }
             Request::MetricsProm => buf.push(REQ_METRICS_PROM),
             Request::InsertHeader { table, columns } => {
@@ -542,16 +503,9 @@ impl Request {
                 name: r.str()?,
                 value: r.str()?,
             },
-            REQ_STATUS => Request::Status,
-            REQ_METRICS => Request::Metrics,
             REQ_PING => Request::Ping,
             REQ_SHUTDOWN => Request::Shutdown,
             REQ_CANCEL => Request::Cancel { seq: r.u64()? },
-            REQ_TRACE => Request::Trace {
-                slow_only: r.u8()? != 0,
-                after_id: r.u64()?,
-                limit: r.u32()?,
-            },
             REQ_METRICS_PROM => Request::MetricsProm,
             REQ_INSERT_HEADER => {
                 let table = r.str()?;
@@ -627,96 +581,6 @@ fn put_stats(buf: &mut Vec<u8>, s: &WireStats) {
     buf.extend_from_slice(&s.summary_misses.to_be_bytes());
     buf.extend_from_slice(&s.summary_stale_rebuilds.to_be_bytes());
     buf.extend_from_slice(&s.elapsed_micros.to_be_bytes());
-}
-
-fn put_span(buf: &mut Vec<u8>, s: &Span) {
-    buf.push(s.phase.as_u8());
-    buf.extend_from_slice(&s.start_nanos.to_be_bytes());
-    buf.extend_from_slice(&s.dur_nanos.to_be_bytes());
-    buf.extend_from_slice(&s.rows.to_be_bytes());
-    buf.extend_from_slice(&s.bytes.to_be_bytes());
-    buf.extend_from_slice(&s.blocks.to_be_bytes());
-    buf.extend_from_slice(&s.cpu_nanos.to_be_bytes());
-    buf.extend_from_slice(&s.shard.to_be_bytes());
-}
-
-fn read_span(r: &mut Reader<'_>) -> io::Result<Span> {
-    let phase = Phase::from_u8(r.u8()?).ok_or_else(|| bad("unknown phase tag"))?;
-    Ok(Span {
-        phase,
-        start_nanos: r.u64()?,
-        dur_nanos: r.u64()?,
-        rows: r.u64()?,
-        bytes: r.u64()?,
-        blocks: r.u64()?,
-        cpu_nanos: r.u64()?,
-        shard: r.u64()? as i64,
-    })
-}
-
-fn put_trace_record(buf: &mut Vec<u8>, t: &TraceRecord) {
-    buf.extend_from_slice(&t.id.to_be_bytes());
-    buf.extend_from_slice(&t.query_id.to_be_bytes());
-    buf.extend_from_slice(&t.session.to_be_bytes());
-    put_str(buf, &t.peer);
-    buf.extend_from_slice(&t.shards.to_be_bytes());
-    buf.extend_from_slice(&t.seq.to_be_bytes());
-    put_str(buf, &t.sql);
-    buf.push(t.outcome.as_u8());
-    put_str(buf, &t.detail);
-    buf.extend_from_slice(&t.total_nanos.to_be_bytes());
-    buf.push(u8::from(t.slow));
-    buf.extend_from_slice(&t.wal_bytes.to_be_bytes());
-    buf.extend_from_slice(&t.fsyncs.to_be_bytes());
-    buf.extend_from_slice(&t.cpu_nanos.to_be_bytes());
-    buf.extend_from_slice(&(t.spans.len() as u32).to_be_bytes());
-    for span in &t.spans {
-        put_span(buf, span);
-    }
-}
-
-fn read_trace_record(r: &mut Reader<'_>) -> io::Result<TraceRecord> {
-    let id = r.u64()?;
-    let query_id = r.u64()?;
-    let session = r.u64()?;
-    let peer = r.str()?;
-    let shards = r.u32()?;
-    let seq = r.u64()?;
-    let sql = r.str()?;
-    let outcome = Outcome::from_u8(r.u8()?).ok_or_else(|| bad("unknown outcome tag"))?;
-    let detail = r.str()?;
-    let total_nanos = r.u64()?;
-    let slow = r.u8()? != 0;
-    let wal_bytes = r.u64()?;
-    let fsyncs = r.u64()?;
-    let cpu_nanos = r.u64()?;
-    let nspans = r.u32()? as usize;
-    // Each span costs a fixed 57 bytes: reject counts the remaining
-    // payload cannot hold.
-    if nspans.saturating_mul(57) > r.remaining() {
-        return Err(bad("span count exceeds frame size"));
-    }
-    let mut spans = Vec::with_capacity(nspans);
-    for _ in 0..nspans {
-        spans.push(read_span(r)?);
-    }
-    Ok(TraceRecord {
-        id,
-        query_id,
-        session,
-        peer,
-        shards,
-        seq,
-        sql,
-        outcome,
-        detail,
-        total_nanos,
-        slow,
-        wal_bytes,
-        fsyncs,
-        cpu_nanos,
-        spans,
-    })
 }
 
 fn read_stats(r: &mut Reader<'_>) -> io::Result<WireStats> {
@@ -813,14 +677,6 @@ impl Response {
             Response::MetricsText { text } => {
                 buf.push(RESP_METRICS_TEXT);
                 put_str(&mut buf, text);
-            }
-            Response::Trace { records, truncated } => {
-                buf.push(RESP_TRACE);
-                buf.push(u8::from(*truncated));
-                buf.extend_from_slice(&(records.len() as u32).to_be_bytes());
-                for record in records {
-                    put_trace_record(&mut buf, record);
-                }
             }
             Response::InsertAck { rows } => {
                 buf.push(RESP_INSERT_ACK);
@@ -922,20 +778,6 @@ impl Response {
                 }
             }
             RESP_METRICS_TEXT => Response::MetricsText { text: r.str()? },
-            RESP_TRACE => {
-                let truncated = r.u8()? != 0;
-                let nrecords = r.u32()? as usize;
-                // Each record costs at least its fixed-width fields
-                // (83 bytes): reject counts the payload cannot hold.
-                if nrecords.saturating_mul(83) > payload.len() {
-                    return Err(bad("record count exceeds frame size"));
-                }
-                let mut records = Vec::with_capacity(nrecords);
-                for _ in 0..nrecords {
-                    records.push(read_trace_record(&mut r)?);
-                }
-                Response::Trace { records, truncated }
-            }
             RESP_INSERT_ACK => Response::InsertAck { rows: r.u64()? },
             _ => return Err(bad("unknown response tag")),
         };
@@ -1146,16 +988,9 @@ mod tests {
             name: "block_scan".into(),
             value: "off".into(),
         });
-        round_trip_req(Request::Status);
-        round_trip_req(Request::Metrics);
         round_trip_req(Request::Ping);
         round_trip_req(Request::Shutdown);
         round_trip_req(Request::Cancel { seq: 17 });
-        round_trip_req(Request::Trace {
-            slow_only: true,
-            after_id: 99,
-            limit: 32,
-        });
         round_trip_req(Request::MetricsProm);
         round_trip_req(Request::Checkpoint);
     }
@@ -1229,43 +1064,14 @@ mod tests {
         assert!(Request::decode(&buf).is_err());
     }
 
+    /// Request tags 0x03, 0x04, 0x08 and response tag 0x89 are
+    /// unassigned: they decode like any unknown tag.
     #[test]
-    fn trace_responses_round_trip() {
-        round_trip_resp(Response::MetricsText {
-            text: "# HELP nlq_up up\n# TYPE nlq_up gauge\nnlq_up 1\n".into(),
-        });
-        round_trip_resp(Response::Trace {
-            records: Vec::new(),
-            truncated: false,
-        });
-        round_trip_resp(Response::Trace {
-            records: vec![TraceRecord {
-                id: 7,
-                query_id: 19,
-                session: 3,
-                peer: "127.0.0.1:54321".into(),
-                shards: 4,
-                seq: 2,
-                sql: "SELECT sum(X1) FROM X".into(),
-                outcome: Outcome::Cancelled,
-                detail: "query cancelled after 42 rows".into(),
-                total_nanos: 1_234_567,
-                slow: true,
-                wal_bytes: 512,
-                fsyncs: 1,
-                cpu_nanos: 456_789,
-                spans: vec![
-                    Span::new(Phase::Parse, 1_000),
-                    Span::new(Phase::Scan, 900_000).rows(42).blocks(3),
-                    Span::new(Phase::Scatter, 800_000)
-                        .rows(21)
-                        .cpu_nanos(300_000)
-                        .on_shard(2),
-                    Span::new(Phase::Stream, 50_000).bytes(4096),
-                ],
-            }],
-            truncated: true,
-        });
+    fn retired_tags_are_unknown() {
+        for tag in [0x03u8, 0x04, 0x08] {
+            assert!(Request::decode(&[tag]).is_err(), "request tag {tag:#x}");
+        }
+        assert!(Response::decode(&[0x89, 0, 0, 0, 0, 0]).is_err());
     }
 
     #[test]
@@ -1302,6 +1108,9 @@ mod tests {
         });
         round_trip_resp(Response::Ok);
         round_trip_resp(Response::Pong);
+        round_trip_resp(Response::MetricsText {
+            text: "# HELP nlq_up up\n# TYPE nlq_up gauge\nnlq_up 1\n".into(),
+        });
         round_trip_resp(Response::RowsHeader {
             seq: 3,
             query_id: 11,

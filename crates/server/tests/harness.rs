@@ -11,7 +11,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use nlq_client::{validate_exposition, Client, ClientError, Outcome, Phase};
+use nlq_client::{validate_exposition, Client, ClientError};
 use nlq_engine::{Db, SqlEngine};
 use nlq_feature::TickGate;
 use nlq_server::wire::{ErrorCode, MAX_FRAME};
@@ -134,6 +134,34 @@ fn assert_live_scrape_valid(c: &mut Client) {
     if let Err(why) = validate_exposition(&text) {
         panic!("live scrape violates the exposition format: {why}\n{text}");
     }
+}
+
+/// One unlabelled registry sample read back through `sys.metrics`.
+fn sys_metric(c: &mut Client, name: &str) -> f64 {
+    let rs = c
+        .execute(&format!(
+            "SELECT value FROM sys.metrics WHERE metric = '{name}'"
+        ))
+        .unwrap();
+    assert_eq!(rs.rows.len(), 1, "sys.metrics rows for {name}");
+    rs.value(0, 0).as_f64().unwrap()
+}
+
+/// Every `(name, label block)` series a Prometheus scrape carries,
+/// with each sample's value.
+fn scrape_series(text: &str) -> Vec<((String, String), f64)> {
+    text.lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|line| {
+            let (series, value) = line.rsplit_once(' ').expect("sample line");
+            let (name, labels) = match series.split_once('{') {
+                Some((name, rest)) => (name, rest.trim_end_matches('}')),
+                None => (series, ""),
+            };
+            let value = value.parse().expect("sample value");
+            ((name.to_owned(), labels.to_owned()), value)
+        })
+        .collect()
 }
 
 /// Polls an observable condition to true within a hard deadline.
@@ -330,10 +358,19 @@ fn cancel_wins_the_race_against_a_blocked_scan() {
     drop(stream);
 
     assert_eq!(metrics.queries_cancelled.load(Ordering::Relaxed), 1);
-    // The session outlives its cancelled statement, and reports it.
+    // The session outlives its cancelled statement, and the catalog
+    // reports it.
     c.ping().unwrap();
-    let status = c.status().unwrap();
-    assert_eq!(status.lookup("last.cancelled"), Some(&Value::Int(1)));
+    let session = c.session_id();
+    let rs = c
+        .execute(&format!(
+            "SELECT sql FROM sys.queries WHERE session = {session} AND outcome = 'cancelled'"
+        ))
+        .unwrap();
+    assert_eq!(
+        rs.rows,
+        vec![vec![Value::Str("SELECT gate(X1) FROM G".into())]]
+    );
     assert_live_scrape_valid(&mut c);
 }
 
@@ -380,21 +417,23 @@ fn cancel_mid_scan_at_one_million_rows_frees_the_worker_fast() {
     );
     assert_eq!(metrics.queries_cancelled.load(Ordering::Relaxed), 1);
 
-    // The lone worker really is back in the pool: live METRICS report
-    // it idle over an empty queue.
+    // The lone worker really is back in the pool: a live scrape (served
+    // by the session thread, not a pool worker) reports it idle over an
+    // empty queue.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let m = c.metrics().unwrap();
-        if m.lookup("workers_busy") == Some(&Value::Int(0))
-            && m.lookup("queue_depth") == Some(&Value::Int(0))
-        {
+        let scrape = scrape_series(&c.metrics_prometheus().unwrap());
+        let gauge = |name: &str| {
+            let found = scrape.iter().find(|((n, _), _)| n == name);
+            found.unwrap_or_else(|| panic!("scrape missing {name}")).1
+        };
+        let (busy, queued) = (gauge("nlq_workers_busy"), gauge("nlq_queue_depth"));
+        if busy == 0.0 && queued == 0.0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "worker never freed: {:?} busy, {:?} queued",
-            m.lookup("workers_busy"),
-            m.lookup("queue_depth")
+            "worker never freed: {busy} busy, {queued} queued"
         );
         std::thread::yield_now();
     }
@@ -482,7 +521,7 @@ fn drain_cancels_streaming_queries_past_the_grace_period() {
 }
 
 #[test]
-fn trace_ring_pages_completed_queries_over_the_wire() {
+fn sys_queries_serves_completed_traces_with_spans_and_paging() {
     let ts = TestServer::start(ServerConfig {
         // Everything is slow at a zero threshold, so the slow ring
         // retains this test's queries too.
@@ -494,42 +533,76 @@ fn trace_ring_pages_completed_queries_over_the_wire() {
     c.execute("SELECT sum(X1) FROM T").unwrap();
     let _ = c.execute("SELECT nope FROM T");
 
-    let records = c.trace(false, 0, 256).unwrap();
+    let records = c
+        .execute(
+            "SELECT trace_id, sql, outcome, session, total_us, detail FROM sys.queries \
+             ORDER BY trace_id",
+        )
+        .unwrap()
+        .rows;
     // CREATE, INSERT, the aggregate, and the failed statement — every
-    // completed statement is retained, in completion order.
+    // completed statement is retained once (the recent and slow rings
+    // both hold it), in completion order.
     assert!(records.len() >= 4, "got {} trace records", records.len());
-    assert!(records.windows(2).all(|w| w[0].id < w[1].id));
+    let ids: Vec<i64> = records.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
 
     let agg = records
         .iter()
-        .find(|r| r.sql == "SELECT sum(X1) FROM T")
+        .find(|r| r[1].as_str() == Some("SELECT sum(X1) FROM T"))
         .expect("aggregate query traced");
-    assert_eq!(agg.outcome, Outcome::Ok);
-    assert_eq!(agg.session, c.session_id());
-    assert!(agg.total_nanos > 0);
-    let phases: Vec<&str> = agg.spans.iter().map(|s| s.phase.name()).collect();
+    assert_eq!(agg[2], Value::Str("ok".into()));
+    assert_eq!(agg[3], Value::Int(c.session_id() as i64));
+    let total_us = agg[4].as_f64().unwrap();
+    assert!(total_us > 0.0);
+    let spans = c
+        .execute(&format!(
+            "SELECT phase, rows, dur_us FROM sys.spans WHERE trace_id = {}",
+            agg[0]
+        ))
+        .unwrap()
+        .rows;
+    let phases: Vec<&str> = spans.iter().filter_map(|s| s[0].as_str()).collect();
     for want in ["parse", "scan", "encode", "stream"] {
         assert!(phases.contains(&want), "missing {want} span in {phases:?}");
     }
-    let scan = agg.spans.iter().find(|s| s.phase == Phase::Scan).unwrap();
-    assert_eq!(scan.rows, 100);
+    let scan = spans
+        .iter()
+        .find(|s| s[0].as_str() == Some("scan"))
+        .unwrap();
+    assert_eq!(scan[1], Value::Int(100));
     // Spans never claim more time than the statement took end to end.
-    assert!(agg.spans.iter().map(|s| s.dur_nanos).sum::<u64>() <= agg.total_nanos);
+    assert!(spans.iter().map(|s| s[2].as_f64().unwrap()).sum::<f64>() <= total_us);
 
     let failed = records
         .iter()
-        .find(|r| r.sql.contains("nope"))
+        .find(|r| r[1].as_str().is_some_and(|sql| sql.contains("nope")))
         .expect("failed query traced");
-    assert_eq!(failed.outcome, Outcome::Error);
-    assert!(!failed.detail.is_empty(), "error detail retained");
+    assert_eq!(failed[2], Value::Str("error".into()));
+    assert_ne!(
+        failed[5],
+        Value::Str(String::new()),
+        "error detail retained"
+    );
 
-    // Paging: after the last id there is nothing; the slow ring (zero
-    // threshold) retained the same statements, all marked slow.
-    let last_id = records.last().unwrap().id;
-    assert!(c.trace(false, last_id, 256).unwrap().is_empty());
-    let slow = c.trace(true, 0, 256).unwrap();
-    assert!(slow.len() >= 4);
-    assert!(slow.iter().all(|r| r.slow));
+    // Paging: past the last id there are only the catalog queries this
+    // test has run since; at a zero threshold every record is slow.
+    let last_id = ids.last().unwrap();
+    let newer = c
+        .execute(&format!(
+            "SELECT sql FROM sys.queries WHERE trace_id > {last_id}"
+        ))
+        .unwrap();
+    assert!(!newer.rows.is_empty());
+    for row in &newer.rows {
+        assert!(row[0].as_str().unwrap().contains("FROM sys."), "{row:?}");
+    }
+    let rs = c
+        .execute("SELECT slow, count(*) FROM sys.queries GROUP BY slow")
+        .unwrap();
+    assert_eq!(rs.rows.len(), 1, "{:?}", rs.rows);
+    assert_eq!(rs.value(0, 0), &Value::Int(1));
+    assert!(rs.value(0, 1).as_i64().unwrap() >= 4);
     assert!(ts.metrics().slow_queries.load(Ordering::Relaxed) >= 4);
     assert_live_scrape_valid(&mut c);
 }
@@ -583,14 +656,17 @@ fn cancel_of_a_queued_statement_skips_execution_entirely() {
     assert_eq!(metrics.queries_cancelled_queued.load(Ordering::Relaxed), 1);
     assert_eq!(metrics.queries_cancelled.load(Ordering::Relaxed), 0);
 
-    // The trace ring records the distinct outcome.
-    let records = c2.trace(false, 0, 256).unwrap();
-    let skipped = records
-        .iter()
-        .find(|r| r.outcome == Outcome::CancelledQueued)
-        .expect("queued-cancel outcome traced");
-    assert_eq!(skipped.sql, "SELECT X1 FROM Q");
-    assert_eq!(skipped.session, c2.session_id());
+    // The catalog records the distinct outcome.
+    let rs = c2
+        .execute("SELECT sql, session FROM sys.queries WHERE outcome = 'cancelled-queued'")
+        .unwrap();
+    assert_eq!(
+        rs.rows,
+        vec![vec![
+            Value::Str("SELECT X1 FROM Q".into()),
+            Value::Int(c2.session_id() as i64)
+        ]]
+    );
 
     // Both sessions remain usable.
     c1.ping().unwrap();
@@ -809,8 +885,7 @@ fn ingest_backpressure_refuses_with_retry_until_the_daemon_catches_up() {
     // still sees zero lag and acks — and leaves the daemon 100 rows
     // behind.
     assert_eq!(ingest(&mut c, training_rows(101, 100)).unwrap(), 100);
-    let status = c.status().unwrap();
-    assert_eq!(status.lookup("refresh.staleness"), Some(&Value::Int(100)));
+    assert_eq!(sys_metric(&mut c, "refresh_lag_rows"), 100.0);
 
     // Past the bound: refused with the retry hint; nothing committed.
     match ingest(&mut c, training_rows(201, 10)) {
@@ -831,8 +906,7 @@ fn ingest_backpressure_refuses_with_retry_until_the_daemon_catches_up() {
     // Tick 2 republishes at 200 folded rows; the lag drains to zero
     // and the retried envelope acks.
     gate.step();
-    let status = c.status().unwrap();
-    assert_eq!(status.lookup("refresh.staleness"), Some(&Value::Int(0)));
+    assert_eq!(sys_metric(&mut c, "refresh_lag_rows"), 0.0);
     assert_eq!(ingest(&mut c, training_rows(201, 10)).unwrap(), 10);
     let rs = c.execute("SELECT count(*) FROM PTS").unwrap();
     assert_eq!(rs.value(0, 0), &Value::Int(210));
@@ -843,7 +917,7 @@ fn ingest_backpressure_refuses_with_retry_until_the_daemon_catches_up() {
 }
 
 #[test]
-fn durable_server_survives_restart_with_checkpoint_and_status_counters() {
+fn durable_server_survives_restart_with_checkpoint_and_wal_counters() {
     let dir = std::env::temp_dir().join(format!("nlq-harness-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
@@ -860,25 +934,29 @@ fn durable_server_survives_restart_with_checkpoint_and_status_counters() {
         .unwrap();
         assert_eq!(ing.finish().unwrap(), 100);
 
-        // A durable engine surfaces its WAL through STATUS, METRICS,
-        // and the Prometheus scrape.
-        let status = c.status().unwrap();
-        let log_bytes = status
-            .lookup("wal.log_bytes")
-            .and_then(|v| v.as_i64())
-            .expect("durable engine reports wal.log_bytes");
-        assert!(log_bytes > 0, "live log is non-empty after commits");
-        let m = c.metrics().unwrap();
-        assert!(m.lookup("wal.fsyncs").and_then(|v| v.as_i64()).unwrap() >= 1);
+        // A durable engine surfaces its WAL through sys.wal,
+        // sys.metrics, and the Prometheus scrape.
+        let wal = |c: &mut Client, name: &str| {
+            let rs = c
+                .execute(&format!(
+                    "SELECT value FROM sys.wal WHERE metric = '{name}'"
+                ))
+                .unwrap();
+            rs.value(0, 0).as_f64().unwrap()
+        };
+        assert!(
+            wal(&mut c, "wal_log_bytes") > 0.0,
+            "live log is non-empty after commits"
+        );
+        assert!(sys_metric(&mut c, "wal_fsyncs_total") >= 1.0);
         let prom = c.metrics_prometheus().unwrap();
         assert!(prom.contains("nlq_wal_bytes_total"));
         assert!(prom.contains("nlq_checkpoints_total"));
 
         // An explicit client checkpoint snapshots and truncates.
         c.checkpoint().unwrap();
-        let status = c.status().unwrap();
-        assert_eq!(status.lookup("wal.log_bytes"), Some(&Value::Int(0)));
-        assert_eq!(status.lookup("wal.checkpoints"), Some(&Value::Int(1)));
+        assert_eq!(wal(&mut c, "wal_log_bytes"), 0.0);
+        assert_eq!(wal(&mut c, "checkpoints_total"), 1.0);
 
         // A post-checkpoint tail, to be replayed at the next open.
         let mut ing = c.begin_ingest("T", &[]).unwrap();
@@ -905,14 +983,7 @@ fn durable_server_survives_restart_with_checkpoint_and_status_counters() {
     let rs = c.execute("SELECT count(*), sum(X1) FROM T").unwrap();
     assert_eq!(rs.value(0, 0), &Value::Int(150));
     assert_eq!(rs.value(0, 1).as_f64(), Some((1..=150).sum::<i64>() as f64));
-    let status = c.status().unwrap();
-    assert!(
-        status
-            .lookup("recovery.replayed_records")
-            .and_then(|v| v.as_i64())
-            .unwrap()
-            >= 1
-    );
+    assert!(sys_metric(&mut c, "recovery_replayed_records") >= 1.0);
     assert_live_scrape_valid(&mut c);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -950,18 +1021,10 @@ fn refresh_daemon_republishes_models_from_streamed_ingest() {
     }
     assert_eq!(ing.finish().unwrap(), 400);
 
-    // The daemon publishes without any further client action; METRICS
-    // mirrors its counter.
+    // The daemon publishes without any further client action;
+    // sys.metrics reads its counter.
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let m = c.metrics().unwrap();
-        if m.lookup("model_refreshes_total")
-            .and_then(|v| v.as_i64())
-            .unwrap_or(0)
-            >= 1
-        {
-            break;
-        }
+    while sys_metric(&mut c, "model_refreshes_total") < 1.0 {
         assert!(Instant::now() < deadline, "daemon never published");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -1048,21 +1111,21 @@ fn sys_catalog_answers_telemetry_queries_through_the_block_path() {
         "sys.queries must ride the block path, plan was {text:?}"
     );
 
-    // sys.sessions sees this live connection with its statement count.
+    // sys.sessions sees this live connection with its statement count
+    // and its per-session option.
+    c.set_option("block_scan", "on").unwrap();
     let rs = c
         .execute(&format!(
-            "SELECT peer, statements FROM sys.sessions WHERE session = {session}"
+            "SELECT peer, statements, block_scan FROM sys.sessions WHERE session = {session}"
         ))
         .unwrap();
     assert_eq!(rs.rows.len(), 1);
     assert_ne!(rs.value(0, 0), &Value::Str(String::new()), "peer recorded");
     assert!(rs.value(0, 1).as_i64().unwrap() >= 1);
+    assert_eq!(rs.value(0, 2), &Value::Str("on".into()));
 
-    // sys.metrics serves the METRICS counters as rows.
-    let rs = c
-        .execute("SELECT value FROM sys.metrics WHERE metric = 'sessions_active'")
-        .unwrap();
-    assert!(rs.value(0, 0).as_i64().unwrap() >= 1);
+    // sys.metrics serves the registry as rows.
+    assert!(sys_metric(&mut c, "sessions_active") >= 1.0);
     assert_live_scrape_valid(&mut c);
 }
 
@@ -1127,7 +1190,7 @@ fn sharded_query_spans_share_one_query_id_across_all_shards() {
 }
 
 #[test]
-fn trace_paging_reports_truncation_after_ring_wraparound() {
+fn trace_paging_detects_the_gap_after_ring_wraparound() {
     let ts = TestServer::start(ServerConfig {
         trace_ring: 4,
         ..ServerConfig::default()
@@ -1138,26 +1201,129 @@ fn trace_paging_reports_truncation_after_ring_wraparound() {
         c.execute("SELECT count(*) FROM TR").unwrap();
     }
 
-    // A cursor at 0 has provably missed evicted records.
-    let page = c.trace_page(false, 0, 256).unwrap();
-    assert!(page.truncated, "cursor 0 is behind the wrapped ring");
-    assert!(page.records.len() <= 4, "ring retains at most its capacity");
-
-    // Paging from the newest retained id is complete, not truncated.
-    let last = page.records.last().unwrap().id;
-    let page = c.trace_page(false, last, 256).unwrap();
-    assert!(!page.truncated);
-    assert!(page.records.is_empty());
-
-    // Eviction pressure is exported to METRICS and the scrape.
-    let m = c.metrics().unwrap();
+    // A cursor at 0 has provably missed evicted records: the oldest
+    // retained id is not the cursor's successor.
+    let rs = c
+        .execute("SELECT min(trace_id), max(trace_id), count(*) FROM sys.queries")
+        .unwrap();
+    let oldest = rs.value(0, 0).as_i64().unwrap();
+    let newest = rs.value(0, 1).as_i64().unwrap();
+    assert!(oldest > 1, "cursor 0 is behind the wrapped ring");
     assert!(
-        m.lookup("trace_ring_evicted_total")
-            .and_then(|v| v.as_i64())
-            .unwrap()
-            >= 1
+        rs.value(0, 2).as_i64().unwrap() <= 4,
+        "ring retains at most its capacity"
     );
+
+    // Paging from the newest retained id is complete: the next record
+    // (the catalog query above) is the cursor's direct successor.
+    let rs = c
+        .execute(&format!(
+            "SELECT min(trace_id) FROM sys.queries WHERE trace_id > {newest}"
+        ))
+        .unwrap();
+    assert_eq!(rs.value(0, 0), &Value::Int(newest + 1));
+
+    // Eviction pressure is exported to sys.metrics and the scrape.
+    assert!(sys_metric(&mut c, "trace_ring_evicted_total") >= 1.0);
     let prom = c.metrics_prometheus().unwrap();
     assert!(prom.contains("nlq_trace_ring_evicted_total"));
     assert_live_scrape_valid(&mut c);
+}
+
+/// Request tags 0x03, 0x04 and 0x08 are unassigned: each is answered
+/// with a `Protocol` error, like any unknown tag, and the session keeps
+/// serving.
+#[test]
+fn unassigned_request_tags_get_a_protocol_error() {
+    use nlq_server::wire::{read_frame, write_frame, Request, Response};
+
+    let ts = TestServer::start(ServerConfig::default());
+    let stream = std::net::TcpStream::connect(ts.handle.addr()).unwrap();
+    let read = || Response::decode(&read_frame(&mut &stream).unwrap().expect("a reply")).unwrap();
+    let hello = read();
+    assert!(matches!(hello, Response::Hello { .. }), "{hello:?}");
+    let reply = |payload: &[u8]| {
+        write_frame(&mut &stream, payload).unwrap();
+        read()
+    };
+    for tag in [0x03u8, 0x04, 0x08] {
+        match reply(&[tag]) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol, "tag {tag:#x}"),
+            other => panic!("tag {tag:#x}: expected a Protocol error, got {other:?}"),
+        }
+    }
+    assert_eq!(reply(&Request::Ping.encode()), Response::Pong);
+}
+
+/// `sys.metrics` and the Prometheus scrape are two renderings of one
+/// registry: on every engine kind they must name exactly the same
+/// `(family, labels)` series — including the WAL and recovery families
+/// on a durable engine and the per-shard ones on a sharded engine.
+#[test]
+fn prometheus_scrape_and_sys_metrics_name_the_same_series() {
+    use std::collections::BTreeSet;
+
+    let dir = std::env::temp_dir().join(format!("nlq-harness-parity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engines: Vec<(&str, Arc<dyn SqlEngine>, Vec<&str>)> = vec![
+        ("volatile", Arc::new(Db::new(1)), vec!["nlq_shards"]),
+        (
+            "durable",
+            Arc::new(Db::open_durable(1, &dir, true).unwrap()),
+            vec!["nlq_wal_fsyncs_total", "nlq_recovery_replayed_records"],
+        ),
+        (
+            "sharded",
+            Arc::new(nlq_shard::ShardedDb::new(4, 1)),
+            vec!["nlq_shard_queries_total", "nlq_plan_cache_hits_total"],
+        ),
+    ];
+    for (kind, engine, must_have) in engines {
+        let handle = serve(
+            engine,
+            ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind parity test server");
+        let mut c = Client::connect(handle.addr()).expect("connect");
+        load_rows(&mut c, "PAR", 10);
+        c.execute("SELECT sum(X1) FROM PAR").unwrap();
+
+        let text = c.metrics_prometheus().unwrap();
+        validate_exposition(&text).unwrap_or_else(|why| panic!("{kind}: {why}\n{text}"));
+        let scraped: BTreeSet<(String, String)> =
+            scrape_series(&text).into_iter().map(|(k, _)| k).collect();
+        let rs = c
+            .execute("SELECT metric, labels, value FROM sys.metrics")
+            .unwrap();
+        let queried: BTreeSet<(String, String)> = rs
+            .rows
+            .iter()
+            .map(|r| {
+                assert!(r[2].as_f64().is_some(), "{kind}: non-numeric value {r:?}");
+                (
+                    format!("nlq_{}", r[0].as_str().unwrap()),
+                    r[1].as_str().unwrap().to_owned(),
+                )
+            })
+            .collect();
+        assert_eq!(rs.rows.len(), queried.len(), "{kind}: duplicate series");
+        assert_eq!(scraped, queried, "{kind}: the two renderings disagree");
+        for name in must_have {
+            assert!(
+                queried.iter().any(|(n, _)| n == name),
+                "{kind}: sys.metrics lacks {name}"
+            );
+        }
+        // sys.wal is the durability slice of the same list.
+        let wal = c.execute("SELECT metric FROM sys.wal").unwrap();
+        assert_eq!(wal.rows.is_empty(), kind != "durable", "{kind}");
+        for row in &wal.rows {
+            let name = format!("nlq_{}", row[0].as_str().unwrap());
+            assert!(queried.iter().any(|(n, _)| *n == name), "{kind}: {name}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

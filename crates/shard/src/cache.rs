@@ -73,7 +73,7 @@ impl PlanCache {
         self.map.write().expect("plan cache").clear();
     }
 
-    /// Counter snapshot for METRICS / Prometheus.
+    /// Counter snapshot for `sys.metrics` / Prometheus.
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),

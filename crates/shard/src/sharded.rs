@@ -34,8 +34,9 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use nlq_engine::{
-    load_checkpoint, parse, phase_spans, result_to_table, statement_is_logged, AggPartial, Db,
-    EngineError, ExecOptions, ExecStats, Expr, PlanCacheStats, Projection, RecoveryInfo, Result,
+    beta_table, centroid_table, lambda_table, load_checkpoint, mu_table, parse, phase_spans,
+    result_to_table, statement_is_logged, AggPartial, Db, DurabilityStats, EngineError,
+    EngineStats, ExecOptions, ExecStats, Expr, PlanCacheStats, Projection, RecoveryInfo, Result,
     ResultSet, SelectStmt, ShardMetricsSnapshot, SqlEngine, Statement, SummaryRefreshState,
     SystemTableProvider,
 };
@@ -118,6 +119,13 @@ struct ShardedWalState {
     /// checkpoint manifest (views have no storage to snapshot).
     view_ddl: Mutex<Vec<(String, String)>>,
     recovery: RecoveryInfo,
+}
+
+impl ShardedWalState {
+    /// Bytes currently live across every shard log.
+    fn log_bytes(&self) -> u64 {
+        self.wals.iter().map(Wal::bytes).sum()
+    }
 }
 
 /// An in-process sharded database over `S` independent [`Db`]s.
@@ -434,6 +442,16 @@ impl ShardedDb {
         Ok(())
     }
 
+    /// Publishes (or replaces) a model table on every shard.
+    pub fn publish_model(&self, name: &str, table: Table) -> Result<()> {
+        for sh in &self.shards[1..] {
+            sh.db.publish_model(name, table.clone())?;
+        }
+        self.shards[0].db.publish_model(name, table)?;
+        self.mark(name, Distribution::Replicated);
+        Ok(())
+    }
+
     /// Registers a regression coefficient table on every shard.
     pub fn register_beta(
         &self,
@@ -441,38 +459,22 @@ impl ShardedDb {
         intercept: f64,
         beta: &nlq_linalg::Vector,
     ) -> Result<()> {
-        for sh in &self.shards {
-            sh.db.register_beta(name, intercept, beta)?;
-        }
-        self.mark(name, Distribution::Replicated);
-        Ok(())
+        self.publish_model(name, beta_table(intercept, beta)?)
     }
 
     /// Registers a factor-loading matrix table on every shard.
     pub fn register_lambda(&self, name: &str, lambda: &nlq_linalg::Matrix) -> Result<()> {
-        for sh in &self.shards {
-            sh.db.register_lambda(name, lambda)?;
-        }
-        self.mark(name, Distribution::Replicated);
-        Ok(())
+        self.publish_model(name, lambda_table(lambda)?)
     }
 
     /// Registers a mean vector table on every shard.
     pub fn register_mu(&self, name: &str, mu: &nlq_linalg::Vector) -> Result<()> {
-        for sh in &self.shards {
-            sh.db.register_mu(name, mu)?;
-        }
-        self.mark(name, Distribution::Replicated);
-        Ok(())
+        self.publish_model(name, mu_table(mu)?)
     }
 
     /// Registers a centroid table on every shard.
     pub fn register_centroids(&self, name: &str, centroids: &[nlq_linalg::Vector]) -> Result<()> {
-        for sh in &self.shards {
-            sh.db.register_centroids(name, centroids)?;
-        }
-        self.mark(name, Distribution::Replicated);
-        Ok(())
+        self.publish_model(name, centroid_table(centroids)?)
     }
 
     // -----------------------------------------------------------------
@@ -1123,9 +1125,7 @@ impl ShardedDb {
     /// Bytes currently live across every shard log — the
     /// auto-checkpoint trigger input; resets to 0 at a checkpoint.
     pub fn wal_log_bytes(&self) -> Option<u64> {
-        self.wal
-            .as_ref()
-            .map(|ws| ws.wals.iter().map(Wal::bytes).sum())
+        self.wal.as_ref().map(ShardedWalState::log_bytes)
     }
 
     /// What recovery replayed when this engine opened (`None` on a
@@ -1143,10 +1143,25 @@ impl ShardedDb {
     /// the refresh daemon republishes them). Returns `false` on a
     /// volatile engine.
     pub fn checkpoint(&self) -> Result<bool> {
+        self.checkpoint_if_log_reaches(0)
+    }
+
+    /// [`ShardedDb::checkpoint`], but only while the live logs hold at
+    /// least `min_log_bytes` in total — checked before and again under
+    /// the checkpoint gate, so sessions that cross an auto-checkpoint
+    /// threshold together snapshot once (see
+    /// [`Db::checkpoint_if_log_reaches`]).
+    pub fn checkpoint_if_log_reaches(&self, min_log_bytes: u64) -> Result<bool> {
         let Some(ws) = &self.wal else {
             return Ok(false);
         };
+        if ws.log_bytes() < min_log_bytes {
+            return Ok(false);
+        }
         let _gate = ws.gate.write().expect("wal gate");
+        if ws.log_bytes() < min_log_bytes {
+            return Ok(false);
+        }
         let horizon = ws.next_eid.load(Ordering::SeqCst);
         let tmp = ws.dir.join("checkpoint.tmp");
         let cur = ws.dir.join("checkpoint");
@@ -1217,16 +1232,16 @@ impl SqlEngine for ShardedDb {
         ShardedDb::execute_with(self, sql, opts)
     }
 
-    fn shard_count(&self) -> usize {
-        ShardedDb::shard_count(self)
-    }
-
-    fn shard_metrics(&self) -> Vec<ShardMetricsSnapshot> {
-        ShardedDb::shard_metrics(self)
-    }
-
-    fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        Some(ShardedDb::plan_cache_stats(self))
+    fn engine_stats(&self) -> EngineStats {
+        EngineStats {
+            shards: self.shard_metrics(),
+            plan_cache: Some(self.plan_cache_stats()),
+            durability: self.wal.as_ref().map(|ws| DurabilityStats {
+                wal: self.wal_stats().expect("durable engine"),
+                log_bytes: ws.log_bytes(),
+                recovery: ws.recovery,
+            }),
+        }
     }
 
     /// Streamed-ingest commit: pre-evaluated rows split round-robin
@@ -1395,32 +1410,12 @@ impl SqlEngine for ShardedDb {
         Ok(acc.expect("at least one shard"))
     }
 
-    fn publish_beta(&self, name: &str, intercept: f64, beta: &nlq_linalg::Vector) -> Result<()> {
-        self.register_beta(name, intercept, beta)
+    fn publish_model(&self, name: &str, table: Table) -> Result<()> {
+        ShardedDb::publish_model(self, name, table)
     }
 
-    fn publish_centroids(&self, name: &str, centroids: &[nlq_linalg::Vector]) -> Result<()> {
-        self.register_centroids(name, centroids)
-    }
-
-    fn publish_lambda(&self, name: &str, lambda: &nlq_linalg::Matrix) -> Result<()> {
-        self.register_lambda(name, lambda)
-    }
-
-    fn wal_stats(&self) -> Option<WalStatsSnapshot> {
-        ShardedDb::wal_stats(self)
-    }
-
-    fn wal_log_bytes(&self) -> Option<u64> {
-        ShardedDb::wal_log_bytes(self)
-    }
-
-    fn checkpoint(&self) -> Result<bool> {
-        ShardedDb::checkpoint(self)
-    }
-
-    fn recovery_info(&self) -> Option<RecoveryInfo> {
-        ShardedDb::recovery_info(self)
+    fn checkpoint(&self, min_log_bytes: u64) -> Result<bool> {
+        self.checkpoint_if_log_reaches(min_log_bytes)
     }
 
     /// Installs the provider on every shard: `sys.*` names are not in

@@ -184,6 +184,38 @@ fn sharded_checkpoint_snapshots_all_shards_atomically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The sharded twin of the single-`Db` test: envelopes that cross the
+/// auto-checkpoint threshold together take one global checkpoint.
+#[test]
+fn sharded_concurrent_threshold_crossings_checkpoint_exactly_once() {
+    const SESSIONS: usize = 8;
+    let dir = temp_dir("ckpt-once");
+    let db = Arc::new(ShardedDb::open_durable(4, 1, &dir, false).unwrap());
+    db.execute("CREATE TABLE t (i INT, x FLOAT)").unwrap();
+    let barrier = Arc::new(std::sync::Barrier::new(SESSIONS));
+    let sessions: Vec<_> = (0..SESSIONS as i64)
+        .map(|k| {
+            let (db, barrier) = (Arc::clone(&db), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let row = vec![Value::Int(k), Value::Float(1.0)];
+                SqlEngine::ingest_rows(db.as_ref(), "t", vec![row]).unwrap();
+                barrier.wait();
+                SqlEngine::checkpoint(db.as_ref(), 1).unwrap()
+            })
+        })
+        .collect();
+    let took = sessions
+        .into_iter()
+        .map(|t| t.join().unwrap())
+        .filter(|&took| took)
+        .count();
+    assert_eq!(took, 1, "exactly one session snapshots");
+    // One checkpoint resets every shard log once.
+    assert_eq!(db.wal_stats().unwrap().checkpoints, 4);
+    assert_eq!(db.wal_log_bytes(), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sharded_recovery_equals_acked_prefix_under_random_crashes() {
     run_cases(32, 0x5EED_000A, |rng| {

@@ -321,7 +321,7 @@ impl WalIo for FileIo {
 // Wal — append + group commit
 // ---------------------------------------------------------------------------
 
-/// Monotonic WAL counters, exported through METRICS/Prometheus.
+/// Monotonic WAL counters, exported through `sys.wal` / Prometheus.
 #[derive(Default)]
 pub struct WalStats {
     /// Bytes appended to the log since open.
