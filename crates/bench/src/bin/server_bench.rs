@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use nlq_bench::mixture_data;
 use nlq_client::Client;
-use nlq_engine::Db;
+use nlq_engine::{Db, SqlEngine};
 use nlq_linalg::Vector;
 use nlq_server::{serve, ServerConfig};
 use nlq_shard::ShardedDb;
@@ -397,7 +397,10 @@ fn main() {
         (m.phase_shares, last_sharded_trace) = phase_shares(saddr, last_sharded_trace);
         results.push(m);
     }
-    let cache_stats = sdb.plan_cache_stats();
+    let cache_stats = sdb
+        .engine_stats()
+        .plan_cache
+        .expect("sharded engine keeps a cache");
     shandle.shutdown();
 
     // ---- Shard scaling: the same Γ block-scan aggregate, 1 vs S shards ----

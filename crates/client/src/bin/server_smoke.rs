@@ -46,19 +46,6 @@ use std::time::{Duration, Instant};
 use nlq_client::Client;
 use nlq_storage::Value;
 
-/// One registry sample read back through `sys.metrics`.
-fn metric(c: &mut Client, name: &str, labels: &str) -> Result<f64, String> {
-    let rs = c
-        .execute(&format!(
-            "SELECT value FROM sys.metrics WHERE metric = '{name}' AND labels = '{labels}'"
-        ))
-        .map_err(|e| format!("sys.metrics: {e}"))?;
-    rs.rows
-        .first()
-        .and_then(|r| r[0].as_f64())
-        .ok_or_else(|| format!("sys.metrics missing {name}{{{labels}}}"))
-}
-
 fn run(
     addr: &str,
     skip_shutdown: bool,
@@ -173,19 +160,21 @@ fn run(
     println!("cancel ok (session survives an abandoned stream)");
 
     // sys.metrics must reflect this very session.
-    let executes = metric(&mut c, "command_requests_total", "command=\"execute\"")?;
+    let executes = c
+        .metric("command_requests_total", "command=\"execute\"")
+        .map_err(|e| e.to_string())?;
     if executes < 7.0 {
         return Err(format!("execute count {executes}, want >= 7"));
     }
-    let cancels = metric(&mut c, "cancel_requests", "")?;
+    let cancels = c.metric("cancel_requests", "").map_err(|e| e.to_string())?;
     if cancels < 1.0 {
         return Err(format!("cancel_requests {cancels}, want >= 1"));
     }
-    let streamed = metric(&mut c, "chunks_streamed", "")?;
+    let streamed = c.metric("chunks_streamed", "").map_err(|e| e.to_string())?;
     if streamed < chunks as f64 {
         return Err(format!("chunks_streamed {streamed}, want >= {chunks}"));
     }
-    let hits = metric(&mut c, "summary_hits", "")?;
+    let hits = c.metric("summary_hits", "").map_err(|e| e.to_string())?;
     if hits < 1.0 {
         return Err(format!("summary_hits {hits}, want >= 1"));
     }
@@ -383,25 +372,31 @@ fn run_sharded(addr: &str, skip_shutdown: bool, shards: usize) -> Result<(), Str
     println!("cancel ok (abandoned sharded stream, session survives)");
 
     // Per-shard metrics and the plan-cache counters must be exported.
-    let reported = metric(&mut c, "shards", "")?;
+    let reported = c.metric("shards", "").map_err(|e| e.to_string())?;
     if reported != shards as f64 {
         return Err(format!("metrics report {reported} shards, want {shards}"));
     }
     let mut scanned_total = 0.0;
     for shard in 0..shards {
         let label = format!("shard=\"{shard}\"");
-        let q = metric(&mut c, "shard_queries_total", &label)?;
+        let q = c
+            .metric("shard_queries_total", &label)
+            .map_err(|e| e.to_string())?;
         if q < 1.0 {
             return Err(format!("shard_queries_total{{{label}}} = {q}, want >= 1"));
         }
-        scanned_total += metric(&mut c, "shard_rows_scanned_total", &label)?;
+        scanned_total += c
+            .metric("shard_rows_scanned_total", &label)
+            .map_err(|e| e.to_string())?;
     }
     if scanned_total < 1000.0 {
         return Err(format!(
             "per-shard rows_scanned sums to {scanned_total}, want >= 1000"
         ));
     }
-    let hits = metric(&mut c, "plan_cache_hits_total", "")?;
+    let hits = c
+        .metric("plan_cache_hits_total", "")
+        .map_err(|e| e.to_string())?;
     if hits < 1.0 {
         return Err(format!("plan_cache_hits_total = {hits}, want >= 1"));
     }
@@ -648,7 +643,9 @@ fn run_ingest(addr: &str, skip_shutdown: bool) -> Result<(), String> {
     // the folds above it must refit and publish `sf_beta` on its own.
     let deadline = Instant::now() + Duration::from_secs(20);
     let refreshes = loop {
-        let n = metric(&mut c, "model_refreshes_total", "")?;
+        let n = c
+            .metric("model_refreshes_total", "")
+            .map_err(|e| e.to_string())?;
         if n >= 1.0 {
             break n;
         }
@@ -727,7 +724,7 @@ fn run_ingest(addr: &str, skip_shutdown: bool) -> Result<(), String> {
         ("batch_score_keys_total", 1003.0),
         ("model_refreshes_total", 1.0),
     ] {
-        let v = metric(&mut c, key, "")?;
+        let v = c.metric(key, "").map_err(|e| e.to_string())?;
         if v < floor {
             return Err(format!("{key} = {v}, want >= {floor}"));
         }
@@ -896,7 +893,11 @@ fn run_verify_recovery(addr: &str, skip_shutdown: bool) -> Result<(), String> {
     // The refresh daemon must rediscover the replayed summary and
     // republish a model on its own.
     let deadline = Instant::now() + Duration::from_secs(20);
-    while metric(&mut c, "model_refreshes_total", "")? < 1.0 {
+    while c
+        .metric("model_refreshes_total", "")
+        .map_err(|e| e.to_string())?
+        < 1.0
+    {
         if Instant::now() >= deadline {
             return Err("refresh counter never advanced after recovery".into());
         }

@@ -270,6 +270,22 @@ impl Client {
         }
     }
 
+    /// One sample of the server's metric registry, read back through
+    /// `sys.metrics`: the value of series `name` with exactly the label
+    /// block `labels` (`""` for an unlabelled series).
+    pub fn metric(&mut self, name: &str, labels: &str) -> Result<f64> {
+        let rs = self.execute(&format!(
+            "SELECT value FROM sys.metrics WHERE metric = '{name}' AND labels = '{labels}'"
+        ))?;
+        match rs.rows.as_slice() {
+            [row] => row[0].as_f64(),
+            _ => None,
+        }
+        .ok_or_else(|| {
+            ClientError::Protocol(format!("sys.metrics: no single sample {name}{{{labels}}}"))
+        })
+    }
+
     /// Opens a streamed INSERT envelope into `table`. `columns` names
     /// the frame columns (empty = all table columns in schema order);
     /// unnamed table columns are filled with NULL.

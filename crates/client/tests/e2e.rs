@@ -10,16 +10,6 @@ use nlq_server::wire::ErrorCode;
 use nlq_server::{serve, ServerConfig, ServerHandle};
 use nlq_storage::Value;
 
-/// One registry sample read back through `sys.metrics`.
-fn metric(c: &mut Client, name: &str, labels: &str) -> f64 {
-    let rs = c
-        .execute(&format!(
-            "SELECT value FROM sys.metrics WHERE metric = '{name}' AND labels = '{labels}'"
-        ))
-        .unwrap();
-    rs.value(0, 0).as_f64().unwrap()
-}
-
 fn start(config: ServerConfig) -> (Arc<Db>, ServerHandle) {
     let db = Arc::new(Db::new(4));
     let handle = serve(Arc::clone(&db) as Arc<dyn SqlEngine>, config).expect("bind");
@@ -102,11 +92,13 @@ fn concurrent_clients_share_one_db() {
 
     // Server-wide metrics reflect all sessions.
     let mut c = Client::connect(addr).unwrap();
-    let accepted = metric(&mut c, "connections_accepted", "");
+    let accepted = c.metric("connections_accepted", "").unwrap();
     assert!(accepted > CLIENTS as f64, "accepted = {accepted}");
-    let executes = metric(&mut c, "command_requests_total", "command=\"execute\"");
+    let executes = c
+        .metric("command_requests_total", "command=\"execute\"")
+        .unwrap();
     assert!(executes >= CLIENTS as f64 * 6.0, "executes = {executes}");
-    let hits = metric(&mut c, "summary_hits", "");
+    let hits = c.metric("summary_hits", "").unwrap();
     assert!(hits >= CLIENTS as f64, "summary_hits = {hits}");
     drop(c);
     handle.shutdown();
@@ -310,7 +302,7 @@ fn query_timeout_reports_timeout_frame() {
     }
     // The session survives a timed-out statement.
     c.ping().unwrap();
-    assert_eq!(metric(&mut c, "query_timeouts", ""), 1.0);
+    assert_eq!(c.metric("query_timeouts", "").unwrap(), 1.0);
     drop(c);
     handle.shutdown();
 }

@@ -1,4 +1,4 @@
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -6,16 +6,14 @@ use std::time::Instant;
 use nlq_linalg::{Matrix, Vector};
 use nlq_models::{MatrixShape, Nlq};
 use nlq_obs::{render_spans, thread_cpu_nanos, Phase, Span, Trace};
-use nlq_storage::{
-    replay_wal, CheckpointManifest, Column, FileIo, Row, Schema, StorageError, Table, Value, Wal,
-    WalIo, WalRecord, WalStatsSnapshot,
-};
+use nlq_storage::{Column, Row, Schema, Table, Value, WalIo, WalStatsSnapshot};
 use nlq_summary::{SummaryData, SummaryDef, SummaryStore};
 use nlq_udf::pack::{assemble_blocks, unpack_block, unpack_nlq};
 use nlq_udf::{ParamStyle, UdfRegistry};
 
 use crate::ast::Statement;
 use crate::catalog::{Catalog, CatalogEntry};
+use crate::durable::{DurabilityStats, LogSet, Payload, Recovered, RecoveryInfo};
 use crate::exec::{check_cancelled, result_to_table, ExecContext};
 use crate::expr::{Binder, BoundSchema};
 use crate::parser::parse;
@@ -198,35 +196,6 @@ impl ExecOptions {
     }
 }
 
-/// What crash recovery did while opening a durable engine, reported
-/// through the metrics surface (`sys.wal`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryInfo {
-    /// Committed WAL payload records re-applied during replay.
-    pub replayed_records: u64,
-    /// Ingest (`Rows`) envelopes among the replayed records.
-    pub replayed_envelopes: u64,
-    /// Torn or corrupt bytes physically truncated off the log tail.
-    pub truncated_bytes: u64,
-    /// Tables restored from the checkpoint snapshot before replay.
-    pub checkpoint_tables: u64,
-}
-
-/// The durability state of a [`Db`] opened with [`Db::open_durable`].
-struct WalState {
-    wal: Wal,
-    dir: PathBuf,
-    /// Read-held across every logged envelope's append → apply → commit
-    /// window; write-held by [`Db::checkpoint`] so the snapshot and the
-    /// log reset see no half-applied envelopes.
-    gate: RwLock<()>,
-    /// Live `CREATE VIEW` statement texts by lowercase view name. Views
-    /// have no storage to snapshot, so the checkpoint manifest replays
-    /// these texts.
-    view_ddl: Mutex<Vec<(String, String)>>,
-    recovery: RecoveryInfo,
-}
-
 /// Name of the log file inside a WAL directory.
 const WAL_FILE: &str = "wal.log";
 
@@ -251,7 +220,7 @@ pub struct Db {
     /// Serializes DML (INSERT/DELETE/UPDATE) read-modify-write cycles.
     dml_lock: Mutex<()>,
     /// Write-ahead log; `None` for a volatile (non-durable) database.
-    wal: Option<WalState>,
+    logs: Option<LogSet>,
     /// Virtual `sys.*` namespace registered by the serving layer
     /// (`None` until [`Db::set_system_tables`]).
     system_tables: RwLock<Option<Arc<dyn SystemTableProvider>>>,
@@ -268,7 +237,7 @@ impl Db {
             workers: workers.max(1),
             block_scan: AtomicBool::new(true),
             dml_lock: Mutex::new(()),
-            wal: None,
+            logs: None,
             system_tables: RwLock::new(None),
         }
     }
@@ -280,9 +249,7 @@ impl Db {
     /// on top of the latest checkpoint snapshot. See
     /// [`Db::checkpoint`] for log truncation.
     pub fn open_durable(workers: usize, dir: &Path, fsync: bool) -> Result<Db> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| StorageError::Io(format!("wal dir {}: {e}", dir.display())))?;
-        let io = Arc::new(FileIo::open(&dir.join(WAL_FILE)).map_err(StorageError::from_io)?);
+        let io = LogSet::file_io(&dir.join(WAL_FILE))?;
         Db::open_durable_with_io(workers, dir, io, fsync)
     }
 
@@ -295,75 +262,19 @@ impl Db {
         io: Arc<dyn WalIo>,
         fsync: bool,
     ) -> Result<Db> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| StorageError::Io(format!("wal dir {}: {e}", dir.display())))?;
         let mut db = Db::new(workers);
-        let mut info = RecoveryInfo::default();
-        let mut view_ddl: Vec<(String, String)> = Vec::new();
-        let mut horizon = 0u64;
-
-        // 1. Restore the checkpoint snapshot, if one exists. The
-        //    `.old` fallback covers a crash mid-rotation: the rename
-        //    dance in `checkpoint` guarantees at least one complete
-        //    directory survives any crash point.
-        if let Some((ckdir, manifest)) = load_checkpoint(dir)? {
-            for t in &manifest.tables {
-                db.load_table(t, &ckdir.join(format!("{t}.tbl")))?;
-                info.checkpoint_tables += 1;
+        let logs = vec![(dir.join(WAL_FILE), io)];
+        let logs = LogSet::open(dir, logs, fsync, |rec| match rec {
+            Recovered::Table { ckdir, entry } => {
+                db.load_table(entry, &ckdir.join(format!("{entry}.tbl")))
             }
-            for ddl in &manifest.ddl {
-                db.apply_replayed_sql(ddl, &mut view_ddl)?;
-            }
-            horizon = manifest.horizon;
-        }
-
-        // 2. Replay the committed WAL suffix. `replay_wal` already
-        //    truncated any torn/corrupt tail and filtered out
-        //    envelopes without a commit marker or below the horizon.
-        let replay = replay_wal(&dir.join(WAL_FILE), horizon)?;
-        info.truncated_bytes = replay.truncated_bytes;
-        for rec in &replay.records {
-            match rec {
-                WalRecord::Sql { text, .. } => db.apply_replayed_sql(text, &mut view_ddl)?,
-                WalRecord::Rows { table, rows, .. } => {
-                    db.insert_rows(table, rows.clone())?;
-                    info.replayed_envelopes += 1;
-                }
-                WalRecord::Commit { .. } => unreachable!("replay returns payloads only"),
-            }
-            info.replayed_records += 1;
-        }
-
-        let wal = Wal::new(io, fsync, replay.next_eid, replay.valid_bytes);
-        wal.stats()
-            .replayed
-            .store(info.replayed_records, Ordering::Relaxed);
-        db.wal = Some(WalState {
-            wal,
-            dir: dir.to_path_buf(),
-            gate: RwLock::new(()),
-            view_ddl: Mutex::new(view_ddl),
-            recovery: info,
-        });
+            Recovered::Statement(stmt) => db
+                .execute_stmt_inner(stmt, &ExecOptions::default(), 0)
+                .map(|_| ()),
+            Recovered::Rows { table, rows, .. } => db.insert_rows(&table, &rows),
+        })?;
+        db.logs = Some(logs);
         Ok(db)
-    }
-
-    /// Executes one recovered statement text without logging it again,
-    /// tracking `CREATE VIEW` texts for the next checkpoint manifest.
-    fn apply_replayed_sql(&self, sql: &str, view_ddl: &mut Vec<(String, String)>) -> Result<()> {
-        let stmt = parse(sql)?;
-        match &stmt {
-            Statement::CreateView { name, .. } => {
-                view_ddl.push((name.to_ascii_lowercase(), sql.to_string()));
-            }
-            Statement::Drop { name } => {
-                let key = name.to_ascii_lowercase();
-                view_ddl.retain(|(n, _)| *n != key);
-            }
-            _ => {}
-        }
-        self.execute_stmt_inner(stmt, &ExecOptions::default(), 0)?;
-        Ok(())
     }
 
     /// Number of parallel workers (and table partitions).
@@ -450,11 +361,11 @@ impl Db {
         let parse_started = Instant::now();
         let stmt = parse(sql)?;
         let parse_nanos = parse_started.elapsed().as_nanos() as u64;
-        let mut rs = if self.wal.is_some() && statement_is_logged(&stmt) {
-            self.execute_logged(sql, stmt, opts, parse_nanos)?
-        } else {
-            self.execute_stmt_inner(stmt, opts, parse_nanos)?
-        };
+        let payload = Payload::statement(sql, &stmt);
+        let (mut rs, cost) = LogSet::envelope(self.logs.as_ref(), payload, || {
+            self.execute_stmt_inner(stmt, opts, parse_nanos)
+        })?;
+        cost.charge(&mut rs.stats);
         rs.stats.parse_nanos = parse_nanos;
         rs.stats.cpu_nanos += thread_cpu_nanos().saturating_sub(cpu_started);
         if let Some(trace) = &opts.trace {
@@ -485,49 +396,6 @@ impl Db {
             trace.add_wal(rs.stats.wal_bytes, rs.stats.wal_fsyncs);
             for span in phase_spans(&rs.stats) {
                 trace.record(span);
-            }
-        }
-        Ok(rs)
-    }
-
-    /// Runs one mutating statement under WAL protection: the statement
-    /// text is appended to the log *before* it is applied, and the
-    /// commit marker is appended (and group-fsynced) *after* the apply
-    /// succeeded — so returning `Ok` implies the statement survives a
-    /// crash, and a statement that failed to apply leaves only an
-    /// uncommitted payload record that replay ignores.
-    fn execute_logged(
-        &self,
-        sql: &str,
-        stmt: Statement,
-        opts: &ExecOptions,
-        parse_nanos: u64,
-    ) -> Result<ResultSet> {
-        let ws = self.wal.as_ref().expect("execute_logged without wal");
-        let _gate = ws.gate.read().expect("wal gate");
-        let log_started = Instant::now();
-        let eid = ws.wal.alloc_eid();
-        let payload_bytes = ws.wal.log_sql(eid, sql)?;
-        let log_nanos = log_started.elapsed().as_nanos() as u64;
-        // Views have no storage to snapshot, so checkpoints carry their
-        // defining texts; note the effect before `stmt` moves.
-        let view_effect = match &stmt {
-            Statement::CreateView { name, .. } => Some((name.to_ascii_lowercase(), true)),
-            Statement::Drop { name } => Some((name.to_ascii_lowercase(), false)),
-            _ => None,
-        };
-        let mut rs = self.execute_stmt_inner(stmt, opts, parse_nanos)?;
-        let commit_started = Instant::now();
-        let marker_bytes = ws.wal.commit(eid)?;
-        rs.stats.wal_nanos = log_nanos + commit_started.elapsed().as_nanos() as u64;
-        rs.stats.wal_bytes = payload_bytes + marker_bytes;
-        rs.stats.wal_fsyncs = u64::from(ws.wal.sync_on_commit());
-        if let Some((name, created)) = view_effect {
-            let mut views = ws.view_ddl.lock().expect("view ddl lock");
-            if created {
-                views.push((name, sql.to_string()));
-            } else {
-                views.retain(|(n, _)| *n != name);
             }
         }
         Ok(rs)
@@ -608,13 +476,13 @@ impl Db {
                     values.push(out);
                 }
                 let _dml = self.dml_lock.lock().expect("dml lock");
-                self.append_rows(&table, values)?;
+                self.append_rows(&table, &values)?;
                 Ok(ResultSet::empty())
             }
             Statement::InsertSelect { table, query } => {
                 let rs = self.ctx(opts).execute_select(&query)?;
                 let _dml = self.dml_lock.lock().expect("dml lock");
-                self.append_rows(&table, rs.rows)?;
+                self.append_rows(&table, &rs.rows)?;
                 Ok(ResultSet::empty())
             }
             Statement::Drop { name } => {
@@ -787,106 +655,28 @@ impl Db {
     /// Appends pre-evaluated rows to a table under the DML lock (the
     /// row-distribution path of a sharded engine). Fresh summaries on
     /// the table absorb the batch incrementally, like SQL INSERT.
-    pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<()> {
+    pub fn insert_rows(&self, table: &str, rows: &[Row]) -> Result<()> {
         let _dml = self.dml_lock.lock().expect("dml lock");
         self.append_rows(table, rows)
     }
 
     /// WAL counters (`None` on a volatile database).
     pub fn wal_stats(&self) -> Option<WalStatsSnapshot> {
-        self.wal.as_ref().map(|w| w.wal.stats().snapshot())
-    }
-
-    /// Bytes currently in the live WAL file — the auto-checkpoint
-    /// trigger input (`None` on a volatile database). Unlike the
-    /// monotone [`Db::wal_stats`] byte counter, this resets to 0 when a
-    /// checkpoint truncates the log.
-    pub fn wal_log_bytes(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.wal.bytes())
+        self.logs.as_ref().map(|l| l.stats().wal)
     }
 
     /// What recovery replayed when this database opened (`None` on a
     /// volatile database).
     pub fn recovery_info(&self) -> Option<RecoveryInfo> {
-        self.wal.as_ref().map(|w| w.recovery)
+        self.logs.as_ref().map(|l| l.stats().recovery)
     }
 
     /// Takes a checkpoint: snapshots every base table plus the DDL to
     /// recreate views and summaries into `dir/checkpoint`, then durably
-    /// truncates the WAL. Returns `false` (doing nothing) on a volatile
-    /// database.
-    ///
-    /// Crash safety is by rename dance: the snapshot is assembled in
-    /// `checkpoint.tmp`, the previous snapshot is renamed to
-    /// `checkpoint.old` before the new one is published, and recovery
-    /// falls back to `.old` whenever `checkpoint/` is missing or its
-    /// manifest does not verify — so at least one complete snapshot
-    /// survives any crash point. The WAL reset happens last; if the
-    /// process dies before it, replay skips the already-snapshotted
-    /// envelopes via the manifest horizon.
+    /// truncates the WAL (see [`LogSet::checkpoint`]). Returns `false`
+    /// (doing nothing) on a volatile database.
     pub fn checkpoint(&self) -> Result<bool> {
-        self.checkpoint_if_log_reaches(0)
-    }
-
-    /// [`Db::checkpoint`], but only while the live log holds at least
-    /// `min_log_bytes` — the auto-checkpoint entry point. The size is
-    /// read once without the gate (the common "not yet" answer never
-    /// blocks behind in-flight envelopes) and again under it: of several sessions that
-    /// cross the threshold together, the first resets the log and the
-    /// rest return `false` instead of snapshotting every table again.
-    pub fn checkpoint_if_log_reaches(&self, min_log_bytes: u64) -> Result<bool> {
-        let Some(ws) = &self.wal else {
-            return Ok(false);
-        };
-        if ws.wal.bytes() < min_log_bytes {
-            return Ok(false);
-        }
-        let _gate = ws.gate.write().expect("wal gate");
-        if ws.wal.bytes() < min_log_bytes {
-            return Ok(false);
-        }
-        let horizon = ws.wal.next_eid();
-        let tmp = ws.dir.join("checkpoint.tmp");
-        let cur = ws.dir.join("checkpoint");
-        let old = ws.dir.join("checkpoint.old");
-        let ioerr = |what: &str, e: std::io::Error| {
-            EngineError::Storage(StorageError::Io(format!("checkpoint {what}: {e}")))
-        };
-        let _ = std::fs::remove_dir_all(&tmp);
-        std::fs::create_dir_all(&tmp).map_err(|e| ioerr("mkdir", e))?;
-        let mut tables = Vec::new();
-        for (name, entry) in self.catalog.entries() {
-            if let CatalogEntry::Table(t) = entry {
-                t.save(&tmp.join(format!("{name}.tbl")))?;
-                tables.push(name);
-            }
-        }
-        let mut ddl: Vec<String> = ws
-            .view_ddl
-            .lock()
-            .expect("view ddl lock")
-            .iter()
-            .map(|(_, sql)| sql.clone())
-            .collect();
-        ddl.extend(self.summary_ddl());
-        let manifest = CheckpointManifest {
-            horizon,
-            tables,
-            ddl,
-        };
-        let mpath = tmp.join("MANIFEST");
-        std::fs::write(&mpath, manifest.encode()).map_err(|e| ioerr("manifest write", e))?;
-        std::fs::File::open(&mpath)
-            .and_then(|f| f.sync_all())
-            .map_err(|e| ioerr("manifest sync", e))?;
-        if cur.exists() {
-            let _ = std::fs::remove_dir_all(&old);
-            std::fs::rename(&cur, &old).map_err(|e| ioerr("rotate", e))?;
-        }
-        std::fs::rename(&tmp, &cur).map_err(|e| ioerr("publish", e))?;
-        let _ = std::fs::remove_dir_all(&old);
-        ws.wal.reset()?;
-        Ok(true)
+        SqlEngine::checkpoint(self, 0)
     }
 
     /// The `CREATE SUMMARY` statements that would recreate every live
@@ -912,19 +702,19 @@ impl Db {
         }
     }
 
-    fn append_rows(&self, name: &str, rows: Vec<Row>) -> Result<()> {
+    fn append_rows(&self, name: &str, rows: &[Row]) -> Result<()> {
         let Some(CatalogEntry::Table(arc)) = self.catalog.get(name) else {
             return Err(EngineError::UnknownTable(name.to_owned()));
         };
         // Copy-on-write: clone the table, append, swap back in.
         let mut table = (*arc).clone();
-        for row in &rows {
+        for row in rows {
             table.insert(row.clone())?;
         }
         self.catalog.replace_table(name, Arc::new(table));
         // Incremental maintenance: fold the inserted batch into every
         // fresh summary on this table (Γ additivity — no rescan).
-        self.summaries.fold_rows(name, arc.schema(), &rows);
+        self.summaries.fold_rows(name, arc.schema(), rows);
         Ok(())
     }
 
@@ -1147,43 +937,6 @@ impl Db {
     }
 }
 
-/// Whether a statement mutates durable state and therefore must be
-/// WAL-logged on a durable engine (reads — SELECT and the EXPLAIN
-/// family — are not). Public so coordinating layers (the sharded
-/// engine) apply the same logging policy.
-pub fn statement_is_logged(stmt: &Statement) -> bool {
-    !matches!(
-        stmt,
-        Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)
-    )
-}
-
-/// Finds the newest complete checkpoint under `dir`: `checkpoint/` if
-/// its manifest verifies, else `checkpoint.old/` (a crash mid-rotation
-/// can leave either as the only complete snapshot), else `None`.
-/// Public so the sharded engine can drive the same rotation protocol
-/// over its own (multi-shard) snapshot layout.
-pub fn load_checkpoint(dir: &Path) -> Result<Option<(PathBuf, CheckpointManifest)>> {
-    for name in ["checkpoint", "checkpoint.old"] {
-        let ckdir = dir.join(name);
-        let data = match std::fs::read(ckdir.join("MANIFEST")) {
-            Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(e) => {
-                return Err(EngineError::Storage(StorageError::Io(format!(
-                    "checkpoint manifest read: {e}"
-                ))))
-            }
-        };
-        // An unverifiable manifest marks an incomplete snapshot; the
-        // fallback (if any) is the authoritative one.
-        if let Ok(m) = CheckpointManifest::decode(&data) {
-            return Ok(Some((ckdir, m)));
-        }
-    }
-    Ok(None)
-}
-
 /// Regenerates the `CREATE SUMMARY` statement for a live definition
 /// (checkpoint manifests re-execute these after loading the snapshot,
 /// re-folding each summary from its base table).
@@ -1357,19 +1110,6 @@ pub struct PlanCacheStats {
     pub entries: u64,
 }
 
-/// What a durable engine reports about its write-ahead log(s).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// WAL counters since open (summed across per-shard logs).
-    pub wal: WalStatsSnapshot,
-    /// Bytes currently in the live log file(s) — resets to 0 at each
-    /// checkpoint.
-    pub log_bytes: u64,
-    /// What crash recovery replayed when the engine opened (zeroes for
-    /// a clean durable start).
-    pub recovery: RecoveryInfo,
-}
-
 /// Everything an engine reports about itself, in one snapshot
 /// ([`SqlEngine::engine_stats`]) — the engine-side input of the
 /// server's metric registry.
@@ -1495,30 +1235,23 @@ impl SqlEngine for Db {
 
     fn engine_stats(&self) -> EngineStats {
         EngineStats {
-            durability: self.wal.as_ref().map(|ws| DurabilityStats {
-                wal: ws.wal.stats().snapshot(),
-                log_bytes: ws.wal.bytes(),
-                recovery: ws.recovery,
-            }),
+            durability: self.logs.as_ref().map(LogSet::stats),
             ..EngineStats::default()
         }
     }
 
     fn ingest_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
-        let n = rows.len() as u64;
-        if let Some(ws) = &self.wal {
-            // One WAL envelope per ingest batch: log the rows, apply,
-            // then commit — the Done ack the server sends after this
-            // returns implies the whole envelope is durable.
-            let _gate = ws.gate.read().expect("wal gate");
-            let eid = ws.wal.alloc_eid();
-            ws.wal.log_rows(eid, table, &rows)?;
-            self.insert_rows(table, rows)?;
-            ws.wal.commit(eid)?;
-        } else {
-            self.insert_rows(table, rows)?;
-        }
-        Ok(n)
+        // A copy, not the `Arc<Table>`: holding the old generation
+        // across the envelope would keep it alive past the swap.
+        let schema = self.table_schema(table)?;
+        let slices = [rows];
+        // One envelope per ingest batch: the Done ack the server sends
+        // after this returns implies the whole batch is durable.
+        let payload = Payload::rows(table, &schema, &slices);
+        LogSet::envelope(self.logs.as_ref(), payload, || {
+            self.insert_rows(table, &slices[0])
+        })?;
+        Ok(slices[0].len() as u64)
     }
 
     fn table_schema(&self, name: &str) -> Result<Schema> {
@@ -1576,7 +1309,16 @@ impl SqlEngine for Db {
     }
 
     fn checkpoint(&self, min_log_bytes: u64) -> Result<bool> {
-        self.checkpoint_if_log_reaches(min_log_bytes)
+        LogSet::checkpoint(self.logs.as_ref(), min_log_bytes, |tmp, manifest| {
+            for (name, entry) in self.catalog.entries() {
+                if let CatalogEntry::Table(t) = entry {
+                    t.save(&tmp.join(format!("{name}.tbl")))?;
+                    manifest.tables.push(name);
+                }
+            }
+            manifest.ddl.extend(self.summary_ddl());
+            Ok(())
+        })
     }
 
     fn set_system_tables(&self, provider: Arc<dyn SystemTableProvider>) {

@@ -34,6 +34,7 @@
 mod ast;
 mod catalog;
 mod db;
+mod durable;
 mod error;
 mod exec;
 mod expr;
@@ -46,10 +47,10 @@ mod token;
 
 pub use ast::{Expr, OrderKey, Projection, SelectStmt, Statement, TableRef};
 pub use db::{
-    explain_analyze_footer, load_checkpoint, phase_spans, statement_is_logged, Db, DurabilityStats,
-    EngineStats, ExecOptions, ExecStats, NlqMethod, PlanCacheStats, RecoveryInfo, ResultSet,
-    ShardMetricsSnapshot, SqlEngine, SummaryRefreshState,
+    explain_analyze_footer, phase_spans, Db, EngineStats, ExecOptions, ExecStats, NlqMethod,
+    PlanCacheStats, ResultSet, ShardMetricsSnapshot, SqlEngine, SummaryRefreshState,
 };
+pub use durable::{DurabilityStats, EnvelopeCost, LogSet, Payload, Recovered, RecoveryInfo};
 pub use error::EngineError;
 pub use exec::{result_to_table, AggPartial};
 pub use parser::parse;

@@ -557,7 +557,6 @@ mod tests {
                     bytes: 128,
                     records: 3,
                     fsyncs: 2,
-                    replayed: 0,
                     checkpoints: 1,
                 },
                 log_bytes: 64,

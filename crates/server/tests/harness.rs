@@ -136,17 +136,6 @@ fn assert_live_scrape_valid(c: &mut Client) {
     }
 }
 
-/// One unlabelled registry sample read back through `sys.metrics`.
-fn sys_metric(c: &mut Client, name: &str) -> f64 {
-    let rs = c
-        .execute(&format!(
-            "SELECT value FROM sys.metrics WHERE metric = '{name}'"
-        ))
-        .unwrap();
-    assert_eq!(rs.rows.len(), 1, "sys.metrics rows for {name}");
-    rs.value(0, 0).as_f64().unwrap()
-}
-
 /// Every `(name, label block)` series a Prometheus scrape carries,
 /// with each sample's value.
 fn scrape_series(text: &str) -> Vec<((String, String), f64)> {
@@ -885,7 +874,7 @@ fn ingest_backpressure_refuses_with_retry_until_the_daemon_catches_up() {
     // still sees zero lag and acks — and leaves the daemon 100 rows
     // behind.
     assert_eq!(ingest(&mut c, training_rows(101, 100)).unwrap(), 100);
-    assert_eq!(sys_metric(&mut c, "refresh_lag_rows"), 100.0);
+    assert_eq!(c.metric("refresh_lag_rows", "").unwrap(), 100.0);
 
     // Past the bound: refused with the retry hint; nothing committed.
     match ingest(&mut c, training_rows(201, 10)) {
@@ -906,7 +895,7 @@ fn ingest_backpressure_refuses_with_retry_until_the_daemon_catches_up() {
     // Tick 2 republishes at 200 folded rows; the lag drains to zero
     // and the retried envelope acks.
     gate.step();
-    assert_eq!(sys_metric(&mut c, "refresh_lag_rows"), 0.0);
+    assert_eq!(c.metric("refresh_lag_rows", "").unwrap(), 0.0);
     assert_eq!(ingest(&mut c, training_rows(201, 10)).unwrap(), 10);
     let rs = c.execute("SELECT count(*) FROM PTS").unwrap();
     assert_eq!(rs.value(0, 0), &Value::Int(210));
@@ -948,7 +937,7 @@ fn durable_server_survives_restart_with_checkpoint_and_wal_counters() {
             wal(&mut c, "wal_log_bytes") > 0.0,
             "live log is non-empty after commits"
         );
-        assert!(sys_metric(&mut c, "wal_fsyncs_total") >= 1.0);
+        assert!(c.metric("wal_fsyncs_total", "").unwrap() >= 1.0);
         let prom = c.metrics_prometheus().unwrap();
         assert!(prom.contains("nlq_wal_bytes_total"));
         assert!(prom.contains("nlq_checkpoints_total"));
@@ -983,7 +972,7 @@ fn durable_server_survives_restart_with_checkpoint_and_wal_counters() {
     let rs = c.execute("SELECT count(*), sum(X1) FROM T").unwrap();
     assert_eq!(rs.value(0, 0), &Value::Int(150));
     assert_eq!(rs.value(0, 1).as_f64(), Some((1..=150).sum::<i64>() as f64));
-    assert!(sys_metric(&mut c, "recovery_replayed_records") >= 1.0);
+    assert!(c.metric("recovery_replayed_records", "").unwrap() >= 1.0);
     assert_live_scrape_valid(&mut c);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1024,7 +1013,7 @@ fn refresh_daemon_republishes_models_from_streamed_ingest() {
     // The daemon publishes without any further client action;
     // sys.metrics reads its counter.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while sys_metric(&mut c, "model_refreshes_total") < 1.0 {
+    while c.metric("model_refreshes_total", "").unwrap() < 1.0 {
         assert!(Instant::now() < deadline, "daemon never published");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -1125,7 +1114,7 @@ fn sys_catalog_answers_telemetry_queries_through_the_block_path() {
     assert_eq!(rs.value(0, 2), &Value::Str("on".into()));
 
     // sys.metrics serves the registry as rows.
-    assert!(sys_metric(&mut c, "sessions_active") >= 1.0);
+    assert!(c.metric("sessions_active", "").unwrap() >= 1.0);
     assert_live_scrape_valid(&mut c);
 }
 
@@ -1224,7 +1213,7 @@ fn trace_paging_detects_the_gap_after_ring_wraparound() {
     assert_eq!(rs.value(0, 0), &Value::Int(newest + 1));
 
     // Eviction pressure is exported to sys.metrics and the scrape.
-    assert!(sys_metric(&mut c, "trace_ring_evicted_total") >= 1.0);
+    assert!(c.metric("trace_ring_evicted_total", "").unwrap() >= 1.0);
     let prom = c.metrics_prometheus().unwrap();
     assert!(prom.contains("nlq_trace_ring_evicted_total"));
     assert_live_scrape_valid(&mut c);

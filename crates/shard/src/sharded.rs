@@ -27,25 +27,21 @@
 //! single shard round-robin. Joining two partitioned tables would need
 //! a cross-shard exchange and is rejected as unsupported.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, RwLock};
 use std::time::Instant;
 
 use nlq_engine::{
-    beta_table, centroid_table, lambda_table, load_checkpoint, mu_table, parse, phase_spans,
-    result_to_table, statement_is_logged, AggPartial, Db, DurabilityStats, EngineError,
-    EngineStats, ExecOptions, ExecStats, Expr, PlanCacheStats, Projection, RecoveryInfo, Result,
-    ResultSet, SelectStmt, ShardMetricsSnapshot, SqlEngine, Statement, SummaryRefreshState,
-    SystemTableProvider,
+    beta_table, centroid_table, lambda_table, mu_table, phase_spans, result_to_table, AggPartial,
+    Db, EngineError, EngineStats, ExecOptions, ExecStats, Expr, LogSet, Payload, Projection,
+    Recovered, Result, ResultSet, SelectStmt, ShardMetricsSnapshot, SqlEngine, Statement,
+    SummaryRefreshState, SystemTableProvider,
 };
 use nlq_models::Nlq;
 use nlq_obs::{render_spans, thread_cpu_nanos, Phase, Span};
-use nlq_storage::{
-    replay_wal, CheckpointManifest, FileIo, Row, Schema, StorageError, Table, Value, Wal, WalIo,
-    WalRecord, WalStatsSnapshot,
-};
+use nlq_storage::{Row, Schema, StorageError, Table, Value, WalIo};
 
 use crate::affinity;
 use crate::cache::{CacheOutcome, PlanCache};
@@ -83,49 +79,9 @@ struct Shard {
     busy_nanos: AtomicU64,
 }
 
-/// The durability state of a [`ShardedDb`] opened with
-/// [`ShardedDb::open_durable`]: one write-ahead log per shard plus the
-/// coordinator-side commit protocol state.
-///
-/// Envelope ids are allocated globally by the coordinator; the
-/// per-shard [`Wal`]s are used purely as append/fsync sinks. A
-/// statement that involves more than one shard log commits with a
-/// two-phase protocol: payloads are appended and fsynced on every
-/// involved log first, then commit markers are appended (and fsynced)
-/// everywhere. Recovery applies **presumed abort**: an envelope
-/// replays only if every shard whose log holds its payload also holds
-/// its commit marker — so a crash anywhere inside the marker fan-out
-/// aborts the envelope on *all* shards instead of leaving them
-/// diverged, while an acked envelope (markers durable everywhere)
-/// always survives.
-struct ShardedWalState {
-    /// One log per shard, living at `dir/shard-<i>/wal.log`.
-    wals: Vec<Wal>,
-    dir: PathBuf,
-    /// Global envelope-id allocator (the per-[`Wal`] allocators are
-    /// unused under a coordinator).
-    next_eid: AtomicU64,
-    /// Whether commits fsync (`--no-fsync` turns this off; phase-1
-    /// syncs are skipped too, making durability best-effort).
-    fsync: bool,
-    /// Read-held across every logged envelope's append → apply →
-    /// commit window; write-held by checkpoint.
-    gate: RwLock<()>,
-    /// Serializes logged *statements* so envelope-id order matches
-    /// apply order for conflicting DDL/DML (replay re-applies them in
-    /// eid order). Ingest envelopes skip this — row appends commute.
-    stmt_lock: Mutex<()>,
-    /// Live `CREATE VIEW` texts by lowercase name, carried in the
-    /// checkpoint manifest (views have no storage to snapshot).
-    view_ddl: Mutex<Vec<(String, String)>>,
-    recovery: RecoveryInfo,
-}
-
-impl ShardedWalState {
-    /// Bytes currently live across every shard log.
-    fn log_bytes(&self) -> u64 {
-        self.wals.iter().map(Wal::bytes).sum()
-    }
+/// Where shard `i`'s write-ahead log lives under a durable directory.
+fn shard_log(dir: &Path, i: usize) -> PathBuf {
+    dir.join(format!("shard-{i}/wal.log"))
 }
 
 /// An in-process sharded database over `S` independent [`Db`]s.
@@ -137,8 +93,10 @@ pub struct ShardedDb {
     /// shards and offsets successive INSERT batches so small inserts
     /// don't all land on shard 0.
     rr: AtomicU64,
-    /// Per-shard write-ahead logs; `None` for a volatile engine.
-    wal: Option<ShardedWalState>,
+    /// One write-ahead log per shard under the coordinator's single
+    /// commit protocol; `None` for a volatile engine. The shard `Db`s
+    /// themselves stay volatile.
+    logs: Option<LogSet>,
 }
 
 impl ShardedDb {
@@ -167,7 +125,7 @@ impl ShardedDb {
             cache: PlanCache::new(),
             dist: RwLock::new(HashMap::new()),
             rr: AtomicU64::new(0),
-            wal: None,
+            logs: None,
         }
     }
 
@@ -175,7 +133,7 @@ impl ShardedDb {
     /// write-ahead log per shard (`dir/shard-<i>/wal.log`) and a
     /// single global checkpoint snapshot (`dir/checkpoint/`). Opening
     /// the same directory again replays every shard log under the
-    /// presumed-abort rule described on the WAL state.
+    /// presumed-abort rule (see [`LogSet`]).
     pub fn open_durable(
         shards: usize,
         workers_per_shard: usize,
@@ -183,15 +141,9 @@ impl ShardedDb {
         fsync: bool,
     ) -> Result<ShardedDb> {
         let shards = shards.max(1);
-        let mut ios: Vec<Arc<dyn WalIo>> = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let sub = dir.join(format!("shard-{i}"));
-            std::fs::create_dir_all(&sub)
-                .map_err(|e| StorageError::Io(format!("wal dir {}: {e}", sub.display())))?;
-            ios.push(Arc::new(
-                FileIo::open(&sub.join("wal.log")).map_err(StorageError::from_io)?,
-            ));
-        }
+        let ios = (0..shards)
+            .map(|i| LogSet::file_io(&shard_log(dir, i)))
+            .collect::<Result<_>>()?;
         ShardedDb::open_durable_with_ios(shards, workers_per_shard, dir, ios, fsync)
     }
 
@@ -209,141 +161,33 @@ impl ShardedDb {
         let shards = shards.max(1);
         assert_eq!(ios.len(), shards, "one WalIo per shard");
         let mut db = ShardedDb::new(shards, workers_per_shard);
-        let mut info = RecoveryInfo::default();
-        let mut view_ddl: Vec<(String, String)> = Vec::new();
-        let mut horizon = 0u64;
-
-        // 1. Restore the global checkpoint snapshot: per-shard table
-        //    files plus the coordinator DDL (views and summaries).
-        //    Model tables are *not* snapshotted — they are derived
-        //    state the refresh daemon republishes — so every restored
-        //    table is partitioned.
-        if let Some((ckdir, manifest)) = load_checkpoint(dir)? {
-            for entry in &manifest.tables {
-                let (i, name) =
-                    entry
-                        .split_once('/')
-                        .ok_or(EngineError::Storage(StorageError::Corrupt(
-                            "sharded checkpoint table entry",
-                        )))?;
-                let i: usize = i.parse().map_err(|_| {
-                    EngineError::Storage(StorageError::Corrupt("sharded checkpoint shard index"))
-                })?;
+        let logs = (0..shards).map(|i| shard_log(dir, i)).zip(ios).collect();
+        let logs = LogSet::open(dir, logs, fsync, |rec| match rec {
+            // Snapshots hold partitioned tables only (see `checkpoint`),
+            // one file per shard, entered as `<shard>/<table>`.
+            Recovered::Table { ckdir, entry } => {
+                let parsed = entry
+                    .split_once('/')
+                    .and_then(|(i, name)| Some((i.parse::<usize>().ok()?, name)))
+                    .filter(|(i, _)| *i < shards);
+                let Some((i, name)) = parsed else {
+                    return Err(StorageError::Corrupt("sharded checkpoint table entry").into());
+                };
                 db.shards[i]
                     .db
                     .load_table(name, &ckdir.join(format!("shard-{i}/{name}.tbl")))?;
                 db.mark(name, Distribution::Partitioned);
-                info.checkpoint_tables += 1;
+                Ok(())
             }
-            for ddl in &manifest.ddl {
-                db.apply_replayed_sql(ddl, &mut view_ddl)?;
-            }
-            horizon = manifest.horizon;
-        }
-
-        // 2. Replay every shard log and compute the global commit
-        //    decision: an envelope is committed iff every shard whose
-        //    log *holds* it also holds its marker (presumed abort).
-        let mut replays = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let path = dir.join(format!("shard-{i}/wal.log"));
-            let _ = std::fs::create_dir_all(dir.join(format!("shard-{i}")));
-            let replay = replay_wal(&path, horizon)?;
-            info.truncated_bytes += replay.truncated_bytes;
-            replays.push(replay);
-        }
-        let aborted: HashSet<u64> = replays
-            .iter()
-            .flat_map(|r| r.logged.iter().copied())
-            .filter(|eid| {
-                replays
-                    .iter()
-                    .any(|r| r.logged.contains(eid) && !r.committed.contains(eid))
-            })
-            .collect();
-
-        // 3. Apply the surviving records in envelope-id order. A
-        //    statement payload is fanned to every shard log, so it is
-        //    deduplicated by id and re-dispatched once through the
-        //    coordinator; an ingest payload applies to the shard whose
-        //    log held it.
-        let mut merged: Vec<(u64, usize, WalRecord)> = Vec::new();
-        let mut per_shard_applied = vec![0u64; shards];
-        for (i, replay) in replays.iter_mut().enumerate() {
-            for rec in replay.records.drain(..) {
-                if !aborted.contains(&rec.eid()) {
-                    merged.push((rec.eid(), i, rec));
-                }
-            }
-        }
-        merged.sort_by_key(|(eid, _, _)| *eid);
-        let mut applied_stmts: HashSet<u64> = HashSet::new();
-        for (eid, i, rec) in merged {
-            match rec {
-                WalRecord::Sql { text, .. } => {
-                    if applied_stmts.insert(eid) {
-                        db.apply_replayed_sql(&text, &mut view_ddl)?;
-                        info.replayed_records += 1;
-                        per_shard_applied[i] += 1;
-                    }
-                }
-                WalRecord::Rows { table, rows, .. } => {
-                    db.shards[i].db.insert_rows(&table, rows)?;
-                    info.replayed_records += 1;
-                    info.replayed_envelopes += 1;
-                    per_shard_applied[i] += 1;
-                }
-                WalRecord::Commit { .. } => unreachable!("replay returns payloads only"),
-            }
-        }
-
-        let next_eid = replays
-            .iter()
-            .map(|r| r.next_eid)
-            .max()
-            .unwrap_or(1)
-            .max(horizon.max(1));
-        let wals: Vec<Wal> = ios
-            .into_iter()
-            .zip(&replays)
-            .zip(&per_shard_applied)
-            .map(|((io, replay), &applied)| {
-                let wal = Wal::new(io, fsync, next_eid, replay.valid_bytes);
-                wal.stats().replayed.store(applied, Ordering::Relaxed);
-                wal
-            })
-            .collect();
-        db.wal = Some(ShardedWalState {
-            wals,
-            dir: dir.to_path_buf(),
-            next_eid: AtomicU64::new(next_eid),
-            fsync,
-            gate: RwLock::new(()),
-            stmt_lock: Mutex::new(()),
-            view_ddl: Mutex::new(view_ddl),
-            recovery: info,
-        });
+            // Through the normal coordinator dispatch, so distribution
+            // marks and plan-cache invalidation happen as they did live.
+            Recovered::Statement(stmt) => db
+                .dispatch(&stmt, &ExecOptions::default(), CacheOutcome::Miss, 0)
+                .map(|_| ()),
+            Recovered::Rows { log, table, rows } => db.shards[log].db.insert_rows(&table, &rows),
+        })?;
+        db.logs = Some(logs);
         Ok(db)
-    }
-
-    /// Executes one recovered statement text through the normal
-    /// coordinator dispatch (distribution marks and plan-cache
-    /// invalidation included) without logging it again, tracking
-    /// `CREATE VIEW` texts for the next checkpoint manifest.
-    fn apply_replayed_sql(&self, sql: &str, view_ddl: &mut Vec<(String, String)>) -> Result<()> {
-        let stmt = parse(sql)?;
-        match &stmt {
-            Statement::CreateView { name, .. } => {
-                view_ddl.push((name.to_ascii_lowercase(), sql.to_string()));
-            }
-            Statement::Drop { name } => {
-                let key = name.to_ascii_lowercase();
-                view_ddl.retain(|(n, _)| *n != key);
-            }
-            _ => {}
-        }
-        self.dispatch(&stmt, &ExecOptions::default(), CacheOutcome::Miss, 0)?;
-        Ok(())
     }
 
     /// Number of shards.
@@ -354,26 +198,6 @@ impl ShardedDb {
     /// Direct access to one shard's database (tests and tooling).
     pub fn shard_db(&self, shard: usize) -> &Arc<Db> {
         &self.shards[shard].db
-    }
-
-    /// Per-shard counter snapshot.
-    pub fn shard_metrics(&self) -> Vec<ShardMetricsSnapshot> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardMetricsSnapshot {
-                shard: i,
-                queries: s.queries.load(Ordering::Relaxed),
-                rows_scanned: s.rows_scanned.load(Ordering::Relaxed),
-                queue_depth: s.exec.queue_depth(),
-                busy_nanos: s.busy_nanos.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Plan-cache counter snapshot.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.cache.stats()
     }
 
     /// Sets the block-scan toggle on every shard.
@@ -502,11 +326,16 @@ impl ShardedDb {
             CacheOutcome::Hit => 0,
             CacheOutcome::Miss => parse_started.elapsed().as_nanos() as u64,
         };
-        let mut rs = if self.wal.is_some() && statement_is_logged(&stmt) {
-            self.dispatch_logged(sql, &stmt, opts, outcome, parse_nanos)?
-        } else {
-            self.dispatch(&stmt, opts, outcome, parse_nanos)?
-        };
+        // A mutating statement's text goes to **every** shard log.
+        // Statements whose rows route to specific shards (INSERT, CTAS,
+        // INSERT..SELECT) are logged as full text too and re-routed at
+        // replay; placement may differ across a crash, which round-robin
+        // distribution makes invisible to query results.
+        let payload = Payload::statement(sql, &stmt);
+        let (mut rs, cost) = LogSet::envelope(self.logs.as_ref(), payload, || {
+            self.dispatch(&stmt, opts, outcome, parse_nanos)
+        })?;
+        cost.charge(&mut rs.stats);
         rs.stats.parse_nanos = parse_nanos;
         // The gather thread's own CPU; shard executors add their own
         // samples into the trace as each scatter span completes.
@@ -517,71 +346,6 @@ impl ShardedDb {
             trace.add_wal(rs.stats.wal_bytes, rs.stats.wal_fsyncs);
             for span in phase_spans(&rs.stats) {
                 trace.record(span);
-            }
-        }
-        Ok(rs)
-    }
-
-    /// Runs one mutating statement under WAL protection: the statement
-    /// text is appended to **every** shard log and fsynced (phase 1),
-    /// the statement is applied, then commit markers land everywhere
-    /// (phase 2) — so returning `Ok` implies the statement survives a
-    /// crash on all shards, and a crash anywhere before the last
-    /// marker aborts it on all shards at recovery. Statements whose
-    /// rows route to specific shards (INSERT, CTAS, INSERT..SELECT)
-    /// are logged as full text too and re-routed at replay; placement
-    /// may differ across a crash, which round-robin distribution makes
-    /// invisible to query results.
-    fn dispatch_logged(
-        &self,
-        sql: &str,
-        stmt: &Statement,
-        opts: &ExecOptions,
-        outcome: CacheOutcome,
-        parse_nanos: u64,
-    ) -> Result<ResultSet> {
-        let ws = self.wal.as_ref().expect("dispatch_logged without wal");
-        let _serial = ws.stmt_lock.lock().expect("wal stmt lock");
-        let _gate = ws.gate.read().expect("wal gate");
-        let log_started = Instant::now();
-        let eid = ws.next_eid.fetch_add(1, Ordering::SeqCst);
-        let mut wal_bytes = 0u64;
-        let mut wal_fsyncs = 0u64;
-        for w in &ws.wals {
-            wal_bytes += w.log_sql(eid, sql)?;
-        }
-        // Phase-1 durability: with more than one log, every payload
-        // must be on disk before the first marker, or a torn marker
-        // fan-out could strand a marker whose payload never survived
-        // (breaking the presumed-abort rule). A single log needs no
-        // extra fsync — its marker follows its payload.
-        if ws.fsync && ws.wals.len() > 1 {
-            for w in &ws.wals {
-                w.sync()?;
-                wal_fsyncs += 1;
-            }
-        }
-        let log_nanos = log_started.elapsed().as_nanos() as u64;
-        let view_effect = match stmt {
-            Statement::CreateView { name, .. } => Some((name.to_ascii_lowercase(), true)),
-            Statement::Drop { name } => Some((name.to_ascii_lowercase(), false)),
-            _ => None,
-        };
-        let mut rs = self.dispatch(stmt, opts, outcome, parse_nanos)?;
-        let commit_started = Instant::now();
-        for w in &ws.wals {
-            wal_bytes += w.commit(eid)?;
-            wal_fsyncs += u64::from(w.sync_on_commit());
-        }
-        rs.stats.wal_nanos += log_nanos + commit_started.elapsed().as_nanos() as u64;
-        rs.stats.wal_bytes += wal_bytes;
-        rs.stats.wal_fsyncs += wal_fsyncs;
-        if let Some((name, created)) = view_effect {
-            let mut views = ws.view_ddl.lock().expect("view ddl lock");
-            if created {
-                views.push((name, sql.to_string()));
-            } else {
-                views.retain(|(n, _)| *n != name);
             }
         }
         Ok(rs)
@@ -1019,30 +783,40 @@ impl ShardedDb {
     ) -> Result<ResultSet> {
         let rs = self.exec_select(query, opts)?;
         let gather_started = Instant::now();
-        match self.table_dist(table) {
-            Distribution::Partitioned => {
-                let s = self.shards.len();
-                let off = self.rr.fetch_add(rs.rows.len() as u64, Ordering::Relaxed) as usize;
-                let mut slices: Vec<Vec<Row>> = vec![Vec::new(); s];
-                for (j, row) in rs.rows.into_iter().enumerate() {
-                    slices[(off + j) % s].push(row);
-                }
-                for (sh, rows) in self.shards.iter().zip(slices) {
-                    if !rows.is_empty() {
-                        sh.db.insert_rows(table, rows)?;
-                    }
-                }
-            }
-            Distribution::Replicated => {
-                for sh in &self.shards {
-                    sh.db.insert_rows(table, rs.rows.clone())?;
-                }
-            }
-        }
+        self.insert_slices(table, &self.spread(table, rs.rows))?;
         let mut out = ResultSet::empty();
         out.stats = rs.stats;
         out.stats.gather_nanos += gather_started.elapsed().as_nanos() as u64;
         Ok(out)
+    }
+
+    /// One slice of pre-evaluated `rows` per shard: round-robin from a
+    /// moving offset (partitioned target) or a full copy everywhere
+    /// (replicated target).
+    fn spread(&self, table: &str, rows: Vec<Row>) -> Vec<Vec<Row>> {
+        let s = self.shards.len();
+        match self.table_dist(table) {
+            Distribution::Replicated => vec![rows; s],
+            Distribution::Partitioned => {
+                let off = self.rr.fetch_add(rows.len() as u64, Ordering::Relaxed) as usize;
+                let mut slices: Vec<Vec<Row>> = vec![Vec::new(); s];
+                for (j, row) in rows.into_iter().enumerate() {
+                    slices[(off + j) % s].push(row);
+                }
+                slices
+            }
+        }
+    }
+
+    /// Appends each non-empty slice to its shard, whose `insert_rows`
+    /// folds the delta into its own fresh Γ summaries.
+    fn insert_slices(&self, table: &str, slices: &[Vec<Row>]) -> Result<()> {
+        for (sh, rows) in self.shards.iter().zip(slices) {
+            if !rows.is_empty() {
+                sh.db.insert_rows(table, rows)?;
+            }
+        }
+        Ok(())
     }
 
     /// INSERT ... VALUES: split literal rows round-robin across shards
@@ -1100,131 +874,6 @@ impl ShardedDb {
             }
         }
     }
-
-    // -----------------------------------------------------------------
-    // Durability surface
-    // -----------------------------------------------------------------
-
-    /// WAL counters summed across every shard log (`None` on a
-    /// volatile engine).
-    pub fn wal_stats(&self) -> Option<WalStatsSnapshot> {
-        self.wal.as_ref().map(|ws| {
-            let mut acc = WalStatsSnapshot::default();
-            for w in &ws.wals {
-                let s = w.stats().snapshot();
-                acc.bytes += s.bytes;
-                acc.records += s.records;
-                acc.fsyncs += s.fsyncs;
-                acc.replayed += s.replayed;
-                acc.checkpoints += s.checkpoints;
-            }
-            acc
-        })
-    }
-
-    /// Bytes currently live across every shard log — the
-    /// auto-checkpoint trigger input; resets to 0 at a checkpoint.
-    pub fn wal_log_bytes(&self) -> Option<u64> {
-        self.wal.as_ref().map(ShardedWalState::log_bytes)
-    }
-
-    /// What recovery replayed when this engine opened (`None` on a
-    /// volatile engine).
-    pub fn recovery_info(&self) -> Option<RecoveryInfo> {
-        self.wal.as_ref().map(|ws| ws.recovery)
-    }
-
-    /// Takes a global checkpoint: snapshots every partitioned base
-    /// table (per shard) plus the DDL to recreate views and summaries
-    /// into `dir/checkpoint`, then durably truncates every shard log.
-    /// One snapshot directory covers all shards, published by a single
-    /// top-level rename — so recovery never sees shards checkpointed
-    /// at different horizons. Model tables are skipped (derived state;
-    /// the refresh daemon republishes them). Returns `false` on a
-    /// volatile engine.
-    pub fn checkpoint(&self) -> Result<bool> {
-        self.checkpoint_if_log_reaches(0)
-    }
-
-    /// [`ShardedDb::checkpoint`], but only while the live logs hold at
-    /// least `min_log_bytes` in total — checked before and again under
-    /// the checkpoint gate, so sessions that cross an auto-checkpoint
-    /// threshold together snapshot once (see
-    /// [`Db::checkpoint_if_log_reaches`]).
-    pub fn checkpoint_if_log_reaches(&self, min_log_bytes: u64) -> Result<bool> {
-        let Some(ws) = &self.wal else {
-            return Ok(false);
-        };
-        if ws.log_bytes() < min_log_bytes {
-            return Ok(false);
-        }
-        let _gate = ws.gate.write().expect("wal gate");
-        if ws.log_bytes() < min_log_bytes {
-            return Ok(false);
-        }
-        let horizon = ws.next_eid.load(Ordering::SeqCst);
-        let tmp = ws.dir.join("checkpoint.tmp");
-        let cur = ws.dir.join("checkpoint");
-        let old = ws.dir.join("checkpoint.old");
-        let ioerr = |what: &str, e: std::io::Error| {
-            EngineError::Storage(StorageError::Io(format!("checkpoint {what}: {e}")))
-        };
-        let _ = std::fs::remove_dir_all(&tmp);
-        let views: HashSet<String> = ws
-            .view_ddl
-            .lock()
-            .expect("view ddl lock")
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect();
-        let partitioned: Vec<String> = {
-            let dist = self.dist.read().expect("dist map");
-            let mut names: Vec<String> = dist
-                .iter()
-                .filter(|(n, d)| **d == Distribution::Partitioned && !views.contains(*n))
-                .map(|(n, _)| n.clone())
-                .collect();
-            names.sort();
-            names
-        };
-        let mut tables = Vec::new();
-        for (i, sh) in self.shards.iter().enumerate() {
-            let sub = tmp.join(format!("shard-{i}"));
-            std::fs::create_dir_all(&sub).map_err(|e| ioerr("mkdir", e))?;
-            for name in &partitioned {
-                sh.db.save_table(name, &sub.join(format!("{name}.tbl")))?;
-                tables.push(format!("{i}/{name}"));
-            }
-        }
-        let mut ddl: Vec<String> = ws
-            .view_ddl
-            .lock()
-            .expect("view ddl lock")
-            .iter()
-            .map(|(_, sql)| sql.clone())
-            .collect();
-        ddl.extend(self.shards[0].db.summary_ddl());
-        let manifest = CheckpointManifest {
-            horizon,
-            tables,
-            ddl,
-        };
-        let mpath = tmp.join("MANIFEST");
-        std::fs::write(&mpath, manifest.encode()).map_err(|e| ioerr("manifest write", e))?;
-        std::fs::File::open(&mpath)
-            .and_then(|f| f.sync_all())
-            .map_err(|e| ioerr("manifest sync", e))?;
-        if cur.exists() {
-            let _ = std::fs::remove_dir_all(&old);
-            std::fs::rename(&cur, &old).map_err(|e| ioerr("rotate", e))?;
-        }
-        std::fs::rename(&tmp, &cur).map_err(|e| ioerr("publish", e))?;
-        let _ = std::fs::remove_dir_all(&old);
-        for w in &ws.wals {
-            w.reset()?;
-        }
-        Ok(true)
-    }
 }
 
 impl SqlEngine for ShardedDb {
@@ -1233,70 +882,33 @@ impl SqlEngine for ShardedDb {
     }
 
     fn engine_stats(&self) -> EngineStats {
+        let shards = self.shards.iter().enumerate();
         EngineStats {
-            shards: self.shard_metrics(),
-            plan_cache: Some(self.plan_cache_stats()),
-            durability: self.wal.as_ref().map(|ws| DurabilityStats {
-                wal: self.wal_stats().expect("durable engine"),
-                log_bytes: ws.log_bytes(),
-                recovery: ws.recovery,
-            }),
+            shards: shards
+                .map(|(i, s)| ShardMetricsSnapshot {
+                    shard: i,
+                    queries: s.queries.load(Ordering::Relaxed),
+                    rows_scanned: s.rows_scanned.load(Ordering::Relaxed),
+                    queue_depth: s.exec.queue_depth(),
+                    busy_nanos: s.busy_nanos.load(Ordering::Relaxed),
+                })
+                .collect(),
+            plan_cache: Some(self.cache.stats()),
+            durability: self.logs.as_ref().map(LogSet::stats),
         }
     }
 
-    /// Streamed-ingest commit: pre-evaluated rows split round-robin
-    /// across shards (partitioned target) or copied everywhere
-    /// (replicated target). Each shard's `insert_rows` folds the delta
-    /// into its own fresh Γ summaries.
-    ///
-    /// On a durable engine the envelope is logged as one `Rows` payload
-    /// per involved shard log before any row is applied, and the ack
-    /// happens only after commit markers are durable on every involved
-    /// log — ack-at-Done implies durable-at-Done, with the same
-    /// two-phase rule as logged statements when more than one shard is
-    /// involved.
+    /// Streamed-ingest commit. On a durable engine the batch is one
+    /// envelope with a `Rows` payload per involved shard log, so
+    /// ack-at-Done implies durable-at-Done on every shard it touched.
     fn ingest_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
         let n = rows.len() as u64;
-        let s = self.shards.len();
-        let mut slices: Vec<Vec<Row>> = match self.table_dist(table) {
-            Distribution::Replicated => (0..s).map(|_| rows.clone()).collect(),
-            Distribution::Partitioned => {
-                let off = self.rr.fetch_add(n, Ordering::Relaxed) as usize;
-                let mut slices: Vec<Vec<Row>> = vec![Vec::new(); s];
-                for (j, row) in rows.into_iter().enumerate() {
-                    slices[(off + j) % s].push(row);
-                }
-                slices
-            }
-        };
-        let involved: Vec<usize> = (0..s).filter(|&i| !slices[i].is_empty()).collect();
-        let _gate;
-        if let Some(ws) = &self.wal {
-            _gate = ws.gate.read().expect("wal gate");
-            let eid = ws.next_eid.fetch_add(1, Ordering::SeqCst);
-            for &i in &involved {
-                ws.wals[i].log_rows(eid, table, &slices[i])?;
-            }
-            if ws.fsync && involved.len() > 1 {
-                for &i in &involved {
-                    ws.wals[i].sync()?;
-                }
-            }
-            for &i in &involved {
-                self.shards[i]
-                    .db
-                    .insert_rows(table, std::mem::take(&mut slices[i]))?;
-            }
-            for &i in &involved {
-                ws.wals[i].commit(eid)?;
-            }
-        } else {
-            for &i in &involved {
-                self.shards[i]
-                    .db
-                    .insert_rows(table, std::mem::take(&mut slices[i]))?;
-            }
-        }
+        let schema = self.table_schema(table)?;
+        let slices = self.spread(table, rows);
+        let payload = Payload::rows(table, &schema, &slices);
+        LogSet::envelope(self.logs.as_ref(), payload, || {
+            self.insert_slices(table, &slices)
+        })?;
         Ok(n)
     }
 
@@ -1415,7 +1027,30 @@ impl SqlEngine for ShardedDb {
     }
 
     fn checkpoint(&self, min_log_bytes: u64) -> Result<bool> {
-        self.checkpoint_if_log_reaches(min_log_bytes)
+        LogSet::checkpoint(self.logs.as_ref(), min_log_bytes, |tmp, manifest| {
+            // Partitioned names that are base tables, not views.
+            let mut names: Vec<String> = {
+                let dist = self.dist.read().expect("dist map");
+                dist.iter()
+                    .filter(|(n, d)| {
+                        **d == Distribution::Partitioned && self.table_schema(n).is_ok()
+                    })
+                    .map(|(n, _)| n.clone())
+                    .collect()
+            };
+            names.sort();
+            for (i, sh) in self.shards.iter().enumerate() {
+                let sub = tmp.join(format!("shard-{i}"));
+                std::fs::create_dir_all(&sub)
+                    .map_err(|e| StorageError::Io(format!("checkpoint mkdir: {e}")))?;
+                for name in &names {
+                    sh.db.save_table(name, &sub.join(format!("{name}.tbl")))?;
+                    manifest.tables.push(format!("{i}/{name}"));
+                }
+            }
+            manifest.ddl.extend(self.shards[0].db.summary_ddl());
+            Ok(())
+        })
     }
 
     /// Installs the provider on every shard: `sys.*` names are not in

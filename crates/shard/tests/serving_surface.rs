@@ -70,7 +70,7 @@ fn delete_invalidates_plan_cache_pk_index_and_folds_summary() {
     let q = "SELECT count(*), sum(X1) FROM pts";
     sharded.execute(q).unwrap();
     sharded.execute(q).unwrap();
-    let stats = ShardedDb::plan_cache_stats(&sharded);
+    let stats = sharded.engine_stats().plan_cache.unwrap();
     assert!(stats.hits >= 1, "expected a cache hit, got {stats:?}");
     assert!(stats.entries >= 1, "expected cached plans, got {stats:?}");
 
@@ -83,7 +83,7 @@ fn delete_invalidates_plan_cache_pk_index_and_folds_summary() {
     sharded.execute("DELETE FROM pts WHERE i <= 100").unwrap();
 
     // Plan cache dropped by the shared hook.
-    let stats = ShardedDb::plan_cache_stats(&sharded);
+    let stats = sharded.engine_stats().plan_cache.unwrap();
     assert_eq!(stats.entries, 0, "DELETE must invalidate cached plans");
 
     // NO MINMAX summary folded the deletion and stays fresh on every
@@ -110,11 +110,11 @@ fn update_invalidates_plan_cache() {
         .unwrap();
     insert_points(&sharded, "pts", 1..51);
     sharded.execute("SELECT sum(X2) FROM pts").unwrap();
-    assert!(ShardedDb::plan_cache_stats(&sharded).entries >= 1);
+    assert!(sharded.engine_stats().plan_cache.unwrap().entries >= 1);
     sharded
         .execute("UPDATE pts SET X1 = 0.0 WHERE i < 10")
         .unwrap();
-    assert_eq!(ShardedDb::plan_cache_stats(&sharded).entries, 0);
+    assert_eq!(sharded.engine_stats().plan_cache.unwrap().entries, 0);
 }
 
 /// Sharded batch scoring equals single-Db batch scoring cell for cell:

@@ -9,7 +9,7 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use nlq_engine::{Db, EngineError, ExecOptions, ResultSet};
+use nlq_engine::{Db, EngineError, ExecOptions, ResultSet, SqlEngine};
 use nlq_shard::ShardedDb;
 use nlq_storage::Value;
 use nlq_testkit::{run_cases, Rng};
@@ -159,7 +159,7 @@ fn plan_cache_hits_and_ddl_invalidation() {
         "{text:?}"
     );
 
-    let stats = db.plan_cache_stats();
+    let stats = db.engine_stats().plan_cache.unwrap();
     assert_eq!(stats.hits, 1);
     assert!(stats.entries >= 1);
 
@@ -170,7 +170,7 @@ fn plan_cache_hits_and_ddl_invalidation() {
 
     // DDL clears the cache.
     db.execute("CREATE TABLE U (b FLOAT)").unwrap();
-    assert_eq!(db.plan_cache_stats().entries, 0);
+    assert_eq!(db.engine_stats().plan_cache.unwrap().entries, 0);
 }
 
 #[test]
@@ -265,7 +265,7 @@ fn cancellation_propagates_to_all_shards() {
         Err(EngineError::Cancelled { rows_scanned }) => assert_eq!(rows_scanned, 0),
         other => panic!("expected cancellation, got {other:?}"),
     }
-    for m in db.shard_metrics() {
+    for m in db.engine_stats().shards {
         assert_eq!(m.queries, 0, "no shard should have run a statement");
     }
 }
@@ -277,7 +277,7 @@ fn shard_metrics_count_scattered_work() {
     db.load_points("X", &rows, false).unwrap();
     db.set_block_scan(false);
     db.execute("SELECT sum(X1) FROM X").unwrap();
-    let metrics = db.shard_metrics();
+    let metrics = db.engine_stats().shards;
     assert_eq!(metrics.len(), 3);
     let rows_total: u64 = metrics.iter().map(|m| m.rows_scanned).sum();
     assert_eq!(rows_total, 90, "every shard scanned its slice");

@@ -330,8 +330,6 @@ pub struct WalStats {
     pub records: AtomicU64,
     /// fsync calls issued (group commit batches many commits into one).
     pub fsyncs: AtomicU64,
-    /// Committed payload records re-applied by recovery at open.
-    pub replayed: AtomicU64,
     /// Checkpoints taken since open.
     pub checkpoints: AtomicU64,
 }
@@ -345,8 +343,6 @@ pub struct WalStatsSnapshot {
     pub records: u64,
     /// fsync calls issued.
     pub fsyncs: u64,
-    /// Committed payload records re-applied by recovery at open.
-    pub replayed: u64,
     /// Checkpoints taken since open.
     pub checkpoints: u64,
 }
@@ -358,7 +354,6 @@ impl WalStats {
             bytes: self.bytes.load(Ordering::Relaxed),
             records: self.records.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            replayed: self.replayed.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
         }
     }
