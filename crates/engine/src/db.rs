@@ -706,11 +706,10 @@ impl Db {
         let Some(CatalogEntry::Table(arc)) = self.catalog.get(name) else {
             return Err(EngineError::UnknownTable(name.to_owned()));
         };
-        // Copy-on-write: clone the table, append, swap back in.
+        // Copy-on-write: clone the table (sharing its sealed chunks and
+        // index layers), append, swap back in.
         let mut table = (*arc).clone();
-        for row in rows {
-            table.insert(row.clone())?;
-        }
+        table.insert_rows(rows)?;
         self.catalog.replace_table(name, Arc::new(table));
         // Incremental maintenance: fold the inserted batch into every
         // fresh summary on this table (Γ additivity — no rescan).
@@ -1241,8 +1240,6 @@ impl SqlEngine for Db {
     }
 
     fn ingest_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
-        // A copy, not the `Arc<Table>`: holding the old generation
-        // across the envelope would keep it alive past the swap.
         let schema = self.table_schema(table)?;
         let slices = [rows];
         // One envelope per ingest batch: the Done ack the server sends

@@ -1,34 +1,36 @@
 //! Block-at-a-time columnar scans.
 //!
-//! With column-major sealed segments (see [`crate::segment`]), the
-//! block scan no longer decodes pages into scratch rows: each
-//! [`ColumnBlock`] is a set of *borrowed*, fixed-stride `f64` slices
-//! pointing straight into the partition's sealed column vectors, with
-//! the segment's LSB-ordered validity bitmap alongside. Only two cases
-//! still materialize data per block, both into iterator-owned scratch:
+//! With column-major sealed chunks (see [`crate::segment`]), the block
+//! scan does not decode pages into scratch rows: each sealed chunk is
+//! exactly one [`ColumnBlock`], a set of *borrowed*, fixed-stride `f64`
+//! slices pointing straight into that chunk's column vectors, with the
+//! chunk's LSB-ordered validity bitmap alongside. Only two cases still
+//! materialize data per block, both into iterator-owned scratch:
 //!
 //! - Int columns under [`Table::scan_partition_blocks_numeric`] widen
 //!   `i64 → f64` (exact below 2⁵³ — see
 //!   [`Table::int_widening_exact`]); and
 //! - the partition's row-paged tail (at most
 //!   [`crate::segment::SEGMENT_ROWS`] freshly inserted rows) decodes
-//!   row-wise, exactly as the whole scan used to.
+//!   row-wise.
 //!
 //! Only numeric projections are supported — every projected column
 //! must be typed [`DataType::Float`](crate::DataType::Float) (or
 //! [`DataType::Int`](crate::DataType::Int) in `_numeric` mode).
-//! Blocks never straddle the sealed/tail boundary, and sealed blocks
-//! are always full [`BLOCK_ROWS`] windows whose validity slices stay
-//! 64-bit-word aligned.
+//! Blocks never straddle a chunk or the sealed/tail boundary, so
+//! sealed blocks are always full [`BLOCK_ROWS`] windows whose validity
+//! slices start on a 64-bit word.
 
 use crate::row::decode_row_numeric;
 use crate::segment::{bitmap_count_ones, bitmap_get, bitmap_words, Segment};
 use crate::{DataType, Page, Result, StorageError, Table};
+use std::sync::Arc;
 
 /// Rows per [`ColumnBlock`]: 1024 keeps a d=8 projection (8 columns ×
 /// 8 KB values + 2 KB validity words) comfortably inside L2 while
 /// amortizing per-block dispatch to noise. Equal to
-/// [`crate::segment::SEGMENT_ROWS`] so sealed blocks are always full.
+/// [`crate::segment::SEGMENT_ROWS`], so each sealed chunk is one full
+/// block.
 pub const BLOCK_ROWS: usize = 1024;
 
 /// One projected column of a [`ColumnBlock`]: a borrowed value slice
@@ -121,18 +123,6 @@ impl<'a> ColumnBlock<'a> {
     }
 }
 
-/// Source of one projection slot within the sealed segment.
-enum ColSource<'a> {
-    Float {
-        values: &'a [f64],
-        validity: Option<&'a [u64]>,
-    },
-    Int {
-        values: &'a [i64],
-        validity: Option<&'a [u64]>,
-    },
-}
-
 /// Iterator-owned buffers for the two materializing cases (Int
 /// widening, tail decode).
 #[derive(Default)]
@@ -142,19 +132,20 @@ struct ScratchCol {
     null_count: usize,
 }
 
-/// Streaming block reader over one partition (sealed segment first,
+/// Streaming block reader over one partition (sealed chunks first,
 /// then the row-paged tail).
 ///
 /// Created by [`Table::scan_partition_blocks`]. Each call to
 /// [`BlockIter::next_block`] yields a [`ColumnBlock`] of slice views;
-/// the views borrow either the table's sealed columns or this
-/// iterator's scratch, so they are valid until the next call.
+/// the views borrow either a sealed chunk's columns or this iterator's
+/// scratch, so they are valid until the next call.
 pub struct BlockIter<'a> {
-    sources: Vec<ColSource<'a>>,
-    sealed_len: usize,
-    /// Next sealed row to hand out.
-    pos: usize,
-    // --- tail decoding state (same machinery as the old full scan) ---
+    chunks: &'a [Arc<Segment>],
+    /// Next chunk to hand out.
+    next_chunk: usize,
+    /// Projected table columns, in block order.
+    cols: Vec<usize>,
+    // --- tail decoding state ---
     pages: &'a [Page],
     /// Table column index -> projection slot.
     slots: Vec<Option<usize>>,
@@ -170,28 +161,15 @@ pub struct BlockIter<'a> {
 
 impl<'a> BlockIter<'a> {
     fn new(
-        sealed: &'a Segment,
+        chunks: &'a [Arc<Segment>],
         pages: &'a [Page],
         cols: &[usize],
         slots: Vec<Option<usize>>,
     ) -> Self {
-        let sources = cols
-            .iter()
-            .map(|&c| match sealed.float_values(c) {
-                Some(values) => ColSource::Float {
-                    values,
-                    validity: sealed.validity(c),
-                },
-                None => ColSource::Int {
-                    values: sealed.int_values(c).expect("numeric column"),
-                    validity: sealed.validity(c),
-                },
-            })
-            .collect();
         BlockIter {
-            sources,
-            sealed_len: sealed.len(),
-            pos: 0,
+            chunks,
+            next_chunk: 0,
+            cols: cols.to_vec(),
             pages,
             slots,
             page_idx: 0,
@@ -206,8 +184,10 @@ impl<'a> BlockIter<'a> {
     /// Produces the next block, returning `None` when the partition is
     /// exhausted. The borrow ends at the next `next_block` call.
     pub fn next_block(&mut self) -> Option<Result<ColumnBlock<'_>>> {
-        if self.pos < self.sealed_len {
-            return Some(Ok(self.sealed_block()));
+        let chunks = self.chunks;
+        if let Some(chunk) = chunks.get(self.next_chunk) {
+            self.next_chunk += 1;
+            return Some(Ok(self.sealed_block(chunk)));
         }
         match self.tail_block() {
             Err(e) => Some(Err(e)),
@@ -216,39 +196,24 @@ impl<'a> BlockIter<'a> {
         }
     }
 
-    /// A window straight over the sealed column vectors; Int columns
-    /// widen into scratch, everything else is borrowed in place.
-    fn sealed_block(&mut self) -> ColumnBlock<'_> {
-        let start = self.pos;
-        let n = BLOCK_ROWS.min(self.sealed_len - start);
-        debug_assert_eq!(start % 64, 0, "sealed windows stay word-aligned");
-        self.pos += n;
-        let w0 = start / 64;
-        let w1 = w0 + bitmap_words(n);
-        for (src, sc) in self.sources.iter().zip(&mut self.scratch) {
-            if let ColSource::Int { values, .. } = src {
+    /// The whole chunk as one block: Float columns are borrowed in
+    /// place, Int columns widen into scratch.
+    fn sealed_block(&mut self, chunk: &'a Segment) -> ColumnBlock<'_> {
+        let n = chunk.len();
+        for (&c, sc) in self.cols.iter().zip(&mut self.scratch) {
+            if let Some(ints) = chunk.int_values(c) {
                 sc.values.clear();
-                sc.values
-                    .extend(values[start..start + n].iter().map(|&v| v as f64));
+                sc.values.extend(ints.iter().map(|&v| v as f64));
             }
         }
         let columns = self
-            .sources
+            .cols
             .iter()
             .zip(&self.scratch)
-            .map(|(src, sc)| {
-                let (values, validity): (&[f64], Option<&[u64]>) = match src {
-                    ColSource::Float { values, validity } => {
-                        (&values[start..start + n], validity.map(|v| &v[w0..w1]))
-                    }
-                    ColSource::Int { validity, .. } => {
-                        (sc.values.as_slice(), validity.map(|v| &v[w0..w1]))
-                    }
-                };
-                let null_count = match validity {
-                    None => 0,
-                    Some(words) => n - bitmap_count_ones(words),
-                };
+            .map(|(&c, sc)| {
+                let values = chunk.float_values(c).unwrap_or(&sc.values);
+                let validity = chunk.validity(c);
+                let null_count = validity.map_or(0, |words| n - bitmap_count_ones(words));
                 FloatColumn::new(values, validity, null_count)
             })
             .collect();
@@ -349,8 +314,8 @@ impl Table {
             }
             slots[c] = Some(slot);
         }
-        let (sealed, pages) = self.partition_parts(p);
-        Ok(BlockIter::new(sealed, pages, cols, slots))
+        let (chunks, pages) = self.partition_parts(p);
+        Ok(BlockIter::new(chunks, pages, cols, slots))
     }
 }
 
@@ -415,24 +380,26 @@ mod tests {
 
     #[test]
     fn sealed_blocks_borrow_segment_columns() {
-        // Two full sealed blocks and no tail: the float views must
-        // point into the segment's own vectors (zero-decode).
-        let t = points_table(2048, 1);
-        let (sealed, pages) = t.partition_parts(0);
-        assert_eq!(sealed.len(), 2048);
+        // Three full chunks and no tail: each block's float view and
+        // validity words must point into its own chunk (zero-decode).
+        let t = points_table(3 * 1024, 1);
+        let (chunks, pages) = t.partition_parts(0);
+        assert_eq!(chunks.len(), 3);
         assert!(pages.is_empty());
-        let seg_values = sealed.float_values(1).unwrap();
         let mut iter = t.scan_partition_blocks(0, &[1]).unwrap();
-        let block = iter.next_block().unwrap().unwrap();
-        assert!(std::ptr::eq(
-            block.column(0).values.as_ptr(),
-            seg_values.as_ptr()
-        ));
-        let block = iter.next_block().unwrap().unwrap();
-        assert!(std::ptr::eq(
-            block.column(0).values.as_ptr(),
-            seg_values[1024..].as_ptr()
-        ));
+        for chunk in chunks {
+            let block = iter.next_block().unwrap().unwrap();
+            assert_eq!(block.len(), BLOCK_ROWS);
+            let col = block.column(0);
+            assert!(std::ptr::eq(
+                col.values.as_ptr(),
+                chunk.float_values(1).unwrap().as_ptr()
+            ));
+            assert!(std::ptr::eq(
+                col.validity().unwrap().as_ptr(),
+                chunk.validity(1).unwrap().as_ptr()
+            ));
+        }
         assert!(iter.next_block().is_none());
     }
 

@@ -10,18 +10,23 @@
 //! Tables are split across `p` partitions that are scanned by
 //! independent worker threads and merged by a master — the exact
 //! execution model the aggregate-UDF protocol is written against.
-//! Each partition stores its steady-state rows in a **column-major
-//! sealed segment** (per-column value vectors plus LSB-ordered
-//! validity bitmaps, see [`SEGMENT_ROWS`]) that block scans borrow
-//! zero-decode slices from, while freshly inserted rows accumulate in
-//! a row-paged 64 KB-page tail until the next seal — so DML keeps the
-//! paper's row-at-a-time write path and reads get vectorized columns.
+//! Each partition stores its steady-state rows as a list of immutable,
+//! `Arc`-shared **column-major chunks** of [`SEGMENT_ROWS`] rows each
+//! (per-column value vectors plus LSB-ordered validity bitmaps) that
+//! block scans borrow zero-decode slices from, while freshly inserted
+//! rows accumulate in a row-paged 64 KB-page tail until the next seal —
+//! so DML keeps the paper's row-at-a-time write path and reads get
+//! vectorized columns. A primary-key index of shared layers plus an
+//! indexed tail resolves point lookups. Cloning a [`Table`] shares
+//! every chunk and index layer, so a copy-on-write append costs
+//! O(chunks + tail + appended rows), not O(table).
 
 mod block;
 mod bytesx;
 mod disk;
 mod page;
 mod parallel;
+mod pk;
 mod row;
 mod schema;
 mod segment;

@@ -1,5 +1,5 @@
 use crate::row::{decode_row, encode_row, encoded_len};
-use crate::{Result, Row};
+use crate::{Result, Row, StorageError};
 
 /// Target page size in bytes.
 ///
@@ -55,6 +55,15 @@ impl Page {
     /// by [`Page::raw_bytes`]).
     pub fn from_raw(buf: Vec<u8>, rows: u32) -> Self {
         Page { buf, rows }
+    }
+
+    /// Decodes the one row whose encoding starts at byte `offset`.
+    pub(crate) fn row_at(&self, offset: usize) -> Result<Row> {
+        let mut rest = self
+            .buf
+            .get(offset..)
+            .ok_or(StorageError::Corrupt("row offset past the page end"))?;
+        decode_row(&mut rest)
     }
 
     /// Iterates the rows of this page, decoding on the fly.

@@ -1,13 +1,14 @@
 //! Column-major sealed storage.
 //!
-//! A [`Segment`] is the immutable, columnar region of one table
+//! A [`Segment`] is one immutable, columnar **chunk** of a table
 //! partition: per-column value vectors (`f64` / `i64` / `String`) plus
 //! an LSB-ordered *validity bitmap* — bit `i % 64` of word `i / 64` is
 //! `1` when row `i` holds a non-NULL value (the Arrow convention).
-//! Freshly inserted rows accumulate in a row-paged tail and are sealed
-//! into the segment in [`SEGMENT_ROWS`]-row batches, so the sealed
-//! region's length is always a multiple of [`SEGMENT_ROWS`] and block
-//! windows over it stay word-aligned.
+//! Freshly inserted rows accumulate in a row-paged tail; every
+//! [`SEGMENT_ROWS`] tail rows are transposed once into a new chunk,
+//! which is never mutated afterwards. A partition's sealed region is a
+//! list of `Arc`-shared chunks, so cloning a table copies pointers, not
+//! rows, and each chunk is one full, word-aligned block window.
 //!
 //! Bitmap convention used throughout the workspace (validity masks
 //! here, selection masks in the engine): a slice of `u64` words covers
@@ -17,9 +18,9 @@
 
 use crate::{DataType, Row, Schema, Value};
 
-/// Rows per seal batch. Equal to the block size
-/// ([`crate::BLOCK_ROWS`]) so every sealed block is a full,
-/// 64-bit-word-aligned window over the column vectors.
+/// Rows per sealed chunk. Equal to the block size
+/// ([`crate::BLOCK_ROWS`]) so every chunk is exactly one full,
+/// 64-bit-word-aligned block.
 pub const SEGMENT_ROWS: usize = 1024;
 
 /// Reads bit `i` of an LSB-ordered bitmap.
@@ -62,7 +63,7 @@ fn push_bit(words: &mut Vec<u64>, len: usize, set: bool) {
 }
 
 /// One sealed column: a fixed-stride value vector plus validity words.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum SegmentColumn {
     Int {
         values: Vec<i64>,
@@ -87,22 +88,23 @@ pub(crate) enum SegmentColumn {
 }
 
 impl SegmentColumn {
-    fn new(ty: DataType) -> Self {
+    fn new(ty: DataType, rows: usize) -> Self {
+        let validity = Vec::with_capacity(bitmap_words(rows));
         match ty {
             DataType::Int => SegmentColumn::Int {
-                values: Vec::new(),
-                validity: Vec::new(),
+                values: Vec::with_capacity(rows),
+                validity,
                 null_count: 0,
             },
             DataType::Float => SegmentColumn::Float {
-                values: Vec::new(),
-                validity: Vec::new(),
+                values: Vec::with_capacity(rows),
+                validity,
                 null_count: 0,
                 int_rows: Vec::new(),
             },
             DataType::Str => SegmentColumn::Str {
-                values: Vec::new(),
-                validity: Vec::new(),
+                values: Vec::with_capacity(rows),
+                validity,
                 null_count: 0,
             },
         }
@@ -213,42 +215,42 @@ impl SegmentColumn {
     }
 }
 
-/// The sealed, column-major region of one partition.
-#[derive(Debug, Clone)]
+/// One immutable, column-major chunk of a partition's sealed region.
+///
+/// Deliberately not `Clone`: tables share chunks through `Arc`, so no
+/// table operation can deep-copy sealed data.
+#[derive(Debug)]
 pub(crate) struct Segment {
     len: usize,
     cols: Vec<SegmentColumn>,
 }
 
 impl Segment {
-    pub fn new(schema: &Schema) -> Self {
+    /// Transposes already-validated rows into a chunk.
+    pub fn from_rows(schema: &Schema, rows: &[Row]) -> Self {
+        let mut cols: Vec<SegmentColumn> = schema
+            .columns()
+            .iter()
+            .map(|c| SegmentColumn::new(c.ty, rows.len()))
+            .collect();
+        for (r, row) in rows.iter().enumerate() {
+            for (col, v) in cols.iter_mut().zip(row) {
+                col.push(r, v);
+            }
+        }
         Segment {
-            len: 0,
-            cols: schema
-                .columns()
-                .iter()
-                .map(|c| SegmentColumn::new(c.ty))
-                .collect(),
+            len: rows.len(),
+            cols,
         }
     }
 
-    /// Number of sealed rows (always a multiple of [`SEGMENT_ROWS`]).
+    /// Number of rows in the chunk ([`SEGMENT_ROWS`] for every chunk a
+    /// table seals).
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Appends a batch of already-validated rows column-wise.
-    pub fn append_rows(&mut self, rows: &[Row]) {
-        for row in rows {
-            for (col, v) in self.cols.iter_mut().zip(row) {
-                col.push(self.len, v);
-            }
-            self.len += 1;
-        }
-    }
-
-    /// Reconstructs the exact row at `row` (the sealed half of the
-    /// partition row scan).
+    /// Reconstructs the exact row at chunk offset `row`.
     pub fn row(&self, row: usize) -> Row {
         self.cols.iter().map(|c| c.value(row)).collect()
     }
@@ -270,7 +272,7 @@ impl Segment {
     }
 
     /// The validity words of a column — `None` when the column has no
-    /// NULLs in the sealed region (consumers take the dense path).
+    /// NULLs in this chunk (consumers take the dense path).
     pub fn validity(&self, col: usize) -> Option<&[u64]> {
         let (validity, null_count) = match &self.cols[col] {
             SegmentColumn::Int {
@@ -292,7 +294,7 @@ impl Segment {
         (null_count > 0).then_some(validity.as_slice())
     }
 
-    /// Approximate heap bytes held by the sealed columns.
+    /// Approximate heap bytes held by the chunk's columns.
     pub fn bytes_used(&self) -> usize {
         self.cols.iter().map(SegmentColumn::bytes_used).sum()
     }
@@ -338,8 +340,7 @@ mod tests {
     #[test]
     fn rows_round_trip_exactly() {
         let rows = rows(200);
-        let mut seg = Segment::new(&schema());
-        seg.append_rows(&rows);
+        let seg = Segment::from_rows(&schema(), &rows);
         assert_eq!(seg.len(), 200);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(&seg.row(i), row, "row {i}");
@@ -348,8 +349,7 @@ mod tests {
 
     #[test]
     fn validity_words_follow_lsb_convention() {
-        let mut seg = Segment::new(&schema());
-        seg.append_rows(&rows(130));
+        let seg = Segment::from_rows(&schema(), &rows(130));
         let validity = seg.validity(0).expect("column has NULLs");
         assert_eq!(validity.len(), bitmap_words(130));
         for i in 0..130 {
@@ -361,8 +361,8 @@ mod tests {
 
     #[test]
     fn dense_column_reports_no_validity() {
-        let mut seg = Segment::new(&Schema::new(vec![Column::new("x", DataType::Float)]));
-        seg.append_rows(
+        let seg = Segment::from_rows(
+            &Schema::new(vec![Column::new("x", DataType::Float)]),
             &(0..70)
                 .map(|i| vec![Value::Float(i as f64)])
                 .collect::<Vec<_>>(),
@@ -373,9 +373,11 @@ mod tests {
 
     #[test]
     fn int_in_float_column_widen_but_round_trip() {
-        let mut seg = Segment::new(&Schema::new(vec![Column::new("x", DataType::Float)]));
         let big = (1i64 << 53) + 1; // not representable in f64
-        seg.append_rows(&[vec![Value::Int(big)], vec![Value::Float(1.5)]]);
+        let seg = Segment::from_rows(
+            &Schema::new(vec![Column::new("x", DataType::Float)]),
+            &[vec![Value::Int(big)], vec![Value::Float(1.5)]],
+        );
         // The block view widens (lossy beyond 2^53)...
         assert_eq!(seg.float_values(0).unwrap()[0], big as f64);
         // ...but the row view preserves the exact integer.

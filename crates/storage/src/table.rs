@@ -1,7 +1,8 @@
 use crate::page::PageIter;
+use crate::pk::{self, Hit, PkIndex, TailPos};
 use crate::segment::{Segment, SEGMENT_ROWS};
 use crate::{DataType, Page, Result, Row, Schema, Value};
-use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Largest integer magnitude `f64` represents exactly (2⁵³). Int
 /// values beyond this widen lossily in numeric block scans; planners
@@ -16,13 +17,19 @@ const F64_EXACT_INT: i64 = 1 << 53;
 /// evenly among threads". Each partition is scanned independently by
 /// one worker and stores its rows in two regions:
 ///
-/// - a **sealed column-major `Segment`** — per-column value vectors
-///   plus validity bitmaps, the zero-decode source for
+/// - **sealed chunks** — immutable column-major `Segment`s of exactly
+///   `SEGMENT_ROWS` rows (per-column value vectors plus validity
+///   bitmaps), shared through `Arc`: the zero-decode source for
 ///   [`Table::scan_partition_blocks`]; and
 /// - a **row-paged tail** — the INSERT/UPDATE write path. Every
-///   `SEGMENT_ROWS` rows the tail is decoded once and sealed into
-///   the segment, so steady-state scans are columnar and only the
+///   `SEGMENT_ROWS` rows the tail is decoded once and sealed into a
+///   new chunk, so steady-state scans are columnar and only the
 ///   freshest sliver of a partition pays per-row decoding.
+///
+/// Cloning a table copies the chunk lists, the tails and the index's
+/// tail map, and shares every chunk and index layer: O(chunks + tail),
+/// not O(rows). That is what lets a writer clone, append and swap a
+/// table generation per ingest envelope.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
@@ -34,63 +41,31 @@ pub struct Table {
     /// (None until one is seen). Grows monotonically under INSERT;
     /// DML rebuilds recompute it from scratch.
     int_bounds: Vec<Option<(i64, i64)>>,
-    /// Primary-key hash index over the sealed regions, present iff the
-    /// first schema column is Int-typed.
+    /// Primary-key index (see [`crate::pk`]), present iff the first
+    /// schema column is Int-typed.
     pk: Option<PkIndex>,
-}
-
-/// Hash index mapping a primary-key value to its sealed position.
-///
-/// Entries are added at seal time, so the index only covers the
-/// columnar segments; rows still in a partition's paged tail are found
-/// by decoding the (bounded, ≤ `SEGMENT_ROWS` per partition) tail.
-/// NULL keys are never indexed.
-///
-/// **Duplicate keys resolve newest-wins by insertion order.** Because
-/// rows distribute strictly round-robin, the row at sealed/tail offset
-/// `r` of partition `p` was globally the `r * P + p`-th insert — so
-/// that serial totally orders duplicates without storing anything
-/// extra. Seal-time indexing only overwrites an entry with a larger
-/// serial, and lookups compare tail hits against the sealed entry by
-/// serial instead of blindly preferring the tail (a tail row of one
-/// partition can be *older* than a just-sealed row of another). This
-/// is what keeps UPDATE-heavy feature-store workloads correct: an
-/// UPDATE that rewrites a PK column can create duplicates in arbitrary
-/// partitions, and scoring must see the newest version.
-#[derive(Debug, Clone)]
-struct PkIndex {
-    /// Index of the key column (always 0 today).
-    col: usize,
-    /// key → (partition, row offset within that partition's sealed segment).
-    map: HashMap<i64, (u32, u32)>,
-}
-
-impl PkIndex {
-    /// Global insertion serial of the row at `offset` in partition `p`
-    /// of a `pcount`-partition table (exact under round-robin insert).
-    fn serial(p: usize, offset: usize, pcount: usize) -> u64 {
-        offset as u64 * pcount as u64 + p as u64
-    }
 }
 
 #[derive(Debug, Clone)]
 struct Partition {
-    sealed: Segment,
+    /// Full chunks, oldest first; row `r` of the sealed region is
+    /// offset `r % SEGMENT_ROWS` of chunk `r / SEGMENT_ROWS`.
+    sealed: Vec<Arc<Segment>>,
     tail: Vec<Page>,
     tail_rows: usize,
 }
 
 impl Partition {
-    fn new(schema: &Schema) -> Self {
-        Partition {
-            sealed: Segment::new(schema),
-            tail: Vec::new(),
-            tail_rows: 0,
-        }
+    fn sealed_rows(&self) -> usize {
+        self.sealed.len() * SEGMENT_ROWS
     }
 
     fn rows(&self) -> usize {
-        self.sealed.len() + self.tail_rows
+        self.sealed_rows() + self.tail_rows
+    }
+
+    fn sealed_row(&self, r: usize) -> Row {
+        self.sealed[r / SEGMENT_ROWS].row(r % SEGMENT_ROWS)
     }
 }
 
@@ -106,12 +81,15 @@ impl Table {
             .columns()
             .first()
             .filter(|c| c.ty == DataType::Int)
-            .map(|_| PkIndex {
-                col: 0,
-                map: HashMap::new(),
-            });
+            .map(|_| PkIndex::new(0));
         Table {
-            partitions: (0..partitions).map(|_| Partition::new(&schema)).collect(),
+            partitions: (0..partitions)
+                .map(|_| Partition {
+                    sealed: Vec::new(),
+                    tail: Vec::new(),
+                    tail_rows: 0,
+                })
+                .collect(),
             schema,
             next_partition: 0,
             row_count: 0,
@@ -145,7 +123,10 @@ impl Table {
     pub fn bytes_used(&self) -> usize {
         self.partitions
             .iter()
-            .map(|p| p.sealed.bytes_used() + p.tail.iter().map(Page::bytes_used).sum::<usize>())
+            .map(|p| {
+                p.sealed.iter().map(|c| c.bytes_used()).sum::<usize>()
+                    + p.tail.iter().map(Page::bytes_used).sum::<usize>()
+            })
             .sum()
     }
 
@@ -160,13 +141,29 @@ impl Table {
         }
     }
 
-    /// Validates and appends one row, assigning it round-robin to the
-    /// next partition. The row lands in the partition's paged tail;
-    /// every `SEGMENT_ROWS` tail rows seal into the columnar
-    /// segment.
+    /// Validates and appends one row (see [`Table::insert_rows`]).
     pub fn insert(&mut self, row: Row) -> Result<()> {
-        self.schema.validate(&row)?;
-        for (bounds, v) in self.int_bounds.iter_mut().zip(&row) {
+        self.insert_rows([row])
+    }
+
+    /// Validates and appends rows, assigning each round-robin to the
+    /// next partition. Rows are encoded from the borrow into the
+    /// partition's paged tail; every `SEGMENT_ROWS` tail rows seal into
+    /// a new chunk. A row that fails validation stops the batch; the
+    /// rows before it stay appended.
+    pub fn insert_rows<R: AsRef<[Value]>>(
+        &mut self,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<()> {
+        for row in rows {
+            self.push_row(row.as_ref())?;
+        }
+        Ok(())
+    }
+
+    fn push_row(&mut self, row: &[Value]) -> Result<()> {
+        self.schema.validate(row)?;
+        for (bounds, v) in self.int_bounds.iter_mut().zip(row) {
             if let Value::Int(i) = v {
                 *bounds = Some(match *bounds {
                     None => (*i, *i),
@@ -175,29 +172,41 @@ impl Table {
             }
         }
         let p = self.next_partition;
-        self.next_partition = (self.next_partition + 1) % self.partitions.len();
+        let pcount = self.partitions.len();
+        self.next_partition = (self.next_partition + 1) % pcount;
         let part = &mut self.partitions[p];
-        if part.tail.last().is_none_or(|page| !page.fits(&row)) {
+        if part.tail.last().is_none_or(|page| !page.fits(row)) {
             part.tail.push(Page::new());
         }
-        part.tail
-            .last_mut()
-            .expect("just ensured a page exists")
-            .push(&row);
+        let serial = pk::serial(p, part.rows(), pcount);
+        let page_idx = part.tail.len() - 1;
+        let page = &mut part.tail[page_idx];
+        // A row starts inside the page budget (`fits`) or on an empty
+        // page, so both positions fit in u32.
+        let pos = TailPos {
+            serial,
+            page: page_idx as u32,
+            byte: page.bytes_used() as u32,
+        };
+        page.push(row);
         part.tail_rows += 1;
         self.row_count += 1;
+        if let Some(pk) = &mut self.pk {
+            if let Some(key) = row[pk.col()].as_i64() {
+                pk.insert_tail(key, pos);
+            }
+        }
         if part.tail_rows == SEGMENT_ROWS {
-            let pcount = self.partitions.len();
-            Self::seal_tail(&mut self.partitions[p], p, pcount, self.pk.as_mut())?;
+            Self::seal_tail(part, &self.schema, p, pcount, self.pk.as_mut())?;
         }
         Ok(())
     }
 
-    /// Decodes the partition's tail pages once and appends them to the
-    /// sealed segment column-wise, indexing the newly sealed rows
-    /// (newest insertion serial wins on duplicate keys).
+    /// Decodes the partition's tail pages once into a new chunk and
+    /// indexes its rows.
     fn seal_tail(
         part: &mut Partition,
+        schema: &Schema,
         p: usize,
         pcount: usize,
         pk: Option<&mut PkIndex>,
@@ -209,25 +218,16 @@ impl Table {
             }
         }
         if let Some(pk) = pk {
-            let base = part.sealed.len();
-            for (off, row) in rows.iter().enumerate() {
-                if let Some(key) = row[pk.col].as_i64() {
-                    let serial = PkIndex::serial(p, base + off, pcount);
-                    match pk.map.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let &(ep, er) = e.get();
-                            if serial > PkIndex::serial(ep as usize, er as usize, pcount) {
-                                e.insert((p as u32, (base + off) as u32));
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert((p as u32, (base + off) as u32));
-                        }
-                    }
-                }
-            }
+            let col = pk.col();
+            pk.seal(
+                p,
+                pcount,
+                part.sealed_rows(),
+                rows.iter().map(|r| r[col].as_i64()),
+            );
         }
-        part.sealed.append_rows(&rows);
+        part.sealed
+            .push(Arc::new(Segment::from_rows(schema, &rows)));
         part.tail.clear();
         part.tail_rows = 0;
         Ok(())
@@ -236,54 +236,37 @@ impl Table {
     /// Which column the primary-key hash index covers, if the table has
     /// one (the first column, when Int-typed).
     pub fn pk_column(&self) -> Option<usize> {
-        self.pk.as_ref().map(|pk| pk.col)
+        self.pk.as_ref().map(PkIndex::col)
     }
 
-    /// Number of sealed rows currently covered by the PK index.
+    /// Entries in the PK index's sealed layers: the sum over layers of
+    /// the distinct non-NULL keys in the chunks each layer covers.
+    /// Unsealed tail rows are not counted. With one layer (a table
+    /// built without intervening clones) this is the number of
+    /// distinct sealed keys; a key sealed into two layers not yet
+    /// merged counts twice.
     pub fn pk_indexed_rows(&self) -> usize {
-        self.pk.as_ref().map_or(0, |pk| pk.map.len())
+        self.pk.as_ref().map_or(0, PkIndex::layer_entries)
     }
 
-    /// Point lookup by primary key: O(1) through the sealed hash index,
-    /// with a bounded tail-page fallback for rows not yet sealed.
-    /// Duplicate keys resolve to the newest insertion (by round-robin
-    /// serial). Returns `None` when the table has no PK index or the
-    /// key is absent.
+    /// Number of sealed layers in the PK index (0 without one). At
+    /// most `⌊log₂ C⌋ + 1` for `C` sealed chunks.
+    pub fn pk_layer_count(&self) -> usize {
+        self.pk.as_ref().map_or(0, PkIndex::layer_count)
+    }
+
+    /// Point lookup of one key: [`Table::lookup_keys`] for a single
+    /// key.
     pub fn pk_lookup(&self, key: i64) -> Result<Option<Row>> {
-        let Some(pk) = &self.pk else {
-            return Ok(None);
-        };
-        let pcount = self.partitions.len();
-        let mut best: Option<(u64, Row)> = None;
-        for (p, part) in self.partitions.iter().enumerate() {
-            let base = part.sealed.len();
-            let mut off = 0usize;
-            for page in &part.tail {
-                for row in page.iter() {
-                    let row = row?;
-                    if row[pk.col].as_i64() == Some(key) {
-                        let serial = PkIndex::serial(p, base + off, pcount);
-                        if best.as_ref().is_none_or(|(s, _)| serial > *s) {
-                            best = Some((serial, row));
-                        }
-                    }
-                    off += 1;
-                }
-            }
-        }
-        if let Some(&(p, r)) = pk.map.get(&key) {
-            let serial = PkIndex::serial(p as usize, r as usize, pcount);
-            if best.as_ref().is_none_or(|(s, _)| serial > *s) {
-                best = Some((serial, self.partitions[p as usize].sealed.row(r as usize)));
-            }
-        }
-        Ok(best.map(|(_, row)| row))
+        Ok(self.lookup_keys(&[key])?.pop().flatten())
     }
 
-    /// Batch point lookup: decodes every tail page exactly once
-    /// (collecting requested keys), then probes the sealed hash index
-    /// for the rest. Returns one slot per requested key, in request
-    /// order, `None` where the key is absent.
+    /// Batch point lookup through the PK index. Each key costs one
+    /// probe of the tail map and of every sealed layer, then the decode
+    /// of the one row it hits. Duplicate keys resolve to the newest
+    /// insertion (by round-robin serial). Returns one slot per
+    /// requested key, in request order, `None` where the key is
+    /// absent.
     ///
     /// # Errors
     /// Fails with [`crate::StorageError::Unsupported`] if the table has
@@ -294,65 +277,37 @@ impl Table {
                 "table has no primary-key index (first column must be Int)".into(),
             ));
         };
+        let mut rows = Vec::with_capacity(keys.len());
+        for &k in keys {
+            rows.push(pk.get(k).map(|hit| self.row_at(hit)).transpose()?);
+        }
+        Ok(rows)
+    }
+
+    fn row_at(&self, hit: Hit) -> Result<Row> {
         let pcount = self.partitions.len();
-        let wanted: HashSet<i64> = keys.iter().copied().collect();
-        let mut tail_hits: HashMap<i64, (u64, Row)> = HashMap::new();
-        for (p, part) in self.partitions.iter().enumerate() {
-            let base = part.sealed.len();
-            let mut off = 0usize;
-            for page in &part.tail {
-                for row in page.iter() {
-                    let row = row?;
-                    if let Some(k) = row[pk.col].as_i64() {
-                        if wanted.contains(&k) {
-                            let serial = PkIndex::serial(p, base + off, pcount);
-                            if tail_hits.get(&k).is_none_or(|(s, _)| serial > *s) {
-                                tail_hits.insert(k, (serial, row));
-                            }
-                        }
-                    }
-                    off += 1;
-                }
+        match hit {
+            Hit::Sealed(serial) => {
+                let (p, r) = pk::position(serial, pcount);
+                Ok(self.partitions[p].sealed_row(r))
+            }
+            Hit::Tail(pos) => {
+                let (p, _) = pk::position(pos.serial, pcount);
+                self.partitions[p].tail[pos.page as usize].row_at(pos.byte as usize)
             }
         }
-        Ok(keys
-            .iter()
-            .map(|k| {
-                let tail = tail_hits.get(k);
-                let sealed = pk.map.get(k).map(|&(p, r)| {
-                    (
-                        PkIndex::serial(p as usize, r as usize, pcount),
-                        (p as usize, r as usize),
-                    )
-                });
-                match (tail, sealed) {
-                    (Some((ts, row)), Some((ss, _))) if *ts > ss => Some(row.clone()),
-                    (Some((_, row)), None) => Some(row.clone()),
-                    (_, Some((_, (p, r)))) => Some(self.partitions[p].sealed.row(r)),
-                    (None, None) => None,
-                }
-            })
-            .collect())
     }
 
-    /// Validates and appends many rows.
-    pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
-        for row in rows {
-            self.insert(row)?;
-        }
-        Ok(())
-    }
-
-    /// The two storage regions of partition `p` (block scans and
-    /// persistence read both).
-    pub(crate) fn partition_parts(&self, p: usize) -> (&Segment, &[Page]) {
+    /// The two storage regions of partition `p` (block scans read
+    /// both).
+    pub(crate) fn partition_parts(&self, p: usize) -> (&[Arc<Segment>], &[Page]) {
         let part = &self.partitions[p];
         (&part.sealed, &part.tail)
     }
 
     /// Iterates the rows of partition `p` in insertion order: sealed
-    /// rows (reconstructed from the column vectors) first, then the
-    /// paged tail.
+    /// rows (reconstructed from the chunks' column vectors) first, then
+    /// the paged tail.
     pub fn scan_partition(&self, p: usize) -> PartitionIter<'_> {
         let part = &self.partitions[p];
         PartitionIter {
@@ -377,9 +332,10 @@ impl Table {
     }
 }
 
-/// Iterator over the rows of one partition (sealed region, then tail).
+/// Iterator over the rows of one partition (sealed chunks, then tail).
 pub struct PartitionIter<'a> {
-    sealed: &'a Segment,
+    sealed: &'a [Arc<Segment>],
+    /// Next sealed row, as a partition-local offset.
     next_sealed: usize,
     pages: &'a [Page],
     page_idx: usize,
@@ -390,8 +346,8 @@ impl<'a> Iterator for PartitionIter<'a> {
     type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_sealed < self.sealed.len() {
-            let row = self.sealed.row(self.next_sealed);
+        if let Some(chunk) = self.sealed.get(self.next_sealed / SEGMENT_ROWS) {
+            let row = chunk.row(self.next_sealed % SEGMENT_ROWS);
             self.next_sealed += 1;
             return Some(Ok(row));
         }
@@ -515,7 +471,7 @@ mod tests {
         for i in 0..n {
             t.insert(make(i)).unwrap();
         }
-        assert_eq!(t.partitions[0].sealed.len(), SEGMENT_ROWS * 2);
+        assert_eq!(t.partitions[0].sealed.len(), 2);
         assert_eq!(t.partitions[0].tail_rows, 37);
         // Sealed + tail reads back every row exactly, in order.
         let rows: Vec<Row> = t.scan_partition(0).map(|r| r.unwrap()).collect();
@@ -566,7 +522,7 @@ mod tests {
         let no_pk = Table::new(Schema::new(vec![Column::new("x", DataType::Float)]), 1);
         assert_eq!(no_pk.pk_column(), None);
         assert!(no_pk.lookup_keys(&[1]).is_err());
-        assert_eq!(no_pk.pk_lookup(1).unwrap(), None);
+        assert!(no_pk.pk_lookup(1).is_err());
     }
 
     #[test]
@@ -675,5 +631,36 @@ mod tests {
         assert_eq!(t.pk_indexed_rows(), SEGMENT_ROWS / 2);
         assert!(t.pk_lookup(1).unwrap().is_some());
         assert!(t.pk_lookup(2).unwrap().is_none(), "NULL keys unreachable");
+    }
+
+    #[test]
+    fn clone_then_append_shares_sealed_chunks_and_older_layers() {
+        // The copy-on-write append of an ingest envelope: the previous
+        // generation stays alive while the next one is appended to.
+        let mut next = keyed_table(2, SEGMENT_ROWS * 5 + 300);
+        assert_eq!(next.pk_layer_count(), 1, "built without clones");
+        let mut key = next.row_count() as i64;
+        for _ in 0..16 {
+            let prev = next.clone();
+            next.insert_rows((0..700).map(|_| {
+                key += 1;
+                [Value::Int(key), Value::Float(0.5)]
+            }))
+            .unwrap();
+            for (old, new) in prev.partitions.iter().zip(&next.partitions) {
+                assert!(old.sealed.len() <= new.sealed.len());
+                for (a, b) in old.sealed.iter().zip(&new.sealed) {
+                    assert!(Arc::ptr_eq(a, b), "a sealed chunk was copied");
+                }
+            }
+            // An append pops merged layers off the top and pushes one:
+            // every layer below the newest is the old allocation.
+            let (old_pk, new_pk) = (prev.pk.as_ref().unwrap(), next.pk.as_ref().unwrap());
+            let kept = new_pk.layer_count() - 1;
+            assert!(kept <= old_pk.layer_count());
+            for i in 0..kept {
+                assert!(new_pk.shares_layer(old_pk, i), "layer {i} was copied");
+            }
+        }
     }
 }
