@@ -3,19 +3,64 @@
 //! The Γ (`n`, `L`, `Q`) computation processes one point at a time in
 //! the row-wise path: a rank-1 update `Q += x xᵀ` per row. When the
 //! scan delivers a whole block of rows column-wise, the same work
-//! becomes a handful of reductions over contiguous `f64` slices —
-//! `L[a] += Σ col_a`, `Q[a][b] += col_a · col_b` — which the compiler
-//! auto-vectorizes. These free functions are that reduction layer:
-//! no `Matrix`/`Vector` wrappers, just slices, so both the UDF state
-//! (fixed `[f64; MAX_D]` arrays) and the engine can call them.
+//! becomes one rank-k update of `Q` plus one fold per column. These
+//! free functions are that layer: no `Matrix`/`Vector` wrappers, just
+//! slices, so both the UDF state (fixed `[f64; MAX_D]` arrays) and the
+//! engine can call them.
 //!
-//! Dense variants assume every row participates. `*_selected` variants
-//! take an LSB-ordered **active bitmap** — `u64` words where bit
-//! `i % 64` of word `i / 64` is set when row `i` contributes (the
-//! storage crate's validity/selection convention: the caller ANDs the
-//! `WHERE` selection with each column's validity words first, and bits
-//! at positions `>= len` are zero). Selected kernels iterate set bits
-//! only, so sparse selections cost proportional to the rows kept.
+//! # Summation order
+//!
+//! Rust never reassociates `f64` additions, so a `map(..).sum()` chain
+//! such as [`dot`] is one strict dependency chain, one add latency per
+//! row. The `Q` kernels spell out a different order, fixed by the rows
+//! they are given and nothing else; the moments pass keeps the strict
+//! one:
+//!
+//! - [`block_triangular`] and [`block_full`] compute each cell of the
+//!   lower triangle of `Q` as one lane-split dot product: eight
+//!   accumulators, row `i` in lane `i % 8`, each lane in ascending row
+//!   order, the lanes combined left to right and the total added to
+//!   `q`. The eight lanes are four independent two-wide chains, so a
+//!   cell runs at the speed of its loads rather than of one add chain.
+//! - [`column_moments`] folds Σx, min, max (and, for diagonal Γ, Σx²)
+//!   of one column in a single pass: one chain per statistic, rows in
+//!   ascending order.
+//!
+//! # Steady speed
+//!
+//! The kernels trade some speed on an idle machine for a speed that
+//! does not depend on what else runs on the host:
+//!
+//! - The `nlq_list` UDF runs the moments pass first over each block,
+//!   so it is the pass that waits for memory. As one chain it consumes
+//!   a column no faster than memory delivers it, the fetch overlaps it,
+//!   and the `Q` kernel that follows reads cached data. A lane-split pass finished sooner
+//!   on an idle machine, then stalled for however long the memory bus
+//!   was busy.
+//! - Register tiles (4×4 cells sharing their loads) compute `Q` faster
+//!   on an idle core, but they keep every floating-point port busy, so
+//!   their speed halves whenever another thread shares the core. One
+//!   dot per cell leaves the ports headroom.
+//!
+//! Because the order depends only on the block's rows, a partition
+//! scanned by one worker or another gives the same bits, and so does
+//! every merge of partials taken in partition order.
+//!
+//! # Selections
+//!
+//! `*_selected` variants take an LSB-ordered **active bitmap** — `u64`
+//! words where bit `i % 64` of word `i / 64` is set when row `i`
+//! contributes (the storage crate's validity/selection convention: the
+//! caller ANDs the `WHERE` selection with each column's validity words
+//! first, and bits at positions `>= len` are zero). The scalar
+//! reductions and [`column_moments_selected`] iterate set bits only.
+//! The `Q` kernels instead gather the kept rows once with a
+//! [`Compactor`] and run the dense kernel on the copies. Either way a
+//! selected block sums exactly as a dense block holding only its kept
+//! rows would.
+
+/// Row accumulators per `Q` cell (see the module docs for the order).
+const LANES: usize = 8;
 
 /// Sum of a dense column.
 pub fn sum(xs: &[f64]) -> f64 {
@@ -114,6 +159,84 @@ pub fn min_max_selected(xs: &[f64], active: &[u64]) -> (f64, f64) {
     (lo, hi)
 }
 
+/// One column's contribution to Γ from one block: `L`'s entry, the
+/// extrema, and — when asked for — the diagonal `Q` entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ColumnMoments {
+    /// Σx.
+    pub sum: f64,
+    /// Σx² (zero unless requested).
+    pub sum_sq: f64,
+    /// Minimum (`∞` for an empty column).
+    pub min: f64,
+    /// Maximum (`-∞` for an empty column).
+    pub max: f64,
+}
+
+impl ColumnMoments {
+    /// The moments of no rows: the identity of [`ColumnMoments::fold`].
+    const EMPTY: ColumnMoments = ColumnMoments {
+        sum: 0.0,
+        sum_sq: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+
+    /// Adds one row. Extrema use `<` / `>`, as the row-wise update
+    /// does, so a NaN never replaces a bound.
+    #[inline(always)]
+    fn fold<const SQ: bool>(&mut self, x: f64) {
+        self.sum += x;
+        if SQ {
+            self.sum_sq += x * x;
+        }
+        self.min = if x < self.min { x } else { self.min };
+        self.max = if x > self.max { x } else { self.max };
+    }
+}
+
+/// Folds Σx, min, max and, if `with_sq`, Σx² of a dense column in one
+/// pass, rows in ascending order (see the module docs).
+pub fn column_moments(xs: &[f64], with_sq: bool) -> ColumnMoments {
+    fn fold_all<const SQ: bool>(xs: &[f64]) -> ColumnMoments {
+        let mut m = ColumnMoments::EMPTY;
+        for &x in xs {
+            m.fold::<SQ>(x);
+        }
+        m
+    }
+    if with_sq {
+        fold_all::<true>(xs)
+    } else {
+        fold_all::<false>(xs)
+    }
+}
+
+/// [`column_moments`] over the rows whose `active` bit is set: the
+/// same bits as [`column_moments`] of the kept rows alone.
+///
+/// # Panics
+/// Panics if `active` does not cover `xs.len()` bits exactly.
+pub fn column_moments_selected(xs: &[f64], active: &[u64], with_sq: bool) -> ColumnMoments {
+    fn fold_set<const SQ: bool>(xs: &[f64], active: &[u64]) -> ColumnMoments {
+        let mut m = ColumnMoments::EMPTY;
+        for (w, &word) in active.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                m.fold::<SQ>(xs[(w << 6) | bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        m
+    }
+    check_active(xs.len(), active);
+    if with_sq {
+        fold_set::<true>(xs, active)
+    } else {
+        fold_set::<false>(xs, active)
+    }
+}
+
 /// Rank-1 lower-triangular update `q[a][b] += x[a] * x[b]` for
 /// `b <= a`, on a row-major `d x d` buffer with row stride `stride`
 /// (the row-wise hot loop, shared so both paths agree bit-for-bit on
@@ -123,10 +246,7 @@ pub fn min_max_selected(xs: &[f64], active: &[u64]) -> (f64, f64) {
 /// Panics if `q` is too short for `x.len()` rows of `stride`.
 pub fn rank1_triangular(q: &mut [f64], stride: usize, x: &[f64]) {
     let d = x.len();
-    assert!(
-        d == 0 || (d - 1) * stride + d <= q.len(),
-        "q buffer too small"
-    );
+    check_q(q, stride, d);
     for a in 0..d {
         let xa = x[a];
         let row = &mut q[a * stride..a * stride + a + 1];
@@ -136,108 +256,156 @@ pub fn rank1_triangular(q: &mut [f64], stride: usize, x: &[f64]) {
     }
 }
 
+#[inline]
+fn check_q(q: &[f64], stride: usize, d: usize) {
+    assert!(
+        d == 0 || (d - 1) * stride + d <= q.len(),
+        "q buffer too small"
+    );
+}
+
 /// Block lower-triangular update: `q[a][b] += cols[a] · cols[b]` for
 /// `b <= a`, where each `cols[a]` is one column's values for the whole
-/// block. Equivalent to [`rank1_triangular`] applied row-by-row, but
-/// each cell is one contiguous dot product.
+/// block — the rank-k form of [`rank1_triangular`], each cell summed
+/// in the lane-split order of the module docs.
 ///
 /// # Panics
 /// Panics if `q` is too small or the columns differ in length.
 pub fn block_triangular(q: &mut [f64], stride: usize, cols: &[&[f64]]) {
-    let d = cols.len();
-    assert!(
-        d == 0 || (d - 1) * stride + d <= q.len(),
-        "q buffer too small"
-    );
-    for a in 0..d {
-        for b in 0..=a {
-            q[a * stride + b] += dot(cols[a], cols[b]);
-        }
-    }
+    check_q(q, stride, cols.len());
+    lower_update(cols, |a, b, v| q[a * stride + b] += v);
 }
 
 /// Selected [`block_triangular`]: rows with a clear `active` bit
-/// contribute nothing to any cell.
-pub fn block_triangular_selected(q: &mut [f64], stride: usize, cols: &[&[f64]], active: &[u64]) {
-    let d = cols.len();
-    assert!(
-        d == 0 || (d - 1) * stride + d <= q.len(),
-        "q buffer too small"
-    );
-    for a in 0..d {
-        for b in 0..=a {
-            q[a * stride + b] += dot_selected(cols[a], cols[b], active);
-        }
-    }
-}
-
-/// Block diagonal update: `q[a][a] += cols[a] · cols[a]`.
+/// contribute nothing to any cell. The kept rows are compacted into
+/// scratch allocated for this call (a caller running many blocks keeps
+/// a [`Compactor`] instead); a block whose rows are all kept goes
+/// straight to the dense kernel.
 ///
 /// # Panics
-/// Panics if `q` is too small.
-pub fn block_diagonal(q: &mut [f64], stride: usize, cols: &[&[f64]]) {
-    let d = cols.len();
-    assert!(
-        d == 0 || (d - 1) * stride + d <= q.len(),
-        "q buffer too small"
-    );
-    for (a, col) in cols.iter().enumerate() {
-        q[a * stride + a] += sum_sq(col);
+/// Panics if `q` is too small, the columns differ in length, or
+/// `active` does not cover them.
+pub fn block_triangular_selected(q: &mut [f64], stride: usize, cols: &[&[f64]], active: &[u64]) {
+    let len = cols.first().map_or(0, |c| c.len());
+    check_active(len, active);
+    let kept: usize = active.iter().map(|w| w.count_ones() as usize).sum();
+    if kept == len {
+        return block_triangular(q, stride, cols);
     }
-}
-
-/// Selected [`block_diagonal`].
-pub fn block_diagonal_selected(q: &mut [f64], stride: usize, cols: &[&[f64]], active: &[u64]) {
-    let d = cols.len();
-    assert!(
-        d == 0 || (d - 1) * stride + d <= q.len(),
-        "q buffer too small"
-    );
-    for (a, col) in cols.iter().enumerate() {
-        q[a * stride + a] += dot_selected(col, col, active);
+    if kept == 0 {
+        return;
     }
+    let mut compactor = Compactor::default();
+    compactor.compact(cols, active);
+    let kept_cols: Vec<&[f64]> = (0..cols.len()).map(|a| compactor.column(a)).collect();
+    block_triangular(q, stride, &kept_cols);
 }
 
 /// Block full (symmetric, both halves materialized) update:
-/// `q[a][b] += cols[a] · cols[b]` for all `a, b`. The upper half is
-/// mirrored from the computed lower half so both halves stay
-/// bit-identical.
+/// `q[a][b] += cols[a] · cols[b]` for all `a, b`. The lower kernel
+/// computes each cell once and the total is added to both mirror
+/// cells, so both halves stay bit-identical.
 ///
 /// # Panics
-/// Panics if `q` is too small.
+/// Panics if `q` is too small or the columns differ in length.
 pub fn block_full(q: &mut [f64], stride: usize, cols: &[&[f64]]) {
-    let d = cols.len();
-    assert!(
-        d == 0 || (d - 1) * stride + d <= q.len(),
-        "q buffer too small"
-    );
-    for a in 0..d {
-        for b in 0..=a {
-            let v = dot(cols[a], cols[b]);
-            q[a * stride + b] += v;
-            if a != b {
-                q[b * stride + a] += v;
+    check_q(q, stride, cols.len());
+    lower_update(cols, |a, b, v| {
+        q[a * stride + b] += v;
+        if a != b {
+            q[b * stride + a] += v;
+        }
+    });
+}
+
+/// Reusable scratch that gathers a selected block's kept rows into
+/// dense columns, so the dense Γ kernels run on them unchanged.
+#[derive(Debug, Default)]
+pub struct Compactor {
+    /// Indices of the kept rows, ascending.
+    rows: Vec<u32>,
+    /// The kept rows, column after column.
+    values: Vec<f64>,
+    kept: usize,
+}
+
+impl Compactor {
+    /// Copies the rows whose `active` bit is set out of every column,
+    /// in row order, and returns how many there are. Buffers are
+    /// reused, so a warm compactor allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if the columns differ in length or `active` does not
+    /// cover them.
+    pub fn compact(&mut self, cols: &[&[f64]], active: &[u64]) -> usize {
+        let len = cols.first().map_or(0, |c| c.len());
+        check_active(len, active);
+        self.rows.clear();
+        for (w, &word) in active.iter().enumerate() {
+            let mut m = word;
+            while m != 0 {
+                self.rows.push(((w << 6) as u32) | m.trailing_zeros());
+                m &= m - 1;
             }
+        }
+        self.values.clear();
+        for col in cols {
+            assert_eq!(col.len(), len, "columns of unequal length");
+            self.values
+                .extend(self.rows.iter().map(|&i| col[i as usize]));
+        }
+        self.kept = self.rows.len();
+        self.kept
+    }
+
+    /// Column `a` of the last [`Compactor::compact`], kept rows only.
+    ///
+    /// # Panics
+    /// Panics if `a` is not a column of that call.
+    pub fn column(&self, a: usize) -> &[f64] {
+        &self.values[a * self.kept..(a + 1) * self.kept]
+    }
+}
+
+/// The rank-k lower-triangular update shared by [`block_triangular`]
+/// and [`block_full`]: computes every `cols[a] · cols[b]` with
+/// `b <= a`, row of `Q` after row, and hands each cell total to
+/// `add(a, b, v)`.
+fn lower_update(cols: &[&[f64]], mut add: impl FnMut(usize, usize, f64)) {
+    if let Some(first) = cols.first() {
+        for c in cols {
+            assert_eq!(c.len(), first.len(), "columns of unequal length");
+        }
+    }
+    for (a, col_a) in cols.iter().enumerate() {
+        for (b, col_b) in cols[..=a].iter().enumerate() {
+            add(a, b, lane_dot(col_a, col_b));
         }
     }
 }
 
-/// Selected [`block_full`].
-pub fn block_full_selected(q: &mut [f64], stride: usize, cols: &[&[f64]], active: &[u64]) {
-    let d = cols.len();
-    assert!(
-        d == 0 || (d - 1) * stride + d <= q.len(),
-        "q buffer too small"
-    );
-    for a in 0..d {
-        for b in 0..=a {
-            let v = dot_selected(cols[a], cols[b], active);
-            q[a * stride + b] += v;
-            if a != b {
-                q[b * stride + a] += v;
-            }
+/// `Σ_i a[i] · b[i]` in the lane order of the module docs. The caller
+/// guarantees equal lengths.
+fn lane_dot(a: &[f64], b: &[f64]) -> f64 {
+    let (pa, rest_a) = a.as_chunks::<LANES>();
+    let (pb, rest_b) = b.as_chunks::<LANES>();
+    // The leftover rows, zero-padded to one more chunk: a lane never
+    // holds -0.0, so adding 0·0 leaves it unchanged, and indexing the
+    // lanes only by constants keeps them in registers.
+    let mut last = ([0.0f64; LANES], [0.0f64; LANES]);
+    last.0[..rest_a.len()].copy_from_slice(rest_a);
+    last.1[..rest_b.len()].copy_from_slice(rest_b);
+    let mut acc = [0.0f64; LANES];
+    let mut step = |xa: &[f64; LANES], xb: &[f64; LANES]| {
+        for l in 0..LANES {
+            acc[l] += xa[l] * xb[l];
         }
+    };
+    for (xa, xb) in pa.iter().zip(pb) {
+        step(xa, xb);
     }
+    step(&last.0, &last.1);
+    acc[1..].iter().fold(acc[0], |s, v| s + v)
 }
 
 #[cfg(test)]
@@ -273,6 +441,30 @@ mod tests {
     }
 
     #[test]
+    fn moments_match_separate_reductions() {
+        let (c1, c2, _) = cols_fixture();
+        // One chain per statistic in row order: the same bits as the
+        // separate reductions.
+        let m = column_moments(&c1, true);
+        assert_eq!(m.sum, sum(&c1));
+        assert_eq!(m.sum_sq, sum_sq(&c1));
+        assert_eq!((m.min, m.max), min_max(&c1));
+        let m = column_moments(&c2, false);
+        assert_eq!(m.sum_sq, 0.0);
+        assert_eq!((m.min, m.max), (1.0, 5.0));
+        let empty = column_moments(&[], true);
+        assert_eq!(
+            empty,
+            ColumnMoments {
+                sum: 0.0,
+                sum_sq: 0.0,
+                min: f64::INFINITY,
+                max: f64::NEG_INFINITY
+            }
+        );
+    }
+
+    #[test]
     fn selected_reductions_keep_only_active_rows() {
         let (c1, c2, _) = cols_fixture();
         let active = active_words(9, |i| i % 3 != 0);
@@ -292,13 +484,23 @@ mod tests {
             .sum();
         assert_eq!(dot_selected(&c1, &c2, &active), expect_dot);
         assert_eq!(min_max_selected(&c1, &active), (-3.0, 4.0));
+        let kept: Vec<f64> = c2
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 3 != 0)
+            .map(|(_, &x)| x)
+            .collect();
+        assert_eq!(
+            column_moments_selected(&c2, &active, true),
+            column_moments(&kept, true)
+        );
         let none = active_words(9, |_| false);
         assert_eq!(
             min_max_selected(&c1, &none),
             (f64::INFINITY, f64::NEG_INFINITY)
         );
-        // All-active equals the dense kernels exactly... if summation
-        // order matches, which it does (ascending row index).
+        // All-active equals the dense kernels exactly: both sum in
+        // ascending row order.
         let all = active_words(9, |_| true);
         assert_eq!(sum_selected(&c1, &all), sum(&c1));
         assert_eq!(dot_selected(&c1, &c2, &all), dot(&c1, &c2));
@@ -313,10 +515,24 @@ mod tests {
         assert_eq!(min_max_selected(&xs, &active), (0.0, 148.0));
     }
 
-    /// The block kernels must equal per-row rank-1 updates exactly —
-    /// same products, just reassociated sums, which for a reference
-    /// check means agreement to tight tolerance, and for identical
-    /// summation order (single column) agreement exactly.
+    #[test]
+    fn compactor_gathers_kept_rows_in_order() {
+        let (c1, c2, _) = cols_fixture();
+        let mut c = Compactor::default();
+        let active = active_words(9, |i| i == 0 || i == 4 || i == 8);
+        assert_eq!(c.compact(&[&c1, &c2], &active), 3);
+        assert_eq!(c.column(0), &[-4.0, 0.0, 4.0]);
+        assert_eq!(c.column(1), &[1.0, 3.0, 5.0]);
+        // Reuse with fewer rows: nothing from the last call leaks in.
+        let active = active_words(9, |i| i == 7);
+        assert_eq!(c.compact(&[&c1], &active), 1);
+        assert_eq!(c.column(0), &[3.0]);
+    }
+
+    /// The block kernels agree with per-row rank-1 updates up to
+    /// rounding: the products are the same, only the additions are
+    /// grouped differently. (The property tests pin the bound, and
+    /// exact agreement on integer data.)
     #[test]
     fn block_updates_match_rank1_loop() {
         let (c1, c2, c3) = cols_fixture();
@@ -335,11 +551,9 @@ mod tests {
         for (a, (r, b)) in by_row.iter().zip(&by_block).enumerate() {
             assert!((r - b).abs() < 1e-12, "cell {a}: {r} vs {b}");
         }
-
-        let mut diag = vec![0.0; stride * d];
-        block_diagonal(&mut diag, stride, &cols);
         for a in 0..d {
-            assert!((diag[a * stride + a] - by_block[a * stride + a]).abs() < 1e-12);
+            let sq = column_moments(cols[a], true).sum_sq;
+            assert!((sq - by_block[a * stride + a]).abs() < 1e-12);
         }
 
         let mut full = vec![0.0; stride * d];
@@ -347,7 +561,7 @@ mod tests {
         for a in 0..d {
             for b in 0..d {
                 let expect = by_block[a.max(b) * stride + a.min(b)];
-                assert!((full[a * stride + b] - expect).abs() < 1e-12);
+                assert_eq!(full[a * stride + b], expect, "full ({a}, {b})");
             }
         }
     }
@@ -370,24 +584,25 @@ mod tests {
         for (r, b) in by_row.iter().zip(&tri) {
             assert!((r - b).abs() < 1e-12);
         }
-
-        let mut diag = vec![0.0; 9];
-        block_diagonal_selected(&mut diag, stride, &cols, &active);
-        let mut full = vec![0.0; 9];
-        block_full_selected(&mut full, stride, &cols, &active);
-        for a in 0..3 {
-            assert!((diag[a * stride + a] - tri[a * stride + a]).abs() < 1e-12);
-            for b in 0..3 {
-                let expect = tri[a.max(b) * stride + a.min(b)];
-                assert!((full[a * stride + b] - expect).abs() < 1e-12);
-            }
-        }
+        // An all-ones mask is the dense kernel, bit for bit.
+        let mut dense = vec![0.0; 9];
+        block_triangular(&mut dense, stride, &cols);
+        let mut all = vec![0.0; 9];
+        block_triangular_selected(&mut all, stride, &cols, &active_words(9, |_| true));
+        assert_eq!(dense, all);
     }
 
     #[test]
     #[should_panic(expected = "unequal lengths")]
     fn dot_checks_lengths() {
         let _ = dot(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "columns of unequal length")]
+    fn block_kernels_check_lengths() {
+        let mut q = [0.0; 4];
+        block_triangular(&mut q, 2, &[&[1.0], &[1.0, 2.0]]);
     }
 
     #[test]

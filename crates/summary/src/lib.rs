@@ -13,9 +13,9 @@
 //! * `CREATE SUMMARY` computes the initial state with the existing
 //!   block scan, one partial aggregate-UDF state per partition merged
 //!   through the UDF **partial-merge phase** (§3.4 step 3);
-//! * `INSERT` folds the new rows into a *delta* state built with the
-//!   same UDF row-aggregation machinery and merges it in — O(batch)
-//!   work, no rescan;
+//! * `INSERT` folds the new rows in — O(batch) work, no rescan: a
+//!   global summary computes the batch's Γ on the UDF's block path
+//!   and merges it, a grouped one updates each row's group;
 //! * `DELETE` *subtracts* the removed batch from global summaries
 //!   declared `NO MINMAX` (Γ additivity runs both ways; min/max are
 //!   the one non-invertible part, so summaries that keep them mark
@@ -37,7 +37,7 @@ use nlq_linalg::{Matrix, Vector};
 use nlq_models::{MatrixShape, Nlq};
 use nlq_storage::{DataType, Row, Schema, Table, Value};
 use nlq_udf::pack::unpack_nlq;
-use nlq_udf::{AggregateState, AggregateUdf, BatchArg, NlqUdf, ParamStyle};
+use nlq_udf::{nlq_of_columns, AggregateUdf, BatchArg, NlqUdf, ParamStyle};
 
 /// Errors raised by the summary store.
 #[derive(Debug)]
@@ -720,22 +720,8 @@ fn build_grouped(
     for (scanned, row) in table.scan_all().enumerate() {
         check_cancelled(cancel, scanned as u64)?;
         total += 1;
-        let row = row?;
-        let slot = group_slot(&mut groups, &row[g], d, def.shape);
-        let mut any_null = false;
-        for (k, &c) in cols.iter().enumerate() {
-            match row[c].as_f64() {
-                Some(v) => coords[k] = v,
-                None => {
-                    any_null = true;
-                    break;
-                }
-            }
-        }
-        if any_null {
+        if fold_grouped_row(&mut groups, &row?, cols, g, def.shape, &mut coords) {
             skipped += 1;
-        } else {
-            groups[slot].1.update(&coords);
         }
     }
     Ok((
@@ -757,9 +743,11 @@ fn group_slot(groups: &mut Vec<(Value, Nlq)>, key: &Value, d: usize, shape: Matr
     groups.len() - 1
 }
 
-/// Folds an INSERT batch into fresh content: a delta state is built
-/// per group with the `nlq_list` UDF row-aggregation phase, finalized,
-/// unpacked, and merged into the maintained Γ (additivity of n, L, Q).
+/// Folds an INSERT batch into fresh content (additivity of n, L, Q).
+/// A global summary transposes the batch into columns and folds them
+/// on the `nlq_list` block path, then merges the batch's Γ in; a
+/// grouped summary folds row by row into each group's Γ, as the
+/// grouped build does.
 fn fold_delta(
     def: &SummaryDef,
     schema: &Schema,
@@ -767,75 +755,77 @@ fn fold_delta(
     content: &mut SummaryContent,
 ) -> Result<()> {
     let (cols, group) = def.resolve(schema)?;
-    let d = cols.len();
-    let udf = NlqUdf::new(ParamStyle::List);
-
-    // One delta UDF state per group key (a single anonymous group for
-    // the ungrouped case).
-    let mut deltas: Vec<(Value, Box<dyn AggregateState>)> = Vec::new();
-    let mut args: Vec<Value> = Vec::with_capacity(d + 2);
-    for row in rows {
-        let key = match group {
-            Some(g) => row[g].clone(),
-            None => Value::Null,
-        };
-        let slot = match deltas.iter().position(|(k, _)| k.group_eq(&key)) {
-            Some(i) => i,
-            None => {
-                deltas.push((key, udf.init()));
-                deltas.len() - 1
+    let nlq = match (&mut content.data, group) {
+        (SummaryData::Global(nlq), _) => nlq,
+        (SummaryData::Grouped(groups), Some(g)) => {
+            let mut coords = vec![0.0f64; cols.len()];
+            for row in rows {
+                if fold_grouped_row(groups, row, &cols, g, def.shape, &mut coords) {
+                    content.null_rows_skipped += 1;
+                }
             }
-        };
-        args.clear();
-        args.push(Value::Int(d as i64));
-        args.push(Value::from(def.shape.name()));
+            return Ok(());
+        }
+        (SummaryData::Grouped(_), None) => {
+            unreachable!("grouped data belongs to a GROUP BY summary")
+        }
+    };
+    // Coordinate k of row i lands at values[k * m + i]; a row with a
+    // NULL coordinate keeps a clear active bit and is skipped.
+    let m = rows.len();
+    let mut values = vec![0.0f64; cols.len() * m];
+    let mut active = vec![0u64; nlq_storage::bitmap_words(m)];
+    for (i, row) in rows.iter().enumerate() {
         let mut any_null = false;
-        for &c in &cols {
-            if row[c].is_null() {
-                any_null = true;
+        for (k, &c) in cols.iter().enumerate() {
+            match &row[c] {
+                Value::Null => any_null = true,
+                v => {
+                    values[k * m + i] = v.as_f64().ok_or_else(|| {
+                        SummaryError::Udf(nlq_udf::UdfError::InvalidArgument {
+                            udf: "nlq_list".into(),
+                            message: format!("X{} is not numeric", k + 1),
+                        })
+                    })?;
+                }
             }
-            args.push(match row[c].as_f64() {
-                Some(v) => Value::Float(v),
-                None => Value::Null,
-            });
         }
         if any_null {
             content.null_rows_skipped += 1;
-        }
-        // The UDF state applies the same NULL-row skip itself; feeding
-        // it every row keeps this path byte-identical to a real
-        // `nlq_list` aggregation over the batch.
-        deltas[slot].1.accumulate(&args)?;
-    }
-
-    for (key, state) in deltas {
-        let delta = match state.finalize()? {
-            Value::Null => continue, // all rows of this group were skipped
-            Value::Str(packed) => unpack_nlq(&packed)?,
-            other => {
-                return Err(SummaryError::Udf(nlq_udf::UdfError::InvalidArgument {
-                    udf: "nlq_list".into(),
-                    message: format!("unexpected finalize result {other:?}"),
-                }))
-            }
-        };
-        match &mut content.data {
-            SummaryData::Global(nlq) => nlq.merge(&delta),
-            SummaryData::Grouped(groups) => {
-                let slot = group_slot(groups, &key, d, def.shape);
-                groups[slot].1.merge(&delta);
-            }
+        } else {
+            active[i / 64] |= 1 << (i % 64);
         }
     }
-
-    // Skipped rows must still establish their group, as the grouped
-    // build does.
-    if let (SummaryData::Grouped(groups), Some(g)) = (&mut content.data, group) {
-        for row in rows {
-            group_slot(groups, &row[g], d, def.shape);
-        }
+    let columns: Vec<&[f64]> = (0..cols.len())
+        .map(|k| &values[k * m..(k + 1) * m])
+        .collect();
+    if let Some(delta) = nlq_of_columns(def.shape, &columns, Some(&active))? {
+        nlq.merge(&delta);
     }
     Ok(())
+}
+
+/// Folds one row into its group's Γ, creating the group if needed
+/// (SQL semantics: NULL keys form one group, and a row skipped for a
+/// NULL coordinate still establishes its group). Returns whether the
+/// row was skipped.
+fn fold_grouped_row(
+    groups: &mut Vec<(Value, Nlq)>,
+    row: &Row,
+    cols: &[usize],
+    g: usize,
+    shape: MatrixShape,
+    coords: &mut [f64],
+) -> bool {
+    let slot = group_slot(groups, &row[g], cols.len(), shape);
+    for (k, &c) in cols.iter().enumerate() {
+        match row[c].as_f64() {
+            Some(v) => coords[k] = v,
+            None => return true,
+        }
+    }
+    groups[slot].1.update(coords);
+    false
 }
 
 #[cfg(test)]
@@ -953,6 +943,51 @@ mod tests {
             panic!()
         };
         assert_eq!(nlq.n(), 1.0);
+    }
+
+    #[test]
+    fn folds_skip_and_count_null_rows_in_both_layouts() {
+        let t = points_table(&[vec![1.0, 1.0], vec![2.0, 0.0]], 1);
+        let store = SummaryStore::new();
+        store
+            .create(def("g", &["X1", "X2"], MatrixShape::Full, None), &t)
+            .unwrap();
+        // Group on X2: a summarized column can also be the key.
+        store
+            .create(def("k", &["X1"], MatrixShape::Full, Some("X2")), &t)
+            .unwrap();
+        let batch: Vec<Row> = vec![
+            vec![Value::Int(3), Value::Float(3.0), Value::Null],
+            vec![Value::Int(4), Value::Null, Value::Float(1.0)],
+            vec![Value::Int(5), Value::Float(5.0), Value::Float(1.0)],
+            vec![Value::Int(6), Value::Int(6), Value::Float(0.0)],
+        ];
+        store.fold_rows("x", t.schema(), &batch);
+        let g = store.get("g").unwrap();
+        assert_eq!(g.rows_folded(), 4);
+        let snap = g.snapshot();
+        assert!(snap.fresh);
+        assert_eq!(snap.null_rows_skipped, 2);
+        let SummaryData::Global(nlq) = &snap.data else {
+            panic!()
+        };
+        assert_eq!(nlq.n(), 4.0);
+        assert_eq!(nlq.l().as_slice(), &[14.0, 2.0]);
+        assert_eq!((nlq.min(), nlq.max()), (&[1.0, 0.0][..], &[6.0, 1.0][..]));
+        assert_eq!(nlq.q_raw()[(0, 1)], 6.0);
+        assert_eq!(nlq.q_raw()[(1, 0)], 6.0);
+
+        let k = store.get("k").unwrap().snapshot();
+        assert_eq!(k.null_rows_skipped, 1);
+        let SummaryData::Grouped(groups) = &k.data else {
+            panic!()
+        };
+        // Keys 1.0, 0.0, and the NULL key row 3 established.
+        assert_eq!(groups.len(), 3);
+        let n_of = |key: &Value| groups.iter().find(|(k, _)| k.group_eq(key)).unwrap().1.n();
+        assert_eq!(n_of(&Value::Null), 1.0);
+        assert_eq!(n_of(&Value::Float(1.0)), 2.0);
+        assert_eq!(n_of(&Value::Float(0.0)), 2.0);
     }
 
     #[test]

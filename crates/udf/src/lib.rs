@@ -44,7 +44,7 @@ pub use framework::{
     check_heap, for_each_row_args, AggregateState, AggregateUdf, BatchArg, ScalarBatchArg,
     ScalarUdf, UDF_HEAP_LIMIT,
 };
-pub use nlq_udf::{seeded_nlq_state, NlqBlockUdf, NlqUdf, ParamStyle, MAX_D};
+pub use nlq_udf::{nlq_of_columns, seeded_nlq_state, NlqBlockUdf, NlqUdf, ParamStyle, MAX_D};
 pub use registry::UdfRegistry;
 pub use scoring_udfs::{ClusterScoreUdf, DistanceUdf, FaScoreUdf, LinearRegScoreUdf};
 

@@ -102,47 +102,86 @@ impl NlqStorage {
     }
 
     /// Block-at-a-time aggregation: the same update as
-    /// [`NlqStorage::accumulate_point`] over every row at once, with
-    /// each `Q` cell computed as one contiguous dot product (the
-    /// `nlq_linalg::kernels` layer). `active` is an LSB-ordered bitmap
-    /// of contributing rows (`None` = all rows; a clear bit means the
-    /// row has a NULL coordinate or failed the `WHERE` selection);
-    /// `kept` is the number of contributing rows.
-    fn accumulate_block(&mut self, cols: &[&[f64]], active: Option<&[u64]>, kept: usize) {
-        let d = self.d;
-        debug_assert_eq!(cols.len(), d);
-        self.n += kept as f64;
+    /// [`NlqStorage::accumulate_point`] over every row of `cols` at
+    /// once — one fused moments pass per column (`L`, min, max, and
+    /// the diagonal `Q`), then, for triangular and full shapes, the
+    /// lane-split rank-k `Q` kernel (the `nlq_linalg::kernels` layer).
+    /// The moments pass goes first: it is the one that waits for
+    /// memory, and it hides that wait (see the kernels' module docs).
+    fn accumulate_block(&mut self, cols: &[&[f64]]) {
+        debug_assert_eq!(cols.len(), self.d);
+        let diagonal = self.shape == MatrixShape::Diagonal;
         for (a, col) in cols.iter().enumerate() {
-            let (s, (lo, hi)) = match active {
-                None => (kernels::sum(col), kernels::min_max(col)),
-                Some(active) => (
-                    kernels::sum_selected(col, active),
-                    kernels::min_max_selected(col, active),
-                ),
-            };
-            self.l[a] += s;
-            if lo < self.min[a] {
-                self.min[a] = lo;
-            }
-            if hi > self.max[a] {
-                self.max[a] = hi;
-            }
+            self.fold_moments(a, kernels::column_moments(col, diagonal));
         }
+        self.n += cols.first().map_or(0, |c| c.len()) as f64;
+        self.accumulate_q(cols);
+    }
+
+    /// Folds one column's block moments into `L`, min, max and, for
+    /// diagonal Γ, `Q`.
+    fn fold_moments(&mut self, a: usize, m: kernels::ColumnMoments) {
+        self.l[a] += m.sum;
+        if self.shape == MatrixShape::Diagonal {
+            self.q[a][a] += m.sum_sq;
+        }
+        if m.min < self.min[a] {
+            self.min[a] = m.min;
+        }
+        if m.max > self.max[a] {
+            self.max[a] = m.max;
+        }
+    }
+
+    /// The rank-k `Q` update of triangular and full Γ.
+    fn accumulate_q(&mut self, cols: &[&[f64]]) {
         let q = self.q.as_flattened_mut();
-        match (self.shape, active) {
-            (MatrixShape::Diagonal, None) => kernels::block_diagonal(q, MAX_D, cols),
-            (MatrixShape::Diagonal, Some(active)) => {
-                kernels::block_diagonal_selected(q, MAX_D, cols, active);
-            }
-            (MatrixShape::Triangular, None) => kernels::block_triangular(q, MAX_D, cols),
-            (MatrixShape::Triangular, Some(active)) => {
-                kernels::block_triangular_selected(q, MAX_D, cols, active);
-            }
-            (MatrixShape::Full, None) => kernels::block_full(q, MAX_D, cols),
-            (MatrixShape::Full, Some(active)) => {
-                kernels::block_full_selected(q, MAX_D, cols, active);
-            }
+        match self.shape {
+            MatrixShape::Diagonal => {}
+            MatrixShape::Triangular => kernels::block_triangular(q, MAX_D, cols),
+            MatrixShape::Full => kernels::block_full(q, MAX_D, cols),
         }
+    }
+
+    /// [`NlqStorage::accumulate_block`] over the rows whose `active`
+    /// bit is set (a clear bit means the row has a NULL coordinate or
+    /// failed the `WHERE` selection). A block keeping every row runs
+    /// as is; otherwise the moments pass skips the clear rows and the
+    /// kept rows are gathered into `compactor` for the `Q` kernel, so
+    /// the sums depend on the kept rows alone.
+    fn accumulate_selected(
+        &mut self,
+        cols: &[&[f64]],
+        active: &[u64],
+        compactor: &mut kernels::Compactor,
+    ) {
+        let len = cols.first().map_or(0, |c| c.len());
+        assert_eq!(
+            active.len(),
+            len.div_ceil(64),
+            "active bitmap length mismatch"
+        );
+        let kept = nlq_storage::bitmap_count_ones(active);
+        if kept == len {
+            return self.accumulate_block(cols);
+        }
+        if kept == 0 {
+            return;
+        }
+        let diagonal = self.shape == MatrixShape::Diagonal;
+        for (a, col) in cols.iter().enumerate() {
+            self.fold_moments(a, kernels::column_moments_selected(col, active, diagonal));
+        }
+        self.n += kept as f64;
+        if diagonal {
+            return;
+        }
+        compactor.compact(cols, active);
+        let mut kept_cols: [&[f64]; MAX_D] = [&[]; MAX_D];
+        for (a, col) in kept_cols[..cols.len()].iter_mut().enumerate() {
+            *col = compactor.column(a);
+        }
+        self.accumulate_q(&kept_cols[..cols.len()]);
     }
 
     /// Binds (or checks) the dimensionality on the first row.
@@ -216,6 +255,7 @@ impl AggregateUdf for NlqUdf {
             storage: NlqStorage::new(MatrixShape::Triangular),
             style: self.style,
             shape_bound: false,
+            batch: BatchBinding::default(),
         })
     }
 }
@@ -225,6 +265,25 @@ struct NlqState {
     style: ParamStyle,
     /// Whether the shape argument has been seen yet (first row binds it).
     shape_bound: bool,
+    batch: BatchBinding,
+}
+
+/// What the first columnar block binds, kept for the rest of the
+/// statement: later blocks with the same argument list skip parsing
+/// and validation, and reuse the scratch instead of allocating.
+/// This is executor scratch next to the paper's fixed-size struct,
+/// not part of it, so [`AggregateState::heap_bytes`] leaves it out.
+#[derive(Default)]
+struct BatchBinding {
+    /// The argument list the binding was validated against (empty
+    /// until a columnar block binds).
+    args: Vec<BatchArg>,
+    /// Block column of each coordinate, in coordinate order.
+    cols: Vec<usize>,
+    /// Active-row words: the selection AND every coordinate's validity.
+    mask: Vec<u64>,
+    /// Kept-row copies of a selected block.
+    compactor: kernels::Compactor,
 }
 
 /// Builds a list-style `nlq` aggregate state pre-seeded from an
@@ -258,7 +317,39 @@ pub fn seeded_nlq_state(nlq: &Nlq) -> Box<dyn AggregateState> {
         storage,
         style: ParamStyle::List,
         shape_bound: true,
+        batch: BatchBinding::default(),
     })
+}
+
+/// Γ of one batch given column-wise: `cols[a]` holds coordinate `a` of
+/// every row, and only rows whose `active` bit is set contribute
+/// (`None` = all rows). This is the `nlq_list` block path — the same
+/// kernels and summation order as [`AggregateState::accumulate_batch`]
+/// — for callers that hold columns rather than a scan block, and it
+/// returns the [`Nlq`] itself rather than its packed text. `None` when
+/// no row is kept (what `finalize` reports as SQL NULL).
+///
+/// # Errors
+/// [`UdfError::InvalidArgument`] if `cols.len()` is outside
+/// `1..=MAX_D`.
+///
+/// # Panics
+/// Panics if the columns differ in length or `active` does not cover
+/// them.
+pub fn nlq_of_columns(
+    shape: MatrixShape,
+    cols: &[&[f64]],
+    active: Option<&[u64]>,
+) -> Result<Option<Nlq>> {
+    let mut storage = NlqStorage::new(shape);
+    storage.bind_d("nlq_list", cols.len())?;
+    match active {
+        None => storage.accumulate_block(cols),
+        Some(active) => {
+            storage.accumulate_selected(cols, active, &mut kernels::Compactor::default())
+        }
+    }
+    Ok((storage.n > 0.0).then(|| storage.to_nlq()))
 }
 
 impl NlqState {
@@ -289,6 +380,44 @@ impl NlqState {
             });
         }
         Ok(())
+    }
+
+    /// Validates a block's argument list and binds it for the columnar
+    /// path: `Ok(false)` when the list is not columnar (string style,
+    /// literal coordinates), errors as the row path reports them (bad
+    /// `d`, arity, shape, or a change of either mid-aggregation). The
+    /// binding is recorded only on success.
+    fn bind_batch(&mut self, args: &[BatchArg]) -> Result<bool> {
+        self.batch.args.clear();
+        let name = self.udf_name();
+        let (Some(BatchArg::Const(d_arg)), Some(BatchArg::Const(shape_arg))) =
+            (args.first(), args.get(1))
+        else {
+            return Ok(false);
+        };
+        let cols: Option<Vec<usize>> = args[2..]
+            .iter()
+            .map(|a| match a {
+                BatchArg::Col(c) => Some(*c),
+                BatchArg::Const(_) => None,
+            })
+            .collect();
+        let (ParamStyle::List, Some(cols)) = (self.style, cols) else {
+            return Ok(false);
+        };
+        let d = usize_arg(name, std::slice::from_ref(d_arg), 0)?;
+        if args.len() != d + 2 {
+            return Err(UdfError::WrongArity {
+                udf: name.to_owned(),
+                expected: format!("{} (d + 2)", d + 2),
+                got: args.len(),
+            });
+        }
+        self.bind_shape(shape_arg)?;
+        self.storage.bind_d(name, d)?;
+        self.batch.cols = cols;
+        self.batch.args = args.to_vec();
+        Ok(true)
     }
 }
 
@@ -355,8 +484,10 @@ impl AggregateState for NlqState {
 
     /// Columnar phase 2 for the list style: `d` and the shape are
     /// block constants and every coordinate is a block column, so the
-    /// whole block reduces to sums, min/max folds, and one dot product
-    /// per `Q` cell. Any other argument shape (string style, literal
+    /// whole block reduces to one moments pass per column and one
+    /// lane-split rank-k `Q` update. The first block binds `d`, the shape
+    /// and the columns; later blocks with the same argument list only
+    /// compare it. Any other argument shape (string style, literal
     /// coordinates) replays the row-wise path, which is always
     /// equivalent.
     fn accumulate_batch(
@@ -365,67 +496,42 @@ impl AggregateState for NlqState {
         args: &[BatchArg],
         selection: Option<&[u64]>,
     ) -> Result<()> {
-        let name = self.udf_name();
-        let columnar = self.style == ParamStyle::List
-            && args.len() >= 2
-            && matches!(args[0], BatchArg::Const(_))
-            && matches!(args[1], BatchArg::Const(_))
-            && args[2..].iter().all(|a| matches!(a, BatchArg::Col(_)));
-        if !columnar {
+        if self.batch.args != args && !self.bind_batch(args)? {
             return for_each_row_args(block, args, selection, |row| self.accumulate(row));
         }
-        let (BatchArg::Const(d_arg), BatchArg::Const(shape_arg)) = (&args[0], &args[1]) else {
-            unreachable!("checked above");
-        };
-        let d = usize_arg(name, std::slice::from_ref(d_arg), 0)?;
-        if args.len() != d + 2 {
-            return Err(UdfError::WrongArity {
-                udf: name.to_owned(),
-                expected: format!("{} (d + 2)", d + 2),
-                got: args.len(),
-            });
+        let NlqState { storage, batch, .. } = self;
+        let mut cols: [&[f64]; MAX_D] = [&[]; MAX_D];
+        let mut any_null = false;
+        for (col, &c) in cols.iter_mut().zip(&batch.cols) {
+            let column = block.column(c);
+            *col = column.values;
+            any_null |= !column.is_dense();
         }
-        self.bind_shape(shape_arg)?;
-        self.storage.bind_d(name, d)?;
-        let cols: Vec<&[f64]> = args[2..]
-            .iter()
-            .map(|a| match a {
-                BatchArg::Col(c) => block.column(*c).values,
-                BatchArg::Const(_) => unreachable!("checked above"),
-            })
-            .collect();
-        // A row contributes iff it passed the WHERE selection and no
-        // coordinate is NULL: AND the selection words with every
-        // column's validity words. Fully dense + unfiltered blocks
-        // keep `active = None` and ride the dense kernels.
-        let any_null = args[2..].iter().any(|a| match a {
-            BatchArg::Col(c) => !block.column(*c).is_dense(),
-            BatchArg::Const(_) => false,
-        });
+        let cols = &cols[..batch.cols.len()];
         if selection.is_none() && !any_null {
-            self.storage.accumulate_block(&cols, None, block.len());
+            storage.accumulate_block(cols);
             return Ok(());
         }
+        // A row contributes iff it passed the WHERE selection and no
+        // coordinate is NULL: AND the selection words with every
+        // column's validity words.
         let n = block.len();
-        let words = nlq_storage::bitmap_words(n);
-        let mut active = match selection {
-            Some(sel) => sel.to_vec(),
+        batch.mask.clear();
+        match selection {
+            Some(sel) => batch.mask.extend_from_slice(sel),
             None => {
-                let mut all = vec![!0u64; words];
-                nlq_storage::bitmap_mask_tail(&mut all, n);
-                all
+                batch.mask.resize(nlq_storage::bitmap_words(n), !0u64);
+                nlq_storage::bitmap_mask_tail(&mut batch.mask, n);
             }
-        };
-        for a in &args[2..] {
-            let BatchArg::Col(c) = a else { unreachable!() };
-            if let Some(validity) = block.column(*c).validity() {
-                for (w, v) in active.iter_mut().zip(validity) {
+        }
+        for &c in &batch.cols {
+            if let Some(validity) = block.column(c).validity() {
+                for (w, v) in batch.mask.iter_mut().zip(validity) {
                     *w &= v;
                 }
             }
         }
-        let kept = nlq_storage::bitmap_count_ones(&active);
-        self.storage.accumulate_block(&cols, Some(&active), kept);
+        storage.accumulate_selected(cols, &batch.mask, &mut batch.compactor);
         Ok(())
     }
 
@@ -949,6 +1055,84 @@ mod tests {
                 assert!((batched.q_raw()[(a, b)] - expect.q_raw()[(a, b)]).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn batch_binding_rechecks_changed_constants() {
+        use nlq_storage::{Schema, Table};
+        let mut t = Table::new(Schema::points(3, false), 1);
+        for i in 0..10 {
+            let x = i as f64;
+            let row = vec![
+                Value::Int(i),
+                Value::Float(x),
+                Value::Float(-x),
+                Value::Float(1.0),
+            ];
+            t.insert(row).unwrap();
+        }
+        let args = |d: i64, shape: &str, cols: usize| {
+            let mut a = vec![
+                BatchArg::Const(Value::Int(d)),
+                BatchArg::Const(Value::from(shape)),
+            ];
+            a.extend((0..cols).map(BatchArg::Col));
+            a
+        };
+        let mut iter = t.scan_partition_blocks(0, &[1, 2, 3]).unwrap();
+        let block = iter.next_block().unwrap().unwrap();
+        let mut state = NlqUdf::new(ParamStyle::List).init();
+        state
+            .accumulate_batch(&block, &args(3, "triang", 3), None)
+            .unwrap();
+        // The same list again is the bound fast path.
+        state
+            .accumulate_batch(&block, &args(3, "triang", 3), None)
+            .unwrap();
+        let err = |r: Result<()>| r.unwrap_err().to_string();
+        let shape = err(state.accumulate_batch(&block, &args(3, "full", 3), None));
+        assert!(shape.contains("shape changed mid-aggregation"), "{shape}");
+        let d = err(state.accumulate_batch(&block, &args(2, "triang", 2), None));
+        assert!(d.contains("d changed mid-aggregation"), "{d}");
+        let arity = err(state.accumulate_batch(&block, &args(3, "triang", 2), None));
+        assert!(arity.contains("(d + 2)"), "{arity}");
+        // Failed rebinds leave the first binding in force.
+        state
+            .accumulate_batch(&block, &args(3, "triang", 3), None)
+            .unwrap();
+        let out = unpack_nlq(state.finalize().unwrap().as_str().unwrap()).unwrap();
+        assert_eq!(out.n(), 30.0);
+        assert_eq!(out.l().as_slice(), &[135.0, -135.0, 30.0]);
+    }
+
+    #[test]
+    fn nlq_of_columns_is_the_block_path() {
+        let data = rows(300, 4);
+        let cols: Vec<Vec<f64>> = (0..4)
+            .map(|a| data.iter().map(|r| r[a]).collect())
+            .collect();
+        let cols: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        for shape in ["diag", "triang", "full"] {
+            let got = nlq_of_columns(MatrixShape::parse(shape).unwrap(), &cols, None)
+                .unwrap()
+                .unwrap();
+            let want = unpack_nlq(run_batched(&data, &[], shape).as_str().unwrap()).unwrap();
+            assert_eq!(got, want, "shape {shape}");
+        }
+        // Keep rows 0 and 2 only.
+        let active = vec![0b101u64, 0, 0, 0, 0];
+        let got = nlq_of_columns(MatrixShape::Triangular, &cols, Some(&active))
+            .unwrap()
+            .unwrap();
+        let expect = Nlq::from_rows(
+            4,
+            MatrixShape::Triangular,
+            &[data[0].clone(), data[2].clone()],
+        );
+        assert_eq!(got, expect, "two small-integer rows sum exactly");
+        let none = nlq_of_columns(MatrixShape::Diagonal, &cols, Some(&[0; 5])).unwrap();
+        assert!(none.is_none());
+        assert!(nlq_of_columns(MatrixShape::Diagonal, &[], None).is_err());
     }
 
     #[test]

@@ -244,3 +244,162 @@ fn clusterscore_matches_argmin() {
         );
     });
 }
+
+// ---- The columnar (block) path ---------------------------------------
+
+use nlq_storage::{parallel_scan_partitions, Schema, Table};
+use nlq_udf::BatchArg;
+
+/// `X(i, X1..Xd)` with ~1 in 20 coordinates NULL, spread round-robin
+/// over `partitions`.
+fn points_table(rng: &mut Rng, n: usize, d: usize, partitions: usize) -> Table {
+    let mut t = Table::new(Schema::points(d, false), partitions);
+    for i in 0..n {
+        let mut row = vec![Value::Int(i as i64)];
+        row.extend((0..d).map(|_| {
+            if rng.chance(0.05) {
+                Value::Null
+            } else {
+                Value::Float(rng.range_f64(-1e3, 1e3))
+            }
+        }));
+        t.insert(row).unwrap();
+    }
+    t
+}
+
+fn batch_args(d: usize, shape: &str) -> Vec<BatchArg> {
+    let mut args = vec![
+        BatchArg::Const(Value::Int(d as i64)),
+        BatchArg::Const(Value::from(shape)),
+    ];
+    args.extend((0..d).map(BatchArg::Col));
+    args
+}
+
+/// A `WHERE`-style selection over one block: none, all, one row,
+/// every other row, or a random subset.
+fn selection(rng: &mut Rng, n: usize) -> Option<Vec<u64>> {
+    let kind = rng.range_usize(0, 4);
+    let single = rng.range_usize(0, n.max(1) - 1);
+    if kind == 0 {
+        return None;
+    }
+    let mut words = vec![0u64; n.div_ceil(64)];
+    for i in 0..n {
+        let keep = match kind {
+            1 => true,
+            2 => i == single,
+            3 => i % 2 == 0,
+            _ => rng.chance(0.5),
+        };
+        if keep {
+            words[i / 64] |= 1 << (i % 64);
+        }
+    }
+    Some(words)
+}
+
+#[test]
+fn block_path_matches_row_path_under_selections_and_nulls() {
+    // Several blocks per state (sealed chunks plus a tail), so the
+    // first block's binding, the reused mask and compaction scratch,
+    // and the all-kept shortcut all carry across blocks.
+    run_cases(24, 0xadf6, |rng| {
+        let d = rng.range_usize(1, 20);
+        let n = rng.range_usize(0, 3000);
+        let shape = ["diag", "triang", "full"][rng.range_usize(0, 2)];
+        let t = points_table(rng, n, d, 1);
+        let cols: Vec<usize> = (1..=d).collect();
+        let args = batch_args(d, shape);
+        let udf = NlqUdf::new(ParamStyle::List);
+        let (mut block_state, mut row_state) = (udf.init(), udf.init());
+        let mut kept: Vec<Vec<f64>> = Vec::new();
+        let mut blocks = t.scan_partition_blocks(0, &cols).unwrap();
+        while let Some(block) = blocks.next_block() {
+            let block = block.unwrap();
+            let sel = selection(rng, block.len());
+            block_state
+                .accumulate_batch(&block, &args, sel.as_deref())
+                .unwrap();
+            for i in 0..block.len() {
+                if sel.as_ref().is_some_and(|s| s[i / 64] >> (i % 64) & 1 == 0) {
+                    continue;
+                }
+                let x: Vec<Option<f64>> = (0..d)
+                    .map(|a| (!block.column(a).is_null(i)).then(|| block.column(a).values[i]))
+                    .collect();
+                let mut row = vec![Value::Int(d as i64), Value::from(shape)];
+                row.extend(x.iter().map(|v| v.map_or(Value::Null, Value::Float)));
+                row_state.accumulate(&row).unwrap();
+                if x.iter().all(Option::is_some) {
+                    kept.push(x.into_iter().map(Option::unwrap).collect());
+                }
+            }
+        }
+        let (got, want) = (
+            block_state.finalize().unwrap(),
+            row_state.finalize().unwrap(),
+        );
+        if want.is_null() {
+            assert!(got.is_null(), "no kept rows, yet {got:?}");
+            return;
+        }
+        let got = unpack_nlq(got.as_str().unwrap()).unwrap();
+        let want = unpack_nlq(want.as_str().unwrap()).unwrap();
+        assert_eq!(got.n(), want.n());
+        assert_eq!(got.min(), want.min());
+        assert_eq!(got.max(), want.max());
+        for a in 0..d {
+            let mass: f64 = kept.iter().map(|r| r[a].abs()).sum();
+            assert!((got.l()[a] - want.l()[a]).abs() <= 1e-12 * mass, "L[{a}]");
+            for b in 0..d {
+                let mass: f64 = kept.iter().map(|r| (r[a] * r[b]).abs()).sum();
+                let (g, w) = (got.q_raw()[(a, b)], want.q_raw()[(a, b)]);
+                assert!(
+                    (g - w).abs() <= 1e-12 * mass,
+                    "{shape} Q[{a}][{b}]: {g} vs {w}"
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn partition_gamma_is_bit_identical_at_any_worker_count() {
+    // One state per partition, merged in partition order: the sums
+    // depend on each partition's rows alone, so the worker count that
+    // scanned them cannot change a bit.
+    let mut rng = Rng::new(0xadf7);
+    let d = 7;
+    let t = points_table(&mut rng, 9000, d, 4);
+    let cols: Vec<usize> = (1..=d).collect();
+    let args = batch_args(d, "full");
+    let udf = NlqUdf::new(ParamStyle::List);
+    let gamma = |workers: usize| {
+        let partials = parallel_scan_partitions(&t, workers, |p| {
+            let mut state = udf.init();
+            let mut blocks = t.scan_partition_blocks(p, &cols).unwrap();
+            while let Some(block) = blocks.next_block() {
+                let block = block.unwrap();
+                // WHERE X1 > 0, evaluated per block.
+                let mut sel = vec![0u64; block.len().div_ceil(64)];
+                for (i, x) in block.column(0).values.iter().enumerate() {
+                    sel[i / 64] |= u64::from(*x > 0.0) << (i % 64);
+                }
+                state.accumulate_batch(&block, &args, Some(&sel)).unwrap();
+            }
+            state
+        });
+        let mut partials = partials.into_iter();
+        let mut total = partials.next().unwrap();
+        for p in partials {
+            total.merge(p.as_ref()).unwrap();
+        }
+        total.finalize().unwrap()
+    };
+    let one = gamma(1);
+    assert!(one.as_str().is_some());
+    assert_eq!(gamma(2), one);
+    assert_eq!(gamma(4), one);
+}
