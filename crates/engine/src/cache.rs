@@ -3,17 +3,20 @@
 //! Parsing is the paper's Figure-1 overhead: long generated SELECT
 //! statements pay a real lexing/parsing cost per execution. Serving
 //! workloads repeat identical statement text (scoring loops, dashboard
-//! refreshes), so the sharded engine memoizes the parsed AST per SQL
-//! string. A hit skips the parse entirely (`parse_nanos = 0`, no
-//! `parse` phase span). Only read-only statements (`SELECT`,
-//! `EXPLAIN`, `EXPLAIN ANALYZE`) are cached; any DDL clears the whole
-//! cache, since cached plans may name dropped or re-shaped objects.
+//! refreshes), so the engine memoizes the parsed AST per SQL string.
+//! A hit skips the parse entirely (`parse_nanos = 0`). Only read-only
+//! statements (`SELECT`, `EXPLAIN`, `EXPLAIN ANALYZE`) are cached; any
+//! DDL clears the whole cache, since cached plans may name dropped or
+//! re-shaped objects.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use nlq_engine::{parse, PlanCacheStats, Result, Statement};
+use crate::ast::Statement;
+use crate::db::PlanCacheStats;
+use crate::parser::parse;
+use crate::Result;
 
 /// Upper bound on cached statements; past it the cache is cleared
 /// wholesale (workloads that never repeat text should not grow an
@@ -21,7 +24,7 @@ use nlq_engine::{parse, PlanCacheStats, Result, Statement};
 const MAX_ENTRIES: usize = 1024;
 
 /// SQL-text → parsed-[`Statement`] cache with hit/miss counters.
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     map: RwLock<HashMap<String, Arc<Statement>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -29,7 +32,7 @@ pub struct PlanCache {
 
 /// Outcome of a cache probe, reported by `EXPLAIN`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
+pub(crate) enum CacheOutcome {
     /// The statement text was already cached; the parse was skipped.
     Hit,
     /// The statement was parsed and (if read-only) cached.
@@ -80,12 +83,6 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.map.read().expect("plan cache").len() as u64,
         }
-    }
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new()
     }
 }
 

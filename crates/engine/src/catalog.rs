@@ -35,13 +35,6 @@ impl Catalog {
             .cloned()
     }
 
-    pub fn contains(&self, name: &str) -> bool {
-        self.map
-            .read()
-            .expect("catalog lock")
-            .contains_key(&name.to_ascii_lowercase())
-    }
-
     /// Registers a new entry; errors if the name is taken.
     pub fn insert(&self, name: &str, entry: CatalogEntry) -> Result<()> {
         let key = name.to_ascii_lowercase();

@@ -3,10 +3,9 @@
 //!
 //! A [`LogSet`] owns the logs, the checkpoint directory, the gate that
 //! orders envelopes, and the live `CREATE VIEW` texts. [`Db`](crate::Db)
-//! uses it with one log; a sharded coordinator uses it with one log per
-//! shard. An engine supplies only what is its own: where its log files
-//! live, how a recovered record is applied, which rows go to which log,
-//! and which table files a snapshot holds.
+//! uses it with one log per shard and supplies only what is its own:
+//! where its log files live, how a recovered record is applied, which
+//! rows go to which log, and which table files a snapshot holds.
 //!
 //! **Envelope.** Every mutation is one envelope with a globally unique
 //! id: payload records are appended to the involved logs, the mutation
@@ -76,7 +75,7 @@ pub struct DurabilityStats {
 /// One step of recovery, handed to the engine's callback in the order
 /// it must be applied: snapshot tables, snapshot DDL, then the
 /// surviving log records by envelope id.
-pub enum Recovered<'a> {
+pub(crate) enum Recovered<'a> {
     /// Load the snapshot table the engine's own checkpoint closure
     /// recorded as manifest entry `entry`, from under `ckdir`.
     Table {
@@ -120,7 +119,7 @@ fn note_view(views: &mut Vec<(String, String)>, change: Option<ViewChange>, sql:
 }
 
 /// What one envelope logs, and on which logs; nothing for a read.
-pub struct Payload<'a>(Option<Kind<'a>>);
+pub(crate) struct Payload<'a>(Option<Kind<'a>>);
 
 enum Kind<'a> {
     Statement {
@@ -148,6 +147,12 @@ impl<'a> Payload<'a> {
         })
     }
 
+    /// The envelope of a statement run from its AST alone: there is no
+    /// text to log, so nothing is.
+    pub fn unlogged() -> Payload<'a> {
+        Payload(None)
+    }
+
     /// The envelope of one ingest batch into `table`: `slices[i]` goes
     /// to log `i`, and an empty slice leaves that log uninvolved.
     pub fn rows(table: &'a str, schema: &'a Schema, slices: &'a [Vec<Row>]) -> Payload<'a> {
@@ -161,7 +166,7 @@ impl<'a> Payload<'a> {
 
 /// What one envelope cost in log I/O, for [`ExecStats`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct EnvelopeCost {
+pub(crate) struct EnvelopeCost {
     /// Bytes appended (payloads plus markers).
     pub bytes: u64,
     /// Fsyncs issued or joined (group commit shares physical syncs;
@@ -181,7 +186,7 @@ impl EnvelopeCost {
 }
 
 /// The durability state of an engine: N ≥ 1 logs under one protocol.
-pub struct LogSet {
+pub(crate) struct LogSet {
     /// Log 0 also allocates the envelope ids for the whole set.
     wals: Vec<Wal>,
     dir: PathBuf,
@@ -452,16 +457,8 @@ impl LogSet {
     /// Counters summed across the logs, live log size, and what
     /// recovery did at open.
     pub fn stats(&self) -> DurabilityStats {
-        let mut wal = WalStatsSnapshot::default();
-        for w in &self.wals {
-            let s = w.stats().snapshot();
-            wal.bytes += s.bytes;
-            wal.records += s.records;
-            wal.fsyncs += s.fsyncs;
-            wal.checkpoints += s.checkpoints;
-        }
         DurabilityStats {
-            wal,
+            wal: self.wals.iter().map(|w| w.stats().snapshot()).sum(),
             log_bytes: self.log_bytes(),
             recovery: self.recovery,
         }

@@ -28,7 +28,7 @@ use crate::{EngineError, Result};
 /// only `k`-row dimension tables).
 const JOIN_LIMIT: usize = 1_000_000;
 
-/// Execution context shared by all statements of one [`crate::Db`].
+/// Execution context of one statement on one shard.
 pub(crate) struct ExecContext<'a> {
     pub catalog: &'a Catalog,
     /// Registry snapshot taken when the statement began (copy-on-write
@@ -65,7 +65,7 @@ pub(crate) fn check_cancelled(cancel: Option<&AtomicBool>, rows_scanned: u64) ->
 /// and otherwise collapsing cancelled workers into one
 /// [`EngineError::Cancelled`] whose `rows_scanned` sums their
 /// best-effort counts.
-fn merge_partial_errors<T>(partials: Vec<Result<T>>) -> Result<Vec<T>> {
+pub(crate) fn merge_partial_errors<T>(partials: Vec<Result<T>>) -> Result<Vec<T>> {
     let mut out = Vec::with_capacity(partials.len());
     let mut cancelled_rows: Option<u64> = None;
     for p in partials {
@@ -1023,20 +1023,8 @@ impl ExecContext<'_> {
         let merge_start = Instant::now();
         let mut merged: GroupMap = HashMap::new();
         for partial in partials {
-            let s = &partial.stats;
-            stats.rows_scanned += s.rows_scanned;
-            stats.blocks_scanned += s.blocks_scanned;
-            stats.block_path |= s.block_path;
-            stats.summary_hits += s.summary_hits;
-            stats.summary_misses += s.summary_misses;
-            stats.summary_stale_rebuilds += s.summary_stale_rebuilds;
-            stats.summary_rebuild_rows += s.summary_rebuild_rows;
-            stats.plan_nanos += s.plan_nanos;
-            stats.summary_nanos += s.summary_nanos;
-            stats.scan_nanos += s.scan_nanos;
-            stats.accumulate_nanos += s.accumulate_nanos;
-            stats.merge_nanos += s.merge_nanos;
-            all_summary &= s.summary_path;
+            stats.absorb(&partial.stats);
+            all_summary &= partial.stats.summary_path;
             for (key, accums) in partial.groups {
                 match merged.get_mut(&key) {
                     None => {
@@ -2059,9 +2047,9 @@ struct AggBindings {
 /// A merge-ready aggregate partial: the per-group accumulator states
 /// one engine produced by running phases 1–3 of an aggregate SELECT
 /// over its share of the data (or its local Γ summary). Opaque outside
-/// the engine — a sharded gather collects one per shard and feeds them
-/// to [`crate::Db::finalize_select_partials`].
-pub struct AggPartial {
+/// the engine — a gather collects one per shard and feeds them to
+/// [`ExecContext::finalize_select_partials`].
+pub(crate) struct AggPartial {
     groups: Vec<(GroupKey, Vec<AggAccum>)>,
     /// Counters for the engine-local portion of the statement. A
     /// summary-answered partial keeps `rows_scanned` at 0 (plus any

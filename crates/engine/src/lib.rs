@@ -25,34 +25,41 @@
 //! `CREATE TABLE AS`, `CREATE VIEW`, `INSERT INTO ... VALUES`,
 //! `INSERT INTO ... SELECT`, and `DROP`.
 //!
-//! The [`Db`] facade owns the catalog, worker pool, and UDF registry,
-//! and provides the high-level operations of the paper: computing
-//! summary matrices via SQL or via the aggregate UDF ([`Db::compute_nlq`],
-//! `compute_nlq_with`, blocked and grouped variants) and scoring
-//! data sets with scalar UDFs or generated SQL ([`sqlgen`]).
+//! [`Db`] is the one engine. It holds S ≥ 1 shards — at S = 1 a
+//! single node, the lone shard running inline on the caller's thread —
+//! and routes each statement: one target shard runs it whole, several
+//! run the paper's aggregate protocol one level up (each shard
+//! accumulates a partial Γ, the gather merges and finalizes). It owns
+//! the UDF registry, the plan cache and the write-ahead logs, and
+//! provides the high-level operations of the paper: computing summary
+//! matrices via SQL or via the aggregate UDF ([`Db::compute_nlq`],
+//! `compute_nlq_with`, blocked and grouped variants) and scoring data
+//! sets with scalar UDFs or generated SQL ([`sqlgen`]).
 
 mod ast;
+mod cache;
 mod catalog;
 mod db;
 mod durable;
 mod error;
 mod exec;
+mod executor;
 mod expr;
 mod parser;
 mod predicate;
 pub mod serve;
+mod shard;
 pub mod sqlgen;
 pub mod sys;
 mod token;
 
 pub use ast::{Expr, OrderKey, Projection, SelectStmt, Statement, TableRef};
 pub use db::{
-    explain_analyze_footer, phase_spans, Db, EngineStats, ExecOptions, ExecStats, NlqMethod,
-    PlanCacheStats, ResultSet, ShardMetricsSnapshot, SqlEngine, SummaryRefreshState,
+    Db, EngineStats, ExecOptions, ExecStats, LogDir, NlqMethod, PlanCacheStats, ResultSet,
+    ShardMetricsSnapshot, SqlEngine, SummaryRefreshState,
 };
-pub use durable::{DurabilityStats, EnvelopeCost, LogSet, Payload, Recovered, RecoveryInfo};
+pub use durable::{DurabilityStats, RecoveryInfo};
 pub use error::EngineError;
-pub use exec::{result_to_table, AggPartial};
 pub use parser::parse;
 pub use serve::{beta_table, centroid_table, lambda_table, mu_table, MAX_SCORE_KEYS};
 pub use sys::{SystemTableProvider, SYS_PREFIX};

@@ -11,11 +11,12 @@
 use std::time::Instant;
 
 use nlq_linalg::{Matrix, Vector};
-use nlq_obs::{Phase, Span};
+use nlq_obs::{Phase, Span, Trace};
 use nlq_storage::{bitmap_mask_tail, bitmap_words, Column, DataType, Row, Schema, Table, Value};
 use nlq_udf::ScalarBatchArg;
 
-use crate::db::{Db, ExecOptions, ResultSet};
+use crate::db::ResultSet;
+use crate::exec::{check_cancelled, ExecContext};
 use crate::{EngineError, Result};
 
 /// Hard cap on keys per batch-scoring request: one round trip must
@@ -270,12 +271,12 @@ fn run_scalar(
 /// for absent keys or NULL-bearing feature vectors. With `explain`
 /// set, returns the plan description instead of executing.
 pub(crate) fn batch_score(
-    db: &Db,
+    ctx: &ExecContext<'_>,
     table: &str,
     model: &str,
     keys: &[i64],
     explain: bool,
-    opts: &ExecOptions,
+    trace: Option<&Trace>,
 ) -> Result<ResultSet> {
     if keys.len() > MAX_SCORE_KEYS {
         return Err(EngineError::Unsupported(format!(
@@ -283,13 +284,13 @@ pub(crate) fn batch_score(
             keys.len()
         )));
     }
-    let t = db.table(table)?;
+    let t = ctx.resolve_table(table)?;
     let Some(pk_col) = t.pk_column() else {
         return Err(EngineError::Unsupported(format!(
             "table '{table}' has no primary-key index (first column must be Int)"
         )));
     };
-    let m = db.table(model)?;
+    let m = ctx.resolve_table(model)?;
     let kind = classify_model(model, &m)?;
     let d = kind.d();
     let feat = feature_cols(table, t.schema(), d)?;
@@ -311,11 +312,7 @@ pub(crate) fn batch_score(
         ));
     }
 
-    if let Some(c) = opts.cancel_flag() {
-        if c.load(std::sync::atomic::Ordering::Relaxed) {
-            return Err(EngineError::Cancelled { rows_scanned: 0 });
-        }
-    }
+    check_cancelled(ctx.cancel.as_deref(), 0)?;
 
     let lookup_started = Instant::now();
     let fetched = t.lookup_keys(keys)?;
@@ -329,7 +326,7 @@ pub(crate) fn batch_score(
     let lookup_nanos = lookup_started.elapsed().as_nanos() as u64;
 
     let score_started = Instant::now();
-    let registry = db.registry();
+    let registry = &ctx.registry;
     let scores = match &kind {
         ModelKind::Regression { intercept, beta } => {
             let udf = registry
@@ -373,7 +370,7 @@ pub(crate) fn batch_score(
     }
     let mut rs = ResultSet::new(vec![key_name, "score".into()], out_rows);
     rs.stats.rows_scanned = n as u64;
-    if let Some(trace) = &opts.trace {
+    if let Some(trace) = trace {
         trace.record(Span::new(Phase::PointLookup, lookup_nanos).rows(n as u64));
         trace.record(Span::new(Phase::Finalize, score_nanos));
     }
@@ -383,6 +380,7 @@ pub(crate) fn batch_score(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Db, ExecOptions, SqlEngine};
     use nlq_linalg::Vector;
 
     fn serving_db(n: usize) -> Db {

@@ -464,10 +464,11 @@ fn save_and_load_table_roundtrip() {
     let rows: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64, (i % 9) as f64]).collect();
     db.load_points("X", &rows, false).unwrap();
     let path = std::env::temp_dir().join(format!("nlq_db_save_{}", std::process::id()));
-    db.save_table("X", &path).unwrap();
+    db.table("X").unwrap().save(&path).unwrap();
 
     let db2 = Db::new(3);
-    db2.load_table("X", &path).unwrap();
+    let disk = nlq_storage::DiskTable::open(&path).unwrap();
+    db2.register_table("X", disk.to_table().unwrap()).unwrap();
     let a = db
         .compute_nlq("X", &["X1", "X2"], MatrixShape::Triangular)
         .unwrap();

@@ -16,7 +16,9 @@
 
 use std::sync::Barrier;
 
-use nlq_engine::SqlEngine;
+use nlq_engine::sqlgen::{score_regression_udf, x_cols};
+use nlq_engine::{Db, LogDir, SqlEngine};
+use nlq_linalg::Vector;
 use nlq_storage::Value;
 use nlq_testkit::{run_cases, Rng};
 
@@ -100,6 +102,36 @@ fn concurrent_threshold_crossings_checkpoint_exactly_once(engine: Engine) {
     // One checkpoint resets every log once.
     assert_eq!(durability(&*e).wal.checkpoints, engine.n_logs());
     assert_eq!(durability(&*e).log_bytes, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Model tables are replicated: a checkpoint saves each one once, and
+/// recovery copies it back to every shard and marks it replicated, so
+/// the scoring join still runs shard-locally after a reopen.
+fn model_tables_survive_a_checkpoint(engine: Engine) {
+    let dir = engine.temp_dir("model");
+    let open = || Db::open(engine.0, 2, Some(LogDir::new(&dir, true))).unwrap();
+    let scoring = format!(
+        "{} ORDER BY x.i",
+        score_regression_udf("X", &x_cols(2), "BETA")
+    );
+    let live = {
+        let db = open();
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+        db.load_points("X", &rows, false).unwrap();
+        db.register_beta("BETA", 1.0, &Vector::from_vec(vec![0.5, -2.0]))
+            .unwrap();
+        assert!(db.checkpoint().unwrap());
+        db.execute(&scoring).unwrap()
+    };
+    let db = open();
+    // X's slice on every shard, BETA once.
+    let info = db.recovery_info().unwrap();
+    assert_eq!(info.checkpoint_tables, engine.n_logs() + 1);
+    assert_eq!(db.execute(&scoring).unwrap(), live);
+    let plan = db.execute("EXPLAIN SELECT b0 FROM BETA").unwrap();
+    let route = format!("route: 1 of {} shard(s)", engine.0);
+    assert!(plan.rows.iter().any(|r| r[0] == Value::Str(route.clone())));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -234,6 +266,7 @@ on_every_engine!(
     reopen_replays_statements_and_envelopes,
     checkpoint_truncates_log_and_survives_reopen,
     concurrent_threshold_crossings_checkpoint_exactly_once,
+    model_tables_survive_a_checkpoint,
     crash_mid_envelope_commits_nothing_and_acked_survives,
     recovery_equals_acked_prefix_under_random_crashes,
 );

@@ -1,60 +1,43 @@
-//! The engines that share the one durability protocol
-//! (`nlq_engine::LogSet`) — a single `Db` (one log) and `ShardedDb`
-//! with S = 1 and S = 4 (one log per shard) — behind one handle, so a
-//! durability test is written once against `SqlEngine` and run on all
-//! three.
+//! The engine under test at S = 1 and S = 4 shards (one log per
+//! shard, one durability protocol), behind `SqlEngine`, so a
+//! durability test is written once and run on both.
 #![allow(dead_code)]
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nlq_engine::{Db, DurabilityStats, ExecOptions, ResultSet, SqlEngine};
-use nlq_shard::ShardedDb;
+use nlq_engine::{Db, DurabilityStats, ExecOptions, LogDir, ResultSet, SqlEngine};
 use nlq_storage::{Value, WalIo};
 use nlq_testkit::{corrupt_tail, FaultFs, FaultInjector, Rng};
 
-/// The engine under test; everything else goes through `SqlEngine`.
+/// The shard count of the engine under test; everything else goes
+/// through `SqlEngine`.
 #[derive(Clone, Copy)]
-pub enum Engine {
-    Db,
-    Sharded(usize),
-}
+pub struct Engine(pub usize);
 
 pub type Dyn = Arc<dyn SqlEngine>;
 
 impl Engine {
     pub fn temp_dir(self, name: &str) -> PathBuf {
-        let tag = match self {
-            Engine::Db => "db".to_owned(),
-            Engine::Sharded(s) => format!("s{s}"),
-        };
-        let dir = std::env::temp_dir().join(format!("nlq-dur-{}-{tag}-{name}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("nlq-dur-{}-s{}-{name}", std::process::id(), self.0));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
     /// Where this engine keeps its log files under `dir`.
     pub fn logs(self, dir: &Path) -> Vec<PathBuf> {
-        match self {
-            Engine::Db => vec![dir.join("wal.log")],
-            Engine::Sharded(s) => (0..s)
-                .map(|i| dir.join(format!("shard-{i}/wal.log")))
-                .collect(),
-        }
+        (0..self.0)
+            .map(|i| dir.join(format!("shard-{i}/wal.log")))
+            .collect()
     }
 
     pub fn volatile(self) -> Dyn {
-        match self {
-            Engine::Db => Arc::new(Db::new(2)),
-            Engine::Sharded(s) => Arc::new(ShardedDb::new(s, 1)),
-        }
+        Arc::new(Db::open(self.0, 2, None).unwrap())
     }
 
     pub fn open(self, dir: &Path, fsync: bool) -> Dyn {
-        match self {
-            Engine::Db => Arc::new(Db::open_durable(2, dir, fsync).unwrap()),
-            Engine::Sharded(s) => Arc::new(ShardedDb::open_durable(s, 1, dir, fsync).unwrap()),
-        }
+        Arc::new(Db::open(self.0, 2, Some(LogDir::new(dir, fsync))).unwrap())
     }
 
     /// Opens with every log append charged to one shared crash budget.
@@ -68,16 +51,11 @@ impl Engine {
                 Arc::new(FaultFs::open(path, Arc::clone(&inj)).unwrap())
             })
             .collect();
-        let mut ios = ffs.iter().map(|ff| ff.clone() as Arc<dyn WalIo>);
-        let engine: Dyn = match self {
-            Engine::Db => {
-                Arc::new(Db::open_durable_with_io(2, dir, ios.next().unwrap(), true).unwrap())
-            }
-            Engine::Sharded(s) => {
-                Arc::new(ShardedDb::open_durable_with_ios(s, 1, dir, ios.collect(), true).unwrap())
-            }
+        let wal = LogDir {
+            ios: ffs.iter().map(|ff| ff.clone() as Arc<dyn WalIo>).collect(),
+            ..LogDir::new(dir, true)
         };
-        (engine, ffs)
+        (Arc::new(Db::open(self.0, 2, Some(wal)).unwrap()), ffs)
     }
 
     /// After a simulated crash: scrambles each log's unsynced tail.
@@ -88,10 +66,7 @@ impl Engine {
     }
 
     pub fn n_logs(self) -> u64 {
-        match self {
-            Engine::Db => 1,
-            Engine::Sharded(s) => s as u64,
-        }
+        self.0 as u64
     }
 }
 
@@ -132,12 +107,11 @@ pub fn dump(e: &dyn SqlEngine) -> Option<Vec<String>> {
 }
 
 /// Instantiates each named `fn(Engine)` of the calling file as one
-/// `#[test]` per engine.
+/// `#[test]` per shard count.
 macro_rules! on_every_engine {
     ($($test:ident),* $(,)?) => {
-        on_every_engine!(@engine db, Engine::Db, $($test),*);
-        on_every_engine!(@engine s1, Engine::Sharded(1), $($test),*);
-        on_every_engine!(@engine s4, Engine::Sharded(4), $($test),*);
+        on_every_engine!(@engine s1, Engine(1), $($test),*);
+        on_every_engine!(@engine s4, Engine(4), $($test),*);
     };
     (@engine $module:ident, $engine:expr, $($test:ident),*) => {
         mod $module {

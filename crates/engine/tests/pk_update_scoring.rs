@@ -4,7 +4,7 @@
 //! itself. "Newest wins" at the storage layer is only useful if the
 //! scoring surface actually observes it.
 
-use nlq_engine::{Db, ExecOptions};
+use nlq_engine::{Db, ExecOptions, SqlEngine};
 use nlq_storage::Value;
 
 /// The model scores `b0 + b1*X1 + b2*X2` = `1 + 0.25*X1 - 0.5*X2`.

@@ -9,7 +9,6 @@
 
 use nlq_engine::{Db, ExecOptions, SqlEngine};
 use nlq_linalg::Vector;
-use nlq_shard::ShardedDb;
 use nlq_storage::Value;
 use nlq_testkit::{run_cases, Rng};
 
@@ -54,7 +53,7 @@ fn insert_points(engine: &dyn SqlEngine, table: &str, ids: std::ops::Range<i64>)
 /// audited write-invalidation hook.
 #[test]
 fn delete_invalidates_plan_cache_pk_index_and_folds_summary() {
-    let sharded = ShardedDb::new(3, 1);
+    let sharded = Db::open(3, 1, None).unwrap();
     sharded
         .execute("CREATE TABLE pts (i INT, X1 FLOAT, X2 FLOAT)")
         .unwrap();
@@ -70,7 +69,7 @@ fn delete_invalidates_plan_cache_pk_index_and_folds_summary() {
     let q = "SELECT count(*), sum(X1) FROM pts";
     sharded.execute(q).unwrap();
     sharded.execute(q).unwrap();
-    let stats = sharded.engine_stats().plan_cache.unwrap();
+    let stats = sharded.engine_stats().plan_cache;
     assert!(stats.hits >= 1, "expected a cache hit, got {stats:?}");
     assert!(stats.entries >= 1, "expected cached plans, got {stats:?}");
 
@@ -83,7 +82,7 @@ fn delete_invalidates_plan_cache_pk_index_and_folds_summary() {
     sharded.execute("DELETE FROM pts WHERE i <= 100").unwrap();
 
     // Plan cache dropped by the shared hook.
-    let stats = sharded.engine_stats().plan_cache.unwrap();
+    let stats = sharded.engine_stats().plan_cache;
     assert_eq!(stats.entries, 0, "DELETE must invalidate cached plans");
 
     // NO MINMAX summary folded the deletion and stays fresh on every
@@ -104,17 +103,17 @@ fn delete_invalidates_plan_cache_pk_index_and_folds_summary() {
 /// UPDATE routes through the same hook as DELETE.
 #[test]
 fn update_invalidates_plan_cache() {
-    let sharded = ShardedDb::new(2, 1);
+    let sharded = Db::open(2, 1, None).unwrap();
     sharded
         .execute("CREATE TABLE pts (i INT, X1 FLOAT, X2 FLOAT)")
         .unwrap();
     insert_points(&sharded, "pts", 1..51);
-    sharded.execute("SELECT sum(X2) FROM pts").unwrap();
-    assert!(sharded.engine_stats().plan_cache.unwrap().entries >= 1);
+    sharded.execute("SELECT max(i) FROM pts").unwrap();
+    assert!(sharded.engine_stats().plan_cache.entries >= 1);
     sharded
         .execute("UPDATE pts SET X1 = 0.0 WHERE i < 10")
         .unwrap();
-    assert_eq!(sharded.engine_stats().plan_cache.unwrap().entries, 0);
+    assert_eq!(sharded.engine_stats().plan_cache.entries, 0);
 }
 
 /// Sharded batch scoring equals single-Db batch scoring cell for cell:
@@ -126,7 +125,7 @@ fn sharded_batch_score_matches_single_db() {
     run_cases(8, 0x8f5e, |rng| {
         let shards = [1usize, 4][rng.range_usize(0, 1)];
         let single = Db::new(2);
-        let sharded = ShardedDb::new(shards, 1);
+        let sharded = Db::open(shards, 1, None).unwrap();
         let ddl = "CREATE TABLE pts (i INT, X1 FLOAT, X2 FLOAT)";
         single.execute(ddl).unwrap();
         sharded.execute(ddl).unwrap();
@@ -202,7 +201,7 @@ fn sharded_batch_score_matches_single_db() {
 #[test]
 fn ingest_rows_partitions_folds_and_serves() {
     let mut rng = Rng::new(0x1ce5);
-    let sharded = ShardedDb::new(4, 1);
+    let sharded = Db::open(4, 1, None).unwrap();
     sharded
         .execute("CREATE TABLE pts (i INT, X1 FLOAT, X2 FLOAT)")
         .unwrap();
@@ -226,16 +225,19 @@ fn ingest_rows_partitions_folds_and_serves() {
     assert_eq!(accepted, 400);
     assert_eq!(count_rows(&sharded, "pts"), 500);
 
-    // Every shard took a slice (round-robin over 400 rows, 4 shards).
-    for i in 0..4 {
-        let shard_rows = sharded
-            .shard_db(i)
-            .execute("SELECT count(*) FROM pts")
-            .unwrap();
-        match shard_rows.rows[0][0] {
-            Value::Int(n) => assert!(n > 100, "shard {i} holds {n} rows"),
-            ref v => panic!("count {v:?}"),
-        }
+    // Every shard took a slice (round-robin over 400 rows, 4 shards):
+    // a scan reads more than the 25 rows each held before.
+    let scanned = |e: &Db| -> Vec<u64> {
+        e.engine_stats()
+            .shards
+            .iter()
+            .map(|m| m.rows_scanned)
+            .collect()
+    };
+    let before = scanned(&sharded);
+    sharded.execute("SELECT max(i) FROM pts").unwrap();
+    for (i, (a, b)) in scanned(&sharded).iter().zip(before).enumerate() {
+        assert!(a - b > 100, "shard {i} holds {} rows", a - b);
     }
 
     // The summary folded the streamed delta without going stale.

@@ -2,9 +2,9 @@
 
 //! The feature-store serving loop on top of the engine's Γ machinery.
 //!
-//! Two halves, both engine-agnostic (they talk to any
-//! [`SqlEngine`](nlq_engine::SqlEngine) — a single `Db` or a
-//! `ShardedDb`):
+//! Two halves, both written against
+//! [`SqlEngine`](nlq_engine::SqlEngine) and so indifferent to the
+//! engine's shard count:
 //!
 //! * [`IngestStream`] — the server-side state machine behind the wire
 //!   protocol's chunked INSERT grammar (`InsertHeader`, `InsertChunk`*,

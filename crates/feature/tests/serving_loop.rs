@@ -15,7 +15,6 @@ use nlq_feature::{
     Binding, BindingKind, IngestStream, RefreshConfig, RefreshDaemon, RefreshLoop, TickGate,
 };
 use nlq_models::{LinearRegression, MatrixShape, Nlq};
-use nlq_shard::ShardedDb;
 use nlq_storage::{Row, Value};
 use nlq_testkit::{run_cases, Rng};
 
@@ -72,8 +71,8 @@ fn stream_in(engine: &dyn SqlEngine, rng: &mut Rng, rows: &[Row], max_chunk: usi
 fn streaming_ingest_matches_bulk_load_then_score() {
     run_cases(6, 0xfeed, |rng| {
         let shards = [1usize, 4][rng.range_usize(0, 1)];
-        let streamed: Arc<dyn SqlEngine> = Arc::new(ShardedDb::new(shards, 1));
-        let bulk: Arc<dyn SqlEngine> = Arc::new(ShardedDb::new(shards, 1));
+        let streamed: Arc<dyn SqlEngine> = Arc::new(Db::open(shards, 1, None).unwrap());
+        let bulk: Arc<dyn SqlEngine> = Arc::new(Db::open(shards, 1, None).unwrap());
         setup(streamed.as_ref());
         setup(bulk.as_ref());
 
@@ -131,7 +130,7 @@ fn streaming_ingest_matches_bulk_load_then_score() {
 fn daemon_refresh_matches_cold_full_table_refit() {
     run_cases(6, 0xbe7a, |rng| {
         let shards = [1usize, 4][rng.range_usize(0, 1)];
-        let engine: Arc<dyn SqlEngine> = Arc::new(ShardedDb::new(shards, 1));
+        let engine: Arc<dyn SqlEngine> = Arc::new(Db::open(shards, 1, None).unwrap());
         setup(engine.as_ref());
         let opts = ExecOptions::default();
         engine
@@ -411,7 +410,7 @@ fn gated_daemon_reports_growing_staleness_without_sleeps() {
 
 #[test]
 fn daemon_thread_refreshes_on_cadence_and_stops() {
-    let engine: Arc<dyn SqlEngine> = Arc::new(ShardedDb::new(2, 1));
+    let engine: Arc<dyn SqlEngine> = Arc::new(Db::open(2, 1, None).unwrap());
     setup(engine.as_ref());
     let opts = ExecOptions::default();
     engine

@@ -352,8 +352,8 @@ pub struct TraceRecord {
     pub session: u64,
     /// Peer address of the session's connection.
     pub peer: String,
-    /// Shards the statement fanned out to (0 for a single-node
-    /// engine).
+    /// Shards the statement fanned out to (0 at S = 1, where the lone
+    /// shard runs inline on the session's thread).
     pub shards: u32,
     /// The statement's 1-based `Execute` sequence on its session.
     pub seq: u64,

@@ -17,8 +17,8 @@
 //! `--wal-dir DIR` opens the engine durably: every DDL/DML statement
 //! and ingest envelope is logged to a write-ahead log under `DIR`
 //! before it is applied, and an ack means the data survives `kill
-//! -9`. Restarting with the same `DIR` replays the log (recovery
-//! counters show up in `sys.wal`). `--no-fsync` keeps the log but
+//! -9`. Restarting with the same `DIR` and `--shards` replays the
+//! logs (recovery counters show up in `sys.wal`). `--no-fsync` keeps the log but
 //! skips the per-commit fsync (group commit still batches writes) —
 //! faster, durable against process crash but not against power loss.
 //! `--checkpoint-bytes N` checkpoints (snapshot + log truncation)
@@ -36,9 +36,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use nlq_engine::{Db, SqlEngine};
+use nlq_engine::{Db, LogDir, SqlEngine};
 use nlq_server::{serve, ServerConfig};
-use nlq_shard::ShardedDb;
 
 /// Durability knobs that shape how the engine is opened.
 struct WalOpts {
@@ -152,30 +151,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let workers = config.workers;
-    // With --shards S, statements scatter over S independent engine
-    // shards (each with its own slice of the scan workers); otherwise
-    // a single Db serves every statement. With --wal-dir the engine
-    // opens durably, replaying whatever a previous process logged.
-    let db: Arc<dyn SqlEngine> = match (&wal.dir, shards > 1) {
-        (Some(dir), true) => {
-            match ShardedDb::open_durable(shards, (workers / shards).max(1), dir, wal.fsync) {
-                Ok(db) => Arc::new(db),
-                Err(e) => {
-                    eprintln!("recovery failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    // Statements route over S engine shards, each with its own slice
+    // of the scan workers. With --wal-dir the engine opens durably,
+    // replaying whatever a previous process logged.
+    let workers = (config.workers / shards.max(1)).max(1);
+    let log_dir = wal.dir.as_deref().map(|dir| LogDir::new(dir, wal.fsync));
+    let db: Arc<dyn SqlEngine> = match Db::open(shards, workers, log_dir) {
+        Ok(db) => Arc::new(db),
+        Err(e) => {
+            eprintln!("recovery failed: {e}");
+            return ExitCode::FAILURE;
         }
-        (Some(dir), false) => match Db::open_durable(workers, dir, wal.fsync) {
-            Ok(db) => Arc::new(db),
-            Err(e) => {
-                eprintln!("recovery failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, true) => Arc::new(ShardedDb::new(shards, (workers / shards).max(1))),
-        (None, false) => Arc::new(Db::new(workers)),
     };
     if let Some(info) = db.engine_stats().durability.map(|d| d.recovery) {
         eprintln!(

@@ -422,11 +422,9 @@ pub(crate) fn samples(shared: &Shared) -> Vec<Sample> {
     out
 }
 
-/// Shard count, per-shard counters, and plan-cache state. A plain
-/// single-`Db` engine reports `shards = 1` with no per-shard series
-/// and no plan cache.
+/// Shard count, per-shard counters, and plan-cache state.
 fn engine_samples(stats: &EngineStats, out: &mut Vec<Sample>) {
-    let shards = stats.shards.len().max(1) as u64;
+    let shards = stats.shards.len() as u64;
     out.push(gauge("shards", "Number of engine shards", shards));
     type ShardValue = fn(&ShardMetricsSnapshot) -> f64;
     #[rustfmt::skip]
@@ -444,13 +442,12 @@ fn engine_samples(stats: &EngineStats, out: &mut Vec<Sample>) {
                 .map(|s| sample(family, kind, help, value(s)).label("shard", s.shard)),
         );
     }
-    if let Some(c) = stats.plan_cache {
-        out.extend([
-            counter("plan_cache_hits_total", "Plan-cache hits", c.hits),
-            counter("plan_cache_misses_total", "Plan-cache misses", c.misses),
-            gauge("plan_cache_entries", "Plans currently cached", c.entries),
-        ]);
-    }
+    let c = stats.plan_cache;
+    out.extend([
+        counter("plan_cache_hits_total", "Plan-cache hits", c.hits),
+        counter("plan_cache_misses_total", "Plan-cache misses", c.misses),
+        gauge("plan_cache_entries", "Plans currently cached", c.entries),
+    ]);
 }
 
 /// WAL counters since open, live log size, and what the last recovery

@@ -1026,7 +1026,7 @@ fn finish_trace(
     let slow = Duration::from_nanos(total_nanos) >= shared.config.slow_query;
     let spans = trace.spans();
     // Shards the statement actually fanned out to: distinct shard
-    // indices across its scatter spans (0 for a single-node engine).
+    // indices across its scatter spans (0 at S = 1: no shard thread).
     let mut shard_ids: Vec<i64> = spans.iter().map(|s| s.shard).filter(|&s| s >= 0).collect();
     shard_ids.sort_unstable();
     shard_ids.dedup();

@@ -257,8 +257,7 @@ fn sessions(shared: &Arc<Shared>) -> Table {
     build(&cols, rows)
 }
 
-/// `sys.shards`: per-shard activity counters (empty on a single-node
-/// engine, which reports no per-shard metrics).
+/// `sys.shards`: per-shard activity counters, one row per shard.
 fn shards(shared: &Arc<Shared>) -> Table {
     let cols = [
         ("shard", DataType::Int),

@@ -1121,7 +1121,7 @@ fn sys_catalog_answers_telemetry_queries_through_the_block_path() {
 #[test]
 fn sharded_query_spans_share_one_query_id_across_all_shards() {
     const SHARDS: usize = 4;
-    let sharded = Arc::new(nlq_shard::ShardedDb::new(SHARDS, 1));
+    let sharded = Arc::new(Db::open(SHARDS, 1, None).unwrap());
     let handle = serve(
         Arc::clone(&sharded) as Arc<dyn SqlEngine>,
         ServerConfig {
@@ -1255,7 +1255,15 @@ fn prometheus_scrape_and_sys_metrics_name_the_same_series() {
     let dir = std::env::temp_dir().join(format!("nlq-harness-parity-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let engines: Vec<(&str, Arc<dyn SqlEngine>, Vec<&str>)> = vec![
-        ("volatile", Arc::new(Db::new(1)), vec!["nlq_shards"]),
+        (
+            "volatile",
+            Arc::new(Db::new(1)),
+            vec![
+                "nlq_shards",
+                "nlq_shard_queries_total",
+                "nlq_plan_cache_hits_total",
+            ],
+        ),
         (
             "durable",
             Arc::new(Db::open_durable(1, &dir, true).unwrap()),
@@ -1263,7 +1271,7 @@ fn prometheus_scrape_and_sys_metrics_name_the_same_series() {
         ),
         (
             "sharded",
-            Arc::new(nlq_shard::ShardedDb::new(4, 1)),
+            Arc::new(Db::open(4, 1, None).unwrap()),
             vec!["nlq_shard_queries_total", "nlq_plan_cache_hits_total"],
         ),
     ];

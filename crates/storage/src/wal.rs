@@ -347,6 +347,18 @@ pub struct WalStatsSnapshot {
     pub checkpoints: u64,
 }
 
+/// Counters of several logs, summed field by field.
+impl std::iter::Sum for WalStatsSnapshot {
+    fn sum<I: Iterator<Item = WalStatsSnapshot>>(iter: I) -> WalStatsSnapshot {
+        iter.fold(WalStatsSnapshot::default(), |a, s| WalStatsSnapshot {
+            bytes: a.bytes + s.bytes,
+            records: a.records + s.records,
+            fsyncs: a.fsyncs + s.fsyncs,
+            checkpoints: a.checkpoints + s.checkpoints,
+        })
+    }
+}
+
 impl WalStats {
     /// Snapshots every counter.
     pub fn snapshot(&self) -> WalStatsSnapshot {
