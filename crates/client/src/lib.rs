@@ -29,6 +29,12 @@
 //! cancel the statement mid-flight via [`RowStream::cancel`] (or by
 //! being dropped early). [`Client::execute`] is the collect-it-all
 //! convenience built on top.
+//!
+//! Rows are decoded as they are iterated: the stream keeps the current
+//! chunk's payload and decodes one row per `next()`, so a chunk is
+//! never materialized as a whole. A malformed chunk therefore yields
+//! the rows before the fault, then exactly one `Err`, then the end of
+//! the stream.
 
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -36,7 +42,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use nlq_server::wire::{
-    read_frame, write_frame, ErrorCode, Request, Response, WireStats, CHUNK_OVERHEAD,
+    is_rows_chunk, read_frame, write_frame, ChunkRows, ErrorCode, Request, Response, WireStats,
     PROTOCOL_VERSION,
 };
 use nlq_storage::Value;
@@ -243,7 +249,7 @@ impl Client {
             columns: Vec::new(),
             started: false,
             terminal: false,
-            buffered: Vec::new().into_iter(),
+            chunk: None,
             rows_yielded: 0,
             row_bytes: 0,
             chunks_received: 0,
@@ -428,8 +434,8 @@ impl Drop for Ingest<'_> {
 
 /// A streamed query result.
 ///
-/// Rows are yielded as chunk frames come off the wire; the stream
-/// ends at the server's `RowsDone` trailer, whose row/byte totals are
+/// Rows are decoded one per `next()` as chunk frames come off the
+/// wire; the stream ends at the server's `RowsDone` trailer, whose row/byte totals are
 /// verified against what was actually received. An error frame (SQL
 /// error, `Cancelled`, `Timeout`, `TooLarge` mid-stream) surfaces as
 /// one `Err` item and ends the stream.
@@ -446,7 +452,8 @@ pub struct RowStream<'a> {
     /// Reached a terminal frame (or the connection broke): nothing
     /// left to read for this statement.
     terminal: bool,
-    buffered: std::vec::IntoIter<Vec<Value>>,
+    /// The chunk being read: rows decode one per `next`.
+    chunk: Option<ChunkRows<Vec<u8>>>,
     rows_yielded: u64,
     /// Encoded row bytes received, per the chunk framing (payload
     /// minus the fixed chunk header) — checked against the trailer.
@@ -549,61 +556,52 @@ impl RowStream<'_> {
         }
     }
 
-    /// Reads the next chunk into the row buffer. `Ok(false)` means the
-    /// stream finished cleanly.
+    /// Reads the next frame: a chunk becomes the one being read
+    /// (`Ok(true)`); the trailer ends the stream cleanly (`Ok(false)`).
     fn refill(&mut self) -> Result<bool> {
-        loop {
-            let payload = self.read_payload()?;
-            let response = Response::decode(&payload).inspect_err(|_| self.terminal = true)?;
-            match response {
-                Response::RowsChunk { seq, ncols, rows } => {
-                    if seq != self.seq || ncols as usize != self.columns.len() {
-                        self.terminal = true;
-                        return Err(ClientError::Protocol(format!(
-                            "stream {} got mismatched chunk (seq {seq}, {ncols} cols)",
-                            self.seq
-                        )));
-                    }
-                    self.chunks_received += 1;
-                    self.row_bytes += (payload.len() - CHUNK_OVERHEAD) as u64;
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    self.buffered = rows.into_iter();
-                    return Ok(true);
-                }
-                Response::RowsDone {
-                    seq,
-                    total_rows,
-                    total_bytes,
-                    stats,
-                } => {
-                    self.terminal = true;
-                    if seq != self.seq
-                        || total_rows != self.rows_yielded
-                        || total_bytes != self.row_bytes
-                    {
-                        return Err(ClientError::Protocol(format!(
-                            "stream {} trailer mismatch: server says {total_rows} rows / \
-                             {total_bytes} bytes, received {} rows / {} bytes",
-                            self.seq, self.rows_yielded, self.row_bytes
-                        )));
-                    }
-                    self.stats = Some(stats);
-                    return Ok(false);
-                }
-                Response::Error { code, message } => {
-                    self.terminal = true;
-                    return Err(ClientError::Server { code, message });
-                }
-                other => {
-                    self.terminal = true;
+        let payload = self.read_payload()?;
+        if is_rows_chunk(&payload) {
+            let chunk = ChunkRows::open(payload).inspect_err(|_| self.terminal = true)?;
+            let (seq, ncols) = (chunk.seq(), chunk.ncols());
+            if seq != self.seq || ncols as usize != self.columns.len() {
+                self.terminal = true;
+                return Err(ClientError::Protocol(format!(
+                    "stream {} got mismatched chunk (seq {seq}, {ncols} cols)",
+                    self.seq
+                )));
+            }
+            self.chunks_received += 1;
+            self.row_bytes += chunk.row_bytes() as u64;
+            self.chunk = Some(chunk);
+            return Ok(true);
+        }
+        let response = Response::decode(&payload).inspect_err(|_| self.terminal = true)?;
+        self.terminal = true;
+        match response {
+            Response::RowsDone {
+                seq,
+                total_rows,
+                total_bytes,
+                stats,
+            } => {
+                if seq != self.seq
+                    || total_rows != self.rows_yielded
+                    || total_bytes != self.row_bytes
+                {
                     return Err(ClientError::Protocol(format!(
-                        "stream {} expected RowsChunk/RowsDone, got {other:?}",
-                        self.seq
+                        "stream {} trailer mismatch: server says {total_rows} rows / \
+                         {total_bytes} bytes, received {} rows / {} bytes",
+                        self.seq, self.rows_yielded, self.row_bytes
                     )));
                 }
+                self.stats = Some(stats);
+                Ok(false)
             }
+            Response::Error { code, message } => Err(ClientError::Server { code, message }),
+            other => Err(ClientError::Protocol(format!(
+                "stream {} expected RowsChunk/RowsDone, got {other:?}",
+                self.seq
+            ))),
         }
     }
 }
@@ -612,24 +610,32 @@ impl Iterator for RowStream<'_> {
     type Item = Result<Vec<Value>>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let Some(row) = self.buffered.next() {
-            self.rows_yielded += 1;
-            return Some(Ok(row));
-        }
-        if self.terminal {
-            return None;
-        }
-        if let Err(e) = self.ensure_started() {
-            return Some(Err(e));
-        }
-        match self.refill() {
-            Ok(true) => {
-                let row = self.buffered.next().expect("refill buffered rows");
-                self.rows_yielded += 1;
-                Some(Ok(row))
+        loop {
+            if let Some(chunk) = &mut self.chunk {
+                match chunk.next_row() {
+                    Some(Ok(row)) => {
+                        self.rows_yielded += 1;
+                        return Some(Ok(row));
+                    }
+                    Some(Err(e)) => {
+                        self.chunk = None;
+                        self.terminal = true;
+                        return Some(Err(e.into()));
+                    }
+                    None => self.chunk = None,
+                }
             }
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
+            if self.terminal {
+                return None;
+            }
+            if let Err(e) = self.ensure_started() {
+                return Some(Err(e));
+            }
+            match self.refill() {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
+            }
         }
     }
 }

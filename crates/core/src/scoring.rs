@@ -11,14 +11,17 @@
 
 use nlq_linalg::Matrix;
 
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices, summed left to right from
+/// `-0.0` (the additive identity that keeps the sign of an all-`-0.0`
+/// sum). The columnar `linearregscore` kernel repeats exactly this
+/// operation order, so both paths agree bit for bit.
 ///
 /// # Panics
 /// Panics if lengths differ.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot product length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(-0.0, |s, (x, y)| s + x * y)
 }
 
 /// Linear regression score `ŷ = β₀ + βᵀ x`.

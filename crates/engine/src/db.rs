@@ -16,6 +16,7 @@ use crate::cache::{CacheOutcome, PlanCache};
 use crate::durable::{DurabilityStats, LogSet, Payload, Recovered, RecoveryInfo};
 use crate::exec::{check_cancelled, merge_partial_errors, result_to_table, AggPartial};
 use crate::executor::{Job, Lane};
+use crate::output::{truncate_blocks, ResultBlock};
 use crate::serve::{beta_table, centroid_table, lambda_table, mu_table};
 use crate::shard::{Env, Shard};
 use crate::sys::{SystemTableProvider, SYS_PREFIX};
@@ -131,7 +132,18 @@ impl ExecStats {
     }
 }
 
+/// Fewest blocks worth a row-building thread of their own: a block's
+/// rows take far longer to build than a thread takes to spawn.
+const MIN_BLOCKS_PER_BUILDER: usize = 4;
+
 /// Rows returned by a query.
+///
+/// A block-path scalar result leaves the engine as column blocks
+/// ([`ResultSet::blocks`]). [`Db::execute`] and every other in-process
+/// entry point build them into `rows` before returning; only
+/// [`SqlEngine::execute_blocks`] hands them out unbuilt, for a caller
+/// that encodes columns directly (the server's chunk encoder). At most
+/// one of `rows` and the blocks is non-empty.
 #[derive(Debug, Clone)]
 pub struct ResultSet {
     /// Output column names.
@@ -140,6 +152,8 @@ pub struct ResultSet {
     pub rows: Vec<Row>,
     /// Execution counters for the statement that produced this result.
     pub stats: ExecStats,
+    /// Block-path output not yet built into `rows`.
+    blocks: Vec<ResultBlock>,
 }
 
 /// Equality ignores [`ResultSet::stats`]: two runs of the same query
@@ -147,7 +161,7 @@ pub struct ResultSet {
 /// how long the phases took.
 impl PartialEq for ResultSet {
     fn eq(&self, other: &Self) -> bool {
-        self.columns == other.columns && self.rows == other.rows
+        self.columns == other.columns && self.rows == other.rows && self.blocks == other.blocks
     }
 }
 
@@ -158,6 +172,15 @@ impl ResultSet {
             columns,
             rows,
             stats: ExecStats::default(),
+            blocks: Vec::new(),
+        }
+    }
+
+    /// A block-path result (counters zeroed).
+    pub(crate) fn from_blocks(columns: Vec<String>, blocks: Vec<ResultBlock>) -> Self {
+        ResultSet {
+            blocks,
+            ..ResultSet::new(columns, Vec::new())
         }
     }
 
@@ -166,14 +189,57 @@ impl ResultSet {
         ResultSet::new(Vec::new(), Vec::new())
     }
 
-    /// Number of rows.
+    /// Number of rows, built or still in blocks.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.len() + self.blocks.iter().map(ResultBlock::len).sum::<usize>()
     }
 
     /// Whether there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
+    }
+
+    /// Block-path output not yet built into rows (empty on every
+    /// result but [`SqlEngine::execute_blocks`]'s).
+    pub fn blocks(&self) -> &[ResultBlock] {
+        &self.blocks
+    }
+
+    /// Builds the block-path output into `rows`: the one place a
+    /// columnar result becomes rows. Every row is an allocation of its
+    /// own, so a result of many blocks is built on up to `workers`
+    /// threads, as the row path's scan workers build theirs.
+    pub(crate) fn build_rows(&mut self, workers: usize) {
+        let blocks = std::mem::take(&mut self.blocks);
+        self.rows
+            .reserve(blocks.iter().map(ResultBlock::len).sum::<usize>());
+        let per_thread = blocks
+            .len()
+            .div_ceil(workers.max(1))
+            .max(MIN_BLOCKS_PER_BUILDER);
+        let mut parts = blocks.chunks(per_thread);
+        let Some(first) = parts.next() else {
+            return;
+        };
+        std::thread::scope(|scope| {
+            let rest: Vec<_> = parts
+                .map(|part| {
+                    scope.spawn(move || {
+                        let mut rows = Vec::new();
+                        for block in part {
+                            block.push_rows(&mut rows);
+                        }
+                        rows
+                    })
+                })
+                .collect();
+            for block in first {
+                block.push_rows(&mut self.rows);
+            }
+            for h in rest {
+                self.rows.extend(h.join().expect("row builder panicked"));
+            }
+        });
     }
 
     /// Value at `(row, col)`.
@@ -449,6 +515,11 @@ impl Db {
         self.lanes[0].shard.summaries()
     }
 
+    /// Scan threads per shard.
+    fn workers(&self) -> usize {
+        self.lanes[0].shard.workers()
+    }
+
     /// What every shard shares for one statement.
     fn env(&self, opts: &ExecOptions, cancel: Option<Arc<AtomicBool>>) -> Env {
         Env {
@@ -476,6 +547,15 @@ impl Db {
     /// with per-statement execution options (a server session's
     /// settings). A plan-cache hit skips the parse (`parse_nanos = 0`).
     pub fn execute_with(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet> {
+        let mut rs = self.execute_blocks(sql, opts)?;
+        rs.build_rows(self.workers());
+        Ok(rs)
+    }
+
+    /// [`Db::execute_with`], except that a block-path scalar result
+    /// stays in column blocks ([`ResultSet::blocks`]) instead of being
+    /// built into rows.
+    pub fn execute_blocks(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet> {
         let cpu_started = thread_cpu_nanos();
         // A token that flipped before execution began cancels the whole
         // statement up front — nothing has run, nothing mutated.
@@ -505,7 +585,9 @@ impl Db {
         check_cancelled(opts.cancel.as_deref(), 0)?;
         let stmt = Arc::new(stmt);
         let payload = Payload::unlogged();
-        self.run(&stmt, payload, CacheOutcome::Miss, 0, cpu_started, opts)
+        let mut rs = self.run(&stmt, payload, CacheOutcome::Miss, 0, cpu_started, opts)?;
+        rs.build_rows(self.workers());
+        Ok(rs)
     }
 
     /// Runs one statement as an envelope, then charges its log cost,
@@ -754,8 +836,21 @@ impl Db {
         let visible = sets[0].columns.len() - hidden;
         let mut columns = sets[0].columns.clone();
         columns.truncate(visible);
+        // Unsorted block-path slices concatenate as blocks.
+        if keys.is_empty() && sets.iter().all(|s| s.rows.is_empty()) {
+            let mut blocks: Vec<ResultBlock> = sets.into_iter().flat_map(|s| s.blocks).collect();
+            if let Some(l) = select.limit {
+                truncate_blocks(&mut blocks, l);
+            }
+            let mut rs = ResultSet::from_blocks(columns, blocks);
+            stats.scatter_nanos = scatter_nanos;
+            stats.gather_nanos = gather_started.elapsed().as_nanos() as u64;
+            rs.stats = stats;
+            return Ok(rs);
+        }
         let mut rows: Vec<Row> = Vec::with_capacity(sets.iter().map(ResultSet::len).sum());
-        for s in sets {
+        for mut s in sets {
+            s.build_rows(self.workers());
             rows.extend(s.rows);
         }
         if !keys.is_empty() {
@@ -889,7 +984,8 @@ impl Db {
             return Err(EngineError::DuplicateTable(name.to_owned()));
         }
         let stmt = Arc::new(Statement::Select(query.clone()));
-        let rs = self.exec_select(&stmt, query, opts)?;
+        let mut rs = self.exec_select(&stmt, query, opts)?;
+        rs.build_rows(self.workers());
         let slices = deal(rs.rows, self.lanes.len(), 0);
         for (lane, rows) in self.lanes.iter().zip(slices) {
             let slice = ResultSet::new(rs.columns.clone(), rows);
@@ -912,7 +1008,8 @@ impl Db {
         opts: &ExecOptions,
     ) -> Result<ResultSet> {
         let stmt = Arc::new(Statement::Select(query.clone()));
-        let rs = self.exec_select(&stmt, query, opts)?;
+        let mut rs = self.exec_select(&stmt, query, opts)?;
+        rs.build_rows(self.workers());
         self.insert_slices(table, &self.spread(table, rs.rows))?;
         let mut out = ResultSet::empty();
         out.stats = rs.stats;
@@ -1527,6 +1624,11 @@ pub trait SqlEngine: Send + Sync {
     /// execution options.
     fn execute_with(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet>;
 
+    /// [`SqlEngine::execute_with`], except that a block-path scalar
+    /// result stays in column blocks ([`ResultSet::blocks`]) for a
+    /// caller that encodes columns directly.
+    fn execute_blocks(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet>;
+
     /// Shard counters, plan-cache counters, and durability state in
     /// one snapshot. Cheap (counter reads), but only asked for when a
     /// metrics surface is read — never per statement.
@@ -1587,6 +1689,10 @@ pub trait SqlEngine: Send + Sync {
 impl SqlEngine for Db {
     fn execute_with(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet> {
         Db::execute_with(self, sql, opts)
+    }
+
+    fn execute_blocks(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet> {
+        Db::execute_blocks(self, sql, opts)
     }
 
     fn engine_stats(&self) -> EngineStats {

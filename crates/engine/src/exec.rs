@@ -13,12 +13,15 @@ use nlq_storage::{
 use nlq_summary::{
     project_nlq, shape_covers, SummaryData, SummaryDef, SummarySnapshot, SummaryStore,
 };
-use nlq_udf::{check_heap, AggregateState, BatchArg, ScalarBatchArg, ScalarUdf, UdfRegistry};
+use nlq_udf::{
+    check_heap, AggregateState, BatchArg, FloatBatch, ScalarBatchArg, ScalarUdf, UdfRegistry,
+};
 
 use crate::ast::{Expr, SelectStmt};
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::db::{ExecStats, ResultSet};
 use crate::expr::{AggCall, AggKind, Binder, BoundExpr, BoundSchema, FastArg, StatAgg};
+use crate::output::{set_bits, truncate_blocks, ResultBlock, ResultColumn};
 use crate::predicate::{compile_residual, CompiledPredicates, PredScratch};
 use crate::sys::SystemTableProvider;
 use crate::{EngineError, Result};
@@ -421,7 +424,8 @@ impl ExecContext<'_> {
         match self.catalog.get(name) {
             Some(CatalogEntry::Table(t)) => Ok(t),
             Some(CatalogEntry::View(query)) => {
-                let rs = self.execute_select(&query)?;
+                let mut rs = self.execute_select(&query)?;
+                rs.build_rows(self.workers);
                 Ok(Arc::new(result_to_table(&rs, self.workers)?))
             }
             None => Err(EngineError::UnknownTable(name.to_owned())),
@@ -478,26 +482,23 @@ impl ExecContext<'_> {
         // Vectorized alternative to the row loop: scoring-style
         // projections (scalar UDFs over float base columns plus
         // model-table constants from a single join combination) decode
-        // column blocks instead of materializing full rows. Residual
-        // predicates ride along as per-block selection bitmaps, and a
-        // LIMIT stops each worker early.
+        // column blocks and compute a column at a time, producing
+        // column blocks instead of rows. Residual predicates ride
+        // along as per-block selection bitmaps, and a LIMIT stops each
+        // worker early.
         if self.block_scan && stmt.order_by.is_empty() {
             if let Ok(plan) = plan_scalar_block(schema, base, join_product, &bound, residual) {
                 let scan_started = Instant::now();
-                let rows = self.run_scalar_block(base, &plan, stmt.limit)?;
-                let mut stats = ExecStats {
+                let (blocks, rows_scanned, blocks_scanned) =
+                    self.run_scalar_block(base, &plan, stmt.limit)?;
+                let mut rs = ResultSet::from_blocks(names, blocks);
+                rs.stats = ExecStats {
                     block_path: true,
+                    scan_nanos: scan_started.elapsed().as_nanos() as u64,
+                    rows_scanned,
+                    blocks_scanned,
                     ..ExecStats::default()
                 };
-                stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
-                stats.rows_scanned = rows.1;
-                stats.blocks_scanned = rows.2;
-                let mut out = rows.0;
-                if let Some(limit) = stmt.limit {
-                    out.truncate(limit);
-                }
-                let mut rs = ResultSet::new(names, out);
-                rs.stats = stats;
                 return Ok(rs);
             }
         }
@@ -566,30 +567,28 @@ impl ExecContext<'_> {
     }
 
     /// Executes a planned block-path scalar projection: decode column
-    /// blocks per partition, evaluate each projection per row. Returns
-    /// `(rows, rows_scanned, blocks_scanned)`; row order matches the
-    /// row path's (partition-major).
+    /// blocks per partition and compute each projection a column at a
+    /// time. Returns `(blocks, rows_scanned, blocks_scanned)`: one
+    /// output block per scanned block that kept rows, in the row
+    /// path's (partition-major) order, `limit` rows at most.
     fn run_scalar_block(
         &self,
         base: &Table,
         plan: &ScalarBlockPlan,
         limit: Option<usize>,
-    ) -> Result<(Vec<Row>, u64, u64)> {
+    ) -> Result<(Vec<ResultBlock>, u64, u64)> {
         let cancel = self.cancel.as_deref();
-        let partials: Vec<Result<(Vec<Row>, u64, u64)>> =
+        let partials: Vec<Result<(Vec<ResultBlock>, u64, u64)>> =
             parallel_scan_partitions(base, self.workers, |p| {
                 let mut out = Vec::new();
                 let mut iter = base.scan_partition_blocks_numeric(p, &plan.cols)?;
                 let (mut rows, mut blocks) = (0u64, 0u64);
                 let mut sel = Vec::new();
                 let mut pred_scratch = PredScratch::default();
-                let mut arg_pool: Vec<Vec<Value>> = Vec::new();
-                let mut batch_out: Vec<Vec<Value>> = vec![Vec::new(); plan.exprs.len()];
-                let mut batch_ok = vec![false; plan.exprs.len()];
                 // The final output keeps the first `limit` rows in
                 // partition-major order, so no worker ever needs more
                 // than `limit` rows of its own.
-                let done = |out: &Vec<Row>| limit.is_some_and(|l| out.len() >= l);
+                let mut emitted = 0usize;
                 while let Some(block) = iter.next_block() {
                     check_cancelled(cancel, rows)?;
                     let block = block?;
@@ -602,73 +601,24 @@ impl ExecContext<'_> {
                             Some(sel.as_slice())
                         }
                     };
-                    // Columnar projections: a flat UDF call (all args
-                    // columns or constants) evaluates once over the
-                    // whole block instead of once per row — unless a
-                    // small LIMIT makes per-row early exit cheaper
-                    // than computing rows nobody will read.
-                    let batch_worthwhile = limit.is_none_or(|l| l >= block.len());
-                    for (k, e) in plan.exprs.iter().enumerate() {
-                        batch_ok[k] = false;
-                        if !batch_worthwhile || !plan.batched[k] {
-                            continue;
-                        }
-                        let ScalarBlockExpr::Udf { udf, args } = e else {
-                            continue;
-                        };
-                        let bargs: Vec<ScalarBatchArg> = args
+                    // Compute only the prefix of the block that holds
+                    // the rows the LIMIT still needs.
+                    let need = limit.map_or(usize::MAX, |l| l - emitted);
+                    let (len, kept) = needed_prefix(block.len(), selection, need);
+                    if kept > 0 {
+                        let columns = plan
+                            .exprs
                             .iter()
-                            .map(|a| match a {
-                                ScalarBlockExpr::Col(s) => {
-                                    let col = block.column(*s);
-                                    ScalarBatchArg::Col {
-                                        values: col.values,
-                                        validity: col.validity(),
-                                    }
-                                }
-                                ScalarBlockExpr::Const(v) => ScalarBatchArg::Const(v),
-                                ScalarBlockExpr::Udf { .. } => unreachable!("flat_udf"),
-                            })
-                            .collect();
-                        batch_out[k].clear();
-                        batch_ok[k] = udf.eval_batch(&bargs, block.len(), &mut batch_out[k])?;
+                            .map(|e| e.eval_column(&block, &plan.int_slots, len, selection))
+                            .collect::<Result<Vec<_>>>()?;
+                        let mut out_block = ResultBlock::new(len, columns);
+                        if let Some(words) = selection {
+                            out_block.compact(words);
+                        }
+                        out.push(out_block);
+                        emitted += kept;
                     }
-                    let mut emit = |out: &mut Vec<Row>, i: usize| -> Result<()> {
-                        let mut row = Vec::with_capacity(plan.exprs.len());
-                        for (k, e) in plan.exprs.iter().enumerate() {
-                            row.push(if batch_ok[k] {
-                                batch_out[k][i].clone()
-                            } else {
-                                e.eval(&block, &plan.int_slots, i, &mut arg_pool, 0)?
-                            });
-                        }
-                        out.push(row);
-                        Ok(())
-                    };
-                    match selection {
-                        None => {
-                            for i in 0..block.len() {
-                                emit(&mut out, i)?;
-                                if done(&out) {
-                                    break;
-                                }
-                            }
-                        }
-                        Some(words) => {
-                            'words: for (w, &word) in words.iter().enumerate() {
-                                let mut m = word;
-                                while m != 0 {
-                                    let i = (w << 6) | m.trailing_zeros() as usize;
-                                    m &= m - 1;
-                                    emit(&mut out, i)?;
-                                    if done(&out) {
-                                        break 'words;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if done(&out) {
+                    if limit.is_some_and(|l| emitted >= l) {
                         break;
                     }
                 }
@@ -680,6 +630,9 @@ impl ExecContext<'_> {
             all.extend(o);
             rows += r;
             blocks += b;
+        }
+        if let Some(l) = limit {
+            truncate_blocks(&mut all, l);
         }
         Ok((all, rows, blocks))
     }
@@ -1632,44 +1585,116 @@ enum ScalarBlockExpr {
 }
 
 impl ScalarBlockExpr {
-    /// Evaluates against row `i` of a decoded block. `pool` supplies
-    /// reusable argument buffers (one per UDF nesting depth) so the
-    /// per-row hot path allocates nothing.
-    fn eval(
+    /// Evaluates over the first `len` rows of a decoded block, a
+    /// column at a time. A UDF whose arguments are all numeric columns
+    /// or constants runs its columnar kernel
+    /// ([`ScalarUdf::eval_batch_f64`]) over every row. Otherwise it
+    /// runs a row at a time, and only on the rows `selection` keeps
+    /// (the other slots hold NULL): a row-at-a-time UDF may fail on a
+    /// row the WHERE clause excludes.
+    fn eval_column(
         &self,
         block: &ColumnBlock,
         int_slots: &[bool],
-        i: usize,
-        pool: &mut Vec<Vec<Value>>,
-        depth: usize,
-    ) -> Result<Value> {
-        Ok(match self {
-            ScalarBlockExpr::Const(v) => v.clone(),
-            ScalarBlockExpr::Col(s) => block_value(block, *s, int_slots[*s], i),
-            ScalarBlockExpr::Udf { udf, args } => {
-                if pool.len() <= depth {
-                    pool.resize_with(depth + 1, Vec::new);
-                }
-                let mut buf = std::mem::take(&mut pool[depth]);
-                buf.clear();
-                for a in args {
-                    buf.push(a.eval(block, int_slots, i, pool, depth + 1)?);
-                }
-                let v = udf.eval(&buf)?;
-                pool[depth] = buf;
-                v
+        len: usize,
+        selection: Option<&[u64]>,
+    ) -> Result<ResultColumn> {
+        let (udf, args) = match self {
+            ScalarBlockExpr::Const(v) => return Ok(ResultColumn::Const(v.clone())),
+            ScalarBlockExpr::Col(s) => {
+                return Ok(ResultColumn::from_block(
+                    block.column(*s),
+                    len,
+                    int_slots[*s],
+                ))
             }
-        })
+            ScalarBlockExpr::Udf { udf, args } => (udf, args),
+        };
+        // Nested calls evaluate first; plain columns stay borrowed
+        // from the block.
+        let nested = args
+            .iter()
+            .map(|a| match a {
+                ScalarBlockExpr::Udf { .. } => {
+                    a.eval_column(block, int_slots, len, selection).map(Some)
+                }
+                _ => Ok(None),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let batch_args = args
+            .iter()
+            .zip(&nested)
+            .map(|(a, n)| match (a, n) {
+                (ScalarBlockExpr::Col(s), _) => {
+                    let col = block.column(*s);
+                    Some(ScalarBatchArg::Col {
+                        values: &col.values[..len],
+                        validity: col.validity(),
+                    })
+                }
+                (ScalarBlockExpr::Const(v), _) => Some(ScalarBatchArg::Const(v)),
+                (_, Some(ResultColumn::Numeric { batch, .. })) => Some(ScalarBatchArg::Col {
+                    values: &batch.values,
+                    validity: Some(&batch.validity),
+                }),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>();
+        if let Some(batch_args) = batch_args {
+            let mut batch = FloatBatch::default();
+            if udf.eval_batch_f64(&batch_args, len, &mut batch)? {
+                return Ok(ResultColumn::Numeric { batch, int: false });
+            }
+        }
+        let mut values = vec![Value::Null; len];
+        let mut row_args = Vec::with_capacity(args.len());
+        let mut eval_row = |i: usize| -> Result<()> {
+            row_args.clear();
+            for (a, n) in args.iter().zip(&nested) {
+                row_args.push(match (a, n) {
+                    (ScalarBlockExpr::Col(s), _) => block_value(block, *s, int_slots[*s], i),
+                    (ScalarBlockExpr::Const(v), _) => v.clone(),
+                    (_, Some(col)) => col.value(i),
+                    (ScalarBlockExpr::Udf { .. }, None) => unreachable!("nested calls evaluated"),
+                });
+            }
+            values[i] = udf.eval(&row_args)?;
+            Ok(())
+        };
+        match selection {
+            None => (0..len).try_for_each(&mut eval_row)?,
+            Some(words) => set_bits(words, len).try_for_each(eval_row)?,
+        }
+        Ok(ResultColumn::Values(values))
     }
+}
 
-    /// Whether this is a UDF call over plain columns and constants —
-    /// the shape [`ScalarUdf::eval_batch`] accepts whole blocks of.
-    fn flat_udf(&self) -> bool {
-        matches!(self, ScalarBlockExpr::Udf { args, .. }
-        if args.iter().all(|a| {
-            matches!(a, ScalarBlockExpr::Col(_) | ScalarBlockExpr::Const(_))
-        }))
+/// How much of a block a scalar block scan computes when `need` more
+/// rows are wanted: `(prefix length, rows kept in it)`. The prefix
+/// ends at the `need`-th row `selection` keeps (every row, without a
+/// selection), or covers the whole block.
+fn needed_prefix(len: usize, selection: Option<&[u64]>, need: usize) -> (usize, usize) {
+    let Some(words) = selection else {
+        let n = len.min(need);
+        return (n, n);
+    };
+    if need == 0 {
+        return (0, 0);
     }
+    let mut seen = 0usize;
+    for (w, &word) in words.iter().enumerate() {
+        let ones = word.count_ones() as usize;
+        if seen + ones >= need {
+            // The (need - seen)-th set bit of this word ends the prefix.
+            let mut m = word;
+            for _ in 1..need - seen {
+                m &= m - 1;
+            }
+            return ((w << 6) + m.trailing_zeros() as usize + 1, need);
+        }
+        seen += ones;
+    }
+    (len, seen)
 }
 
 /// The outcome of planning a block-at-a-time scalar projection: which
@@ -1681,9 +1706,6 @@ struct ScalarBlockPlan {
     cols: Vec<usize>,
     int_slots: Vec<bool>,
     exprs: Vec<ScalarBlockExpr>,
-    /// Per projection: eligible for the once-per-block
-    /// [`ScalarUdf::eval_batch`] columnar path.
-    batched: Vec<bool>,
     predicate: Option<CompiledPredicates>,
 }
 
@@ -1805,12 +1827,10 @@ fn plan_scalar_block(
     if cols.is_empty() {
         return Err(not_block());
     }
-    let batched = exprs.iter().map(ScalarBlockExpr::flat_udf).collect();
     Ok(ScalarBlockPlan {
         cols,
         int_slots,
         exprs,
-        batched,
         predicate,
     })
 }

@@ -45,6 +45,7 @@ mod error;
 mod exec;
 mod executor;
 mod expr;
+mod output;
 mod parser;
 mod predicate;
 pub mod serve;
@@ -60,6 +61,7 @@ pub use db::{
 };
 pub use durable::{DurabilityStats, RecoveryInfo};
 pub use error::EngineError;
+pub use output::{ResultBlock, ResultColumn};
 pub use parser::parse;
 pub use serve::{beta_table, centroid_table, lambda_table, mu_table, MAX_SCORE_KEYS};
 pub use sys::{SystemTableProvider, SYS_PREFIX};

@@ -141,3 +141,107 @@ fn explain_reports_block_mode_for_scoring() {
         .join("\n");
     assert!(plan_row.contains("scan mode: row-at-a-time"), "{plan_row}");
 }
+
+/// `twice(x)`: counts how many rows each path evaluates.
+#[derive(Default)]
+struct Twice {
+    batch_rows: std::sync::atomic::AtomicUsize,
+    row_evals: std::sync::atomic::AtomicUsize,
+}
+
+impl nlq_udf::ScalarUdf for Twice {
+    fn name(&self) -> &str {
+        "twice"
+    }
+
+    fn eval(&self, args: &[nlq_storage::Value]) -> nlq_udf::Result<nlq_storage::Value> {
+        self.row_evals
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Ok(args[0].as_f64().map_or(nlq_storage::Value::Null, |x| {
+            nlq_storage::Value::Float(2.0 * x)
+        }))
+    }
+
+    fn eval_batch_f64(
+        &self,
+        args: &[nlq_udf::ScalarBatchArg<'_>],
+        rows: usize,
+        out: &mut nlq_udf::FloatBatch,
+    ) -> nlq_udf::Result<bool> {
+        self.batch_rows
+            .fetch_add(rows, std::sync::atomic::Ordering::Relaxed);
+        let mut validity = vec![0u64; nlq_storage::bitmap_words(rows)];
+        out.values = (0..rows)
+            .map(|i| match args[0].at(i) {
+                Some(x) => {
+                    validity[i >> 6] |= 1 << (i & 63);
+                    2.0 * x
+                }
+                None => 0.0,
+            })
+            .collect();
+        out.validity = validity;
+        Ok(true)
+    }
+}
+
+/// A small LIMIT stays on the columnar batch path and computes only
+/// the prefix of the block holding the rows it still needs: no
+/// row-at-a-time calls, and the rows scored stop at the LIMIT-th
+/// selected one.
+#[test]
+fn limit_scores_only_the_needed_prefix_in_one_batch() {
+    let db = Db::new(1);
+    let udf = std::sync::Arc::new(Twice::default());
+    db.with_registry_mut(|r| r.register_scalar(udf.clone()));
+    db.execute("CREATE TABLE X (i INT, X1 FLOAT)").unwrap();
+    let values: Vec<String> = (0..3000)
+        .map(|i| {
+            let x = if i % 2 == 0 {
+                "NULL".to_owned()
+            } else {
+                format!("{}.5", i % 7)
+            };
+            format!("({i}, {x})")
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO X VALUES {}", values.join(", ")))
+        .unwrap();
+
+    for (sql, scored) in [
+        // The 5th row.
+        ("SELECT i, twice(X1) FROM X LIMIT 5", 5),
+        // The 5th odd `i` (X1 IS NOT NULL keeps odd rows) is row 9.
+        (
+            "SELECT i, twice(X1) FROM X WHERE X1 IS NOT NULL LIMIT 5",
+            10,
+        ),
+    ] {
+        udf.batch_rows
+            .store(0, std::sync::atomic::Ordering::Relaxed);
+        udf.row_evals.store(0, std::sync::atomic::Ordering::Relaxed);
+        let block = db.execute(sql).unwrap();
+        assert!(block.stats.block_path, "{sql}");
+        assert_eq!(block.rows.len(), 5, "{sql}");
+        assert_eq!(
+            udf.row_evals.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "{sql}"
+        );
+        assert_eq!(
+            udf.batch_rows.load(std::sync::atomic::Ordering::Relaxed),
+            scored,
+            "{sql}"
+        );
+        let row = db
+            .execute_with(
+                sql,
+                &ExecOptions {
+                    block_scan: Some(false),
+                    ..ExecOptions::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(block.rows, row.rows, "{sql}");
+    }
+}

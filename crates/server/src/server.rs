@@ -57,9 +57,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nlq_engine::{EngineError, ExecOptions, ExecStats, SqlEngine};
+use nlq_engine::{EngineError, ExecOptions, ExecStats, ResultBlock, SqlEngine};
 use nlq_feature::{IngestStream, RefreshConfig, RefreshDaemon, TickGate};
 use nlq_obs::{Outcome, Phase, Span, Trace, TraceRecord, TraceRing};
+use nlq_storage::Row;
 
 use crate::metrics::{Command, Metrics};
 use crate::pool::{SubmitError, WorkerPool};
@@ -1099,8 +1100,8 @@ fn stream_job(
         let started = Instant::now();
         let token = opts.cancel.as_ref().expect("stream job has a token");
         let trace = opts.trace.clone();
-        let result = db.execute_with(&sql, &opts);
-        let rs = match result {
+        let result = db.execute_blocks(&sql, &opts);
+        let mut rs = match result {
             Err(EngineError::Cancelled { rows_scanned }) => {
                 let stats = ExecStats {
                     rows_scanned,
@@ -1126,12 +1127,12 @@ fn stream_job(
             }
             Ok(rs) => rs,
         };
-        if rs.rows.len() > config.max_result_rows {
+        if rs.len() > config.max_result_rows {
             let _ = tx.send(StreamMsg::Failed {
                 code: ErrorCode::TooLarge,
                 message: format!(
                     "result has {} rows (limit {})",
-                    rs.rows.len(),
+                    rs.len(),
                     config.max_result_rows
                 ),
                 stats: Some(rs.stats),
@@ -1142,7 +1143,7 @@ fn stream_job(
         let ncols = rs.columns.len();
         if tx
             .send(StreamMsg::Header {
-                columns: rs.columns,
+                columns: std::mem::take(&mut rs.columns),
             })
             .is_err()
         {
@@ -1150,41 +1151,55 @@ fn stream_job(
         }
         let mut enc = ChunkEncoder::new(seq, ncols, config.chunk_bytes);
         let encode_started = Instant::now();
-        for row in &rs.rows {
-            // The engine finished, but the stream is still
-            // cancellable between chunks.
-            if token.load(Ordering::Relaxed) {
-                let _ = tx.send(StreamMsg::Failed {
-                    code: ErrorCode::Cancelled,
-                    message: format!("query cancelled after streaming {} rows", enc.total_rows()),
-                    stats: Some(ExecStats {
-                        cancelled: true,
-                        ..rs.stats
-                    }),
-                    cancelled_queued: false,
-                });
-                return;
-            }
-            let chunk = enc.push_row(row);
-            // Incremental byte budget: refuse as soon as the encoded
-            // size crosses the line, never after materializing the
-            // whole encoding.
-            if enc.total_bytes() > config.max_result_bytes as u64 {
-                let _ = tx.send(StreamMsg::Failed {
-                    code: ErrorCode::TooLarge,
-                    message: format!(
-                        "result exceeds {} encoded bytes (limit reached after {} rows)",
-                        config.max_result_bytes,
-                        enc.total_rows()
-                    ),
-                    stats: Some(rs.stats),
-                    cancelled_queued: false,
-                });
-                return;
-            }
-            if let Some(payload) = chunk {
-                if tx.send(StreamMsg::Chunk(payload)).is_err() {
+        // Row-path rows go in one at a time; block-path blocks are
+        // encoded straight from their columns a chunk at a time.
+        let sources =
+            std::iter::once(Source::Rows(&rs.rows)).chain(rs.blocks().iter().map(Source::Block));
+        for source in sources {
+            let mut next = 0;
+            while next < source.len() {
+                // The engine finished, but the stream is still
+                // cancellable between chunks.
+                if token.load(Ordering::Relaxed) {
+                    let _ = tx.send(StreamMsg::Failed {
+                        code: ErrorCode::Cancelled,
+                        message: format!(
+                            "query cancelled after streaming {} rows",
+                            enc.total_rows()
+                        ),
+                        stats: Some(ExecStats {
+                            cancelled: true,
+                            ..rs.stats
+                        }),
+                        cancelled_queued: false,
+                    });
                     return;
+                }
+                let chunk;
+                (next, chunk) = match source {
+                    Source::Rows(rows) => (next + 1, enc.push_row(&rows[next])),
+                    Source::Block(block) => enc.push_block(block, next),
+                };
+                // Incremental byte budget: refuse as soon as the
+                // encoded size crosses the line, never after
+                // materializing the whole encoding.
+                if enc.total_bytes() > config.max_result_bytes as u64 {
+                    let _ = tx.send(StreamMsg::Failed {
+                        code: ErrorCode::TooLarge,
+                        message: format!(
+                            "result exceeds {} encoded bytes (limit reached after {} rows)",
+                            config.max_result_bytes,
+                            enc.total_rows()
+                        ),
+                        stats: Some(rs.stats),
+                        cancelled_queued: false,
+                    });
+                    return;
+                }
+                if let Some(payload) = chunk {
+                    if tx.send(StreamMsg::Chunk(payload)).is_err() {
+                        return;
+                    }
                 }
             }
         }
@@ -1217,6 +1232,23 @@ fn stream_job(
             payload: enc.done_payload(&wire),
             stats: rs.stats,
         });
+    }
+}
+
+/// What a streamed result encodes from: row-path rows, or one
+/// block-path output block.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Rows(&'a [Row]),
+    Block(&'a ResultBlock),
+}
+
+impl Source<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Source::Rows(rows) => rows.len(),
+            Source::Block(block) => block.len(),
+        }
     }
 }
 

@@ -30,6 +30,7 @@
 
 use std::io::{self, Read, Write};
 
+use nlq_engine::{ResultBlock, ResultColumn};
 use nlq_storage::Value;
 
 /// Hard ceiling on a frame payload (64 MiB).
@@ -747,23 +748,18 @@ impl Response {
                 }
             }
             RESP_ROWS_CHUNK => {
-                let seq = r.u64()?;
-                let nrows = r.u32()? as usize;
-                let ncols = r.u32()?;
-                // Each value is at least one tag byte: reject row
-                // counts the remaining payload cannot possibly hold.
-                if nrows.saturating_mul((ncols as usize).max(1)) > payload.len() {
-                    return Err(bad("row count exceeds frame size"));
+                // The row cursor checks the whole payload, trailing
+                // bytes included.
+                let mut chunk = ChunkRows::open(payload)?;
+                let mut rows = Vec::with_capacity(chunk.rows_left as usize);
+                while let Some(row) = chunk.next_row() {
+                    rows.push(row?);
                 }
-                let mut rows = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(ncols as usize);
-                    for _ in 0..ncols {
-                        row.push(r.value()?);
-                    }
-                    rows.push(row);
-                }
-                Response::RowsChunk { seq, ncols, rows }
+                return Ok(Response::RowsChunk {
+                    seq: chunk.seq,
+                    ncols: chunk.ncols,
+                    rows,
+                });
             }
             RESP_ROWS_DONE => {
                 let seq = r.u64()?;
@@ -802,11 +798,14 @@ pub const CHUNK_OVERHEAD: usize = 1 + 8 + 4 + 4;
 /// tracked as rows are encoded, so a caller can enforce a result-size
 /// budget *before* the next chunk is built — never after materializing
 /// the whole result.
+///
+/// Each chunk is encoded in the buffer it is sent in: the header goes
+/// first with a placeholder row count, filled in when the chunk is cut.
 pub struct ChunkEncoder {
     seq: u64,
     ncols: u32,
     chunk_bytes: usize,
-    /// Encoded row values for the chunk under construction.
+    /// The chunk under construction (empty until its first row).
     buf: Vec<u8>,
     rows_in_buf: u32,
     total_rows: u64,
@@ -832,14 +831,35 @@ impl ChunkEncoder {
     /// Encodes one row; returns a finished chunk payload once the
     /// pending bytes reach the chunk budget.
     pub fn push_row(&mut self, row: &[Value]) -> Option<Vec<u8>> {
+        self.open_row();
         let before = self.buf.len();
         for v in row {
             put_value(&mut self.buf, v);
         }
-        self.total_bytes += (self.buf.len() - before) as u64;
-        self.rows_in_buf += 1;
-        self.total_rows += 1;
-        (self.buf.len() >= self.chunk_bytes).then(|| self.cut())
+        self.close_row(before)
+    }
+
+    /// Encodes rows `from..` of a result block, straight from its
+    /// columns, until a chunk fills. Returns the row to continue from
+    /// and the chunk, if one was cut. The bytes are exactly what
+    /// [`ChunkEncoder::push_row`] writes for the same rows.
+    pub fn push_block(&mut self, block: &ResultBlock, from: usize) -> (usize, Option<Vec<u8>>) {
+        let columns = block.columns();
+        for i in from..block.len() {
+            self.open_row();
+            let before = self.buf.len();
+            for c in columns {
+                match c {
+                    ResultColumn::Numeric { .. } => put_value(&mut self.buf, &c.value(i)),
+                    ResultColumn::Const(v) => put_value(&mut self.buf, v),
+                    ResultColumn::Values(v) => put_value(&mut self.buf, &v[i]),
+                }
+            }
+            if let Some(chunk) = self.close_row(before) {
+                return (i + 1, Some(chunk));
+            }
+        }
+        (block.len(), None)
     }
 
     /// The final partial chunk, if any rows are pending.
@@ -869,16 +889,124 @@ impl ChunkEncoder {
         .encode()
     }
 
+    /// Starts a chunk with its header before its first row.
+    #[inline]
+    fn open_row(&mut self) {
+        if self.rows_in_buf == 0 {
+            self.buf.push(RESP_ROWS_CHUNK);
+            self.buf.extend_from_slice(&self.seq.to_be_bytes());
+            self.buf.extend_from_slice(&0u32.to_be_bytes());
+            self.buf.extend_from_slice(&self.ncols.to_be_bytes());
+        }
+    }
+
+    /// Counts the row encoded since `before`; cuts the chunk once its
+    /// row bytes reach the budget.
+    #[inline]
+    fn close_row(&mut self, before: usize) -> Option<Vec<u8>> {
+        self.total_bytes += (self.buf.len() - before) as u64;
+        self.rows_in_buf += 1;
+        self.total_rows += 1;
+        (self.buf.len() - CHUNK_OVERHEAD >= self.chunk_bytes).then(|| self.cut())
+    }
+
     fn cut(&mut self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(CHUNK_OVERHEAD + self.buf.len());
-        payload.push(RESP_ROWS_CHUNK);
-        payload.extend_from_slice(&self.seq.to_be_bytes());
-        payload.extend_from_slice(&self.rows_in_buf.to_be_bytes());
-        payload.extend_from_slice(&self.ncols.to_be_bytes());
-        payload.extend_from_slice(&self.buf);
-        self.buf.clear();
+        self.buf[9..13].copy_from_slice(&self.rows_in_buf.to_be_bytes());
         self.rows_in_buf = 0;
-        payload
+        std::mem::take(&mut self.buf)
+    }
+}
+
+/// A lazy row cursor over one `RowsChunk` payload: the header is
+/// checked when the cursor opens, and each
+/// [`ChunkRows::next_row`] decodes one row. [`Response::decode`],
+/// [`StreamAssembler`] and the client's row stream all read chunks
+/// through it.
+pub struct ChunkRows<B> {
+    payload: B,
+    pos: usize,
+    seq: u64,
+    ncols: u32,
+    rows_left: u32,
+}
+
+/// Whether `payload` is a `RowsChunk` frame (by its tag): the frames a
+/// [`ChunkRows`] cursor reads.
+pub fn is_rows_chunk(payload: &[u8]) -> bool {
+    payload.first() == Some(&RESP_ROWS_CHUNK)
+}
+
+impl<B: AsRef<[u8]>> ChunkRows<B> {
+    /// Checks a `RowsChunk` header; rows are decoded later, one per
+    /// [`ChunkRows::next_row`].
+    pub fn open(payload: B) -> io::Result<ChunkRows<B>> {
+        let buf = payload.as_ref();
+        let mut r = Reader { buf };
+        if r.u8()? != RESP_ROWS_CHUNK {
+            return Err(bad("not a rows chunk"));
+        }
+        let seq = r.u64()?;
+        let rows_left = r.u32()?;
+        let ncols = r.u32()?;
+        // Each value is at least one tag byte: reject row counts the
+        // payload cannot possibly hold.
+        if (rows_left as usize).saturating_mul((ncols as usize).max(1)) > buf.len() {
+            return Err(bad("row count exceeds frame size"));
+        }
+        Ok(ChunkRows {
+            payload,
+            pos: CHUNK_OVERHEAD,
+            seq,
+            ncols,
+            rows_left,
+        })
+    }
+
+    /// The chunk's statement sequence number.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Values per row.
+    pub fn ncols(&self) -> u32 {
+        self.ncols
+    }
+
+    /// Encoded row bytes in the chunk (payload minus the fixed
+    /// header).
+    pub fn row_bytes(&self) -> usize {
+        self.payload.as_ref().len() - CHUNK_OVERHEAD
+    }
+
+    /// Decodes the next row; `None` after the last. A malformed row,
+    /// or bytes left over after the last row, is one `Err`, after
+    /// which the cursor yields `None`.
+    pub fn next_row(&mut self) -> Option<io::Result<Vec<Value>>> {
+        let buf = self.payload.as_ref();
+        if self.rows_left == 0 {
+            if self.pos == buf.len() {
+                return None;
+            }
+            self.pos = buf.len();
+            return Some(Err(bad("trailing bytes in frame")));
+        }
+        let mut r = Reader {
+            buf: &buf[self.pos..],
+        };
+        let mut row = Vec::with_capacity(self.ncols as usize);
+        for _ in 0..self.ncols {
+            match r.value() {
+                Ok(v) => row.push(v),
+                Err(e) => {
+                    self.rows_left = 0;
+                    self.pos = buf.len();
+                    return Some(Err(e));
+                }
+            }
+        }
+        self.pos = buf.len() - r.remaining();
+        self.rows_left -= 1;
+        Some(Ok(row))
     }
 }
 
@@ -908,22 +1036,33 @@ impl StreamAssembler {
 
     /// Consumes one post-header frame payload. Returns `Ok(true)` when
     /// the trailer arrived and verified, `Ok(false)` to keep reading.
+    /// A chunk that fails to decode adds no rows.
     pub fn push_payload(&mut self, payload: &[u8]) -> io::Result<bool> {
         if self.stats.is_some() {
             return Err(bad("frame after stream trailer"));
         }
-        match Response::decode(payload)? {
-            Response::RowsChunk { seq, ncols, rows } => {
-                if seq != self.seq {
-                    return Err(bad("chunk for a different statement"));
-                }
-                if ncols as usize != self.ncols {
-                    return Err(bad("chunk column count mismatch"));
-                }
-                self.bytes += (payload.len() - CHUNK_OVERHEAD) as u64;
-                self.rows.extend(rows);
-                Ok(false)
+        if is_rows_chunk(payload) {
+            let mut chunk = ChunkRows::open(payload)?;
+            if chunk.seq != self.seq {
+                return Err(bad("chunk for a different statement"));
             }
+            if chunk.ncols as usize != self.ncols {
+                return Err(bad("chunk column count mismatch"));
+            }
+            let before = self.rows.len();
+            while let Some(row) = chunk.next_row() {
+                match row {
+                    Ok(row) => self.rows.push(row),
+                    Err(e) => {
+                        self.rows.truncate(before);
+                        return Err(e);
+                    }
+                }
+            }
+            self.bytes += chunk.row_bytes() as u64;
+            return Ok(false);
+        }
+        match Response::decode(payload)? {
             Response::RowsDone {
                 seq,
                 total_rows,
@@ -1385,6 +1524,43 @@ mod tests {
             .encode(),
         );
         assert!(assemble(1, 1, &payloads).is_err());
+    }
+
+    /// The row cursor decodes lazily: a chunk cut short anywhere in its
+    /// rows, or carrying bytes past its last row, yields every row
+    /// before the fault, then exactly one `Err`, then nothing.
+    #[test]
+    fn chunk_rows_fail_once_at_the_bad_row() {
+        let rows: Vec<Vec<Value>> = (0..4)
+            .map(|i| vec![Value::Int(i), Value::Str("ab".into()), Value::Null])
+            .collect();
+        let row_bytes = 9 + 7 + 1;
+        let mut enc = ChunkEncoder::new(3, 3, 1 << 20);
+        for row in &rows {
+            assert!(enc.push_row(row).is_none());
+        }
+        let full = enc.finish().expect("one chunk");
+        let items = |payload: &[u8]| -> Vec<bool> {
+            let mut chunk = ChunkRows::open(payload).expect("header intact");
+            std::iter::from_fn(|| chunk.next_row())
+                .map(|r| r.is_ok())
+                .collect()
+        };
+        assert_eq!(items(&full), vec![true; 4]);
+        for cut in CHUNK_OVERHEAD..full.len() {
+            let whole_rows = (cut - CHUNK_OVERHEAD) / row_bytes;
+            let mut want = vec![true; whole_rows];
+            want.push(false);
+            assert_eq!(items(&full[..cut]), want, "cut at {cut}");
+        }
+        let mut trailing = full.clone();
+        trailing.push(0);
+        assert_eq!(items(&trailing), vec![true, true, true, true, false]);
+        // The eager decoders reject both, adding no rows.
+        assert!(Response::decode(&trailing).is_err());
+        let mut asm = StreamAssembler::new(3, 3);
+        assert!(asm.push_payload(&full[..full.len() - 1]).is_err());
+        assert!(asm.rows().is_empty());
     }
 
     /// The encoder cuts chunks at the budget: a 1-byte budget yields

@@ -35,14 +35,82 @@ pub trait ScalarUdf: Send + Sync {
     /// arguments, and may only raise errors that are uniform across
     /// rows (arity, argument types) — callers may evaluate rows a
     /// `WHERE` predicate would have excluded.
+    ///
+    /// The default boxes the result of [`ScalarUdf::eval_batch_f64`]
+    /// (`Value::Float`, or `Value::Null` where invalid), so a
+    /// float-valued UDF implements only that.
     fn eval_batch(
         &self,
         args: &[ScalarBatchArg<'_>],
         rows: usize,
         out: &mut Vec<Value>,
     ) -> Result<bool> {
+        let mut batch = FloatBatch::default();
+        if !self.eval_batch_f64(args, rows, &mut batch)? {
+            return Ok(false);
+        }
+        out.reserve(rows);
+        for (vals, &word) in batch.values.chunks(64).zip(&batch.validity) {
+            if word.count_ones() as usize == vals.len() {
+                out.extend(vals.iter().map(|&v| Value::Float(v)));
+            } else {
+                out.extend(vals.iter().enumerate().map(|(b, &v)| {
+                    if word >> b & 1 == 1 {
+                        Value::Float(v)
+                    } else {
+                        Value::Null
+                    }
+                }));
+            }
+        }
+        Ok(true)
+    }
+
+    /// Optional unboxed columnar fast path for float-valued UDFs: like
+    /// [`ScalarUdf::eval_batch`], but overwrites `out` with `rows`
+    /// `f64` results plus their validity (`Value::Null` rows are
+    /// invalid). The same contract holds: row `i` must be exactly what
+    /// `eval` returns for it (a `Value::Float` with the same bits, or
+    /// NULL), and only row-uniform errors may be raised. Returns
+    /// `Ok(false)` to decline.
+    fn eval_batch_f64(
+        &self,
+        args: &[ScalarBatchArg<'_>],
+        rows: usize,
+        out: &mut FloatBatch,
+    ) -> Result<bool> {
         let _ = (args, rows, out);
         Ok(false)
+    }
+}
+
+/// A block of float results in the storage block layout: one `f64`
+/// per row plus an LSB-ordered validity bitmap (set bit = valid,
+/// `bitmap_words(values.len())` words, bits past the row count zero).
+/// Invalid (NULL) slots hold an arbitrary value.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FloatBatch {
+    /// One value per row.
+    pub values: Vec<f64>,
+    /// Validity bitmap over `values`.
+    pub validity: Vec<u64>,
+}
+
+impl FloatBatch {
+    /// Whether row `i` is non-NULL.
+    #[inline]
+    pub fn is_valid(&self, i: usize) -> bool {
+        nlq_storage::bitmap_get(&self.validity, i)
+    }
+
+    /// Row `i` as a [`Value`]: `Float`, or `Null` where invalid.
+    #[inline]
+    pub fn value(&self, i: usize) -> Value {
+        if self.is_valid(i) {
+            Value::Float(self.values[i])
+        } else {
+            Value::Null
+        }
     }
 }
 

@@ -41,8 +41,8 @@ mod scoring_udfs;
 
 pub use error::UdfError;
 pub use framework::{
-    check_heap, for_each_row_args, AggregateState, AggregateUdf, BatchArg, ScalarBatchArg,
-    ScalarUdf, UDF_HEAP_LIMIT,
+    check_heap, for_each_row_args, AggregateState, AggregateUdf, BatchArg, FloatBatch,
+    ScalarBatchArg, ScalarUdf, UDF_HEAP_LIMIT,
 };
 pub use nlq_udf::{nlq_of_columns, seeded_nlq_state, NlqBlockUdf, NlqUdf, ParamStyle, MAX_D};
 pub use registry::UdfRegistry;

@@ -1,7 +1,7 @@
 use nlq_models::scoring;
-use nlq_storage::{bitmap_get, Value};
+use nlq_storage::{bitmap_mask_tail, bitmap_words, Value};
 
-use crate::framework::{float_arg, ScalarBatchArg, ScalarUdf};
+use crate::framework::{float_arg, FloatBatch, ScalarBatchArg, ScalarUdf};
 use crate::{Result, UdfError};
 
 /// Collects `count` float arguments starting at `from`; `Ok(None)`
@@ -17,45 +17,51 @@ fn float_slice(udf: &str, args: &[Value], from: usize, count: usize) -> Result<O
     Ok(Some(out))
 }
 
-/// One [`ScalarBatchArg`] lowered for the per-row hot loop: constants
-/// resolved to plain floats once, columns as raw slices.
-enum BatchSrc<'a> {
-    Dense(&'a [f64]),
-    Masked(&'a [f64], &'a [u64]),
+/// One [`ScalarBatchArg`] lowered for the column kernels: a column
+/// cut to the batch's rows, or a constant resolved to a plain float
+/// once (a NULL constant lowers to `0.0` and clears every validity
+/// bit instead).
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Col(&'a [f64]),
     Lit(f64),
-    Null,
 }
 
-impl BatchSrc<'_> {
-    #[inline]
-    fn at(&self, i: usize) -> Option<f64> {
-        match self {
-            BatchSrc::Dense(v) => Some(v[i]),
-            BatchSrc::Masked(v, m) => bitmap_get(m, i).then(|| v[i]),
-            BatchSrc::Lit(c) => Some(*c),
-            BatchSrc::Null => None,
-        }
-    }
-}
-
-/// Lowers batch arguments, raising the per-constant type errors the
-/// row path's [`float_arg`] would raise on every row.
-fn lower<'a>(udf: &str, args: &'a [ScalarBatchArg<'a>]) -> Result<Vec<BatchSrc<'a>>> {
+/// Lowers batch arguments and sets `out` up for `rows` results: the
+/// validity bitmap is the AND of every argument's (a NULL argument
+/// makes the row NULL, exactly as on the row path), and the values
+/// start at `init`. Raises the per-constant type errors the row
+/// path's [`float_arg`] would raise on every row.
+fn lower<'a>(
+    udf: &str,
+    args: &'a [ScalarBatchArg<'a>],
+    rows: usize,
+    init: f64,
+    out: &mut FloatBatch,
+) -> Result<Vec<Src<'a>>> {
+    out.values.clear();
+    out.values.resize(rows, init);
+    out.validity.clear();
+    out.validity.resize(bitmap_words(rows), !0u64);
+    bitmap_mask_tail(&mut out.validity, rows);
     args.iter()
         .enumerate()
         .map(|(i, a)| {
             Ok(match a {
-                ScalarBatchArg::Col {
-                    values,
-                    validity: None,
-                } => BatchSrc::Dense(values),
-                ScalarBatchArg::Col {
-                    values,
-                    validity: Some(m),
-                } => BatchSrc::Masked(values, m),
-                ScalarBatchArg::Const(Value::Null) => BatchSrc::Null,
+                ScalarBatchArg::Col { values, validity } => {
+                    if let Some(m) = validity {
+                        for (w, v) in out.validity.iter_mut().zip(*m) {
+                            *w &= v;
+                        }
+                    }
+                    Src::Col(&values[..rows])
+                }
+                ScalarBatchArg::Const(Value::Null) => {
+                    out.validity.fill(0);
+                    Src::Lit(0.0)
+                }
                 ScalarBatchArg::Const(v) => {
-                    BatchSrc::Lit(v.as_f64().ok_or_else(|| UdfError::InvalidArgument {
+                    Src::Lit(v.as_f64().ok_or_else(|| UdfError::InvalidArgument {
                         udf: udf.to_owned(),
                         message: format!("argument {} must be numeric, got {v:?}", i + 1),
                     })?)
@@ -65,29 +71,31 @@ fn lower<'a>(udf: &str, args: &'a [ScalarBatchArg<'a>]) -> Result<Vec<BatchSrc<'
         .collect()
 }
 
-/// Shared `eval_batch` kernel: gathers `args` row by row into a reused
-/// buffer and maps it through `f`, emitting NULL whenever any argument
-/// is NULL — exactly the scoring UDFs' row semantics with the per-row
-/// allocation, argument re-boxing, and dynamic dispatch stripped out.
-fn batch_map(
-    srcs: &[BatchSrc<'_>],
-    rows: usize,
-    out: &mut Vec<Value>,
-    mut f: impl FnMut(&[f64]) -> Value,
-) {
-    let mut gathered = vec![0.0f64; srcs.len()];
-    out.reserve(rows);
-    'rows: for i in 0..rows {
-        for (g, s) in gathered.iter_mut().zip(srcs) {
-            match s.at(i) {
-                Some(v) => *g = v,
-                None => {
-                    out.push(Value::Null);
-                    continue 'rows;
-                }
+/// One column pass: `acc[i] = f(acc[i], a[i], b[i])` for every row,
+/// with each constant/column combination its own straight loop.
+#[inline(always)]
+fn pass(acc: &mut [f64], a: Src<'_>, b: Src<'_>, f: impl Fn(f64, f64, f64) -> f64) {
+    match (a, b) {
+        (Src::Col(a), Src::Col(b)) => {
+            for ((s, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+                *s = f(*s, x, y);
             }
         }
-        out.push(f(&gathered));
+        (Src::Col(a), Src::Lit(y)) => {
+            for (s, &x) in acc.iter_mut().zip(a) {
+                *s = f(*s, x, y);
+            }
+        }
+        (Src::Lit(x), Src::Col(b)) => {
+            for (s, &y) in acc.iter_mut().zip(b) {
+                *s = f(*s, x, y);
+            }
+        }
+        (Src::Lit(x), Src::Lit(y)) => {
+            for s in acc.iter_mut() {
+                *s = f(*s, x, y);
+            }
+        }
     }
 }
 
@@ -125,11 +133,11 @@ impl ScalarUdf for LinearRegScoreUdf {
         Ok(Value::Float(scoring::linear_reg_score(&x, b0, &beta)))
     }
 
-    fn eval_batch(
+    fn eval_batch_f64(
         &self,
         args: &[ScalarBatchArg<'_>],
         rows: usize,
-        out: &mut Vec<Value>,
+        out: &mut FloatBatch,
     ) -> Result<bool> {
         if args.len() < 3 || args.len().is_multiple_of(2) {
             return Err(UdfError::WrongArity {
@@ -139,10 +147,16 @@ impl ScalarUdf for LinearRegScoreUdf {
             });
         }
         let d = (args.len() - 1) / 2;
-        let srcs = lower(self.name(), args)?;
-        batch_map(&srcs, rows, out, |g| {
-            Value::Float(scoring::linear_reg_score(&g[..d], g[d], &g[d + 1..]))
-        });
+        // `β₀ + Σ xⱼβⱼ` in `scoring::linear_reg_score`'s order: the dot
+        // product from -0.0 left to right, then the intercept on the
+        // left.
+        let srcs = lower(self.name(), args, rows, -0.0, out)?;
+        for j in 0..d {
+            pass(&mut out.values, srcs[j], srcs[d + 1 + j], |s, x, b| {
+                s + x * b
+            });
+        }
+        pass(&mut out.values, srcs[d], srcs[d], |s, b0, _| b0 + s);
         Ok(true)
     }
 }
@@ -180,11 +194,11 @@ impl ScalarUdf for FaScoreUdf {
         Ok(Value::Float(scoring::fa_score(&x, &mu, &lam)))
     }
 
-    fn eval_batch(
+    fn eval_batch_f64(
         &self,
         args: &[ScalarBatchArg<'_>],
         rows: usize,
-        out: &mut Vec<Value>,
+        out: &mut FloatBatch,
     ) -> Result<bool> {
         if args.is_empty() || !args.len().is_multiple_of(3) {
             return Err(UdfError::WrongArity {
@@ -194,10 +208,18 @@ impl ScalarUdf for FaScoreUdf {
             });
         }
         let d = args.len() / 3;
-        let srcs = lower(self.name(), args)?;
-        batch_map(&srcs, rows, out, |g| {
-            Value::Float(scoring::fa_score(&g[..d], &g[d..2 * d], &g[2 * d..]))
-        });
+        // `Σ λⱼ·(xⱼ − μⱼ)` from 0.0, as `scoring::fa_score` sums.
+        let srcs = lower(self.name(), args, rows, 0.0, out)?;
+        let mut centred = vec![0.0; rows];
+        for j in 0..d {
+            pass(&mut centred, srcs[j], srcs[d + j], |_, x, mu| x - mu);
+            pass(
+                &mut out.values,
+                srcs[2 * d + j],
+                Src::Col(&centred),
+                |s, l, c| s + l * c,
+            );
+        }
         Ok(true)
     }
 }
@@ -230,11 +252,11 @@ impl ScalarUdf for DistanceUdf {
         Ok(Value::Float(scoring::squared_distance(&x, &c)))
     }
 
-    fn eval_batch(
+    fn eval_batch_f64(
         &self,
         args: &[ScalarBatchArg<'_>],
         rows: usize,
-        out: &mut Vec<Value>,
+        out: &mut FloatBatch,
     ) -> Result<bool> {
         if args.is_empty() || !args.len().is_multiple_of(2) {
             return Err(UdfError::WrongArity {
@@ -244,10 +266,14 @@ impl ScalarUdf for DistanceUdf {
             });
         }
         let d = args.len() / 2;
-        let srcs = lower(self.name(), args)?;
-        batch_map(&srcs, rows, out, |g| {
-            Value::Float(scoring::squared_distance(&g[..d], &g[d..]))
-        });
+        // `Σ (xⱼ − cⱼ)²` from 0.0, as `scoring::squared_distance` sums.
+        let srcs = lower(self.name(), args, rows, 0.0, out)?;
+        for j in 0..d {
+            pass(&mut out.values, srcs[j], srcs[d + j], |s, x, c| {
+                let diff = x - c;
+                s + diff * diff
+            });
+        }
         Ok(true)
     }
 }
@@ -391,6 +417,94 @@ mod tests {
             ];
             assert_eq!(out[i], LinearRegScoreUdf.eval(&row).unwrap(), "row {i}");
         }
+
+        // Property: every scoring kernel, over random argument shapes
+        // (dense and masked columns, float / int / NULL constants)
+        // and values that include ±0.0, equals `eval` on each row bit
+        // for bit — through both `eval_batch_f64` and the boxed
+        // `eval_batch`.
+        // (UDF, arguments per dimension, extra arguments)
+        let udfs: [(&dyn ScalarUdf, usize, usize); 3] = [
+            (&LinearRegScoreUdf, 2, 1),
+            (&FaScoreUdf, 3, 0),
+            (&DistanceUdf, 2, 0),
+        ];
+        nlq_testkit::run_cases(96, 0x5c_0e_e9, |rng| {
+            let (udf, per_d, extra) = udfs[rng.range_usize(0, 2)];
+            let args_n = per_d * rng.range_usize(1, 5) + extra;
+            let rows = rng.range_usize(0, 150);
+            let pick = |rng: &mut nlq_testkit::Rng| match rng.range_usize(0, 3) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.range_f64(-4.0, 4.0),
+            };
+            let mut columns: Vec<(Vec<f64>, Option<Vec<u64>>)> = Vec::new();
+            let mut consts: Vec<Value> = Vec::new();
+            let mut shape = Vec::new(); // true = column
+            for _ in 0..args_n {
+                if rng.chance(0.6) {
+                    let values: Vec<f64> = (0..rows).map(|_| pick(rng)).collect();
+                    let validity = rng.chance(0.5).then(|| {
+                        let mut w = vec![0u64; bitmap_words(rows)];
+                        for i in 0..rows {
+                            if !rng.chance(0.15) {
+                                w[i >> 6] |= 1 << (i & 63);
+                            }
+                        }
+                        w
+                    });
+                    columns.push((values, validity));
+                    shape.push(true);
+                } else {
+                    consts.push(match rng.range_usize(0, 9) {
+                        0 => Value::Null,
+                        1 => Value::Int(rng.range_i64(-3, 3)),
+                        _ => Value::Float(pick(rng)),
+                    });
+                    shape.push(false);
+                }
+            }
+            let (mut ci, mut ki) = (0, 0);
+            let args: Vec<ScalarBatchArg> = shape
+                .iter()
+                .map(|&is_col| {
+                    if is_col {
+                        ci += 1;
+                        ScalarBatchArg::Col {
+                            values: &columns[ci - 1].0,
+                            validity: columns[ci - 1].1.as_deref(),
+                        }
+                    } else {
+                        ki += 1;
+                        ScalarBatchArg::Const(&consts[ki - 1])
+                    }
+                })
+                .collect();
+            let mut batch = FloatBatch::default();
+            assert!(udf.eval_batch_f64(&args, rows, &mut batch).unwrap());
+            assert_eq!(batch.values.len(), rows);
+            let mut boxed = Vec::new();
+            assert!(udf.eval_batch(&args, rows, &mut boxed).unwrap());
+            assert_eq!(boxed.len(), rows);
+            for (i, boxed) in boxed.iter().enumerate() {
+                let row: Vec<Value> = args
+                    .iter()
+                    .map(|a| match a {
+                        ScalarBatchArg::Const(v) => (*v).clone(),
+                        col => col.at(i).map_or(Value::Null, Value::Float),
+                    })
+                    .collect();
+                let want = udf.eval(&row).unwrap();
+                for got in [batch.value(i), boxed.clone()] {
+                    match (&want, &got) {
+                        (Value::Float(w), Value::Float(g)) => {
+                            assert_eq!(w.to_bits(), g.to_bits(), "{} row {i}", udf.name())
+                        }
+                        _ => assert_eq!(want, got, "{} row {i}", udf.name()),
+                    }
+                }
+            }
+        });
     }
 
     #[test]
