@@ -219,6 +219,18 @@ pub enum Statement {
     },
 }
 
+impl Statement {
+    /// Whether the statement only reads: a query, or an `EXPLAIN
+    /// [ANALYZE]` of one. Every other statement mutates the catalog or
+    /// a table, and on a durable engine must be logged.
+    pub(crate) fn is_read_only(&self) -> bool {
+        matches!(
+            self,
+            Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)
+        )
+    }
+}
+
 impl Expr {
     /// Convenience constructor for an unqualified column reference.
     pub fn col(name: impl Into<String>) -> Expr {

@@ -57,10 +57,7 @@ impl PlanCache {
             return Ok((Arc::clone(stmt), CacheOutcome::Hit));
         }
         let stmt = Arc::new(parse(sql)?);
-        if matches!(
-            *stmt,
-            Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)
-        ) {
+        if stmt.is_read_only() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             let mut map = self.map.write().expect("plan cache");
             if map.len() >= MAX_ENTRIES {

@@ -578,10 +578,20 @@ impl Db {
     /// Executes an already-parsed statement (the entry point for
     /// callers that parse once and execute the same AST many times).
     /// Equivalent to [`Db::execute_with`] except that no parsing
-    /// happens, so `parse_nanos` stays 0, and nothing is logged: on a
-    /// durable engine, run mutations through [`Db::execute_with`].
+    /// happens, so `parse_nanos` stays 0, and nothing is logged.
+    ///
+    /// # Errors
+    /// On a durable engine a mutating statement fails with
+    /// [`EngineError::Unsupported`] before it runs: with no SQL text
+    /// to log, its effect would be lost at reopen. Run mutations
+    /// through [`Db::execute_with`].
     pub fn execute_statement(&self, stmt: Statement, opts: &ExecOptions) -> Result<ResultSet> {
         let cpu_started = thread_cpu_nanos();
+        if self.logs.is_some() && !stmt.is_read_only() {
+            return Err(EngineError::Unsupported(
+                "execute_statement cannot log a mutation on a durable Db; use execute_with".into(),
+            ));
+        }
         check_cancelled(opts.cancel.as_deref(), 0)?;
         let stmt = Arc::new(stmt);
         let payload = Payload::unlogged();

@@ -138,13 +138,10 @@ impl<'a> Payload<'a> {
     /// unless it is a read (SELECT and the EXPLAIN family), which
     /// mutates nothing and is neither logged nor ordered.
     pub fn statement(sql: &'a str, stmt: &Statement) -> Payload<'a> {
-        Payload(match stmt {
-            Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => None,
-            _ => Some(Kind::Statement {
-                sql,
-                view: view_change(stmt),
-            }),
-        })
+        Payload((!stmt.is_read_only()).then(|| Kind::Statement {
+            sql,
+            view: view_change(stmt),
+        }))
     }
 
     /// The envelope of a statement run from its AST alone: there is no

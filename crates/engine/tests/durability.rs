@@ -17,7 +17,7 @@
 use std::sync::Barrier;
 
 use nlq_engine::sqlgen::{score_regression_udf, x_cols};
-use nlq_engine::{Db, LogDir, SqlEngine};
+use nlq_engine::{parse, Db, ExecOptions, LogDir, SqlEngine};
 use nlq_linalg::Vector;
 use nlq_storage::Value;
 use nlq_testkit::{run_cases, Rng};
@@ -155,6 +155,33 @@ fn crash_mid_envelope_commits_nothing_and_acked_survives(engine: Engine) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `execute_statement` has no SQL text to log, so on a durable engine
+/// it refuses a mutation rather than ack one that reopen would lose;
+/// reads still run through it.
+fn execute_statement_refuses_unlogged_mutations(engine: Engine) {
+    let dir = engine.temp_dir("exec-stmt");
+    let open = || Db::open(engine.0, 2, Some(LogDir::new(&dir, true))).unwrap();
+    let run =
+        |db: &Db, text: &str| db.execute_statement(parse(text).unwrap(), &ExecOptions::default());
+    {
+        let db = open();
+        sql(&db, "CREATE TABLE t (i INT, x FLOAT)").unwrap();
+        sql(&db, "INSERT INTO t VALUES (1, 1.5)").unwrap();
+        let err = run(&db, "INSERT INTO t VALUES (2, 2.5)").unwrap_err();
+        assert!(err.to_string().contains("execute_with"), "{err}");
+        assert!(run(&db, "DELETE FROM t").is_err());
+        let rs = run(&db, "SELECT count(*), sum(x) FROM t").unwrap();
+        assert_eq!(rs.rows[0], vec![Value::Int(1), Value::Float(1.5)]);
+    }
+    assert_count_sum(&open(), 1, 1.5);
+    // A volatile engine has no log to bypass.
+    let volatile = Db::open(engine.0, 2, None).unwrap();
+    sql(&volatile, "CREATE TABLE t (i INT, x FLOAT)").unwrap();
+    run(&volatile, "INSERT INTO t VALUES (2, 2.5)").unwrap();
+    assert_count_sum(&volatile, 1, 2.5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // The property: reopen == acked prefix, for any trace x crash point
 // ---------------------------------------------------------------------
@@ -268,5 +295,6 @@ on_every_engine!(
     concurrent_threshold_crossings_checkpoint_exactly_once,
     model_tables_survive_a_checkpoint,
     crash_mid_envelope_commits_nothing_and_acked_survives,
+    execute_statement_refuses_unlogged_mutations,
     recovery_equals_acked_prefix_under_random_crashes,
 );

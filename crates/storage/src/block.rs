@@ -1,29 +1,25 @@
 //! Block-at-a-time columnar scans.
 //!
-//! With column-major sealed chunks (see [`crate::segment`]), the block
-//! scan does not decode pages into scratch rows: each sealed chunk is
-//! exactly one [`ColumnBlock`], a set of *borrowed*, fixed-stride `f64`
-//! slices pointing straight into that chunk's column vectors, with the
-//! chunk's LSB-ordered validity bitmap alongside. Only two cases still
-//! materialize data per block, both into iterator-owned scratch:
-//!
-//! - Int columns under [`Table::scan_partition_blocks_numeric`] widen
-//!   `i64 → f64` (exact below 2⁵³ — see
-//!   [`Table::int_widening_exact`]); and
-//! - the partition's row-paged tail (at most
-//!   [`crate::segment::SEGMENT_ROWS`] freshly inserted rows) decodes
-//!   row-wise.
+//! Every partition stores its rows in column-major chunks (see
+//! [`crate::segment`]): full, immutable sealed chunks and one growing
+//! tail. Each chunk, the tail included, is exactly one
+//! [`ColumnBlock`], a set of *borrowed*, fixed-stride `f64` slices
+//! pointing straight into that chunk's column vectors, with the
+//! chunk's LSB-ordered validity bitmap alongside. The one case that
+//! materializes data per block is an Int column under
+//! [`Table::scan_partition_blocks_numeric`], which widens `i64 → f64`
+//! into iterator-owned scratch (exact below 2⁵³ — see
+//! [`Table::int_widening_exact`]).
 //!
 //! Only numeric projections are supported — every projected column
 //! must be typed [`DataType::Float`](crate::DataType::Float) (or
 //! [`DataType::Int`](crate::DataType::Int) in `_numeric` mode).
-//! Blocks never straddle a chunk or the sealed/tail boundary, so
-//! sealed blocks are always full [`BLOCK_ROWS`] windows whose validity
-//! slices start on a 64-bit word.
+//! Blocks never straddle a chunk, so sealed blocks are always full
+//! [`BLOCK_ROWS`] windows, and every block's validity slices start on
+//! a 64-bit word.
 
-use crate::row::decode_row_numeric;
-use crate::segment::{bitmap_count_ones, bitmap_get, bitmap_words, Segment};
-use crate::{DataType, Page, Result, StorageError, Table};
+use crate::segment::{bitmap_count_ones, bitmap_get, Segment};
+use crate::{DataType, Result, StorageError, Table};
 use std::sync::Arc;
 
 /// Rows per [`ColumnBlock`]: 1024 keeps a d=8 projection (8 columns ×
@@ -123,150 +119,59 @@ impl<'a> ColumnBlock<'a> {
     }
 }
 
-/// Iterator-owned buffers for the two materializing cases (Int
-/// widening, tail decode).
-#[derive(Default)]
-struct ScratchCol {
-    values: Vec<f64>,
-    validity: Vec<u64>,
-    null_count: usize,
-}
-
 /// Streaming block reader over one partition (sealed chunks first,
-/// then the row-paged tail).
+/// then the tail).
 ///
 /// Created by [`Table::scan_partition_blocks`]. Each call to
 /// [`BlockIter::next_block`] yields a [`ColumnBlock`] of slice views;
-/// the views borrow either a sealed chunk's columns or this iterator's
+/// the views borrow either a chunk's columns or this iterator's
 /// scratch, so they are valid until the next call.
 pub struct BlockIter<'a> {
     chunks: &'a [Arc<Segment>],
-    /// Next chunk to hand out.
-    next_chunk: usize,
+    tail: &'a Segment,
+    /// Next chunk to hand out; `chunks.len()` names the tail.
+    next: usize,
     /// Projected table columns, in block order.
     cols: Vec<usize>,
-    // --- tail decoding state ---
-    pages: &'a [Page],
-    /// Table column index -> projection slot.
-    slots: Vec<Option<usize>>,
-    page_idx: usize,
-    /// Unconsumed bytes of the current page.
-    remaining: &'a [u8],
-    rows_left_in_page: u32,
-    /// Scratch row buffers the page decoder writes into.
-    row_values: Vec<f64>,
-    row_nulls: Vec<bool>,
-    scratch: Vec<ScratchCol>,
+    /// Per projected column, the widened values of an Int column.
+    widened: Vec<Vec<f64>>,
 }
 
 impl<'a> BlockIter<'a> {
-    fn new(
-        chunks: &'a [Arc<Segment>],
-        pages: &'a [Page],
-        cols: &[usize],
-        slots: Vec<Option<usize>>,
-    ) -> Self {
-        BlockIter {
-            chunks,
-            next_chunk: 0,
-            cols: cols.to_vec(),
-            pages,
-            slots,
-            page_idx: 0,
-            remaining: &[],
-            rows_left_in_page: 0,
-            row_values: vec![0.0; cols.len()],
-            row_nulls: vec![false; cols.len()],
-            scratch: (0..cols.len()).map(|_| ScratchCol::default()).collect(),
-        }
-    }
-
     /// Produces the next block, returning `None` when the partition is
     /// exhausted. The borrow ends at the next `next_block` call.
     pub fn next_block(&mut self) -> Option<Result<ColumnBlock<'_>>> {
-        let chunks = self.chunks;
-        if let Some(chunk) = chunks.get(self.next_chunk) {
-            self.next_chunk += 1;
-            return Some(Ok(self.sealed_block(chunk)));
-        }
-        match self.tail_block() {
-            Err(e) => Some(Err(e)),
-            Ok(None) => None,
-            Ok(Some(block)) => Some(Ok(block)),
-        }
+        let chunk: &'a Segment = match self.chunks.get(self.next) {
+            Some(chunk) => chunk,
+            None if self.next == self.chunks.len() && self.tail.len() > 0 => self.tail,
+            None => return None,
+        };
+        self.next += 1;
+        Some(Ok(self.block(chunk)))
     }
 
     /// The whole chunk as one block: Float columns are borrowed in
     /// place, Int columns widen into scratch.
-    fn sealed_block(&mut self, chunk: &'a Segment) -> ColumnBlock<'_> {
+    fn block(&mut self, chunk: &'a Segment) -> ColumnBlock<'_> {
         let n = chunk.len();
-        for (&c, sc) in self.cols.iter().zip(&mut self.scratch) {
+        for (&c, widened) in self.cols.iter().zip(&mut self.widened) {
             if let Some(ints) = chunk.int_values(c) {
-                sc.values.clear();
-                sc.values.extend(ints.iter().map(|&v| v as f64));
+                widened.clear();
+                widened.extend(ints.iter().map(|&v| v as f64));
             }
         }
         let columns = self
             .cols
             .iter()
-            .zip(&self.scratch)
-            .map(|(&c, sc)| {
-                let values = chunk.float_values(c).unwrap_or(&sc.values);
+            .zip(&self.widened)
+            .map(|(&c, widened)| {
+                let values = chunk.float_values(c).unwrap_or(widened);
                 let validity = chunk.validity(c);
                 let null_count = validity.map_or(0, |words| n - bitmap_count_ones(words));
                 FloatColumn::new(values, validity, null_count)
             })
             .collect();
         ColumnBlock { len: n, columns }
-    }
-
-    /// Decodes up to [`BLOCK_ROWS`] tail rows into scratch columns.
-    fn tail_block(&mut self) -> Result<Option<ColumnBlock<'_>>> {
-        for sc in &mut self.scratch {
-            sc.values.clear();
-            sc.validity.clear();
-            sc.validity.resize(bitmap_words(BLOCK_ROWS), 0);
-            sc.null_count = 0;
-        }
-        let mut n = 0usize;
-        while n < BLOCK_ROWS {
-            if self.rows_left_in_page == 0 {
-                if self.page_idx >= self.pages.len() {
-                    break;
-                }
-                let page = &self.pages[self.page_idx];
-                self.page_idx += 1;
-                self.remaining = page.raw_bytes();
-                self.rows_left_in_page = page.row_count() as u32;
-                continue;
-            }
-            self.rows_left_in_page -= 1;
-            decode_row_numeric(
-                &mut self.remaining,
-                &self.slots,
-                &mut self.row_values,
-                &mut self.row_nulls,
-            )?;
-            for (s, sc) in self.scratch.iter_mut().enumerate() {
-                sc.values.push(self.row_values[s]);
-                if self.row_nulls[s] {
-                    sc.null_count += 1;
-                } else {
-                    sc.validity[n / 64] |= 1 << (n % 64);
-                }
-            }
-            n += 1;
-        }
-        if n == 0 {
-            return Ok(None);
-        }
-        let words = bitmap_words(n);
-        let columns = self
-            .scratch
-            .iter()
-            .map(|sc| FloatColumn::new(&sc.values[..n], Some(&sc.validity[..words]), sc.null_count))
-            .collect();
-        Ok(Some(ColumnBlock { len: n, columns }))
     }
 }
 
@@ -296,7 +201,6 @@ impl Table {
 
     fn blocks_impl(&self, p: usize, cols: &[usize], allow_int: bool) -> Result<BlockIter<'_>> {
         let schema = self.schema();
-        let mut slots = vec![None; schema.len()];
         for (slot, &c) in cols.iter().enumerate() {
             if c >= schema.len() {
                 return Err(StorageError::Corrupt("projected column out of range"));
@@ -309,13 +213,18 @@ impl Table {
                     expected: DataType::Float,
                 });
             }
-            if slots[c].is_some() {
+            if cols[..slot].contains(&c) {
                 return Err(StorageError::Corrupt("duplicate column in projection"));
             }
-            slots[c] = Some(slot);
         }
-        let (chunks, pages) = self.partition_parts(p);
-        Ok(BlockIter::new(chunks, pages, cols, slots))
+        let (chunks, tail) = self.partition_parts(p);
+        Ok(BlockIter {
+            chunks,
+            tail,
+            next: 0,
+            cols: cols.to_vec(),
+            widened: vec![Vec::new(); cols.len()],
+        })
     }
 }
 
@@ -380,16 +289,17 @@ mod tests {
 
     #[test]
     fn sealed_blocks_borrow_segment_columns() {
-        // Three full chunks and no tail: each block's float view and
-        // validity words must point into its own chunk (zero-decode).
-        let t = points_table(3 * 1024, 1);
-        let (chunks, pages) = t.partition_parts(0);
+        // Three full chunks and a partial tail: each block's float view
+        // and validity words must point into its own chunk, the tail
+        // included (zero-decode).
+        let mut t = points_table(4 * 1024 - 1, 1);
+        let (chunks, tail) = t.partition_parts(0);
         assert_eq!(chunks.len(), 3);
-        assert!(pages.is_empty());
+        assert_eq!(tail.len(), 1023);
         let mut iter = t.scan_partition_blocks(0, &[1]).unwrap();
-        for chunk in chunks {
+        for chunk in chunks.iter().map(|c| &**c).chain([tail]) {
             let block = iter.next_block().unwrap().unwrap();
-            assert_eq!(block.len(), BLOCK_ROWS);
+            assert_eq!(block.len(), chunk.len());
             let col = block.column(0);
             assert!(std::ptr::eq(
                 col.values.as_ptr(),
@@ -401,6 +311,23 @@ mod tests {
             ));
         }
         assert!(iter.next_block().is_none());
+
+        // The next insert seals the tail as it is: the new chunk owns
+        // the very allocations the tail grew.
+        let values = tail.float_values(1).unwrap().as_ptr();
+        let validity = tail.validity(1).unwrap().as_ptr();
+        t.insert(vec![Value::Int(0), Value::Float(1.0), Value::Float(2.0)])
+            .unwrap();
+        let (chunks, tail) = t.partition_parts(0);
+        assert_eq!((chunks.len(), tail.len()), (4, 0));
+        assert!(std::ptr::eq(
+            values,
+            chunks[3].float_values(1).unwrap().as_ptr()
+        ));
+        assert!(std::ptr::eq(
+            validity,
+            chunks[3].validity(1).unwrap().as_ptr()
+        ));
     }
 
     #[test]

@@ -3,7 +3,8 @@ use std::path::{Path, PathBuf};
 
 use crate::bytesx::{Buf, BufMut};
 
-use crate::{Page, Result, Row, Schema, StorageError, Table};
+use crate::page::Page;
+use crate::{Result, Row, Schema, StorageError, Table};
 
 /// Magic bytes identifying a persisted table file.
 const MAGIC: &[u8; 8] = b"NLQTBL01";
@@ -46,9 +47,9 @@ impl Table {
         out.write_all(&header).map_err(StorageError::from_io)?;
         let mut offset = header.len() as u64;
         let mut directory: Vec<Vec<(u64, u32, u32)>> = Vec::with_capacity(self.partition_count());
-        // In-memory partitions are column-major segments plus a paged
-        // tail; the on-disk format stays row-paged, so each partition
-        // re-encodes its rows into transient pages while writing.
+        // In-memory partitions are column-major chunks; the on-disk
+        // format stays row-paged, so each partition re-encodes its rows
+        // into transient pages while writing.
         let flush = |out: &mut BufWriter<std::fs::File>,
                      offset: &mut u64,
                      page: &Page|
@@ -307,13 +308,23 @@ mod tests {
         std::env::temp_dir().join(format!("nlq_disk_{name}_{}", std::process::id()))
     }
 
+    /// `X(i, X1, X2)` with a NULL in every seventh X1 and an Int in
+    /// every fifth X2 (the schema admits ints in float columns).
     fn sample_table(n: usize, partitions: usize) -> Table {
         let mut t = Table::new(Schema::points(2, false), partitions);
         for i in 0..n {
             t.insert(vec![
                 Value::Int(i as i64),
-                Value::Float(i as f64 * 0.5),
-                Value::Float(-(i as f64)),
+                if i % 7 == 3 {
+                    Value::Null
+                } else {
+                    Value::Float(i as f64 * 0.5)
+                },
+                if i % 5 == 0 {
+                    Value::Int(-(i as i64))
+                } else {
+                    Value::Float(-(i as f64))
+                },
             ])
             .unwrap();
         }
@@ -322,23 +333,29 @@ mod tests {
 
     #[test]
     fn save_open_roundtrip() {
-        let table = sample_table(500, 4);
-        let path = temp("roundtrip");
-        let saved = table.save(&path).unwrap();
-        assert_eq!(saved.row_count(), 500);
-        assert_eq!(saved.partition_count(), 4);
+        // 125 rows per partition stay in the tails; the larger size
+        // gives every partition two sealed chunks and a 37-row tail.
+        for per_partition in [125, 2 * crate::SEGMENT_ROWS + 37] {
+            let n = 4 * per_partition;
+            let table = sample_table(n, 4);
+            let path = temp(&format!("roundtrip_{n}"));
+            let saved = table.save(&path).unwrap();
+            assert_eq!(saved.row_count(), n);
+            assert_eq!(saved.partition_count(), 4);
 
-        let opened = DiskTable::open(&path).unwrap();
-        assert_eq!(opened.row_count(), 500);
-        assert_eq!(opened.schema(), table.schema());
+            let opened = DiskTable::open(&path).unwrap();
+            assert_eq!(opened.row_count(), n);
+            assert_eq!(opened.schema(), table.schema());
 
-        // Rows come back identical, per partition.
-        for p in 0..4 {
-            let mem: Vec<Row> = table.scan_partition(p).map(|r| r.unwrap()).collect();
-            let disk: Vec<Row> = opened.scan_partition(p).map(|r| r.unwrap()).collect();
-            assert_eq!(mem, disk, "partition {p}");
+            // Rows come back identical, per partition.
+            for p in 0..4 {
+                let mem: Vec<Row> = table.scan_partition(p).map(|r| r.unwrap()).collect();
+                let disk: Vec<Row> = opened.scan_partition(p).map(|r| r.unwrap()).collect();
+                assert_eq!(mem.len(), per_partition);
+                assert_eq!(mem, disk, "partition {p}");
+            }
+            std::fs::remove_file(&path).ok();
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

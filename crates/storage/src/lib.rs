@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! Paged, horizontally partitioned row storage.
+//! Columnar, horizontally partitioned table storage.
 //!
 //! This crate is the substrate standing in for the Teradata storage
 //! layer the paper runs on: a shared-nothing parallel DBMS where the
@@ -10,16 +10,18 @@
 //! Tables are split across `p` partitions that are scanned by
 //! independent worker threads and merged by a master — the exact
 //! execution model the aggregate-UDF protocol is written against.
-//! Each partition stores its steady-state rows as a list of immutable,
-//! `Arc`-shared **column-major chunks** of [`SEGMENT_ROWS`] rows each
-//! (per-column value vectors plus LSB-ordered validity bitmaps) that
-//! block scans borrow zero-decode slices from, while freshly inserted
-//! rows accumulate in a row-paged 64 KB-page tail until the next seal —
-//! so DML keeps the paper's row-at-a-time write path and reads get
-//! vectorized columns. A primary-key index of shared layers plus an
-//! indexed tail resolves point lookups. Cloning a [`Table`] shares
-//! every chunk and index layer, so a copy-on-write append costs
-//! O(chunks + tail + appended rows), not O(table).
+//! Each partition stores its rows in one layout, **column-major
+//! chunks** (per-column value vectors plus LSB-ordered validity
+//! bitmaps) that block scans borrow zero-decode slices from: a list of
+//! immutable, `Arc`-shared sealed chunks of [`SEGMENT_ROWS`] rows each,
+//! and one growing tail chunk that INSERT appends to a row at a time
+//! and that moves into the list when it fills. DML keeps the paper's
+//! row-at-a-time write path and reads get vectorized columns. A
+//! primary-key index of shared layers plus an indexed tail resolves
+//! point lookups. Cloning a [`Table`] shares every sealed chunk and
+//! index layer, so a copy-on-write append costs
+//! O(chunks + tail + appended rows), not O(table). Row pages survive
+//! only as the checkpoint file format ([`Table::save`], [`DiskTable`]).
 
 mod block;
 mod bytesx;
@@ -36,7 +38,6 @@ mod wal;
 
 pub use block::{BlockIter, ColumnBlock, FloatColumn, BLOCK_ROWS};
 pub use disk::{DiskPartitionIter, DiskTable};
-pub use page::{Page, PAGE_SIZE};
 pub use parallel::{parallel_scan, parallel_scan_indexed, parallel_scan_partitions};
 pub use row::Row;
 pub use schema::{Column, DataType, Schema};

@@ -1,19 +1,22 @@
+//! Row pages: the checkpoint format of [`Table::save`](crate::Table::save)
+//! and [`DiskTable`](crate::DiskTable).
+
 use crate::row::{decode_row, encode_row, encoded_len};
-use crate::{Result, Row, StorageError};
+use crate::{Result, Row};
 
 /// Target page size in bytes.
 ///
 /// 64 KB, matching the single heap segment a Teradata UDF may allocate
 /// (§2.2) — a convenient coincidence that keeps all buffer math in the
 /// workspace on one number.
-pub const PAGE_SIZE: usize = 64 * 1024;
+pub(crate) const PAGE_SIZE: usize = 64 * 1024;
 
 /// A page of encoded rows.
 ///
 /// Rows are appended until the byte budget is exhausted; a row larger
 /// than [`PAGE_SIZE`] gets a page to itself.
-#[derive(Debug, Clone, Default)]
-pub struct Page {
+#[derive(Debug, Default)]
+pub(crate) struct Page {
     buf: Vec<u8>,
     rows: u32,
 }
@@ -27,11 +30,6 @@ impl Page {
     /// Number of rows stored in this page.
     pub fn row_count(&self) -> usize {
         self.rows as usize
-    }
-
-    /// Bytes used by the encoded rows.
-    pub fn bytes_used(&self) -> usize {
-        self.buf.len()
     }
 
     /// Whether `row` still fits in this page's byte budget.
@@ -57,15 +55,6 @@ impl Page {
         Page { buf, rows }
     }
 
-    /// Decodes the one row whose encoding starts at byte `offset`.
-    pub(crate) fn row_at(&self, offset: usize) -> Result<Row> {
-        let mut rest = self
-            .buf
-            .get(offset..)
-            .ok_or(StorageError::Corrupt("row offset past the page end"))?;
-        decode_row(&mut rest)
-    }
-
     /// Iterates the rows of this page, decoding on the fly.
     pub fn iter(&self) -> PageIter<'_> {
         PageIter {
@@ -76,7 +65,7 @@ impl Page {
 }
 
 /// Iterator over the decoded rows of a [`Page`].
-pub struct PageIter<'a> {
+pub(crate) struct PageIter<'a> {
     remaining: &'a [u8],
     rows_left: u32,
 }
@@ -123,7 +112,7 @@ mod tests {
         while p.fits(&row) {
             p.push(&row);
         }
-        assert!(p.bytes_used() <= PAGE_SIZE);
+        assert!(p.raw_bytes().len() <= PAGE_SIZE);
         // ~64 KB / ~1 KB rows: around 65 rows.
         assert!(
             p.row_count() >= 60 && p.row_count() <= 66,

@@ -23,11 +23,12 @@
 //! without clones (bulk load, recovery, the DML rebuild) keeps exactly
 //! one layer.
 //!
-//! **Tail.** Every insert records `key → (serial, page, byte offset)`
-//! of its row, so a lookup decodes only the row it hits. When a
-//! partition seals, entries pointing into it are dropped: the layer now
-//! holds those rows, and any older duplicate still in another tail
-//! loses to them by serial.
+//! **Tail.** Every insert records `key → serial` of its row, which
+//! resolves to a partition-local offset exactly as a sealed entry does:
+//! a tail is a chunk still growing, so a lookup gathers only the row it
+//! hits from either region. When a partition seals, entries pointing
+//! into it are dropped: the layer now holds those rows, and any older
+//! duplicate still in another tail loses to them by serial.
 //!
 //! **Hash.** Keys are `i64`s arriving from clients, so the maps use
 //! [`KeyState`], a keyed folded-multiply hash, instead of SipHash: one
@@ -118,25 +119,6 @@ fn key_map<V>(capacity: usize) -> KeyMap<V> {
     HashMap::with_capacity_and_hasher(capacity, KeyState::process())
 }
 
-/// Where an unsealed row lives: its serial (which names the partition)
-/// and the byte offset of its encoding within one of that partition's
-/// tail pages.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TailPos {
-    pub serial: u64,
-    pub page: u32,
-    pub byte: u32,
-}
-
-/// The newest row holding a key.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Hit {
-    /// A sealed row, by serial.
-    Sealed(u64),
-    /// An unsealed row.
-    Tail(TailPos),
-}
-
 /// One immutable layer: the newest serial of every non-NULL key in the
 /// chunks it covers. Not `Clone`: a shared layer is only ever read.
 #[derive(Debug)]
@@ -196,8 +178,9 @@ pub(crate) struct PkIndex {
     col: usize,
     /// Sealed layers, oldest (largest) first.
     layers: Vec<Arc<PkLayer>>,
-    /// Newest unsealed row per key, while it is the newest overall.
-    tail: KeyMap<TailPos>,
+    /// Serial of the newest unsealed row per key, while it is the
+    /// newest overall.
+    tail: KeyMap<u64>,
 }
 
 impl PkIndex {
@@ -224,8 +207,8 @@ impl PkIndex {
 
     /// Records a row just appended to a tail. Inserts arrive in serial
     /// order, so the new row is the newest holder of its key.
-    pub fn insert_tail(&mut self, key: i64, pos: TailPos) {
-        self.tail.insert(key, pos);
+    pub fn insert_tail(&mut self, key: i64, serial: u64) {
+        self.tail.insert(key, serial);
     }
 
     /// Indexes a chunk partition `p` just sealed from its tail: `keys`
@@ -252,7 +235,7 @@ impl PkIndex {
             let Some(key) = key else { continue };
             let serial = serial(p, base + off, pcount);
             if let Entry::Occupied(e) = self.tail.entry(key) {
-                if position(e.get().serial, pcount).0 == p {
+                if position(*e.get(), pcount).0 == p {
                     e.remove();
                 }
             }
@@ -273,17 +256,14 @@ impl PkIndex {
         self.layers.push(Arc::new(layer));
     }
 
-    /// The newest row holding `key`, if any.
-    pub fn get(&self, key: i64) -> Option<Hit> {
-        let mut best = self.tail.get(&key).map(|&t| (t.serial, Hit::Tail(t)));
-        for layer in &self.layers {
-            if let Some(&s) = layer.map.get(&key) {
-                if best.is_none_or(|(b, _)| s > b) {
-                    best = Some((s, Hit::Sealed(s)));
-                }
-            }
-        }
-        best.map(|(_, hit)| hit)
+    /// The serial of the newest row holding `key`, if any.
+    pub fn get(&self, key: i64) -> Option<u64> {
+        let tail = self.tail.get(&key).copied();
+        self.layers
+            .iter()
+            .filter_map(|layer| layer.map.get(&key).copied())
+            .chain(tail)
+            .max()
     }
 
     /// Whether `self` and `older` hold the same allocation for layer `i`.
@@ -340,8 +320,7 @@ mod tests {
             fresh.seal(p, pcount, base, keys());
             let chunks = c + 1;
             assert!(pk.layer_count() <= chunks.ilog2() as usize + 1);
-            let newest = serial(p, base, pcount);
-            assert!(matches!(pk.get(-7), Some(Hit::Sealed(s)) if s == newest));
+            assert_eq!(pk.get(-7), Some(serial(p, base, pcount)));
         }
         assert!(pk.layer_count() > 1);
         // Never cloned, the same seals stay one layer.

@@ -99,78 +99,6 @@ pub(crate) fn decode_row(buf: &mut &[u8]) -> crate::Result<Row> {
     Ok(row)
 }
 
-/// Decodes one row from the front of `buf`, extracting only projected
-/// numeric columns and skipping everything else without allocating.
-///
-/// `slots[c]` maps table column `c` to its output slot, or `None` when
-/// the column is not projected. For each projected column the decoded
-/// value lands in `values[slot]` with `nulls[slot]` cleared; SQL NULLs
-/// set `nulls[slot]` and leave `values[slot]` at `0.0`. Integers widen
-/// to `f64` (the schema admits them in float columns). A projected
-/// string column is a caller bug and reports `TypeMismatch`-like
-/// corruption via [`StorageError::Corrupt`].
-pub(crate) fn decode_row_numeric(
-    buf: &mut &[u8],
-    slots: &[Option<usize>],
-    values: &mut [f64],
-    nulls: &mut [bool],
-) -> crate::Result<()> {
-    if buf.remaining() < 2 {
-        return Err(StorageError::Corrupt("truncated row header"));
-    }
-    let ncols = buf.get_u16_le() as usize;
-    for c in 0..ncols {
-        if buf.remaining() < 1 {
-            return Err(StorageError::Corrupt("truncated value tag"));
-        }
-        let tag = buf.get_u8();
-        let slot = slots.get(c).copied().flatten();
-        match tag {
-            TAG_NULL => {
-                if let Some(s) = slot {
-                    values[s] = 0.0;
-                    nulls[s] = true;
-                }
-            }
-            TAG_INT => {
-                if buf.remaining() < 8 {
-                    return Err(StorageError::Corrupt("truncated int payload"));
-                }
-                let v = buf.get_i64_le();
-                if let Some(s) = slot {
-                    values[s] = v as f64;
-                    nulls[s] = false;
-                }
-            }
-            TAG_FLOAT => {
-                if buf.remaining() < 8 {
-                    return Err(StorageError::Corrupt("truncated float payload"));
-                }
-                let v = buf.get_f64_le();
-                if let Some(s) = slot {
-                    values[s] = v;
-                    nulls[s] = false;
-                }
-            }
-            TAG_STR => {
-                if buf.remaining() < 4 {
-                    return Err(StorageError::Corrupt("truncated string length"));
-                }
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return Err(StorageError::Corrupt("truncated string payload"));
-                }
-                if slot.is_some() {
-                    return Err(StorageError::Corrupt("string column in numeric projection"));
-                }
-                buf.advance(len);
-            }
-            _ => return Err(StorageError::Corrupt("unknown value tag")),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,39 +160,6 @@ mod tests {
             decode_row(&mut slice).unwrap_err(),
             StorageError::Corrupt("unknown value tag")
         );
-    }
-
-    #[test]
-    fn numeric_projection_skips_strings_and_widens_ints() {
-        let mut buf = Vec::new();
-        encode_row(
-            &[
-                Value::Str("skip me".into()),
-                Value::Int(4),
-                Value::Null,
-                Value::Float(2.5),
-            ],
-            &mut buf,
-        );
-        // Project columns 1, 2, 3 into slots 0, 1, 2.
-        let slots = [None, Some(0), Some(1), Some(2)];
-        let mut values = [f64::NAN; 3];
-        let mut nulls = [false; 3];
-        let mut slice = buf.as_slice();
-        decode_row_numeric(&mut slice, &slots, &mut values, &mut nulls).unwrap();
-        assert!(slice.is_empty(), "decoder must consume the whole row");
-        assert_eq!(values, [4.0, 0.0, 2.5]);
-        assert_eq!(nulls, [false, true, false]);
-    }
-
-    #[test]
-    fn numeric_projection_rejects_projected_string() {
-        let mut buf = Vec::new();
-        encode_row(&[Value::Str("x".into())], &mut buf);
-        let mut values = [0.0];
-        let mut nulls = [false];
-        let mut slice = buf.as_slice();
-        assert!(decode_row_numeric(&mut slice, &[Some(0)], &mut values, &mut nulls).is_err());
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Column-major sealed storage.
+//! Column-major partition storage.
 //!
-//! A [`Segment`] is one immutable, columnar **chunk** of a table
-//! partition: per-column value vectors (`f64` / `i64` / `String`) plus
-//! an LSB-ordered *validity bitmap* — bit `i % 64` of word `i / 64` is
+//! A [`Segment`] is one columnar **chunk** of a table partition:
+//! per-column value vectors (`f64` / `i64` / `String`) plus an
+//! LSB-ordered *validity bitmap* — bit `i % 64` of word `i / 64` is
 //! `1` when row `i` holds a non-NULL value (the Arrow convention).
-//! Freshly inserted rows accumulate in a row-paged tail; every
-//! [`SEGMENT_ROWS`] tail rows are transposed once into a new chunk,
-//! which is never mutated afterwards. A partition's sealed region is a
-//! list of `Arc`-shared chunks, so cloning a table copies pointers, not
-//! rows, and each chunk is one full, word-aligned block window.
+//! Each partition's newest rows live in one growing chunk, its *tail*,
+//! appended to a row at a time; at [`SEGMENT_ROWS`] rows the tail is
+//! moved, as it is, into an `Arc` and never mutated afterwards. A
+//! partition's sealed region is a list of those `Arc`-shared chunks, so
+//! cloning a table copies pointers, not rows, and each sealed chunk is
+//! one full, word-aligned block window.
 //!
 //! Bitmap convention used throughout the workspace (validity masks
 //! here, selection masks in the engine): a slice of `u64` words covers
@@ -62,190 +63,172 @@ fn push_bit(words: &mut Vec<u64>, len: usize, set: bool) {
     }
 }
 
-/// One sealed column: a fixed-stride value vector plus validity words.
-#[derive(Debug)]
-pub(crate) enum SegmentColumn {
-    Int {
-        values: Vec<i64>,
-        validity: Vec<u64>,
-        null_count: usize,
-    },
+/// One chunk column: a fixed-stride value vector plus validity words.
+#[derive(Debug, Clone)]
+struct SegmentColumn {
+    values: ColumnValues,
+    validity: Vec<u64>,
+    null_count: usize,
+}
+
+/// The value vector of a column. NULL slots hold a placeholder (`0`,
+/// `0.0`, `""`).
+#[derive(Debug, Clone)]
+enum ColumnValues {
+    Int(Vec<i64>),
     Float {
         values: Vec<f64>,
-        validity: Vec<u64>,
-        null_count: usize,
         /// `(row, original)` for rows whose stored value was
         /// `Value::Int` (the schema admits ints in float columns);
         /// `values[row]` holds the widened `f64`, this list preserves
         /// the exact integer for row reconstruction. Sorted by row.
         int_rows: Vec<(usize, i64)>,
     },
-    Str {
-        values: Vec<String>,
-        validity: Vec<u64>,
-        null_count: usize,
-    },
+    Str(Vec<String>),
 }
 
 impl SegmentColumn {
-    fn new(ty: DataType, rows: usize) -> Self {
-        let validity = Vec::with_capacity(bitmap_words(rows));
-        match ty {
-            DataType::Int => SegmentColumn::Int {
-                values: Vec::with_capacity(rows),
-                validity,
-                null_count: 0,
-            },
-            DataType::Float => SegmentColumn::Float {
-                values: Vec::with_capacity(rows),
-                validity,
-                null_count: 0,
+    fn new(ty: DataType) -> Self {
+        let values = match ty {
+            DataType::Int => ColumnValues::Int(Vec::new()),
+            DataType::Float => ColumnValues::Float {
+                values: Vec::new(),
                 int_rows: Vec::new(),
             },
-            DataType::Str => SegmentColumn::Str {
-                values: Vec::with_capacity(rows),
-                validity,
-                null_count: 0,
-            },
+            DataType::Str => ColumnValues::Str(Vec::new()),
+        };
+        SegmentColumn {
+            values,
+            validity: Vec::new(),
+            null_count: 0,
         }
     }
 
+    /// Appends `v`, already validated against the column type, as row
+    /// `len`.
     fn push(&mut self, len: usize, v: &Value) {
-        match self {
-            SegmentColumn::Int {
-                values,
-                validity,
-                null_count,
-            } => {
-                let (val, valid) = match v {
-                    Value::Int(i) => (*i, true),
-                    _ => (0, false),
-                };
-                values.push(val);
-                push_bit(validity, len, valid);
-                *null_count += usize::from(!valid);
-            }
-            SegmentColumn::Float {
-                values,
-                validity,
-                null_count,
-                int_rows,
-            } => {
-                let (val, valid) = match v {
-                    Value::Float(f) => (*f, true),
-                    Value::Int(i) => {
-                        int_rows.push((len, *i));
-                        (*i as f64, true)
-                    }
-                    _ => (0.0, false),
-                };
-                values.push(val);
-                push_bit(validity, len, valid);
-                *null_count += usize::from(!valid);
-            }
-            SegmentColumn::Str {
-                values,
-                validity,
-                null_count,
-            } => {
-                let (val, valid) = match v {
-                    Value::Str(s) => (s.clone(), true),
-                    _ => (String::new(), false),
-                };
-                values.push(val);
-                push_bit(validity, len, valid);
-                *null_count += usize::from(!valid);
-            }
+        match &mut self.values {
+            ColumnValues::Int(values) => values.push(v.as_i64().unwrap_or(0)),
+            ColumnValues::Float { values, int_rows } => values.push(match v {
+                Value::Float(f) => *f,
+                Value::Int(i) => {
+                    int_rows.push((len, *i));
+                    *i as f64
+                }
+                _ => 0.0,
+            }),
+            ColumnValues::Str(values) => values.push(match v {
+                Value::Str(s) => s.clone(),
+                _ => String::new(),
+            }),
         }
+        push_bit(&mut self.validity, len, !v.is_null());
+        self.null_count += usize::from(v.is_null());
     }
 
     /// Reconstructs the exact stored [`Value`] at `row`.
     fn value(&self, row: usize) -> Value {
-        match self {
-            SegmentColumn::Int {
-                values, validity, ..
-            } => {
-                if bitmap_get(validity, row) {
-                    Value::Int(values[row])
-                } else {
-                    Value::Null
-                }
-            }
-            SegmentColumn::Float {
-                values,
-                validity,
-                int_rows,
-                ..
-            } => {
-                if !bitmap_get(validity, row) {
-                    Value::Null
-                } else if let Ok(k) = int_rows.binary_search_by_key(&row, |&(r, _)| r) {
-                    Value::Int(int_rows[k].1)
-                } else {
-                    Value::Float(values[row])
-                }
-            }
-            SegmentColumn::Str {
-                values, validity, ..
-            } => {
-                if bitmap_get(validity, row) {
-                    Value::Str(values[row].clone())
-                } else {
-                    Value::Null
-                }
-            }
+        if !bitmap_get(&self.validity, row) {
+            return Value::Null;
         }
+        match &self.values {
+            ColumnValues::Int(values) => Value::Int(values[row]),
+            ColumnValues::Float { values, int_rows } => {
+                match int_rows.binary_search_by_key(&row, |&(r, _)| r) {
+                    Ok(k) => Value::Int(int_rows[k].1),
+                    Err(_) => Value::Float(values[row]),
+                }
+            }
+            ColumnValues::Str(values) => Value::Str(values[row].clone()),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.validity.shrink_to_fit();
+        match &mut self.values {
+            ColumnValues::Int(values) => values.shrink_to_fit(),
+            ColumnValues::Float { values, int_rows } => {
+                values.shrink_to_fit();
+                int_rows.shrink_to_fit();
+            }
+            ColumnValues::Str(values) => values.shrink_to_fit(),
+        }
+    }
+
+    /// Allocated but unused vector slots.
+    #[cfg(test)]
+    fn spare_capacity(&self) -> usize {
+        fn spare<T>(v: &Vec<T>) -> usize {
+            v.capacity() - v.len()
+        }
+        spare(&self.validity)
+            + match &self.values {
+                ColumnValues::Int(values) => spare(values),
+                ColumnValues::Float { values, int_rows } => spare(values) + spare(int_rows),
+                ColumnValues::Str(values) => spare(values),
+            }
     }
 
     fn bytes_used(&self) -> usize {
-        match self {
-            SegmentColumn::Int {
-                values, validity, ..
-            } => values.len() * 8 + validity.len() * 8,
-            SegmentColumn::Float {
-                values,
-                validity,
-                int_rows,
-                ..
-            } => values.len() * 8 + validity.len() * 8 + int_rows.len() * 16,
-            SegmentColumn::Str {
-                values, validity, ..
-            } => values.iter().map(String::len).sum::<usize>() + validity.len() * 8,
-        }
+        self.validity.len() * 8
+            + match &self.values {
+                ColumnValues::Int(values) => values.len() * 8,
+                ColumnValues::Float { values, int_rows } => values.len() * 8 + int_rows.len() * 16,
+                ColumnValues::Str(values) => values.iter().map(String::len).sum(),
+            }
     }
 }
 
-/// One immutable, column-major chunk of a partition's sealed region.
+/// One column-major chunk of a partition: its growing tail, or a
+/// sealed chunk behind an `Arc`.
 ///
-/// Deliberately not `Clone`: tables share chunks through `Arc`, so no
-/// table operation can deep-copy sealed data.
-#[derive(Debug)]
+/// Tables share sealed chunks through `Arc` and never deep-copy them;
+/// `Clone` exists for the tail, which a table clone copies.
+#[derive(Debug, Clone)]
 pub(crate) struct Segment {
     len: usize,
     cols: Vec<SegmentColumn>,
 }
 
 impl Segment {
-    /// Transposes already-validated rows into a chunk.
-    pub fn from_rows(schema: &Schema, rows: &[Row]) -> Self {
-        let mut cols: Vec<SegmentColumn> = schema
-            .columns()
-            .iter()
-            .map(|c| SegmentColumn::new(c.ty, rows.len()))
-            .collect();
-        for (r, row) in rows.iter().enumerate() {
-            for (col, v) in cols.iter_mut().zip(row) {
-                col.push(r, v);
-            }
-        }
+    /// An empty chunk of `schema`'s columns. Nothing is reserved, so a
+    /// small table's tails cost only what they hold.
+    pub fn new(schema: &Schema) -> Self {
         Segment {
-            len: rows.len(),
-            cols,
+            len: 0,
+            cols: schema
+                .columns()
+                .iter()
+                .map(|c| SegmentColumn::new(c.ty))
+                .collect(),
         }
     }
 
-    /// Number of rows in the chunk ([`SEGMENT_ROWS`] for every chunk a
-    /// table seals).
+    /// Appends one already-validated row.
+    pub fn push(&mut self, row: &[Value]) {
+        for (col, v) in self.cols.iter_mut().zip(row) {
+            col.push(self.len, v);
+        }
+        self.len += 1;
+    }
+
+    /// Releases spare vector capacity, so that [`Segment::bytes_used`]
+    /// accounts for every byte a sealed chunk holds. A tail that grew
+    /// by doubling from empty to [`SEGMENT_ROWS`] has none, and keeps
+    /// its allocations; one that a table clone copied at `len` capacity
+    /// and then grew is reallocated here, once.
+    pub fn shrink_to_fit(&mut self) {
+        self.cols.iter_mut().for_each(SegmentColumn::shrink_to_fit);
+    }
+
+    /// Allocated but unused vector slots, summed over the columns.
+    #[cfg(test)]
+    pub fn spare_capacity(&self) -> usize {
+        self.cols.iter().map(SegmentColumn::spare_capacity).sum()
+    }
+
+    /// Number of rows in the chunk ([`SEGMENT_ROWS`] for every sealed
+    /// chunk, fewer for a tail).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -255,18 +238,24 @@ impl Segment {
         self.cols.iter().map(|c| c.value(row)).collect()
     }
 
+    /// Reconstructs the exact value of column `col` at chunk offset
+    /// `row`.
+    pub fn value(&self, col: usize, row: usize) -> Value {
+        self.cols[col].value(row)
+    }
+
     /// The `f64` value vector of a float-typed column.
     pub fn float_values(&self, col: usize) -> Option<&[f64]> {
-        match &self.cols[col] {
-            SegmentColumn::Float { values, .. } => Some(values),
+        match &self.cols[col].values {
+            ColumnValues::Float { values, .. } => Some(values),
             _ => None,
         }
     }
 
     /// The `i64` value vector of an int-typed column.
     pub fn int_values(&self, col: usize) -> Option<&[i64]> {
-        match &self.cols[col] {
-            SegmentColumn::Int { values, .. } => Some(values),
+        match &self.cols[col].values {
+            ColumnValues::Int(values) => Some(values),
             _ => None,
         }
     }
@@ -274,24 +263,8 @@ impl Segment {
     /// The validity words of a column — `None` when the column has no
     /// NULLs in this chunk (consumers take the dense path).
     pub fn validity(&self, col: usize) -> Option<&[u64]> {
-        let (validity, null_count) = match &self.cols[col] {
-            SegmentColumn::Int {
-                validity,
-                null_count,
-                ..
-            }
-            | SegmentColumn::Float {
-                validity,
-                null_count,
-                ..
-            }
-            | SegmentColumn::Str {
-                validity,
-                null_count,
-                ..
-            } => (validity, *null_count),
-        };
-        (null_count > 0).then_some(validity.as_slice())
+        let col = &self.cols[col];
+        (col.null_count > 0).then_some(col.validity.as_slice())
     }
 
     /// Approximate heap bytes held by the chunk's columns.
@@ -311,6 +284,14 @@ mod tests {
             Column::new("x", DataType::Float),
             Column::new("s", DataType::Str),
         ])
+    }
+
+    fn segment(schema: &Schema, rows: &[Row]) -> Segment {
+        let mut seg = Segment::new(schema);
+        for row in rows {
+            seg.push(row);
+        }
+        seg
     }
 
     fn rows(n: usize) -> Vec<Row> {
@@ -340,7 +321,7 @@ mod tests {
     #[test]
     fn rows_round_trip_exactly() {
         let rows = rows(200);
-        let seg = Segment::from_rows(&schema(), &rows);
+        let seg = segment(&schema(), &rows);
         assert_eq!(seg.len(), 200);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(&seg.row(i), row, "row {i}");
@@ -349,7 +330,7 @@ mod tests {
 
     #[test]
     fn validity_words_follow_lsb_convention() {
-        let seg = Segment::from_rows(&schema(), &rows(130));
+        let seg = segment(&schema(), &rows(130));
         let validity = seg.validity(0).expect("column has NULLs");
         assert_eq!(validity.len(), bitmap_words(130));
         for i in 0..130 {
@@ -361,7 +342,7 @@ mod tests {
 
     #[test]
     fn dense_column_reports_no_validity() {
-        let seg = Segment::from_rows(
+        let seg = segment(
             &Schema::new(vec![Column::new("x", DataType::Float)]),
             &(0..70)
                 .map(|i| vec![Value::Float(i as f64)])
@@ -374,7 +355,7 @@ mod tests {
     #[test]
     fn int_in_float_column_widen_but_round_trip() {
         let big = (1i64 << 53) + 1; // not representable in f64
-        let seg = Segment::from_rows(
+        let seg = segment(
             &Schema::new(vec![Column::new("x", DataType::Float)]),
             &[vec![Value::Int(big)], vec![Value::Float(1.5)]],
         );

@@ -1,7 +1,6 @@
-use crate::page::PageIter;
-use crate::pk::{self, Hit, PkIndex, TailPos};
+use crate::pk::{self, PkIndex};
 use crate::segment::{Segment, SEGMENT_ROWS};
-use crate::{DataType, Page, Result, Row, Schema, Value};
+use crate::{DataType, Result, Row, Schema, Value};
 use std::sync::Arc;
 
 /// Largest integer magnitude `f64` represents exactly (2⁵³). Int
@@ -15,21 +14,22 @@ const F64_EXACT_INT: i64 = 1 << 53;
 /// Rows are distributed round-robin across `p` partitions, matching
 /// the paper's setup where the data set is "horizontally partitioned
 /// evenly among threads". Each partition is scanned independently by
-/// one worker and stores its rows in two regions:
+/// one worker and stores its rows in one layout, column-major chunks
+/// (per-column value vectors plus validity bitmaps), in two regions:
 ///
-/// - **sealed chunks** — immutable column-major `Segment`s of exactly
-///   `SEGMENT_ROWS` rows (per-column value vectors plus validity
-///   bitmaps), shared through `Arc`: the zero-decode source for
-///   [`Table::scan_partition_blocks`]; and
-/// - a **row-paged tail** — the INSERT/UPDATE write path. Every
-///   `SEGMENT_ROWS` rows the tail is decoded once and sealed into a
-///   new chunk, so steady-state scans are columnar and only the
-///   freshest sliver of a partition pays per-row decoding.
+/// - **sealed chunks** of exactly `SEGMENT_ROWS` rows, immutable and
+///   shared through `Arc`; and
+/// - a **tail**: one chunk of fewer than `SEGMENT_ROWS` rows that
+///   INSERT appends to column by column. When it fills, the tail moves
+///   into an `Arc` as the newest sealed chunk, with no copy.
+///
+/// Block scans ([`Table::scan_partition_blocks`]) borrow slices of
+/// both regions' columns in place.
 ///
 /// Cloning a table copies the chunk lists, the tails and the index's
-/// tail map, and shares every chunk and index layer: O(chunks + tail),
-/// not O(rows). That is what lets a writer clone, append and swap a
-/// table generation per ingest envelope.
+/// tail map, and shares every sealed chunk and index layer:
+/// O(chunks + tail), not O(rows). That is what lets a writer clone,
+/// append and swap a table generation per ingest envelope.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
@@ -51,8 +51,8 @@ struct Partition {
     /// Full chunks, oldest first; row `r` of the sealed region is
     /// offset `r % SEGMENT_ROWS` of chunk `r / SEGMENT_ROWS`.
     sealed: Vec<Arc<Segment>>,
-    tail: Vec<Page>,
-    tail_rows: usize,
+    /// The newest rows, fewer than `SEGMENT_ROWS`.
+    tail: Segment,
 }
 
 impl Partition {
@@ -61,11 +61,15 @@ impl Partition {
     }
 
     fn rows(&self) -> usize {
-        self.sealed_rows() + self.tail_rows
+        self.sealed_rows() + self.tail.len()
     }
 
-    fn sealed_row(&self, r: usize) -> Row {
-        self.sealed[r / SEGMENT_ROWS].row(r % SEGMENT_ROWS)
+    /// The row at partition-local offset `r`.
+    fn row(&self, r: usize) -> Row {
+        match self.sealed.get(r / SEGMENT_ROWS) {
+            Some(chunk) => chunk.row(r % SEGMENT_ROWS),
+            None => self.tail.row(r - self.sealed_rows()),
+        }
     }
 }
 
@@ -86,8 +90,7 @@ impl Table {
             partitions: (0..partitions)
                 .map(|_| Partition {
                     sealed: Vec::new(),
-                    tail: Vec::new(),
-                    tail_rows: 0,
+                    tail: Segment::new(&schema),
                 })
                 .collect(),
             schema,
@@ -118,15 +121,12 @@ impl Table {
         self.partitions[p].rows()
     }
 
-    /// Approximate bytes of stored data: sealed column vectors plus
-    /// encoded tail pages.
+    /// Approximate bytes of stored data: the column vectors of the
+    /// sealed chunks and the tails.
     pub fn bytes_used(&self) -> usize {
         self.partitions
             .iter()
-            .map(|p| {
-                p.sealed.iter().map(|c| c.bytes_used()).sum::<usize>()
-                    + p.tail.iter().map(Page::bytes_used).sum::<usize>()
-            })
+            .map(|p| p.sealed.iter().map(|c| c.bytes_used()).sum::<usize>() + p.tail.bytes_used())
             .sum()
     }
 
@@ -147,10 +147,10 @@ impl Table {
     }
 
     /// Validates and appends rows, assigning each round-robin to the
-    /// next partition. Rows are encoded from the borrow into the
-    /// partition's paged tail; every `SEGMENT_ROWS` tail rows seal into
-    /// a new chunk. A row that fails validation stops the batch; the
-    /// rows before it stay appended.
+    /// next partition. Each row's values are appended from the borrow
+    /// to the partition's tail columns; a tail that reaches
+    /// `SEGMENT_ROWS` rows seals as a new chunk. A row that fails
+    /// validation stops the batch; the rows before it stay appended.
     pub fn insert_rows<R: AsRef<[Value]>>(
         &mut self,
         rows: impl IntoIterator<Item = R>,
@@ -175,34 +175,21 @@ impl Table {
         let pcount = self.partitions.len();
         self.next_partition = (self.next_partition + 1) % pcount;
         let part = &mut self.partitions[p];
-        if part.tail.last().is_none_or(|page| !page.fits(row)) {
-            part.tail.push(Page::new());
-        }
         let serial = pk::serial(p, part.rows(), pcount);
-        let page_idx = part.tail.len() - 1;
-        let page = &mut part.tail[page_idx];
-        // A row starts inside the page budget (`fits`) or on an empty
-        // page, so both positions fit in u32.
-        let pos = TailPos {
-            serial,
-            page: page_idx as u32,
-            byte: page.bytes_used() as u32,
-        };
-        page.push(row);
-        part.tail_rows += 1;
+        part.tail.push(row);
         self.row_count += 1;
         if let Some(pk) = &mut self.pk {
             if let Some(key) = row[pk.col()].as_i64() {
-                pk.insert_tail(key, pos);
+                pk.insert_tail(key, serial);
             }
         }
-        if part.tail_rows == SEGMENT_ROWS {
-            Self::seal_tail(part, &self.schema, p, pcount, self.pk.as_mut())?;
+        if part.tail.len() == SEGMENT_ROWS {
+            Self::seal_tail(part, &self.schema, p, pcount, self.pk.as_mut());
         }
         Ok(())
     }
 
-    /// Decodes the partition's tail pages once into a new chunk and
+    /// Moves the partition's full tail into a new sealed chunk and
     /// indexes its rows.
     fn seal_tail(
         part: &mut Partition,
@@ -210,27 +197,19 @@ impl Table {
         p: usize,
         pcount: usize,
         pk: Option<&mut PkIndex>,
-    ) -> Result<()> {
-        let mut rows = Vec::with_capacity(part.tail_rows);
-        for page in &part.tail {
-            for row in page.iter() {
-                rows.push(row?);
-            }
-        }
+    ) {
+        let mut chunk = std::mem::replace(&mut part.tail, Segment::new(schema));
+        chunk.shrink_to_fit();
         if let Some(pk) = pk {
             let col = pk.col();
             pk.seal(
                 p,
                 pcount,
                 part.sealed_rows(),
-                rows.iter().map(|r| r[col].as_i64()),
+                (0..chunk.len()).map(|r| chunk.value(col, r).as_i64()),
             );
         }
-        part.sealed
-            .push(Arc::new(Segment::from_rows(schema, &rows)));
-        part.tail.clear();
-        part.tail_rows = 0;
-        Ok(())
+        part.sealed.push(Arc::new(chunk));
     }
 
     /// Which column the primary-key hash index covers, if the table has
@@ -262,11 +241,11 @@ impl Table {
     }
 
     /// Batch point lookup through the PK index. Each key costs one
-    /// probe of the tail map and of every sealed layer, then the decode
-    /// of the one row it hits. Duplicate keys resolve to the newest
-    /// insertion (by round-robin serial). Returns one slot per
-    /// requested key, in request order, `None` where the key is
-    /// absent.
+    /// probe of the tail map and of every sealed layer, then the
+    /// gather of the one row it hits from its chunk's columns.
+    /// Duplicate keys resolve to the newest insertion (by round-robin
+    /// serial). Returns one slot per requested key, in request order,
+    /// `None` where the key is absent.
     ///
     /// # Errors
     /// Fails with [`crate::StorageError::Unsupported`] if the table has
@@ -277,45 +256,32 @@ impl Table {
                 "table has no primary-key index (first column must be Int)".into(),
             ));
         };
-        let mut rows = Vec::with_capacity(keys.len());
-        for &k in keys {
-            rows.push(pk.get(k).map(|hit| self.row_at(hit)).transpose()?);
-        }
-        Ok(rows)
-    }
-
-    fn row_at(&self, hit: Hit) -> Result<Row> {
         let pcount = self.partitions.len();
-        match hit {
-            Hit::Sealed(serial) => {
-                let (p, r) = pk::position(serial, pcount);
-                Ok(self.partitions[p].sealed_row(r))
-            }
-            Hit::Tail(pos) => {
-                let (p, _) = pk::position(pos.serial, pcount);
-                self.partitions[p].tail[pos.page as usize].row_at(pos.byte as usize)
-            }
-        }
+        Ok(keys
+            .iter()
+            .map(|&k| {
+                pk.get(k).map(|serial| {
+                    let (p, r) = pk::position(serial, pcount);
+                    self.partitions[p].row(r)
+                })
+            })
+            .collect())
     }
 
     /// The two storage regions of partition `p` (block scans read
     /// both).
-    pub(crate) fn partition_parts(&self, p: usize) -> (&[Arc<Segment>], &[Page]) {
+    pub(crate) fn partition_parts(&self, p: usize) -> (&[Arc<Segment>], &Segment) {
         let part = &self.partitions[p];
         (&part.sealed, &part.tail)
     }
 
-    /// Iterates the rows of partition `p` in insertion order: sealed
-    /// rows (reconstructed from the chunks' column vectors) first, then
-    /// the paged tail.
+    /// Iterates the rows of partition `p` in insertion order, each
+    /// reconstructed from its chunk's column vectors: sealed rows
+    /// first, then the tail.
     pub fn scan_partition(&self, p: usize) -> PartitionIter<'_> {
-        let part = &self.partitions[p];
         PartitionIter {
-            sealed: &part.sealed,
-            next_sealed: 0,
-            pages: &part.tail,
-            page_idx: 0,
-            current: None,
+            part: &self.partitions[p],
+            next: 0,
         }
     }
 
@@ -334,36 +300,20 @@ impl Table {
 
 /// Iterator over the rows of one partition (sealed chunks, then tail).
 pub struct PartitionIter<'a> {
-    sealed: &'a [Arc<Segment>],
-    /// Next sealed row, as a partition-local offset.
-    next_sealed: usize,
-    pages: &'a [Page],
-    page_idx: usize,
-    current: Option<PageIter<'a>>,
+    part: &'a Partition,
+    /// Next row, as a partition-local offset.
+    next: usize,
 }
 
-impl<'a> Iterator for PartitionIter<'a> {
+impl Iterator for PartitionIter<'_> {
     type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let Some(chunk) = self.sealed.get(self.next_sealed / SEGMENT_ROWS) {
-            let row = chunk.row(self.next_sealed % SEGMENT_ROWS);
-            self.next_sealed += 1;
-            return Some(Ok(row));
+        if self.next == self.part.rows() {
+            return None;
         }
-        loop {
-            if let Some(iter) = &mut self.current {
-                if let Some(row) = iter.next() {
-                    return Some(row);
-                }
-                self.current = None;
-            }
-            if self.page_idx >= self.pages.len() {
-                return None;
-            }
-            self.current = Some(self.pages[self.page_idx].iter());
-            self.page_idx += 1;
-        }
+        self.next += 1;
+        Some(Ok(self.part.row(self.next - 1)))
     }
 }
 
@@ -432,19 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn many_rows_span_multiple_pages() {
-        let schema = Schema::new(vec![Column::new("s", DataType::Str)]);
-        let mut t = Table::new(schema, 1);
-        let row = vec![Value::Str("z".repeat(1000))];
-        for _ in 0..200 {
-            t.insert(row.clone()).unwrap();
-        }
-        // 200 KB of rows in 64 KB pages, none sealed yet: >= 3 pages.
-        assert!(t.partitions[0].tail.len() >= 3);
-        assert_eq!(t.scan_partition(0).count(), 200);
-    }
-
-    #[test]
     fn tail_seals_into_segment_at_threshold() {
         let schema = Schema::new(vec![
             Column::new("i", DataType::Int),
@@ -472,7 +409,7 @@ mod tests {
             t.insert(make(i)).unwrap();
         }
         assert_eq!(t.partitions[0].sealed.len(), 2);
-        assert_eq!(t.partitions[0].tail_rows, 37);
+        assert_eq!(t.partitions[0].tail.len(), 37);
         // Sealed + tail reads back every row exactly, in order.
         let rows: Vec<Row> = t.scan_partition(0).map(|r| r.unwrap()).collect();
         assert_eq!(rows.len(), n);
@@ -581,8 +518,8 @@ mod tests {
             };
             t.insert(vec![Value::Int(k), Value::Float(x)]).unwrap();
         }
-        assert_eq!(t.partitions[0].tail_rows, 0, "both partitions sealed");
-        assert_eq!(t.partitions[1].tail_rows, 0);
+        assert_eq!(t.partitions[0].tail.len(), 0, "both partitions sealed");
+        assert_eq!(t.partitions[1].tail.len(), 0);
         assert_eq!(t.pk_lookup(42).unwrap().unwrap()[1], Value::Float(2.0));
         let got = t.lookup_keys(&[42]).unwrap();
         assert_eq!(got[0].as_ref().unwrap()[1], Value::Float(2.0));
@@ -606,8 +543,8 @@ mod tests {
             };
             t.insert(vec![Value::Int(k), Value::Float(x)]).unwrap();
         }
-        assert_eq!(t.partitions[0].tail_rows, 0, "partition 0 sealed");
-        assert!(t.partitions[1].tail_rows > 0, "partition 1 tail unsealed");
+        assert_eq!(t.partitions[0].tail.len(), 0, "partition 0 sealed");
+        assert!(t.partitions[1].tail.len() > 0, "partition 1 tail unsealed");
         assert_eq!(t.pk_lookup(42).unwrap().unwrap()[1], Value::Float(2.0));
         let got = t.lookup_keys(&[42]).unwrap();
         assert_eq!(got[0].as_ref().unwrap()[1], Value::Float(2.0));
@@ -651,6 +588,12 @@ mod tests {
                 assert!(old.sealed.len() <= new.sealed.len());
                 for (a, b) in old.sealed.iter().zip(&new.sealed) {
                     assert!(Arc::ptr_eq(a, b), "a sealed chunk was copied");
+                }
+                // The cloned tail had capacity equal to its length and
+                // grew by doubling before it sealed: the seal must
+                // release the slack, which `bytes_used` cannot see.
+                for chunk in &new.sealed {
+                    assert_eq!(chunk.spare_capacity(), 0, "slack in a sealed chunk");
                 }
             }
             // An append pops merged layers off the top and pushes one:
