@@ -7,7 +7,9 @@ use std::time::Instant;
 use nlq_linalg::{Matrix, Vector};
 use nlq_models::{MatrixShape, Nlq};
 use nlq_obs::{render_spans, thread_cpu_nanos, Phase, Span};
-use nlq_storage::{DiskTable, Row, Schema, StorageError, Table, Value, WalIo, WalStatsSnapshot};
+use nlq_storage::{
+    run_indexed, DiskTable, Row, Schema, StorageError, Table, Value, WalIo, WalStatsSnapshot,
+};
 use nlq_udf::pack::{assemble_blocks, unpack_block, unpack_nlq};
 use nlq_udf::{ParamStyle, UdfRegistry};
 
@@ -95,10 +97,11 @@ pub struct ExecStats {
     /// several statements can share one physical fsync; each counts
     /// the sync it waited on).
     pub wal_fsyncs: u64,
-    /// CPU nanoseconds the calling thread consumed on this statement
-    /// (`CLOCK_THREAD_CPUTIME_ID` sampled at statement boundaries).
-    /// Shard worker threads add their own samples to the statement's
-    /// trace, not here.
+    /// CPU nanoseconds this statement consumed on the calling thread
+    /// (`CLOCK_THREAD_CPUTIME_ID` sampled at statement boundaries) and
+    /// on the scan-pool helpers that ran its partitions (sampled
+    /// around each partition). Shard executor threads add their own
+    /// samples to the statement's trace, not here.
     pub cpu_nanos: u64,
     /// Whether the statement was cancelled mid-execution. The engine
     /// never returns a [`ResultSet`] for a cancelled statement (it
@@ -110,10 +113,10 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Adds the counters of another shard-local piece of the same
-    /// statement: rows, blocks, summary outcomes and per-phase times
-    /// sum, `block_path` ORs. Parse, scatter/gather, WAL bytes and
-    /// fsyncs, CPU and the `summary_path`/`cancelled` flags belong to
-    /// the statement as a whole and are left to the caller.
+    /// statement: rows, blocks, summary outcomes, per-phase times and
+    /// scan-helper CPU sum, `block_path` ORs. Parse, scatter/gather,
+    /// WAL bytes and fsyncs and the `summary_path`/`cancelled` flags
+    /// belong to the statement as a whole and are left to the caller.
     pub fn absorb(&mut self, s: &ExecStats) {
         self.rows_scanned += s.rows_scanned;
         self.blocks_scanned += s.blocks_scanned;
@@ -129,11 +132,12 @@ impl ExecStats {
         self.merge_nanos += s.merge_nanos;
         self.finalize_nanos += s.finalize_nanos;
         self.wal_nanos += s.wal_nanos;
+        self.cpu_nanos += s.cpu_nanos;
     }
 }
 
-/// Fewest blocks worth a row-building thread of their own: a block's
-/// rows take far longer to build than a thread takes to spawn.
+/// Fewest blocks worth a row-building task of their own: a block's
+/// rows take far longer to build than a scan-pool helper takes to wake.
 const MIN_BLOCKS_PER_BUILDER: usize = 4;
 
 /// Rows returned by a query.
@@ -208,38 +212,32 @@ impl ResultSet {
     /// Builds the block-path output into `rows`: the one place a
     /// columnar result becomes rows. Every row is an allocation of its
     /// own, so a result of many blocks is built on up to `workers`
-    /// threads, as the row path's scan workers build theirs.
+    /// threads of the scan pool, as the row path's scans build theirs.
     pub(crate) fn build_rows(&mut self, workers: usize) {
+        if self.blocks.is_empty() {
+            return;
+        }
         let blocks = std::mem::take(&mut self.blocks);
-        self.rows
-            .reserve(blocks.iter().map(ResultBlock::len).sum::<usize>());
-        let per_thread = blocks
+        let total = blocks.iter().map(ResultBlock::len).sum::<usize>();
+        let per_task = blocks
             .len()
             .div_ceil(workers.max(1))
             .max(MIN_BLOCKS_PER_BUILDER);
-        let mut parts = blocks.chunks(per_thread);
-        let Some(first) = parts.next() else {
-            return;
-        };
-        std::thread::scope(|scope| {
-            let rest: Vec<_> = parts
-                .map(|part| {
-                    scope.spawn(move || {
-                        let mut rows = Vec::new();
-                        for block in part {
-                            block.push_rows(&mut rows);
-                        }
-                        rows
-                    })
-                })
-                .collect();
-            for block in first {
-                block.push_rows(&mut self.rows);
+        let parts: Vec<&[ResultBlock]> = blocks.chunks(per_task).collect();
+        // The first part's vector is sized for every row, so the rest
+        // append to it without regrowing.
+        let mut built = run_indexed(parts.len(), workers, |i| {
+            let mut rows = Vec::with_capacity(if i == 0 { total } else { 0 });
+            for block in parts[i] {
+                block.push_rows(&mut rows);
             }
-            for h in rest {
-                self.rows.extend(h.join().expect("row builder panicked"));
-            }
-        });
+            rows
+        })
+        .into_iter();
+        self.rows = built.next().expect("at least one block");
+        for rows in built {
+            self.rows.extend(rows);
+        }
     }
 
     /// Value at `(row, col)`.
@@ -616,10 +614,10 @@ impl Db {
         })?;
         cost.charge(&mut rs.stats);
         rs.stats.parse_nanos = parse_nanos;
-        let cpu = thread_cpu_nanos().saturating_sub(cpu_started);
-        rs.stats.cpu_nanos += cpu;
+        // Scan helpers' CPU is in already; add the calling thread's.
+        rs.stats.cpu_nanos += thread_cpu_nanos().saturating_sub(cpu_started);
         if let Some(trace) = &opts.trace {
-            trace.add_cpu_nanos(cpu);
+            trace.add_cpu_nanos(rs.stats.cpu_nanos);
             trace.add_wal(rs.stats.wal_bytes, rs.stats.wal_fsyncs);
             for span in phase_spans(&rs.stats) {
                 trace.record(span);

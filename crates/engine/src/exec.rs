@@ -1,14 +1,15 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use nlq_linalg::kernels;
 use nlq_models::{MatrixShape, Nlq};
+use nlq_obs::thread_cpu_nanos;
 use nlq_storage::{
-    bitmap_count_ones, bitmap_mask_tail, bitmap_words, parallel_scan, parallel_scan_partitions,
-    Column, ColumnBlock, DataType, Row, Schema, Table, Value, BLOCK_ROWS,
+    bitmap_count_ones, bitmap_mask_tail, bitmap_words, parallel_scan_partitions, Column,
+    ColumnBlock, DataType, Row, Schema, Table, Value, BLOCK_ROWS,
 };
 use nlq_summary::{
     project_nlq, shape_covers, SummaryData, SummaryDef, SummarySnapshot, SummaryStore,
@@ -99,6 +100,32 @@ pub(crate) struct PlannedSelect {
 }
 
 impl ExecContext<'_> {
+    /// Runs `scan(p)` for every partition of `base` on the scan pool
+    /// and returns the results in partition order, with the thread CPU
+    /// that pool helpers spent on them. The calling thread's own
+    /// partitions are already inside the statement's CPU sample.
+    fn scan_partitions<R: Send>(
+        &self,
+        base: &Table,
+        scan: impl Fn(usize) -> R + Sync,
+    ) -> (Vec<R>, u64) {
+        let caller = std::thread::current().id();
+        let helper_cpu = AtomicU64::new(0);
+        let out = parallel_scan_partitions(base, self.workers, |p| {
+            if std::thread::current().id() == caller {
+                return scan(p);
+            }
+            let started = thread_cpu_nanos();
+            let r = scan(p);
+            helper_cpu.fetch_add(
+                thread_cpu_nanos().saturating_sub(started),
+                Ordering::Relaxed,
+            );
+            r
+        });
+        (out, helper_cpu.into_inner())
+    }
+
     /// Executes a SELECT statement to completion.
     pub fn execute_select(&self, stmt: &SelectStmt) -> Result<ResultSet> {
         let plan_started = Instant::now();
@@ -489,15 +516,12 @@ impl ExecContext<'_> {
         if self.block_scan && stmt.order_by.is_empty() {
             if let Ok(plan) = plan_scalar_block(schema, base, join_product, &bound, residual) {
                 let scan_started = Instant::now();
-                let (blocks, rows_scanned, blocks_scanned) =
-                    self.run_scalar_block(base, &plan, stmt.limit)?;
+                let (blocks, stats) = self.run_scalar_block(base, &plan, stmt.limit)?;
                 let mut rs = ResultSet::from_blocks(names, blocks);
                 rs.stats = ExecStats {
                     block_path: true,
                     scan_nanos: scan_started.elapsed().as_nanos() as u64,
-                    rows_scanned,
-                    blocks_scanned,
-                    ..ExecStats::default()
+                    ..stats
                 };
                 return Ok(rs);
             }
@@ -510,11 +534,11 @@ impl ExecContext<'_> {
         // Each worker returns its keyed projections plus how many base
         // rows it scanned.
         type KeyedPartial = (Vec<(Row, Row)>, u64);
-        let partials: Vec<Result<KeyedPartial>> = parallel_scan(base, self.workers, |iter| {
+        let (partials, helper_cpu) = self.scan_partitions(base, |p| -> Result<KeyedPartial> {
             let mut out = Vec::new();
             let mut combined_buf: Row = Vec::new();
             let mut scanned_rows = 0u64;
-            for (scanned, row) in iter.enumerate() {
+            for (scanned, row) in base.scan_partition(p).enumerate() {
                 check_cancelled(cancel, scanned as u64)?;
                 scanned_rows += 1;
                 let left = row?;
@@ -563,78 +587,82 @@ impl ExecContext<'_> {
         let mut rs = ResultSet::new(names, rows);
         rs.stats.rows_scanned = rows_scanned;
         rs.stats.scan_nanos = scan_nanos;
+        rs.stats.cpu_nanos = helper_cpu;
         Ok(rs)
     }
 
     /// Executes a planned block-path scalar projection: decode column
     /// blocks per partition and compute each projection a column at a
-    /// time. Returns `(blocks, rows_scanned, blocks_scanned)`: one
-    /// output block per scanned block that kept rows, in the row
-    /// path's (partition-major) order, `limit` rows at most.
+    /// time. Returns one output block per scanned block that kept
+    /// rows, in the row path's (partition-major) order, `limit` rows at
+    /// most, with the scan's row, block and helper-CPU counters.
     fn run_scalar_block(
         &self,
         base: &Table,
         plan: &ScalarBlockPlan,
         limit: Option<usize>,
-    ) -> Result<(Vec<ResultBlock>, u64, u64)> {
+    ) -> Result<(Vec<ResultBlock>, ExecStats)> {
         let cancel = self.cancel.as_deref();
-        let partials: Vec<Result<(Vec<ResultBlock>, u64, u64)>> =
-            parallel_scan_partitions(base, self.workers, |p| {
-                let mut out = Vec::new();
-                let mut iter = base.scan_partition_blocks_numeric(p, &plan.cols)?;
-                let (mut rows, mut blocks) = (0u64, 0u64);
-                let mut sel = Vec::new();
-                let mut pred_scratch = PredScratch::default();
-                // The final output keeps the first `limit` rows in
-                // partition-major order, so no worker ever needs more
-                // than `limit` rows of its own.
-                let mut emitted = 0usize;
-                while let Some(block) = iter.next_block() {
-                    check_cancelled(cancel, rows)?;
-                    let block = block?;
-                    rows += block.len() as u64;
-                    blocks += 1;
-                    let selection: Option<&[u64]> = match &plan.predicate {
-                        None => None,
-                        Some(pred) => {
-                            pred.selection(&block, &mut sel, &mut pred_scratch);
-                            Some(sel.as_slice())
-                        }
-                    };
-                    // Compute only the prefix of the block that holds
-                    // the rows the LIMIT still needs.
-                    let need = limit.map_or(usize::MAX, |l| l - emitted);
-                    let (len, kept) = needed_prefix(block.len(), selection, need);
-                    if kept > 0 {
-                        let columns = plan
-                            .exprs
-                            .iter()
-                            .map(|e| e.eval_column(&block, &plan.int_slots, len, selection))
-                            .collect::<Result<Vec<_>>>()?;
-                        let mut out_block = ResultBlock::new(len, columns);
-                        if let Some(words) = selection {
-                            out_block.compact(words);
-                        }
-                        out.push(out_block);
-                        emitted += kept;
+        type Partial = (Vec<ResultBlock>, u64, u64);
+        let (partials, cpu_nanos) = self.scan_partitions(base, |p| -> Result<Partial> {
+            let mut out = Vec::new();
+            let mut iter = base.scan_partition_blocks_numeric(p, &plan.cols)?;
+            let (mut rows, mut blocks) = (0u64, 0u64);
+            let mut sel = Vec::new();
+            let mut pred_scratch = PredScratch::default();
+            // The final output keeps the first `limit` rows in
+            // partition-major order, so no worker ever needs more
+            // than `limit` rows of its own.
+            let mut emitted = 0usize;
+            while let Some(block) = iter.next_block() {
+                check_cancelled(cancel, rows)?;
+                let block = block?;
+                rows += block.len() as u64;
+                blocks += 1;
+                let selection: Option<&[u64]> = match &plan.predicate {
+                    None => None,
+                    Some(pred) => {
+                        pred.selection(&block, &mut sel, &mut pred_scratch);
+                        Some(sel.as_slice())
                     }
-                    if limit.is_some_and(|l| emitted >= l) {
-                        break;
+                };
+                // Compute only the prefix of the block that holds
+                // the rows the LIMIT still needs.
+                let need = limit.map_or(usize::MAX, |l| l - emitted);
+                let (len, kept) = needed_prefix(block.len(), selection, need);
+                if kept > 0 {
+                    let columns = plan
+                        .exprs
+                        .iter()
+                        .map(|e| e.eval_column(&block, &plan.int_slots, len, selection))
+                        .collect::<Result<Vec<_>>>()?;
+                    let mut out_block = ResultBlock::new(len, columns);
+                    if let Some(words) = selection {
+                        out_block.compact(words);
                     }
+                    out.push(out_block);
+                    emitted += kept;
                 }
-                Ok((out, rows, blocks))
-            });
+                if limit.is_some_and(|l| emitted >= l) {
+                    break;
+                }
+            }
+            Ok((out, rows, blocks))
+        });
         let mut all = Vec::new();
-        let (mut rows, mut blocks) = (0u64, 0u64);
+        let mut stats = ExecStats {
+            cpu_nanos,
+            ..ExecStats::default()
+        };
         for (o, r, b) in merge_partial_errors(partials)? {
             all.extend(o);
-            rows += r;
-            blocks += b;
+            stats.rows_scanned += r;
+            stats.blocks_scanned += b;
         }
         if let Some(l) = limit {
             truncate_blocks(&mut all, l);
         }
-        Ok((all, rows, blocks))
+        Ok((all, stats))
     }
 
     fn execute_aggregate(
@@ -811,9 +839,10 @@ impl ExecContext<'_> {
         // Phase 1-2: each worker accumulates per-group partial states
         // over its partition (the UDF protocol's init + row steps).
         let scan_started = Instant::now();
-        let partials: Vec<Result<(GroupMap, u64, u64, u64)>> = if let Some(plan) = &block_plan {
+        type Partial = (GroupMap, u64, u64, u64);
+        let (partials, helper_cpu): (Vec<Result<Partial>>, u64) = if let Some(plan) = &block_plan {
             stats.block_path = true;
-            parallel_scan_partitions(base, self.workers, |p| {
+            self.scan_partitions(base, |p| {
                 let start = Instant::now();
                 let mut accums: Vec<AggAccum> = calls_ref.iter().map(AggAccum::init).collect();
                 let mut iter = base.scan_partition_blocks_numeric(p, &plan.cols)?;
@@ -844,13 +873,13 @@ impl ExecContext<'_> {
                 Ok((groups, rows, blocks, start.elapsed().as_nanos() as u64))
             })
         } else {
-            parallel_scan(base, self.workers, |iter| {
+            self.scan_partitions(base, |p| {
                 let start = Instant::now();
                 let mut groups: GroupMap = HashMap::new();
                 let mut arg_buf: Vec<Value> = Vec::new();
                 let mut combined_buf: Row = Vec::new();
                 let mut rows = 0u64;
-                for row in iter {
+                for row in base.scan_partition(p) {
                     check_cancelled(cancel, rows)?;
                     let left = row?;
                     rows += 1;
@@ -897,6 +926,8 @@ impl ExecContext<'_> {
                 Ok((groups, rows, 0, start.elapsed().as_nanos() as u64))
             })
         };
+
+        stats.cpu_nanos += helper_cpu;
 
         // Phase 3: master merges the partials.
         let merge_start = Instant::now();

@@ -5,8 +5,9 @@
 //! each shard owns a long-lived worker thread, pinned to a disjoint
 //! slice of the machine's cores, that drains a FIFO job queue: a gather
 //! can then block on every shard without any risk of exhausting the
-//! serving layer's pool, and shard-local parallel scans (scoped threads
-//! spawned inside the job) inherit the worker's CPU affinity.
+//! serving layer's pool. A job's parallel scans run on the job's own
+//! thread plus helpers from the process-wide scan pool
+//! (`nlq_storage::run_indexed`), which are not pinned.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};

@@ -1,0 +1,100 @@
+//! The scan pool: a statement's partitions run on the calling thread
+//! and on a fixed set of pool helpers, never on threads of its own,
+//! and the CPU the helpers spend counts as the statement's.
+
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
+
+use nlq_engine::{Db, ExecOptions};
+use nlq_obs::thread_cpu_nanos;
+use nlq_storage::Value;
+use nlq_udf::ScalarUdf;
+
+/// `tid(x)`: returns `x` and records the thread that evaluated it.
+struct Tid(Arc<Mutex<HashSet<ThreadId>>>);
+
+impl ScalarUdf for Tid {
+    fn name(&self) -> &str {
+        "tid"
+    }
+    fn eval(&self, args: &[Value]) -> nlq_udf::Result<Value> {
+        self.0.lock().unwrap().insert(std::thread::current().id());
+        Ok(args[0].clone())
+    }
+}
+
+/// `spin(x)`: returns `x` after burning `SPIN` of its thread's CPU.
+struct Spin;
+
+const SPIN: Duration = Duration::from_millis(5);
+
+impl ScalarUdf for Spin {
+    fn name(&self) -> &str {
+        "spin"
+    }
+    fn eval(&self, args: &[Value]) -> nlq_udf::Result<Value> {
+        let started = thread_cpu_nanos();
+        while thread_cpu_nanos() - started < SPIN.as_nanos() as u64 {
+            std::hint::spin_loop();
+        }
+        Ok(args[0].clone())
+    }
+}
+
+fn points_db(workers: usize, n: usize) -> Db {
+    let db = Db::new(workers);
+    let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64, 1.0]).collect();
+    db.load_points("X", &rows, false).unwrap();
+    db
+}
+
+#[test]
+fn scans_run_on_the_caller_and_the_pool_helpers_only() {
+    let db = points_db(2, 4000);
+    let seen = Arc::new(Mutex::new(HashSet::new()));
+    db.with_registry_mut(|r| r.register_scalar(Arc::new(Tid(Arc::clone(&seen)))));
+    let row_path = ExecOptions {
+        block_scan: Some(false),
+        ..ExecOptions::default()
+    };
+    for opts in [ExecOptions::default(), row_path] {
+        for _ in 0..50 {
+            let rs = db.execute_with("SELECT tid(X1) FROM X", &opts).unwrap();
+            assert_eq!(rs.rows.len(), 4000);
+            assert_eq!(rs.stats.block_path, opts.block_scan.is_none());
+        }
+    }
+    // std never reuses a `ThreadId`: a thread spawned per scan would
+    // show up as a new id every time.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let distinct = seen.lock().unwrap().len();
+    assert!(
+        distinct <= 1 + cores,
+        "{distinct} threads evaluated 100 scans on {cores} cores"
+    );
+}
+
+#[test]
+fn helper_cpu_counts_as_the_statements_cpu() {
+    if thread_cpu_nanos() == 0 {
+        return; // no per-thread CPU clock on this platform
+    }
+    // Two rows in two partitions: whichever threads run them, the two
+    // evaluations burn 2 × SPIN between them.
+    let db = points_db(2, 2);
+    db.with_registry_mut(|r| r.register_scalar(Arc::new(Spin)));
+    for opts in [
+        ExecOptions::default(),
+        ExecOptions {
+            block_scan: Some(false),
+            ..ExecOptions::default()
+        },
+    ] {
+        let rs = db.execute_with("SELECT spin(X1) FROM X", &opts).unwrap();
+        assert_eq!(rs.rows.len(), 2);
+        let cpu = Duration::from_nanos(rs.stats.cpu_nanos);
+        assert!(cpu >= 2 * SPIN, "statement reported {cpu:?} of CPU");
+    }
+}

@@ -184,7 +184,9 @@ fn worker_loop(shared: &Shared) {
             }
         }
         shared.busy.fetch_add(1, Ordering::Relaxed);
-        (queued.job)();
+        // A job that panics fails alone: the worker and the busy count
+        // outlive it.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(queued.job));
         shared.busy.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -273,6 +275,20 @@ mod tests {
         }
         assert_eq!(skipped.load(Ordering::SeqCst), 1);
         assert_eq!(ran.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_worker_serving() {
+        let pool = Arc::new(WorkerPool::new(1, 8));
+        pool.submit(Box::new(|| panic!("job failed"))).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let inner = Arc::clone(&pool);
+        pool.submit(Box::new(move || tx.send(inner.workers_busy()).unwrap()))
+            .unwrap();
+        // The lone worker survived, and only the reporting job itself
+        // counts as busy: the panicked one gave its count back.
+        let busy = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(busy, Ok(1));
     }
 
     #[test]

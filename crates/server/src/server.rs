@@ -50,8 +50,10 @@
 //! stopped reading its stream could otherwise block the drain
 //! forever).
 
+use std::any::Any;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -1096,7 +1098,8 @@ fn stream_job(
     config: ServerConfig,
     tx: mpsc::SyncSender<StreamMsg>,
 ) -> impl FnOnce() + Send + 'static {
-    move || {
+    let panic_tx = tx.clone();
+    let run = move || {
         let started = Instant::now();
         let token = opts.cancel.as_ref().expect("stream job has a token");
         let trace = opts.trace.clone();
@@ -1232,6 +1235,30 @@ fn stream_job(
             payload: enc.done_payload(&wire),
             stats: rs.stats,
         });
+    };
+    // A panic inside the statement (in a user UDF, say) fails this
+    // statement alone: the client gets an error naming it, and the
+    // worker thread lives on.
+    move || {
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(run)) {
+            let _ = panic_tx.send(StreamMsg::Failed {
+                code: ErrorCode::Sql,
+                message: format!("statement panicked: {}", panic_message(payload.as_ref())),
+                stats: None,
+                cancelled_queued: false,
+            });
+        }
+    }
+}
+
+/// The message a panic was raised with, if it was raised with one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "(no message)"
     }
 }
 

@@ -663,6 +663,50 @@ fn cancel_of_a_queued_statement_skips_execution_entirely() {
     assert_live_scrape_valid(&mut c1);
 }
 
+/// `boom(x)`: panics, as a faulty user UDF might.
+#[derive(Debug)]
+struct Boom;
+
+impl ScalarUdf for Boom {
+    fn name(&self) -> &str {
+        "boom"
+    }
+    fn eval(&self, _args: &[Value]) -> nlq_udf::Result<Value> {
+        panic!("boom UDF exploded");
+    }
+}
+
+#[test]
+fn a_panicking_statement_fails_alone_and_the_worker_keeps_serving() {
+    let db = Arc::new(Db::new(1));
+    db.with_registry_mut(|r| r.register_scalar(Arc::new(Boom)));
+    // One worker, and a timeout short enough that a lost worker shows
+    // as a failed statement rather than a stalled test.
+    let ts = TestServer::start_with(
+        db,
+        ServerConfig {
+            workers: 1,
+            query_timeout: Duration::from_secs(3),
+            ..ServerConfig::default()
+        },
+    );
+    let mut c = ts.client();
+    load_rows(&mut c, "B", 3);
+    for _ in 0..2 {
+        match c.execute("SELECT boom(X1) FROM B") {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, ErrorCode::Sql);
+                assert!(message.contains("boom UDF exploded"), "{message}");
+            }
+            other => panic!("expected the panic as an SQL error, got {other:?}"),
+        }
+    }
+    let rs = c.execute("SELECT count(*) FROM B").unwrap();
+    assert_eq!(rs.value(0, 0), &Value::Int(3));
+    let rs = ts.client().execute("SELECT count(*) FROM B").unwrap();
+    assert_eq!(rs.value(0, 0), &Value::Int(3));
+}
+
 #[test]
 fn ingest_envelope_commits_atomically_and_scores_over_the_wire() {
     let ts = TestServer::start(ServerConfig::default());

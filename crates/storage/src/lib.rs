@@ -7,8 +7,9 @@
 //! data set `X` is "horizontally partitioned evenly among threads,
 //! where each thread was responsible for processing 1/20th of X" (§4).
 //!
-//! Tables are split across `p` partitions that are scanned by
-//! independent worker threads and merged by a master — the exact
+//! Tables are split across `p` partitions that are scanned in parallel
+//! — by the calling thread and the helpers of one process-wide scan
+//! pool ([`run_indexed`]) — and merged by a master: the exact
 //! execution model the aggregate-UDF protocol is written against.
 //! Each partition stores its rows in one layout, **column-major
 //! chunks** (per-column value vectors plus LSB-ordered validity
@@ -38,7 +39,7 @@ mod wal;
 
 pub use block::{BlockIter, ColumnBlock, FloatColumn, BLOCK_ROWS};
 pub use disk::{DiskPartitionIter, DiskTable};
-pub use parallel::{parallel_scan, parallel_scan_indexed, parallel_scan_partitions};
+pub use parallel::{parallel_scan, parallel_scan_indexed, parallel_scan_partitions, run_indexed};
 pub use row::Row;
 pub use schema::{Column, DataType, Schema};
 pub use segment::{bitmap_count_ones, bitmap_get, bitmap_mask_tail, bitmap_words, SEGMENT_ROWS};
