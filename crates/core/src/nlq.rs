@@ -332,7 +332,11 @@ impl Nlq {
         if self.n <= 0.0 {
             return Err(ModelError::NotEnoughData { needed: 1, got: 0 });
         }
-        Ok(self.l.scale(1.0 / self.n))
+        // Divide (rather than scale by 1/n) so each entry is correctly
+        // rounded: SQL's `avg` is this mean at d = 1.
+        Ok(Vector::from_vec(
+            self.l.as_slice().iter().map(|l| l / self.n).collect(),
+        ))
     }
 
     /// The covariance matrix `V = Q/n − L Lᵀ/n²` (the paper's

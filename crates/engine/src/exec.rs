@@ -4,24 +4,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use nlq_linalg::kernels;
 use nlq_models::{MatrixShape, Nlq};
 use nlq_obs::thread_cpu_nanos;
 use nlq_storage::{
-    bitmap_count_ones, bitmap_mask_tail, bitmap_words, parallel_scan_partitions, Column,
-    ColumnBlock, DataType, Row, Schema, Table, Value, BLOCK_ROWS,
+    parallel_scan_partitions, Column, ColumnBlock, DataType, Row, Schema, Table, Value, BLOCK_ROWS,
 };
 use nlq_summary::{
     project_nlq, shape_covers, SummaryData, SummaryDef, SummarySnapshot, SummaryStore,
 };
-use nlq_udf::{
-    check_heap, AggregateState, BatchArg, FloatBatch, ScalarBatchArg, ScalarUdf, UdfRegistry,
-};
+use nlq_udf::{check_heap, BatchArg, FloatBatch, ScalarBatchArg, ScalarUdf, UdfRegistry};
 
+use crate::accum::{AggAccum, BlockCall, BlockTerm, MomentsFn};
 use crate::ast::{Expr, SelectStmt};
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::db::{ExecStats, ResultSet};
-use crate::expr::{AggCall, AggKind, Binder, BoundExpr, BoundSchema, FastArg, StatAgg};
+use crate::expr::{AggCall, AggKind, Binder, BoundExpr, BoundSchema, FastArg};
 use crate::output::{set_bits, truncate_blocks, ResultBlock, ResultColumn};
 use crate::predicate::{compile_residual, CompiledPredicates, PredScratch};
 use crate::sys::SystemTableProvider;
@@ -315,7 +312,7 @@ impl ExecContext<'_> {
                 };
                 binder.bind(h)?;
             }
-            let fast_args = compute_fast_args(&plan.schema, &agg_calls);
+            let fast_args = compute_fast_args(&agg_calls);
             let fast = fast_args.iter().filter(|f| f.is_some()).count();
             let udfs = agg_calls
                 .iter()
@@ -818,7 +815,7 @@ impl ExecContext<'_> {
 
         // Recognize fast shapes for simple numeric aggregate terms
         // (the bulk of the paper's generated 1 + d + d² queries).
-        let fast_args = compute_fast_args(schema, agg_calls);
+        let fast_args = compute_fast_args(agg_calls);
 
         let group_ref = group_bound;
         let calls_ref = agg_calls;
@@ -1206,23 +1203,10 @@ enum SummaryRecipe {
         dims: Vec<usize>,
         shape: MatrixShape,
     },
-    /// `count(*)` / `count(col)`: the state's `n`.
-    Count,
-    /// `sum(col)`: `L[dim]` (summarized columns are float, so the
-    /// integer-sum rule never applies).
-    Sum { dim: usize },
-    /// `avg(col)`: `L[dim] / n`.
-    Avg { dim: usize },
-    /// `min(col)`: the maintained per-dimension minimum.
-    Min { dim: usize },
-    /// `max(col)`: the maintained per-dimension maximum.
-    Max { dim: usize },
-    /// Statistical builtin: the executor's 2-D formulas fed from L/Q.
-    Stat {
-        kind: StatAgg,
-        a: usize,
-        b: Option<usize>,
-    },
+    /// A builtin: the sub-Γ over the dimensions of its argument
+    /// columns (none for `count(*)`), folded into the call's own
+    /// accumulator.
+    Gamma(Vec<usize>),
 }
 
 /// Structurally matches every aggregate call of a query against one
@@ -1239,46 +1223,32 @@ fn plan_summary_recipes(
         (Some(g), Some(w)) if g.eq_ignore_ascii_case(w) => {}
         _ => return None,
     }
-    let dim = |args: &[BoundExpr]| match args {
-        [BoundExpr::ColumnRef(i)] => def.dim_of(schema.column_name(*i)),
-        _ => None,
-    };
     agg_calls
         .iter()
-        .map(|call| match &call.kind {
-            AggKind::CountStar => Some(SummaryRecipe::Count),
-            AggKind::Count => dim(&call.args).map(|_| SummaryRecipe::Count),
-            AggKind::Sum => dim(&call.args).map(|dim| SummaryRecipe::Sum { dim }),
-            AggKind::Avg => dim(&call.args).map(|dim| SummaryRecipe::Avg { dim }),
-            // A `NO MINMAX` summary stores no bounds to answer from.
-            AggKind::Min => dim(&call.args)
-                .filter(|_| def.minmax)
-                .map(|dim| SummaryRecipe::Min { dim }),
-            AggKind::Max => dim(&call.args)
-                .filter(|_| def.minmax)
-                .map(|dim| SummaryRecipe::Max { dim }),
-            AggKind::Stat(kind) => match (kind.arity(), call.args.as_slice()) {
-                (1, [_]) => dim(&call.args).map(|a| SummaryRecipe::Stat {
-                    kind: *kind,
-                    a,
-                    b: None,
-                }),
-                (2, [a, b]) => {
-                    let a = dim(std::slice::from_ref(a))?;
-                    let b = dim(std::slice::from_ref(b))?;
-                    // Cross moments need an off-diagonal Q entry.
-                    (a == b || def.shape != MatrixShape::Diagonal).then_some(SummaryRecipe::Stat {
-                        kind: *kind,
-                        a,
-                        b: Some(b),
-                    })
+        .map(|call| {
+            let arity = match &call.kind {
+                AggKind::Udf(udf) if udf.name() == "nlq_list" => {
+                    return plan_nlq_recipe(def, schema, &call.args)
                 }
-                _ => None,
-            },
-            AggKind::Udf(udf) if udf.name() == "nlq_list" => {
-                plan_nlq_recipe(def, schema, &call.args)
-            }
-            AggKind::Udf(_) => None,
+                AggKind::Udf(_) => return None,
+                // A `NO MINMAX` summary stores no bounds to answer from.
+                AggKind::Min | AggKind::Max if !def.minmax => return None,
+                AggKind::Min | AggKind::Max => 1,
+                AggKind::Count => call.args.len().min(1),
+                AggKind::Moments(f) => f.arity(),
+            };
+            let dims = call
+                .args
+                .iter()
+                .map(|arg| match arg {
+                    BoundExpr::ColumnRef(i) => def.dim_of(schema.column_name(*i)),
+                    _ => None,
+                })
+                .collect::<Option<Vec<_>>>()?;
+            // Cross moments need an off-diagonal Q entry.
+            let cross = matches!(dims.as_slice(), [a, b] if a != b);
+            (dims.len() == arity && !(cross && def.shape == MatrixShape::Diagonal))
+                .then_some(SummaryRecipe::Gamma(dims))
         })
         .collect()
 }
@@ -1361,108 +1331,38 @@ fn summary_accum_groups(
     })
 }
 
-/// One accumulator state from one Γ state. The variant mirrors what
-/// the scan path builds for the same call (so cross-engine merges
-/// line up), and an empty Γ (`n = 0`) seeds the same neutral state as
-/// [`AggAccum::init`] — finalizing it matches a zero-row scan.
+/// One accumulator state from one Γ state: the call's own
+/// [`AggAccum::init`] state with the sub-Γ folded in, so a summary
+/// answer merges with scan partials, and an empty Γ (`n = 0`)
+/// finalizes like a zero-row scan.
 fn summary_accum(g: &Nlq, recipe: &SummaryRecipe, call: &AggCall) -> Result<AggAccum> {
-    let n = g.n();
     Ok(match recipe {
-        SummaryRecipe::Nlq { dims, shape } => AggAccum::Udf {
-            state: nlq_udf::seeded_nlq_state(&project_nlq(g, dims, *shape)?),
-        },
-        SummaryRecipe::Count => match call.kind {
-            AggKind::CountStar => AggAccum::CountStar { n: n as i64 },
-            _ => AggAccum::Count { n: n as i64 },
-        },
-        // Summarized columns are float, so the integer-sum rule never
-        // applies; an empty state keeps `int_only` neutral for merges.
-        SummaryRecipe::Sum { dim } => AggAccum::Sum {
-            acc: g.l()[*dim],
-            any: n > 0.0,
-            int_only: n == 0.0,
-        },
-        SummaryRecipe::Avg { dim } => AggAccum::Avg {
-            sum: g.l()[*dim],
-            n: n as i64,
-        },
-        SummaryRecipe::Min { dim } => AggAccum::Min {
-            best: (n > 0.0).then(|| Value::Float(g.min()[*dim])),
-        },
-        SummaryRecipe::Max { dim } => AggAccum::Max {
-            best: (n > 0.0).then(|| Value::Float(g.max()[*dim])),
-        },
-        SummaryRecipe::Stat { kind, a, b } => {
-            let (l, q) = (g.l(), g.q_full());
-            let (sb, sbb, sab) = match b {
-                Some(b) => (l[*b], q[(*b, *b)], q[(*a, *b)]),
-                None => (0.0, 0.0, 0.0),
-            };
-            AggAccum::Stat {
-                kind: *kind,
-                n,
-                sa: l[*a],
-                sb,
-                saa: q[(*a, *a)],
-                sbb,
-                sab,
-            }
+        SummaryRecipe::Nlq { dims, shape } => {
+            AggAccum::Udf(nlq_udf::seeded_nlq_state(&project_nlq(g, dims, *shape)?))
+        }
+        SummaryRecipe::Gamma(dims) => {
+            let mut accum = AggAccum::init(call);
+            accum.fold_gamma(g, dims)?;
+            accum
         }
     })
 }
 
-/// Recognizes fast shapes for simple numeric aggregate terms. Gated on
-/// column types so integer-sum semantics and string counting stay on
-/// the general path.
-fn compute_fast_args(schema: &BoundSchema, agg_calls: &[AggCall]) -> Vec<Option<FastArg>> {
+/// Recognizes fast shapes for the FLOAT terms of `count`, `sum` and
+/// `avg` (see [`AggCall::float`]); integer sums and string counting
+/// stay on the general path.
+fn compute_fast_args(agg_calls: &[AggCall]) -> Vec<Option<FastArg>> {
     agg_calls
         .iter()
-        .map(|call| {
-            if call.args.len() != 1 {
-                return None;
+        .map(|call| match (&call.kind, call.args.as_slice()) {
+            (AggKind::Count | AggKind::Moments(MomentsFn::Sum | MomentsFn::Avg), [arg])
+                if call.float =>
+            {
+                FastArg::recognize(arg)
             }
-            let fa = FastArg::recognize(&call.args[0])?;
-            let numeric_float = |i: usize| schema.column_type(i) == DataType::Float;
-            let ok = match (&call.kind, &fa) {
-                (AggKind::Sum | AggKind::Avg | AggKind::Count, FastArg::Col(i)) => {
-                    numeric_float(*i)
-                }
-                (AggKind::Sum | AggKind::Avg | AggKind::Count, FastArg::ColProduct(a, b)) => {
-                    numeric_float(*a) && numeric_float(*b)
-                }
-                (AggKind::Sum | AggKind::Avg | AggKind::Count, FastArg::Const(_)) => {
-                    matches!(&call.args[0], BoundExpr::Literal(Value::Float(_)))
-                }
-                _ => false,
-            };
-            ok.then_some(fa)
+            _ => None,
         })
         .collect()
-}
-
-/// How one aggregate-term operand reaches the block path: a projected
-/// block column (by slot), the product of two columns, or a constant.
-#[derive(Debug, Clone, Copy)]
-enum BlockTerm {
-    Col(usize),
-    Prod(usize, usize),
-    Const(f64),
-}
-
-/// A block-path execution recipe for one aggregate call.
-#[derive(Debug, Clone)]
-enum BlockCall {
-    /// `count(*)`: the block length.
-    CountStar,
-    /// `sum`/`avg`/`count` over a fast-path term; the accumulator
-    /// variant discriminates which statistic the reduction feeds.
-    Fast(BlockTerm),
-    /// `min`/`max` over one column.
-    Extremum(usize),
-    /// Statistical builtin over one or two columns.
-    Stat { a: usize, b: Option<usize> },
-    /// Aggregate UDF; arguments mapped onto block slots/constants.
-    Udf(Vec<BatchArg>),
 }
 
 /// The outcome of planning a block-at-a-time aggregate scan: which
@@ -1522,60 +1422,55 @@ fn plan_block_calls(
 ) -> Option<BlockPlan> {
     let mut cols: Vec<usize> = Vec::new();
     let mut slot_of: HashMap<usize, usize> = HashMap::new();
-    let slot = |cols: &mut Vec<usize>, slot_of: &mut HashMap<usize, usize>, i: usize| {
+    let mut slot = |i: usize| {
         *slot_of.entry(i).or_insert_with(|| {
             cols.push(i);
             cols.len() - 1
         })
     };
     let float_col = |i: usize| i < base_width && schema.column_type(i) == DataType::Float;
+    let col = |e: &BoundExpr| match e {
+        BoundExpr::ColumnRef(i) if float_col(*i) => Some(*i),
+        _ => None,
+    };
 
     let mut calls = Vec::with_capacity(agg_calls.len());
     for (call, fast) in agg_calls.iter().zip(fast_args) {
-        let planned = match (&call.kind, fast) {
-            (AggKind::CountStar, _) => BlockCall::CountStar,
-            // Reuse the row fast-path recognition for sum/avg/count,
-            // restricted to base-table columns.
-            (_, Some(FastArg::Col(i))) if float_col(*i) => {
-                BlockCall::Fast(BlockTerm::Col(slot(&mut cols, &mut slot_of, *i)))
+        // The row fast-path recognition, restricted to base-table
+        // columns.
+        let term = match fast {
+            Some(FastArg::Col(i)) if float_col(*i) => Some(BlockTerm::Col(slot(*i))),
+            Some(FastArg::ColProduct(a, b)) if float_col(*a) && float_col(*b) => {
+                Some(BlockTerm::Prod(slot(*a), slot(*b)))
             }
-            (_, Some(FastArg::ColProduct(a, b))) if float_col(*a) && float_col(*b) => {
-                BlockCall::Fast(BlockTerm::Prod(
-                    slot(&mut cols, &mut slot_of, *a),
-                    slot(&mut cols, &mut slot_of, *b),
-                ))
+            Some(FastArg::Const(c)) => Some(BlockTerm::Const(*c)),
+            Some(_) => return None,
+            None => None,
+        };
+        let planned = match (&call.kind, term) {
+            (AggKind::Count, term) if call.args.is_empty() || term.is_some() => {
+                BlockCall::Count(term)
             }
-            (_, Some(FastArg::Const(c))) => BlockCall::Fast(BlockTerm::Const(*c)),
+            (AggKind::Moments(_), Some(term)) => BlockCall::Moments(term, None),
             (AggKind::Min | AggKind::Max, None) => match call.args.as_slice() {
-                [BoundExpr::ColumnRef(i)] if float_col(*i) => {
-                    BlockCall::Extremum(slot(&mut cols, &mut slot_of, *i))
-                }
+                [arg] => BlockCall::Extremum(slot(col(arg)?)),
                 _ => return None,
             },
-            (AggKind::Stat(kind), None) => match (kind.arity(), call.args.as_slice()) {
-                (1, [BoundExpr::ColumnRef(a)]) if float_col(*a) => BlockCall::Stat {
-                    a: slot(&mut cols, &mut slot_of, *a),
-                    b: None,
-                },
-                (2, [BoundExpr::ColumnRef(a), BoundExpr::ColumnRef(b)])
-                    if float_col(*a) && float_col(*b) =>
-                {
-                    BlockCall::Stat {
-                        a: slot(&mut cols, &mut slot_of, *a),
-                        b: Some(slot(&mut cols, &mut slot_of, *b)),
-                    }
+            // Second moments read bare FLOAT columns only.
+            (AggKind::Moments(f), None) => {
+                let mut term = |arg| col(arg).map(|i| BlockTerm::Col(slot(i)));
+                match (f.arity(), call.args.as_slice()) {
+                    (1, [a]) => BlockCall::Moments(term(a)?, None),
+                    (2, [a, b]) => BlockCall::Moments(term(a)?, Some(term(b)?)),
+                    _ => return None,
                 }
-                _ => return None,
-            },
+            }
             (AggKind::Udf(_), None) => {
                 let mut args = Vec::with_capacity(call.args.len());
                 for arg in &call.args {
                     args.push(match arg {
                         BoundExpr::Literal(v) => BatchArg::Const(v.clone()),
-                        BoundExpr::ColumnRef(i) if float_col(*i) => {
-                            BatchArg::Col(slot(&mut cols, &mut slot_of, *i))
-                        }
-                        _ => return None,
+                        arg => BatchArg::Col(slot(col(arg)?)),
                     });
                 }
                 BlockCall::Udf(args)
@@ -1880,80 +1775,6 @@ fn block_value(block: &ColumnBlock, slot: usize, is_int: bool, i: usize) -> Valu
     }
 }
 
-/// Composes the predicate selection with the validity bitmaps of the
-/// given column slots into one active-row bitmap. Returns `None` when
-/// every row is active (no selection, all columns dense) — the dense
-/// kernels apply; otherwise fills `buf` (`bitmap_words(len)` words,
-/// bits past the block length zero) and returns it.
-fn build_active<'a>(
-    block: &ColumnBlock,
-    slots: &[usize],
-    selection: Option<&[u64]>,
-    buf: &'a mut Vec<u64>,
-) -> Option<&'a [u64]> {
-    let any_null = slots.iter().any(|&s| !block.column(s).is_dense());
-    if selection.is_none() && !any_null {
-        return None;
-    }
-    let len = block.len();
-    buf.clear();
-    match selection {
-        Some(sel) => buf.extend_from_slice(sel),
-        None => {
-            buf.resize(bitmap_words(len), !0u64);
-            bitmap_mask_tail(buf, len);
-        }
-    }
-    for &s in slots {
-        if let Some(validity) = block.column(s).validity() {
-            for (w, v) in buf.iter_mut().zip(validity) {
-                *w &= v;
-            }
-        }
-    }
-    Some(buf)
-}
-
-/// Reduces one term over a block: `(sum of contributing products,
-/// number of contributing rows)`. `selection` restricts the
-/// contributing rows; NULLs in the term's columns drop out on top.
-fn reduce_term(
-    block: &ColumnBlock,
-    term: &BlockTerm,
-    selection: Option<&[u64]>,
-    buf: &mut Vec<u64>,
-) -> (f64, u64) {
-    match term {
-        BlockTerm::Const(c) => {
-            let n = match selection {
-                Some(sel) => bitmap_count_ones(sel),
-                None => block.len(),
-            };
-            (*c * n as f64, n as u64)
-        }
-        BlockTerm::Col(s) => {
-            let col = block.column(*s);
-            match build_active(block, &[*s], selection, buf) {
-                None => (kernels::sum(col.values), block.len() as u64),
-                Some(active) => (
-                    kernels::sum_selected(col.values, active),
-                    bitmap_count_ones(active) as u64,
-                ),
-            }
-        }
-        BlockTerm::Prod(a, b) => {
-            let (ca, cb) = (block.column(*a), block.column(*b));
-            match build_active(block, &[*a, *b], selection, buf) {
-                None => (kernels::dot(ca.values, cb.values), block.len() as u64),
-                Some(active) => (
-                    kernels::dot_selected(ca.values, cb.values, active),
-                    bitmap_count_ones(active) as u64,
-                ),
-            }
-        }
-    }
-}
-
 /// How one ORDER BY key is computed for a result row.
 enum OrderEval {
     /// 1-based output ordinal (already 0-based here).
@@ -2156,444 +1977,5 @@ impl Hash for GroupKey {
         for v in &self.0 {
             state.write_u64(v.group_key());
         }
-    }
-}
-
-/// A single aggregate accumulator (one per aggregate call per group
-/// per worker).
-enum AggAccum {
-    Sum {
-        acc: f64,
-        any: bool,
-        int_only: bool,
-    },
-    Count {
-        n: i64,
-    },
-    CountStar {
-        n: i64,
-    },
-    Avg {
-        sum: f64,
-        n: i64,
-    },
-    Min {
-        best: Option<Value>,
-    },
-    Max {
-        best: Option<Value>,
-    },
-    /// Two-dimensional statistical builtin: the running sums
-    /// (n, Σa, Σb, Σa², Σb², Σab) — a 2-D instance of the paper's
-    /// n, L, Q.
-    Stat {
-        kind: StatAgg,
-        n: f64,
-        sa: f64,
-        sb: f64,
-        saa: f64,
-        sbb: f64,
-        sab: f64,
-    },
-    Udf {
-        state: Box<dyn AggregateState>,
-    },
-}
-
-impl AggAccum {
-    fn init(call: &AggCall) -> Self {
-        match &call.kind {
-            AggKind::Sum => AggAccum::Sum {
-                acc: 0.0,
-                any: false,
-                int_only: true,
-            },
-            AggKind::Count => AggAccum::Count { n: 0 },
-            AggKind::CountStar => AggAccum::CountStar { n: 0 },
-            AggKind::Avg => AggAccum::Avg { sum: 0.0, n: 0 },
-            AggKind::Min => AggAccum::Min { best: None },
-            AggKind::Max => AggAccum::Max { best: None },
-            AggKind::Stat(kind) => AggAccum::Stat {
-                kind: *kind,
-                n: 0.0,
-                sa: 0.0,
-                sb: 0.0,
-                saa: 0.0,
-                sbb: 0.0,
-                sab: 0.0,
-            },
-            AggKind::Udf(udf) => AggAccum::Udf { state: udf.init() },
-        }
-    }
-
-    /// Specialized update for recognized numeric fast-path terms
-    /// (`None` means SQL NULL: skipped, except by `count(*)` which
-    /// never takes the fast path).
-    #[inline]
-    fn update_fast(&mut self, v: Option<f64>) {
-        match self {
-            AggAccum::Sum { acc, any, int_only } => {
-                if let Some(x) = v {
-                    *acc += x;
-                    *any = true;
-                    *int_only = false; // fast path is float-typed by construction
-                }
-            }
-            AggAccum::Avg { sum, n } => {
-                if let Some(x) = v {
-                    *sum += x;
-                    *n += 1;
-                }
-            }
-            AggAccum::Count { n } => {
-                if v.is_some() {
-                    *n += 1;
-                }
-            }
-            _ => unreachable!("fast path only generated for sum/avg/count"),
-        }
-    }
-
-    /// Folds a whole column block into the accumulator per the planned
-    /// [`BlockCall`] — the vectorized counterpart of calling
-    /// [`AggAccum::update`]/[`AggAccum::update_fast`] once per row.
-    /// `selection` (the compiled `WHERE` bitmap) restricts the
-    /// contributing rows; `buf` is reusable active-bitmap scratch.
-    fn update_block(
-        &mut self,
-        block: &ColumnBlock,
-        call: &BlockCall,
-        selection: Option<&[u64]>,
-        buf: &mut Vec<u64>,
-    ) -> Result<()> {
-        match (self, call) {
-            (AggAccum::CountStar { n }, BlockCall::CountStar) => {
-                *n += match selection {
-                    Some(sel) => bitmap_count_ones(sel) as i64,
-                    None => block.len() as i64,
-                }
-            }
-            (AggAccum::Sum { acc, any, int_only }, BlockCall::Fast(term)) => {
-                let (s, kept) = reduce_term(block, term, selection, buf);
-                if kept > 0 {
-                    *acc += s;
-                    *any = true;
-                    *int_only = false; // fast path is float-typed by construction
-                }
-            }
-            (AggAccum::Avg { sum, n }, BlockCall::Fast(term)) => {
-                let (s, kept) = reduce_term(block, term, selection, buf);
-                *sum += s;
-                *n += kept as i64;
-            }
-            (AggAccum::Count { n }, BlockCall::Fast(term)) => {
-                let (_, kept) = reduce_term(block, term, selection, buf);
-                *n += kept as i64;
-            }
-            (AggAccum::Min { best }, BlockCall::Extremum(s)) => {
-                let col = block.column(*s);
-                let lo = match build_active(block, &[*s], selection, buf) {
-                    None => Some(kernels::min_max(col.values).0),
-                    Some(active) => (bitmap_count_ones(active) > 0)
-                        .then(|| kernels::min_max_selected(col.values, active).0),
-                };
-                if let Some(lo) = lo {
-                    if best.as_ref().and_then(Value::as_f64).is_none_or(|b| lo < b) {
-                        *best = Some(Value::Float(lo));
-                    }
-                }
-            }
-            (AggAccum::Max { best }, BlockCall::Extremum(s)) => {
-                let col = block.column(*s);
-                let hi = match build_active(block, &[*s], selection, buf) {
-                    None => Some(kernels::min_max(col.values).1),
-                    Some(active) => (bitmap_count_ones(active) > 0)
-                        .then(|| kernels::min_max_selected(col.values, active).1),
-                };
-                if let Some(hi) = hi {
-                    if best.as_ref().and_then(Value::as_f64).is_none_or(|b| hi > b) {
-                        *best = Some(Value::Float(hi));
-                    }
-                }
-            }
-            (AggAccum::Stat { n, sa, saa, .. }, BlockCall::Stat { a, b: None }) => {
-                let col = block.column(*a);
-                match build_active(block, &[*a], selection, buf) {
-                    None => {
-                        *n += block.len() as f64;
-                        *sa += kernels::sum(col.values);
-                        *saa += kernels::sum_sq(col.values);
-                    }
-                    Some(active) => {
-                        *n += bitmap_count_ones(active) as f64;
-                        *sa += kernels::sum_selected(col.values, active);
-                        *saa += kernels::dot_selected(col.values, col.values, active);
-                    }
-                }
-            }
-            (
-                AggAccum::Stat {
-                    n,
-                    sa,
-                    sb,
-                    saa,
-                    sbb,
-                    sab,
-                    ..
-                },
-                BlockCall::Stat { a, b: Some(b) },
-            ) => {
-                let (ca, cb) = (block.column(*a), block.column(*b));
-                match build_active(block, &[*a, *b], selection, buf) {
-                    None => {
-                        *n += block.len() as f64;
-                        *sa += kernels::sum(ca.values);
-                        *sb += kernels::sum(cb.values);
-                        *saa += kernels::sum_sq(ca.values);
-                        *sbb += kernels::sum_sq(cb.values);
-                        *sab += kernels::dot(ca.values, cb.values);
-                    }
-                    // A NULL in either argument skips the row for every
-                    // running sum, per SQL.
-                    Some(active) => {
-                        *n += bitmap_count_ones(active) as f64;
-                        *sa += kernels::sum_selected(ca.values, active);
-                        *sb += kernels::sum_selected(cb.values, active);
-                        *saa += kernels::dot_selected(ca.values, ca.values, active);
-                        *sbb += kernels::dot_selected(cb.values, cb.values, active);
-                        *sab += kernels::dot_selected(ca.values, cb.values, active);
-                    }
-                }
-            }
-            (AggAccum::Udf { state }, BlockCall::Udf(args)) => {
-                state.accumulate_batch(block, args, selection)?;
-            }
-            _ => {
-                return Err(EngineError::Unsupported(
-                    "aggregate accumulator does not match its block plan".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn update(&mut self, args: &[Value]) -> Result<()> {
-        match self {
-            AggAccum::Sum { acc, any, int_only } => {
-                let v = args.first().unwrap_or(&Value::Null);
-                if let Some(x) = v.as_f64() {
-                    *acc += x;
-                    *any = true;
-                    if !matches!(v, Value::Int(_)) {
-                        *int_only = false;
-                    }
-                }
-            }
-            AggAccum::Count { n } => {
-                if !args.first().unwrap_or(&Value::Null).is_null() {
-                    *n += 1;
-                }
-            }
-            AggAccum::CountStar { n } => *n += 1,
-            AggAccum::Avg { sum, n } => {
-                if let Some(x) = args.first().and_then(Value::as_f64) {
-                    *sum += x;
-                    *n += 1;
-                }
-            }
-            AggAccum::Min { best } => {
-                let v = args.first().unwrap_or(&Value::Null);
-                if !v.is_null() {
-                    let replace = match best {
-                        None => true,
-                        Some(b) => v.sql_cmp(b) == Some(std::cmp::Ordering::Less),
-                    };
-                    if replace {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            AggAccum::Max { best } => {
-                let v = args.first().unwrap_or(&Value::Null);
-                if !v.is_null() {
-                    let replace = match best {
-                        None => true,
-                        Some(b) => v.sql_cmp(b) == Some(std::cmp::Ordering::Greater),
-                    };
-                    if replace {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            AggAccum::Stat {
-                kind,
-                n,
-                sa,
-                sb,
-                saa,
-                sbb,
-                sab,
-            } => {
-                // Skip the row if any argument is NULL, per SQL.
-                let a = args.first().and_then(Value::as_f64);
-                if kind.arity() == 1 {
-                    if let Some(a) = a {
-                        *n += 1.0;
-                        *sa += a;
-                        *saa += a * a;
-                    }
-                } else if let (Some(a), Some(b)) = (a, args.get(1).and_then(Value::as_f64)) {
-                    *n += 1.0;
-                    *sa += a;
-                    *sb += b;
-                    *saa += a * a;
-                    *sbb += b * b;
-                    *sab += a * b;
-                }
-            }
-            AggAccum::Udf { state } => state.accumulate(args)?,
-        }
-        Ok(())
-    }
-
-    fn merge(&mut self, other: AggAccum) -> Result<()> {
-        match (self, other) {
-            (
-                AggAccum::Sum { acc, any, int_only },
-                AggAccum::Sum {
-                    acc: a2,
-                    any: n2,
-                    int_only: i2,
-                },
-            ) => {
-                *acc += a2;
-                *any |= n2;
-                *int_only &= i2;
-            }
-            (AggAccum::Count { n }, AggAccum::Count { n: n2 }) => *n += n2,
-            (AggAccum::CountStar { n }, AggAccum::CountStar { n: n2 }) => *n += n2,
-            (AggAccum::Avg { sum, n }, AggAccum::Avg { sum: s2, n: n2 }) => {
-                *sum += s2;
-                *n += n2;
-            }
-            (AggAccum::Min { best }, AggAccum::Min { best: b2 }) => {
-                if let Some(v) = b2 {
-                    let replace = match &best {
-                        None => true,
-                        Some(b) => v.sql_cmp(b) == Some(std::cmp::Ordering::Less),
-                    };
-                    if replace {
-                        *best = Some(v);
-                    }
-                }
-            }
-            (AggAccum::Max { best }, AggAccum::Max { best: b2 }) => {
-                if let Some(v) = b2 {
-                    let replace = match &best {
-                        None => true,
-                        Some(b) => v.sql_cmp(b) == Some(std::cmp::Ordering::Greater),
-                    };
-                    if replace {
-                        *best = Some(v);
-                    }
-                }
-            }
-            (
-                AggAccum::Stat {
-                    n,
-                    sa,
-                    sb,
-                    saa,
-                    sbb,
-                    sab,
-                    ..
-                },
-                AggAccum::Stat {
-                    n: n2,
-                    sa: a2,
-                    sb: b2,
-                    saa: aa2,
-                    sbb: bb2,
-                    sab: ab2,
-                    ..
-                },
-            ) => {
-                *n += n2;
-                *sa += a2;
-                *sb += b2;
-                *saa += aa2;
-                *sbb += bb2;
-                *sab += ab2;
-            }
-            (AggAccum::Udf { state }, AggAccum::Udf { state: other }) => {
-                state.merge(other.as_ref())?;
-            }
-            _ => {
-                return Err(EngineError::Unsupported(
-                    "mismatched aggregate accumulators in merge".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn finalize(self) -> Result<Value> {
-        Ok(match self {
-            AggAccum::Sum { acc, any, int_only } => {
-                if !any {
-                    Value::Null
-                } else if int_only {
-                    Value::Int(acc as i64)
-                } else {
-                    Value::Float(acc)
-                }
-            }
-            AggAccum::Count { n } | AggAccum::CountStar { n } => Value::Int(n),
-            AggAccum::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / n as f64)
-                }
-            }
-            AggAccum::Min { best } | AggAccum::Max { best } => best.unwrap_or(Value::Null),
-            AggAccum::Stat {
-                kind,
-                n,
-                sa,
-                sb,
-                saa,
-                sbb,
-                sab,
-            } => {
-                let out = match kind {
-                    StatAgg::VarPop if n >= 1.0 => Some(saa / n - (sa / n) * (sa / n)),
-                    StatAgg::VarSamp if n >= 2.0 => Some((saa - sa * sa / n) / (n - 1.0)),
-                    StatAgg::StdDev if n >= 2.0 => {
-                        Some(((saa - sa * sa / n) / (n - 1.0)).max(0.0).sqrt())
-                    }
-                    StatAgg::CovarPop if n >= 1.0 => Some(sab / n - sa * sb / (n * n)),
-                    StatAgg::Corr if n >= 2.0 => {
-                        // The paper's rho_ab, specialized to d = 2.
-                        let da = n * saa - sa * sa;
-                        let db = n * sbb - sb * sb;
-                        (da > 0.0 && db > 0.0)
-                            .then(|| (n * sab - sa * sb) / (da.sqrt() * db.sqrt()))
-                    }
-                    StatAgg::RegrSlope if n >= 2.0 => {
-                        // First argument is the dependent variable y.
-                        let dx = n * sbb - sb * sb;
-                        (dx > 0.0).then(|| (n * sab - sa * sb) / dx)
-                    }
-                    StatAgg::RegrIntercept if n >= 2.0 => {
-                        let dx = n * sbb - sb * sb;
-                        (dx > 0.0).then(|| (sa - (n * sab - sa * sb) / dx * sb) / n)
-                    }
-                    _ => None,
-                };
-                out.map_or(Value::Null, Value::Float)
-            }
-            AggAccum::Udf { state } => state.finalize()?,
-        })
     }
 }

@@ -36,6 +36,7 @@
 //! `compute_nlq_with`, blocked and grouped variants) and scoring data
 //! sets with scalar UDFs or generated SQL ([`sqlgen`]).
 
+mod accum;
 mod ast;
 mod cache;
 mod catalog;

@@ -1,0 +1,116 @@
+//! What an aggregate answers, and in which type, on every path.
+//!
+//! * `sum` over INT arguments is exact: it folds in an `i128` lane,
+//!   answers the exact Int up to the i64 edge, and errors one past it
+//!   (never rounds through `f64`, never saturates), also when shard or
+//!   partition partials pass the edge on the way.
+//! * An aggregate whose argument is a FLOAT column answers FLOAT on
+//!   every path, even when the column holds Int-typed values;
+//!   expression arguments answer by value.
+
+use nlq_engine::{Db, EngineError, ResultSet};
+use nlq_storage::Value;
+
+const MAX: i64 = i64::MAX;
+
+/// Loads `values` into `t (g INT, v INT)` in one INSERT batch, all in
+/// group 1, plus one row `(2, 5)`, on `shards` shards.
+fn int_db(shards: usize, values: &[i64]) -> Db {
+    let db = Db::open(shards, 3, None).unwrap();
+    db.execute("CREATE TABLE t (g INT, v INT)").unwrap();
+    let mut rows: Vec<String> = values.iter().map(|v| format!("(1, {v})")).collect();
+    rows.push("(2, 5)".into());
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+        .unwrap();
+    db
+}
+
+/// `sum(v)` over the group-1 rows, global and under GROUP BY, at
+/// S = 1 and S = 4; both must agree with `want`.
+fn check_sum(values: &[i64], want: std::result::Result<i64, ()>) {
+    for shards in [1, 4] {
+        let db = int_db(shards, values);
+        let global = db.execute("SELECT sum(v) FROM t WHERE g = 1");
+        let grouped = db.execute("SELECT g, sum(v) FROM t GROUP BY g ORDER BY g");
+        let ctx = format!("S = {shards}, {values:?}");
+        match want {
+            Ok(sum) => {
+                assert_eq!(global.unwrap().value(0, 0), &Value::Int(sum), "{ctx}");
+                let grouped = grouped.unwrap();
+                assert_eq!(grouped.value(0, 1), &Value::Int(sum), "{ctx}");
+                assert_eq!(grouped.value(1, 1), &Value::Int(5), "{ctx}");
+            }
+            Err(()) => {
+                for err in [global.unwrap_err(), grouped.unwrap_err()] {
+                    assert!(matches!(err, EngineError::Type(_)), "{ctx}: {err:?}");
+                    assert!(err.to_string().contains("sum"), "{ctx}: {err}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn int_sum_is_exact_up_to_the_i64_edge() {
+    // 2^53 + 1 is the first integer an f64 cannot hold.
+    check_sum(&[9_007_199_254_740_993, 0], Ok(9_007_199_254_740_993));
+    check_sum(&[MAX - 10, 7], Ok(MAX - 3));
+    check_sum(&[MAX - 10, 7, 3], Ok(MAX));
+    check_sum(&[-MAX, -1], Ok(i64::MIN));
+}
+
+#[test]
+fn int_sum_one_past_the_edge_is_an_error() {
+    check_sum(&[MAX, 1], Err(()));
+    check_sum(&[-MAX, -2], Err(()));
+}
+
+#[test]
+fn int_sum_partials_may_pass_the_edge() {
+    // One batch of eight rows goes round-robin over four shards, so
+    // rows k and k + 4 share a shard: one shard's partial is 2·MAX and
+    // another's is about −2·MAX. The exact total is back in range.
+    check_sum(
+        &[MAX, -MAX, 1, 2, MAX, -(MAX - 10), 3, 1],
+        Ok(10 + 1 + 2 + 3 + 1),
+    );
+}
+
+fn row(rs: &ResultSet) -> Vec<Value> {
+    rs.rows[0].clone()
+}
+
+#[test]
+fn float_column_aggregates_answer_float_on_every_path() {
+    for shards in [1, 4] {
+        for block_scan in [true, false] {
+            let db = Db::open(shards, 2, None).unwrap();
+            db.set_block_scan(block_scan);
+            db.execute("CREATE TABLE t (g INT, f FLOAT)").unwrap();
+            // Int literals stored into a FLOAT column.
+            db.execute("INSERT INTO t VALUES (1, 1), (1, 2), (1, 3)")
+                .unwrap();
+            let ctx = format!("S = {shards}, block_scan = {block_scan}");
+            let want = vec![
+                Value::Float(1.0),
+                Value::Float(3.0),
+                Value::Float(6.0),
+                Value::Float(2.0),
+            ];
+            let rs = db
+                .execute("SELECT min(f), max(f), sum(f), avg(f) FROM t")
+                .unwrap();
+            assert_eq!(row(&rs), want, "{ctx}");
+            let rs = db
+                .execute("SELECT min(f), max(f), sum(f), avg(f) FROM t GROUP BY g")
+                .unwrap();
+            assert_eq!(row(&rs), want, "{ctx} GROUP BY");
+            // The product of two FLOAT columns is a FLOAT term too.
+            let rs = db.execute("SELECT sum(f * f) FROM t").unwrap();
+            assert_eq!(row(&rs), vec![Value::Float(14.0)], "{ctx}");
+            // An expression answers by value: Int * Int stays Int.
+            let rs = db.execute("SELECT sum(f * 1), max(f + 0) FROM t").unwrap();
+            assert_eq!(row(&rs), vec![Value::Int(6), Value::Int(3)], "{ctx}");
+        }
+    }
+}

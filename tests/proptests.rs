@@ -119,11 +119,15 @@ fn covariance_is_psd_and_correlation_bounded() {
 
 #[test]
 fn block_scan_matches_row_scan() {
-    // The block-at-a-time fast path must agree with row-at-a-time
-    // execution within reassociation noise (1e-12 relative), across
-    // row counts that are not multiples of the block size, tables
-    // smaller than the worker count (empty partitions), NULL holes,
-    // and every aggregate kind the block path handles.
+    // Every aggregate builtin must answer the same value *of the same
+    // type* on every path: the block-at-a-time scan, the row-at-a-time
+    // scan, four shards, and a materialized Γ summary. Floats agree
+    // within reassociation noise (1e-12 relative), Ints bit for bit.
+    // The data crosses the 1024-row block boundary in some cases, has
+    // tables smaller than the worker count (empty partitions), NULL
+    // holes in most cases (a summary answers only NULL-free data), and
+    // Int values stored in FLOAT columns (which must still answer
+    // FLOAT).
     run_cases(16, 0xf007, |rng| {
         let d = rng.range_usize(2, 4);
         // Bias towards small tables but cross the 1024-row block
@@ -135,18 +139,31 @@ fn block_scan_matches_row_scan() {
             _ => rng.range_usize(1000, 2600),
         };
         let workers = rng.range_usize(1, 7);
+        let with_nulls = rng.range_usize(0, 2) > 0;
 
         let mut table = Table::new(Schema::points(d, false), workers);
+        let mut inserts = Vec::new();
+        let mut any_null = false;
         for i in 0..n {
             let mut row = vec![Value::Int(i as i64 + 1)];
             for _ in 0..d {
-                // ~10% NULL holes so masked kernels are exercised.
-                if rng.range_usize(0, 10) == 0 {
-                    row.push(Value::Null);
-                } else {
-                    row.push(Value::Float(rng.range_f64(-50.0, 50.0)));
-                }
+                // ~10% NULL holes so masked kernels are exercised, and
+                // ~20% integers in the FLOAT columns.
+                row.push(match rng.range_usize(0, 9) {
+                    0 if with_nulls => Value::Null,
+                    1 | 2 => Value::Int(rng.range_i64(-50, 50)),
+                    _ => Value::Float(rng.range_f64(-50.0, 50.0)),
+                });
             }
+            let cells: Vec<String> = row
+                .iter()
+                .map(|v| match v {
+                    Value::Float(f) => format!("{f:?}"),
+                    v => v.to_string(),
+                })
+                .collect();
+            inserts.push(format!("({})", cells.join(", ")));
+            any_null |= row.contains(&Value::Null);
             table.insert(row).unwrap();
         }
 
@@ -155,43 +172,88 @@ fn block_scan_matches_row_scan() {
         let row_db = Db::new(workers);
         row_db.set_block_scan(false);
         row_db.register_table("X", table).unwrap();
-
+        let sharded_db = Db::open(4, workers, None).unwrap();
+        let summary_db = Db::new(workers);
         let coords: Vec<String> = (1..=d).map(|a| format!("X{a}")).collect();
-        let sql = format!(
-            "SELECT count(*), sum(X1), avg(X2), min(X1), max(X2), \
-             count(X1), corr(X1, X2), sum(X1 * X2), \
-             nlq_list({d}, 'triangular', {}) FROM X",
-            coords.join(", ")
-        );
-
-        let via_blocks = block_db.execute(&sql).unwrap();
-        let via_rows = row_db.execute(&sql).unwrap();
-        assert!(via_blocks.stats.block_path);
-        assert!(!via_rows.stats.block_path);
-        assert_eq!(via_blocks.len(), via_rows.len());
-
-        let tight = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + a.abs().max(b.abs()));
-        for col in 0..8 {
-            let (a, b) = (via_blocks.value(0, col), via_rows.value(0, col));
-            match (a.as_f64(), b.as_f64()) {
-                (Some(a), Some(b)) => assert!(tight(a, b), "col {col}: {a} vs {b}"),
-                _ => assert_eq!(a, b, "col {col}"),
+        for db in [&sharded_db, &summary_db] {
+            let cols: Vec<String> = coords.iter().map(|c| format!("{c} FLOAT")).collect();
+            db.execute(&format!("CREATE TABLE X (i INT, {})", cols.join(", ")))
+                .unwrap();
+            for chunk in inserts.chunks(500) {
+                db.execute(&format!("INSERT INTO X VALUES {}", chunk.join(", ")))
+                    .unwrap();
             }
         }
-        // The packed nlq strings may differ in their last digits from
-        // summation order; compare the unpacked statistics instead.
-        match (via_blocks.value(0, 8), via_rows.value(0, 8)) {
+        summary_db
+            .execute(&format!("CREATE SUMMARY s ON X ({})", coords.join(", ")))
+            .unwrap();
+
+        // (call, whether a summary can answer it).
+        let nlq = format!("nlq_list({d}, 'triangular', {})", coords.join(", "));
+        let calls = [
+            ("count(*)", true),
+            ("sum(X1)", true),
+            ("avg(X2)", true),
+            ("min(X1)", true),
+            ("max(X2)", true),
+            ("count(X1)", true),
+            ("corr(X1, X2)", true),
+            ("var_pop(X1)", true),
+            ("var_samp(X2)", true),
+            ("stddev(X1)", true),
+            ("covar_pop(X1, X2)", true),
+            ("regr_slope(X2, X1)", true),
+            ("regr_intercept(X2, X1)", true),
+            ("sum(X1 * X2)", false),
+            (nlq.as_str(), true),
+        ];
+        let select = |summary: bool| {
+            let list: Vec<&str> = calls
+                .iter()
+                .filter(|(_, ok)| *ok || !summary)
+                .map(|(c, _)| *c)
+                .collect();
+            format!("SELECT {} FROM X", list.join(", "))
+        };
+
+        let via_rows = row_db.execute(&select(false)).unwrap();
+        let via_blocks = block_db.execute(&select(false)).unwrap();
+        let via_shards = sharded_db.execute(&select(false)).unwrap();
+        let via_summary = summary_db.execute(&select(true)).unwrap();
+        assert!(via_blocks.stats.block_path);
+        assert!(!via_rows.stats.block_path);
+        assert_eq!(via_summary.stats.summary_path, !any_null);
+
+        let tight = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + a.abs().max(b.abs()));
+        let same = |got: &Value, want: &Value, ctx: &str| match (got, want) {
+            (Value::Float(a), Value::Float(b)) => assert!(tight(*a, *b), "{ctx}: {a} vs {b}"),
+            // The packed nlq strings may differ in their last digits
+            // from summation order; compare the unpacked statistics.
             (Value::Str(a), Value::Str(b)) => {
                 let (a, b) = (unpack_nlq(a).unwrap(), unpack_nlq(b).unwrap());
-                assert_eq!(a.n(), b.n());
+                assert_eq!(a.n(), b.n(), "{ctx}");
                 for i in 0..d {
-                    assert!(tight(a.l()[i], b.l()[i]));
+                    assert!(tight(a.l()[i], b.l()[i]), "{ctx}");
                     for j in 0..=i {
-                        assert!(tight(a.q_raw()[(i, j)], b.q_raw()[(i, j)]));
+                        assert!(tight(a.q_raw()[(i, j)], b.q_raw()[(i, j)]), "{ctx}");
                     }
                 }
             }
-            (a, b) => assert_eq!(a, b, "nlq column"),
+            _ => assert_eq!(got, want, "{ctx}"),
+        };
+        let mut summary_col = 0;
+        for (col, (call, summary_ok)) in calls.iter().enumerate() {
+            let want = via_rows.value(0, col);
+            same(via_blocks.value(0, col), want, &format!("block {call}"));
+            same(via_shards.value(0, col), want, &format!("4 shards {call}"));
+            if *summary_ok {
+                same(
+                    via_summary.value(0, summary_col),
+                    want,
+                    &format!("summary {call}"),
+                );
+                summary_col += 1;
+            }
         }
     });
 }
