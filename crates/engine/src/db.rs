@@ -17,7 +17,6 @@ use crate::ast::{Expr, Projection, SelectStmt, Statement};
 use crate::cache::{CacheOutcome, PlanCache};
 use crate::durable::{DurabilityStats, LogSet, Payload, Recovered, RecoveryInfo};
 use crate::exec::{check_cancelled, merge_partial_errors, result_to_table, AggPartial};
-use crate::executor::{Job, Lane};
 use crate::output::{truncate_blocks, ResultBlock};
 use crate::serve::{beta_table, centroid_table, lambda_table, mu_table};
 use crate::shard::{Env, Shard};
@@ -99,9 +98,9 @@ pub struct ExecStats {
     pub wal_fsyncs: u64,
     /// CPU nanoseconds this statement consumed on the calling thread
     /// (`CLOCK_THREAD_CPUTIME_ID` sampled at statement boundaries) and
-    /// on the scan-pool helpers that ran its partitions (sampled
-    /// around each partition). Shard executor threads add their own
-    /// samples to the statement's trace, not here.
+    /// on the scan-pool helpers that ran its shard pieces or
+    /// partitions (sampled around each). This is the statement's one
+    /// CPU sink; its trace takes the total from here.
     pub cpu_nanos: u64,
     /// Whether the statement was cancelled mid-execution. The engine
     /// never returns a [`ResultSet`] for a cancelled statement (it
@@ -333,9 +332,10 @@ impl<'a> LogDir<'a> {
 /// runs phases 1–3 (scan + local merge, or a summary hit) on every shard
 /// and gathers by merging the shards' partial accumulator states — the
 /// same `AggregateState::merge` each shard's worker threads already
-/// use. A statement with exactly one target shard runs whole on that
-/// shard: every statement at S = 1, where the lone shard runs inline on
-/// the caller's thread, and at S > 1 any SELECT that reads only
+/// use. Each shard's piece is a task of the process-wide scan pool, and
+/// the caller runs pieces too. A statement with exactly one target
+/// shard runs whole on that shard, inline on the caller's thread: every
+/// statement at S = 1, and at S > 1 any SELECT that reads only
 /// replicated tables.
 ///
 /// ## Table distribution
@@ -358,7 +358,7 @@ impl<'a> LogDir<'a> {
 /// durable engine logs every mutation before acknowledging it (one log
 /// per shard, under one envelope / recovery / checkpoint protocol).
 pub struct Db {
-    lanes: Vec<Lane>,
+    shards: Vec<Shard>,
     registry: RwLock<Arc<UdfRegistry>>,
     /// Virtual `sys.*` namespace registered by the serving layer.
     system_tables: RwLock<Option<Arc<dyn SystemTableProvider>>>,
@@ -387,9 +387,9 @@ impl Db {
     }
 
     /// Builds a database of `shards` shards (at least one), each
-    /// scanning with `workers` threads. At S > 1 each shard also gets an
-    /// executor thread pinned to a disjoint slice of the machine's
-    /// cores.
+    /// scanning with up to `workers` threads of the process-wide scan
+    /// pool. It starts no thread of its own at any S: shard pieces run
+    /// on the caller and on the same pool.
     ///
     /// With `wal`, the database is durable: every mutating statement
     /// and ingest envelope is written to the shards' logs before it is
@@ -402,7 +402,7 @@ impl Db {
         let Some(wal) = wal else {
             return Ok(db);
         };
-        let paths: Vec<PathBuf> = (0..db.lanes.len())
+        let paths: Vec<PathBuf> = (0..db.shards.len())
             .map(|i| wal.dir.join(format!("shard-{i}/wal.log")))
             .collect();
         let ios = if wal.ios.is_empty() {
@@ -423,7 +423,7 @@ impl Db {
     fn volatile(shards: usize, workers: usize) -> Db {
         let shards = shards.max(1);
         Db {
-            lanes: (0..shards).map(|i| Lane::new(i, shards, workers)).collect(),
+            shards: (0..shards).map(|_| Shard::new(workers)).collect(),
             registry: RwLock::new(Arc::new(UdfRegistry::with_builtins())),
             system_tables: RwLock::new(None),
             block_scan: AtomicBool::new(true),
@@ -444,10 +444,10 @@ impl Db {
                     let i = i
                         .parse::<usize>()
                         .ok()
-                        .filter(|&i| i < self.lanes.len())
+                        .filter(|&i| i < self.shards.len())
                         .ok_or(StorageError::Corrupt("checkpoint table entry"))?;
                     let path = ckdir.join(format!("shard-{i}/{name}.tbl"));
-                    self.lanes[i].shard.load_table(name, &path)?;
+                    self.shards[i].load_table(name, &path)?;
                     self.mark(name, Distribution::Partitioned);
                     Ok(())
                 }
@@ -462,16 +462,9 @@ impl Db {
             // Through the normal dispatch, so distribution marks and
             // plan-cache invalidation happen as they did live.
             Recovered::Statement(stmt) => self
-                .dispatch(
-                    &Arc::new(stmt),
-                    &ExecOptions::default(),
-                    CacheOutcome::Miss,
-                    0,
-                )
+                .dispatch(&stmt, &ExecOptions::default(), CacheOutcome::Miss, 0)
                 .map(drop),
-            Recovered::Rows { log, table, rows } => {
-                self.lanes[log].shard.append_rows(&table, &rows)
-            }
+            Recovered::Rows { log, table, rows } => self.shards[log].append_rows(&table, &rows),
         }
     }
 
@@ -510,12 +503,12 @@ impl Db {
     /// this is shard 0's store, whose summaries cover shard 0's slice
     /// only; [`SqlEngine::summary_gamma`] merges every shard's.
     pub fn summaries(&self) -> &nlq_summary::SummaryStore {
-        self.lanes[0].shard.summaries()
+        self.shards[0].summaries()
     }
 
     /// Scan threads per shard.
     fn workers(&self) -> usize {
-        self.lanes[0].shard.workers()
+        self.shards[0].workers()
     }
 
     /// What every shard shares for one statement.
@@ -591,7 +584,6 @@ impl Db {
             ));
         }
         check_cancelled(opts.cancel.as_deref(), 0)?;
-        let stmt = Arc::new(stmt);
         let payload = Payload::unlogged();
         let mut rs = self.run(&stmt, payload, CacheOutcome::Miss, 0, cpu_started, opts)?;
         rs.build_rows(self.workers());
@@ -602,7 +594,7 @@ impl Db {
     /// parse time and CPU and records its phase spans.
     fn run(
         &self,
-        stmt: &Arc<Statement>,
+        stmt: &Statement,
         payload: Payload<'_>,
         outcome: CacheOutcome,
         parse_nanos: u64,
@@ -628,13 +620,13 @@ impl Db {
 
     fn dispatch(
         &self,
-        stmt: &Arc<Statement>,
+        stmt: &Statement,
         opts: &ExecOptions,
         outcome: CacheOutcome,
         parse_nanos: u64,
     ) -> Result<ResultSet> {
-        match &**stmt {
-            Statement::Select(s) => self.exec_select(stmt, s, opts),
+        match stmt {
+            Statement::Select(s) => self.exec_select(s, opts),
             Statement::Explain(s) => self.exec_explain(stmt, s, opts, outcome),
             Statement::ExplainAnalyze(s) => {
                 self.exec_explain_analyze(s, opts, outcome, parse_nanos)
@@ -652,38 +644,67 @@ impl Db {
         }
     }
 
-    /// Runs `job` on each target shard — inline where the shard has no
-    /// executor thread (S = 1), else on the shard's executor — and
-    /// returns the results in target order. The shards share one
-    /// cancel token (the caller's, or a fresh one), so the first
-    /// non-cancel error stops the others; it wins over cancellations,
-    /// which report their summed row counts.
-    fn scatter<T: Send + 'static>(
+    /// Runs `job` on each target shard, one scan-pool task per shard,
+    /// and returns the results in target order. The caller runs pieces
+    /// too, so a lone target is an inline call, and a piece's own
+    /// partition scan is a nested pool call. A piece that ran on a pool
+    /// helper adds that helper's CPU to its own stats; at S > 1 each
+    /// piece also records a per-shard `scatter` span. The pieces share
+    /// one cancel token (the caller's, or a fresh one): the first
+    /// non-cancel error flips it, so the other pieces stop early, and
+    /// it wins over cancellations, which report their summed row
+    /// counts.
+    fn scatter<T: Piece + Send>(
         &self,
         targets: &[usize],
         opts: &ExecOptions,
-        rows_of: fn(&T) -> u64,
-        job: impl Fn(usize, &Shard, &Env) -> Result<T> + Send + Sync + 'static,
+        job: impl Fn(usize, &Shard, &Env) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
         let token = opts.cancel.clone().unwrap_or_default();
         let env = self.env(opts, Some(Arc::clone(&token)));
-        let job: Job<T> = Arc::new(move |i, shard| job(i, shard, &env));
-        let pending: Vec<_> = targets
-            .iter()
-            .map(|&i| self.lanes[i].start(i, Arc::clone(&job), &opts.trace, rows_of))
-            .collect();
-        let results = targets
-            .iter()
-            .zip(pending)
-            .map(|(&i, p)| {
-                let (res, nanos) = p.wait();
-                self.lanes[i].count(&res, nanos, rows_of);
-                if matches!(&res, Err(e) if !matches!(e, EngineError::Cancelled { .. })) {
-                    token.store(true, Ordering::Relaxed);
+        let trace = opts.trace.as_ref().filter(|_| self.shards.len() > 1);
+        let caller = std::thread::current().id();
+        let results = run_indexed(targets.len(), targets.len(), |k| {
+            let i = targets[k];
+            let on_helper = std::thread::current().id() != caller;
+            // The caller's own CPU is in the statement's sample already.
+            let sampled = on_helper || trace.is_some();
+            let cpu_started = if sampled { thread_cpu_nanos() } else { 0 };
+            let started = Instant::now();
+            let mut res = job(i, &self.shards[i], &env);
+            let nanos = started.elapsed().as_nanos() as u64;
+            let own_cpu = if sampled {
+                thread_cpu_nanos().saturating_sub(cpu_started)
+            } else {
+                0
+            };
+            let mut span_cpu = own_cpu;
+            let rows = match &mut res {
+                Ok(piece) => {
+                    let stats = piece.stats_mut();
+                    span_cpu += stats.cpu_nanos;
+                    if on_helper {
+                        stats.cpu_nanos += own_cpu;
+                    }
+                    stats.rows_scanned
                 }
-                res
-            })
-            .collect();
+                Err(EngineError::Cancelled { rows_scanned }) => *rows_scanned,
+                Err(_) => {
+                    token.store(true, Ordering::Relaxed);
+                    0
+                }
+            };
+            self.shards[i].count(rows, nanos);
+            if let Some(t) = trace {
+                t.record(
+                    Span::new(Phase::Scatter, nanos)
+                        .rows(rows)
+                        .cpu_nanos(span_cpu)
+                        .on_shard(i),
+                );
+            }
+            res
+        });
         merge_partial_errors(results)
     }
 
@@ -693,14 +714,11 @@ impl Db {
     fn run_whole(
         &self,
         targets: &[usize],
-        stmt: &Arc<Statement>,
+        stmt: &Statement,
         opts: &ExecOptions,
     ) -> Result<ResultSet> {
         let started = Instant::now();
-        let job_stmt = Arc::clone(stmt);
-        let mut sets = self.scatter(targets, opts, rows_of_set, move |_, shard, env| {
-            shard.execute(&job_stmt, env)
-        })?;
+        let mut sets = self.scatter(targets, opts, |_, shard, env| shard.execute(stmt, env))?;
         if sets.len() == 1 {
             return Ok(sets.pop().expect("one result"));
         }
@@ -713,12 +731,12 @@ impl Db {
     }
 
     fn all_targets(&self) -> Vec<usize> {
-        (0..self.lanes.len()).collect()
+        (0..self.shards.len()).collect()
     }
 
     /// Classifies a SELECT by the distribution of its FROM tables.
     fn route(&self, stmt: &SelectStmt) -> Result<Route> {
-        let s = self.lanes.len();
+        let s = self.shards.len();
         // One shard holds every table whole.
         if s == 1 {
             return Ok(Route::Single(0));
@@ -772,16 +790,15 @@ impl Db {
                 .any(|p| p.expr.contains_aggregate(&is_agg))
     }
 
-    /// `stmt` must be the `Statement::Select` wrapping `select`.
-    fn exec_select(
-        &self,
-        stmt: &Arc<Statement>,
-        select: &SelectStmt,
-        opts: &ExecOptions,
-    ) -> Result<ResultSet> {
+    fn exec_select(&self, select: &SelectStmt, opts: &ExecOptions) -> Result<ResultSet> {
         match self.route(select)? {
-            Route::Single(i) => self.run_whole(&[i], stmt, opts),
-            Route::Scatter { aggregate: true } => self.exec_merge(stmt, select, opts),
+            Route::Single(i) => {
+                let mut one = self.scatter(&[i], opts, |_, shard, env| {
+                    shard.ctx(env).execute_select(select)
+                })?;
+                Ok(one.pop().expect("one shard"))
+            }
+            Route::Scatter { aggregate: true } => self.exec_merge(select, opts),
             Route::Scatter { aggregate: false } => self.exec_concat(select, opts),
         }
     }
@@ -789,31 +806,16 @@ impl Db {
     /// Aggregate scatter/gather: each shard computes its Γ partial
     /// (phases 1–3, or a summary hit with zero rows scanned); the
     /// gather merges partial accumulator states and finalizes once.
-    fn exec_merge(
-        &self,
-        stmt: &Arc<Statement>,
-        select: &SelectStmt,
-        opts: &ExecOptions,
-    ) -> Result<ResultSet> {
+    fn exec_merge(&self, select: &SelectStmt, opts: &ExecOptions) -> Result<ResultSet> {
         let scatter_started = Instant::now();
-        let job_stmt = Arc::clone(stmt);
-        let partials = self.scatter(
-            &self.all_targets(),
-            opts,
-            |p: &AggPartial| p.stats.rows_scanned,
-            move |_, shard, env| {
-                let Statement::Select(s) = &*job_stmt else {
-                    unreachable!("merge scatters a SELECT");
-                };
-                shard.execute_select_partial(s, env)
-            },
-        )?;
+        let partials = self.scatter(&self.all_targets(), opts, |_, shard, env| {
+            shard.execute_select_partial(select, env)
+        })?;
         let scatter_nanos = scatter_started.elapsed().as_nanos() as u64;
 
         let gather_started = Instant::now();
         let env = self.env(opts, opts.cancel.clone());
-        let mut rs = self.lanes[0]
-            .shard
+        let mut rs = self.shards[0]
             .ctx(&env)
             .finalize_select_partials(select, partials)?;
         rs.stats.scatter_nanos = scatter_nanos;
@@ -827,13 +829,10 @@ impl Db {
     fn exec_concat(&self, select: &SelectStmt, opts: &ExecOptions) -> Result<ResultSet> {
         let (shard_stmt, keys, hidden) = concat_plan(select);
         let scatter_started = Instant::now();
-        let stmt = Arc::new(Statement::Select(shard_stmt));
-        let sets = self.scatter(
-            &self.all_targets(),
-            opts,
-            rows_of_set,
-            move |_, shard, env| shard.execute(&stmt, env),
-        )?;
+        let stmt = Statement::Select(shard_stmt);
+        let sets = self.scatter(&self.all_targets(), opts, |_, shard, env| {
+            shard.execute(&stmt, env)
+        })?;
         let scatter_nanos = scatter_started.elapsed().as_nanos() as u64;
 
         let gather_started = Instant::now();
@@ -893,13 +892,13 @@ impl Db {
     /// outcome for this statement text.
     fn exec_explain(
         &self,
-        stmt: &Arc<Statement>,
+        stmt: &Statement,
         select: &SelectStmt,
         opts: &ExecOptions,
         outcome: CacheOutcome,
     ) -> Result<ResultSet> {
         let env = self.env(opts, opts.cancel.clone());
-        let mut rs = self.lanes[0].shard.execute(stmt, &env)?;
+        let mut rs = self.shards[0].execute(stmt, &env)?;
         for line in self.route_lines(select, outcome)? {
             rs.rows.push(vec![Value::Str(line)]);
         }
@@ -907,7 +906,7 @@ impl Db {
     }
 
     fn route_lines(&self, select: &SelectStmt, outcome: CacheOutcome) -> Result<Vec<String>> {
-        let s = self.lanes.len();
+        let s = self.shards.len();
         let route = match self.route(select)? {
             Route::Scatter { aggregate: true } => format!("scatter: {s} shards, gather: merge"),
             Route::Scatter { aggregate: false } => format!("scatter: {s} shards, gather: concat"),
@@ -931,8 +930,7 @@ impl Db {
         parse_nanos: u64,
     ) -> Result<ResultSet> {
         let exec_started = Instant::now();
-        let stmt = Arc::new(Statement::Select(select.clone()));
-        let inner = self.exec_select(&stmt, select, opts)?;
+        let inner = self.exec_select(select, opts)?;
         let mut stats = inner.stats;
         stats.parse_nanos = parse_nanos;
         let total_nanos = parse_nanos + exec_started.elapsed().as_nanos() as u64;
@@ -954,10 +952,10 @@ impl Db {
     /// plans cached. Plain INSERT/ingest appends within an existing
     /// shape and deliberately skips it: dropping cached plans on every
     /// ingest chunk would force the read-while-ingest path to re-parse.
-    fn exec_write(&self, stmt: &Arc<Statement>, opts: &ExecOptions) -> Result<ResultSet> {
+    fn exec_write(&self, stmt: &Statement, opts: &ExecOptions) -> Result<ResultSet> {
         let rs = self.run_whole(&self.all_targets(), stmt, opts)?;
         self.cache.invalidate();
-        match &**stmt {
+        match stmt {
             Statement::CreateTable { name, .. } => self.mark(name, Distribution::Partitioned),
             Statement::CreateView { name, query } => {
                 // A view inherits the widest distribution it touches.
@@ -991,14 +989,13 @@ impl Db {
         {
             return Err(EngineError::DuplicateTable(name.to_owned()));
         }
-        let stmt = Arc::new(Statement::Select(query.clone()));
-        let mut rs = self.exec_select(&stmt, query, opts)?;
+        let mut rs = self.exec_select(query, opts)?;
         rs.build_rows(self.workers());
-        let slices = deal(rs.rows, self.lanes.len(), 0);
-        for (lane, rows) in self.lanes.iter().zip(slices) {
+        let slices = deal(rs.rows, self.shards.len(), 0);
+        for (shard, rows) in self.shards.iter().zip(slices) {
             let slice = ResultSet::new(rs.columns.clone(), rows);
-            let table = result_to_table(&slice, lane.shard.workers())?;
-            lane.shard.register(name, table)?;
+            let table = result_to_table(&slice, shard.workers())?;
+            shard.register(name, table)?;
         }
         self.mark(name, Distribution::Partitioned);
         self.cache.invalidate();
@@ -1015,8 +1012,7 @@ impl Db {
         query: &SelectStmt,
         opts: &ExecOptions,
     ) -> Result<ResultSet> {
-        let stmt = Arc::new(Statement::Select(query.clone()));
-        let mut rs = self.exec_select(&stmt, query, opts)?;
+        let mut rs = self.exec_select(query, opts)?;
         rs.build_rows(self.workers());
         self.insert_slices(table, &self.spread(table, rs.rows))?;
         let mut out = ResultSet::empty();
@@ -1029,12 +1025,12 @@ impl Db {
     /// round-robin and each shard evaluates its own slice.
     fn exec_insert(
         &self,
-        stmt: &Arc<Statement>,
+        stmt: &Statement,
         table: &str,
         rows: &[Vec<Expr>],
         opts: &ExecOptions,
     ) -> Result<ResultSet> {
-        let s = self.lanes.len();
+        let s = self.shards.len();
         if s == 1 || self.table_dist(table) == Distribution::Replicated {
             return self.run_whole(&self.all_targets(), stmt, opts);
         }
@@ -1049,9 +1045,7 @@ impl Db {
             })
             .collect();
         let started = Instant::now();
-        let sets = self.scatter(&targets, opts, rows_of_set, move |i, shard, env| {
-            shard.execute(&subs[i], env)
-        })?;
+        let sets = self.scatter(&targets, opts, |i, shard, env| shard.execute(&subs[i], env))?;
         let mut rs = ResultSet::empty();
         for set in &sets {
             rs.stats.absorb(&set.stats);
@@ -1064,7 +1058,7 @@ impl Db {
     /// moving offset (partitioned target) or a full copy everywhere
     /// (replicated target).
     fn spread(&self, table: &str, rows: Vec<Row>) -> Vec<Vec<Row>> {
-        let s = self.lanes.len();
+        let s = self.shards.len();
         match self.table_dist(table) {
             Distribution::Replicated => vec![rows; s],
             Distribution::Partitioned => {
@@ -1077,9 +1071,9 @@ impl Db {
     /// Appends each non-empty slice to its shard, which folds the delta
     /// into its own fresh Γ summaries.
     fn insert_slices(&self, table: &str, slices: &[Vec<Row>]) -> Result<()> {
-        for (lane, rows) in self.lanes.iter().zip(slices) {
+        for (shard, rows) in self.shards.iter().zip(slices) {
             if !rows.is_empty() {
-                lane.shard.append_rows(table, rows)?;
+                shard.append_rows(table, rows)?;
             }
         }
         Ok(())
@@ -1120,10 +1114,10 @@ impl Db {
         table: Table,
         put: impl Fn(&Shard, &str, Table) -> Result<()>,
     ) -> Result<()> {
-        for lane in &self.lanes[1..] {
-            put(&lane.shard, name, table.clone())?;
+        for shard in &self.shards[1..] {
+            put(shard, name, table.clone())?;
         }
-        put(&self.lanes[0].shard, name, table)?;
+        put(&self.shards[0], name, table)?;
         self.mark(name, Distribution::Replicated);
         Ok(())
     }
@@ -1140,13 +1134,13 @@ impl Db {
     /// full copy of a replicated one.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
         let env = self.env(&ExecOptions::default(), None);
-        self.lanes[0].shard.ctx(&env).resolve_table(name)
+        self.shards[0].ctx(&env).resolve_table(name)
     }
 
     /// Drops a table or view if it exists (with its summaries).
     pub fn drop_if_exists(&self, name: &str) {
-        for lane in &self.lanes {
-            lane.shard.drop_if_exists(name);
+        for shard in &self.shards {
+            shard.drop_if_exists(name);
         }
         self.unmark(name);
     }
@@ -1156,7 +1150,7 @@ impl Db {
     /// `i mod S`, and when `with_y` is set the last column of each row
     /// is stored as `Y`.
     pub fn load_points(&self, name: &str, rows: &[Vec<f64>], with_y: bool) -> Result<()> {
-        let s = self.lanes.len();
+        let s = self.shards.len();
         let ncols = rows.first().map_or(0, Vec::len);
         let d = if with_y {
             ncols.saturating_sub(1)
@@ -1164,9 +1158,9 @@ impl Db {
             ncols
         };
         let mut tables: Vec<Table> = self
-            .lanes
+            .shards
             .iter()
-            .map(|lane| Table::new(Schema::points(d, with_y), lane.shard.workers()))
+            .map(|shard| Table::new(Schema::points(d, with_y), shard.workers()))
             .collect();
         for (i, r) in rows.iter().enumerate() {
             let mut row: Row = Vec::with_capacity(r.len() + 1);
@@ -1174,8 +1168,8 @@ impl Db {
             row.extend(r.iter().map(|&v| Value::Float(v)));
             tables[i % s].insert(row)?;
         }
-        for (lane, t) in self.lanes.iter().zip(tables) {
-            lane.shard.register(name, t)?;
+        for (shard, t) in self.shards.iter().zip(tables) {
+            shard.register(name, t)?;
         }
         self.mark(name, Distribution::Partitioned);
         Ok(())
@@ -1333,8 +1327,21 @@ impl Db {
     }
 }
 
-fn rows_of_set(rs: &ResultSet) -> u64 {
-    rs.stats.rows_scanned
+/// A shard's piece of a statement, carrying its own counters.
+trait Piece {
+    fn stats_mut(&mut self) -> &mut ExecStats;
+}
+
+impl Piece for ResultSet {
+    fn stats_mut(&mut self) -> &mut ExecStats {
+        &mut self.stats
+    }
+}
+
+impl Piece for AggPartial {
+    fn stats_mut(&mut self) -> &mut ExecStats {
+        &mut self.stats
+    }
 }
 
 /// Deals `items` into `s` slices round-robin, item `j` to slice
@@ -1557,10 +1564,7 @@ pub struct ShardMetricsSnapshot {
     pub queries: u64,
     /// Base-table rows this shard has scanned.
     pub rows_scanned: u64,
-    /// Jobs currently queued on (or running in) the shard's executor
-    /// thread (always 0 at S = 1, where jobs run inline).
-    pub queue_depth: u64,
-    /// Cumulative wall time the shard spent running jobs.
+    /// Cumulative wall time the shard spent running statement pieces.
     pub busy_nanos: u64,
 }
 
@@ -1706,10 +1710,10 @@ impl SqlEngine for Db {
     fn engine_stats(&self) -> EngineStats {
         EngineStats {
             shards: self
-                .lanes
+                .shards
                 .iter()
                 .enumerate()
-                .map(|(i, lane)| lane.metrics(i))
+                .map(|(i, shard)| shard.metrics(i))
                 .collect(),
             plan_cache: self.cache.stats(),
             durability: self.logs.as_ref().map(LogSet::stats),
@@ -1731,7 +1735,7 @@ impl SqlEngine for Db {
     }
 
     fn table_schema(&self, name: &str) -> Result<Schema> {
-        Ok(self.lanes[0].shard.base_table(name)?.schema().clone())
+        Ok(self.shards[0].base_table(name)?.schema().clone())
     }
 
     /// Keyed rows resolve through the storage PK hash index (no scan)
@@ -1751,33 +1755,26 @@ impl SqlEngine for Db {
         explain: bool,
         opts: &ExecOptions,
     ) -> Result<ResultSet> {
-        let s = self.lanes.len();
-        let (t, m, k) = (table.to_owned(), model.to_owned(), keys.to_vec());
+        let s = self.shards.len();
         if s == 1 || self.table_dist(table) == Distribution::Replicated {
             let i = self.rr.fetch_add(1, Ordering::Relaxed) as usize % s;
-            let trace = opts.trace.clone();
-            let mut one = self.scatter(&[i], opts, rows_of_set, move |_, shard, env| {
-                shard.batch_score(env, &t, &m, &k, explain, trace.as_ref())
+            let mut one = self.scatter(&[i], opts, |_, shard, env| {
+                shard.batch_score(env, table, model, keys, explain, opts.trace.as_ref())
             })?;
             return Ok(one.pop().expect("one shard"));
         }
         if explain {
             let env = self.env(opts, opts.cancel.clone());
-            let mut rs = self.lanes[0]
-                .shard
-                .batch_score(&env, table, model, keys, true, None)?;
+            let mut rs = self.shards[0].batch_score(&env, table, model, keys, true, None)?;
             rs.rows.push(vec![Value::Str(format!(
                 "scatter: {s} shards, gather: first owned score per key"
             ))]);
             return Ok(rs);
         }
         let scatter_started = Instant::now();
-        let sets = self.scatter(
-            &self.all_targets(),
-            opts,
-            rows_of_set,
-            move |_, shard, env| shard.batch_score(env, &t, &m, &k, false, None),
-        )?;
+        let sets = self.scatter(&self.all_targets(), opts, |_, shard, env| {
+            shard.batch_score(env, table, model, keys, false, None)
+        })?;
         let scatter_nanos = scatter_started.elapsed().as_nanos() as u64;
 
         let gather_started = Instant::now();
@@ -1806,8 +1803,8 @@ impl SqlEngine for Db {
     /// merged state is fresh only when every shard's is.
     fn summary_refresh_states(&self) -> Vec<SummaryRefreshState> {
         let mut merged: Vec<SummaryRefreshState> = Vec::new();
-        for lane in &self.lanes {
-            for st in lane.shard.summary_refresh_states() {
+        for shard in &self.shards {
+            for st in shard.summary_refresh_states() {
                 match merged.iter_mut().find(|m| m.name == st.name) {
                     Some(m) => {
                         m.version += st.version;
@@ -1823,9 +1820,9 @@ impl SqlEngine for Db {
     }
 
     fn summary_gamma(&self, name: &str) -> Result<Nlq> {
-        let mut acc = self.lanes[0].shard.summary_gamma(name)?;
-        for lane in &self.lanes[1..] {
-            acc.merge(&lane.shard.summary_gamma(name)?);
+        let mut acc = self.shards[0].summary_gamma(name)?;
+        for shard in &self.shards[1..] {
+            acc.merge(&shard.summary_gamma(name)?);
         }
         Ok(acc)
     }
@@ -1840,28 +1837,27 @@ impl SqlEngine for Db {
     /// `<i>/<table>` (see [`Db::open`] for the reverse).
     fn checkpoint(&self, min_log_bytes: u64) -> Result<bool> {
         LogSet::checkpoint(self.logs.as_ref(), min_log_bytes, |tmp, manifest| {
-            let mut names = self.lanes[0].shard.table_names();
+            let mut names = self.shards[0].table_names();
             names.sort();
             for name in names {
                 if self.table_dist(&name) == Distribution::Replicated {
-                    self.lanes[0]
-                        .shard
+                    self.shards[0]
                         .base_table(&name)?
                         .save(&tmp.join(format!("{name}.tbl")))?;
                     manifest.tables.push(name);
                     continue;
                 }
-                for (i, lane) in self.lanes.iter().enumerate() {
+                for (i, shard) in self.shards.iter().enumerate() {
                     let sub = tmp.join(format!("shard-{i}"));
                     std::fs::create_dir_all(&sub)
                         .map_err(|e| StorageError::Io(format!("checkpoint mkdir: {e}")))?;
-                    lane.shard
+                    shard
                         .base_table(&name)?
                         .save(&sub.join(format!("{name}.tbl")))?;
                     manifest.tables.push(format!("{i}/{name}"));
                 }
             }
-            manifest.ddl.extend(self.lanes[0].shard.summary_ddl());
+            manifest.ddl.extend(self.shards[0].summary_ddl());
             Ok(())
         })
     }

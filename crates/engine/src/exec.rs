@@ -291,28 +291,11 @@ impl ExecContext<'_> {
             ));
         }
         if plan.aggregate_mode {
-            // Re-bind to count aggregate calls and fast paths (the
-            // executor does the same binding when it runs).
-            let mut agg_calls: Vec<AggCall> = Vec::new();
-            for p in &stmt.projections {
-                let mut binder = Binder {
-                    schema: &plan.schema,
-                    registry: &self.registry,
-                    group_exprs: &stmt.group_by,
-                    aggs: Some(&mut agg_calls),
-                };
-                binder.bind(&p.expr)?;
-            }
-            if let Some(h) = &stmt.having {
-                let mut binder = Binder {
-                    schema: &plan.schema,
-                    registry: &self.registry,
-                    group_exprs: &stmt.group_by,
-                    aggs: Some(&mut agg_calls),
-                };
-                binder.bind(h)?;
-            }
-            let fast_args = compute_fast_args(&agg_calls);
+            // The executor's own binding: projections, HAVING and ORDER
+            // BY, so every aggregate call the statement runs is counted.
+            let bindings = self.bind_aggregate(stmt, &plan.schema)?;
+            let agg_calls = &bindings.agg_calls;
+            let fast_args = compute_fast_args(agg_calls);
             let fast = fast_args.iter().filter(|f| f.is_some()).count();
             let udfs = agg_calls
                 .iter()
@@ -327,7 +310,7 @@ impl ExecContext<'_> {
             // Mirror the executor's summary rewrite (without rebuilding
             // anything): report the summary that would answer.
             let summary_line = if stmt.from.len() == 1 && trivial_join && plan.residual.is_empty() {
-                self.explain_summary_match(stmt, &plan.schema, &agg_calls)?
+                self.explain_summary_match(stmt, &plan.schema, agg_calls)?
             } else {
                 None
             };
@@ -336,8 +319,8 @@ impl ExecContext<'_> {
             let block_plan = if self.block_scan && stmt.group_by.is_empty() && trivial_join {
                 plan_block_calls(
                     &plan.schema,
-                    plan.base.schema().len(),
-                    &agg_calls,
+                    &plan.base,
+                    agg_calls,
                     &fast_args,
                     &plan.residual,
                 )
@@ -356,14 +339,8 @@ impl ExecContext<'_> {
                         "GROUP BY requires row grouping".to_owned()
                     } else if !trivial_join {
                         "cross join".to_owned()
-                    } else if plan_block_calls(
-                        &plan.schema,
-                        plan.base.schema().len(),
-                        &agg_calls,
-                        &fast_args,
-                        &[],
-                    )
-                    .is_none()
+                    } else if plan_block_calls(&plan.schema, &plan.base, agg_calls, &fast_args, &[])
+                        .is_none()
                     {
                         "aggregate arguments are not all float base-table columns".to_owned()
                     } else {
@@ -828,7 +805,7 @@ impl ExecContext<'_> {
         // Compilable residual predicates become per-block selection
         // bitmaps rather than forcing the row path.
         let block_plan = if self.block_scan && group_bound.is_empty() && trivial_join {
-            plan_block_calls(schema, base.schema().len(), agg_calls, &fast_args, residual)
+            plan_block_calls(schema, base, agg_calls, &fast_args, residual)
         } else {
             None
         };
@@ -1415,7 +1392,7 @@ fn block_scalar_line(bp: &ScalarBlockPlan) -> String {
 /// product of two such columns, or a literal.
 fn plan_block_calls(
     schema: &BoundSchema,
-    base_width: usize,
+    base: &Table,
     agg_calls: &[AggCall],
     fast_args: &[Option<FastArg>],
     residual: &[BoundExpr],
@@ -1428,6 +1405,7 @@ fn plan_block_calls(
             cols.len() - 1
         })
     };
+    let base_width = base.schema().len();
     let float_col = |i: usize| i < base_width && schema.column_type(i) == DataType::Float;
     let col = |e: &BoundExpr| match e {
         BoundExpr::ColumnRef(i) if float_col(*i) => Some(*i),
@@ -1486,7 +1464,7 @@ fn plan_block_calls(
         None
     } else {
         Some(compile_residual(
-            residual, schema, base_width, None, &mut cols, None,
+            residual, schema, base, None, &mut cols, None,
         )?)
     };
     Some(BlockPlan {
@@ -1735,7 +1713,7 @@ fn plan_scalar_block(
             compile_residual(
                 residual,
                 schema,
-                base_width,
+                base,
                 Some(suffix),
                 &mut cols,
                 Some(&mut int_slots),

@@ -447,7 +447,7 @@ impl BoundExpr {
             BoundExpr::GroupRef(i) => Ok(group[*i].clone()),
             BoundExpr::Neg(e) => match e.eval(row, aggs, group)? {
                 Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(-i)),
+                Value::Int(i) => int_result(i.checked_neg(), "unary -"),
                 Value::Float(f) => Ok(Value::Float(-f)),
                 Value::Str(_) => Err(EngineError::Type("cannot negate a string".into())),
             },
@@ -531,15 +531,16 @@ fn eval_binary(op: BinOp, lhs: Value, rhs: Value) -> Result<Value> {
         }
         _ => {}
     }
-    // Arithmetic: NULL propagates; Int op Int stays Int (except /).
+    // Arithmetic: NULL propagates; Int op Int stays Int (except /),
+    // and leaving the i64 range is an error, never a wrapped value.
     if lhs.is_null() || rhs.is_null() {
         return Ok(Value::Null);
     }
     match (&lhs, &rhs) {
         (Value::Int(a), Value::Int(b)) => match op {
-            BinOp::Add => Ok(Value::Int(a.wrapping_add(*b))),
-            BinOp::Sub => Ok(Value::Int(a.wrapping_sub(*b))),
-            BinOp::Mul => Ok(Value::Int(a.wrapping_mul(*b))),
+            BinOp::Add => int_result(a.checked_add(*b), "+"),
+            BinOp::Sub => int_result(a.checked_sub(*b), "-"),
+            BinOp::Mul => int_result(a.checked_mul(*b), "*"),
             BinOp::Div => {
                 if *b == 0 {
                     Ok(Value::Null)
@@ -585,6 +586,13 @@ fn eval_binary(op: BinOp, lhs: Value, rhs: Value) -> Result<Value> {
     }
 }
 
+/// An Int arithmetic result, or the SQL error for leaving the i64
+/// range through `op`.
+fn int_result(v: Option<i64>, op: &str) -> Result<Value> {
+    v.map(Value::Int)
+        .ok_or_else(|| EngineError::Type(format!("INT overflow in `{op}`")))
+}
+
 fn eval_func(func: ScalarFunc, vals: &[Value]) -> Result<Value> {
     let arity_err = |expected: &str| {
         Err(EngineError::Type(format!(
@@ -605,7 +613,7 @@ fn eval_func(func: ScalarFunc, vals: &[Value]) -> Result<Value> {
     match func {
         ScalarFunc::Sqrt => unary(f64::sqrt),
         ScalarFunc::Abs => match vals {
-            [Value::Int(i)] => Ok(Value::Int(i.abs())),
+            [Value::Int(i)] => int_result(i.checked_abs(), "abs"),
             _ => unary(f64::abs),
         },
         ScalarFunc::Ln => unary(f64::ln),

@@ -44,7 +44,6 @@ mod db;
 mod durable;
 mod error;
 mod exec;
-mod executor;
 mod expr;
 mod output;
 mod parser;

@@ -22,7 +22,9 @@
 //! All bitmaps follow the storage convention: LSB-ordered, bits at or
 //! beyond the block length always zero.
 
-use nlq_storage::{bitmap_mask_tail, bitmap_words, ColumnBlock, DataType, Row, Value};
+use nlq_storage::{
+    bitmap_mask_tail, bitmap_words, ColumnBlock, DataType, Row, Table, Value, F64_EXACT_INT,
+};
 
 use crate::ast::BinOp;
 use crate::expr::{BoundExpr, BoundSchema};
@@ -32,8 +34,9 @@ use crate::expr::{BoundExpr, BoundSchema};
 enum Operand {
     /// A projected block column (by slot).
     Slot(usize),
-    /// A numeric constant, pre-widened to `f64` (matching the row
-    /// path, which compares all numerics through [`Value::as_f64`]).
+    /// A numeric constant, pre-widened to `f64`. Compilation refuses
+    /// Int constants and columns the widening would round, so the
+    /// comparison agrees with the row path's exact Int comparison.
     Num(f64),
     /// A NULL constant: every comparison against it is unknown.
     Null,
@@ -204,19 +207,21 @@ fn cmp_eval(
     }
 }
 
-/// Compiles residual `WHERE` conjuncts into block predicates, or
-/// `None` when any conjunct falls outside the compilable subset
-/// (numeric comparisons, `IS [NOT] NULL` on numeric base columns, and
-/// `NOT`/`AND`/`OR` over those). Referenced base columns are appended
-/// to `cols` as projection slots (deduplicated); when `int_slots` is
-/// given it stays index-aligned with `cols`. `suffix` supplies values
-/// for joined-table column references (the scalar scoring pattern's
-/// single join combination); with `None` such references are
-/// uncompilable.
+/// Compiles residual `WHERE` conjuncts over `base` into block
+/// predicates, or `None` when any conjunct falls outside the
+/// compilable subset (numeric comparisons, `IS [NOT] NULL` on numeric
+/// base columns, and `NOT`/`AND`/`OR` over those) or reads an Int the
+/// block scan's `f64` widening would round (beyond ±2⁵³, in a literal,
+/// a joined constant or a column's stored values). Referenced base
+/// columns are appended to `cols` as projection slots (deduplicated);
+/// when `int_slots` is given it stays index-aligned with `cols`.
+/// `suffix` supplies values for joined-table column references (the
+/// scalar scoring pattern's single join combination); with `None` such
+/// references are uncompilable.
 pub(crate) fn compile_residual(
     residual: &[BoundExpr],
     schema: &BoundSchema,
-    base_width: usize,
+    base: &Table,
     suffix: Option<&Row>,
     cols: &mut Vec<usize>,
     mut int_slots: Option<&mut Vec<bool>>,
@@ -226,7 +231,7 @@ pub(crate) fn compile_residual(
         preds.push(compile_node(
             pred,
             schema,
-            base_width,
+            base,
             suffix,
             cols,
             &mut int_slots,
@@ -236,15 +241,16 @@ pub(crate) fn compile_residual(
 }
 
 /// Allocates (or reuses) the projection slot for a numeric base
-/// column.
+/// column whose stored values widen to `f64` exactly.
 fn slot_for(
     col: usize,
     schema: &BoundSchema,
+    base: &Table,
     cols: &mut Vec<usize>,
     int_slots: &mut Option<&mut Vec<bool>>,
 ) -> Option<usize> {
     let ty = schema.column_type(col);
-    if ty != DataType::Float && ty != DataType::Int {
+    if (ty != DataType::Float && ty != DataType::Int) || !base.int_widening_exact(col) {
         return None;
     }
     if let Some(slot) = cols.iter().position(|&c| c == col) {
@@ -262,26 +268,28 @@ fn slot_for(
 fn compile_operand(
     e: &BoundExpr,
     schema: &BoundSchema,
-    base_width: usize,
+    base: &Table,
     suffix: Option<&Row>,
     cols: &mut Vec<usize>,
     int_slots: &mut Option<&mut Vec<bool>>,
 ) -> Option<Operand> {
     let from_value = |v: &Value| match v {
         Value::Null => Some(Operand::Null),
+        Value::Int(i) if !(-F64_EXACT_INT..=F64_EXACT_INT).contains(i) => None,
         other => other.as_f64().map(Operand::Num),
     };
+    let base_width = base.schema().len();
     match e {
         BoundExpr::Literal(v) => from_value(v),
         BoundExpr::Neg(inner) => {
-            match compile_operand(inner, schema, base_width, suffix, cols, int_slots)? {
+            match compile_operand(inner, schema, base, suffix, cols, int_slots)? {
                 Operand::Num(c) => Some(Operand::Num(-c)),
                 Operand::Null => Some(Operand::Null),
                 Operand::Slot(_) => None,
             }
         }
         BoundExpr::ColumnRef(i) if *i < base_width => {
-            slot_for(*i, schema, cols, int_slots).map(Operand::Slot)
+            slot_for(*i, schema, base, cols, int_slots).map(Operand::Slot)
         }
         BoundExpr::ColumnRef(i) => from_value(suffix?.get(*i - base_width)?),
         _ => None,
@@ -292,26 +300,26 @@ fn compile_operand(
 fn compile_node(
     e: &BoundExpr,
     schema: &BoundSchema,
-    base_width: usize,
+    base: &Table,
     suffix: Option<&Row>,
     cols: &mut Vec<usize>,
     int_slots: &mut Option<&mut Vec<bool>>,
 ) -> Option<Node> {
     match e {
         BoundExpr::Not(inner) => Some(Node::Not(Box::new(compile_node(
-            inner, schema, base_width, suffix, cols, int_slots,
+            inner, schema, base, suffix, cols, int_slots,
         )?))),
         BoundExpr::IsNull { expr, negated } => match expr.as_ref() {
-            BoundExpr::ColumnRef(i) if *i < base_width => Some(Node::IsNull {
-                slot: slot_for(*i, schema, cols, int_slots)?,
+            BoundExpr::ColumnRef(i) if *i < base.schema().len() => Some(Node::IsNull {
+                slot: slot_for(*i, schema, base, cols, int_slots)?,
                 negated: *negated,
             }),
             _ => None,
         },
         BoundExpr::Binary { op, lhs, rhs } => match op {
             BinOp::And | BinOp::Or => {
-                let a = compile_node(lhs, schema, base_width, suffix, cols, int_slots)?;
-                let b = compile_node(rhs, schema, base_width, suffix, cols, int_slots)?;
+                let a = compile_node(lhs, schema, base, suffix, cols, int_slots)?;
+                let b = compile_node(rhs, schema, base, suffix, cols, int_slots)?;
                 Some(if matches!(op, BinOp::And) {
                     Node::And(Box::new(a), Box::new(b))
                 } else {
@@ -319,8 +327,8 @@ fn compile_node(
                 })
             }
             BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                let a = compile_operand(lhs, schema, base_width, suffix, cols, int_slots)?;
-                let b = compile_operand(rhs, schema, base_width, suffix, cols, int_slots)?;
+                let a = compile_operand(lhs, schema, base, suffix, cols, int_slots)?;
+                let b = compile_operand(rhs, schema, base, suffix, cols, int_slots)?;
                 Some(Node::Cmp {
                     op: *op,
                     lhs: a,

@@ -7,7 +7,7 @@
 //! (`CREATE TABLE AS`, `INSERT … SELECT`, `EXPLAIN ANALYZE`) are
 //! assembled by the router, so a shard never sees them.
 
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use nlq_models::{MatrixShape, Nlq};
@@ -18,7 +18,7 @@ use nlq_udf::UdfRegistry;
 
 use crate::ast::{SelectStmt, Statement};
 use crate::catalog::{Catalog, CatalogEntry};
-use crate::db::{ResultSet, SummaryRefreshState};
+use crate::db::{ResultSet, ShardMetricsSnapshot, SummaryRefreshState};
 use crate::exec::{check_cancelled, AggPartial, ExecContext};
 use crate::expr::{Binder, BoundSchema};
 use crate::sys::SystemTableProvider;
@@ -42,14 +42,18 @@ impl Env {
 }
 
 /// A shard's tables, views and summaries, scanned by `workers`
-/// parallel threads. DML serializes on one lock: table replacement is
-/// copy-on-write, and without the lock two concurrent INSERTs into one
-/// table could both clone the same generation and lose one batch.
+/// parallel threads, and its activity counters. DML serializes on one
+/// lock: table replacement is copy-on-write, and without the lock two
+/// concurrent INSERTs into one table could both clone the same
+/// generation and lose one batch.
 pub(crate) struct Shard {
     catalog: Catalog,
     summaries: SummaryStore,
     workers: usize,
     dml_lock: Mutex<()>,
+    queries: AtomicU64,
+    rows_scanned: AtomicU64,
+    busy_nanos: AtomicU64,
 }
 
 impl Shard {
@@ -59,6 +63,25 @@ impl Shard {
             summaries: SummaryStore::new(),
             workers: workers.max(1),
             dml_lock: Mutex::new(()),
+            queries: AtomicU64::new(0),
+            rows_scanned: AtomicU64::new(0),
+            busy_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// Counts one finished piece of a statement against this shard.
+    pub fn count(&self, rows: u64, nanos: u64) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
+        self.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
+    }
+
+    pub fn metrics(&self, shard: usize) -> ShardMetricsSnapshot {
+        ShardMetricsSnapshot {
+            shard,
+            queries: self.queries.load(Ordering::Relaxed),
+            rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
+            busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
         }
     }
 

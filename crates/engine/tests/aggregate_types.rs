@@ -7,6 +7,8 @@
 //! * An aggregate whose argument is a FLOAT column answers FLOAT on
 //!   every path, even when the column holds Int-typed values;
 //!   expression arguments answer by value.
+//! * Two Ints compare exactly, also beyond 2^53 where `f64` rounds:
+//!   `min` / `max`, ORDER BY and WHERE agree on every path.
 
 use nlq_engine::{Db, EngineError, ResultSet};
 use nlq_storage::Value;
@@ -74,6 +76,72 @@ fn int_sum_partials_may_pass_the_edge() {
         &[MAX, -MAX, 1, 2, MAX, -(MAX - 10), 3, 1],
         Ok(10 + 1 + 2 + 3 + 1),
     );
+}
+
+/// Runs `check` on an [`int_db`] of `values` at S ∈ {1, 4} with the
+/// block scan on and off.
+fn on_every_path(values: &[i64], check: impl Fn(&Db, &str)) {
+    for shards in [1, 4] {
+        for block in [true, false] {
+            let db = int_db(shards, values);
+            db.set_block_scan(block);
+            check(&db, &format!("S = {shards}, block scan {block}"));
+        }
+    }
+}
+
+#[test]
+fn ints_beyond_2_pow_53_compare_exactly() {
+    // 2^60 + k: f64 spacing there is 256, so every value rounds to 2^60.
+    const BASE: i64 = 1 << 60;
+    let values: Vec<i64> = (0..40).map(|k| BASE + k).collect();
+    on_every_path(&values, |db, ctx| {
+        let rs = db.execute("SELECT min(v), max(v) FROM t").unwrap();
+        assert_eq!(row(&rs), [Value::Int(5), Value::Int(BASE + 39)], "{ctx}");
+        let rs = db
+            .execute("SELECT g, min(v), max(v) FROM t GROUP BY g ORDER BY g")
+            .unwrap();
+        assert_eq!(
+            rs.rows[0],
+            [Value::Int(1), Value::Int(BASE), Value::Int(BASE + 39)],
+            "{ctx}"
+        );
+        let rs = db
+            .execute("SELECT v FROM t WHERE g = 1 ORDER BY v DESC LIMIT 3")
+            .unwrap();
+        let top: Vec<Value> = (37..40).rev().map(|k| Value::Int(BASE + k)).collect();
+        assert_eq!(rs.rows.concat(), top, "{ctx}");
+        let hit = BASE + 17;
+        let rs = db
+            .execute(&format!("SELECT g, v FROM t WHERE v = {hit}"))
+            .unwrap();
+        assert_eq!(rs.rows, [[Value::Int(1), Value::Int(hit)]], "{ctx}");
+        let rs = db
+            .execute(&format!("SELECT g FROM t WHERE v = {hit}"))
+            .unwrap();
+        assert_eq!(rs.rows, [[Value::Int(1)]], "{ctx}");
+        let rs = db
+            .execute(&format!("SELECT count(*) FROM t WHERE v = {hit}"))
+            .unwrap();
+        assert_eq!(row(&rs), [Value::Int(1)], "{ctx}");
+    });
+}
+
+#[test]
+fn an_int_literal_beyond_2_pow_53_compares_exactly() {
+    // Every stored value widens exactly, but 2^53 + 1 would round to
+    // 2^53 on the way into a block comparison.
+    const EDGE: i64 = 1 << 53;
+    on_every_path(&[EDGE, EDGE - 1], |db, ctx| {
+        let rs = db
+            .execute(&format!("SELECT count(*) FROM t WHERE v = {}", EDGE + 1))
+            .unwrap();
+        assert_eq!(row(&rs), [Value::Int(0)], "{ctx}");
+        let rs = db
+            .execute(&format!("SELECT g FROM t WHERE v < {}", EDGE + 1))
+            .unwrap();
+        assert_eq!(rs.rows.len(), 3, "{ctx}");
+    });
 }
 
 fn row(rs: &ResultSet) -> Vec<Value> {

@@ -235,3 +235,16 @@ fn explain_does_not_execute_the_scan() {
     let plan = plan_text(&db, "EXPLAIN SELECT sum(X1 / (X2 - X2)) FROM X");
     assert!(plan.contains("aggregate: 1 call(s)"), "{plan}");
 }
+
+#[test]
+fn explain_counts_aggregates_that_only_order_by_calls() {
+    let db = scoring_db();
+    let sql = "SELECT i % 2 FROM X GROUP BY i % 2 ORDER BY sum(X1)";
+    let plan = plan_text(&db, &format!("EXPLAIN {sql}"));
+    assert!(plan.contains("aggregate: 1 call(s)"), "{plan}");
+    // Row `i` holds X1 = i - 1, so odd ids sum to less (2450 < 2500)
+    // and ascending order puts them first.
+    let rs = db.execute(sql).unwrap();
+    assert_eq!(rs.len(), 2);
+    assert_eq!(rs.value(0, 0).as_i64(), Some(1));
+}

@@ -1,6 +1,7 @@
-//! The scan pool: a statement's partitions run on the calling thread
-//! and on a fixed set of pool helpers, never on threads of its own,
-//! and the CPU the helpers spend counts as the statement's.
+//! The scan pool: a statement's shard pieces and partitions run on the
+//! calling thread and on a fixed set of pool helpers, never on threads
+//! of their own, and the CPU the helpers spend counts as the
+//! statement's.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -43,37 +44,45 @@ impl ScalarUdf for Spin {
     }
 }
 
-fn points_db(workers: usize, n: usize) -> Db {
-    let db = Db::new(workers);
+fn points_db(shards: usize, workers: usize, n: usize) -> Db {
+    let db = Db::open(shards, workers, None).unwrap();
     let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64, 1.0]).collect();
     db.load_points("X", &rows, false).unwrap();
     db
 }
 
+fn block_and_row_paths() -> [ExecOptions; 2] {
+    [
+        ExecOptions::default(),
+        ExecOptions {
+            block_scan: Some(false),
+            ..ExecOptions::default()
+        },
+    ]
+}
+
 #[test]
 fn scans_run_on_the_caller_and_the_pool_helpers_only() {
-    let db = points_db(2, 4000);
-    let seen = Arc::new(Mutex::new(HashSet::new()));
-    db.with_registry_mut(|r| r.register_scalar(Arc::new(Tid(Arc::clone(&seen)))));
-    let row_path = ExecOptions {
-        block_scan: Some(false),
-        ..ExecOptions::default()
-    };
-    for opts in [ExecOptions::default(), row_path] {
-        for _ in 0..50 {
-            let rs = db.execute_with("SELECT tid(X1) FROM X", &opts).unwrap();
-            assert_eq!(rs.rows.len(), 4000);
-            assert_eq!(rs.stats.block_path, opts.block_scan.is_none());
-        }
-    }
-    // std never reuses a `ThreadId`: a thread spawned per scan would
-    // show up as a new id every time.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let distinct = seen.lock().unwrap().len();
-    assert!(
-        distinct <= 1 + cores,
-        "{distinct} threads evaluated 100 scans on {cores} cores"
-    );
+    for shards in [1, 4] {
+        let db = points_db(shards, 2, 4000);
+        let seen = Arc::new(Mutex::new(HashSet::new()));
+        db.with_registry_mut(|r| r.register_scalar(Arc::new(Tid(Arc::clone(&seen)))));
+        for opts in block_and_row_paths() {
+            for _ in 0..50 {
+                let rs = db.execute_with("SELECT tid(X1) FROM X", &opts).unwrap();
+                assert_eq!(rs.rows.len(), 4000);
+                assert_eq!(rs.stats.block_path, opts.block_scan.is_none());
+            }
+        }
+        // std never reuses a `ThreadId`: a thread spawned per scan, or
+        // one per shard, would show up as ids beyond the pool's.
+        let distinct = seen.lock().unwrap().len();
+        assert!(
+            distinct <= 1 + cores,
+            "S = {shards}: {distinct} threads evaluated 100 scans on {cores} cores"
+        );
+    }
 }
 
 #[test]
@@ -81,20 +90,20 @@ fn helper_cpu_counts_as_the_statements_cpu() {
     if thread_cpu_nanos() == 0 {
         return; // no per-thread CPU clock on this platform
     }
-    // Two rows in two partitions: whichever threads run them, the two
-    // evaluations burn 2 × SPIN between them.
-    let db = points_db(2, 2);
-    db.with_registry_mut(|r| r.register_scalar(Arc::new(Spin)));
-    for opts in [
-        ExecOptions::default(),
-        ExecOptions {
-            block_scan: Some(false),
-            ..ExecOptions::default()
-        },
-    ] {
-        let rs = db.execute_with("SELECT spin(X1) FROM X", &opts).unwrap();
-        assert_eq!(rs.rows.len(), 2);
-        let cpu = Duration::from_nanos(rs.stats.cpu_nanos);
-        assert!(cpu >= 2 * SPIN, "statement reported {cpu:?} of CPU");
+    // Whichever threads run the shards' pieces and their partitions,
+    // the four evaluations burn 4 × SPIN between them.
+    const ROWS: usize = 4;
+    for shards in [1, 4] {
+        let db = points_db(shards, 2, ROWS);
+        db.with_registry_mut(|r| r.register_scalar(Arc::new(Spin)));
+        for opts in block_and_row_paths() {
+            let rs = db.execute_with("SELECT spin(X1) FROM X", &opts).unwrap();
+            assert_eq!(rs.rows.len(), ROWS);
+            let cpu = Duration::from_nanos(rs.stats.cpu_nanos);
+            assert!(
+                cpu >= ROWS as u32 * SPIN,
+                "S = {shards}: statement reported {cpu:?} of CPU"
+            );
+        }
     }
 }

@@ -91,11 +91,32 @@ fn not_and_boolean_outputs() {
 }
 
 #[test]
-fn integer_overflow_wraps_not_panics() {
+fn integer_overflow_is_an_error_not_a_panic() {
     let db = db_one();
-    // Wrapping semantics keep scans total; matches documented behavior.
-    let out = eval(&db, "9223372036854775807 + 1");
-    assert_eq!(out, Value::Int(i64::MIN));
+    // Leaving the i64 range is an SQL type error naming the operator,
+    // never a wrapped value.
+    for (expr, op) in [
+        ("9223372036854775807 + 1", "`+`"),
+        ("(0 - 9223372036854775807) - 2", "`-`"),
+        ("4611686018427387904 * 2", "`*`"),
+        ("-((0 - 9223372036854775807) - 1)", "`unary -`"),
+        ("abs((0 - 9223372036854775807) - 1)", "`abs`"),
+    ] {
+        let err = db
+            .execute(&format!("SELECT {expr} FROM one"))
+            .expect_err(expr)
+            .to_string();
+        assert!(
+            err.contains("INT overflow") && err.contains(op),
+            "{expr}: {err}"
+        );
+    }
+    // The edges themselves are in range.
+    assert_eq!(eval(&db, "9223372036854775806 + 1"), Value::Int(i64::MAX));
+    assert_eq!(
+        eval(&db, "(0 - 9223372036854775807) - 1"),
+        Value::Int(i64::MIN)
+    );
 }
 
 #[test]

@@ -31,8 +31,7 @@ use std::time::Instant;
 #[cfg(target_os = "linux")]
 mod cpu_clock {
     //! Hand-rolled `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` — the
-    //! workspace is std-only, so the two libc declarations live here
-    //! (same idiom as the shard crate's `sched_setaffinity`).
+    //! workspace is std-only, so the two libc declarations live here.
 
     #[repr(C)]
     struct Timespec {
@@ -151,8 +150,9 @@ pub struct Span {
     /// Column blocks decoded in this phase (0 when not applicable).
     pub blocks: u64,
     /// CPU nanoseconds consumed during this phase (0 when not
-    /// sampled). For per-shard scatter spans this is the pinned shard
-    /// thread's CPU time over its partial execution.
+    /// sampled). For per-shard scatter spans this is the CPU of the
+    /// thread that ran the shard's piece plus that of the scan helpers
+    /// that ran its partitions: a share of the statement's total.
     pub cpu_nanos: u64,
     /// Shard index for per-shard scatter spans; -1 when the span is
     /// not shard-scoped.
@@ -237,8 +237,8 @@ impl Outcome {
 struct TraceInner {
     started: Instant,
     spans: Mutex<Vec<Span>>,
-    /// CPU nanoseconds attributed to this statement (worker thread
-    /// plus per-shard executors, summed at gather).
+    /// CPU nanoseconds attributed to this statement (its calling
+    /// thread plus the scan-pool helpers that ran its work).
     cpu_nanos: AtomicU64,
     /// WAL payload bytes appended on behalf of this statement.
     wal_bytes: AtomicU64,
@@ -371,7 +371,7 @@ pub struct TraceRecord {
     pub wal_bytes: u64,
     /// WAL fsyncs this statement issued or joined.
     pub fsyncs: u64,
-    /// CPU nanoseconds consumed (worker + shard executors).
+    /// CPU nanoseconds consumed (worker + scan-pool helpers).
     pub cpu_nanos: u64,
     /// Per-phase spans, in recording order.
     pub spans: Vec<Span>,

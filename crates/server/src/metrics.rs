@@ -208,7 +208,7 @@ pub struct Metrics {
     /// daemon was too far behind (`--staleness-bound`).
     pub ingest_backpressure: AtomicU64,
     /// CPU nanoseconds attributed to completed queries (worker thread
-    /// plus per-shard executors, summed at gather).
+    /// plus the scan-pool helpers that ran their work).
     pub query_cpu_nanos: AtomicU64,
 }
 
@@ -428,11 +428,10 @@ fn engine_samples(stats: &EngineStats, out: &mut Vec<Sample>) {
     out.push(gauge("shards", "Number of engine shards", shards));
     type ShardValue = fn(&ShardMetricsSnapshot) -> f64;
     #[rustfmt::skip]
-    let per_shard: [(&'static str, Kind, &'static str, ShardValue); 4] = [
+    let per_shard: [(&'static str, Kind, &'static str, ShardValue); 3] = [
         ("shard_queries_total", Kind::Counter, "Statements executed, by shard", |s| s.queries as f64),
         ("shard_rows_scanned_total", Kind::Counter, "Base-table rows scanned, by shard", |s| s.rows_scanned as f64),
-        ("shard_queue_depth", Kind::Gauge, "Jobs waiting on the shard's executor, by shard", |s| s.queue_depth as f64),
-        ("shard_busy_seconds_total", Kind::Counter, "Executor-thread busy time, by shard", |s| s.busy_nanos as f64 / 1e9),
+        ("shard_busy_seconds_total", Kind::Counter, "Time spent running statement pieces, by shard", |s| s.busy_nanos as f64 / 1e9),
     ];
     for (family, kind, help, value) in per_shard {
         out.extend(

@@ -263,7 +263,6 @@ fn shards(shared: &Arc<Shared>) -> Table {
         ("shard", DataType::Int),
         ("queries", DataType::Int),
         ("rows_scanned", DataType::Int),
-        ("queue_depth", DataType::Int),
         ("busy_us", DataType::Float),
     ];
     let rows = shared
@@ -276,7 +275,6 @@ fn shards(shared: &Arc<Shared>) -> Table {
                 int(s.shard as u64),
                 int(s.queries),
                 int(s.rows_scanned),
-                int(s.queue_depth),
                 micros(s.busy_nanos),
             ]
         })

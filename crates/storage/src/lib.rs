@@ -43,7 +43,7 @@ pub use parallel::{parallel_scan, parallel_scan_indexed, parallel_scan_partition
 pub use row::Row;
 pub use schema::{Column, DataType, Schema};
 pub use segment::{bitmap_count_ones, bitmap_get, bitmap_mask_tail, bitmap_words, SEGMENT_ROWS};
-pub use table::{PartitionIter, Table};
+pub use table::{PartitionIter, Table, F64_EXACT_INT};
 pub use value::Value;
 pub use wal::{
     crc32, replay_wal, CheckpointManifest, FileIo, Wal, WalIo, WalRecord, WalReplay, WalStats,

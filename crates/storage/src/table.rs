@@ -7,7 +7,7 @@ use std::sync::Arc;
 /// values beyond this widen lossily in numeric block scans; planners
 /// consult [`Table::int_widening_exact`] before trusting the widened
 /// view.
-const F64_EXACT_INT: i64 = 1 << 53;
+pub const F64_EXACT_INT: i64 = 1 << 53;
 
 /// A horizontally partitioned table.
 ///

@@ -51,12 +51,13 @@ impl Value {
     }
 
     /// SQL three-valued-logic comparison: NULL compares as unknown
-    /// (`None`); numeric types compare numerically; strings compare
-    /// lexicographically. Cross-type number/string comparison is
-    /// unknown.
+    /// (`None`); two Ints compare exactly, other numeric pairs through
+    /// `f64`; strings compare lexicographically. Cross-type
+    /// number/string comparison is unknown.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Str(_), _) | (_, Value::Str(_)) => None,
             (a, b) => {
