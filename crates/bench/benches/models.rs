@@ -3,11 +3,13 @@
 
 use nlq_bench::harness::{bench, bench_once};
 use nlq_bench::{col_names, db_with_points, mixture_data, regression_data};
+use nlq_engine::{sqlgen, ExecOptions};
 use nlq_linalg::{invert, jacobi_eigen, Cholesky, Matrix};
 use nlq_models::{
     CorrelationModel, FactorAnalysis, FactorAnalysisConfig, GaussianMixture, GaussianMixtureConfig,
     KMeans, KMeansConfig, LinearRegression, MatrixShape, Nlq, Pca, PcaInput,
 };
+use nlq_udf::ParamStyle;
 
 fn bench_model_builds() {
     for d in [8usize, 32] {
@@ -108,14 +110,21 @@ fn bench_row_vs_block_scan() {
         .unwrap_or(1_000_000);
     for d in [4usize, 8, 16] {
         let rows = mixture_data(n, d, 0xc206 + d as u64);
-        let names = col_names(d);
-        let cols: Vec<&str> = names.iter().map(String::as_str).collect();
+        let sql = sqlgen::nlq_udf_query(
+            "X",
+            &col_names(d),
+            MatrixShape::Triangular,
+            ParamStyle::List,
+        );
         let db = db_with_points(4, &rows, false);
         drop(rows);
         for (mode, on) in [("row", false), ("block", true)] {
-            db.set_block_scan(on);
+            let opts = ExecOptions {
+                block_scan: Some(on),
+                ..ExecOptions::default()
+            };
             bench("nlq_scan_mode", &format!("{mode}/{d}"), || {
-                db.compute_nlq("X", &cols, MatrixShape::Triangular).unwrap()
+                db.execute_with(&sql, &opts).unwrap()
             });
         }
     }

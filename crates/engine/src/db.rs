@@ -16,7 +16,10 @@ use nlq_udf::{ParamStyle, UdfRegistry};
 use crate::ast::{Expr, Projection, SelectStmt, Statement};
 use crate::cache::{CacheOutcome, PlanCache};
 use crate::durable::{DurabilityStats, LogSet, Payload, Recovered, RecoveryInfo};
-use crate::exec::{check_cancelled, merge_partial_errors, result_to_table, AggPartial};
+use crate::exec::{
+    check_cancelled, is_aggregate_select, merge_partial_errors, result_to_table, row_cmp,
+    AggPartial,
+};
 use crate::output::{truncate_blocks, ResultBlock};
 use crate::serve::{beta_table, centroid_table, lambda_table, mu_table};
 use crate::shard::{Env, Shard};
@@ -256,8 +259,10 @@ impl ResultSet {
 /// global state.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// Overrides the block-at-a-time scan toggle for this statement
-    /// (`None` inherits [`Db::block_scan`]).
+    /// Whether eligible statements may use the block-at-a-time scan
+    /// for this statement (`None` means on). Off runs every statement
+    /// row-at-a-time — the switch the row-vs-block benchmarks and
+    /// equivalence tests flip.
     pub block_scan: Option<bool>,
     /// Cooperative cancellation token. Flip it to `true` from any
     /// thread and the statement stops at the next block/row check,
@@ -362,7 +367,6 @@ pub struct Db {
     registry: RwLock<Arc<UdfRegistry>>,
     /// Virtual `sys.*` namespace registered by the serving layer.
     system_tables: RwLock<Option<Arc<dyn SystemTableProvider>>>,
-    block_scan: AtomicBool,
     cache: PlanCache,
     dist: RwLock<HashMap<String, Distribution>>,
     /// Round-robin cursor: spreads replicated-only queries across
@@ -426,7 +430,6 @@ impl Db {
             shards: (0..shards).map(|_| Shard::new(workers)).collect(),
             registry: RwLock::new(Arc::new(UdfRegistry::with_builtins())),
             system_tables: RwLock::new(None),
-            block_scan: AtomicBool::new(true),
             cache: PlanCache::new(),
             dist: RwLock::new(HashMap::new()),
             rr: AtomicU64::new(0),
@@ -468,20 +471,6 @@ impl Db {
         }
     }
 
-    /// Enables or disables the block-at-a-time aggregation path
-    /// (enabled by default). With it off, every eligible aggregate
-    /// query runs row-at-a-time — the switch the row-vs-block
-    /// benchmarks and equivalence tests flip. Per-statement overrides
-    /// go through [`Db::execute_with`] instead.
-    pub fn set_block_scan(&self, enabled: bool) {
-        self.block_scan.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the block-at-a-time aggregation path is enabled.
-    pub fn block_scan(&self) -> bool {
-        self.block_scan.load(Ordering::Relaxed)
-    }
-
     /// Applies a mutation to the UDF registry (to add custom UDFs).
     /// Copy-on-write: statements already executing keep the registry
     /// snapshot they started with; new statements see the update.
@@ -520,7 +509,7 @@ impl Db {
                 .read()
                 .expect("system tables lock")
                 .clone(),
-            block_scan: opts.block_scan.unwrap_or_else(|| self.block_scan()),
+            block_scan: opts.block_scan.unwrap_or(true),
             cancel,
         }
     }
@@ -601,13 +590,24 @@ impl Db {
         cpu_started: u64,
         opts: &ExecOptions,
     ) -> Result<ResultSet> {
-        let (mut rs, cost) = LogSet::envelope(self.logs.as_ref(), payload, || {
+        let done = LogSet::envelope(self.logs.as_ref(), payload, || {
             self.dispatch(stmt, opts, outcome, parse_nanos)
-        })?;
+        });
+        // The calling thread's CPU counts on either outcome; a result's
+        // stats hold its scan helpers' CPU already.
+        let own_cpu = thread_cpu_nanos().saturating_sub(cpu_started);
+        let (mut rs, cost) = match done {
+            Ok(done) => done,
+            Err(e) => {
+                if let Some(trace) = &opts.trace {
+                    trace.add_cpu_nanos(own_cpu);
+                }
+                return Err(e);
+            }
+        };
         cost.charge(&mut rs.stats);
         rs.stats.parse_nanos = parse_nanos;
-        // Scan helpers' CPU is in already; add the calling thread's.
-        rs.stats.cpu_nanos += thread_cpu_nanos().saturating_sub(cpu_started);
+        rs.stats.cpu_nanos += own_cpu;
         if let Some(trace) = &opts.trace {
             trace.add_cpu_nanos(rs.stats.cpu_nanos);
             trace.add_wal(rs.stats.wal_bytes, rs.stats.wal_fsyncs);
@@ -773,21 +773,8 @@ impl Db {
             return Ok(Route::Single(i));
         }
         Ok(Route::Scatter {
-            aggregate: self.is_aggregate(stmt),
+            aggregate: is_aggregate_select(stmt, &self.registry()),
         })
-    }
-
-    /// Whether a SELECT runs in aggregate mode (GROUP BY present or any
-    /// projection contains an aggregate call): those gather by merging
-    /// partial accumulator states, everything else concatenates rows.
-    fn is_aggregate(&self, stmt: &SelectStmt) -> bool {
-        let registry = self.registry();
-        let is_agg = |n: &str| crate::expr::AggKind::is_aggregate_name(n, &registry);
-        !stmt.group_by.is_empty()
-            || stmt
-                .projections
-                .iter()
-                .any(|p| p.expr.contains_aggregate(&is_agg))
     }
 
     fn exec_select(&self, select: &SelectStmt, opts: &ExecOptions) -> Result<ResultSet> {
@@ -809,15 +796,12 @@ impl Db {
     fn exec_merge(&self, select: &SelectStmt, opts: &ExecOptions) -> Result<ResultSet> {
         let scatter_started = Instant::now();
         let partials = self.scatter(&self.all_targets(), opts, |_, shard, env| {
-            shard.execute_select_partial(select, env)
+            shard.ctx(env).execute_select_partial(select)
         })?;
         let scatter_nanos = scatter_started.elapsed().as_nanos() as u64;
 
         let gather_started = Instant::now();
-        let env = self.env(opts, opts.cancel.clone());
-        let mut rs = self.shards[0]
-            .ctx(&env)
-            .finalize_select_partials(select, partials)?;
+        let mut rs = AggPartial::merge(partials)?.finalize(select)?;
         rs.stats.scatter_nanos = scatter_nanos;
         rs.stats.gather_nanos = gather_started.elapsed().as_nanos() as u64;
         Ok(rs)
@@ -871,7 +855,7 @@ impl Db {
                     (col, k.descending)
                 })
                 .collect();
-            rows.sort_by(|a, b| order_rows(a, b, &resolved));
+            rows.sort_by(|a, b| row_cmp(a, b, resolved.iter().copied()));
         }
         if let Some(l) = select.limit {
             rows.truncate(l);
@@ -1526,32 +1510,6 @@ fn concat_plan(stmt: &SelectStmt) -> (SelectStmt, Vec<SortKey>, usize) {
         });
     }
     (out, keys, hidden)
-}
-
-/// Mirror of the engine's ORDER BY comparator: NULLs last regardless
-/// of direction; DESC reverses non-null comparisons only.
-fn order_rows(a: &Row, b: &Row, keys: &[(usize, bool)]) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    for &(col, desc) in keys {
-        let (va, vb) = (&a[col], &b[col]);
-        let ord = match (va.is_null(), vb.is_null()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Greater,
-            (false, true) => Ordering::Less,
-            (false, false) => {
-                let ord = va.sql_cmp(vb).unwrap_or(Ordering::Equal);
-                if desc {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            }
-        };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
 }
 
 /// Snapshot of one shard's cumulative activity, as reported through

@@ -10,7 +10,7 @@ use nlq_storage::{
     parallel_scan_partitions, Column, ColumnBlock, DataType, Row, Schema, Table, Value, BLOCK_ROWS,
 };
 use nlq_summary::{
-    project_nlq, shape_covers, SummaryData, SummaryDef, SummarySnapshot, SummaryStore,
+    project_nlq, shape_covers, SummaryData, SummaryDef, SummaryEntry, SummarySnapshot, SummaryStore,
 };
 use nlq_udf::{check_heap, BatchArg, FloatBatch, ScalarBatchArg, ScalarUdf, UdfRegistry};
 
@@ -96,6 +96,82 @@ pub(crate) struct PlannedSelect {
     aggregate_mode: bool,
 }
 
+impl PlannedSelect {
+    /// Whether the join product is the single empty combination: no
+    /// joined table, and no pushed predicate that excluded everything.
+    fn trivial_join(&self) -> bool {
+        matches!(self.join_product.as_slice(), [suffix] if suffix.is_empty())
+    }
+}
+
+/// Whether a SELECT runs in aggregate mode: GROUP BY present, or an
+/// aggregate call in some projection. Aggregate statements gather
+/// across shards by merging partial accumulator states; every other
+/// statement concatenates rows.
+pub(crate) fn is_aggregate_select(stmt: &SelectStmt, registry: &UdfRegistry) -> bool {
+    let is_agg = |n: &str| AggKind::is_aggregate_name(n, registry);
+    !stmt.group_by.is_empty()
+        || stmt
+            .projections
+            .iter()
+            .any(|p| p.expr.contains_aggregate(&is_agg))
+}
+
+/// How one SELECT reads its data, chosen once per engine by
+/// [`ExecContext::choose`]: the executor runs it and EXPLAIN prints it.
+enum AccessPath {
+    /// Answer an aggregate from a materialized Γ summary, one recipe
+    /// per aggregate call; `snap` is the state the choice was made on.
+    Summary {
+        entry: Arc<SummaryEntry>,
+        snap: SummarySnapshot,
+        recipes: Vec<SummaryRecipe>,
+    },
+    /// Scan column blocks for a global aggregate.
+    BlockAggregate(BlockPlan),
+    /// Scan rows for an aggregate, for the stated reason.
+    RowAggregate(String),
+    /// Compute a scalar projection a column block at a time.
+    BlockScalar(ScalarBlockPlan),
+    /// Scan rows for a scalar projection, for the stated reason.
+    RowScalar(String),
+}
+
+impl AccessPath {
+    /// The `scan mode:` line EXPLAIN prints for this path.
+    fn explain_line(&self) -> String {
+        match self {
+            AccessPath::Summary { snap, .. } if snap.fresh => {
+                format!("scan mode: summary ({}, fresh)", snap.def.name)
+            }
+            AccessPath::Summary { snap, .. } => format!(
+                "scan mode: summary ({}, stale; rebuilt on execute)",
+                snap.def.name
+            ),
+            AccessPath::BlockAggregate(bp) => block_line(bp.cols.len(), &bp.predicate, "float"),
+            AccessPath::BlockScalar(bp) => block_line(bp.cols.len(), &bp.predicate, "numeric"),
+            AccessPath::RowAggregate(why) | AccessPath::RowScalar(why) => {
+                format!("scan mode: row-at-a-time ({why})")
+            }
+        }
+    }
+}
+
+/// The EXPLAIN line for a block path over `cols` decoded columns;
+/// `kind` names them when no predicate adds columns of its own.
+fn block_line(cols: usize, predicate: &Option<CompiledPredicates>, kind: &str) -> String {
+    match predicate {
+        None => format!(
+            "scan mode: block ({BLOCK_ROWS}-row column blocks over {cols} {kind} column(s))"
+        ),
+        Some(p) => format!(
+            "scan mode: block ({BLOCK_ROWS}-row column blocks over {cols} numeric column(s); \
+             {} predicate(s) as selection bitmap)",
+            p.len()
+        ),
+    }
+}
+
 impl ExecContext<'_> {
     /// Runs `scan(p)` for every partition of `base` on the scan pool
     /// and returns the results in partition order, with the thread CPU
@@ -125,28 +201,101 @@ impl ExecContext<'_> {
 
     /// Executes a SELECT statement to completion.
     pub fn execute_select(&self, stmt: &SelectStmt) -> Result<ResultSet> {
-        let plan_started = Instant::now();
-        let plan = self.plan_select(stmt)?;
-        let plan_nanos = plan_started.elapsed().as_nanos() as u64;
-        let mut rs = if plan.aggregate_mode {
-            self.execute_aggregate(
-                stmt,
-                &plan.base,
-                &plan.schema,
-                &plan.join_product,
-                &plan.residual,
-            )?
+        let (plan, bindings, stats) = self.prepare(stmt)?;
+        if plan.aggregate_mode {
+            self.aggregate(stmt, &plan, bindings, stats)?.finalize(stmt)
         } else {
-            self.execute_scalar(
-                stmt,
-                &plan.base,
-                &plan.schema,
-                &plan.join_product,
-                &plan.residual,
-            )?
+            self.execute_scalar(stmt, &plan, bindings, stats)
+        }
+    }
+
+    /// Runs phases 1–3 of an aggregate SELECT and packages the result
+    /// as a shippable [`AggPartial`] (the scatter half of a sharded
+    /// aggregate).
+    pub fn execute_select_partial(&self, stmt: &SelectStmt) -> Result<AggPartial> {
+        let (plan, bindings, stats) = self.prepare(stmt)?;
+        if !plan.aggregate_mode {
+            return Err(EngineError::Unsupported(
+                "partial execution requires an aggregate SELECT".into(),
+            ));
+        }
+        self.aggregate(stmt, &plan, bindings, stats)
+    }
+
+    /// Describes the plan for a SELECT without executing its scan —
+    /// the `EXPLAIN` statement. It plans, binds and chooses exactly as
+    /// execution does, so it fails where the statement would, and its
+    /// scan-mode line is the path the executor would take now.
+    pub fn explain_select(&self, stmt: &SelectStmt) -> Result<Vec<String>> {
+        let (plan, bindings, mut stats) = self.prepare(stmt)?;
+        let path = self.choose(stmt, &plan, &bindings, &mut stats);
+        let mut lines = Vec::new();
+        lines.push(format!(
+            "scan {} ({} rows, {} partitions, {} workers)",
+            stmt.from[0].name,
+            plan.base.row_count(),
+            plan.base.partition_count(),
+            self.workers
+        ));
+        if stmt.from.len() > 1 {
+            let names: Vec<&str> = stmt.from[1..].iter().map(|t| t.name.as_str()).collect();
+            lines.push(format!(
+                "cross join [{}] -> {} combination(s) after pushing {} predicate(s)",
+                names.join(", "),
+                plan.join_product.len(),
+                plan.pushed
+            ));
+        } else if plan.pushed > 0 {
+            lines.push(format!("{} constant predicate(s) pushed", plan.pushed));
+        }
+        if !plan.residual.is_empty() {
+            lines.push(format!(
+                "filter: {} residual predicate(s) per row",
+                plan.residual.len()
+            ));
+        }
+        if plan.aggregate_mode {
+            let calls = &bindings.agg_calls;
+            let fast = bindings.fast_args.iter().filter(|f| f.is_some()).count();
+            let udfs = calls
+                .iter()
+                .filter(|c| matches!(c.kind, AggKind::Udf(_)))
+                .count();
+            lines.push(format!(
+                "aggregate: {} call(s) ({fast} fast-path candidate(s), {udfs} UDF state(s)); group by {} key(s)",
+                calls.len(),
+                stmt.group_by.len()
+            ));
+        } else {
+            lines.push(format!(
+                "project: {} expression(s) per row",
+                stmt.projections.len()
+            ));
+        }
+        lines.push(path.explain_line());
+        if stmt.having.is_some() {
+            lines.push("having: post-aggregation filter".into());
+        }
+        if !stmt.order_by.is_empty() {
+            lines.push(format!("order by: {} key(s)", stmt.order_by.len()));
+        }
+        if let Some(limit) = stmt.limit {
+            lines.push(format!("limit: {limit}"));
+        }
+        Ok(lines)
+    }
+
+    /// Plans and binds a SELECT; the time both take is the statement's
+    /// plan phase.
+    fn prepare(&self, stmt: &SelectStmt) -> Result<(PlannedSelect, Bindings, ExecStats)> {
+        let started = Instant::now();
+        let plan = self.plan_select(stmt)?;
+        let bindings = self.bind_select(stmt, &plan.schema, plan.aggregate_mode)?;
+        let stats = ExecStats {
+            plan_nanos: started.elapsed().as_nanos() as u64,
+            ..ExecStats::default()
         };
-        rs.stats.plan_nanos = plan_nanos;
-        Ok(rs)
+        Ok((plan, bindings, stats))
     }
 
     /// Plans a SELECT: resolves tables, binds and classifies WHERE
@@ -244,166 +393,227 @@ impl ExecContext<'_> {
             "all join-only predicates applied"
         );
 
-        let is_agg_name = |n: &str| AggKind::is_aggregate_name(n, &self.registry);
-        let aggregate_mode = !stmt.group_by.is_empty()
-            || stmt
-                .projections
-                .iter()
-                .any(|p| p.expr.contains_aggregate(&is_agg_name));
-
         Ok(PlannedSelect {
             base,
             schema,
             join_product,
             residual,
             pushed: join_only.len(),
-            aggregate_mode,
+            aggregate_mode: is_aggregate_select(stmt, &self.registry),
         })
     }
 
-    /// Describes the plan for a SELECT without executing its scan —
-    /// the `EXPLAIN` statement.
-    pub fn explain_select(&self, stmt: &SelectStmt) -> Result<Vec<String>> {
-        let plan = self.plan_select(stmt)?;
-        let mut lines = Vec::new();
-        lines.push(format!(
-            "scan {} ({} rows, {} partitions, {} workers)",
-            stmt.from[0].name,
-            plan.base.row_count(),
-            plan.base.partition_count(),
-            self.workers
-        ));
-        if stmt.from.len() > 1 {
-            let names: Vec<&str> = stmt.from[1..].iter().map(|t| t.name.as_str()).collect();
-            lines.push(format!(
-                "cross join [{}] -> {} combination(s) after pushing {} predicate(s)",
-                names.join(", "),
-                plan.join_product.len(),
-                plan.pushed
-            ));
-        } else if plan.pushed > 0 {
-            lines.push(format!("{} constant predicate(s) pushed", plan.pushed));
-        }
-        if !plan.residual.is_empty() {
-            lines.push(format!(
-                "filter: {} residual predicate(s) per row",
-                plan.residual.len()
+    /// Binds everything a SELECT evaluates — GROUP BY keys,
+    /// projections, HAVING, ORDER BY — collecting the aggregate calls
+    /// they contain (aggregate mode) or refusing any (scalar mode, where
+    /// `*` expands to every column). Binding is deterministic, so two
+    /// engines with the same catalog and registry produce the same call
+    /// list (the property shard gather relies on to line partials up).
+    fn bind_select(
+        &self,
+        stmt: &SelectStmt,
+        schema: &BoundSchema,
+        aggregate: bool,
+    ) -> Result<Bindings> {
+        if !aggregate && stmt.having.is_some() {
+            return Err(EngineError::Unsupported(
+                "HAVING requires aggregation or GROUP BY".into(),
             ));
         }
-        if plan.aggregate_mode {
-            // The executor's own binding: projections, HAVING and ORDER
-            // BY, so every aggregate call the statement runs is counted.
-            let bindings = self.bind_aggregate(stmt, &plan.schema)?;
-            let agg_calls = &bindings.agg_calls;
-            let fast_args = compute_fast_args(agg_calls);
-            let fast = fast_args.iter().filter(|f| f.is_some()).count();
-            let udfs = agg_calls
-                .iter()
-                .filter(|c| matches!(c.kind, AggKind::Udf(_)))
-                .count();
-            lines.push(format!(
-                "aggregate: {} call(s) ({fast} fast-path candidate(s), {udfs} UDF state(s)); group by {} key(s)",
-                agg_calls.len(),
-                stmt.group_by.len()
-            ));
-            let trivial_join = plan.join_product.len() == 1 && plan.join_product[0].is_empty();
-            // Mirror the executor's summary rewrite (without rebuilding
-            // anything): report the summary that would answer.
-            let summary_line = if stmt.from.len() == 1 && trivial_join && plan.residual.is_empty() {
-                self.explain_summary_match(stmt, &plan.schema, agg_calls)?
+        let group_bound: Vec<BoundExpr> = stmt
+            .group_by
+            .iter()
+            .map(|g| Binder::scalar(schema, &self.registry).bind(g))
+            .collect::<Result<_>>()?;
+
+        // Projections, HAVING and ORDER BY may each contribute
+        // aggregate calls (e.g. `HAVING count(*) > 5`,
+        // `ORDER BY sum(v) DESC`).
+        let mut agg_calls: Vec<AggCall> = Vec::new();
+        let bind = |e: &Expr, calls: &mut Vec<AggCall>| {
+            Binder {
+                schema,
+                registry: &self.registry,
+                group_exprs: &stmt.group_by,
+                aggs: aggregate.then_some(calls),
+            }
+            .bind(e)
+        };
+        let mut proj_bound = Vec::new();
+        let mut names = Vec::new();
+        for (i, p) in stmt.projections.iter().enumerate() {
+            if p.expr == Expr::Wildcard && !aggregate {
+                for c in 0..schema.len() {
+                    proj_bound.push(BoundExpr::ColumnRef(c));
+                    names.push(schema.column_name(c).to_owned());
+                }
             } else {
-                None
+                proj_bound.push(bind(&p.expr, &mut agg_calls)?);
+                names.push(projection_name(p, i));
+            }
+        }
+        let having_bound = match &stmt.having {
+            Some(h) => Some(bind(h, &mut agg_calls)?),
+            None => None,
+        };
+        // ORDER BY keys: an expression, or a 1-based output ordinal
+        // (`ORDER BY 2`).
+        let order_bound: Vec<(OrderEval, bool)> = stmt
+            .order_by
+            .iter()
+            .map(|key| {
+                let eval = match &key.expr {
+                    Expr::Literal(Value::Int(k)) => {
+                        let idx = (*k as usize)
+                            .checked_sub(1)
+                            .filter(|i| *i < proj_bound.len());
+                        OrderEval::Ordinal(idx.ok_or_else(|| {
+                            EngineError::Unsupported(format!("ORDER BY ordinal {k} out of range"))
+                        })?)
+                    }
+                    e => OrderEval::Expr(bind(e, &mut agg_calls)?),
+                };
+                Ok((eval, key.descending))
+            })
+            .collect::<Result<_>>()?;
+
+        // Verify every aggregate UDF state fits the heap budget.
+        for call in &agg_calls {
+            if let AggKind::Udf(udf) = &call.kind {
+                let probe = udf.init();
+                check_heap(udf.name(), probe.as_ref())?;
+            }
+        }
+
+        Ok(Bindings {
+            group_bound,
+            fast_args: compute_fast_args(&agg_calls),
+            agg_calls,
+            proj_bound,
+            names,
+            having_bound,
+            order_bound,
+        })
+    }
+
+    /// Chooses how a planned, bound SELECT reads its data: a summary
+    /// answer first, then the block scan, then the row scan. This is
+    /// the one place that reads the block-scan switch, GROUP BY, ORDER
+    /// BY, the join shape and summary eligibility; the executor runs
+    /// the choice and EXPLAIN prints it. The summary probe's time, and
+    /// a miss when summaries exist but none answers, go to `stats`.
+    fn choose(
+        &self,
+        stmt: &SelectStmt,
+        plan: &PlannedSelect,
+        bindings: &Bindings,
+        stats: &mut ExecStats,
+    ) -> AccessPath {
+        if plan.aggregate_mode
+            && stmt.from.len() == 1
+            && plan.trivial_join()
+            && plan.residual.is_empty()
+        {
+            let started = Instant::now();
+            let summary = self.choose_summary(stmt, plan, bindings, stats);
+            stats.summary_nanos += started.elapsed().as_nanos() as u64;
+            if let Some(path) = summary {
+                return path;
+            }
+        }
+        self.choose_scan(stmt, plan, bindings)
+    }
+
+    /// The first summary on the statement's table that answers every
+    /// aggregate call, judged on its current state. A stale candidate
+    /// is gated on the NULL-skip count it had before the rebuild that
+    /// execution runs, so the executor never rebuilds a summary only
+    /// to decline it for NULL rows it had already skipped.
+    fn choose_summary(
+        &self,
+        stmt: &SelectStmt,
+        plan: &PlannedSelect,
+        bindings: &Bindings,
+        stats: &mut ExecStats,
+    ) -> Option<AccessPath> {
+        let candidates = self.summaries.for_table(&stmt.from[0].name);
+        if candidates.is_empty() || bindings.agg_calls.is_empty() {
+            return None;
+        }
+        // The only group shape a keyed summary stores: one plain
+        // column reference.
+        let want_group = match bindings.group_bound.as_slice() {
+            [] => None,
+            [BoundExpr::ColumnRef(i)] => Some(plan.schema.column_name(*i)),
+            _ => {
+                stats.summary_misses += 1;
+                return None;
+            }
+        };
+        for entry in candidates {
+            let Some(recipes) =
+                plan_summary_recipes(entry.def(), &plan.schema, &bindings.agg_calls, want_group)
+            else {
+                continue;
             };
-            // Mirror the executor's block-path eligibility test so the
-            // plan shows which scan mode will run.
-            let block_plan = if self.block_scan && stmt.group_by.is_empty() && trivial_join {
+            let snap = entry.snapshot();
+            if null_gate(entry.def(), &recipes, snap.null_rows_skipped) {
+                return Some(AccessPath::Summary {
+                    entry,
+                    snap,
+                    recipes,
+                });
+            }
+        }
+        stats.summary_misses += 1;
+        None
+    }
+
+    /// The scan half of [`ExecContext::choose`]: the block path when
+    /// the statement qualifies, else the row path with the reason, most
+    /// significant obstacle first.
+    fn choose_scan(
+        &self,
+        stmt: &SelectStmt,
+        plan: &PlannedSelect,
+        bindings: &Bindings,
+    ) -> AccessPath {
+        let block = if !self.block_scan {
+            Err("block scan disabled".to_owned())
+        } else if plan.aggregate_mode {
+            if !stmt.group_by.is_empty() {
+                Err("GROUP BY requires row grouping".to_owned())
+            } else if !plan.trivial_join() {
+                Err("cross join".to_owned())
+            } else {
                 plan_block_calls(
                     &plan.schema,
                     &plan.base,
-                    agg_calls,
-                    &fast_args,
+                    &bindings.agg_calls,
+                    &bindings.fast_args,
                     &plan.residual,
                 )
-            } else {
-                None
-            };
-            match (summary_line, block_plan) {
-                (Some(line), _) => lines.push(line),
-                (None, Some(bp)) => lines.push(block_agg_line(&bp)),
-                (None, None) => {
-                    // State why the vectorized path is ineligible, most
-                    // significant obstacle first.
-                    let reason = if !self.block_scan {
-                        "block scan disabled".to_owned()
-                    } else if !stmt.group_by.is_empty() {
-                        "GROUP BY requires row grouping".to_owned()
-                    } else if !trivial_join {
-                        "cross join".to_owned()
-                    } else if plan_block_calls(&plan.schema, &plan.base, agg_calls, &fast_args, &[])
-                        .is_none()
-                    {
-                        "aggregate arguments are not all float base-table columns".to_owned()
-                    } else {
-                        format!(
-                            "{} residual predicate(s) not block-compilable",
-                            plan.residual.len()
-                        )
-                    };
-                    lines.push(format!("scan mode: row-at-a-time ({reason})"));
-                }
+                .map(AccessPath::BlockAggregate)
             }
-            if stmt.having.is_some() {
-                lines.push("having: post-aggregation filter".into());
-            }
+        } else if !stmt.order_by.is_empty() {
+            Err("ORDER BY requires row materialization".to_owned())
         } else {
-            lines.push(format!(
-                "project: {} expression(s) per row",
-                stmt.projections.len()
-            ));
-            // Mirror the executor's scalar block-path eligibility test
-            // (scoring queries decode column blocks instead of rows).
-            let mut bound = Vec::new();
-            for p in &stmt.projections {
-                if p.expr == Expr::Wildcard {
-                    for c in 0..plan.schema.len() {
-                        bound.push(BoundExpr::ColumnRef(c));
-                    }
-                } else {
-                    bound.push(Binder::scalar(&plan.schema, &self.registry).bind(&p.expr)?);
-                }
-            }
-            let block_plan = if self.block_scan && stmt.order_by.is_empty() {
-                plan_scalar_block(
-                    &plan.schema,
-                    &plan.base,
-                    &plan.join_product,
-                    &bound,
-                    &plan.residual,
-                )
+            plan_scalar_block(
+                &plan.schema,
+                &plan.base,
+                &plan.join_product,
+                &bindings.proj_bound,
+                &plan.residual,
+            )
+            .map(AccessPath::BlockScalar)
+        };
+        block.unwrap_or_else(|why| {
+            if plan.aggregate_mode {
+                AccessPath::RowAggregate(why)
             } else {
-                Err(String::new())
-            };
-            match block_plan {
-                Ok(bp) => lines.push(block_scalar_line(&bp)),
-                Err(why) => {
-                    let reason = if !self.block_scan {
-                        "block scan disabled".to_owned()
-                    } else if !stmt.order_by.is_empty() {
-                        "ORDER BY requires row materialization".to_owned()
-                    } else {
-                        why
-                    };
-                    lines.push(format!("scan mode: row-at-a-time ({reason})"));
-                }
+                AccessPath::RowScalar(why)
             }
-        }
-        if !stmt.order_by.is_empty() {
-            lines.push(format!("order by: {} key(s)", stmt.order_by.len()));
-        }
-        if let Some(limit) = stmt.limit {
-            lines.push(format!("limit: {limit}"));
-        }
-        Ok(lines)
+        })
     }
 
     /// Resolves a name to a materialized table, executing views.
@@ -433,78 +643,35 @@ impl ExecContext<'_> {
         }
     }
 
+    /// Runs a scalar SELECT on its chosen path. The block path decodes
+    /// column blocks and computes each projection a column at a time,
+    /// producing column blocks instead of rows (the scoring queries:
+    /// scalar UDFs over float base columns plus model-table constants
+    /// from a single join combination); residual predicates ride along
+    /// as per-block selection bitmaps, and a LIMIT stops each worker
+    /// early. The row path evaluates every projection per row.
     fn execute_scalar(
         &self,
         stmt: &SelectStmt,
-        base: &Table,
-        schema: &BoundSchema,
-        join_product: &[Row],
-        residual: &[BoundExpr],
+        plan: &PlannedSelect,
+        bindings: Bindings,
+        mut stats: ExecStats,
     ) -> Result<ResultSet> {
-        if stmt.having.is_some() {
-            return Err(EngineError::Unsupported(
-                "HAVING requires aggregation or GROUP BY".into(),
-            ));
-        }
-        // Expand projections (wildcard becomes every column).
-        let mut bound = Vec::new();
-        let mut names = Vec::new();
-        for (i, p) in stmt.projections.iter().enumerate() {
-            if p.expr == Expr::Wildcard {
-                for c in 0..schema.len() {
-                    bound.push(BoundExpr::ColumnRef(c));
-                    names.push(schema.column_name(c).to_owned());
-                }
-            } else {
-                bound.push(Binder::scalar(schema, &self.registry).bind(&p.expr)?);
-                names.push(projection_name(p, i));
-            }
-        }
-
-        // ORDER BY keys: bound against the input schema, or a 1-based
-        // output ordinal (`ORDER BY 2`).
-        let order_bound: Vec<(OrderEval, bool)> = stmt
-            .order_by
-            .iter()
-            .map(|key| {
-                let eval = match &key.expr {
-                    Expr::Literal(Value::Int(k)) => {
-                        let idx = (*k as usize).checked_sub(1).filter(|i| *i < bound.len());
-                        OrderEval::Ordinal(idx.ok_or_else(|| {
-                            EngineError::Unsupported(format!("ORDER BY ordinal {k} out of range"))
-                        })?)
-                    }
-                    e => OrderEval::Expr(Binder::scalar(schema, &self.registry).bind(e)?),
-                };
-                Ok((eval, key.descending))
-            })
-            .collect::<Result<_>>()?;
-
-        // Vectorized alternative to the row loop: scoring-style
-        // projections (scalar UDFs over float base columns plus
-        // model-table constants from a single join combination) decode
-        // column blocks and compute a column at a time, producing
-        // column blocks instead of rows. Residual predicates ride
-        // along as per-block selection bitmaps, and a LIMIT stops each
-        // worker early.
-        if self.block_scan && stmt.order_by.is_empty() {
-            if let Ok(plan) = plan_scalar_block(schema, base, join_product, &bound, residual) {
-                let scan_started = Instant::now();
-                let (blocks, stats) = self.run_scalar_block(base, &plan, stmt.limit)?;
-                let mut rs = ResultSet::from_blocks(names, blocks);
-                rs.stats = ExecStats {
-                    block_path: true,
-                    scan_nanos: scan_started.elapsed().as_nanos() as u64,
-                    ..stats
-                };
-                return Ok(rs);
-            }
-        }
-
-        let bound_ref = &bound;
-        let order_ref = &order_bound;
-        let cancel = self.cancel.as_deref();
+        let path = self.choose(stmt, plan, &bindings, &mut stats);
+        let base = &plan.base;
         let scan_started = Instant::now();
+        if let AccessPath::BlockScalar(bp) = &path {
+            let blocks = self.run_scalar_block(base, bp, stmt.limit, &mut stats)?;
+            let mut rs = ResultSet::from_blocks(bindings.names, blocks);
+            stats.block_path = true;
+            stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
+            rs.stats = stats;
+            return Ok(rs);
+        }
+
+        let (bound, order) = (&bindings.proj_bound, &bindings.order_bound);
+        let (join_product, residual) = (&plan.join_product, &plan.residual);
+        let cancel = self.cancel.as_deref();
         // Each worker returns its keyed projections plus how many base
         // rows it scanned.
         type KeyedPartial = (Vec<(Row, Row)>, u64);
@@ -531,19 +698,12 @@ impl ExecContext<'_> {
                             continue 'suffixes;
                         }
                     }
-                    let mut projected = Vec::with_capacity(bound_ref.len());
-                    for b in bound_ref {
-                        projected.push(b.eval(combined, &[], &[])?);
-                    }
-                    // Evaluate ORDER BY keys against the same row and
-                    // carry them alongside the projection.
-                    let mut keys = Vec::with_capacity(order_ref.len());
-                    for (eval, _) in order_ref {
-                        keys.push(match eval {
-                            OrderEval::Ordinal(i) => projected[*i].clone(),
-                            OrderEval::Expr(e) => e.eval(combined, &[], &[])?,
-                        });
-                    }
+                    let projected = bound
+                        .iter()
+                        .map(|b| b.eval(combined, &[], &[]))
+                        .collect::<Result<Row>>()?;
+                    // ORDER BY keys ride along with the projection.
+                    let keys = order_keys(order, &projected, |e| e.eval(combined, &[], &[]))?;
                     out.push((keys, projected));
                 }
             }
@@ -551,17 +711,15 @@ impl ExecContext<'_> {
         });
 
         let mut keyed_rows = Vec::new();
-        let mut rows_scanned = 0u64;
         for (p, scanned) in merge_partial_errors(partials)? {
             keyed_rows.extend(p);
-            rows_scanned += scanned;
+            stats.rows_scanned += scanned;
         }
-        let scan_nanos = scan_started.elapsed().as_nanos() as u64;
-        let rows = finish_rows(keyed_rows, &stmt.order_by, stmt.limit);
-        let mut rs = ResultSet::new(names, rows);
-        rs.stats.rows_scanned = rows_scanned;
-        rs.stats.scan_nanos = scan_nanos;
-        rs.stats.cpu_nanos = helper_cpu;
+        stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
+        stats.cpu_nanos += helper_cpu;
+        let rows = finish_rows(keyed_rows, order, stmt.limit);
+        let mut rs = ResultSet::new(bindings.names, rows);
+        rs.stats = stats;
         Ok(rs)
     }
 
@@ -569,13 +727,15 @@ impl ExecContext<'_> {
     /// blocks per partition and compute each projection a column at a
     /// time. Returns one output block per scanned block that kept
     /// rows, in the row path's (partition-major) order, `limit` rows at
-    /// most, with the scan's row, block and helper-CPU counters.
+    /// most, and adds the scan's row, block and helper-CPU counters to
+    /// `stats`.
     fn run_scalar_block(
         &self,
         base: &Table,
         plan: &ScalarBlockPlan,
         limit: Option<usize>,
-    ) -> Result<(Vec<ResultBlock>, ExecStats)> {
+        stats: &mut ExecStats,
+    ) -> Result<Vec<ResultBlock>> {
         let cancel = self.cancel.as_deref();
         type Partial = (Vec<ResultBlock>, u64, u64);
         let (partials, cpu_nanos) = self.scan_partitions(base, |p| -> Result<Partial> {
@@ -624,10 +784,7 @@ impl ExecContext<'_> {
             Ok((out, rows, blocks))
         });
         let mut all = Vec::new();
-        let mut stats = ExecStats {
-            cpu_nanos,
-            ..ExecStats::default()
-        };
+        stats.cpu_nanos += cpu_nanos;
         for (o, r, b) in merge_partial_errors(partials)? {
             all.extend(o);
             stats.rows_scanned += r;
@@ -636,185 +793,67 @@ impl ExecContext<'_> {
         if let Some(l) = limit {
             truncate_blocks(&mut all, l);
         }
-        Ok((all, stats))
+        Ok(all)
     }
 
-    fn execute_aggregate(
+    /// Phases 1–3 of the aggregation protocol on the chosen path — a
+    /// summary answer or a parallel scan, then the per-engine partial
+    /// merge — packaged as an [`AggPartial`] that the caller finalizes
+    /// alone ([`AggPartial::finalize`]) or ships to a gather that
+    /// merges it with other shards' partials first. A summary answer
+    /// yields *accumulator* states (not finalized values), so it merges
+    /// with other engines' partials like any scan.
+    fn aggregate(
         &self,
         stmt: &SelectStmt,
-        base: &Table,
-        schema: &BoundSchema,
-        join_product: &[Row],
-        residual: &[BoundExpr],
-    ) -> Result<ResultSet> {
-        let bindings = self.bind_aggregate(stmt, schema)?;
-        let mut stats = ExecStats::default();
-        let merged = self.aggregate_partials(
-            stmt,
-            base,
-            schema,
-            join_product,
-            residual,
-            &bindings,
-            &mut stats,
-        )?;
-        finalize_merged(stmt, &bindings, merged, stats)
-    }
-
-    /// Binds everything an aggregate SELECT evaluates — GROUP BY keys,
-    /// projections, HAVING, ORDER BY — collecting the aggregate calls
-    /// they contain. Binding is deterministic, so two engines with the
-    /// same catalog and registry produce the same call list (the
-    /// property shard gather relies on to line partials up).
-    fn bind_aggregate(&self, stmt: &SelectStmt, schema: &BoundSchema) -> Result<AggBindings> {
-        // Bind GROUP BY keys (scalar mode).
-        let group_bound: Vec<BoundExpr> = stmt
-            .group_by
-            .iter()
-            .map(|g| Binder::scalar(schema, &self.registry).bind(g))
-            .collect::<Result<_>>()?;
-
-        // Bind projections in aggregate mode, extracting agg calls.
-        let mut agg_calls: Vec<AggCall> = Vec::new();
-        let mut proj_bound = Vec::new();
-        let mut names = Vec::new();
-        for (i, p) in stmt.projections.iter().enumerate() {
-            let mut binder = Binder {
-                schema,
-                registry: &self.registry,
-                group_exprs: &stmt.group_by,
-                aggs: Some(&mut agg_calls),
-            };
-            proj_bound.push(binder.bind(&p.expr)?);
-            names.push(projection_name(p, i));
-        }
-
-        // HAVING and ORDER BY are also bound in aggregate mode so they
-        // may introduce their own aggregate calls (e.g.
-        // `HAVING count(*) > 5`, `ORDER BY sum(v) DESC`).
-        let having_bound = match &stmt.having {
-            Some(h) => {
-                let mut binder = Binder {
-                    schema,
-                    registry: &self.registry,
-                    group_exprs: &stmt.group_by,
-                    aggs: Some(&mut agg_calls),
-                };
-                Some(binder.bind(h)?)
+        plan: &PlannedSelect,
+        bindings: Bindings,
+        mut stats: ExecStats,
+    ) -> Result<AggPartial> {
+        let path = match self.choose(stmt, plan, &bindings, &mut stats) {
+            AccessPath::Summary {
+                entry,
+                snap,
+                recipes,
+            } => {
+                let started = Instant::now();
+                let answer = self.summary_answer(
+                    &plan.base,
+                    &entry,
+                    snap,
+                    &recipes,
+                    &bindings.agg_calls,
+                    &mut stats,
+                );
+                stats.summary_nanos += started.elapsed().as_nanos() as u64;
+                if let Some(groups) = answer? {
+                    return Ok(AggPartial {
+                        groups,
+                        bindings,
+                        stats,
+                    });
+                }
+                stats.summary_misses += 1;
+                self.choose_scan(stmt, plan, &bindings)
             }
-            None => None,
+            path => path,
         };
-        let order_bound: Vec<(OrderEval, bool)> = stmt
-            .order_by
-            .iter()
-            .map(|key| {
-                let eval = match &key.expr {
-                    Expr::Literal(Value::Int(k)) => {
-                        let idx = (*k as usize)
-                            .checked_sub(1)
-                            .filter(|i| *i < proj_bound.len());
-                        OrderEval::Ordinal(idx.ok_or_else(|| {
-                            EngineError::Unsupported(format!("ORDER BY ordinal {k} out of range"))
-                        })?)
-                    }
-                    e => {
-                        let mut binder = Binder {
-                            schema,
-                            registry: &self.registry,
-                            group_exprs: &stmt.group_by,
-                            aggs: Some(&mut agg_calls),
-                        };
-                        OrderEval::Expr(binder.bind(e)?)
-                    }
-                };
-                Ok((eval, key.descending))
-            })
-            .collect::<Result<_>>()?;
+        let block_plan = match &path {
+            AccessPath::BlockAggregate(bp) => Some(bp),
+            _ => None,
+        };
 
-        // Verify every aggregate UDF state fits the heap budget.
-        for call in &agg_calls {
-            if let AggKind::Udf(udf) = &call.kind {
-                let probe = udf.init();
-                check_heap(udf.name(), probe.as_ref())?;
-            }
-        }
-
-        Ok(AggBindings {
-            group_bound,
-            agg_calls,
-            proj_bound,
-            names,
-            having_bound,
-            order_bound,
-        })
-    }
-
-    /// Phases 1–3 of the aggregation protocol: summary rewrite or
-    /// parallel scan, then the per-engine partial merge. Returns the
-    /// merged (but unfinalized) per-group accumulator states, so the
-    /// caller can either finalize locally ([`finalize_merged`]) or
-    /// ship them to a gather step that merges across shards first.
-    #[allow(clippy::too_many_arguments)]
-    fn aggregate_partials(
-        &self,
-        stmt: &SelectStmt,
-        base: &Table,
-        schema: &BoundSchema,
-        join_product: &[Row],
-        residual: &[BoundExpr],
-        bindings: &AggBindings,
-        stats: &mut ExecStats,
-    ) -> Result<GroupMap> {
-        let group_bound = &bindings.group_bound;
-        let agg_calls = &bindings.agg_calls;
-
-        // Planner rewrite: answer the whole statement from a
-        // materialized Γ summary when one structurally matches — no
-        // scan at all, O(groups · d²) work. The summary yields
-        // *accumulator* states (not finalized values), so a summary
-        // answer merges with other engines' partials like any scan.
-        let trivial_join = join_product.len() == 1 && join_product[0].is_empty();
-        if stmt.from.len() == 1 && trivial_join && residual.is_empty() {
-            let summary_started = Instant::now();
-            let answer = self.try_summary_answer(
-                &stmt.from[0].name,
-                base,
-                schema,
-                group_bound,
-                agg_calls,
-                stats,
-            )?;
-            stats.summary_nanos = summary_started.elapsed().as_nanos() as u64;
-            if let Some(groups) = answer {
-                return Ok(groups);
-            }
-        }
-
-        // Recognize fast shapes for simple numeric aggregate terms
-        // (the bulk of the paper's generated 1 + d + d² queries).
-        let fast_args = compute_fast_args(agg_calls);
-
-        let group_ref = group_bound;
-        let calls_ref = agg_calls;
-        let fast_ref = &fast_args;
+        let (base, join_product, residual) = (&plan.base, &plan.join_product, &plan.residual);
+        let group_ref = &bindings.group_bound;
+        let calls_ref = &bindings.agg_calls;
+        let fast_ref = &bindings.fast_args;
         let cancel = self.cancel.as_deref();
-
-        // Vectorized alternative to the row loop: when the whole
-        // statement is a global aggregate over numeric columns of the
-        // base table, scan fixed-size column blocks instead of rows.
-        // Compilable residual predicates become per-block selection
-        // bitmaps rather than forcing the row path.
-        let block_plan = if self.block_scan && group_bound.is_empty() && trivial_join {
-            plan_block_calls(schema, base, agg_calls, &fast_args, residual)
-        } else {
-            None
-        };
 
         // Phase 1-2: each worker accumulates per-group partial states
         // over its partition (the UDF protocol's init + row steps).
         let scan_started = Instant::now();
         type Partial = (GroupMap, u64, u64, u64);
-        let (partials, helper_cpu): (Vec<Result<Partial>>, u64) = if let Some(plan) = &block_plan {
+        let (partials, helper_cpu): (Vec<Result<Partial>>, u64) = if let Some(plan) = block_plan {
             stats.block_path = true;
             self.scan_partitions(base, |p| {
                 let start = Instant::now();
@@ -910,266 +949,78 @@ impl ExecContext<'_> {
             stats.rows_scanned += rows;
             stats.blocks_scanned += blocks;
             stats.accumulate_nanos += nanos;
-            for (key, accums) in groups {
-                match merged.get_mut(&key) {
-                    None => {
-                        merged.insert(key, accums);
-                    }
-                    Some(existing) => {
-                        for (e, a) in existing.iter_mut().zip(accums) {
-                            e.merge(a)?;
-                        }
-                    }
-                }
-            }
+            merge_groups(&mut merged, groups)?;
         }
         stats.merge_nanos = merge_start.elapsed().as_nanos() as u64;
         stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
-        Ok(merged)
-    }
-
-    /// Runs phases 1–3 of an aggregate SELECT and packages the result
-    /// as a shippable [`AggPartial`] (the scatter half of a sharded
-    /// aggregate).
-    pub fn execute_select_partial(&self, stmt: &SelectStmt) -> Result<AggPartial> {
-        let plan_started = Instant::now();
-        let plan = self.plan_select(stmt)?;
-        if !plan.aggregate_mode {
-            return Err(EngineError::Unsupported(
-                "partial execution requires an aggregate SELECT".into(),
-            ));
-        }
-        let bindings = self.bind_aggregate(stmt, &plan.schema)?;
-        let mut stats = ExecStats {
-            plan_nanos: plan_started.elapsed().as_nanos() as u64,
-            ..ExecStats::default()
-        };
-        let merged = self.aggregate_partials(
-            stmt,
-            &plan.base,
-            &plan.schema,
-            &plan.join_product,
-            &plan.residual,
-            &bindings,
-            &mut stats,
-        )?;
         Ok(AggPartial {
-            groups: merged.into_iter().collect(),
+            groups: merged,
+            bindings,
             stats,
         })
     }
 
-    /// The gather half of a sharded aggregate: merges partials from
-    /// [`ExecContext::execute_select_partial`] group-by-group through
-    /// the accumulator merge protocol, then finalizes. Statement
-    /// counters are summed; `summary_path` survives only when *every*
-    /// partial was answered from a summary.
-    pub fn finalize_select_partials(
+    /// Answers from the chosen summary, rebuilding a stale one first
+    /// (the stale → fresh edge). A rebuilt state is checked again —
+    /// fresh, and past the NULL gate with its new skip count — which
+    /// keeps the answer correct when the rebuild changed what the
+    /// summary covers. `None` declines to a scan.
+    fn summary_answer(
         &self,
-        stmt: &SelectStmt,
-        partials: Vec<AggPartial>,
-    ) -> Result<ResultSet> {
-        let plan = self.plan_select(stmt)?;
-        if !plan.aggregate_mode {
-            return Err(EngineError::Unsupported(
-                "partial execution requires an aggregate SELECT".into(),
-            ));
-        }
-        let bindings = self.bind_aggregate(stmt, &plan.schema)?;
-        let mut stats = ExecStats::default();
-        let mut all_summary = !partials.is_empty();
-        let merge_start = Instant::now();
-        let mut merged: GroupMap = HashMap::new();
-        for partial in partials {
-            stats.absorb(&partial.stats);
-            all_summary &= partial.stats.summary_path;
-            for (key, accums) in partial.groups {
-                match merged.get_mut(&key) {
-                    None => {
-                        merged.insert(key, accums);
-                    }
-                    Some(existing) => {
-                        for (e, a) in existing.iter_mut().zip(accums) {
-                            e.merge(a)?;
-                        }
-                    }
-                }
-            }
-        }
-        stats.summary_path = all_summary;
-        stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-        finalize_merged(stmt, &bindings, merged, stats)
-    }
-
-    /// Attempts to answer an aggregate query from a materialized Γ
-    /// summary on `table`. A structurally matching stale summary is
-    /// rebuilt on the spot (the stale → fresh edge); returns per-group
-    /// accumulator states seeded from Γ on a hit (merge-compatible
-    /// with scan partials), `None` to fall back to the scan paths.
-    fn try_summary_answer(
-        &self,
-        table: &str,
         base: &Table,
-        schema: &BoundSchema,
-        group_bound: &[BoundExpr],
+        entry: &SummaryEntry,
+        snap: SummarySnapshot,
+        recipes: &[SummaryRecipe],
         agg_calls: &[AggCall],
         stats: &mut ExecStats,
     ) -> Result<Option<GroupMap>> {
-        let candidates = self.summaries.for_table(table);
-        if candidates.is_empty() || agg_calls.is_empty() {
-            return Ok(None);
-        }
-        // The only group shape a keyed summary stores: one plain
-        // column reference.
-        let want_group = match group_bound {
-            [] => None,
-            [BoundExpr::ColumnRef(i)] => Some(schema.column_name(*i)),
-            _ => {
-                stats.summary_misses += 1;
+        let snap = if snap.fresh {
+            snap
+        } else {
+            match entry.rebuild_with_cancel(base, self.cancel.as_deref()) {
+                // The rebuild scanned the table for real; account its
+                // rows so EXPLAIN ANALYZE shows the work.
+                Ok(rebuild_rows) => {
+                    stats.summary_stale_rebuilds += 1;
+                    stats.summary_rebuild_rows += rebuild_rows;
+                    stats.rows_scanned += rebuild_rows;
+                }
+                // A cancelled rebuild cancels the statement; the entry
+                // stays stale for the next reader.
+                Err(e @ nlq_summary::SummaryError::Cancelled { .. }) => return Err(e.into()),
+                // E.g. the table was replaced with an incompatible
+                // schema; the summary stays stale and unusable.
+                Err(_) => return Ok(None),
+            }
+            let snap = entry.snapshot();
+            if !snap.fresh || !null_gate(entry.def(), recipes, snap.null_rows_skipped) {
                 return Ok(None);
             }
+            snap
         };
-        for entry in &candidates {
-            let Some(recipes) = plan_summary_recipes(entry.def(), schema, agg_calls, want_group)
-            else {
-                continue;
-            };
-            if !entry.is_fresh() {
-                match entry.rebuild_with_cancel(base, self.cancel.as_deref()) {
-                    // The rebuild scanned the table for real; account
-                    // its rows so EXPLAIN ANALYZE shows the work.
-                    Ok(rebuild_rows) => {
-                        stats.summary_stale_rebuilds += 1;
-                        stats.summary_rebuild_rows += rebuild_rows;
-                        stats.rows_scanned += rebuild_rows;
-                    }
-                    // A cancelled rebuild cancels the statement; the
-                    // entry stays stale for the next reader.
-                    Err(e @ nlq_summary::SummaryError::Cancelled { .. }) => return Err(e.into()),
-                    // E.g. the table was replaced with an incompatible
-                    // schema; the summary stays stale and unusable.
-                    Err(_) => continue,
-                }
-            }
-            let snap = entry.snapshot();
-            if !snap.fresh || !null_gate(entry.def(), &recipes, snap.null_rows_skipped) {
-                continue;
-            }
-            let groups = summary_accum_groups(&snap, &recipes, agg_calls)?;
-            stats.summary_path = true;
-            stats.summary_hits += 1;
-            return Ok(Some(groups));
-        }
-        // Summaries exist for this table but none could answer.
-        stats.summary_misses += 1;
-        Ok(None)
-    }
-
-    /// EXPLAIN's view of the summary rewrite: the `scan mode: summary`
-    /// line for the first summary that would answer this statement, or
-    /// `None`. Stale candidates are reported (they rebuild on execute)
-    /// but never rebuilt here.
-    fn explain_summary_match(
-        &self,
-        stmt: &SelectStmt,
-        schema: &BoundSchema,
-        agg_calls: &[AggCall],
-    ) -> Result<Option<String>> {
-        if agg_calls.is_empty() {
-            return Ok(None);
-        }
-        let group_bound: Vec<BoundExpr> = stmt
-            .group_by
-            .iter()
-            .map(|g| Binder::scalar(schema, &self.registry).bind(g))
-            .collect::<Result<_>>()?;
-        let want_group = match group_bound.as_slice() {
-            [] => None,
-            [BoundExpr::ColumnRef(i)] => Some(schema.column_name(*i)),
-            _ => return Ok(None),
-        };
-        for entry in self.summaries.for_table(&stmt.from[0].name) {
-            let Some(recipes) = plan_summary_recipes(entry.def(), schema, agg_calls, want_group)
-            else {
-                continue;
-            };
-            let snap = entry.snapshot();
-            if snap.fresh && !null_gate(entry.def(), &recipes, snap.null_rows_skipped) {
-                continue;
-            }
-            let line = if snap.fresh {
-                format!("scan mode: summary ({}, fresh)", entry.def().name)
-            } else {
-                format!(
-                    "scan mode: summary ({}, stale; rebuilt on execute)",
-                    entry.def().name
-                )
-            };
-            return Ok(Some(line));
-        }
-        Ok(None)
+        let groups = summary_accum_groups(&snap, recipes, agg_calls)?;
+        stats.summary_path = true;
+        stats.summary_hits += 1;
+        Ok(Some(groups))
     }
 }
 
-/// Phase 4 of the aggregation protocol, shared by the scan paths and
-/// the summary answer path: apply HAVING, evaluate projections and
-/// ORDER BY keys per group, sort, and attach the counters.
-fn finalize_groups(
-    stmt: &SelectStmt,
-    proj_bound: &[BoundExpr],
-    names: Vec<String>,
-    having_bound: &Option<BoundExpr>,
-    order_bound: &[(OrderEval, bool)],
-    groups: GroupRows,
-    mut stats: ExecStats,
-) -> Result<ResultSet> {
-    let finalize_start = Instant::now();
-    let mut keyed_rows = Vec::with_capacity(groups.len());
-    for (key, agg_values) in groups {
-        if let Some(h) = having_bound {
-            if !matches!(h.eval(&[], &agg_values, &key.0)?, Value::Int(x) if x != 0) {
-                continue;
+/// Folds one set of per-group accumulator states into another through
+/// the accumulator merge protocol (phase 3).
+fn merge_groups(into: &mut GroupMap, from: GroupMap) -> Result<()> {
+    for (key, accums) in from {
+        match into.get_mut(&key) {
+            None => {
+                into.insert(key, accums);
             }
-        }
-        let mut out = Vec::with_capacity(proj_bound.len());
-        for b in proj_bound {
-            out.push(b.eval(&[], &agg_values, &key.0)?);
-        }
-        let mut keys = Vec::with_capacity(order_bound.len());
-        for (eval, _) in order_bound {
-            keys.push(match eval {
-                OrderEval::Ordinal(i) => out[*i].clone(),
-                OrderEval::Expr(e) => e.eval(&[], &agg_values, &key.0)?,
-            });
-        }
-        keyed_rows.push((keys, out));
-    }
-    // With no ORDER BY, sort whole rows for deterministic grouped
-    // output; otherwise sort by the requested keys.
-    if stmt.order_by.is_empty() {
-        keyed_rows.sort_by(|(_, a), (_, b)| {
-            for (x, y) in a.iter().zip(b) {
-                let ord = value_cmp(x, y);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
+            Some(existing) => {
+                for (e, a) in existing.iter_mut().zip(accums) {
+                    e.merge(a)?;
                 }
             }
-            std::cmp::Ordering::Equal
-        });
-        let mut rows: Vec<Row> = keyed_rows.into_iter().map(|(_, r)| r).collect();
-        if let Some(limit) = stmt.limit {
-            rows.truncate(limit);
         }
-        stats.finalize_nanos = finalize_start.elapsed().as_nanos() as u64;
-        let mut rs = ResultSet::new(names, rows);
-        rs.stats = stats;
-        return Ok(rs);
     }
-    let rows = finish_rows(keyed_rows, &stmt.order_by, stmt.limit);
-    stats.finalize_nanos = finalize_start.elapsed().as_nanos() as u64;
-    let mut rs = ResultSet::new(names, rows);
-    rs.stats = stats;
-    Ok(rs)
+    Ok(())
 }
 
 /// How one aggregate call is answered from a summary's maintained Γ.
@@ -1353,51 +1204,52 @@ struct BlockPlan {
     predicate: Option<CompiledPredicates>,
 }
 
-/// The EXPLAIN line for an eligible block-path aggregate.
-fn block_agg_line(bp: &BlockPlan) -> String {
-    match &bp.predicate {
-        None => format!(
-            "scan mode: block ({BLOCK_ROWS}-row column blocks over {} float column(s))",
-            bp.cols.len()
-        ),
-        Some(p) => format!(
-            "scan mode: block ({BLOCK_ROWS}-row column blocks over {} numeric column(s); \
-             {} predicate(s) as selection bitmap)",
-            bp.cols.len(),
-            p.len()
-        ),
-    }
-}
-
-/// The EXPLAIN line for an eligible block-path scalar projection.
-fn block_scalar_line(bp: &ScalarBlockPlan) -> String {
-    match &bp.predicate {
-        None => format!(
-            "scan mode: block ({BLOCK_ROWS}-row column blocks over {} numeric column(s))",
-            bp.cols.len()
-        ),
-        Some(p) => format!(
-            "scan mode: block ({BLOCK_ROWS}-row column blocks over {} numeric column(s); \
-             {} predicate(s) as selection bitmap)",
-            bp.cols.len(),
-            p.len()
-        ),
-    }
-}
-
-/// Plans the block path for a global aggregate, or returns `None` when
-/// any call (or any residual predicate) needs the general
-/// row-at-a-time machinery. Eligibility per call: every operand is a
-/// float column of the base table (indices below `base_width`), a
-/// product of two such columns, or a literal.
+/// Plans the block path for a global aggregate; `Err` carries the
+/// EXPLAIN reason when any call (or any residual predicate) needs the
+/// general row-at-a-time machinery. Residual predicates must compile
+/// to selection bitmaps; their columns (possibly Int — the numeric
+/// scan widens them) append after the call columns.
 fn plan_block_calls(
     schema: &BoundSchema,
     base: &Table,
     agg_calls: &[AggCall],
     fast_args: &[Option<FastArg>],
     residual: &[BoundExpr],
-) -> Option<BlockPlan> {
+) -> std::result::Result<BlockPlan, String> {
     let mut cols: Vec<usize> = Vec::new();
+    let calls = plan_block_terms(schema, base, agg_calls, fast_args, &mut cols)
+        .ok_or_else(|| "aggregate arguments are not all float base-table columns".to_owned())?;
+    let predicate = if residual.is_empty() {
+        None
+    } else {
+        Some(
+            compile_residual(residual, schema, base, None, &mut cols, None).ok_or_else(|| {
+                format!(
+                    "{} residual predicate(s) not block-compilable",
+                    residual.len()
+                )
+            })?,
+        )
+    };
+    Ok(BlockPlan {
+        cols,
+        calls,
+        predicate,
+    })
+}
+
+/// How each aggregate call consumes decoded block columns, appending
+/// the columns it reads to `cols`; `None` when any call needs the row
+/// path. Eligibility per call: every operand is a float column of the
+/// base table (indices below `base_width`), a product of two such
+/// columns, or a literal.
+fn plan_block_terms(
+    schema: &BoundSchema,
+    base: &Table,
+    agg_calls: &[AggCall],
+    fast_args: &[Option<FastArg>],
+    cols: &mut Vec<usize>,
+) -> Option<Vec<BlockCall>> {
     let mut slot_of: HashMap<usize, usize> = HashMap::new();
     let mut slot = |i: usize| {
         *slot_of.entry(i).or_insert_with(|| {
@@ -1457,21 +1309,7 @@ fn plan_block_calls(
         };
         calls.push(planned);
     }
-    // Residual predicates must compile to selection bitmaps; their
-    // columns (possibly Int — the numeric scan widens them) append
-    // after the call columns.
-    let predicate = if residual.is_empty() {
-        None
-    } else {
-        Some(compile_residual(
-            residual, schema, base, None, &mut cols, None,
-        )?)
-    };
-    Some(BlockPlan {
-        cols,
-        calls,
-        predicate,
-    })
+    Some(calls)
 }
 
 /// One block-compilable scalar projection: a decoded block column (by
@@ -1762,46 +1600,65 @@ enum OrderEval {
     Expr(BoundExpr),
 }
 
-/// Total order for sorting: NULLs sort last, mixed types by variant.
-fn value_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a.is_null(), b.is_null()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => a.sql_cmp(b).unwrap_or(Ordering::Equal),
-    }
+/// The ORDER BY key values of one output row: an ordinal copies the
+/// projected value, an expression is evaluated by `eval`.
+fn order_keys(
+    order: &[(OrderEval, bool)],
+    projected: &[Value],
+    eval: impl Fn(&BoundExpr) -> Result<Value>,
+) -> Result<Row> {
+    order
+        .iter()
+        .map(|(key, _)| match key {
+            OrderEval::Ordinal(i) => Ok(projected[*i].clone()),
+            OrderEval::Expr(e) => eval(e),
+        })
+        .collect()
 }
 
-/// Sorts keyed rows per the ORDER BY spec and applies LIMIT.
-fn finish_rows(
-    mut keyed: Vec<(Row, Row)>,
-    order_by: &[crate::ast::OrderKey],
-    limit: Option<usize>,
-) -> Vec<Row> {
-    if !order_by.is_empty() {
-        keyed.sort_by(|(ka, _), (kb, _)| {
-            for (i, key) in order_by.iter().enumerate() {
-                let (a, b) = (&ka[i], &kb[i]);
-                // NULLs stay last regardless of direction.
-                let ord = match (a.is_null(), b.is_null()) {
-                    (true, true) => std::cmp::Ordering::Equal,
-                    (true, false) => std::cmp::Ordering::Greater,
-                    (false, true) => std::cmp::Ordering::Less,
-                    (false, false) => {
-                        let ord = value_cmp(a, b);
-                        if key.descending {
-                            ord.reverse()
-                        } else {
-                            ord
-                        }
-                    }
-                };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
+/// The ORDER BY comparator, over the `(column, descending)` keys in
+/// turn: NULLs sort last in either direction, DESC reverses the
+/// non-NULL comparisons only, and mixed types compare by
+/// [`Value::sql_cmp`]. Every sort of result rows uses it: scalar and
+/// grouped ORDER BY, the default order of grouped output, and the
+/// gather of a sharded ORDER BY.
+pub(crate) fn row_cmp(
+    a: &[Value],
+    b: &[Value],
+    keys: impl IntoIterator<Item = (usize, bool)>,
+) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    for (col, descending) in keys {
+        let (x, y) = (&a[col], &b[col]);
+        let ord = match (x.is_null(), y.is_null()) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Greater,
+            (false, true) => Ordering::Less,
+            (false, false) => {
+                let ord = x.sql_cmp(y).unwrap_or(Ordering::Equal);
+                if descending {
+                    ord.reverse()
+                } else {
+                    ord
                 }
             }
-            std::cmp::Ordering::Equal
+        };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
+/// Sorts keyed rows per the ORDER BY keys and applies LIMIT.
+fn finish_rows(
+    mut keyed: Vec<(Row, Row)>,
+    order: &[(OrderEval, bool)],
+    limit: Option<usize>,
+) -> Vec<Row> {
+    if !order.is_empty() {
+        keyed.sort_by(|(ka, _), (kb, _)| {
+            row_cmp(ka, kb, order.iter().map(|(_, desc)| *desc).enumerate())
         });
     }
     let mut rows: Vec<Row> = keyed.into_iter().map(|(_, r)| r).collect();
@@ -1876,18 +1733,17 @@ pub fn result_to_table(rs: &ResultSet, partitions: usize) -> Result<Table> {
 #[derive(Debug, Clone)]
 struct GroupKey(Vec<Value>);
 
-/// Finalized per-group aggregate values, ready for phase 4.
-type GroupRows = Vec<(GroupKey, Vec<Value>)>;
-
 /// Per-group accumulator states during phases 1–3.
 type GroupMap = HashMap<GroupKey, Vec<AggAccum>>;
 
-/// Everything an aggregate SELECT evaluates, bound once per engine:
-/// GROUP BY keys, projections, HAVING, ORDER BY, and the aggregate
-/// calls they collectively contain.
-struct AggBindings {
+/// Everything a SELECT evaluates, bound once per engine: GROUP BY keys,
+/// projections, HAVING, ORDER BY, and the aggregate calls they
+/// collectively contain with each call's fast argument shape (no calls
+/// for a scalar statement).
+pub(crate) struct Bindings {
     group_bound: Vec<BoundExpr>,
     agg_calls: Vec<AggCall>,
+    fast_args: Vec<Option<FastArg>>,
     proj_bound: Vec<BoundExpr>,
     names: Vec<String>,
     having_bound: Option<BoundExpr>,
@@ -1896,50 +1752,86 @@ struct AggBindings {
 
 /// A merge-ready aggregate partial: the per-group accumulator states
 /// one engine produced by running phases 1–3 of an aggregate SELECT
-/// over its share of the data (or its local Γ summary). Opaque outside
-/// the engine — a gather collects one per shard and feeds them to
-/// [`ExecContext::finalize_select_partials`].
+/// over its share of the data (or its local Γ summary), with the
+/// bindings that line the states up with their calls. Opaque outside
+/// the engine — a gather collects one per shard, merges them
+/// ([`AggPartial::merge`]) and finalizes once.
 pub(crate) struct AggPartial {
-    groups: Vec<(GroupKey, Vec<AggAccum>)>,
+    groups: GroupMap,
+    bindings: Bindings,
     /// Counters for the engine-local portion of the statement. A
     /// summary-answered partial keeps `rows_scanned` at 0 (plus any
     /// stale-rebuild rows): the whole point of shard-local Γ.
     pub stats: ExecStats,
 }
 
-/// Inserts the zero-row global group if needed, finalizes every
-/// accumulator (phase 4), and runs the shared
-/// projection/HAVING/ORDER BY tail.
-fn finalize_merged(
-    stmt: &SelectStmt,
-    bindings: &AggBindings,
-    mut merged: GroupMap,
-    stats: ExecStats,
-) -> Result<ResultSet> {
-    // A global aggregate over zero rows still yields one row.
-    if merged.is_empty() && stmt.group_by.is_empty() {
-        merged.insert(
-            GroupKey(Vec::new()),
-            bindings.agg_calls.iter().map(AggAccum::init).collect(),
-        );
+impl AggPartial {
+    /// The gather half of a sharded aggregate: merges the shards'
+    /// partials group by group through the accumulator merge protocol,
+    /// keeping the first partial's bindings (every shard binds the
+    /// same calls). Counters sum; `summary_path` survives only when
+    /// *every* partial was answered from a summary.
+    pub fn merge(partials: Vec<AggPartial>) -> Result<AggPartial> {
+        let started = Instant::now();
+        let mut partials = partials.into_iter();
+        let mut acc = partials.next().expect("a gather has at least one partial");
+        for p in partials {
+            acc.stats.absorb(&p.stats);
+            acc.stats.summary_path &= p.stats.summary_path;
+            merge_groups(&mut acc.groups, p.groups)?;
+        }
+        acc.stats.merge_nanos += started.elapsed().as_nanos() as u64;
+        Ok(acc)
     }
-    let mut groups = Vec::with_capacity(merged.len());
-    for (key, accums) in merged {
-        let agg_values: Vec<Value> = accums
-            .into_iter()
-            .map(AggAccum::finalize)
-            .collect::<Result<_>>()?;
-        groups.push((key, agg_values));
+
+    /// Phase 4 of the aggregation protocol: finalizes every group's
+    /// accumulators (a global aggregate over zero rows still yields one
+    /// row), applies HAVING, evaluates projections and ORDER BY keys,
+    /// sorts and applies LIMIT.
+    pub fn finalize(self, stmt: &SelectStmt) -> Result<ResultSet> {
+        let AggPartial {
+            mut groups,
+            bindings,
+            mut stats,
+        } = self;
+        let started = Instant::now();
+        if groups.is_empty() && stmt.group_by.is_empty() {
+            groups.insert(
+                GroupKey(Vec::new()),
+                bindings.agg_calls.iter().map(AggAccum::init).collect(),
+            );
+        }
+        let mut keyed_rows = Vec::with_capacity(groups.len());
+        for (key, accums) in groups {
+            let aggs: Vec<Value> = accums
+                .into_iter()
+                .map(AggAccum::finalize)
+                .collect::<Result<_>>()?;
+            let eval = |e: &BoundExpr| e.eval(&[], &aggs, &key.0);
+            if let Some(h) = &bindings.having_bound {
+                if !matches!(eval(h)?, Value::Int(x) if x != 0) {
+                    continue;
+                }
+            }
+            let out = bindings
+                .proj_bound
+                .iter()
+                .map(eval)
+                .collect::<Result<Row>>()?;
+            let keys = order_keys(&bindings.order_bound, &out, eval)?;
+            keyed_rows.push((keys, out));
+        }
+        // With no ORDER BY, sort whole rows for deterministic grouped
+        // output.
+        if bindings.order_bound.is_empty() {
+            keyed_rows.sort_by(|(_, a), (_, b)| row_cmp(a, b, (0..a.len()).map(|i| (i, false))));
+        }
+        let rows = finish_rows(keyed_rows, &bindings.order_bound, stmt.limit);
+        stats.finalize_nanos = started.elapsed().as_nanos() as u64;
+        let mut rs = ResultSet::new(bindings.names, rows);
+        rs.stats = stats;
+        Ok(rs)
     }
-    finalize_groups(
-        stmt,
-        &bindings.proj_bound,
-        bindings.names.clone(),
-        &bindings.having_bound,
-        &bindings.order_bound,
-        groups,
-        stats,
-    )
 }
 
 impl PartialEq for GroupKey {

@@ -16,10 +16,10 @@ use nlq_storage::{Column, DiskTable, Row, Schema, Table, Value};
 use nlq_summary::{SummaryData, SummaryDef, SummaryStore};
 use nlq_udf::UdfRegistry;
 
-use crate::ast::{SelectStmt, Statement};
+use crate::ast::Statement;
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::db::{ResultSet, ShardMetricsSnapshot, SummaryRefreshState};
-use crate::exec::{check_cancelled, AggPartial, ExecContext};
+use crate::exec::{check_cancelled, ExecContext};
 use crate::expr::{Binder, BoundSchema};
 use crate::sys::SystemTableProvider;
 use crate::{EngineError, Result};
@@ -103,12 +103,6 @@ impl Shard {
             cancel: env.cancel.clone(),
             system: env.system.clone(),
         }
-    }
-
-    /// Phases 1–3 of an aggregate SELECT over this shard's rows (or its
-    /// summaries): the unfinalized per-group accumulator states.
-    pub fn execute_select_partial(&self, stmt: &SelectStmt, env: &Env) -> Result<AggPartial> {
-        self.ctx(env).execute_select_partial(stmt)
     }
 
     /// Scores `keys` against `model` through this shard's PK index.

@@ -7,10 +7,11 @@
 //! * An aggregate whose argument is a FLOAT column answers FLOAT on
 //!   every path, even when the column holds Int-typed values;
 //!   expression arguments answer by value.
-//! * Two Ints compare exactly, also beyond 2^53 where `f64` rounds:
-//!   `min` / `max`, ORDER BY and WHERE agree on every path.
+//! * Two Ints compare exactly, also beyond 2^53 where `f64` rounds,
+//!   and so does an Int against a Float: `min` / `max`, ORDER BY and
+//!   WHERE agree on every path.
 
-use nlq_engine::{Db, EngineError, ResultSet};
+use nlq_engine::{Db, EngineError, ExecOptions, ResultSet};
 use nlq_storage::Value;
 
 const MAX: i64 = i64::MAX;
@@ -78,13 +79,32 @@ fn int_sum_partials_may_pass_the_edge() {
     );
 }
 
+/// A database whose statements run with the block scan on or off.
+struct OnPath {
+    db: Db,
+    opts: ExecOptions,
+}
+
+impl OnPath {
+    fn new(db: Db, block_scan: bool) -> OnPath {
+        let opts = ExecOptions {
+            block_scan: Some(block_scan),
+            ..ExecOptions::default()
+        };
+        OnPath { db, opts }
+    }
+
+    fn execute(&self, sql: &str) -> nlq_engine::Result<ResultSet> {
+        self.db.execute_with(sql, &self.opts)
+    }
+}
+
 /// Runs `check` on an [`int_db`] of `values` at S ∈ {1, 4} with the
 /// block scan on and off.
-fn on_every_path(values: &[i64], check: impl Fn(&Db, &str)) {
+fn on_every_path(values: &[i64], check: impl Fn(&OnPath, &str)) {
     for shards in [1, 4] {
         for block in [true, false] {
-            let db = int_db(shards, values);
-            db.set_block_scan(block);
+            let db = OnPath::new(int_db(shards, values), block);
             check(&db, &format!("S = {shards}, block scan {block}"));
         }
     }
@@ -124,6 +144,25 @@ fn ints_beyond_2_pow_53_compare_exactly() {
             .execute(&format!("SELECT count(*) FROM t WHERE v = {hit}"))
             .unwrap();
         assert_eq!(row(&rs), [Value::Int(1)], "{ctx}");
+        // Against a FLOAT, too, an Int compares by its exact value, not
+        // by the double it rounds to; floats beyond ±2^63 order past
+        // every Int.
+        let count = |pred: &str| {
+            let rs = db
+                .execute(&format!("SELECT count(*) FROM t WHERE {pred}"))
+                .unwrap();
+            rs.value(0, 0).as_i64().unwrap()
+        };
+        let base = BASE as f64;
+        assert_eq!(count(&format!("v = {base:.1}")), 1, "{ctx}");
+        assert_eq!(count(&format!("v > {base:.1}")), 39, "{ctx}");
+        assert_eq!(count("v > -1e19 AND v < 1e19"), 41, "{ctx}");
+        let rs = db
+            .execute(&format!(
+                "SELECT v > {base:.1} FROM t WHERE g = 1 ORDER BY v LIMIT 2"
+            ))
+            .unwrap();
+        assert_eq!(rs.rows.concat(), [Value::Int(0), Value::Int(1)], "{ctx}");
     });
 }
 
@@ -152,8 +191,7 @@ fn row(rs: &ResultSet) -> Vec<Value> {
 fn float_column_aggregates_answer_float_on_every_path() {
     for shards in [1, 4] {
         for block_scan in [true, false] {
-            let db = Db::open(shards, 2, None).unwrap();
-            db.set_block_scan(block_scan);
+            let db = OnPath::new(Db::open(shards, 2, None).unwrap(), block_scan);
             db.execute("CREATE TABLE t (g INT, f FLOAT)").unwrap();
             // Int literals stored into a FLOAT column.
             db.execute("INSERT INTO t VALUES (1, 1), (1, 2), (1, 3)")

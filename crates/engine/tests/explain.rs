@@ -1,17 +1,29 @@
 //! Tests for EXPLAIN: the plan text must reflect the executor's
 //! actual decisions (pushdown, join sizing, fast paths, aggregation).
 
-use nlq_engine::{sqlgen, Db};
+use nlq_engine::{sqlgen, Db, ExecOptions};
 use nlq_models::MatrixShape;
 
 fn plan_text(db: &Db, sql: &str) -> String {
-    let rs = db.execute(sql).unwrap();
+    plan_text_with(db, sql, &ExecOptions::default())
+}
+
+fn plan_text_with(db: &Db, sql: &str, opts: &ExecOptions) -> String {
+    let rs = db.execute_with(sql, opts).unwrap();
     assert_eq!(rs.columns, vec!["plan"]);
     rs.rows
         .iter()
         .map(|r| r[0].as_str().unwrap().to_owned())
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+/// Statement options that keep every scan on the row path.
+fn row_scan() -> ExecOptions {
+    ExecOptions {
+        block_scan: Some(false),
+        ..ExecOptions::default()
+    }
 }
 
 fn scoring_db() -> Db {
@@ -144,9 +156,7 @@ fn explain_reports_scan_mode() {
     assert!(plan.contains("scan mode: row-at-a-time"), "{plan}");
 
     // So does disabling the block path on the connection.
-    let db = scoring_db();
-    db.set_block_scan(false);
-    let plan = plan_text(&db, "EXPLAIN SELECT sum(X1) FROM X");
+    let plan = plan_text_with(&db, "EXPLAIN SELECT sum(X1) FROM X", &row_scan());
     assert!(plan.contains("scan mode: row-at-a-time"), "{plan}");
 }
 
@@ -159,9 +169,9 @@ fn result_sets_carry_exec_stats() {
     // 100 rows over 4 partitions: one (partial) block each.
     assert_eq!(rs.stats.blocks_scanned, 4);
 
-    let db = scoring_db();
-    db.set_block_scan(false);
-    let rs = db.execute("SELECT sum(X1), min(X2) FROM X").unwrap();
+    let rs = db
+        .execute_with("SELECT sum(X1), min(X2) FROM X", &row_scan())
+        .unwrap();
     assert!(!rs.stats.block_path);
     assert_eq!(rs.stats.rows_scanned, 100);
     assert_eq!(rs.stats.blocks_scanned, 0);
@@ -247,4 +257,106 @@ fn explain_counts_aggregates_that_only_order_by_calls() {
     let rs = db.execute(sql).unwrap();
     assert_eq!(rs.len(), 2);
     assert_eq!(rs.value(0, 0).as_i64(), Some(1));
+}
+
+/// The word after `scan mode: ` — `summary`, `block` or
+/// `row-at-a-time` — in EXPLAIN or EXPLAIN ANALYZE output.
+fn scan_mode(plan: &str) -> String {
+    let line = plan
+        .lines()
+        .find_map(|l| l.strip_prefix("scan mode: "))
+        .unwrap_or_else(|| panic!("no scan mode in {plan}"));
+    line.split_whitespace().next().unwrap().to_owned()
+}
+
+/// `X(i, X1, X2)` with 100 points, four centroids `C`, and three
+/// 30-row tables `(a, b)` with a summary each: on `F` it is fresh, on
+/// `G` stale, and on `N` stale with the rows whose `b` is NULL skipped
+/// (every third row, so every shard holds some at S = 4).
+fn agreement_db(shards: usize) -> Db {
+    let db = Db::open(shards, 2, None).unwrap();
+    let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+    db.load_points("X", &rows, false).unwrap();
+    let centroids: Vec<nlq_linalg::Vector> = (0..4)
+        .map(|j| nlq_linalg::Vector::from_vec(vec![j as f64 * 25.0, 3.0]))
+        .collect();
+    db.register_centroids("C", &centroids).unwrap();
+    for t in ["F", "G", "N"] {
+        db.execute(&format!("CREATE TABLE {t} (a FLOAT, b FLOAT)"))
+            .unwrap();
+        let values: Vec<String> = (0..30)
+            .map(|k| match k % 3 {
+                0 if t == "N" => format!("({k}.5, NULL)"),
+                _ => format!("({k}.5, {k}.25)"),
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO {t} VALUES {}", values.join(", ")))
+            .unwrap();
+        db.execute(&format!("CREATE SUMMARY s{t} ON {t} (a, b)"))
+            .unwrap();
+    }
+    // An UPDATE leaves the table's summaries stale.
+    for t in ["G", "N"] {
+        db.execute(&format!("UPDATE {t} SET a = a + 1.0")).unwrap();
+    }
+    db
+}
+
+#[test]
+fn explain_agrees_with_execution() {
+    let names = sqlgen::x_cols(2);
+    let list = sqlgen::nlq_udf_query(
+        "X",
+        &names,
+        MatrixShape::Triangular,
+        nlq_udf::ParamStyle::List,
+    );
+    let long = sqlgen::nlq_sql_query("X", &names, MatrixShape::Triangular);
+    // (statement, whether it fails)
+    let statements = [
+        (list.clone(), false),
+        (format!("{list} WHERE X2 > 1"), false),
+        (long.clone(), false),
+        (format!("{long} WHERE X2 > 1"), false),
+        ("SELECT X2, sum(X1) FROM X GROUP BY X2".to_owned(), false),
+        (sqlgen::score_cluster_udf("X", &names, 4, "C"), false),
+        (
+            "SELECT i, X1 FROM X ORDER BY X1 DESC LIMIT 5".to_owned(),
+            false,
+        ),
+        ("SELECT sum(a), count(*) FROM F".to_owned(), false),
+        ("SELECT sum(a) FROM G".to_owned(), false),
+        ("SELECT sum(a) FROM N".to_owned(), false),
+        ("SELECT X1 FROM X ORDER BY 5".to_owned(), true),
+        ("SELECT X1 FROM X HAVING X1 > 1.0".to_owned(), true),
+    ];
+    for shards in [1, 4] {
+        // EXPLAIN before EXPLAIN ANALYZE: executing rebuilds the stale
+        // summaries.
+        let db = agreement_db(shards);
+        for (sql, fails) in &statements {
+            let ctx = format!("S = {shards}: {sql}");
+            let explain = db.execute(&format!("EXPLAIN {sql}"));
+            let analyze = db.execute(&format!("EXPLAIN ANALYZE {sql}"));
+            assert_eq!(analyze.is_err(), *fails, "{ctx}: {analyze:?}");
+            let (explain, analyze) = match (explain, analyze) {
+                (Err(_), Err(_)) => continue,
+                (Ok(e), Ok(a)) => (e, a),
+                (e, a) => panic!("{ctx}: EXPLAIN gave {e:?}, execution {a:?}"),
+            };
+            let text = |rs: nlq_engine::ResultSet| {
+                rs.rows
+                    .iter()
+                    .map(|r| r[0].to_string())
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            };
+            let (explain, analyze) = (text(explain), text(analyze));
+            assert_eq!(
+                scan_mode(&explain),
+                scan_mode(&analyze),
+                "{ctx}\n--- EXPLAIN\n{explain}\n--- EXPLAIN ANALYZE\n{analyze}"
+            );
+        }
+    }
 }

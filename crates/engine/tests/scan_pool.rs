@@ -1,7 +1,7 @@
 //! The scan pool: a statement's shard pieces and partitions run on the
 //! calling thread and on a fixed set of pool helpers, never on threads
 //! of their own, and the CPU the helpers spend counts as the
-//! statement's.
+//! statement's, whether it succeeds or fails.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -9,7 +9,7 @@ use std::thread::ThreadId;
 use std::time::Duration;
 
 use nlq_engine::{Db, ExecOptions};
-use nlq_obs::thread_cpu_nanos;
+use nlq_obs::{thread_cpu_nanos, Trace};
 use nlq_storage::Value;
 use nlq_udf::ScalarUdf;
 
@@ -103,6 +103,24 @@ fn helper_cpu_counts_as_the_statements_cpu() {
             assert!(
                 cpu >= ROWS as u32 * SPIN,
                 "S = {shards}: statement reported {cpu:?} of CPU"
+            );
+            // A failed statement charges its CPU too: a row's `spin`
+            // runs, then its INT addition overflows.
+            let trace = Trace::new();
+            let failing = ExecOptions {
+                trace: Some(trace.clone()),
+                ..opts.clone()
+            };
+            let err = db
+                .execute_with(
+                    "SELECT spin(X1) + (i + 9223372036854775807) FROM X",
+                    &failing,
+                )
+                .unwrap_err();
+            assert!(err.to_string().contains("overflow"), "{err}");
+            assert!(
+                trace.cpu_nanos() > 0,
+                "S = {shards}: a failed statement charged no CPU"
             );
         }
     }

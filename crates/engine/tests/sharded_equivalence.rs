@@ -280,8 +280,11 @@ fn shard_metrics_count_scattered_work() {
     let rows: Vec<Vec<f64>> = (0..90).map(|i| vec![i as f64]).collect();
     let db = Db::open(3, 1, None).unwrap();
     db.load_points("X", &rows, false).unwrap();
-    db.set_block_scan(false);
-    db.execute("SELECT sum(X1) FROM X").unwrap();
+    let row_scan = ExecOptions {
+        block_scan: Some(false),
+        ..ExecOptions::default()
+    };
+    db.execute_with("SELECT sum(X1) FROM X", &row_scan).unwrap();
     let metrics = db.engine_stats().shards;
     assert_eq!(metrics.len(), 3);
     let rows_total: u64 = metrics.iter().map(|m| m.rows_scanned).sum();

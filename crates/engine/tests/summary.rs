@@ -3,12 +3,16 @@
 //! stale/rebuild lifecycle under DELETE/UPDATE, and EXPLAIN output
 //! (including the block-path fallback reasons).
 
-use nlq_engine::Db;
+use nlq_engine::{Db, ExecOptions};
 use nlq_models::Nlq;
 use nlq_udf::pack::unpack_nlq;
 
 fn plan_text(db: &Db, sql: &str) -> String {
-    let rs = db.execute(sql).unwrap();
+    plan_text_with(db, sql, &ExecOptions::default())
+}
+
+fn plan_text_with(db: &Db, sql: &str, opts: &ExecOptions) -> String {
+    let rs = db.execute_with(sql, opts).unwrap();
     rs.rows
         .iter()
         .map(|r| r[0].as_str().unwrap().to_owned())
@@ -306,8 +310,11 @@ fn explain_states_block_fallback_reason() {
     );
 
     let db = points_db(100, 2);
-    db.set_block_scan(false);
-    let plan = plan_text(&db, "EXPLAIN SELECT sum(X1) FROM pts");
+    let row_scan = ExecOptions {
+        block_scan: Some(false),
+        ..ExecOptions::default()
+    };
+    let plan = plan_text_with(&db, "EXPLAIN SELECT sum(X1) FROM pts", &row_scan);
     assert!(
         plan.contains("scan mode: row-at-a-time (block scan disabled)"),
         "{plan}"

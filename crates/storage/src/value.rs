@@ -51,19 +51,18 @@ impl Value {
     }
 
     /// SQL three-valued-logic comparison: NULL compares as unknown
-    /// (`None`); two Ints compare exactly, other numeric pairs through
-    /// `f64`; strings compare lexicographically. Cross-type
-    /// number/string comparison is unknown.
+    /// (`None`); numbers compare exactly by value, also an Int against
+    /// a Float (a NaN is unknown); strings compare lexicographically.
+    /// Cross-type number/string comparison is unknown.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
+            (Value::Int(a), Value::Float(b)) => int_float_cmp(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_float_cmp(*b, *a).map(Ordering::reverse),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Str(_), _) | (_, Value::Str(_)) => None,
-            (a, b) => {
-                let (a, b) = (a.as_f64()?, b.as_f64()?);
-                a.partial_cmp(&b)
-            }
         }
     }
 
@@ -96,6 +95,27 @@ impl Value {
             }
         }
     }
+}
+
+/// Compares an `i64` with an `f64` exactly, without rounding the
+/// integer to the nearest double (beyond 2^53 many integers share
+/// one). `None` for NaN.
+fn int_float_cmp(i: i64, f: f64) -> Option<Ordering> {
+    // 2^63 is exactly representable; every i64 lies in [-2^63, 2^63).
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() {
+        return None;
+    }
+    if f >= TWO_63 {
+        return Some(Ordering::Less);
+    }
+    if f < -TWO_63 {
+        return Some(Ordering::Greater);
+    }
+    // `f` now truncates to an i64 exactly; its fractional part breaks
+    // a tie with `i`.
+    let whole = f.trunc();
+    Some(i.cmp(&(whole as i64)).then(0.0.partial_cmp(&(f - whole))?))
 }
 
 impl From<i64> for Value {
@@ -159,6 +179,37 @@ mod tests {
             Some(Ordering::Less)
         );
         assert_eq!(Value::Str("a".into()).sql_cmp(&Value::Int(1)), None);
+    }
+
+    #[test]
+    fn int_float_cmp_is_exact() {
+        let cmp = |i: i64, f: f64| Value::Int(i).sql_cmp(&Value::Float(f));
+        // 2^53 + 1 rounds to 2^53 as an f64; compared exactly it is larger.
+        assert_eq!(
+            cmp((1 << 53) + 1, 9_007_199_254_740_992.0),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(cmp(1 << 53, 9_007_199_254_740_992.0), Some(Ordering::Equal));
+        // i64::MAX rounds up to 2^63.
+        assert_eq!(
+            cmp(i64::MAX, 9_223_372_036_854_775_808.0),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            cmp(i64::MIN, -9_223_372_036_854_775_808.0),
+            Some(Ordering::Equal)
+        );
+        assert_eq!(cmp(i64::MIN, -1e19), Some(Ordering::Greater));
+        assert_eq!(cmp(i64::MAX, f64::INFINITY), Some(Ordering::Less));
+        assert_eq!(cmp(-2, -1.5), Some(Ordering::Less));
+        assert_eq!(cmp(-1, -1.5), Some(Ordering::Greater));
+        assert_eq!(cmp(1, 1.5), Some(Ordering::Less));
+        assert_eq!(cmp(0, -0.0), Some(Ordering::Equal));
+        assert_eq!(cmp(0, f64::NAN), None);
+        assert_eq!(
+            Value::Float(9_007_199_254_740_992.0).sql_cmp(&Value::Int((1 << 53) + 1)),
+            Some(Ordering::Less)
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the full DBMS pipeline must agree with direct in-memory
 //! computation, and the packing/merging machinery must be lossless.
 
-use nlq::engine::{sqlgen, Db, NlqMethod};
+use nlq::engine::{sqlgen, Db, ExecOptions, NlqMethod};
 use nlq::models::{MatrixShape, Nlq};
 use nlq::storage::{Schema, Table, Value};
 use nlq::udf::pack::{pack_nlq, pack_vector, unpack_nlq, unpack_vector};
@@ -10,6 +10,14 @@ use nlq_testkit::{run_cases, Rng};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-7 * (1.0 + a.abs().max(b.abs()))
+}
+
+/// Statement options that keep every scan on the row path.
+fn row_scan() -> ExecOptions {
+    ExecOptions {
+        block_scan: Some(false),
+        ..ExecOptions::default()
+    }
 }
 
 /// Random small data set: 2-6 dimensions, 1-60 rows, moderate values.
@@ -170,7 +178,6 @@ fn block_scan_matches_row_scan() {
         let block_db = Db::new(workers);
         block_db.register_table("X", table.clone()).unwrap();
         let row_db = Db::new(workers);
-        row_db.set_block_scan(false);
         row_db.register_table("X", table).unwrap();
         let sharded_db = Db::open(4, workers, None).unwrap();
         let summary_db = Db::new(workers);
@@ -216,7 +223,7 @@ fn block_scan_matches_row_scan() {
             format!("SELECT {} FROM X", list.join(", "))
         };
 
-        let via_rows = row_db.execute(&select(false)).unwrap();
+        let via_rows = row_db.execute_with(&select(false), &row_scan()).unwrap();
         let via_blocks = block_db.execute(&select(false)).unwrap();
         let via_shards = sharded_db.execute(&select(false)).unwrap();
         let via_summary = summary_db.execute(&select(true)).unwrap();
@@ -328,7 +335,6 @@ fn filtered_block_scan_matches_row_scan() {
         let block_db = Db::new(workers);
         block_db.register_table("X", table.clone()).unwrap();
         let row_db = Db::new(workers);
-        row_db.set_block_scan(false);
         row_db.register_table("X", table).unwrap();
 
         let along = predicate(rng, d, 2);
@@ -338,7 +344,7 @@ fn filtered_block_scan_matches_row_scan() {
             format!("SELECT count(*), count(X1), sum(X1), min(X2), max(X2) FROM X WHERE {along}"),
         ] {
             let via_blocks = block_db.execute(&sql).unwrap();
-            let via_rows = row_db.execute(&sql).unwrap();
+            let via_rows = row_db.execute_with(&sql, &row_scan()).unwrap();
             assert!(via_blocks.stats.block_path, "{sql}");
             assert!(!via_rows.stats.block_path);
             assert_eq!(via_blocks.len(), via_rows.len(), "{sql}");
