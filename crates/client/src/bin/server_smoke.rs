@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! server_smoke --addr HOST:PORT [--skip-shutdown] [--expect-chunks N]
-//!              [--expect-slow] [--ingest] [--sharded N] [--feed N]
+//!              [--expect-slow] [--ingest] [--feed N]
 //!              [--verify-recovery] [--sys]
 //! ```
 //!
@@ -20,10 +20,6 @@
 //! INSERT grammar, wait for the refresh daemon to publish a model,
 //! batch-score 1k keys through the PK index, abort an envelope
 //! mid-stream, and check the serving counters down to Prometheus.
-//! `--sharded N` runs the scatter/gather script instead (pair it with
-//! the server's `--shards N`): a Γ-merged aggregate across shards, a
-//! cancelled sharded stream, a plan-cache hit surfaced by `EXPLAIN`,
-//! and per-shard metrics in `sys.metrics`.
 //! `--feed N` streams ingest envelopes into the existing `F` table
 //! starting at key `N`, with no DDL and no shutdown — the CI crash job
 //! backgrounds this and `kill -9`s the server mid-stream, so a dropped
@@ -35,9 +31,7 @@
 //! and batch scores must still match the ingested formula.
 //! `--sys` runs the introspection script instead: real statements must
 //! be visible in `sys.queries` under their stream-minted query ids
-//! with nonzero phase times, `sys.spans` must join per-shard rows
-//! under one id (give the server's shard count with `--sharded N`), Γ
-//! aggregates must ride the block path over the catalog, and `sys.wal`
+//! with nonzero phase times, Γ aggregates must ride the block path over the catalog, and `sys.wal`
 //! must reflect a `CHECKPOINT` on a durable server.
 
 use std::process::ExitCode;
@@ -290,151 +284,14 @@ fn run(
     Ok(())
 }
 
-/// Scripted session against a server running with `--shards N`:
-/// scatter/gather correctness and observability end-to-end.
-fn run_sharded(addr: &str, skip_shutdown: bool, shards: usize) -> Result<(), String> {
-    let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    c.ping().map_err(|e| format!("ping: {e}"))?;
-    println!("sharded session {} established", c.session_id());
-
-    // A partitioned table whose rows spread round-robin over shards.
-    c.execute("CREATE TABLE X (i INT, X1 FLOAT)")
-        .map_err(|e| format!("create X: {e}"))?;
-    let values: Vec<String> = (1..=1000).map(|i| format!("({i}, {i}.0)")).collect();
-    for batch in values.chunks(200) {
-        c.execute(&format!("INSERT INTO X VALUES {}", batch.join(", ")))
-            .map_err(|e| format!("fill X: {e}"))?;
-    }
-
-    // Merged aggregate: every shard scans its own slice and the gather
-    // merges the Γ partials into one exact answer.
-    let rs = c
-        .execute("SELECT count(*), sum(X1), avg(X1) FROM X")
-        .map_err(|e| format!("merged aggregate: {e}"))?;
-    let count = rs.value(0, 0).as_i64().unwrap_or(-1);
-    let sum = rs.value(0, 1).as_f64().unwrap_or(f64::NAN);
-    let avg = rs.value(0, 2).as_f64().unwrap_or(f64::NAN);
-    if count != 1000 || (sum - 500_500.0).abs() > 1e-9 || (avg - 500.5).abs() > 1e-9 {
-        return Err(format!(
-            "merged aggregate wrong: count={count} sum={sum} avg={avg}"
-        ));
-    }
-    if rs.stats.rows_scanned != 1000 {
-        return Err(format!(
-            "expected all 1000 rows scanned across shards, got {}",
-            rs.stats.rows_scanned
-        ));
-    }
-    println!("merged aggregate ok (count={count}, sum={sum}, scanned across {shards} shards)");
-
-    // EXPLAIN surfaces the scatter/gather route and the plan-cache
-    // probe: first sight of this text is a miss, the repeat is a hit.
-    let explain_sql = "EXPLAIN SELECT count(*), sum(X1) FROM X";
-    let plan_of = |rs: &nlq_client::RemoteResult| {
-        rs.rows
-            .iter()
-            .filter_map(|r| r.first().map(|v| v.to_string()))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let first = c
-        .execute(explain_sql)
-        .map_err(|e| format!("explain: {e}"))?;
-    let first_plan = plan_of(&first);
-    let scatter_line = format!("scatter: {shards} shards, gather: merge");
-    if !first_plan.contains(&scatter_line) {
-        return Err(format!("EXPLAIN missing \"{scatter_line}\":\n{first_plan}"));
-    }
-    if !first_plan.contains("plan cache: miss") {
-        return Err(format!(
-            "first EXPLAIN should miss the cache:\n{first_plan}"
-        ));
-    }
-    let second = c
-        .execute(explain_sql)
-        .map_err(|e| format!("explain 2: {e}"))?;
-    let second_plan = plan_of(&second);
-    if !second_plan.contains("plan cache: hit") {
-        return Err(format!(
-            "repeated EXPLAIN should hit the cache:\n{second_plan}"
-        ));
-    }
-    println!("explain ok ({scatter_line}; plan cache miss then hit)");
-
-    // Cancelled sharded query: abandon a scatter stream mid-flight.
-    // The cancel token is shared by every shard, so the whole fan-out
-    // stops and the session stays usable.
-    let stream = c
-        .query("SELECT i, X1 FROM X")
-        .map_err(|e| format!("cancel stream: {e}"))?;
-    drop(stream);
-    c.ping().map_err(|e| format!("ping after cancel: {e}"))?;
-    println!("cancel ok (abandoned sharded stream, session survives)");
-
-    // Per-shard metrics and the plan-cache counters must be exported.
-    let reported = c.metric("shards", "").map_err(|e| e.to_string())?;
-    if reported != shards as f64 {
-        return Err(format!("metrics report {reported} shards, want {shards}"));
-    }
-    let mut scanned_total = 0.0;
-    for shard in 0..shards {
-        let label = format!("shard=\"{shard}\"");
-        let q = c
-            .metric("shard_queries_total", &label)
-            .map_err(|e| e.to_string())?;
-        if q < 1.0 {
-            return Err(format!("shard_queries_total{{{label}}} = {q}, want >= 1"));
-        }
-        scanned_total += c
-            .metric("shard_rows_scanned_total", &label)
-            .map_err(|e| e.to_string())?;
-    }
-    if scanned_total < 1000.0 {
-        return Err(format!(
-            "per-shard rows_scanned sums to {scanned_total}, want >= 1000"
-        ));
-    }
-    let hits = c
-        .metric("plan_cache_hits_total", "")
-        .map_err(|e| e.to_string())?;
-    if hits < 1.0 {
-        return Err(format!("plan_cache_hits_total = {hits}, want >= 1"));
-    }
-    println!("shard metrics ok ({shards} shards, {scanned_total} rows scanned, {hits} cache hits)");
-
-    let prom = c
-        .metrics_prometheus()
-        .map_err(|e| format!("metrics prometheus: {e}"))?;
-    nlq_client::validate_exposition(&prom)
-        .map_err(|e| format!("malformed Prometheus exposition: {e}\n{prom}"))?;
-    for needle in [
-        "nlq_shards",
-        "nlq_shard_queries_total",
-        "nlq_shard_rows_scanned_total",
-        "nlq_plan_cache_hits_total",
-    ] {
-        if !prom.contains(needle) {
-            return Err(format!("Prometheus output missing {needle}"));
-        }
-    }
-    println!("prometheus ok (per-shard families present)");
-
-    if !skip_shutdown {
-        c.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-        println!("server acknowledged shutdown");
-    }
-    Ok(())
-}
-
 /// Scripted introspection session (`--sys`): run real statements, then
 /// turn the engine on itself. `sys.queries` must see them — under the
-/// query id the stream header carried — with nonzero phase times; when
-/// sharded, `sys.spans` must join one scatter row per shard under that
-/// same id; Γ aggregates must answer over the telemetry snapshot
+/// query id the stream header carried — with nonzero phase times; Γ
+/// aggregates must answer over the telemetry snapshot
 /// through the normal block path; and after a `CHECKPOINT`, `sys.wal`
 /// must reflect it on a durable server (a volatile server serves an
 /// empty `sys.wal` instead).
-fn run_sys(addr: &str, skip_shutdown: bool, shards: usize) -> Result<(), String> {
+fn run_sys(addr: &str, skip_shutdown: bool) -> Result<(), String> {
     let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
     c.ping().map_err(|e| format!("ping: {e}"))?;
     let session = c.session_id();
@@ -470,7 +327,7 @@ fn run_sys(addr: &str, skip_shutdown: bool, shards: usize) -> Result<(), String>
     // text, outcome, and nonzero phase times.
     let rs = c
         .execute(&format!(
-            "SELECT sql, outcome, shards, total_us, parse_us FROM sys.queries \
+            "SELECT sql, outcome, total_us, parse_us FROM sys.queries \
              WHERE query_id = {qid}"
         ))
         .map_err(|e| format!("sys.queries: {e}"))?;
@@ -486,40 +343,14 @@ fn run_sys(addr: &str, skip_shutdown: bool, shards: usize) -> Result<(), String>
     if rs.value(0, 1) != &Value::Str("ok".into()) {
         return Err(format!("probe outcome {:?}, want ok", rs.value(0, 1)));
     }
-    let total_us = rs.value(0, 3).as_f64().unwrap_or(0.0);
-    let parse_us = rs.value(0, 4).as_f64().unwrap_or(0.0);
+    let total_us = rs.value(0, 2).as_f64().unwrap_or(0.0);
+    let parse_us = rs.value(0, 3).as_f64().unwrap_or(0.0);
     if total_us <= 0.0 || parse_us <= 0.0 {
         return Err(format!(
             "phase times must be nonzero: total={total_us}µs parse={parse_us}µs"
         ));
     }
     println!("sys.queries ok (query {qid}: total={total_us:.1}µs, parse={parse_us:.1}µs)");
-
-    if shards > 0 {
-        // Per-query fan-out: the catalog reports how many shards this
-        // query touched, and every shard's scatter span joins under
-        // the same id.
-        if rs.value(0, 2) != &Value::Int(shards as i64) {
-            return Err(format!(
-                "sys.queries reports {:?} shards for query {qid}, want {shards}",
-                rs.value(0, 2)
-            ));
-        }
-        let rs = c
-            .execute(&format!(
-                "SELECT shard FROM sys.spans WHERE query_id = {qid} AND shard >= 0"
-            ))
-            .map_err(|e| format!("sys.spans: {e}"))?;
-        let mut seen: Vec<i64> = rs.rows.iter().filter_map(|r| r[0].as_i64()).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        if seen != (0..shards as i64).collect::<Vec<_>>() {
-            return Err(format!(
-                "sys.spans shard rows for query {qid} cover {seen:?}, want all {shards}"
-            ));
-        }
-        println!("sys.spans ok (all {shards} shard spans join under query {qid})");
-    }
 
     // Γ over telemetry: the paper's summary aggregate runs over the
     // catalog snapshot like any other table...
@@ -943,7 +774,6 @@ fn main() -> ExitCode {
     let mut expect_chunks = 0u64;
     let mut expect_slow = false;
     let mut ingest = false;
-    let mut sharded = 0usize;
     let mut feed = None;
     let mut verify_recovery = false;
     let mut sys = false;
@@ -961,15 +791,6 @@ fn main() -> ExitCode {
                     Some(Ok(n)) => Some(n),
                     _ => {
                         eprintln!("--feed requires a starting key");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--sharded" => {
-                sharded = match args.next().map(|v| v.parse()) {
-                    Some(Ok(n)) => n,
-                    _ => {
-                        eprintln!("--sharded requires a shard count");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -992,20 +813,18 @@ fn main() -> ExitCode {
     let Some(addr) = addr else {
         eprintln!(
             "usage: server_smoke --addr HOST:PORT [--skip-shutdown] [--expect-chunks N] \
-             [--expect-slow] [--ingest] [--sharded N] [--feed N] [--verify-recovery] [--sys]"
+             [--expect-slow] [--ingest] [--feed N] [--verify-recovery] [--sys]"
         );
         return ExitCode::FAILURE;
     };
     let outcome = if let Some(start) = feed {
         run_feed(&addr, start)
     } else if sys {
-        run_sys(&addr, skip_shutdown, sharded)
+        run_sys(&addr, skip_shutdown)
     } else if verify_recovery {
         run_verify_recovery(&addr, skip_shutdown)
     } else if ingest {
         run_ingest(&addr, skip_shutdown)
-    } else if sharded > 0 {
-        run_sharded(&addr, skip_shutdown, sharded)
     } else {
         run(&addr, skip_shutdown, expect_chunks, expect_slow)
     };

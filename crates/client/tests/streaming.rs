@@ -111,16 +111,16 @@ fn statements(rng: &mut Rng) -> Vec<String> {
     out
 }
 
-/// Property: at S = 1 and S = 4, with one-row and default chunks,
+/// Property: over 1, 2 and 4 partitions, with one-row and default chunks,
 /// every streamed result equals `Db::execute` bit for bit and in
 /// order — the block path's columns encoded straight to chunk frames
 /// and decoded lazily give exactly the rows built in process — and
 /// equals the row-at-a-time interpreter's rows as well.
 #[test]
 fn streamed_rows_equal_in_process_rows_bit_for_bit() {
-    for shards in [1, 4] {
-        let db = Arc::new(Db::open(shards, 2, None).unwrap());
-        let mut rng = Rng::new(0x5717_ea11 ^ shards as u64);
+    for workers in [1, 2, 4] {
+        let db = Arc::new(Db::new(workers));
+        let mut rng = Rng::new(0x5717_ea11 ^ workers as u64);
         load(&db, &mut rng, 4000);
         for chunk_bytes in [1, ServerConfig::default().chunk_bytes] {
             let mut handle = serve(
@@ -133,7 +133,7 @@ fn streamed_rows_equal_in_process_rows_bit_for_bit() {
             .expect("bind");
             let mut c = Client::connect(handle.addr()).unwrap();
             for sql in statements(&mut rng) {
-                let what = format!("S={shards} chunk={chunk_bytes}: {sql}");
+                let what = format!("workers={workers} chunk={chunk_bytes}: {sql}");
                 let want = db.execute(&sql).unwrap();
                 let got = c.execute(&sql).unwrap();
                 assert_eq!(got.columns, want.columns, "{what}");

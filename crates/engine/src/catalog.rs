@@ -46,14 +46,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Registers or replaces an entry.
-    pub fn insert_or_replace(&self, name: &str, entry: CatalogEntry) {
-        self.map
-            .write()
-            .expect("catalog lock")
-            .insert(name.to_ascii_lowercase(), entry);
-    }
-
     /// Removes an entry; errors if absent.
     pub fn remove(&self, name: &str) -> Result<()> {
         if self

@@ -1,29 +1,28 @@
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use nlq_linalg::{Matrix, Vector};
 use nlq_models::{MatrixShape, Nlq};
 use nlq_obs::{render_spans, thread_cpu_nanos, Phase, Span};
 use nlq_storage::{
-    run_indexed, DiskTable, Row, Schema, StorageError, Table, Value, WalIo, WalStatsSnapshot,
+    run_indexed, Column, DiskTable, Row, Schema, StorageError, Table, Value, WalIo,
+    WalStatsSnapshot,
 };
+use nlq_summary::{SummaryData, SummaryDef, SummaryStore};
 use nlq_udf::pack::{assemble_blocks, unpack_block, unpack_nlq};
 use nlq_udf::{ParamStyle, UdfRegistry};
 
-use crate::ast::{Expr, Projection, SelectStmt, Statement};
+use crate::ast::{Expr, Statement};
 use crate::cache::{CacheOutcome, PlanCache};
+use crate::catalog::{Catalog, CatalogEntry};
 use crate::durable::{DurabilityStats, LogSet, Payload, Recovered, RecoveryInfo};
-use crate::exec::{
-    check_cancelled, is_aggregate_select, merge_partial_errors, result_to_table, row_cmp,
-    AggPartial,
-};
-use crate::output::{truncate_blocks, ResultBlock};
+use crate::exec::{check_cancelled, result_to_table, ExecContext};
+use crate::expr::{Binder, BoundSchema};
+use crate::output::ResultBlock;
 use crate::serve::{beta_table, centroid_table, lambda_table, mu_table};
-use crate::shard::{Env, Shard};
-use crate::sys::{SystemTableProvider, SYS_PREFIX};
+use crate::sys::SystemTableProvider;
 use crate::{sqlgen, EngineError, Result};
 
 /// Which in-DBMS implementation computes the summary matrices (§3.3's
@@ -80,14 +79,6 @@ pub struct ExecStats {
     pub merge_nanos: u64,
     /// Phase 4 (finalize + HAVING + projection) time on the master.
     pub finalize_nanos: u64,
-    /// Wall-clock time a statement spent fanned out over more than one
-    /// shard — covers the slowest shard's local execution. 0 when one
-    /// shard ran the whole statement.
-    pub scatter_nanos: u64,
-    /// Wall-clock time spent collecting shard results and merging
-    /// Γ/aggregate partials (or concatenating row streams). 0 when one
-    /// shard ran the whole statement.
-    pub gather_nanos: u64,
     /// Wall-clock time spent appending write-ahead-log records and
     /// waiting on the commit fsync. Always 0 on a non-durable engine
     /// and for read-only statements.
@@ -99,11 +90,11 @@ pub struct ExecStats {
     /// several statements can share one physical fsync; each counts
     /// the sync it waited on).
     pub wal_fsyncs: u64,
-    /// CPU nanoseconds this statement consumed on the calling thread
-    /// (`CLOCK_THREAD_CPUTIME_ID` sampled at statement boundaries) and
-    /// on the scan-pool helpers that ran its shard pieces or
-    /// partitions (sampled around each). This is the statement's one
-    /// CPU sink; its trace takes the total from here.
+    /// CPU nanoseconds this statement consumed: the calling thread's
+    /// (`CLOCK_THREAD_CPUTIME_ID` sampled at statement boundaries) plus
+    /// that of the scan-pool helpers that ran its partitions (sampled
+    /// around each, into a sink that outlives an error). Its trace
+    /// takes the same total.
     pub cpu_nanos: u64,
     /// Whether the statement was cancelled mid-execution. The engine
     /// never returns a [`ResultSet`] for a cancelled statement (it
@@ -111,31 +102,6 @@ pub struct ExecStats {
     /// serving layers can report "last statement was cancelled after
     /// `rows_scanned` rows" through the same stats struct.
     pub cancelled: bool,
-}
-
-impl ExecStats {
-    /// Adds the counters of another shard-local piece of the same
-    /// statement: rows, blocks, summary outcomes, per-phase times and
-    /// scan-helper CPU sum, `block_path` ORs. Parse, scatter/gather,
-    /// WAL bytes and fsyncs and the `summary_path`/`cancelled` flags
-    /// belong to the statement as a whole and are left to the caller.
-    pub fn absorb(&mut self, s: &ExecStats) {
-        self.rows_scanned += s.rows_scanned;
-        self.blocks_scanned += s.blocks_scanned;
-        self.block_path |= s.block_path;
-        self.summary_hits += s.summary_hits;
-        self.summary_misses += s.summary_misses;
-        self.summary_stale_rebuilds += s.summary_stale_rebuilds;
-        self.summary_rebuild_rows += s.summary_rebuild_rows;
-        self.plan_nanos += s.plan_nanos;
-        self.summary_nanos += s.summary_nanos;
-        self.scan_nanos += s.scan_nanos;
-        self.accumulate_nanos += s.accumulate_nanos;
-        self.merge_nanos += s.merge_nanos;
-        self.finalize_nanos += s.finalize_nanos;
-        self.wal_nanos += s.wal_nanos;
-        self.cpu_nanos += s.cpu_nanos;
-    }
 }
 
 /// Fewest blocks worth a row-building task of their own: a block's
@@ -275,199 +241,166 @@ pub struct ExecOptions {
     /// layers append their own encode/stream spans to the same trace.
     pub trace: Option<nlq_obs::Trace>,
     /// Globally unique query id minted by the serving layer at
-    /// admission, so every shard's scatter span gathers under one trace
+    /// admission, so the statement's spans gather under one trace
     /// tree; 0 when the caller does not track ids.
     pub query_id: u64,
 }
 
-/// How a table's rows are laid out across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Distribution {
-    /// Rows are spread round-robin; shards hold disjoint slices.
-    Partitioned,
-    /// Every shard holds a full copy (model/dimension tables).
-    Replicated,
-}
-
-/// How a SELECT executes across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
-    /// One shard runs the whole statement: every shard at S = 1, or one
-    /// chosen round-robin when every table read is replicated.
-    Single(usize),
-    /// Fan out to every shard; gather by Γ-merge (aggregates) or
-    /// deterministic concatenation (scalar row streams).
-    Scatter {
-        /// True when the gather merges partial aggregate states.
-        aggregate: bool,
-    },
-}
-
-/// Where a durable [`Db`] keeps its write-ahead logs: shard `i` appends
-/// to `dir/shard-<i>/wal.log`, and checkpoints go to
-/// `dir/checkpoint/` (see [`Db::open`]).
+/// Where a durable [`Db`] keeps its write-ahead log:
+/// `dir/shard-0/wal.log`, with checkpoints in `dir/checkpoint/` (see
+/// [`Db::open`]). The `shard-0/` directory is the layout's historical
+/// name; a directory that also holds a `shard-<i>/` with i ≥ 1 was
+/// written by a sharded engine and is refused.
 pub struct LogDir<'a> {
     /// The engine's directory.
     pub dir: &'a Path,
     /// Fsync each commit before it is acknowledged.
     pub fsync: bool,
-    /// Append sinks, one per shard, used instead of the real log files
-    /// (fault-injection tests substitute crashing ones); empty opens the
-    /// real files. Recovery always reads the real files.
-    pub ios: Vec<Arc<dyn WalIo>>,
+    /// Append sink used instead of the real log file (fault-injection
+    /// tests substitute a crashing one); `None` opens the real file.
+    /// Recovery always reads the real file.
+    pub io: Option<Arc<dyn WalIo>>,
 }
 
 impl<'a> LogDir<'a> {
-    /// The real log files under `dir`.
+    /// The real log file under `dir`.
     pub fn new(dir: &'a Path, fsync: bool) -> LogDir<'a> {
         LogDir {
             dir,
             fsync,
-            ios: Vec::new(),
+            io: None,
         }
     }
+
+    /// The log file, relative to the engine's directory.
+    pub const LOG: &'static str = "shard-0/wal.log";
 }
 
-/// The database: S ≥ 1 shards, each a volatile executor over its own
-/// slice of the catalog with its own scan workers, behind one router —
-/// the Rust stand-in for the Teradata system the paper runs on, whose
-/// AMPs are the shards.
-///
-/// Γ (`n, L, Q`) is additive, so an aggregate over a partitioned table
-/// runs phases 1–3 (scan + local merge, or a summary hit) on every shard
-/// and gathers by merging the shards' partial accumulator states — the
-/// same `AggregateState::merge` each shard's worker threads already
-/// use. Each shard's piece is a task of the process-wide scan pool, and
-/// the caller runs pieces too. A statement with exactly one target
-/// shard runs whole on that shard, inline on the caller's thread: every
-/// statement at S = 1, and at S > 1 any SELECT that reads only
-/// replicated tables.
-///
-/// ## Table distribution
-///
-/// * **Partitioned** — data tables (`CREATE TABLE`, `CREATE TABLE AS
-///   SELECT`, [`Db::load_points`]): rows are spread round-robin across
-///   shards; every shard holds a disjoint slice.
-/// * **Replicated** — model tables ([`Db::register_beta`] and friends,
-///   [`Db::register_table`]): every shard holds a full copy, so the
-///   paper's scoring pattern (`X CROSS JOIN BETA`) joins each shard's
-///   slice of `X` against its own copy of `BETA`.
-///
-/// Joining two partitioned tables would need a cross-shard exchange
-/// and is rejected at S > 1.
+/// The error for a directory or checkpoint written by a sharded engine
+/// (S > 1 logs or table slices): opening it with its other logs
+/// ignored would silently lose their envelopes.
+fn sharded_layout(dir: &Path, what: &str) -> EngineError {
+    EngineError::Unsupported(format!(
+        "{}: {what} belongs to the sharded layout (S > 1), which this \
+         engine does not open; only the one-log layout ({}) is readable",
+        dir.display(),
+        LogDir::LOG
+    ))
+}
+
+/// The database: one catalog, one Γ summary store and one write-ahead
+/// log over round-robin partitioned tables — the Rust stand-in for the
+/// Teradata system the paper runs on. Each table partition plays an
+/// AMP: a scan runs one partial Γ per partition on the process-wide
+/// scan pool, the caller included, and merges the partials (the
+/// aggregate protocol's phases 1–3); see DESIGN §11.
 ///
 /// Every piece of mutable state sits behind interior mutability, so
 /// one `Arc<Db>` serves any number of concurrent sessions — the serving
 /// layer in `nlq-server` builds directly on this. A SQL-text-keyed plan
 /// cache skips the parse of repeated read-only statements, and a
-/// durable engine logs every mutation before acknowledging it (one log
-/// per shard, under one envelope / recovery / checkpoint protocol).
+/// durable engine logs every mutation before acknowledging it.
 pub struct Db {
-    shards: Vec<Shard>,
+    catalog: Catalog,
+    summaries: SummaryStore,
+    /// Scan-pool threads (and partitions of new tables) per statement.
+    workers: usize,
+    /// DML serializes on one lock: table replacement is copy-on-write,
+    /// and without the lock two concurrent INSERTs into one table could
+    /// both clone the same generation and lose one batch.
+    dml_lock: Mutex<()>,
     registry: RwLock<Arc<UdfRegistry>>,
     /// Virtual `sys.*` namespace registered by the serving layer.
     system_tables: RwLock<Option<Arc<dyn SystemTableProvider>>>,
     cache: PlanCache,
-    dist: RwLock<HashMap<String, Distribution>>,
-    /// Round-robin cursor: spreads replicated-only queries across
-    /// shards and offsets successive INSERT batches so small inserts
-    /// don't all land on shard 0.
-    rr: AtomicU64,
     /// `None` for a volatile engine.
     logs: Option<LogSet>,
 }
 
 impl Db {
-    /// A volatile single-shard database executing scans on `workers`
-    /// parallel threads, with all of the paper's UDFs pre-registered.
+    /// A volatile database executing scans on up to `workers` threads
+    /// of the process-wide scan pool, with all of the paper's UDFs
+    /// pre-registered.
     pub fn new(workers: usize) -> Self {
-        Db::volatile(1, workers)
-    }
-
-    /// Opens a **durable** single-shard database rooted at `dir` (see
-    /// [`Db::open`]).
-    pub fn open_durable(workers: usize, dir: &Path, fsync: bool) -> Result<Db> {
-        Db::open(1, workers, Some(LogDir::new(dir, fsync)))
-    }
-
-    /// Builds a database of `shards` shards (at least one), each
-    /// scanning with up to `workers` threads of the process-wide scan
-    /// pool. It starts no thread of its own at any S: shard pieces run
-    /// on the caller and on the same pool.
-    ///
-    /// With `wal`, the database is durable: every mutating statement
-    /// and ingest envelope is written to the shards' logs before it is
-    /// acknowledged, and opening the same directory again — with the
-    /// same shard count — replays the committed log tails on top of the
-    /// latest checkpoint snapshot under the presumed-abort rule. See
-    /// [`Db::checkpoint`] for log truncation.
-    pub fn open(shards: usize, workers: usize, wal: Option<LogDir<'_>>) -> Result<Db> {
-        let mut db = Db::volatile(shards, workers);
-        let Some(wal) = wal else {
-            return Ok(db);
-        };
-        let paths: Vec<PathBuf> = (0..db.shards.len())
-            .map(|i| wal.dir.join(format!("shard-{i}/wal.log")))
-            .collect();
-        let ios = if wal.ios.is_empty() {
-            paths
-                .iter()
-                .map(|p| LogSet::file_io(p))
-                .collect::<Result<_>>()?
-        } else {
-            assert_eq!(wal.ios.len(), paths.len(), "one WalIo per shard");
-            wal.ios
-        };
-        let logs = paths.into_iter().zip(ios).collect();
-        let logs = LogSet::open(wal.dir, logs, wal.fsync, |rec| db.recover(rec))?;
-        db.logs = Some(logs);
-        Ok(db)
-    }
-
-    fn volatile(shards: usize, workers: usize) -> Db {
-        let shards = shards.max(1);
         Db {
-            shards: (0..shards).map(|_| Shard::new(workers)).collect(),
+            catalog: Catalog::new(),
+            summaries: SummaryStore::new(),
+            workers: workers.max(1),
+            dml_lock: Mutex::new(()),
             registry: RwLock::new(Arc::new(UdfRegistry::with_builtins())),
             system_tables: RwLock::new(None),
             cache: PlanCache::new(),
-            dist: RwLock::new(HashMap::new()),
-            rr: AtomicU64::new(0),
             logs: None,
         }
     }
 
-    /// Applies one recovered step. Checkpoint entries name a
-    /// partitioned table's slice as `<shard>/<table>` and a replicated
-    /// table, saved once, as `<table>`.
+    /// Opens a **durable** database rooted at `dir` (see [`Db::open`]).
+    pub fn open_durable(workers: usize, dir: &Path, fsync: bool) -> Result<Db> {
+        Db::open(workers, Some(LogDir::new(dir, fsync)))
+    }
+
+    /// Builds a database scanning with up to `workers` threads of the
+    /// process-wide scan pool; it starts no thread of its own.
+    ///
+    /// With `wal`, the database is durable: every mutating statement
+    /// and ingest envelope is written to the log before it is
+    /// acknowledged, and opening the same directory again replays the
+    /// committed log tail on top of the latest checkpoint snapshot. See
+    /// [`Db::checkpoint`] for log truncation.
+    ///
+    /// # Errors
+    /// A directory written by a sharded engine — one that holds a
+    /// `shard-<i>/` with i ≥ 1 — is refused before anything is read.
+    pub fn open(workers: usize, wal: Option<LogDir<'_>>) -> Result<Db> {
+        let mut db = Db::new(workers);
+        let Some(wal) = wal else {
+            return Ok(db);
+        };
+        if let Ok(entries) = std::fs::read_dir(wal.dir) {
+            for entry in entries.flatten() {
+                let name = entry.file_name().to_string_lossy().into_owned();
+                if name.starts_with("shard-") && name != "shard-0" {
+                    return Err(sharded_layout(wal.dir, &format!("{name}/")));
+                }
+            }
+        }
+        let path = wal.dir.join(LogDir::LOG);
+        let io = match wal.io {
+            Some(io) => io,
+            None => LogSet::file_io(&path)?,
+        };
+        let logs = LogSet::open(wal.dir, &path, io, wal.fsync, |rec| db.recover(rec))?;
+        db.logs = Some(logs);
+        Ok(db)
+    }
+
+    /// Applies one recovered step. A checkpoint entry names its table
+    /// file: `<table>` is `<table>.tbl`, and `0/<table>` — the form the
+    /// sharded engine wrote at S = 1 — is `shard-0/<table>.tbl`.
     fn recover(&self, rec: Recovered<'_>) -> Result<()> {
         match rec {
-            Recovered::Table { ckdir, entry } => match entry.split_once('/') {
-                Some((i, name)) => {
-                    let i = i
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&i| i < self.shards.len())
-                        .ok_or(StorageError::Corrupt("checkpoint table entry"))?;
-                    let path = ckdir.join(format!("shard-{i}/{name}.tbl"));
-                    self.shards[i].load_table(name, &path)?;
-                    self.mark(name, Distribution::Partitioned);
-                    Ok(())
-                }
-                None => {
-                    let table = DiskTable::open(&ckdir.join(format!("{entry}.tbl")))?.to_table()?;
-                    self.replicate(entry, table, |shard, name, t| {
-                        shard.replace(name, t);
-                        Ok(())
-                    })
-                }
-            },
-            // Through the normal dispatch, so distribution marks and
-            // plan-cache invalidation happen as they did live.
-            Recovered::Statement(stmt) => self
-                .dispatch(&stmt, &ExecOptions::default(), CacheOutcome::Miss, 0)
-                .map(drop),
-            Recovered::Rows { log, table, rows } => self.shards[log].append_rows(&table, &rows),
+            Recovered::Table { ckdir, entry } => {
+                let (name, path) = match entry.split_once('/') {
+                    None => (entry, ckdir.join(format!("{entry}.tbl"))),
+                    Some(("0", name)) => (name, ckdir.join(format!("shard-0/{name}.tbl"))),
+                    Some((i, _)) if i.parse::<usize>().is_ok() => {
+                        return Err(sharded_layout(ckdir, &format!("table entry '{entry}'")))
+                    }
+                    Some(_) => return Err(StorageError::Corrupt("checkpoint table entry").into()),
+                };
+                let table = DiskTable::open(&path)?.to_table()?;
+                // Recovery starts from an empty catalog; the summary DDL
+                // replays after the tables and folds them.
+                self.register_table(name, table)
+            }
+            // Through the normal dispatch, so plan-cache invalidation
+            // happens as it did live.
+            Recovered::Statement(stmt) => {
+                let cpu = AtomicU64::new(0);
+                self.dispatch(&stmt, &ExecOptions::default(), CacheOutcome::Miss, 0, &cpu)
+                    .map(drop)
+            }
+            Recovered::Rows { table, rows } => self.append_rows(&table, &rows),
         }
     }
 
@@ -488,29 +421,27 @@ impl Db {
     }
 
     /// The materialized Γ summary store (inspect registered summaries
-    /// and their freshness; DDL goes through [`Db::execute`]). At S > 1
-    /// this is shard 0's store, whose summaries cover shard 0's slice
-    /// only; [`SqlEngine::summary_gamma`] merges every shard's.
-    pub fn summaries(&self) -> &nlq_summary::SummaryStore {
-        self.shards[0].summaries()
+    /// and their freshness; DDL goes through [`Db::execute`]).
+    pub fn summaries(&self) -> &SummaryStore {
+        &self.summaries
     }
 
-    /// Scan threads per shard.
-    fn workers(&self) -> usize {
-        self.shards[0].workers()
-    }
-
-    /// What every shard shares for one statement.
-    fn env(&self, opts: &ExecOptions, cancel: Option<Arc<AtomicBool>>) -> Env {
-        Env {
+    /// The execution context of one statement; pool helpers add the
+    /// CPU of the partitions they scan to `cpu`.
+    fn ctx<'a>(&'a self, opts: &ExecOptions, cpu: &'a AtomicU64) -> ExecContext<'a> {
+        ExecContext {
+            catalog: &self.catalog,
             registry: self.registry(),
+            summaries: &self.summaries,
+            workers: self.workers,
+            block_scan: opts.block_scan.unwrap_or(true),
+            cancel: opts.cancel.clone(),
             system: self
                 .system_tables
                 .read()
                 .expect("system tables lock")
                 .clone(),
-            block_scan: opts.block_scan.unwrap_or(true),
-            cancel,
+            helper_cpu: cpu,
         }
     }
 
@@ -528,7 +459,7 @@ impl Db {
     /// settings). A plan-cache hit skips the parse (`parse_nanos = 0`).
     pub fn execute_with(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet> {
         let mut rs = self.execute_blocks(sql, opts)?;
-        rs.build_rows(self.workers());
+        rs.build_rows(self.workers);
         Ok(rs)
     }
 
@@ -541,16 +472,22 @@ impl Db {
         // statement up front — nothing has run, nothing mutated.
         check_cancelled(opts.cancel.as_deref(), 0)?;
         let parse_started = Instant::now();
-        let (stmt, outcome) = self.cache.get_or_parse(sql)?;
+        let (stmt, outcome) = match self.cache.get_or_parse(sql) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                // A failed parse burned CPU too.
+                if let Some(trace) = &opts.trace {
+                    trace.add_cpu_nanos(thread_cpu_nanos().saturating_sub(cpu_started));
+                }
+                return Err(e);
+            }
+        };
         let parse_nanos = match outcome {
             CacheOutcome::Hit => 0,
             CacheOutcome::Miss => parse_started.elapsed().as_nanos() as u64,
         };
-        // A mutating statement's text goes to every shard log.
-        // Statements whose rows route to specific shards (INSERT, CTAS,
-        // INSERT..SELECT) are logged as full text too and re-routed at
-        // replay; placement may differ across a crash, which round-robin
-        // distribution makes invisible to query results.
+        // A mutating statement is logged as its text and re-executed at
+        // replay.
         let payload = Payload::statement(sql, &stmt);
         self.run(&stmt, payload, outcome, parse_nanos, cpu_started, opts)
     }
@@ -575,7 +512,7 @@ impl Db {
         check_cancelled(opts.cancel.as_deref(), 0)?;
         let payload = Payload::unlogged();
         let mut rs = self.run(&stmt, payload, CacheOutcome::Miss, 0, cpu_started, opts)?;
-        rs.build_rows(self.workers());
+        rs.build_rows(self.workers);
         Ok(rs)
     }
 
@@ -590,26 +527,27 @@ impl Db {
         cpu_started: u64,
         opts: &ExecOptions,
     ) -> Result<ResultSet> {
+        let helper_cpu = AtomicU64::new(0);
         let done = LogSet::envelope(self.logs.as_ref(), payload, || {
-            self.dispatch(stmt, opts, outcome, parse_nanos)
+            self.dispatch(stmt, opts, outcome, parse_nanos, &helper_cpu)
         });
-        // The calling thread's CPU counts on either outcome; a result's
-        // stats hold its scan helpers' CPU already.
-        let own_cpu = thread_cpu_nanos().saturating_sub(cpu_started);
+        // The calling thread's CPU and its scan helpers' count on
+        // either outcome: the helpers' sink outlives an error.
+        let cpu = thread_cpu_nanos().saturating_sub(cpu_started) + helper_cpu.into_inner();
         let (mut rs, cost) = match done {
             Ok(done) => done,
             Err(e) => {
                 if let Some(trace) = &opts.trace {
-                    trace.add_cpu_nanos(own_cpu);
+                    trace.add_cpu_nanos(cpu);
                 }
                 return Err(e);
             }
         };
         cost.charge(&mut rs.stats);
         rs.stats.parse_nanos = parse_nanos;
-        rs.stats.cpu_nanos += own_cpu;
+        rs.stats.cpu_nanos = cpu;
         if let Some(trace) = &opts.trace {
-            trace.add_cpu_nanos(rs.stats.cpu_nanos);
+            trace.add_cpu_nanos(cpu);
             trace.add_wal(rs.stats.wal_bytes, rs.stats.wal_fsyncs);
             for span in phase_spans(&rs.stats) {
                 trace.record(span);
@@ -624,441 +562,197 @@ impl Db {
         opts: &ExecOptions,
         outcome: CacheOutcome,
         parse_nanos: u64,
+        cpu: &AtomicU64,
     ) -> Result<ResultSet> {
-        match stmt {
-            Statement::Select(s) => self.exec_select(s, opts),
-            Statement::Explain(s) => self.exec_explain(stmt, s, opts, outcome),
+        let ctx = self.ctx(opts, cpu);
+        let rs = match stmt {
+            Statement::Select(s) => return ctx.execute_select(s),
+            Statement::Explain(s) => {
+                let mut lines = ctx.explain_select(s)?;
+                lines.push(cache_line(outcome));
+                return Ok(plan_result(lines));
+            }
             Statement::ExplainAnalyze(s) => {
-                self.exec_explain_analyze(s, opts, outcome, parse_nanos)
+                let exec_started = Instant::now();
+                let mut stats = ctx.execute_select(s)?.stats;
+                stats.parse_nanos = parse_nanos;
+                let total_nanos = parse_nanos + exec_started.elapsed().as_nanos() as u64;
+                let mut lines = render_spans(total_nanos, &phase_spans(&stats));
+                lines.extend(explain_analyze_footer(&stats));
+                lines.push(cache_line(outcome));
+                let mut rs = plan_result(lines);
+                rs.stats = stats;
+                return Ok(rs);
             }
-            Statement::CreateTableAs { name, query } => self.exec_ctas(name, query, opts),
-            Statement::InsertSelect { table, query } => self.exec_insert_select(table, query, opts),
-            Statement::Insert { table, rows } => self.exec_insert(stmt, table, rows, opts),
-            Statement::CreateTable { .. }
-            | Statement::CreateView { .. }
-            | Statement::CreateSummary { .. }
-            | Statement::DropSummary { .. }
-            | Statement::Drop { .. }
-            | Statement::Delete { .. }
-            | Statement::Update { .. } => self.exec_write(stmt, opts),
-        }
-    }
-
-    /// Runs `job` on each target shard, one scan-pool task per shard,
-    /// and returns the results in target order. The caller runs pieces
-    /// too, so a lone target is an inline call, and a piece's own
-    /// partition scan is a nested pool call. A piece that ran on a pool
-    /// helper adds that helper's CPU to its own stats; at S > 1 each
-    /// piece also records a per-shard `scatter` span. The pieces share
-    /// one cancel token (the caller's, or a fresh one): the first
-    /// non-cancel error flips it, so the other pieces stop early, and
-    /// it wins over cancellations, which report their summed row
-    /// counts.
-    fn scatter<T: Piece + Send>(
-        &self,
-        targets: &[usize],
-        opts: &ExecOptions,
-        job: impl Fn(usize, &Shard, &Env) -> Result<T> + Sync,
-    ) -> Result<Vec<T>> {
-        let token = opts.cancel.clone().unwrap_or_default();
-        let env = self.env(opts, Some(Arc::clone(&token)));
-        let trace = opts.trace.as_ref().filter(|_| self.shards.len() > 1);
-        let caller = std::thread::current().id();
-        let results = run_indexed(targets.len(), targets.len(), |k| {
-            let i = targets[k];
-            let on_helper = std::thread::current().id() != caller;
-            // The caller's own CPU is in the statement's sample already.
-            let sampled = on_helper || trace.is_some();
-            let cpu_started = if sampled { thread_cpu_nanos() } else { 0 };
-            let started = Instant::now();
-            let mut res = job(i, &self.shards[i], &env);
-            let nanos = started.elapsed().as_nanos() as u64;
-            let own_cpu = if sampled {
-                thread_cpu_nanos().saturating_sub(cpu_started)
-            } else {
-                0
-            };
-            let mut span_cpu = own_cpu;
-            let rows = match &mut res {
-                Ok(piece) => {
-                    let stats = piece.stats_mut();
-                    span_cpu += stats.cpu_nanos;
-                    if on_helper {
-                        stats.cpu_nanos += own_cpu;
-                    }
-                    stats.rows_scanned
-                }
-                Err(EngineError::Cancelled { rows_scanned }) => *rows_scanned,
-                Err(_) => {
-                    token.store(true, Ordering::Relaxed);
-                    0
-                }
-            };
-            self.shards[i].count(rows, nanos);
-            if let Some(t) = trace {
-                t.record(
-                    Span::new(Phase::Scatter, nanos)
-                        .rows(rows)
-                        .cpu_nanos(span_cpu)
-                        .on_shard(i),
-                );
-            }
-            res
-        });
-        merge_partial_errors(results)
-    }
-
-    /// Runs one statement whole on each target shard. One result comes
-    /// back as the shard produced it; several fold into an empty result
-    /// with summed counters and the fan-out's wall time.
-    fn run_whole(
-        &self,
-        targets: &[usize],
-        stmt: &Statement,
-        opts: &ExecOptions,
-    ) -> Result<ResultSet> {
-        let started = Instant::now();
-        let mut sets = self.scatter(targets, opts, |_, shard, env| shard.execute(stmt, env))?;
-        if sets.len() == 1 {
-            return Ok(sets.pop().expect("one result"));
-        }
-        let mut rs = ResultSet::empty();
-        for s in &sets {
-            rs.stats.absorb(&s.stats);
-        }
-        rs.stats.scatter_nanos = started.elapsed().as_nanos() as u64;
-        Ok(rs)
-    }
-
-    fn all_targets(&self) -> Vec<usize> {
-        (0..self.shards.len()).collect()
-    }
-
-    /// Classifies a SELECT by the distribution of its FROM tables.
-    fn route(&self, stmt: &SelectStmt) -> Result<Route> {
-        let s = self.shards.len();
-        // One shard holds every table whole.
-        if s == 1 {
-            return Ok(Route::Single(0));
-        }
-        let dist = self.dist.read().expect("dist map");
-        let mut partitioned = 0usize;
-        let mut unknown = 0usize;
-        for t in &stmt.from {
-            let name = t.name.to_ascii_lowercase();
-            match dist.get(&name) {
-                Some(Distribution::Replicated) => {}
-                Some(Distribution::Partitioned) => partitioned += 1,
-                // Virtual system tables snapshot engine-global state
-                // through the shared provider, so every shard answers
-                // identically — route like a replicated table or a
-                // scatter would multiply the snapshot by the shard
-                // count.
-                None if name.starts_with(SYS_PREFIX) => {}
-                // Unknown names scatter so the shards surface the real
-                // UnknownTable error.
-                None => unknown += 1,
-            }
-        }
-        drop(dist);
-        if partitioned > 1 {
-            return Err(EngineError::Unsupported(
-                "join of multiple partitioned tables requires replication \
-                 (register dimension tables via the API, not CREATE TABLE)"
-                    .into(),
-            ));
-        }
-        if partitioned == 0 && unknown == 0 {
-            let i = self.rr.fetch_add(1, Ordering::Relaxed) as usize % s;
-            return Ok(Route::Single(i));
-        }
-        Ok(Route::Scatter {
-            aggregate: is_aggregate_select(stmt, &self.registry()),
-        })
-    }
-
-    fn exec_select(&self, select: &SelectStmt, opts: &ExecOptions) -> Result<ResultSet> {
-        match self.route(select)? {
-            Route::Single(i) => {
-                let mut one = self.scatter(&[i], opts, |_, shard, env| {
-                    shard.ctx(env).execute_select(select)
-                })?;
-                Ok(one.pop().expect("one shard"))
-            }
-            Route::Scatter { aggregate: true } => self.exec_merge(select, opts),
-            Route::Scatter { aggregate: false } => self.exec_concat(select, opts),
-        }
-    }
-
-    /// Aggregate scatter/gather: each shard computes its Γ partial
-    /// (phases 1–3, or a summary hit with zero rows scanned); the
-    /// gather merges partial accumulator states and finalizes once.
-    fn exec_merge(&self, select: &SelectStmt, opts: &ExecOptions) -> Result<ResultSet> {
-        let scatter_started = Instant::now();
-        let partials = self.scatter(&self.all_targets(), opts, |_, shard, env| {
-            shard.ctx(env).execute_select_partial(select)
-        })?;
-        let scatter_nanos = scatter_started.elapsed().as_nanos() as u64;
-
-        let gather_started = Instant::now();
-        let mut rs = AggPartial::merge(partials)?.finalize(select)?;
-        rs.stats.scatter_nanos = scatter_nanos;
-        rs.stats.gather_nanos = gather_started.elapsed().as_nanos() as u64;
-        Ok(rs)
-    }
-
-    /// Scalar scatter/gather: every shard streams its slice of rows;
-    /// the gather concatenates in shard order, re-sorts when the query
-    /// has an ORDER BY, and re-applies LIMIT.
-    fn exec_concat(&self, select: &SelectStmt, opts: &ExecOptions) -> Result<ResultSet> {
-        let (shard_stmt, keys, hidden) = concat_plan(select);
-        let scatter_started = Instant::now();
-        let stmt = Statement::Select(shard_stmt);
-        let sets = self.scatter(&self.all_targets(), opts, |_, shard, env| {
-            shard.execute(&stmt, env)
-        })?;
-        let scatter_nanos = scatter_started.elapsed().as_nanos() as u64;
-
-        let gather_started = Instant::now();
-        let mut stats = ExecStats::default();
-        for s in &sets {
-            stats.absorb(&s.stats);
-        }
-        let visible = sets[0].columns.len() - hidden;
-        let mut columns = sets[0].columns.clone();
-        columns.truncate(visible);
-        // Unsorted block-path slices concatenate as blocks.
-        if keys.is_empty() && sets.iter().all(|s| s.rows.is_empty()) {
-            let mut blocks: Vec<ResultBlock> = sets.into_iter().flat_map(|s| s.blocks).collect();
-            if let Some(l) = select.limit {
-                truncate_blocks(&mut blocks, l);
-            }
-            let mut rs = ResultSet::from_blocks(columns, blocks);
-            stats.scatter_nanos = scatter_nanos;
-            stats.gather_nanos = gather_started.elapsed().as_nanos() as u64;
-            rs.stats = stats;
-            return Ok(rs);
-        }
-        let mut rows: Vec<Row> = Vec::with_capacity(sets.iter().map(ResultSet::len).sum());
-        for mut s in sets {
-            s.build_rows(self.workers());
-            rows.extend(s.rows);
-        }
-        if !keys.is_empty() {
-            let resolved: Vec<(usize, bool)> = keys
-                .iter()
-                .map(|k| {
-                    let col = match k.col {
-                        KeyCol::Output(i) => i,
-                        KeyCol::Hidden(j) => visible + j,
-                    };
-                    (col, k.descending)
-                })
-                .collect();
-            rows.sort_by(|a, b| row_cmp(a, b, resolved.iter().copied()));
-        }
-        if let Some(l) = select.limit {
-            rows.truncate(l);
-        }
-        if hidden > 0 {
-            for row in &mut rows {
-                row.truncate(visible);
-            }
-        }
-        let mut rs = ResultSet::new(columns, rows);
-        stats.scatter_nanos = scatter_nanos;
-        stats.gather_nanos = gather_started.elapsed().as_nanos() as u64;
-        rs.stats = stats;
-        Ok(rs)
-    }
-
-    /// EXPLAIN: shard 0's plan plus the route and the plan-cache probe
-    /// outcome for this statement text.
-    fn exec_explain(
-        &self,
-        stmt: &Statement,
-        select: &SelectStmt,
-        opts: &ExecOptions,
-        outcome: CacheOutcome,
-    ) -> Result<ResultSet> {
-        let env = self.env(opts, opts.cancel.clone());
-        let mut rs = self.shards[0].execute(stmt, &env)?;
-        for line in self.route_lines(select, outcome)? {
-            rs.rows.push(vec![Value::Str(line)]);
-        }
-        Ok(rs)
-    }
-
-    fn route_lines(&self, select: &SelectStmt, outcome: CacheOutcome) -> Result<Vec<String>> {
-        let s = self.shards.len();
-        let route = match self.route(select)? {
-            Route::Scatter { aggregate: true } => format!("scatter: {s} shards, gather: merge"),
-            Route::Scatter { aggregate: false } => format!("scatter: {s} shards, gather: concat"),
-            Route::Single(_) => format!("route: 1 of {s} shard(s)"),
-        };
-        let probe = match outcome {
-            CacheOutcome::Hit => "hit",
-            CacheOutcome::Miss => "miss",
-        };
-        Ok(vec![route, format!("plan cache: {probe}")])
-    }
-
-    /// EXPLAIN ANALYZE: execute the select, then render its phase spans
-    /// (wall times summing exactly to the total via the trailing
-    /// `other` line), the scan-mode and summary verdicts, and the route.
-    fn exec_explain_analyze(
-        &self,
-        select: &SelectStmt,
-        opts: &ExecOptions,
-        outcome: CacheOutcome,
-        parse_nanos: u64,
-    ) -> Result<ResultSet> {
-        let exec_started = Instant::now();
-        let inner = self.exec_select(select, opts)?;
-        let mut stats = inner.stats;
-        stats.parse_nanos = parse_nanos;
-        let total_nanos = parse_nanos + exec_started.elapsed().as_nanos() as u64;
-        let mut lines = render_spans(total_nanos, &phase_spans(&stats));
-        lines.extend(explain_analyze_footer(&stats));
-        lines.extend(self.route_lines(select, outcome)?);
-        let mut rs = ResultSet::new(
-            vec!["plan".into()],
-            lines.into_iter().map(|l| vec![Value::Str(l)]).collect(),
-        );
-        rs.stats = stats;
-        Ok(rs)
-    }
-
-    /// DDL, DELETE and UPDATE run whole on every shard, then drop
-    /// cached plans and update distribution metadata. This is the one
-    /// write-invalidation hook: DELETE/UPDATE rebuild each shard's
-    /// table (and its PK index) and fold Γ deltas, and must not leave
-    /// plans cached. Plain INSERT/ingest appends within an existing
-    /// shape and deliberately skips it: dropping cached plans on every
-    /// ingest chunk would force the read-while-ingest path to re-parse.
-    fn exec_write(&self, stmt: &Statement, opts: &ExecOptions) -> Result<ResultSet> {
-        let rs = self.run_whole(&self.all_targets(), stmt, opts)?;
-        self.cache.invalidate();
-        match stmt {
-            Statement::CreateTable { name, .. } => self.mark(name, Distribution::Partitioned),
-            Statement::CreateView { name, query } => {
-                // A view inherits the widest distribution it touches.
-                let part = query
-                    .from
+            // Plain INSERT appends within an existing shape and keeps
+            // cached plans: dropping them on every ingest chunk would
+            // force the read-while-ingest path to re-parse.
+            Statement::Insert { table, rows } => {
+                let empty_schema = BoundSchema::new();
+                let mut binder = Binder::scalar(&empty_schema, &ctx.registry);
+                let values = rows
                     .iter()
-                    .any(|t| self.table_dist(&t.name) == Distribution::Partitioned);
-                self.mark(
-                    name,
-                    if part {
-                        Distribution::Partitioned
-                    } else {
-                        Distribution::Replicated
-                    },
+                    .map(|row| {
+                        row.iter()
+                            .map(|e| binder.bind(e)?.eval(&[], &[], &[]))
+                            .collect()
+                    })
+                    .collect::<Result<Vec<Row>>>()?;
+                self.append_rows(table, &values)?;
+                return Ok(ResultSet::empty());
+            }
+            Statement::InsertSelect { table, query } => {
+                let mut rs = ctx.execute_select(query)?;
+                rs.build_rows(self.workers);
+                self.append_rows(table, &rs.rows)?;
+                let mut out = ResultSet::empty();
+                out.stats = rs.stats;
+                return Ok(out);
+            }
+            Statement::CreateTableAs { name, query } => {
+                if self.catalog.get(name).is_some() {
+                    return Err(EngineError::DuplicateTable(name.clone()));
+                }
+                let mut rs = ctx.execute_select(query)?;
+                rs.build_rows(self.workers);
+                self.register_table(name, result_to_table(&rs, self.workers)?)?;
+                let mut out = ResultSet::empty();
+                out.stats = rs.stats;
+                out
+            }
+            Statement::CreateTable { name, columns } => {
+                let schema = Schema::new(
+                    columns
+                        .iter()
+                        .map(|c| Column::new(c.name.clone(), c.ty))
+                        .collect(),
                 );
+                self.register_table(name, Table::new(schema, self.workers))?;
+                ResultSet::empty()
             }
-            Statement::Drop { name } => self.unmark(name),
-            _ => {}
-        }
-        Ok(rs)
-    }
-
-    /// CREATE TABLE AS: run the defining query, then deal the
-    /// materialized rows round-robin as a new partitioned table.
-    fn exec_ctas(&self, name: &str, query: &SelectStmt, opts: &ExecOptions) -> Result<ResultSet> {
-        if self
-            .dist
-            .read()
-            .expect("dist map")
-            .contains_key(&name.to_ascii_lowercase())
-        {
-            return Err(EngineError::DuplicateTable(name.to_owned()));
-        }
-        let mut rs = self.exec_select(query, opts)?;
-        rs.build_rows(self.workers());
-        let slices = deal(rs.rows, self.shards.len(), 0);
-        for (shard, rows) in self.shards.iter().zip(slices) {
-            let slice = ResultSet::new(rs.columns.clone(), rows);
-            let table = result_to_table(&slice, shard.workers())?;
-            shard.register(name, table)?;
-        }
-        self.mark(name, Distribution::Partitioned);
+            Statement::CreateView { name, query } => {
+                self.catalog
+                    .insert(name, CatalogEntry::View(Arc::new(query.clone())))?;
+                ResultSet::empty()
+            }
+            Statement::Drop { name } => {
+                self.catalog.remove(name)?;
+                // Summaries die with their base table.
+                self.summaries.drop_for_table(name);
+                ResultSet::empty()
+            }
+            Statement::CreateSummary {
+                name,
+                table,
+                columns,
+                shape,
+                minmax,
+                group_by,
+            } => {
+                let t = self.base_table(table)?;
+                let shape = match shape {
+                    None => MatrixShape::Triangular,
+                    Some(s) => MatrixShape::parse(s).ok_or_else(|| {
+                        EngineError::Unsupported(format!(
+                            "unknown summary shape '{s}' (expected diag, triang, or full)"
+                        ))
+                    })?,
+                };
+                let def = SummaryDef {
+                    name: name.clone(),
+                    table: table.to_ascii_lowercase(),
+                    columns: columns.clone(),
+                    shape,
+                    minmax: *minmax,
+                    group_by: group_by.clone(),
+                };
+                self.summaries.create(def, &t)?;
+                ResultSet::empty()
+            }
+            Statement::DropSummary { name } => {
+                self.summaries.remove(name)?;
+                ResultSet::empty()
+            }
+            Statement::Delete { table, predicate } => {
+                self.rewrite(&ctx, table, predicate.as_ref(), &[])?;
+                ResultSet::empty()
+            }
+            Statement::Update {
+                table,
+                sets,
+                predicate,
+            } => {
+                self.rewrite(&ctx, table, predicate.as_ref(), sets)?;
+                ResultSet::empty()
+            }
+        };
+        // DDL, DELETE and UPDATE drop cached plans: this is the one
+        // write-invalidation hook.
         self.cache.invalidate();
-        let mut out = ResultSet::empty();
-        out.stats = rs.stats;
-        Ok(out)
-    }
-
-    /// INSERT INTO ... SELECT: run the query, then append the rows
-    /// round-robin (partitioned target) or everywhere (replicated).
-    fn exec_insert_select(
-        &self,
-        table: &str,
-        query: &SelectStmt,
-        opts: &ExecOptions,
-    ) -> Result<ResultSet> {
-        let mut rs = self.exec_select(query, opts)?;
-        rs.build_rows(self.workers());
-        self.insert_slices(table, &self.spread(table, rs.rows))?;
-        let mut out = ResultSet::empty();
-        out.stats = rs.stats;
-        Ok(out)
-    }
-
-    /// INSERT ... VALUES: one shard, or a replicated target, takes the
-    /// whole statement everywhere; otherwise the literal rows are dealt
-    /// round-robin and each shard evaluates its own slice.
-    fn exec_insert(
-        &self,
-        stmt: &Statement,
-        table: &str,
-        rows: &[Vec<Expr>],
-        opts: &ExecOptions,
-    ) -> Result<ResultSet> {
-        let s = self.shards.len();
-        if s == 1 || self.table_dist(table) == Distribution::Replicated {
-            return self.run_whole(&self.all_targets(), stmt, opts);
-        }
-        let off = self.rr.fetch_add(rows.len() as u64, Ordering::Relaxed) as usize;
-        let slices = deal(rows.to_vec(), s, off);
-        let targets: Vec<usize> = (0..s).filter(|&i| !slices[i].is_empty()).collect();
-        let subs: Vec<Statement> = slices
-            .into_iter()
-            .map(|rows| Statement::Insert {
-                table: table.to_owned(),
-                rows,
-            })
-            .collect();
-        let started = Instant::now();
-        let sets = self.scatter(&targets, opts, |i, shard, env| shard.execute(&subs[i], env))?;
-        let mut rs = ResultSet::empty();
-        for set in &sets {
-            rs.stats.absorb(&set.stats);
-        }
-        rs.stats.scatter_nanos = started.elapsed().as_nanos() as u64;
         Ok(rs)
     }
 
-    /// One slice of pre-evaluated `rows` per shard: round-robin from a
-    /// moving offset (partitioned target) or a full copy everywhere
-    /// (replicated target).
-    fn spread(&self, table: &str, rows: Vec<Row>) -> Vec<Vec<Row>> {
-        let s = self.shards.len();
-        match self.table_dist(table) {
-            Distribution::Replicated => vec![rows; s],
-            Distribution::Partitioned => {
-                let off = self.rr.fetch_add(rows.len() as u64, Ordering::Relaxed) as usize;
-                deal(rows, s, off)
+    /// DELETE (no `sets`) or UPDATE of the rows `predicate` matches:
+    /// rebuilds the table (and its PK index) under the DML lock. Γ is
+    /// additive, so a DELETE subtracts the deleted batch from the
+    /// summaries that track no min/max (min/max are not invertible from
+    /// sums — those summaries degrade to stale and rebuild lazily); an
+    /// UPDATE may have touched any row and column, so every summary on
+    /// the table goes stale.
+    fn rewrite(
+        &self,
+        ctx: &ExecContext<'_>,
+        table: &str,
+        predicate: Option<&Expr>,
+        sets: &[(String, Expr)],
+    ) -> Result<()> {
+        let _dml = self.dml_lock.lock().expect("dml lock");
+        let t = self.base_table(table)?;
+        let mut schema = BoundSchema::new();
+        schema.push_table(Some(table), t.schema());
+        let mut binder = Binder::scalar(&schema, &ctx.registry);
+        let pred = predicate.map(|p| binder.bind(p)).transpose()?;
+        let bound_sets: Vec<(usize, _)> = sets
+            .iter()
+            .map(|(col, e)| {
+                let idx = t
+                    .schema()
+                    .index_of(col)
+                    .ok_or_else(|| EngineError::UnknownColumn(col.clone()))?;
+                Ok((idx, binder.bind(e)?))
+            })
+            .collect::<Result<_>>()?;
+        let mut replacement = Table::new(t.schema().clone(), t.partition_count());
+        let mut deleted = Vec::new();
+        for (scanned, row) in t.scan_all().enumerate() {
+            check_cancelled(ctx.cancel.as_deref(), scanned as u64)?;
+            let mut row = row?;
+            let hit = match &pred {
+                Some(p) => matches!(p.eval(&row, &[], &[])?, Value::Int(x) if x != 0),
+                None => true,
+            };
+            if hit && sets.is_empty() {
+                deleted.push(row);
+                continue;
             }
+            if hit {
+                // All right-hand sides see the pre-update row.
+                let news: Vec<Value> = bound_sets
+                    .iter()
+                    .map(|(_, e)| e.eval(&row, &[], &[]))
+                    .collect::<Result<_>>()?;
+                for ((idx, _), v) in bound_sets.iter().zip(news) {
+                    row[*idx] = v;
+                }
+            }
+            replacement.insert(row)?;
         }
-    }
-
-    /// Appends each non-empty slice to its shard, which folds the delta
-    /// into its own fresh Γ summaries.
-    fn insert_slices(&self, table: &str, slices: &[Vec<Row>]) -> Result<()> {
-        for (shard, rows) in self.shards.iter().zip(slices) {
-            if !rows.is_empty() {
-                shard.append_rows(table, rows)?;
-            }
+        self.catalog.replace_table(table, Arc::new(replacement));
+        if sets.is_empty() {
+            self.summaries
+                .fold_deleted_rows(table, t.schema(), &deleted);
+        } else {
+            self.summaries.mark_stale_for_table(table);
         }
         Ok(())
     }
@@ -1067,96 +761,73 @@ impl Db {
     // Loading and registration
     // -----------------------------------------------------------------
 
-    fn mark(&self, name: &str, dist: Distribution) {
-        self.dist
-            .write()
-            .expect("dist map")
-            .insert(name.to_ascii_lowercase(), dist);
-    }
-
-    fn unmark(&self, name: &str) {
-        self.dist
-            .write()
-            .expect("dist map")
-            .remove(&name.to_ascii_lowercase());
-    }
-
-    fn table_dist(&self, name: &str) -> Distribution {
-        self.dist
-            .read()
-            .expect("dist map")
-            .get(&name.to_ascii_lowercase())
-            .copied()
-            .unwrap_or(Distribution::Partitioned)
-    }
-
-    /// Hands every shard a copy of `table` (shard 0 gets the original)
-    /// and marks the name replicated.
-    fn replicate(
-        &self,
-        name: &str,
-        table: Table,
-        put: impl Fn(&Shard, &str, Table) -> Result<()>,
-    ) -> Result<()> {
-        for shard in &self.shards[1..] {
-            put(shard, name, table.clone())?;
+    /// Resolves a name to a base table, rejecting views (DML and
+    /// summary DDL need real storage).
+    fn base_table(&self, name: &str) -> Result<Arc<Table>> {
+        match self.catalog.get(name) {
+            Some(CatalogEntry::Table(t)) => Ok(t),
+            Some(CatalogEntry::View(_)) => Err(EngineError::Unsupported(format!(
+                "'{name}' is a view; a base table is required"
+            ))),
+            None => Err(EngineError::UnknownTable(name.to_owned())),
         }
-        put(&self.shards[0], name, table)?;
-        self.mark(name, Distribution::Replicated);
+    }
+
+    /// Appends pre-evaluated rows under the DML lock. Copy-on-write:
+    /// clone the table (sharing its sealed chunks and index layers),
+    /// append, swap back in; fresh summaries on the table fold the
+    /// batch incrementally (Γ additivity — no rescan).
+    fn append_rows(&self, name: &str, rows: &[Row]) -> Result<()> {
+        let _dml = self.dml_lock.lock().expect("dml lock");
+        let Some(CatalogEntry::Table(arc)) = self.catalog.get(name) else {
+            return Err(EngineError::UnknownTable(name.to_owned()));
+        };
+        let mut table = (*arc).clone();
+        table.insert_rows(rows)?;
+        self.catalog.replace_table(name, Arc::new(table));
+        self.summaries.fold_rows(name, arc.schema(), rows);
         Ok(())
     }
 
     /// Registers a pre-built table (the bulk-load path for large data
-    /// sets, bypassing SQL INSERT overhead) as a replicated table: every
-    /// shard holds a full copy.
+    /// sets, bypassing SQL INSERT overhead).
     pub fn register_table(&self, name: &str, table: Table) -> Result<()> {
-        self.replicate(name, table, Shard::register)
+        self.catalog
+            .insert(name, CatalogEntry::Table(Arc::new(table)))
     }
 
-    /// Fetches a table (views are materialized by execution). At S > 1
-    /// this is shard 0's copy: its slice of a partitioned table, or the
-    /// full copy of a replicated one.
+    /// Fetches a table (views are materialized by execution).
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
-        let env = self.env(&ExecOptions::default(), None);
-        self.shards[0].ctx(&env).resolve_table(name)
+        let cpu = AtomicU64::new(0);
+        self.ctx(&ExecOptions::default(), &cpu).resolve_table(name)
     }
 
     /// Drops a table or view if it exists (with its summaries).
     pub fn drop_if_exists(&self, name: &str) {
-        for shard in &self.shards {
-            shard.drop_if_exists(name);
+        if self.catalog.remove(name).is_ok() {
+            self.summaries.drop_for_table(name);
         }
-        self.unmark(name);
     }
 
-    /// Bulk-loads a point matrix as the partitioned table
-    /// `X(i, X1..Xd[, Y])`: row ids are `1..=n`, row `i` goes to shard
-    /// `i mod S`, and when `with_y` is set the last column of each row
+    /// Bulk-loads a point matrix as the table `X(i, X1..Xd[, Y])`: row
+    /// ids are `1..=n`, rows are dealt round-robin over the table's
+    /// partitions, and when `with_y` is set the last column of each row
     /// is stored as `Y`.
     pub fn load_points(&self, name: &str, rows: &[Vec<f64>], with_y: bool) -> Result<()> {
-        let s = self.shards.len();
         let ncols = rows.first().map_or(0, Vec::len);
         let d = if with_y {
             ncols.saturating_sub(1)
         } else {
             ncols
         };
-        let mut tables: Vec<Table> = self
-            .shards
-            .iter()
-            .map(|shard| Table::new(Schema::points(d, with_y), shard.workers()))
-            .collect();
+        let mut table = Table::new(Schema::points(d, with_y), self.workers);
         for (i, r) in rows.iter().enumerate() {
             let mut row: Row = Vec::with_capacity(r.len() + 1);
             row.push(Value::Int(i as i64 + 1));
             row.extend(r.iter().map(|&v| Value::Float(v)));
-            tables[i % s].insert(row)?;
+            table.insert(row)?;
         }
-        for (shard, t) in self.shards.iter().zip(tables) {
-            shard.register(name, t)?;
-        }
-        self.mark(name, Distribution::Partitioned);
-        Ok(())
+        self.register_table(name, table)
     }
 
     // -----------------------------------------------------------------
@@ -1254,13 +925,10 @@ impl Db {
     // Model tables (§3.5: models are stored in the DBMS as tables)
     // -----------------------------------------------------------------
 
-    /// Publishes (or replaces) a model table under `name`, replicated
-    /// to every shard so scoring joins stay shard-local.
+    /// Publishes (or replaces) a model table under `name`.
     pub fn publish_model(&self, name: &str, table: Table) -> Result<()> {
-        self.replicate(name, table, |shard, name, t| {
-            shard.drop_if_exists(name);
-            shard.register(name, t)
-        })
+        self.drop_if_exists(name);
+        self.register_table(name, table)
     }
 
     /// Stores a regression model as the one-row table
@@ -1290,8 +958,7 @@ impl Db {
     // Durability
     // -----------------------------------------------------------------
 
-    /// WAL counters summed over the shards' logs (`None` on a volatile
-    /// database).
+    /// WAL counters (`None` on a volatile database).
     pub fn wal_stats(&self) -> Option<WalStatsSnapshot> {
         self.logs.as_ref().map(|l| l.stats().wal)
     }
@@ -1304,38 +971,11 @@ impl Db {
 
     /// Takes a checkpoint: snapshots every base table plus the DDL to
     /// recreate views and summaries into `dir/checkpoint`, then durably
-    /// truncates every log. Returns
-    /// `false` (doing nothing) on a volatile database.
+    /// truncates the log. Returns `false` (doing nothing) on a
+    /// volatile database.
     pub fn checkpoint(&self) -> Result<bool> {
         SqlEngine::checkpoint(self, 0)
     }
-}
-
-/// A shard's piece of a statement, carrying its own counters.
-trait Piece {
-    fn stats_mut(&mut self) -> &mut ExecStats;
-}
-
-impl Piece for ResultSet {
-    fn stats_mut(&mut self) -> &mut ExecStats {
-        &mut self.stats
-    }
-}
-
-impl Piece for AggPartial {
-    fn stats_mut(&mut self) -> &mut ExecStats {
-        &mut self.stats
-    }
-}
-
-/// Deals `items` into `s` slices round-robin, item `j` to slice
-/// `(off + j) mod s`.
-fn deal<T>(items: Vec<T>, s: usize, off: usize) -> Vec<Vec<T>> {
-    let mut slices: Vec<Vec<T>> = (0..s).map(|_| Vec::new()).collect();
-    for (j, item) in items.into_iter().enumerate() {
-        slices[(off + j) % s].push(item);
-    }
-    slices
 }
 
 /// Parses the wide one-row result of the pure-SQL `n, L, Q` query into
@@ -1372,32 +1012,14 @@ fn parse_wide_nlq(rs: &ResultSet, d: usize, shape: MatrixShape) -> Result<Nlq> {
     )?)
 }
 
-/// The engine-side phase spans one statement's stats describe. Parse
-/// is always present (except on a plan-cache hit, when no parse ran);
-/// downstream phases appear once they did work.
-///
-/// Statements that fanned out (`scatter_nanos`/`gather_nanos` nonzero)
-/// render as parse → scatter → gather: the shard-local phase times
-/// summed into the stats overlap in wall time, so listing them next to
-/// the scatter span that already covers them would double-count.
+/// The engine-side phase spans one statement's stats describe: each
+/// phase appears once it did work, so parse is absent on a plan-cache
+/// hit, when no parse ran.
 fn phase_spans(stats: &ExecStats) -> Vec<Span> {
-    if stats.scatter_nanos > 0 || stats.gather_nanos > 0 {
-        let mut spans = Vec::with_capacity(3);
-        if stats.parse_nanos > 0 {
-            spans.push(Span::new(Phase::Parse, stats.parse_nanos));
-        }
-        spans.push(
-            Span::new(Phase::Scatter, stats.scatter_nanos)
-                .rows(stats.rows_scanned)
-                .blocks(stats.blocks_scanned),
-        );
-        spans.push(Span::new(Phase::Gather, stats.gather_nanos));
-        if stats.wal_nanos > 0 {
-            spans.push(Span::new(Phase::Wal, stats.wal_nanos).bytes(stats.wal_bytes));
-        }
-        return spans;
+    let mut spans = Vec::new();
+    if stats.parse_nanos > 0 {
+        spans.push(Span::new(Phase::Parse, stats.parse_nanos));
     }
-    let mut spans = vec![Span::new(Phase::Parse, stats.parse_nanos)];
     if stats.plan_nanos > 0 {
         spans.push(Span::new(Phase::Plan, stats.plan_nanos));
     }
@@ -1422,6 +1044,23 @@ fn phase_spans(stats: &ExecStats) -> Vec<Span> {
         spans.push(Span::new(Phase::Wal, stats.wal_nanos).bytes(stats.wal_bytes));
     }
     spans
+}
+
+/// The EXPLAIN line that reports the plan-cache probe.
+fn cache_line(outcome: CacheOutcome) -> String {
+    let probe = match outcome {
+        CacheOutcome::Hit => "hit",
+        CacheOutcome::Miss => "miss",
+    };
+    format!("plan cache: {probe}")
+}
+
+/// A one-column `plan` result of EXPLAIN text lines.
+fn plan_result(lines: Vec<String>) -> ResultSet {
+    ResultSet::new(
+        vec!["plan".into()],
+        lines.into_iter().map(|l| vec![Value::Str(l)]).collect(),
+    )
 }
 
 /// The scan-mode / rows-scanned / summary verdict lines that follow
@@ -1450,82 +1089,6 @@ fn explain_analyze_footer(stats: &ExecStats) -> Vec<String> {
     lines
 }
 
-// ---------------------------------------------------------------------
-// Gather helpers
-// ---------------------------------------------------------------------
-
-/// Where a gather-sort key lives in the per-shard output.
-#[derive(Debug, Clone, Copy)]
-enum KeyCol {
-    /// An existing output column (ordinal ORDER BY, or an expression
-    /// key that textually matches a projection).
-    Output(usize),
-    /// The `j`-th hidden projection appended for an expression key.
-    Hidden(usize),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SortKey {
-    col: KeyCol,
-    descending: bool,
-}
-
-/// Rewrites a scalar SELECT for per-shard execution: ORDER BY
-/// expression keys that are not plain output columns are appended as
-/// hidden projections so the gather can sort the concatenated rows
-/// without re-evaluating expressions. Per-shard ORDER BY and LIMIT are
-/// kept — each shard returns its own ordered top-L, a superset of the
-/// global top-L. Returns the rewritten statement, the gather sort
-/// keys, and the number of hidden columns to strip.
-fn concat_plan(stmt: &SelectStmt) -> (SelectStmt, Vec<SortKey>, usize) {
-    let mut out = stmt.clone();
-    let mut keys = Vec::new();
-    let mut hidden = 0usize;
-    let has_wildcard = stmt.projections.iter().any(|p| p.expr == Expr::Wildcard);
-    for key in &stmt.order_by {
-        let col = match &key.expr {
-            Expr::Literal(Value::Int(k)) if *k >= 1 => KeyCol::Output(*k as usize - 1),
-            e => {
-                // With a wildcard the output arity is unknown until
-                // execution, so positional matches are unusable.
-                let matched = (!has_wildcard)
-                    .then(|| stmt.projections.iter().position(|p| &p.expr == e))
-                    .flatten();
-                match matched {
-                    Some(i) => KeyCol::Output(i),
-                    None => {
-                        out.projections.push(Projection {
-                            expr: e.clone(),
-                            alias: Some(format!("__shard_ord{hidden}")),
-                        });
-                        hidden += 1;
-                        KeyCol::Hidden(hidden - 1)
-                    }
-                }
-            }
-        };
-        keys.push(SortKey {
-            col,
-            descending: key.descending,
-        });
-    }
-    (out, keys, hidden)
-}
-
-/// Snapshot of one shard's cumulative activity, as reported through
-/// [`SqlEngine::engine_stats`] into the server's metric registry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardMetricsSnapshot {
-    /// Shard index, `0..shards`.
-    pub shard: usize,
-    /// Statements (or statement fragments) this shard has executed.
-    pub queries: u64,
-    /// Base-table rows this shard has scanned.
-    pub rows_scanned: u64,
-    /// Cumulative wall time the shard spent running statement pieces.
-    pub busy_nanos: u64,
-}
-
 /// Counters of the SQL-text-keyed prepared-plan cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -1542,8 +1105,6 @@ pub struct PlanCacheStats {
 /// server's metric registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Per-shard activity counters, one per shard.
-    pub shards: Vec<ShardMetricsSnapshot>,
     /// Prepared-plan cache counters.
     pub plan_cache: PlanCacheStats,
     /// Write-ahead-log state (`None` on a volatile engine).
@@ -1565,12 +1126,11 @@ pub struct SummaryRefreshState {
     /// daemon projects these to warm-start iterative models).
     pub columns: Vec<String>,
     /// Monotonic change counter (folds, subtractions, stale edges,
-    /// rebuilds), summed across shards.
+    /// rebuilds).
     pub version: u64,
-    /// Cumulative rows folded in or subtracted out, summed across
-    /// shards.
+    /// Cumulative rows folded in or subtracted out.
     pub rows_folded: u64,
-    /// Whether the maintained state is fresh on every shard.
+    /// Whether the maintained state is fresh.
     pub fresh: bool,
     /// Dimensionality of the summarized statistics.
     pub d: usize,
@@ -1599,8 +1159,7 @@ pub trait SqlEngine: Send + Sync {
     /// caller that encodes columns directly.
     fn execute_blocks(&self, sql: &str, opts: &ExecOptions) -> Result<ResultSet>;
 
-    /// Shard counters, plan-cache counters, and durability state in
-    /// one snapshot. Cheap (counter reads), but only asked for when a
+    /// Plan-cache counters and durability state in one snapshot. Cheap (counter reads), but only asked for when a
     /// metrics surface is read — never per statement.
     fn engine_stats(&self) -> EngineStats;
 
@@ -1632,19 +1191,17 @@ pub trait SqlEngine: Send + Sync {
     fn summary_refresh_states(&self) -> Vec<SummaryRefreshState>;
 
     /// The maintained global Γ state of one summary, rebuilding it
-    /// first if stale: the merge of every shard's state, exact by Γ
-    /// additivity. Errors for grouped summaries (no single global
+    /// first if stale. Errors for grouped summaries (no single global
     /// state exists).
     fn summary_gamma(&self, name: &str) -> Result<Nlq>;
 
     /// Publishes (or replaces) a model table — one of the layouts
     /// [`crate::beta_table`], [`crate::centroid_table`],
-    /// [`crate::lambda_table`] build — replicated everywhere, so
-    /// scoring joins stay shard-local.
+    /// [`crate::lambda_table`] build.
     fn publish_model(&self, name: &str, table: Table) -> Result<()>;
 
-    /// Snapshots tables + DDL and durably truncates the log(s), but
-    /// only while the live logs hold at least `min_log_bytes` (0 =
+    /// Snapshots tables + DDL and durably truncates the log, but
+    /// only while the live log holds at least `min_log_bytes` (0 =
     /// unconditionally), re-checked under the checkpoint gate so
     /// sessions that cross an auto-checkpoint threshold together
     /// snapshot once. `false` when nothing was done — always, on a
@@ -1667,44 +1224,30 @@ impl SqlEngine for Db {
 
     fn engine_stats(&self) -> EngineStats {
         EngineStats {
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, shard)| shard.metrics(i))
-                .collect(),
             plan_cache: self.cache.stats(),
             durability: self.logs.as_ref().map(LogSet::stats),
         }
     }
 
     /// Streamed-ingest commit. On a durable engine the batch is one
-    /// envelope with a `Rows` payload per involved shard log, so
-    /// ack-at-Done implies durable-at-Done on every shard it touched.
+    /// envelope, so ack-at-Done implies durable-at-Done.
     fn ingest_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
         let n = rows.len() as u64;
         let schema = self.table_schema(table)?;
-        let slices = self.spread(table, rows);
-        let payload = Payload::rows(table, &schema, &slices);
+        let payload = Payload::rows(table, &schema, &rows);
         LogSet::envelope(self.logs.as_ref(), payload, || {
-            self.insert_slices(table, &slices)
+            self.append_rows(table, &rows)
         })?;
         Ok(n)
     }
 
     fn table_schema(&self, name: &str) -> Result<Schema> {
-        Ok(self.shards[0].base_table(name)?.schema().clone())
+        Ok(self.base_table(name)?.schema().clone())
     }
 
     /// Keyed rows resolve through the storage PK hash index (no scan)
     /// and run through the scalar scoring UDFs columnar-style; see
-    /// [`crate::serve`]. With one shard, or a replicated table, one
-    /// shard scores every key. Otherwise round-robin placement means
-    /// any shard may own any key, so the key list scatters to every
-    /// shard; each returns one row per key (NULL score for keys it does
-    /// not hold) and the gather keeps the first non-NULL score per
-    /// position. A shard that holds a key but scores it NULL (NULL
-    /// features) leaves NULL in place.
+    /// [`crate::serve`].
     fn batch_score(
         &self,
         table: &str,
@@ -1713,109 +1256,82 @@ impl SqlEngine for Db {
         explain: bool,
         opts: &ExecOptions,
     ) -> Result<ResultSet> {
-        let s = self.shards.len();
-        if s == 1 || self.table_dist(table) == Distribution::Replicated {
-            let i = self.rr.fetch_add(1, Ordering::Relaxed) as usize % s;
-            let mut one = self.scatter(&[i], opts, |_, shard, env| {
-                shard.batch_score(env, table, model, keys, explain, opts.trace.as_ref())
-            })?;
-            return Ok(one.pop().expect("one shard"));
-        }
-        if explain {
-            let env = self.env(opts, opts.cancel.clone());
-            let mut rs = self.shards[0].batch_score(&env, table, model, keys, true, None)?;
-            rs.rows.push(vec![Value::Str(format!(
-                "scatter: {s} shards, gather: first owned score per key"
-            ))]);
-            return Ok(rs);
-        }
-        let scatter_started = Instant::now();
-        let sets = self.scatter(&self.all_targets(), opts, |_, shard, env| {
-            shard.batch_score(env, table, model, keys, false, None)
-        })?;
-        let scatter_nanos = scatter_started.elapsed().as_nanos() as u64;
-
-        let gather_started = Instant::now();
-        let mut sets = sets.into_iter();
-        let mut out = sets.next().expect("at least one shard");
-        for set in sets {
-            out.stats.absorb(&set.stats);
-            for (acc, mut row) in out.rows.iter_mut().zip(set.rows) {
-                let score = row.swap_remove(1);
-                if acc[1].is_null() && !score.is_null() {
-                    acc[1] = score;
-                }
-            }
-        }
-        out.stats.scatter_nanos = scatter_nanos;
-        out.stats.gather_nanos = gather_started.elapsed().as_nanos() as u64;
-        if let Some(trace) = &opts.trace {
-            trace.record(Span::new(Phase::Scatter, scatter_nanos).rows(keys.len() as u64));
-            trace.record(Span::new(Phase::Gather, out.stats.gather_nanos));
-        }
-        Ok(out)
+        let cpu = AtomicU64::new(0);
+        crate::serve::batch_score(
+            &self.ctx(opts, &cpu),
+            table,
+            model,
+            keys,
+            explain,
+            opts.trace.as_ref(),
+        )
     }
 
-    /// Per-summary refresh signals merged across shards: versions and
-    /// folded-row counts sum (each shard bumps independently); the
-    /// merged state is fresh only when every shard's is.
     fn summary_refresh_states(&self) -> Vec<SummaryRefreshState> {
-        let mut merged: Vec<SummaryRefreshState> = Vec::new();
-        for shard in &self.shards {
-            for st in shard.summary_refresh_states() {
-                match merged.iter_mut().find(|m| m.name == st.name) {
-                    Some(m) => {
-                        m.version += st.version;
-                        m.rows_folded += st.rows_folded;
-                        m.fresh &= st.fresh;
-                    }
-                    None => merged.push(st),
-                }
-            }
-        }
-        merged.sort_by(|a, b| a.name.cmp(&b.name));
-        merged
+        let mut states: Vec<SummaryRefreshState> = self
+            .summaries
+            .entries()
+            .iter()
+            .map(|e| SummaryRefreshState {
+                name: e.def().name.clone(),
+                table: e.def().table.clone(),
+                columns: e.def().columns.clone(),
+                version: e.version(),
+                rows_folded: e.rows_folded(),
+                fresh: e.is_fresh(),
+                d: e.def().d(),
+                shape: e.def().shape,
+                grouped: e.def().group_by.is_some(),
+            })
+            .collect();
+        states.sort_by(|a, b| a.name.cmp(&b.name));
+        states
     }
 
     fn summary_gamma(&self, name: &str) -> Result<Nlq> {
-        let mut acc = self.shards[0].summary_gamma(name)?;
-        for shard in &self.shards[1..] {
-            acc.merge(&shard.summary_gamma(name)?);
+        let entry = self
+            .summaries
+            .get(name)
+            .ok_or_else(|| EngineError::Summary(format!("unknown summary '{name}'")))?;
+        if !entry.is_fresh() {
+            let t = self.base_table(&entry.def().table)?;
+            entry.rebuild(&t)?;
         }
-        Ok(acc)
+        match entry.snapshot().data {
+            SummaryData::Global(nlq) => Ok(nlq),
+            SummaryData::Grouped(_) => Err(EngineError::Unsupported(format!(
+                "summary '{name}' is grouped; model refresh needs a global state"
+            ))),
+        }
     }
 
     fn publish_model(&self, name: &str, table: Table) -> Result<()> {
         Db::publish_model(self, name, table)
     }
 
-    /// One layout for every S: a replicated table is saved once, as
-    /// `<table>.tbl`; a partitioned one as one slice per shard,
-    /// `shard-<i>/<table>.tbl`. The manifest names them `<table>` and
-    /// `<i>/<table>` (see [`Db::open`] for the reverse).
+    /// Each base table is saved as `<table>.tbl` under the manifest
+    /// entry `<table>` (see [`Db::open`] for the reverse).
     fn checkpoint(&self, min_log_bytes: u64) -> Result<bool> {
         LogSet::checkpoint(self.logs.as_ref(), min_log_bytes, |tmp, manifest| {
-            let mut names = self.shards[0].table_names();
+            let mut names: Vec<String> = self
+                .catalog
+                .entries()
+                .into_iter()
+                .filter(|(_, e)| matches!(e, CatalogEntry::Table(_)))
+                .map(|(name, _)| name)
+                .collect();
             names.sort();
             for name in names {
-                if self.table_dist(&name) == Distribution::Replicated {
-                    self.shards[0]
-                        .base_table(&name)?
-                        .save(&tmp.join(format!("{name}.tbl")))?;
-                    manifest.tables.push(name);
-                    continue;
-                }
-                for (i, shard) in self.shards.iter().enumerate() {
-                    let sub = tmp.join(format!("shard-{i}"));
-                    std::fs::create_dir_all(&sub)
-                        .map_err(|e| StorageError::Io(format!("checkpoint mkdir: {e}")))?;
-                    shard
-                        .base_table(&name)?
-                        .save(&sub.join(format!("{name}.tbl")))?;
-                    manifest.tables.push(format!("{i}/{name}"));
-                }
+                self.base_table(&name)?
+                    .save(&tmp.join(format!("{name}.tbl")))?;
+                manifest.tables.push(name);
             }
-            manifest.ddl.extend(self.shards[0].summary_ddl());
+            manifest.ddl.extend(
+                self.summaries
+                    .entries()
+                    .iter()
+                    .map(|e| summary_create_ddl(e.def())),
+            );
             Ok(())
         })
     }
@@ -1823,4 +1339,28 @@ impl SqlEngine for Db {
     fn set_system_tables(&self, provider: Arc<dyn SystemTableProvider>) {
         *self.system_tables.write().expect("system tables lock") = Some(provider);
     }
+}
+
+/// Regenerates the `CREATE SUMMARY` statement for a live definition
+/// (checkpoint manifests carry these; replaying one re-folds the
+/// summary from its base table).
+fn summary_create_ddl(def: &SummaryDef) -> String {
+    let mut s = format!(
+        "CREATE SUMMARY {} ON {} ({})",
+        def.name,
+        def.table,
+        def.columns.join(", ")
+    );
+    s.push_str(match def.shape {
+        MatrixShape::Diagonal => " SHAPE diag",
+        MatrixShape::Triangular => " SHAPE triang",
+        MatrixShape::Full => " SHAPE full",
+    });
+    if !def.minmax {
+        s.push_str(" NO MINMAX");
+    }
+    if let Some(g) = &def.group_by {
+        s.push_str(&format!(" GROUP BY {g}"));
+    }
+    s
 }

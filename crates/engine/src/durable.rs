@@ -1,27 +1,19 @@
 //! The one durability protocol: envelopes, recovery and checkpoints
-//! over N ≥ 1 write-ahead logs.
+//! over one write-ahead log.
 //!
-//! A [`LogSet`] owns the logs, the checkpoint directory, the gate that
-//! orders envelopes, and the live `CREATE VIEW` texts. [`Db`](crate::Db)
-//! uses it with one log per shard and supplies only what is its own:
-//! where its log files live, how a recovered record is applied, which
-//! rows go to which log, and which table files a snapshot holds.
+//! A [`LogSet`] owns the log, the checkpoint directory, the gate that
+//! orders envelopes, and the live `CREATE VIEW` texts.
+//! [`Db`](crate::Db) supplies only what is its own: where its log file
+//! lives, how a recovered record is applied, and which table files a
+//! snapshot holds.
 //!
-//! **Envelope.** Every mutation is one envelope with a globally unique
-//! id: payload records are appended to the involved logs, the mutation
-//! is applied in memory, then a commit marker is appended to (and
-//! fsynced on) each involved log. The caller acks only after that, so
-//! an ack implies the envelope survives a crash. With more than one log
-//! involved, every payload is fsynced *before* the first marker is
-//! written (phase 1): otherwise a marker could outlive a payload on
-//! another log. One log needs no phase 1 — its marker follows its
-//! payload in the same file.
-//!
-//! **Presumed abort.** Recovery keeps an envelope iff every log that
-//! holds one of its payloads also holds its marker. A crash anywhere
-//! inside the marker fan-out therefore aborts the envelope on all logs
-//! instead of leaving them diverged; with one log the rule reads
-//! "committed envelopes only".
+//! **Envelope.** Every mutation is one envelope with a unique id: its
+//! payload record is appended to the log, the mutation is applied in
+//! memory, then a commit marker is appended (and fsynced). The caller
+//! acks only after that, so an ack implies the envelope survives a
+//! crash. Recovery keeps committed envelopes only: a payload with no
+//! marker after it — a failed apply, or a crash before the marker
+//! landed — is ignored.
 //!
 //! **Ordering.** Recovery re-applies envelopes in id order, so id order
 //! must equal apply order wherever two envelopes do not commute. A
@@ -48,23 +40,22 @@ use crate::{EngineError, Result};
 /// through the metrics surface (`sys.wal`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
-    /// Committed WAL payload records re-applied during replay (a
-    /// statement fanned to several logs counts once).
+    /// Committed WAL payload records re-applied during replay.
     pub replayed_records: u64,
     /// Ingest (`Rows`) payloads among the replayed records.
     pub replayed_envelopes: u64,
-    /// Torn or corrupt bytes physically truncated off the log tail(s).
+    /// Torn or corrupt bytes physically truncated off the log tail.
     pub truncated_bytes: u64,
     /// Table files restored from the checkpoint snapshot before replay.
     pub checkpoint_tables: u64,
 }
 
-/// What a durable engine reports about its write-ahead log(s).
+/// What a durable engine reports about its write-ahead log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
-    /// WAL counters since open (summed across logs).
+    /// WAL counters since open.
     pub wal: WalStatsSnapshot,
-    /// Bytes currently in the live log file(s) — resets to 0 at each
+    /// Bytes currently in the live log file — resets to 0 at each
     /// checkpoint.
     pub log_bytes: u64,
     /// What crash recovery replayed when the engine opened (zeroes for
@@ -86,11 +77,9 @@ pub(crate) enum Recovered<'a> {
     },
     /// Re-execute a statement (snapshot DDL or a committed log record)
     /// without logging it again.
-    Statement(Statement),
+    Statement(Box<Statement>),
     /// Re-append a committed ingest payload.
     Rows {
-        /// Index of the log that held the payload.
-        log: usize,
         /// Target table.
         table: String,
         /// The rows, exactly as first applied.
@@ -118,7 +107,7 @@ fn note_view(views: &mut Vec<(String, String)>, change: Option<ViewChange>, sql:
     }
 }
 
-/// What one envelope logs, and on which logs; nothing for a read.
+/// What one envelope logs; nothing for a read.
 pub(crate) struct Payload<'a>(Option<Kind<'a>>);
 
 enum Kind<'a> {
@@ -129,13 +118,13 @@ enum Kind<'a> {
     Rows {
         table: &'a str,
         schema: &'a Schema,
-        slices: &'a [Vec<Row>],
+        rows: &'a [Row],
     },
 }
 
 impl<'a> Payload<'a> {
-    /// The envelope of one statement: its text goes to every log —
-    /// unless it is a read (SELECT and the EXPLAIN family), which
+    /// The envelope of one statement: its text is logged — unless it
+    /// is a read (SELECT and the EXPLAIN family), which
     /// mutates nothing and is neither logged nor ordered.
     pub fn statement(sql: &'a str, stmt: &Statement) -> Payload<'a> {
         Payload((!stmt.is_read_only()).then(|| Kind::Statement {
@@ -150,13 +139,13 @@ impl<'a> Payload<'a> {
         Payload(None)
     }
 
-    /// The envelope of one ingest batch into `table`: `slices[i]` goes
-    /// to log `i`, and an empty slice leaves that log uninvolved.
-    pub fn rows(table: &'a str, schema: &'a Schema, slices: &'a [Vec<Row>]) -> Payload<'a> {
-        Payload(Some(Kind::Rows {
+    /// The envelope of one ingest batch into `table`; an empty batch
+    /// logs nothing.
+    pub fn rows(table: &'a str, schema: &'a Schema, rows: &'a [Row]) -> Payload<'a> {
+        Payload((!rows.is_empty()).then_some(Kind::Rows {
             table,
             schema,
-            slices,
+            rows,
         }))
     }
 }
@@ -164,7 +153,7 @@ impl<'a> Payload<'a> {
 /// What one envelope cost in log I/O, for [`ExecStats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct EnvelopeCost {
-    /// Bytes appended (payloads plus markers).
+    /// Bytes appended (payload plus marker).
     pub bytes: u64,
     /// Fsyncs issued or joined (group commit shares physical syncs;
     /// each envelope counts the ones it waited on).
@@ -182,10 +171,9 @@ impl EnvelopeCost {
     }
 }
 
-/// The durability state of an engine: N ≥ 1 logs under one protocol.
+/// The durability state of an engine: one log under the protocol.
 pub(crate) struct LogSet {
-    /// Log 0 also allocates the envelope ids for the whole set.
-    wals: Vec<Wal>,
+    wal: Wal,
     dir: PathBuf,
     /// Shared by ingest envelopes, exclusive for statements and
     /// checkpoints (see the module docs).
@@ -231,22 +219,20 @@ impl LogSet {
     }
 
     /// Recovers the state under `dir` into the engine behind `apply`
-    /// and returns the log set to keep writing to. Each log is a file
-    /// path (recovery always reads the real file) plus the sink its
-    /// appends go through (fault-injection tests substitute a crashing
-    /// one).
+    /// and returns the log set to keep writing to. Recovery reads the
+    /// real log file at `path`; appends go through `io` (fault-injection
+    /// tests substitute a crashing one).
     ///
     /// `apply` sees, in order: every table of the newest verifiable
-    /// checkpoint and its DDL, then every log record at or past the
-    /// checkpoint horizon that survives presumed abort, by envelope id;
-    /// a statement fanned to several logs is handed over once.
+    /// checkpoint and its DDL, then every committed log record at or
+    /// past the checkpoint horizon, by envelope id.
     pub fn open(
         dir: &Path,
-        logs: Vec<(PathBuf, Arc<dyn WalIo>)>,
+        path: &Path,
+        io: Arc<dyn WalIo>,
         fsync: bool,
         mut apply: impl FnMut(Recovered<'_>) -> Result<()>,
     ) -> Result<LogSet> {
-        assert!(!logs.is_empty(), "a log set has at least one log");
         std::fs::create_dir_all(dir)
             .map_err(|e| StorageError::Io(format!("wal dir {}: {e}", dir.display())))?;
         let mut info = RecoveryInfo::default();
@@ -254,7 +240,7 @@ impl LogSet {
         let mut replay_sql = |sql: &str, apply: &mut dyn FnMut(Recovered<'_>) -> Result<()>| {
             let stmt = parse(sql)?;
             note_view(&mut views, view_change(&stmt), sql);
-            apply(Recovered::Statement(stmt))
+            apply(Recovered::Statement(Box::new(stmt)))
         };
 
         let mut horizon = 0u64;
@@ -272,33 +258,17 @@ impl LogSet {
             horizon = manifest.horizon;
         }
 
-        // `replay_wal` truncates each torn or corrupt tail and drops
-        // payloads its own log holds no marker for.
-        let mut replays = Vec::with_capacity(logs.len());
-        let mut survivors: Vec<(usize, WalRecord)> = Vec::new();
-        for (i, (path, _)) in logs.iter().enumerate() {
-            let mut replay = replay_wal(path, horizon)?;
-            info.truncated_bytes += replay.truncated_bytes;
-            survivors.extend(replay.records.drain(..).map(|rec| (i, rec)));
-            replays.push(replay);
-        }
-        survivors.retain(|(_, rec)| {
-            !replays
-                .iter()
-                .any(|r| r.logged.contains(&rec.eid()) && !r.committed.contains(&rec.eid()))
-        });
-        survivors.sort_by_key(|(_, rec)| rec.eid());
-        let mut last_statement = None;
-        for (log, rec) in survivors {
+        // `replay_wal` truncates a torn or corrupt tail and keeps only
+        // committed payloads. Concurrent ingest envelopes may land out
+        // of id order; sorting restores it.
+        let mut replay = replay_wal(path, horizon)?;
+        info.truncated_bytes = replay.truncated_bytes;
+        replay.records.sort_by_key(WalRecord::eid);
+        for rec in std::mem::take(&mut replay.records) {
             match rec {
-                WalRecord::Sql { eid, text } => {
-                    if last_statement.replace(eid) == Some(eid) {
-                        continue;
-                    }
-                    replay_sql(&text, &mut apply)?;
-                }
+                WalRecord::Sql { text, .. } => replay_sql(&text, &mut apply)?,
                 WalRecord::Rows { table, rows, .. } => {
-                    apply(Recovered::Rows { log, table, rows })?;
+                    apply(Recovered::Rows { table, rows })?;
                     info.replayed_envelopes += 1;
                 }
                 WalRecord::Commit { .. } => unreachable!("replay returns payloads only"),
@@ -306,14 +276,8 @@ impl LogSet {
             info.replayed_records += 1;
         }
 
-        let next_eid = replays.iter().map(|r| r.next_eid).max().unwrap_or(1);
-        let wals: Vec<Wal> = logs
-            .into_iter()
-            .zip(&replays)
-            .map(|((_, io), replay)| Wal::new(io, fsync, next_eid, replay.valid_bytes))
-            .collect();
         Ok(LogSet {
-            wals,
+            wal: Wal::new(io, fsync, replay.next_eid, replay.valid_bytes),
             dir: dir.to_path_buf(),
             gate: RwLock::new(()),
             views: Mutex::new(views),
@@ -323,18 +287,18 @@ impl LogSet {
 
     /// Runs one mutation as an envelope: on a durable engine (`logs`
     /// present) log, apply, mark — so `Ok` means the mutation survives
-    /// a crash, and a failed `apply` leaves only payloads without a
+    /// a crash, and a failed `apply` leaves only a payload without a
     /// marker, which recovery ignores. On a volatile engine only
     /// `apply` runs. Either way every row of an ingest payload is
     /// validated before anything is logged or applied, so a bad row
-    /// rejects the whole batch on every log's engine.
+    /// rejects the whole batch.
     pub fn envelope<T>(
         logs: Option<&LogSet>,
         payload: Payload<'_>,
         apply: impl FnOnce() -> Result<T>,
     ) -> Result<(T, EnvelopeCost)> {
-        if let Some(Kind::Rows { schema, slices, .. }) = &payload.0 {
-            for row in slices.iter().flatten() {
+        if let Some(Kind::Rows { schema, rows, .. }) = &payload.0 {
+            for row in rows.iter() {
                 schema.validate(row)?;
             }
         }
@@ -342,40 +306,22 @@ impl LogSet {
             return Ok((apply()?, EnvelopeCost::default()));
         };
         let (_shared, _exclusive);
-        let involved: Vec<usize> = match &kind {
-            Kind::Statement { .. } => {
-                _exclusive = set.gate.write().expect("wal gate");
-                (0..set.wals.len()).collect()
-            }
-            Kind::Rows { slices, .. } => {
-                _shared = set.gate.read().expect("wal gate");
-                (0..slices.len())
-                    .filter(|&i| !slices[i].is_empty())
-                    .collect()
-            }
-        };
+        match &kind {
+            Kind::Statement { .. } => _exclusive = set.gate.write().expect("wal gate"),
+            Kind::Rows { .. } => _shared = set.gate.read().expect("wal gate"),
+        }
         let mut cost = EnvelopeCost::default();
         let log_started = Instant::now();
-        let eid = set.wals[0].alloc_eid();
-        for &i in &involved {
-            cost.bytes += match &kind {
-                Kind::Statement { sql, .. } => set.wals[i].log_sql(eid, sql)?,
-                Kind::Rows { table, slices, .. } => set.wals[i].log_rows(eid, table, &slices[i])?,
-            };
-        }
-        if involved.len() > 1 && set.wals[0].sync_on_commit() {
-            for &i in &involved {
-                set.wals[i].sync()?;
-                cost.fsyncs += 1;
-            }
-        }
+        let eid = set.wal.alloc_eid();
+        cost.bytes = match &kind {
+            Kind::Statement { sql, .. } => set.wal.log_sql(eid, sql)?,
+            Kind::Rows { table, rows, .. } => set.wal.log_rows(eid, table, rows)?,
+        };
         cost.nanos = log_started.elapsed().as_nanos() as u64;
         let out = apply()?;
         let commit_started = Instant::now();
-        for &i in &involved {
-            cost.bytes += set.wals[i].commit(eid)?;
-            cost.fsyncs += u64::from(set.wals[i].sync_on_commit());
-        }
+        cost.bytes += set.wal.commit(eid)?;
+        cost.fsyncs = u64::from(set.wal.sync_on_commit());
         cost.nanos += commit_started.elapsed().as_nanos() as u64;
         if let Kind::Statement { sql, view } = kind {
             note_view(&mut set.views.lock().expect("view ddl lock"), view, sql);
@@ -383,13 +329,13 @@ impl LogSet {
         Ok((out, cost))
     }
 
-    /// Takes a checkpoint while the live logs hold at least
-    /// `min_log_bytes` in total (0 = unconditionally), then durably
-    /// truncates every log; `false` when nothing was done — always, on
+    /// Takes a checkpoint while the live log holds at least
+    /// `min_log_bytes` (0 = unconditionally), then durably truncates
+    /// the log; `false` when nothing was done — always, on
     /// a volatile engine. The size is read once without the gate (the
     /// common "not yet" answer never blocks behind in-flight envelopes)
     /// and again under it: of several sessions that cross a threshold
-    /// together, the first resets the logs and the rest return `false`.
+    /// together, the first resets the log and the rest return `false`.
     ///
     /// `snapshot` writes the engine's table files under the directory
     /// it is given and adds their entries, and the DDL that recreates
@@ -401,8 +347,8 @@ impl LogSet {
     /// `checkpoint.old` before the new one is published, and recovery
     /// falls back to `.old` whenever `checkpoint/` is missing or its
     /// manifest does not verify — so at least one complete snapshot
-    /// survives any crash point, and one top-level rename publishes all
-    /// logs' tables at one horizon. The log reset happens last; if the
+    /// survives any crash point, and one top-level rename publishes
+    /// every table at one horizon. The log reset happens last; if the
     /// process dies before it, replay skips the already-snapshotted
     /// envelopes via the manifest horizon.
     pub fn checkpoint(
@@ -424,7 +370,7 @@ impl LogSet {
         std::fs::create_dir_all(&tmp).map_err(|e| ckpt_err("mkdir", e))?;
         let views = set.views.lock().expect("view ddl lock");
         let mut manifest = CheckpointManifest {
-            horizon: set.wals[0].next_eid(),
+            horizon: set.wal.next_eid(),
             tables: Vec::new(),
             ddl: views.iter().map(|(_, sql)| sql.clone()).collect(),
         };
@@ -441,21 +387,18 @@ impl LogSet {
         }
         std::fs::rename(&tmp, &cur).map_err(|e| ckpt_err("publish", e))?;
         let _ = std::fs::remove_dir_all(&old);
-        for w in &set.wals {
-            w.reset()?;
-        }
+        set.wal.reset()?;
         Ok(true)
     }
 
     fn log_bytes(&self) -> u64 {
-        self.wals.iter().map(Wal::bytes).sum()
+        self.wal.bytes()
     }
 
-    /// Counters summed across the logs, live log size, and what
-    /// recovery did at open.
+    /// WAL counters, live log size, and what recovery did at open.
     pub fn stats(&self) -> DurabilityStats {
         DurabilityStats {
-            wal: self.wals.iter().map(|w| w.stats().snapshot()).sum(),
+            wal: self.wal.stats().snapshot(),
             log_bytes: self.log_bytes(),
             recovery: self.recovery,
         }

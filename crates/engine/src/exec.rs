@@ -29,7 +29,7 @@ use crate::{EngineError, Result};
 /// only `k`-row dimension tables).
 const JOIN_LIMIT: usize = 1_000_000;
 
-/// Execution context of one statement on one shard.
+/// Execution context of one statement.
 pub(crate) struct ExecContext<'a> {
     pub catalog: &'a Catalog,
     /// Registry snapshot taken when the statement began (copy-on-write
@@ -48,6 +48,10 @@ pub(crate) struct ExecContext<'a> {
     /// [`crate::sys::SystemTableProvider`]); `None` when no serving
     /// layer registered one.
     pub system: Option<Arc<dyn SystemTableProvider>>,
+    /// The statement's CPU sink for its scan-pool helpers: each adds
+    /// the CPU it spent on a partition as it finishes, so the total
+    /// outlives an error.
+    pub helper_cpu: &'a AtomicU64,
 }
 
 /// Returns [`EngineError::Cancelled`] when the statement's cancel
@@ -66,7 +70,7 @@ pub(crate) fn check_cancelled(cancel: Option<&AtomicBool>, rows_scanned: u64) ->
 /// and otherwise collapsing cancelled workers into one
 /// [`EngineError::Cancelled`] whose `rows_scanned` sums their
 /// best-effort counts.
-pub(crate) fn merge_partial_errors<T>(partials: Vec<Result<T>>) -> Result<Vec<T>> {
+fn merge_partial_errors<T>(partials: Vec<Result<T>>) -> Result<Vec<T>> {
     let mut out = Vec::with_capacity(partials.len());
     let mut cancelled_rows: Option<u64> = None;
     for p in partials {
@@ -105,10 +109,8 @@ impl PlannedSelect {
 }
 
 /// Whether a SELECT runs in aggregate mode: GROUP BY present, or an
-/// aggregate call in some projection. Aggregate statements gather
-/// across shards by merging partial accumulator states; every other
-/// statement concatenates rows.
-pub(crate) fn is_aggregate_select(stmt: &SelectStmt, registry: &UdfRegistry) -> bool {
+/// aggregate call in some projection.
+fn is_aggregate_select(stmt: &SelectStmt, registry: &UdfRegistry) -> bool {
     let is_agg = |n: &str| AggKind::is_aggregate_name(n, registry);
     !stmt.group_by.is_empty()
         || stmt
@@ -174,52 +176,34 @@ fn block_line(cols: usize, predicate: &Option<CompiledPredicates>, kind: &str) -
 
 impl ExecContext<'_> {
     /// Runs `scan(p)` for every partition of `base` on the scan pool
-    /// and returns the results in partition order, with the thread CPU
-    /// that pool helpers spent on them. The calling thread's own
-    /// partitions are already inside the statement's CPU sample.
-    fn scan_partitions<R: Send>(
-        &self,
-        base: &Table,
-        scan: impl Fn(usize) -> R + Sync,
-    ) -> (Vec<R>, u64) {
+    /// and returns the results in partition order. Pool helpers add the
+    /// thread CPU they spent to [`ExecContext::helper_cpu`]; the calling
+    /// thread's own partitions are already inside the statement's CPU
+    /// sample.
+    fn scan_partitions<R: Send>(&self, base: &Table, scan: impl Fn(usize) -> R + Sync) -> Vec<R> {
         let caller = std::thread::current().id();
-        let helper_cpu = AtomicU64::new(0);
-        let out = parallel_scan_partitions(base, self.workers, |p| {
+        parallel_scan_partitions(base, self.workers, |p| {
             if std::thread::current().id() == caller {
                 return scan(p);
             }
             let started = thread_cpu_nanos();
             let r = scan(p);
-            helper_cpu.fetch_add(
+            self.helper_cpu.fetch_add(
                 thread_cpu_nanos().saturating_sub(started),
                 Ordering::Relaxed,
             );
             r
-        });
-        (out, helper_cpu.into_inner())
+        })
     }
 
     /// Executes a SELECT statement to completion.
     pub fn execute_select(&self, stmt: &SelectStmt) -> Result<ResultSet> {
         let (plan, bindings, stats) = self.prepare(stmt)?;
         if plan.aggregate_mode {
-            self.aggregate(stmt, &plan, bindings, stats)?.finalize(stmt)
+            self.aggregate(stmt, &plan, bindings, stats)
         } else {
             self.execute_scalar(stmt, &plan, bindings, stats)
         }
-    }
-
-    /// Runs phases 1–3 of an aggregate SELECT and packages the result
-    /// as a shippable [`AggPartial`] (the scatter half of a sharded
-    /// aggregate).
-    pub fn execute_select_partial(&self, stmt: &SelectStmt) -> Result<AggPartial> {
-        let (plan, bindings, stats) = self.prepare(stmt)?;
-        if !plan.aggregate_mode {
-            return Err(EngineError::Unsupported(
-                "partial execution requires an aggregate SELECT".into(),
-            ));
-        }
-        self.aggregate(stmt, &plan, bindings, stats)
     }
 
     /// Describes the plan for a SELECT without executing its scan —
@@ -406,9 +390,7 @@ impl ExecContext<'_> {
     /// Binds everything a SELECT evaluates — GROUP BY keys,
     /// projections, HAVING, ORDER BY — collecting the aggregate calls
     /// they contain (aggregate mode) or refusing any (scalar mode, where
-    /// `*` expands to every column). Binding is deterministic, so two
-    /// engines with the same catalog and registry produce the same call
-    /// list (the property shard gather relies on to line partials up).
+    /// `*` expands to every column).
     fn bind_select(
         &self,
         stmt: &SelectStmt,
@@ -675,7 +657,7 @@ impl ExecContext<'_> {
         // Each worker returns its keyed projections plus how many base
         // rows it scanned.
         type KeyedPartial = (Vec<(Row, Row)>, u64);
-        let (partials, helper_cpu) = self.scan_partitions(base, |p| -> Result<KeyedPartial> {
+        let partials = self.scan_partitions(base, |p| -> Result<KeyedPartial> {
             let mut out = Vec::new();
             let mut combined_buf: Row = Vec::new();
             let mut scanned_rows = 0u64;
@@ -716,7 +698,6 @@ impl ExecContext<'_> {
             stats.rows_scanned += scanned;
         }
         stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
-        stats.cpu_nanos += helper_cpu;
         let rows = finish_rows(keyed_rows, order, stmt.limit);
         let mut rs = ResultSet::new(bindings.names, rows);
         rs.stats = stats;
@@ -727,8 +708,7 @@ impl ExecContext<'_> {
     /// blocks per partition and compute each projection a column at a
     /// time. Returns one output block per scanned block that kept
     /// rows, in the row path's (partition-major) order, `limit` rows at
-    /// most, and adds the scan's row, block and helper-CPU counters to
-    /// `stats`.
+    /// most, and adds the scan's row and block counters to `stats`.
     fn run_scalar_block(
         &self,
         base: &Table,
@@ -738,7 +718,7 @@ impl ExecContext<'_> {
     ) -> Result<Vec<ResultBlock>> {
         let cancel = self.cancel.as_deref();
         type Partial = (Vec<ResultBlock>, u64, u64);
-        let (partials, cpu_nanos) = self.scan_partitions(base, |p| -> Result<Partial> {
+        let partials = self.scan_partitions(base, |p| -> Result<Partial> {
             let mut out = Vec::new();
             let mut iter = base.scan_partition_blocks_numeric(p, &plan.cols)?;
             let (mut rows, mut blocks) = (0u64, 0u64);
@@ -784,7 +764,6 @@ impl ExecContext<'_> {
             Ok((out, rows, blocks))
         });
         let mut all = Vec::new();
-        stats.cpu_nanos += cpu_nanos;
         for (o, r, b) in merge_partial_errors(partials)? {
             all.extend(o);
             stats.rows_scanned += r;
@@ -796,20 +775,18 @@ impl ExecContext<'_> {
         Ok(all)
     }
 
-    /// Phases 1–3 of the aggregation protocol on the chosen path — a
-    /// summary answer or a parallel scan, then the per-engine partial
-    /// merge — packaged as an [`AggPartial`] that the caller finalizes
-    /// alone ([`AggPartial::finalize`]) or ships to a gather that
-    /// merges it with other shards' partials first. A summary answer
-    /// yields *accumulator* states (not finalized values), so it merges
-    /// with other engines' partials like any scan.
+    /// The aggregation protocol on the chosen path: a summary answer,
+    /// or a parallel scan whose per-partition partials the caller
+    /// merges (phases 1–3), then [`finalize`] (phase 4). A summary
+    /// answer yields *accumulator* states (not finalized values), so it
+    /// finalizes like any scan.
     fn aggregate(
         &self,
         stmt: &SelectStmt,
         plan: &PlannedSelect,
         bindings: Bindings,
         mut stats: ExecStats,
-    ) -> Result<AggPartial> {
+    ) -> Result<ResultSet> {
         let path = match self.choose(stmt, plan, &bindings, &mut stats) {
             AccessPath::Summary {
                 entry,
@@ -827,11 +804,7 @@ impl ExecContext<'_> {
                 );
                 stats.summary_nanos += started.elapsed().as_nanos() as u64;
                 if let Some(groups) = answer? {
-                    return Ok(AggPartial {
-                        groups,
-                        bindings,
-                        stats,
-                    });
+                    return finalize(stmt, groups, bindings, stats);
                 }
                 stats.summary_misses += 1;
                 self.choose_scan(stmt, plan, &bindings)
@@ -853,7 +826,7 @@ impl ExecContext<'_> {
         // over its partition (the UDF protocol's init + row steps).
         let scan_started = Instant::now();
         type Partial = (GroupMap, u64, u64, u64);
-        let (partials, helper_cpu): (Vec<Result<Partial>>, u64) = if let Some(plan) = block_plan {
+        let partials: Vec<Result<Partial>> = if let Some(plan) = block_plan {
             stats.block_path = true;
             self.scan_partitions(base, |p| {
                 let start = Instant::now();
@@ -940,8 +913,6 @@ impl ExecContext<'_> {
             })
         };
 
-        stats.cpu_nanos += helper_cpu;
-
         // Phase 3: master merges the partials.
         let merge_start = Instant::now();
         let mut merged: GroupMap = HashMap::new();
@@ -953,11 +924,7 @@ impl ExecContext<'_> {
         }
         stats.merge_nanos = merge_start.elapsed().as_nanos() as u64;
         stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
-        Ok(AggPartial {
-            groups: merged,
-            bindings,
-            stats,
-        })
+        finalize(stmt, merged, bindings, stats)
     }
 
     /// Answers from the chosen summary, rebuilding a stale one first
@@ -1130,10 +1097,8 @@ fn null_gate(def: &SummaryDef, recipes: &[SummaryRecipe], skipped: u64) -> bool 
 
 /// Evaluates every recipe against each maintained group state,
 /// producing accumulator states rather than finalized values: a
-/// summary answer is just another partial, so a sharded gather can
-/// merge a shard's summary hit with another shard's scan through the
-/// same [`AggAccum::merge`] protocol. Finalizing these states yields
-/// exactly the values a direct summary answer used to produce.
+/// summary answer is just another partial, finalized through the same
+/// [`AggAccum::finalize`] as a scan's.
 fn summary_accum_groups(
     snap: &SummarySnapshot,
     recipes: &[SummaryRecipe],
@@ -1620,9 +1585,8 @@ fn order_keys(
 /// turn: NULLs sort last in either direction, DESC reverses the
 /// non-NULL comparisons only, and mixed types compare by
 /// [`Value::sql_cmp`]. Every sort of result rows uses it: scalar and
-/// grouped ORDER BY, the default order of grouped output, and the
-/// gather of a sharded ORDER BY.
-pub(crate) fn row_cmp(
+/// grouped ORDER BY and the default order of grouped output.
+fn row_cmp(
     a: &[Value],
     b: &[Value],
     keys: impl IntoIterator<Item = (usize, bool)>,
@@ -1750,88 +1714,53 @@ pub(crate) struct Bindings {
     order_bound: Vec<(OrderEval, bool)>,
 }
 
-/// A merge-ready aggregate partial: the per-group accumulator states
-/// one engine produced by running phases 1–3 of an aggregate SELECT
-/// over its share of the data (or its local Γ summary), with the
-/// bindings that line the states up with their calls. Opaque outside
-/// the engine — a gather collects one per shard, merges them
-/// ([`AggPartial::merge`]) and finalizes once.
-pub(crate) struct AggPartial {
-    groups: GroupMap,
+/// Phase 4 of the aggregation protocol: finalizes every group's
+/// accumulators (a global aggregate over zero rows still yields one
+/// row), applies HAVING, evaluates projections and ORDER BY keys,
+/// sorts and applies LIMIT.
+fn finalize(
+    stmt: &SelectStmt,
+    mut groups: GroupMap,
     bindings: Bindings,
-    /// Counters for the engine-local portion of the statement. A
-    /// summary-answered partial keeps `rows_scanned` at 0 (plus any
-    /// stale-rebuild rows): the whole point of shard-local Γ.
-    pub stats: ExecStats,
-}
-
-impl AggPartial {
-    /// The gather half of a sharded aggregate: merges the shards'
-    /// partials group by group through the accumulator merge protocol,
-    /// keeping the first partial's bindings (every shard binds the
-    /// same calls). Counters sum; `summary_path` survives only when
-    /// *every* partial was answered from a summary.
-    pub fn merge(partials: Vec<AggPartial>) -> Result<AggPartial> {
-        let started = Instant::now();
-        let mut partials = partials.into_iter();
-        let mut acc = partials.next().expect("a gather has at least one partial");
-        for p in partials {
-            acc.stats.absorb(&p.stats);
-            acc.stats.summary_path &= p.stats.summary_path;
-            merge_groups(&mut acc.groups, p.groups)?;
-        }
-        acc.stats.merge_nanos += started.elapsed().as_nanos() as u64;
-        Ok(acc)
+    mut stats: ExecStats,
+) -> Result<ResultSet> {
+    let started = Instant::now();
+    if groups.is_empty() && stmt.group_by.is_empty() {
+        groups.insert(
+            GroupKey(Vec::new()),
+            bindings.agg_calls.iter().map(AggAccum::init).collect(),
+        );
     }
-
-    /// Phase 4 of the aggregation protocol: finalizes every group's
-    /// accumulators (a global aggregate over zero rows still yields one
-    /// row), applies HAVING, evaluates projections and ORDER BY keys,
-    /// sorts and applies LIMIT.
-    pub fn finalize(self, stmt: &SelectStmt) -> Result<ResultSet> {
-        let AggPartial {
-            mut groups,
-            bindings,
-            mut stats,
-        } = self;
-        let started = Instant::now();
-        if groups.is_empty() && stmt.group_by.is_empty() {
-            groups.insert(
-                GroupKey(Vec::new()),
-                bindings.agg_calls.iter().map(AggAccum::init).collect(),
-            );
-        }
-        let mut keyed_rows = Vec::with_capacity(groups.len());
-        for (key, accums) in groups {
-            let aggs: Vec<Value> = accums
-                .into_iter()
-                .map(AggAccum::finalize)
-                .collect::<Result<_>>()?;
-            let eval = |e: &BoundExpr| e.eval(&[], &aggs, &key.0);
-            if let Some(h) = &bindings.having_bound {
-                if !matches!(eval(h)?, Value::Int(x) if x != 0) {
-                    continue;
-                }
+    let mut keyed_rows = Vec::with_capacity(groups.len());
+    for (key, accums) in groups {
+        let aggs: Vec<Value> = accums
+            .into_iter()
+            .map(AggAccum::finalize)
+            .collect::<Result<_>>()?;
+        let eval = |e: &BoundExpr| e.eval(&[], &aggs, &key.0);
+        if let Some(h) = &bindings.having_bound {
+            if !matches!(eval(h)?, Value::Int(x) if x != 0) {
+                continue;
             }
-            let out = bindings
-                .proj_bound
-                .iter()
-                .map(eval)
-                .collect::<Result<Row>>()?;
-            let keys = order_keys(&bindings.order_bound, &out, eval)?;
-            keyed_rows.push((keys, out));
         }
-        // With no ORDER BY, sort whole rows for deterministic grouped
-        // output.
-        if bindings.order_bound.is_empty() {
-            keyed_rows.sort_by(|(_, a), (_, b)| row_cmp(a, b, (0..a.len()).map(|i| (i, false))));
-        }
-        let rows = finish_rows(keyed_rows, &bindings.order_bound, stmt.limit);
-        stats.finalize_nanos = started.elapsed().as_nanos() as u64;
-        let mut rs = ResultSet::new(bindings.names, rows);
-        rs.stats = stats;
-        Ok(rs)
+        let out = bindings
+            .proj_bound
+            .iter()
+            .map(eval)
+            .collect::<Result<Row>>()?;
+        let keys = order_keys(&bindings.order_bound, &out, eval)?;
+        keyed_rows.push((keys, out));
     }
+    // With no ORDER BY, sort whole rows for deterministic grouped
+    // output.
+    if bindings.order_bound.is_empty() {
+        keyed_rows.sort_by(|(_, a), (_, b)| row_cmp(a, b, (0..a.len()).map(|i| (i, false))));
+    }
+    let rows = finish_rows(keyed_rows, &bindings.order_bound, stmt.limit);
+    stats.finalize_nanos = started.elapsed().as_nanos() as u64;
+    let mut rs = ResultSet::new(bindings.names, rows);
+    rs.stats = stats;
+    Ok(rs)
 }
 
 impl PartialEq for GroupKey {

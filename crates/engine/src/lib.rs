@@ -25,16 +25,15 @@
 //! `CREATE TABLE AS`, `CREATE VIEW`, `INSERT INTO ... VALUES`,
 //! `INSERT INTO ... SELECT`, and `DROP`.
 //!
-//! [`Db`] is the one engine. It holds S ≥ 1 shards — at S = 1 a
-//! single node, the lone shard running inline on the caller's thread —
-//! and routes each statement: one target shard runs it whole, several
-//! run the paper's aggregate protocol one level up (each shard
-//! accumulates a partial Γ, the gather merges and finalizes). It owns
-//! the UDF registry, the plan cache and the write-ahead logs, and
-//! provides the high-level operations of the paper: computing summary
-//! matrices via SQL or via the aggregate UDF ([`Db::compute_nlq`],
-//! `compute_nlq_with`, blocked and grouped variants) and scoring data
-//! sets with scalar UDFs or generated SQL ([`sqlgen`]).
+//! [`Db`] is the one engine: one catalog over round-robin partitioned
+//! tables, whose partitions a scan reads in parallel on the scan pool
+//! (each accumulates a partial Γ, the caller merges and finalizes —
+//! the paper's aggregate protocol). It owns the UDF registry, the plan
+//! cache and the write-ahead log, and provides the high-level
+//! operations of the paper: computing summary matrices via SQL or via
+//! the aggregate UDF ([`Db::compute_nlq`], `compute_nlq_with`, blocked
+//! and grouped variants) and scoring data sets with scalar UDFs or
+//! generated SQL ([`sqlgen`]).
 
 mod accum;
 mod ast;
@@ -49,7 +48,6 @@ mod output;
 mod parser;
 mod predicate;
 pub mod serve;
-mod shard;
 pub mod sqlgen;
 pub mod sys;
 mod token;
@@ -57,7 +55,7 @@ mod token;
 pub use ast::{Expr, OrderKey, Projection, SelectStmt, Statement, TableRef};
 pub use db::{
     Db, EngineStats, ExecOptions, ExecStats, LogDir, NlqMethod, PlanCacheStats, ResultSet,
-    ShardMetricsSnapshot, SqlEngine, SummaryRefreshState,
+    SqlEngine, SummaryRefreshState,
 };
 pub use durable::{DurabilityStats, RecoveryInfo};
 pub use error::EngineError;

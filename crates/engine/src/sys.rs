@@ -2,7 +2,7 @@
 //! [`SystemTableProvider`] on its engine and every `sys.*` table
 //! reference resolves through it instead of the user catalog.
 //!
-//! A provider snapshots live state (trace rings, sessions, shard
+//! A provider snapshots live state (trace rings, sessions, plan-cache
 //! counters, WAL stats, refresh progress) into an ordinary
 //! [`nlq_storage::Table`] at resolution time, so the existing block
 //! scan, predicate bitmaps, Γ aggregates, and scoring UDFs all work

@@ -2,7 +2,7 @@
 //!
 //! * `sum` over INT arguments is exact: it folds in an `i128` lane,
 //!   answers the exact Int up to the i64 edge, and errors one past it
-//!   (never rounds through `f64`, never saturates), also when shard or
+//!   (never rounds through `f64`, never saturates), also when
 //!   partition partials pass the edge on the way.
 //! * An aggregate whose argument is a FLOAT column answers FLOAT on
 //!   every path, even when the column holds Int-typed values;
@@ -17,9 +17,9 @@ use nlq_storage::Value;
 const MAX: i64 = i64::MAX;
 
 /// Loads `values` into `t (g INT, v INT)` in one INSERT batch, all in
-/// group 1, plus one row `(2, 5)`, on `shards` shards.
-fn int_db(shards: usize, values: &[i64]) -> Db {
-    let db = Db::open(shards, 3, None).unwrap();
+/// group 1, plus one row `(2, 5)`, over `workers` partitions.
+fn int_db(workers: usize, values: &[i64]) -> Db {
+    let db = Db::new(workers);
     db.execute("CREATE TABLE t (g INT, v INT)").unwrap();
     let mut rows: Vec<String> = values.iter().map(|v| format!("(1, {v})")).collect();
     rows.push("(2, 5)".into());
@@ -29,13 +29,13 @@ fn int_db(shards: usize, values: &[i64]) -> Db {
 }
 
 /// `sum(v)` over the group-1 rows, global and under GROUP BY, at
-/// S = 1 and S = 4; both must agree with `want`.
+/// 1, 2 and 4 partitions; each must agree with `want`.
 fn check_sum(values: &[i64], want: std::result::Result<i64, ()>) {
-    for shards in [1, 4] {
-        let db = int_db(shards, values);
+    for workers in [1, 2, 4] {
+        let db = int_db(workers, values);
         let global = db.execute("SELECT sum(v) FROM t WHERE g = 1");
         let grouped = db.execute("SELECT g, sum(v) FROM t GROUP BY g ORDER BY g");
-        let ctx = format!("S = {shards}, {values:?}");
+        let ctx = format!("{workers} partition(s), {values:?}");
         match want {
             Ok(sum) => {
                 assert_eq!(global.unwrap().value(0, 0), &Value::Int(sum), "{ctx}");
@@ -70,9 +70,9 @@ fn int_sum_one_past_the_edge_is_an_error() {
 
 #[test]
 fn int_sum_partials_may_pass_the_edge() {
-    // One batch of eight rows goes round-robin over four shards, so
-    // rows k and k + 4 share a shard: one shard's partial is 2·MAX and
-    // another's is about −2·MAX. The exact total is back in range.
+    // One batch of eight rows goes round-robin over four partitions, so
+    // rows k and k + 4 share a partition: one partition's partial is
+    // 2·MAX and another's is about −2·MAX. The exact total is back in range.
     check_sum(
         &[MAX, -MAX, 1, 2, MAX, -(MAX - 10), 3, 1],
         Ok(10 + 1 + 2 + 3 + 1),
@@ -99,13 +99,13 @@ impl OnPath {
     }
 }
 
-/// Runs `check` on an [`int_db`] of `values` at S ∈ {1, 4} with the
-/// block scan on and off.
+/// Runs `check` on an [`int_db`] of `values` over 1, 2 and 4
+/// partitions with the block scan on and off.
 fn on_every_path(values: &[i64], check: impl Fn(&OnPath, &str)) {
-    for shards in [1, 4] {
+    for workers in [1, 2, 4] {
         for block in [true, false] {
-            let db = OnPath::new(int_db(shards, values), block);
-            check(&db, &format!("S = {shards}, block scan {block}"));
+            let db = OnPath::new(int_db(workers, values), block);
+            check(&db, &format!("{workers} partition(s), block scan {block}"));
         }
     }
 }
@@ -189,14 +189,14 @@ fn row(rs: &ResultSet) -> Vec<Value> {
 
 #[test]
 fn float_column_aggregates_answer_float_on_every_path() {
-    for shards in [1, 4] {
+    for workers in [1, 2, 4] {
         for block_scan in [true, false] {
-            let db = OnPath::new(Db::open(shards, 2, None).unwrap(), block_scan);
+            let db = OnPath::new(Db::new(workers), block_scan);
             db.execute("CREATE TABLE t (g INT, f FLOAT)").unwrap();
             // Int literals stored into a FLOAT column.
             db.execute("INSERT INTO t VALUES (1, 1), (1, 2), (1, 3)")
                 .unwrap();
-            let ctx = format!("S = {shards}, block_scan = {block_scan}");
+            let ctx = format!("{workers} partition(s), block_scan = {block_scan}");
             let want = vec![
                 Value::Float(1.0),
                 Value::Float(3.0),

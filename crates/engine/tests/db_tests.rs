@@ -3,7 +3,7 @@
 //! scoring query patterns of §3.5.
 
 use nlq_datagen::{MixtureGenerator, MixtureSpec};
-use nlq_engine::{sqlgen, Db, EngineError, NlqMethod};
+use nlq_engine::{sqlgen, Db, EngineError, NlqMethod, SqlEngine};
 use nlq_linalg::Vector;
 use nlq_models::{LinearRegression, MatrixShape, Nlq};
 use nlq_storage::Value;
@@ -511,4 +511,125 @@ fn register_model_tables_have_single_io_layout() {
         rs.rows[0],
         vec![Value::Int(2), Value::Float(1.0), Value::Float(2.0)]
     );
+}
+
+#[test]
+fn plan_cache_hits_and_ddl_invalidation() {
+    let db = Db::new(1);
+    db.execute("CREATE TABLE T (a FLOAT)").unwrap();
+    db.execute("INSERT INTO T VALUES (1.0), (2.0)").unwrap();
+
+    let plan = |db: &Db| -> Vec<String> {
+        let rs = db.execute("EXPLAIN SELECT sum(a) FROM T").unwrap();
+        rs.rows.iter().map(|r| r[0].to_string()).collect()
+    };
+    let text = plan(&db);
+    assert!(
+        text.iter().any(|l| l.contains("plan cache: miss")),
+        "{text:?}"
+    );
+    let text = plan(&db);
+    assert!(
+        text.iter().any(|l| l.contains("plan cache: hit")),
+        "{text:?}"
+    );
+
+    let stats = db.engine_stats().plan_cache;
+    assert_eq!(stats.hits, 1);
+    assert!(stats.entries >= 1);
+
+    // A cached SELECT hits too, with parse skipped entirely.
+    db.execute("SELECT sum(a) FROM T").unwrap();
+    let rs = db.execute("SELECT sum(a) FROM T").unwrap();
+    assert_eq!(rs.stats.parse_nanos, 0);
+
+    // DDL clears the cache.
+    db.execute("CREATE TABLE U (b FLOAT)").unwrap();
+    assert_eq!(db.engine_stats().plan_cache.entries, 0);
+}
+
+#[test]
+fn explain_analyze_shows_phases_and_cache_hit() {
+    let db = Db::new(2);
+    db.execute("CREATE TABLE T (a FLOAT)").unwrap();
+    db.execute("INSERT INTO T VALUES (1.0), (2.0), (3.0)")
+        .unwrap();
+
+    let sql = "EXPLAIN ANALYZE SELECT sum(a) FROM T";
+    let first = db.execute(sql).unwrap();
+    let text: Vec<String> = first.rows.iter().map(|r| r[0].to_string()).collect();
+    for want in ["phase parse:", "phase scan:"] {
+        assert!(text.iter().any(|l| l.starts_with(want)), "{want}: {text:?}");
+    }
+    assert!(
+        text.iter().any(|l| l.contains("plan cache: miss")),
+        "{text:?}"
+    );
+
+    // Second run: plan-cache hit eliminates the parse phase.
+    let second = db.execute(sql).unwrap();
+    let text: Vec<String> = second.rows.iter().map(|r| r[0].to_string()).collect();
+    assert!(
+        !text.iter().any(|l| l.starts_with("phase parse:")),
+        "{text:?}"
+    );
+    assert!(
+        text.iter().any(|l| l.contains("plan cache: hit")),
+        "{text:?}"
+    );
+    assert_eq!(second.stats.parse_nanos, 0);
+}
+
+#[test]
+fn dml_and_views_over_partitions() {
+    let db = Db::new(3);
+    db.execute("CREATE TABLE T (id INT, a FLOAT)").unwrap();
+    let values: Vec<String> = (1..=30).map(|i| format!("({i}, {i}.5)")).collect();
+    db.execute(&format!("INSERT INTO T VALUES {}", values.join(", ")))
+        .unwrap();
+    assert_eq!(db.table("T").unwrap().partition_count(), 3);
+
+    db.execute("CREATE VIEW V AS SELECT a FROM T WHERE a > 10.5")
+        .unwrap();
+    let rs = db.execute("SELECT count(*) FROM V").unwrap();
+    assert_eq!(rs.value(0, 0), &Value::Int(20));
+
+    db.execute("UPDATE T SET a = 0.0 WHERE id > 20").unwrap();
+    db.execute("DELETE FROM T WHERE a = 0.0").unwrap();
+    let rs = db.execute("SELECT count(*), max(id) FROM T").unwrap();
+    assert_eq!(rs.value(0, 0), &Value::Int(20));
+    assert_eq!(rs.value(0, 1), &Value::Int(20));
+
+    // CTAS materializes derived rows into a new partitioned table.
+    db.execute("CREATE TABLE T2 AS SELECT id, a FROM T WHERE id <= 5")
+        .unwrap();
+    let rs = db.execute("SELECT count(*) FROM T2").unwrap();
+    assert_eq!(rs.value(0, 0), &Value::Int(5));
+}
+
+/// Records whether it ran on the thread that created it.
+struct OnThread(std::thread::ThreadId);
+
+impl nlq_udf::ScalarUdf for OnThread {
+    fn name(&self) -> &str {
+        "on_caller_thread"
+    }
+
+    fn eval(&self, _args: &[Value]) -> nlq_udf::Result<Value> {
+        Ok(Value::Int((std::thread::current().id() == self.0) as i64))
+    }
+}
+
+/// A statement runs on its caller: an INSERT's literal rows are
+/// evaluated on the caller's thread, with no hop to another thread.
+#[test]
+fn statements_run_on_the_callers_thread() {
+    let db = Db::new(1);
+    let caller = std::thread::current().id();
+    db.with_registry_mut(|r| r.register_scalar(std::sync::Arc::new(OnThread(caller))));
+    db.execute("CREATE TABLE T (i INT, here INT)").unwrap();
+    db.execute("INSERT INTO T VALUES (1, on_caller_thread()), (2, on_caller_thread())")
+        .unwrap();
+    let rs = db.execute("SELECT min(here), max(here) FROM T").unwrap();
+    assert_eq!(rs.rows[0], vec![Value::Int(1), Value::Int(1)]);
 }

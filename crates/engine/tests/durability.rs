@@ -5,21 +5,25 @@
 //! **exactly** the acked prefix of the trace.
 //!
 //! The fault model makes that an exact property, not a probabilistic
-//! one. The injected crash charges one byte budget *shared* by every
-//! log sink — modelling one process dying — and always lands *inside*
-//! an append, anywhere in a payload or marker fan-out: an envelope
-//! whose commit fsyncs returned before the crash is durable on every
-//! log it touched, one that errored never acked, and presumed abort
-//! must drop it on **every** log. The recovered engine is compared
+//! one. The injected crash charges a byte budget on the log sink —
+//! modelling the process dying — and always lands *inside* an append,
+//! anywhere in a payload or its marker: an envelope whose commit fsync
+//! returned before the crash is durable, and one that errored never
+//! acked and must not come back. The recovered engine is compared
 //! bit-for-bit (row multisets) against a volatile mirror that applied
 //! only the acked operations.
+//!
+//! A directory written by the sharded engine this one replaced — a
+//! `shard-<i>/` log or a checkpoint entry `<i>/<table>` with i ≥ 1 — is
+//! refused, never opened with its other logs ignored; the one-log
+//! layout's older checkpoint entry form `0/<table>` still reopens.
 
 use std::sync::Barrier;
 
 use nlq_engine::sqlgen::{score_regression_udf, x_cols};
 use nlq_engine::{parse, Db, ExecOptions, LogDir, SqlEngine};
 use nlq_linalg::Vector;
-use nlq_storage::Value;
+use nlq_storage::{CheckpointManifest, Value};
 use nlq_testkit::{run_cases, Rng};
 
 #[macro_use]
@@ -41,11 +45,9 @@ fn reopen_replays_statements_and_envelopes(engine: Engine) {
     }
     let e = engine.open(&dir, true);
     let info = durability(&*e).recovery;
-    // Statements replay once however many logs carried them; the
-    // two-row envelope left one payload on each log it touched.
-    let payloads = engine.n_logs().min(2);
-    assert_eq!(info.replayed_records, 3 + payloads);
-    assert_eq!(info.replayed_envelopes, payloads);
+    // Three statements and one two-row envelope.
+    assert_eq!(info.replayed_records, 4);
+    assert_eq!(info.replayed_envelopes, 1);
     assert_count_sum(&*e, 5, 17.5);
     // The summary definition replayed too and serves the aggregate.
     assert_eq!(e.summary_refresh_states().len(), 1);
@@ -66,7 +68,7 @@ fn checkpoint_truncates_log_and_survives_reopen(engine: Engine) {
     }
     let e = engine.open(&dir, true);
     let info = durability(&*e).recovery;
-    assert_eq!(info.checkpoint_tables, engine.n_logs(), "one file per log");
+    assert_eq!(info.checkpoint_tables, 1, "one file per table");
     assert_eq!(info.replayed_records, 1, "only the post-checkpoint insert");
     assert_count_sum(&*e, 9, 45.0);
     let v = sql(&*e, "SELECT count(*) FROM v").unwrap();
@@ -99,18 +101,17 @@ fn concurrent_threshold_crossings_checkpoint_exactly_once(engine: Engine) {
         sessions.into_iter().map(|t| t.join().unwrap()).sum()
     });
     assert_eq!(took, 1, "exactly one session snapshots");
-    // One checkpoint resets every log once.
-    assert_eq!(durability(&*e).wal.checkpoints, engine.n_logs());
+    // One checkpoint resets the log once.
+    assert_eq!(durability(&*e).wal.checkpoints, 1);
     assert_eq!(durability(&*e).log_bytes, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Model tables are replicated: a checkpoint saves each one once, and
-/// recovery copies it back to every shard and marks it replicated, so
-/// the scoring join still runs shard-locally after a reopen.
+/// Model tables are saved by a checkpoint like any other table, so the
+/// scoring join answers the same after a reopen.
 fn model_tables_survive_a_checkpoint(engine: Engine) {
     let dir = engine.temp_dir("model");
-    let open = || Db::open(engine.0, 2, Some(LogDir::new(&dir, true))).unwrap();
+    let open = || Db::open(engine.0, Some(LogDir::new(&dir, true))).unwrap();
     let scoring = format!(
         "{} ORDER BY x.i",
         score_regression_udf("X", &x_cols(2), "BETA")
@@ -125,13 +126,10 @@ fn model_tables_survive_a_checkpoint(engine: Engine) {
         db.execute(&scoring).unwrap()
     };
     let db = open();
-    // X's slice on every shard, BETA once.
+    // X and BETA.
     let info = db.recovery_info().unwrap();
-    assert_eq!(info.checkpoint_tables, engine.n_logs() + 1);
+    assert_eq!(info.checkpoint_tables, 2);
     assert_eq!(db.execute(&scoring).unwrap(), live);
-    let plan = db.execute("EXPLAIN SELECT b0 FROM BETA").unwrap();
-    let route = format!("route: 1 of {} shard(s)", engine.0);
-    assert!(plan.rows.iter().any(|r| r[0] == Value::Str(route.clone())));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -144,11 +142,11 @@ fn crash_mid_envelope_commits_nothing_and_acked_survives(engine: Engine) {
     }
     // Allow 10 more appended bytes: the next envelope's payload record
     // tears mid-append, so its ingest never acks.
-    let (e, ffs) = engine.open_faulted(&dir, Some(10));
+    let (e, ff) = engine.open_faulted(&dir, Some(10));
     let torn = e.ingest_rows("t", vec![row(2, 2.0)]);
     assert!(torn.is_err(), "append crossed the budget: simulated crash");
     drop(e);
-    engine.corrupt_tails(&dir, &ffs, &mut Rng::new(7));
+    engine.corrupt_tail(&dir, &ff, &mut Rng::new(7));
 
     let e = engine.open(&dir, true);
     assert_count_sum(&*e, 1, 1.0); // unacked envelope gone, acked survives
@@ -160,7 +158,7 @@ fn crash_mid_envelope_commits_nothing_and_acked_survives(engine: Engine) {
 /// reads still run through it.
 fn execute_statement_refuses_unlogged_mutations(engine: Engine) {
     let dir = engine.temp_dir("exec-stmt");
-    let open = || Db::open(engine.0, 2, Some(LogDir::new(&dir, true))).unwrap();
+    let open = || Db::open(engine.0, Some(LogDir::new(&dir, true))).unwrap();
     let run =
         |db: &Db, text: &str| db.execute_statement(parse(text).unwrap(), &ExecOptions::default());
     {
@@ -175,7 +173,7 @@ fn execute_statement_refuses_unlogged_mutations(engine: Engine) {
     }
     assert_count_sum(&open(), 1, 1.5);
     // A volatile engine has no log to bypass.
-    let volatile = Db::open(engine.0, 2, None).unwrap();
+    let volatile = Db::new(engine.0);
     sql(&volatile, "CREATE TABLE t (i INT, x FLOAT)").unwrap();
     run(&volatile, "INSERT INTO t VALUES (2, 2.5)").unwrap();
     assert_count_sum(&volatile, 1, 2.5);
@@ -253,10 +251,10 @@ fn recovery_equals_acked_prefix_under_random_crashes(engine: Engine) {
         let _ = std::fs::remove_dir_all(&dry);
 
         // Fault run: crash after a random number of appended bytes
-        // (possibly never), then scramble the unsynced tails.
+        // (possibly never), then scramble the unsynced tail.
         let crash_after = rng.next_u64() % (total + 1);
         let dir = engine.temp_dir(&format!("case-{:016x}", rng.next_u64()));
-        let (e, ffs) = engine.open_faulted(&dir, Some(crash_after));
+        let (e, ff) = engine.open_faulted(&dir, Some(crash_after));
         let mirror = engine.volatile();
         let mut crashed = false;
         for op in &trace {
@@ -270,7 +268,7 @@ fn recovery_equals_acked_prefix_under_random_crashes(engine: Engine) {
         }
         drop(e);
         if crashed {
-            engine.corrupt_tails(&dir, &ffs, rng);
+            engine.corrupt_tail(&dir, &ff, rng);
         }
 
         let rec = engine.open(&dir, true);
@@ -298,3 +296,62 @@ on_every_engine!(
     execute_statement_refuses_unlogged_mutations,
     recovery_equals_acked_prefix_under_random_crashes,
 );
+
+// ---------------------------------------------------------------------
+// Layouts: the one-log directory and the refused sharded one
+// ---------------------------------------------------------------------
+
+/// A durable directory with one table `t` of two rows, checkpointed, so
+/// its manifest names `t`.
+fn checkpointed_dir(name: &str) -> std::path::PathBuf {
+    let dir = Engine(1).temp_dir(name);
+    let db = Db::open_durable(1, &dir, true).unwrap();
+    db.execute("CREATE TABLE t (i INT, x FLOAT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 1.5), (2, 2.5)")
+        .unwrap();
+    assert!(db.checkpoint().unwrap());
+    dir
+}
+
+fn rewrite_manifest(dir: &std::path::Path, tables: Vec<String>) {
+    let path = dir.join("checkpoint/MANIFEST");
+    let mut m = CheckpointManifest::decode(&std::fs::read(&path).unwrap()).unwrap();
+    m.tables = tables;
+    std::fs::write(&path, m.encode()).unwrap();
+}
+
+#[test]
+fn manifest_entries_in_the_shard_zero_form_reopen() {
+    let dir = checkpointed_dir("form0");
+    let ck = dir.join("checkpoint");
+    std::fs::create_dir_all(ck.join("shard-0")).unwrap();
+    std::fs::rename(ck.join("t.tbl"), ck.join("shard-0/t.tbl")).unwrap();
+    rewrite_manifest(&dir, vec!["0/t".into()]);
+    let db = Db::open_durable(1, &dir, true).unwrap();
+    assert_eq!(db.recovery_info().unwrap().checkpoint_tables, 1);
+    assert_count_sum(&db, 2, 4.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_sharded_directory_is_refused() {
+    let refused = |dir: &std::path::Path| {
+        let err = Db::open_durable(1, dir, true).err().expect("must refuse");
+        let msg = err.to_string();
+        assert!(msg.contains("sharded layout"), "{msg}");
+        msg
+    };
+
+    // A second shard's log.
+    let dir = checkpointed_dir("shard1-log");
+    std::fs::create_dir_all(dir.join("shard-1")).unwrap();
+    std::fs::write(dir.join("shard-1/wal.log"), b"").unwrap();
+    assert!(refused(&dir).contains("shard-1/"));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A checkpoint entry for shard 1's slice of a table.
+    let dir = checkpointed_dir("shard1-entry");
+    rewrite_manifest(&dir, vec!["1/x".into(), "t".into()]);
+    assert!(refused(&dir).contains("'1/x'"));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,6 +1,5 @@
-//! The engine under test at S = 1 and S = 4 shards (one log per
-//! shard, one durability protocol), behind `SqlEngine`, so a
-//! durability test is written once and run on both.
+//! The engine under test over 1, 2 and 4 partitions, behind
+//! `SqlEngine`, so a durability test is written once and run on each.
 #![allow(dead_code)]
 
 use std::path::{Path, PathBuf};
@@ -10,8 +9,8 @@ use nlq_engine::{Db, DurabilityStats, ExecOptions, LogDir, ResultSet, SqlEngine}
 use nlq_storage::{Value, WalIo};
 use nlq_testkit::{corrupt_tail, FaultFs, FaultInjector, Rng};
 
-/// The shard count of the engine under test; everything else goes
-/// through `SqlEngine`.
+/// The scan workers (and table partitions) of the engine under test;
+/// everything else goes through `SqlEngine`.
 #[derive(Clone, Copy)]
 pub struct Engine(pub usize);
 
@@ -20,53 +19,39 @@ pub type Dyn = Arc<dyn SqlEngine>;
 impl Engine {
     pub fn temp_dir(self, name: &str) -> PathBuf {
         let dir =
-            std::env::temp_dir().join(format!("nlq-dur-{}-s{}-{name}", std::process::id(), self.0));
+            std::env::temp_dir().join(format!("nlq-dur-{}-w{}-{name}", std::process::id(), self.0));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
-    /// Where this engine keeps its log files under `dir`.
-    pub fn logs(self, dir: &Path) -> Vec<PathBuf> {
-        (0..self.0)
-            .map(|i| dir.join(format!("shard-{i}/wal.log")))
-            .collect()
+    /// Where the engine keeps its log file under `dir`.
+    pub fn log(self, dir: &Path) -> PathBuf {
+        dir.join(LogDir::LOG)
     }
 
     pub fn volatile(self) -> Dyn {
-        Arc::new(Db::open(self.0, 2, None).unwrap())
+        Arc::new(Db::new(self.0))
     }
 
     pub fn open(self, dir: &Path, fsync: bool) -> Dyn {
-        Arc::new(Db::open(self.0, 2, Some(LogDir::new(dir, fsync))).unwrap())
+        Arc::new(Db::open(self.0, Some(LogDir::new(dir, fsync))).unwrap())
     }
 
-    /// Opens with every log append charged to one shared crash budget.
-    pub fn open_faulted(self, dir: &Path, budget: Option<u64>) -> (Dyn, Vec<Arc<FaultFs>>) {
-        let inj = FaultInjector::new(budget);
-        let ffs: Vec<Arc<FaultFs>> = self
-            .logs(dir)
-            .iter()
-            .map(|path| {
-                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-                Arc::new(FaultFs::open(path, Arc::clone(&inj)).unwrap())
-            })
-            .collect();
+    /// Opens with every log append charged to a crash budget.
+    pub fn open_faulted(self, dir: &Path, budget: Option<u64>) -> (Dyn, Arc<FaultFs>) {
+        let path = self.log(dir);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let ff = Arc::new(FaultFs::open(&path, FaultInjector::new(budget)).unwrap());
         let wal = LogDir {
-            ios: ffs.iter().map(|ff| ff.clone() as Arc<dyn WalIo>).collect(),
+            io: Some(ff.clone() as Arc<dyn WalIo>),
             ..LogDir::new(dir, true)
         };
-        (Arc::new(Db::open(self.0, 2, Some(wal)).unwrap()), ffs)
+        (Arc::new(Db::open(self.0, Some(wal)).unwrap()), ff)
     }
 
-    /// After a simulated crash: scrambles each log's unsynced tail.
-    pub fn corrupt_tails(self, dir: &Path, ffs: &[Arc<FaultFs>], rng: &mut Rng) {
-        for (path, ff) in self.logs(dir).iter().zip(ffs) {
-            corrupt_tail(path, ff.synced_len(), rng).unwrap();
-        }
-    }
-
-    pub fn n_logs(self) -> u64 {
-        self.0 as u64
+    /// After a simulated crash: scrambles the log's unsynced tail.
+    pub fn corrupt_tail(self, dir: &Path, ff: &FaultFs, rng: &mut Rng) {
+        corrupt_tail(&self.log(dir), ff.synced_len(), rng).unwrap();
     }
 }
 
@@ -93,10 +78,10 @@ pub fn assert_count_sum(e: &dyn SqlEngine, count: i64, sum: f64) {
 }
 
 /// The sorted row multiset of `t`, bitwise (replay reconstructs the
-/// exact float bits the WAL recorded). Placement across shards may
-/// differ between the original run and replay (round-robin cursors
-/// restart), so only the multiset is comparable — which is also all any
-/// query result depends on. `None` when `t` does not exist (the crash
+/// exact float bits the WAL recorded). Placement across partitions may
+/// differ between the original run and replay (a checkpoint's table
+/// file is re-dealt at load), so only the multiset is comparable —
+/// which is also all any query result depends on. `None` when `t` does not exist (the crash
 /// predated its CREATE TABLE).
 pub fn dump(e: &dyn SqlEngine) -> Option<Vec<String>> {
     let rs = sql(e, "SELECT i, x FROM t").ok()?;
@@ -107,11 +92,12 @@ pub fn dump(e: &dyn SqlEngine) -> Option<Vec<String>> {
 }
 
 /// Instantiates each named `fn(Engine)` of the calling file as one
-/// `#[test]` per shard count.
+/// `#[test]` per worker count.
 macro_rules! on_every_engine {
     ($($test:ident),* $(,)?) => {
-        on_every_engine!(@engine s1, Engine(1), $($test),*);
-        on_every_engine!(@engine s4, Engine(4), $($test),*);
+        on_every_engine!(@engine w1, Engine(1), $($test),*);
+        on_every_engine!(@engine w2, Engine(2), $($test),*);
+        on_every_engine!(@engine w4, Engine(4), $($test),*);
     };
     (@engine $module:ident, $engine:expr, $($test:ident),*) => {
         mod $module {

@@ -27,8 +27,8 @@ fn single_log_envelopes_cost_one_fsync_and_two_records(engine: Engine) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A bad row anywhere in a batch rejects the whole batch — on every
-/// shard, volatile or durable, live and after reopen.
+/// A bad row anywhere in a batch rejects the whole batch — volatile
+/// or durable, live and after reopen, however often it is retried.
 fn bad_row_rejects_the_whole_envelope(engine: Engine) {
     let bad = vec![Value::Str("bad".into()), Value::Float(1.0)];
     let batch = vec![row(10, 1.0), row(11, 1.0), bad, row(13, 1.0), row(14, 1.0)];
@@ -36,8 +36,6 @@ fn bad_row_rejects_the_whole_envelope(engine: Engine) {
     for e in [engine.volatile(), engine.open(&dir, true)] {
         sql(&*e, "CREATE TABLE t (i INT, x FLOAT)").unwrap();
         e.ingest_rows("t", vec![row(1, 1.0), row(2, 2.0)]).unwrap();
-        // Five rows shift the round-robin cursor by one per attempt,
-        // so the bad row lands on each of up to four shards once.
         for _ in 0..4 {
             assert!(e.ingest_rows("t", batch.clone()).is_err());
             assert_count_sum(&*e, 2, 3.0);

@@ -237,6 +237,33 @@ fn trace_option_records_engine_phase_spans() {
     }
 }
 
+/// A statement that fails to parse charges the CPU its parse burned:
+/// 50k terms and then a syntax error at the very end.
+#[test]
+fn a_parse_error_charges_its_cpu() {
+    use nlq_obs::{thread_cpu_nanos, Trace};
+
+    if thread_cpu_nanos() == 0 {
+        return; // no per-thread CPU clock on this platform
+    }
+    let db = Db::new(1);
+    let terms: Vec<String> = (0..50_000).map(|k| format!("{k} + 1.5")).collect();
+    let sql = format!("SELECT {} FROM", terms.join(", "));
+    let trace = Trace::new();
+    let opts = ExecOptions {
+        trace: Some(trace.clone()),
+        ..ExecOptions::default()
+    };
+    let started = thread_cpu_nanos();
+    assert!(db.execute_with(&sql, &opts).is_err());
+    let spent = thread_cpu_nanos() - started;
+    let charged = trace.cpu_nanos();
+    assert!(
+        charged * 2 >= spent && charged > 0,
+        "the parse burned {spent} ns of CPU, the trace charged {charged} ns"
+    );
+}
+
 #[test]
 fn explain_does_not_execute_the_scan() {
     // EXPLAIN of a query with a failing UDF argument must still work:
@@ -272,9 +299,9 @@ fn scan_mode(plan: &str) -> String {
 /// `X(i, X1, X2)` with 100 points, four centroids `C`, and three
 /// 30-row tables `(a, b)` with a summary each: on `F` it is fresh, on
 /// `G` stale, and on `N` stale with the rows whose `b` is NULL skipped
-/// (every third row, so every shard holds some at S = 4).
-fn agreement_db(shards: usize) -> Db {
-    let db = Db::open(shards, 2, None).unwrap();
+/// (every third row, so every partition holds some at four workers).
+fn agreement_db(workers: usize) -> Db {
+    let db = Db::new(workers);
     let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, (i % 7) as f64]).collect();
     db.load_points("X", &rows, false).unwrap();
     let centroids: Vec<nlq_linalg::Vector> = (0..4)
@@ -330,12 +357,12 @@ fn explain_agrees_with_execution() {
         ("SELECT X1 FROM X ORDER BY 5".to_owned(), true),
         ("SELECT X1 FROM X HAVING X1 > 1.0".to_owned(), true),
     ];
-    for shards in [1, 4] {
+    for workers in [1, 4] {
         // EXPLAIN before EXPLAIN ANALYZE: executing rebuilds the stale
         // summaries.
-        let db = agreement_db(shards);
+        let db = agreement_db(workers);
         for (sql, fails) in &statements {
-            let ctx = format!("S = {shards}: {sql}");
+            let ctx = format!("{workers} worker(s): {sql}");
             let explain = db.execute(&format!("EXPLAIN {sql}"));
             let analyze = db.execute(&format!("EXPLAIN ANALYZE {sql}"));
             assert_eq!(analyze.is_err(), *fails, "{ctx}: {analyze:?}");

@@ -1,9 +1,9 @@
-//! The scan pool: a statement's shard pieces and partitions run on the
-//! calling thread and on a fixed set of pool helpers, never on threads
+//! The scan pool: a statement's partitions run on the calling thread and on a fixed set of pool helpers, never on threads
 //! of their own, and the CPU the helpers spend counts as the
 //! statement's, whether it succeeds or fails.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -26,8 +26,9 @@ impl ScalarUdf for Tid {
     }
 }
 
-/// `spin(x)`: returns `x` after burning `SPIN` of its thread's CPU.
-struct Spin;
+/// `spin(x)`: returns `x` after burning `SPIN` of its thread's CPU,
+/// and counts its calls.
+struct Spin(Arc<AtomicU64>);
 
 const SPIN: Duration = Duration::from_millis(5);
 
@@ -40,12 +41,13 @@ impl ScalarUdf for Spin {
         while thread_cpu_nanos() - started < SPIN.as_nanos() as u64 {
             std::hint::spin_loop();
         }
+        self.0.fetch_add(1, Ordering::Relaxed);
         Ok(args[0].clone())
     }
 }
 
-fn points_db(shards: usize, workers: usize, n: usize) -> Db {
-    let db = Db::open(shards, workers, None).unwrap();
+fn points_db(workers: usize, n: usize) -> Db {
+    let db = Db::new(workers);
     let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64, 1.0]).collect();
     db.load_points("X", &rows, false).unwrap();
     db
@@ -64,8 +66,8 @@ fn block_and_row_paths() -> [ExecOptions; 2] {
 #[test]
 fn scans_run_on_the_caller_and_the_pool_helpers_only() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for shards in [1, 4] {
-        let db = points_db(shards, 2, 4000);
+    for workers in [1, 2, 4] {
+        let db = points_db(workers, 4000);
         let seen = Arc::new(Mutex::new(HashSet::new()));
         db.with_registry_mut(|r| r.register_scalar(Arc::new(Tid(Arc::clone(&seen)))));
         for opts in block_and_row_paths() {
@@ -75,12 +77,12 @@ fn scans_run_on_the_caller_and_the_pool_helpers_only() {
                 assert_eq!(rs.stats.block_path, opts.block_scan.is_none());
             }
         }
-        // std never reuses a `ThreadId`: a thread spawned per scan, or
-        // one per shard, would show up as ids beyond the pool's.
+        // std never reuses a `ThreadId`: a thread spawned per scan or
+        // per partition would show up as ids beyond the pool's.
         let distinct = seen.lock().unwrap().len();
         assert!(
             distinct <= 1 + cores,
-            "S = {shards}: {distinct} threads evaluated 100 scans on {cores} cores"
+            "{workers} worker(s): {distinct} threads evaluated 100 scans on {cores} cores"
         );
     }
 }
@@ -90,27 +92,33 @@ fn helper_cpu_counts_as_the_statements_cpu() {
     if thread_cpu_nanos() == 0 {
         return; // no per-thread CPU clock on this platform
     }
-    // Whichever threads run the shards' pieces and their partitions,
-    // the four evaluations burn 4 × SPIN between them.
-    const ROWS: usize = 4;
-    for shards in [1, 4] {
-        let db = points_db(shards, 2, ROWS);
-        db.with_registry_mut(|r| r.register_scalar(Arc::new(Spin)));
+    // Whichever threads run the partitions, each `spin` call burns
+    // SPIN of CPU that the statement must report.
+    const ROWS: usize = 8;
+    for workers in [1, 2, 4] {
+        let db = points_db(workers, ROWS);
+        let calls = Arc::new(AtomicU64::new(0));
+        db.with_registry_mut(|r| r.register_scalar(Arc::new(Spin(Arc::clone(&calls)))));
         for opts in block_and_row_paths() {
+            let ctx = format!("{workers} worker(s), block scan {:?}", opts.block_scan);
+            calls.store(0, Ordering::Relaxed);
             let rs = db.execute_with("SELECT spin(X1) FROM X", &opts).unwrap();
             assert_eq!(rs.rows.len(), ROWS);
             let cpu = Duration::from_nanos(rs.stats.cpu_nanos);
+            let spent = calls.load(Ordering::Relaxed) as u32 * SPIN;
             assert!(
-                cpu >= ROWS as u32 * SPIN,
-                "S = {shards}: statement reported {cpu:?} of CPU"
+                cpu >= spent,
+                "{ctx}: statement reported {cpu:?}, spins burned {spent:?}"
             );
-            // A failed statement charges its CPU too: a row's `spin`
-            // runs, then its INT addition overflows.
+            // A failed statement charges all of its CPU too, its scan
+            // helpers' included: each partition's first `spin` runs,
+            // then its INT addition overflows.
             let trace = Trace::new();
             let failing = ExecOptions {
                 trace: Some(trace.clone()),
                 ..opts.clone()
             };
+            calls.store(0, Ordering::Relaxed);
             let err = db
                 .execute_with(
                     "SELECT spin(X1) + (i + 9223372036854775807) FROM X",
@@ -118,9 +126,12 @@ fn helper_cpu_counts_as_the_statements_cpu() {
                 )
                 .unwrap_err();
             assert!(err.to_string().contains("overflow"), "{err}");
+            let cpu = Duration::from_nanos(trace.cpu_nanos());
+            let spent = calls.load(Ordering::Relaxed) as u32 * SPIN;
+            assert!(spent > Duration::ZERO, "{ctx}: no spin ran");
             assert!(
-                trace.cpu_nanos() > 0,
-                "S = {shards}: a failed statement charged no CPU"
+                cpu >= spent,
+                "{ctx}: a failed statement charged {cpu:?}, its spins burned {spent:?}"
             );
         }
     }

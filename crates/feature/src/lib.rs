@@ -3,8 +3,7 @@
 //! The feature-store serving loop on top of the engine's Γ machinery.
 //!
 //! Two halves, both written against
-//! [`SqlEngine`](nlq_engine::SqlEngine) and so indifferent to the
-//! engine's shard count:
+//! [`SqlEngine`](nlq_engine::SqlEngine):
 //!
 //! * [`IngestStream`] — the server-side state machine behind the wire
 //!   protocol's chunked INSERT grammar (`InsertHeader`, `InsertChunk`*,

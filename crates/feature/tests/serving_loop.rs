@@ -3,7 +3,7 @@
 //! * Streaming ingest (random chunk sizes, NULL-bearing rows, chunk
 //!   boundaries straddling the storage layer's seal batches) must be
 //!   observationally identical to bulk loading the same rows — scores
-//!   and aggregates agree at 1e-12 — on sharded engines with S ∈ {1, 4}.
+//!   and aggregates agree at 1e-12 — on engines of 1, 2 or 4 partitions.
 //! * A daemon-refreshed regression model after streamed ingest must
 //!   match a cold full-table refit at 1e-9.
 
@@ -70,14 +70,14 @@ fn stream_in(engine: &dyn SqlEngine, rng: &mut Rng, rows: &[Row], max_chunk: usi
 #[test]
 fn streaming_ingest_matches_bulk_load_then_score() {
     run_cases(6, 0xfeed, |rng| {
-        let shards = [1usize, 4][rng.range_usize(0, 1)];
-        let streamed: Arc<dyn SqlEngine> = Arc::new(Db::open(shards, 1, None).unwrap());
-        let bulk: Arc<dyn SqlEngine> = Arc::new(Db::open(shards, 1, None).unwrap());
+        let workers = [1usize, 2, 4][rng.range_usize(0, 2)];
+        let streamed: Arc<dyn SqlEngine> = Arc::new(Db::new(workers));
+        let bulk: Arc<dyn SqlEngine> = Arc::new(Db::new(workers));
         setup(streamed.as_ref());
         setup(bulk.as_ref());
 
-        // Enough rows that per-shard partitions cross the 1024-row
-        // seal boundary at S=1, with NULL holes in X1.
+        // Enough rows that partitions cross the 1024-row seal boundary
+        // at one worker, with NULL holes in X1.
         let n = rng.range_i64(2600, 4000);
         let rows = gen_rows(rng, n, true);
 
@@ -129,8 +129,8 @@ fn streaming_ingest_matches_bulk_load_then_score() {
 #[test]
 fn daemon_refresh_matches_cold_full_table_refit() {
     run_cases(6, 0xbe7a, |rng| {
-        let shards = [1usize, 4][rng.range_usize(0, 1)];
-        let engine: Arc<dyn SqlEngine> = Arc::new(Db::open(shards, 1, None).unwrap());
+        let workers = [1usize, 2, 4][rng.range_usize(0, 2)];
+        let engine: Arc<dyn SqlEngine> = Arc::new(Db::new(workers));
         setup(engine.as_ref());
         let opts = ExecOptions::default();
         engine
@@ -410,7 +410,7 @@ fn gated_daemon_reports_growing_staleness_without_sleeps() {
 
 #[test]
 fn daemon_thread_refreshes_on_cadence_and_stops() {
-    let engine: Arc<dyn SqlEngine> = Arc::new(Db::open(2, 1, None).unwrap());
+    let engine: Arc<dyn SqlEngine> = Arc::new(Db::new(2));
     setup(engine.as_ref());
     let opts = ExecOptions::default();
     engine

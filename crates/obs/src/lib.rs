@@ -93,12 +93,6 @@ pub enum Phase {
     Encode,
     /// Relaying encoded frames to the client socket.
     Stream,
-    /// Fanning a statement out to the shards of a sharded engine
-    /// (covers each shard's local execution of its partial).
-    Scatter,
-    /// Collecting shard results and merging Γ/aggregate partials (or
-    /// concatenating row streams) into the final result.
-    Gather,
     /// Resolving keyed rows through the primary-key hash index (batch
     /// scoring's gather step; replaces the scan phase entirely).
     PointLookup,
@@ -123,8 +117,6 @@ impl Phase {
             Phase::Finalize => "finalize",
             Phase::Encode => "encode",
             Phase::Stream => "stream",
-            Phase::Scatter => "scatter",
-            Phase::Gather => "gather",
             Phase::PointLookup => "point-lookup",
             Phase::Ingest => "ingest",
             Phase::Wal => "wal",
@@ -149,14 +141,6 @@ pub struct Span {
     pub bytes: u64,
     /// Column blocks decoded in this phase (0 when not applicable).
     pub blocks: u64,
-    /// CPU nanoseconds consumed during this phase (0 when not
-    /// sampled). For per-shard scatter spans this is the CPU of the
-    /// thread that ran the shard's piece plus that of the scan helpers
-    /// that ran its partitions: a share of the statement's total.
-    pub cpu_nanos: u64,
-    /// Shard index for per-shard scatter spans; -1 when the span is
-    /// not shard-scoped.
-    pub shard: i64,
 }
 
 impl Span {
@@ -169,8 +153,6 @@ impl Span {
             rows: 0,
             bytes: 0,
             blocks: 0,
-            cpu_nanos: 0,
-            shard: -1,
         }
     }
 
@@ -189,18 +171,6 @@ impl Span {
     /// Sets the blocks attribute.
     pub fn blocks(mut self, blocks: u64) -> Span {
         self.blocks = blocks;
-        self
-    }
-
-    /// Sets the CPU-time attribute.
-    pub fn cpu_nanos(mut self, cpu_nanos: u64) -> Span {
-        self.cpu_nanos = cpu_nanos;
-        self
-    }
-
-    /// Marks this span as scoped to one shard's partial execution.
-    pub fn on_shard(mut self, shard: usize) -> Span {
-        self.shard = shard as i64;
         self
     }
 }
@@ -352,9 +322,6 @@ pub struct TraceRecord {
     pub session: u64,
     /// Peer address of the session's connection.
     pub peer: String,
-    /// Shards the statement fanned out to (0 at S = 1, where the lone
-    /// shard runs inline on the session's thread).
-    pub shards: u32,
     /// The statement's 1-based `Execute` sequence on its session.
     pub seq: u64,
     /// The SQL text.
@@ -688,7 +655,6 @@ mod tests {
             query_id: id,
             session,
             peer: String::new(),
-            shards: 0,
             seq,
             sql,
             outcome: Outcome::Ok,

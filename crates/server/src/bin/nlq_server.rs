@@ -1,7 +1,7 @@
 //! `nlq-server`: serve the SQL + scoring engine over TCP.
 //!
 //! ```text
-//! nlq-server [--addr HOST:PORT] [--workers N] [--shards N] [--max-connections N]
+//! nlq-server [--addr HOST:PORT] [--workers N] [--max-connections N]
 //!            [--queue N] [--timeout-ms N] [--max-result-rows N]
 //!            [--max-result-bytes N] [--chunk-bytes N]
 //!            [--drain-grace-ms N] [--slow-query-ms N] [--trace-ring N]
@@ -17,9 +17,10 @@
 //! `--wal-dir DIR` opens the engine durably: every DDL/DML statement
 //! and ingest envelope is logged to a write-ahead log under `DIR`
 //! before it is applied, and an ack means the data survives `kill
-//! -9`. Restarting with the same `DIR` and `--shards` replays the
-//! logs (recovery counters show up in `sys.wal`). `--no-fsync` keeps the log but
-//! skips the per-commit fsync (group commit still batches writes) —
+//! -9`. Restarting with the same `DIR` replays the log (recovery
+//! counters show up in `sys.wal`); a `DIR` written by an older sharded
+//! server (a `shard-<i>/` with i ≥ 1) is refused. `--no-fsync` keeps
+//! the log but skips the per-commit fsync (group commit still batches writes) —
 //! faster, durable against process crash but not against power loss.
 //! `--checkpoint-bytes N` checkpoints (snapshot + log truncation)
 //! automatically once the live log reaches `N` bytes.
@@ -45,9 +46,8 @@ struct WalOpts {
     fsync: bool,
 }
 
-fn parse_args() -> Result<(ServerConfig, usize, WalOpts), String> {
+fn parse_args() -> Result<(ServerConfig, WalOpts), String> {
     let mut config = ServerConfig::default();
-    let mut shards = 1usize;
     let mut wal = WalOpts {
         dir: None,
         fsync: true,
@@ -63,7 +63,6 @@ fn parse_args() -> Result<(ServerConfig, usize, WalOpts), String> {
             "--workers" => {
                 config.workers = take("count")?.parse().map_err(|e| format!("{flag}: {e}"))?
             }
-            "--shards" => shards = take("count")?.parse().map_err(|e| format!("{flag}: {e}"))?,
             "--max-connections" => {
                 config.max_connections =
                     take("count")?.parse().map_err(|e| format!("{flag}: {e}"))?
@@ -129,8 +128,8 @@ fn parse_args() -> Result<(ServerConfig, usize, WalOpts), String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: nlq-server [--addr HOST:PORT] [--workers N] [--shards N] \
-                     [--max-connections N] [--queue N] [--timeout-ms N] [--max-result-rows N] \
+                    "usage: nlq-server [--addr HOST:PORT] [--workers N] [--max-connections N] \
+                     [--queue N] [--timeout-ms N] [--max-result-rows N] \
                      [--max-result-bytes N] [--chunk-bytes N] [--drain-grace-ms N] \
                      [--slow-query-ms N] [--trace-ring N] [--refresh-ms N] [--refresh-delta N] \
                      [--wal-dir DIR] [--no-fsync] [--checkpoint-bytes N] [--staleness-bound N]"
@@ -140,23 +139,21 @@ fn parse_args() -> Result<(ServerConfig, usize, WalOpts), String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    Ok((config, shards, wal))
+    Ok((config, wal))
 }
 
 fn main() -> ExitCode {
-    let (config, shards, wal) = match parse_args() {
+    let (config, wal) = match parse_args() {
         Ok(c) => c,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    // Statements route over S engine shards, each with its own slice
-    // of the scan workers. With --wal-dir the engine opens durably,
-    // replaying whatever a previous process logged.
-    let workers = (config.workers / shards.max(1)).max(1);
+    // With --wal-dir the engine opens durably, replaying whatever a
+    // previous process logged.
     let log_dir = wal.dir.as_deref().map(|dir| LogDir::new(dir, wal.fsync));
-    let db: Arc<dyn SqlEngine> = match Db::open(shards, workers, log_dir) {
+    let db: Arc<dyn SqlEngine> = match Db::open(config.workers, log_dir) {
         Ok(db) => Arc::new(db),
         Err(e) => {
             eprintln!("recovery failed: {e}");

@@ -5,7 +5,7 @@
 //! plain atomic increments. Reading goes through `samples`: one list
 //! of `(family, labels, kind, help, value)` [`Sample`]s covering the
 //! server counters, per-command request/error counters and latency
-//! histograms, shard and plan-cache counters, and WAL/recovery state.
+//! histograms, plan-cache counters, and WAL/recovery state.
 //! `sys.metrics`, `sys.wal`, and the Prometheus exposition
 //! ([`render_prometheus`]) are generic renderings of that list, so they
 //! cannot disagree; a metric's name appears exactly once, where its
@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use nlq_engine::{EngineStats, ShardMetricsSnapshot};
+use nlq_engine::EngineStats;
 use nlq_obs::PromText;
 
 use crate::server::Shared;
@@ -422,25 +422,8 @@ pub(crate) fn samples(shared: &Shared) -> Vec<Sample> {
     out
 }
 
-/// Shard count, per-shard counters, and plan-cache state.
+/// Plan-cache state.
 fn engine_samples(stats: &EngineStats, out: &mut Vec<Sample>) {
-    let shards = stats.shards.len() as u64;
-    out.push(gauge("shards", "Number of engine shards", shards));
-    type ShardValue = fn(&ShardMetricsSnapshot) -> f64;
-    #[rustfmt::skip]
-    let per_shard: [(&'static str, Kind, &'static str, ShardValue); 3] = [
-        ("shard_queries_total", Kind::Counter, "Statements executed, by shard", |s| s.queries as f64),
-        ("shard_rows_scanned_total", Kind::Counter, "Base-table rows scanned, by shard", |s| s.rows_scanned as f64),
-        ("shard_busy_seconds_total", Kind::Counter, "Time spent running statement pieces, by shard", |s| s.busy_nanos as f64 / 1e9),
-    ];
-    for (family, kind, help, value) in per_shard {
-        out.extend(
-            stats
-                .shards
-                .iter()
-                .map(|s| sample(family, kind, help, value(s)).label("shard", s.shard)),
-        );
-    }
     let c = stats.plan_cache;
     out.extend([
         counter("plan_cache_hits_total", "Plan-cache hits", c.hits),

@@ -251,8 +251,8 @@ pub(crate) struct Shared {
     /// retention-ordered.
     next_trace_id: AtomicU64,
     /// Server-wide query id, minted at admission — before queueing —
-    /// and threaded through `ExecOptions` into every span, shard
-    /// partial, and WAL commit the statement produces. The join key
+    /// and threaded through `ExecOptions` into every span and WAL
+    /// commit the statement produces. The join key
     /// across `RowsHeader`, `sys.queries`, `sys.spans`, and the
     /// slow-query log.
     next_query_id: AtomicU64,
@@ -1028,17 +1028,11 @@ fn finish_trace(
     let total_nanos = trace.elapsed_nanos();
     let slow = Duration::from_nanos(total_nanos) >= shared.config.slow_query;
     let spans = trace.spans();
-    // Shards the statement actually fanned out to: distinct shard
-    // indices across its scatter spans (0 at S = 1: no fan-out).
-    let mut shard_ids: Vec<i64> = spans.iter().map(|s| s.shard).filter(|&s| s >= 0).collect();
-    shard_ids.sort_unstable();
-    shard_ids.dedup();
     let record = TraceRecord {
         id: shared.next_trace_id.fetch_add(1, Ordering::Relaxed),
         query_id,
         session: session.id,
         peer: session.peer.clone(),
-        shards: shard_ids.len() as u32,
         seq,
         sql: sql.to_owned(),
         outcome,
@@ -1057,12 +1051,11 @@ fn finish_trace(
     if slow {
         shared.metrics.slow_queries.fetch_add(1, Ordering::Relaxed);
         eprintln!(
-            "slow query: query_id={} session={} peer={} seq={} shards={} total={} outcome={} sql={:?}{}",
+            "slow query: query_id={} session={} peer={} seq={} total={} outcome={} sql={:?}{}",
             record.query_id,
             record.session,
             record.peer,
             record.seq,
-            record.shards,
             nlq_obs::fmt_nanos(record.total_nanos),
             record.outcome.name(),
             record.sql,

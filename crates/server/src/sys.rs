@@ -5,8 +5,7 @@
 //! [`SystemTableProvider`] hook. When a statement references a
 //! `sys.`-prefixed table, the engine's resolver asks the provider for
 //! it and the provider materializes a fresh snapshot of the relevant
-//! server state — trace rings, live sessions, shard counters, WAL
-//! stats, the refresh daemon's publish ledger — as an ordinary
+//! server state — trace rings, live sessions, WAL stats, the refresh daemon's publish ledger — as an ordinary
 //! columnar [`Table`]. From there the statement runs through the
 //! normal execution path: block scans, selection bitmaps, Γ
 //! aggregates, and the scoring UDFs all work over telemetry exactly
@@ -27,7 +26,7 @@
 //! String columns (`outcome`, `phase`, `sql`, …) are row-path only —
 //! the block predicate compiler is numeric. Every enum-like string
 //! column therefore has a numeric companion (`ok` for
-//! `outcome = 'ok'`, `shard` for span scoping) so selective telemetry
+//! `outcome = 'ok'`) so selective telemetry
 //! queries still ride the block path; durations are `Float`
 //! microseconds for the same reason.
 
@@ -56,11 +55,10 @@ impl SysCatalog {
 }
 
 /// Every table the catalog serves, as dotted lowercase names.
-const TABLES: [&str; 7] = [
+const TABLES: [&str; 6] = [
     "sys.queries",
     "sys.spans",
     "sys.sessions",
-    "sys.shards",
     "sys.summaries",
     "sys.wal",
     "sys.metrics",
@@ -77,7 +75,6 @@ impl SystemTableProvider for SysCatalog {
             "sys.queries" => Some(queries(&shared)),
             "sys.spans" => Some(spans(&shared)),
             "sys.sessions" => Some(sessions(&shared)),
-            "sys.shards" => Some(shards(&shared)),
             "sys.summaries" => Some(summaries(&shared)),
             "sys.wal" => Some(wal(&shared)),
             "sys.metrics" => Some(metrics(&shared)),
@@ -127,7 +124,6 @@ fn queries(shared: &Arc<Shared>) -> Table {
         ("session", DataType::Int),
         ("seq", DataType::Int),
         ("peer", DataType::Str),
-        ("shards", DataType::Int),
         ("sql", DataType::Str),
         ("outcome", DataType::Str),
         ("ok", DataType::Int),
@@ -142,8 +138,6 @@ fn queries(shared: &Arc<Shared>) -> Table {
         ("plan_us", DataType::Float),
         ("summary_us", DataType::Float),
         ("scan_us", DataType::Float),
-        ("scatter_us", DataType::Float),
-        ("gather_us", DataType::Float),
         ("finalize_us", DataType::Float),
         ("encode_us", DataType::Float),
         ("stream_us", DataType::Float),
@@ -160,7 +154,6 @@ fn queries(shared: &Arc<Shared>) -> Table {
                 int(r.session),
                 int(r.seq),
                 Value::Str(r.peer.clone()),
-                int(u64::from(r.shards)),
                 Value::Str(r.sql.clone()),
                 Value::Str(r.outcome.name().to_owned()),
                 Value::Int(i64::from(r.outcome == nlq_obs::Outcome::Ok)),
@@ -175,10 +168,6 @@ fn queries(shared: &Arc<Shared>) -> Table {
                 phase_micros(&r, Phase::Plan),
                 phase_micros(&r, Phase::SummaryLookup),
                 phase_micros(&r, Phase::Scan),
-                // Per-shard scatter spans overlap in wall time, so this
-                // is aggregate shard-side wall, not elapsed scatter.
-                phase_micros(&r, Phase::Scatter),
-                phase_micros(&r, Phase::Gather),
                 phase_micros(&r, Phase::Finalize),
                 phase_micros(&r, Phase::Encode),
                 phase_micros(&r, Phase::Stream),
@@ -191,18 +180,15 @@ fn queries(shared: &Arc<Shared>) -> Table {
 }
 
 /// `sys.spans`: the flattened span tree of every retained trace,
-/// keyed by `query_id` — per-shard scatter spans carry their shard
-/// index and CPU time.
+/// keyed by `query_id`.
 fn spans(shared: &Arc<Shared>) -> Table {
     let cols = [
         ("query_id", DataType::Int),
         ("trace_id", DataType::Int),
         ("span", DataType::Int),
         ("phase", DataType::Str),
-        ("shard", DataType::Int),
         ("start_us", DataType::Float),
         ("dur_us", DataType::Float),
-        ("cpu_us", DataType::Float),
         ("rows", DataType::Int),
         ("bytes", DataType::Int),
         ("blocks", DataType::Int),
@@ -222,10 +208,8 @@ fn span_row(r: &TraceRecord, idx: usize, s: &Span) -> Vec<Value> {
         int(r.id),
         int(idx as u64),
         Value::Str(s.phase.name().to_owned()),
-        Value::Int(s.shard),
         micros(s.start_nanos),
         micros(s.dur_nanos),
-        micros(s.cpu_nanos),
         int(s.rows),
         int(s.bytes),
         int(s.blocks),
@@ -251,31 +235,6 @@ fn sessions(shared: &Arc<Shared>) -> Table {
                 Value::Str(s.peer.clone()),
                 int(s.info.statements.load(Ordering::Relaxed)),
                 Value::Str((*s.info.block_scan.lock().expect("session info")).to_owned()),
-            ]
-        })
-        .collect();
-    build(&cols, rows)
-}
-
-/// `sys.shards`: per-shard activity counters, one row per shard.
-fn shards(shared: &Arc<Shared>) -> Table {
-    let cols = [
-        ("shard", DataType::Int),
-        ("queries", DataType::Int),
-        ("rows_scanned", DataType::Int),
-        ("busy_us", DataType::Float),
-    ];
-    let rows = shared
-        .db
-        .engine_stats()
-        .shards
-        .into_iter()
-        .map(|s| {
-            vec![
-                int(s.shard as u64),
-                int(s.queries),
-                int(s.rows_scanned),
-                micros(s.busy_nanos),
             ]
         })
         .collect();

@@ -520,13 +520,6 @@ impl Wal {
         }
     }
 
-    /// Forces an fsync of everything appended so far (used by
-    /// multi-shard two-phase commits).
-    pub fn sync(&self) -> crate::Result<()> {
-        let target = *self.appended.lock().unwrap();
-        self.sync_to(target)
-    }
-
     /// Durably resets the log to empty after a checkpoint.
     pub fn reset(&self) -> crate::Result<()> {
         let mut appended = self.appended.lock().unwrap();

@@ -290,10 +290,9 @@ struct BatchBinding {
 /// existing Γ statistic, as if the state had already aggregated every
 /// row that Γ summarizes.
 ///
-/// The engine uses this to turn a materialized-summary hit into a
-/// *mergeable* partial: a shard answers from its local Γ (zero rows
-/// scanned) and the gather step still combines shard partials through
-/// the ordinary [`AggregateState::merge`] protocol. An empty Γ
+/// The engine uses this to turn a materialized-summary hit into an
+/// ordinary partial state (zero rows scanned) that merges and
+/// finalizes through the [`AggregateState`] protocol. An empty Γ
 /// (`n = 0`) seeds an empty state, which merges as a no-op and
 /// finalizes to SQL NULL — the same convention as aggregating zero
 /// rows.

@@ -179,10 +179,12 @@ fn block_scan_matches_row_scan() {
         block_db.register_table("X", table.clone()).unwrap();
         let row_db = Db::new(workers);
         row_db.register_table("X", table).unwrap();
-        let sharded_db = Db::open(4, workers, None).unwrap();
+        // Inserted through SQL into 1, 2 and 4 partitions: each scan
+        // merges that many partials.
+        let partitioned: Vec<(usize, Db)> = [1, 2, 4].map(|w| (w, Db::new(w))).into();
         let summary_db = Db::new(workers);
         let coords: Vec<String> = (1..=d).map(|a| format!("X{a}")).collect();
-        for db in [&sharded_db, &summary_db] {
+        for db in partitioned.iter().map(|(_, db)| db).chain([&summary_db]) {
             let cols: Vec<String> = coords.iter().map(|c| format!("{c} FLOAT")).collect();
             db.execute(&format!("CREATE TABLE X (i INT, {})", cols.join(", ")))
                 .unwrap();
@@ -225,7 +227,10 @@ fn block_scan_matches_row_scan() {
 
         let via_rows = row_db.execute_with(&select(false), &row_scan()).unwrap();
         let via_blocks = block_db.execute(&select(false)).unwrap();
-        let via_shards = sharded_db.execute(&select(false)).unwrap();
+        let via_partitions: Vec<(usize, nlq::engine::ResultSet)> = partitioned
+            .iter()
+            .map(|(w, db)| (*w, db.execute(&select(false)).unwrap()))
+            .collect();
         let via_summary = summary_db.execute(&select(true)).unwrap();
         assert!(via_blocks.stats.block_path);
         assert!(!via_rows.stats.block_path);
@@ -252,7 +257,9 @@ fn block_scan_matches_row_scan() {
         for (col, (call, summary_ok)) in calls.iter().enumerate() {
             let want = via_rows.value(0, col);
             same(via_blocks.value(0, col), want, &format!("block {call}"));
-            same(via_shards.value(0, col), want, &format!("4 shards {call}"));
+            for (w, rs) in &via_partitions {
+                same(rs.value(0, col), want, &format!("{w} partition(s) {call}"));
+            }
             if *summary_ok {
                 same(
                     via_summary.value(0, summary_col),
@@ -378,6 +385,48 @@ fn filtered_block_scan_matches_row_scan() {
 
 #[test]
 fn partition_count_does_not_change_results() {
+    // A scan runs one partial per partition and merges them, so 1, 2, 4
+    // or any number of partitions must answer alike: Γ itself, GROUP
+    // BY, ORDER BY with and without a hidden key and LIMIT, and the
+    // scoring cross join, over NULL holes and a random interleaving of
+    // INSERT batches. Floats may differ by merge order, within 1e-12
+    // relative.
+    fn tight(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * (1.0 + a.abs().max(b.abs()))
+    }
+    fn same_rows(got: &nlq::engine::ResultSet, want: &nlq::engine::ResultSet, ctx: &str) {
+        assert_eq!(got.columns, want.columns, "{ctx}: column names");
+        assert_eq!(got.rows.len(), want.rows.len(), "{ctx}: row count");
+        for (r, (a, b)) in got.rows.iter().zip(&want.rows).enumerate() {
+            for (c, (x, y)) in a.iter().zip(b).enumerate() {
+                match (x, y) {
+                    (Value::Float(x), Value::Float(y)) => {
+                        assert!(tight(*x, *y), "{ctx}: ({r},{c}) {x} vs {y}")
+                    }
+                    (Value::Str(x), Value::Str(y)) if x.starts_with("NLQ;") => {
+                        let (ga, gb) = (unpack_nlq(x).unwrap(), unpack_nlq(y).unwrap());
+                        assert_eq!(ga.n(), gb.n(), "{ctx}: ({r},{c}) n");
+                        for i in 0..ga.d() {
+                            assert!(tight(ga.l()[i], gb.l()[i]), "{ctx}: L[{i}]");
+                            for j in 0..=i {
+                                let (qa, qb) = (ga.q_raw()[(i, j)], gb.q_raw()[(i, j)]);
+                                assert!(tight(qa, qb), "{ctx}: Q[{i},{j}]");
+                            }
+                        }
+                    }
+                    _ => assert_eq!(x, y, "{ctx}: ({r},{c})"),
+                }
+            }
+        }
+    }
+    fn maybe_null(rng: &mut Rng) -> String {
+        if rng.range_usize(0, 10) == 0 {
+            "NULL".to_owned()
+        } else {
+            format!("{:?}", rng.range_f64(-50.0, 50.0))
+        }
+    }
+
     run_cases(24, 0xf006, |rng| {
         let rows = data_set(rng);
         let workers = rng.range_usize(1, 7);
@@ -398,6 +447,54 @@ fn partition_count_does_not_change_results() {
             assert!(close(one.l()[a], many.l()[a]));
             for b in 0..d {
                 assert!(close(one.q_raw()[(a, b)], many.q_raw()[(a, b)]));
+            }
+        }
+
+        // SQL families over 1, 2 and 4 partitions, fed the same random
+        // INSERT batches.
+        let dbs: Vec<Db> = [1, 2, 4].map(Db::new).into();
+        let beta = nlq::linalg::Vector::from(rng.vec_f64(d, -2.0, 2.0));
+        for db in &dbs {
+            db.execute("CREATE TABLE T (id INT, g INT, a FLOAT, b FLOAT)")
+                .unwrap();
+            db.load_points("X", &rows, false).unwrap();
+            db.register_beta("B", 0.5, &beta).unwrap();
+        }
+        let n = rng.range_usize(1, 80);
+        let mut id = 0;
+        while id < n {
+            let batch = rng.range_usize(1, 9).min(n - id);
+            let values: Vec<String> = (id + 1..=id + batch)
+                .map(|k| {
+                    let g = rng.range_i64(0, 3);
+                    format!("({k}, {g}, {}, {})", maybe_null(rng), maybe_null(rng))
+                })
+                .collect();
+            id += batch;
+            let sql = format!("INSERT INTO T VALUES {}", values.join(", "));
+            for db in &dbs {
+                db.execute(&sql).unwrap();
+            }
+        }
+        let mut score = sqlgen::score_regression_udf("X", &names, "B");
+        score.push_str(" ORDER BY x.i");
+        let queries = [
+            "SELECT count(*), sum(a), avg(a), min(b), max(b) FROM T",
+            "SELECT corr(a, b), covar_pop(a, b), variance(a) FROM T",
+            "SELECT g, count(*), sum(a), avg(b) FROM T GROUP BY g ORDER BY g",
+            "SELECT nlq_list(2, 'triang', a, b) FROM T",
+            "SELECT g, a, b FROM T ORDER BY a, id",
+            "SELECT a + b, g FROM T ORDER BY id DESC LIMIT 11",
+            score.as_str(),
+        ];
+        for q in queries {
+            let want = dbs[0].execute(q).unwrap();
+            for (db, w) in dbs[1..].iter().zip([2, 4]) {
+                same_rows(
+                    &db.execute(q).unwrap(),
+                    &want,
+                    &format!("{w} partitions: {q}"),
+                );
             }
         }
     });
