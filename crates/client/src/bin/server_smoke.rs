@@ -32,12 +32,15 @@
 //! `--sys` runs the introspection script instead: real statements must
 //! be visible in `sys.queries` under their stream-minted query ids
 //! with nonzero phase times, Γ aggregates must ride the block path over the catalog, and `sys.wal`
-//! must reflect a `CHECKPOINT` on a durable server.
+//! must reflect a `CHECKPOINT` on a durable server. It creates table
+//! `SY` and drops it again, so it can run more than once against one
+//! durable directory.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use nlq_client::Client;
+use nlq_client::{Client, ClientError};
+use nlq_server::wire::ErrorCode;
 use nlq_storage::Value;
 
 fn run(
@@ -297,6 +300,14 @@ fn run_sys(addr: &str, skip_shutdown: bool) -> Result<(), String> {
     let session = c.session_id();
     println!("sys session {session} established");
 
+    // A durable server keeps `SY` across restarts if an earlier run
+    // stopped before its final DROP; only its absence is fine here.
+    match c.execute("DROP TABLE SY") {
+        Ok(_) => println!("dropped a leftover SY"),
+        Err(ClientError::Server { code, message })
+            if code == ErrorCode::Sql && message.starts_with("unknown table or view") => {}
+        Err(e) => return Err(format!("drop leftover SY: {e}")),
+    }
     c.execute("CREATE TABLE SY (i INT, X1 FLOAT)")
         .map_err(|e| format!("create SY: {e}"))?;
     let values: Vec<String> = (1..=2000).map(|i| format!("({i}, {i}.0)")).collect();
@@ -412,6 +423,11 @@ fn run_sys(addr: &str, skip_shutdown: bool) -> Result<(), String> {
     nlq_client::validate_exposition(&prom)
         .map_err(|e| format!("malformed Prometheus exposition: {e}\n{prom}"))?;
     println!("prometheus ok (scrape still valid after catalog queries)");
+
+    // Leave the durable directory as the script found it, so `--sys`
+    // can run again after a restart.
+    c.execute("DROP TABLE SY")
+        .map_err(|e| format!("drop SY: {e}"))?;
 
     if !skip_shutdown {
         c.shutdown().map_err(|e| format!("shutdown: {e}"))?;

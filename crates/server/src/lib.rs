@@ -13,14 +13,12 @@
 //!
 //! * [`serve`] starts the server; [`ServerHandle`] owns it.
 //! * [`wire`] defines the frame format shared with `nlq-client`.
-//! * [`pool`] is the bounded worker pool that executes statements.
 //! * [`metrics`] tracks per-command counts, latency histograms, queue
 //!   depth, and summary-store hit/miss counters.
 //!
 //! The `nlq-server` binary wraps this in a CLI.
 
 pub mod metrics;
-pub mod pool;
 mod server;
 mod sys;
 pub mod wire;

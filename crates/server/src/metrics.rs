@@ -1,7 +1,7 @@
 //! Server-wide counters, gauges, and latency histograms — and the one
 //! registry that names them.
 //!
-//! Everything here is updated from connection and pool threads with
+//! Everything here is updated from the session threads with
 //! plain atomic increments. Reading goes through `samples`: one list
 //! of `(family, labels, kind, help, value)` [`Sample`]s covering the
 //! server counters, per-command request/error counters and latency
@@ -176,14 +176,14 @@ pub struct Metrics {
     pub sessions_active: AtomicU64,
     /// Queries that hit the per-query wall-clock limit.
     pub query_timeouts: AtomicU64,
-    /// Queries refused because the pool queue was full.
+    /// Queries refused because the admission queue was full.
     pub queue_rejections: AtomicU64,
     /// Results dropped for exceeding row/byte limits.
     pub results_too_large: AtomicU64,
     /// Queries that ended with a client- or drain-initiated cancel.
     pub queries_cancelled: AtomicU64,
-    /// Queries cancelled while still queued — the worker skipped them
-    /// at dequeue without executing anything.
+    /// Queries cancelled while still waiting for an execution slot;
+    /// they never executed.
     pub queries_cancelled_queued: AtomicU64,
     /// `Cancel` request frames received (whether or not they landed
     /// on a live statement).
@@ -247,7 +247,7 @@ impl Metrics {
             ("connections_accepted", "Connections accepted", &self.connections_accepted),
             ("connections_rejected", "Connections refused by admission control", &self.connections_rejected),
             ("query_timeouts", "Queries that hit the per-query wall-clock limit", &self.query_timeouts),
-            ("queue_rejections", "Queries refused because the pool queue was full", &self.queue_rejections),
+            ("queue_rejections", "Queries refused because the admission queue was full", &self.queue_rejections),
             ("results_too_large", "Results dropped for exceeding row or byte limits", &self.results_too_large),
             ("queries_cancelled", "Queries cancelled mid-execution", &self.queries_cancelled),
             ("queries_cancelled_queued", "Queries cancelled while still queued", &self.queries_cancelled_queued),
@@ -409,8 +409,8 @@ pub(crate) fn samples(shared: &Shared) -> Vec<Sample> {
     let evicted = shared.traces.evicted() + shared.slow_traces.evicted();
     #[rustfmt::skip]
     let mut out = vec![
-        gauge("queue_depth", "Statements waiting in the pool queue", shared.pool.queue_depth() as u64),
-        gauge("workers_busy", "Pool workers executing a statement", shared.pool.workers_busy() as u64),
+        gauge("queue_depth", "Statements waiting for an execution slot", shared.admission.waiting() as u64),
+        gauge("workers_busy", "Statements executing (at most the workers setting)", shared.admission.running() as u64),
         counter("model_refreshes_total", "Models published by the refresh daemon", refreshes),
         gauge("refresh_lag_rows", "Rows folded into bound summaries since their models were last published", lag),
         counter("trace_ring_evicted_total", "Trace records overwritten after the recent or slow ring wrapped", evicted),

@@ -11,28 +11,31 @@
 //! forwards ordinary requests to the session over a channel and
 //! handles [`Request::Cancel`] inline — flipping the targeted
 //! statement's cancel token the moment the frame arrives, even while
-//! the session thread is busy streaming that statement's result.
+//! the session thread is busy executing or streaming that statement.
 //!
-//! `Execute` requests are handed to the shared [`WorkerPool`]. The
-//! worker runs the statement with a cancellation token threaded into
-//! the engine's scan loops and streams the result back through a
-//! small bounded channel — [`Response::RowsHeader`], pre-encoded
-//! [`Response::RowsChunk`] payloads, then a [`Response::RowsDone`]
-//! trailer — which the session thread relays to the socket. The
-//! bounded channel is the backpressure: a slow client stalls its own
-//! worker instead of buffering an unbounded result in memory.
+//! The session thread runs each `Execute` itself, with a cancellation
+//! token threaded into the engine's scan loops, and writes the
+//! result straight into its buffered socket writer —
+//! [`Response::RowsHeader`], each [`Response::RowsChunk`] as it is
+//! cut, then a [`Response::RowsDone`] trailer — flushing once, after
+//! the terminal frame. The socket is the backpressure: a slow client
+//! stalls its own session thread, which encodes nothing ahead of what
+//! the socket accepts.
 //!
-//! On deadline the session flips the token (the scan stops at its
-//! next per-row/per-block check and the worker frees up) and reports
-//! [`ErrorCode::Timeout`]; a client `Cancel` ends the stream with
+//! One **deadline thread** per server flips the token of any
+//! statement past its `query_timeout`; the statement stops at its
+//! next per-row/per-block check and the session reports
+//! [`ErrorCode::Timeout`]. A client `Cancel` ends the stream with
 //! [`ErrorCode::Cancelled`].
 //!
 //! ## Admission control
 //!
 //! * At most `max_connections` sessions: the `(max+1)`-th connection
 //!   is answered with one [`ErrorCode::Busy`] error frame and closed.
-//! * The pool queue is bounded: when full, `Execute` answers `Busy`
-//!   without queueing.
+//! * At most `workers` statements execute at once, and at most
+//!   `queue_capacity` more wait for a slot; past that, `Execute`
+//!   answers `Busy` without waiting. A statement cancelled (or timed
+//!   out) while it waits never executes.
 //! * `max_result_rows` and `max_result_bytes` are streaming budgets:
 //!   the row budget is checked before the stream opens, the byte
 //!   budget incrementally as rows are encoded — a result that exceeds
@@ -55,19 +58,18 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nlq_engine::{EngineError, ExecOptions, ExecStats, ResultBlock, SqlEngine};
+use nlq_engine::{EngineError, ExecOptions, ResultBlock, SqlEngine};
 use nlq_feature::{IngestStream, RefreshConfig, RefreshDaemon, TickGate};
 use nlq_obs::{Outcome, Phase, Span, Trace, TraceRecord, TraceRing};
 use nlq_storage::Row;
 
 use crate::metrics::{Command, Metrics};
-use crate::pool::{SubmitError, WorkerPool};
 use crate::wire::{
-    read_frame, write_frame, ChunkEncoder, ErrorCode, Request, Response, WireStats,
+    put_frame, read_frame, write_frame, ChunkEncoder, ErrorCode, Request, Response, WireStats,
     PROTOCOL_VERSION,
 };
 
@@ -76,15 +78,18 @@ use crate::wire::{
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Pool worker threads executing statements.
+    /// Statements executing at once, each on its own session thread.
+    /// Also the engine's scan fan-out in the `nlq-server` binary.
     pub workers: usize,
-    /// Bounded pool queue capacity.
+    /// Statements that may wait for an execution slot; past that,
+    /// `Execute` answers [`ErrorCode::Busy`].
     pub queue_capacity: usize,
     /// Maximum concurrent sessions.
     pub max_connections: usize,
-    /// Per-query wall-clock limit; on expiry the statement is
-    /// cancelled (the worker frees up) and the client gets
-    /// [`ErrorCode::Timeout`].
+    /// Per-query wall-clock limit, counted from admission (waiting for
+    /// a slot included). On expiry the deadline thread flips the
+    /// statement's cancel token; the statement stops at its next
+    /// cancel check and the client gets [`ErrorCode::Timeout`].
     pub query_timeout: Duration,
     /// Per-result row budget, checked before the stream opens.
     pub max_result_rows: usize,
@@ -153,9 +158,10 @@ impl Default for ServerConfig {
 }
 
 /// Cancellation registry for one session. The frame-reader thread
-/// flips tokens through it while the session thread is busy; sequence
-/// numbers (the session's 1-based `Execute` count, mirrored by the
-/// client) make sure a `Cancel` is never misdelivered to a different
+/// flips tokens through it while the session thread is busy, and the
+/// deadline thread times statements out through it; sequence numbers
+/// (the session's 1-based `Execute` count, mirrored by the client)
+/// make sure a `Cancel` is never misdelivered to a different
 /// statement, whichever side of the race it lands on.
 #[derive(Default)]
 struct ActiveQuery {
@@ -164,26 +170,41 @@ struct ActiveQuery {
 
 #[derive(Default)]
 struct ActiveInner {
-    /// The in-flight statement's `(seq, cancel token)`.
-    current: Option<(u64, Arc<AtomicBool>)>,
+    /// The in-flight statement.
+    current: Option<InFlight>,
     /// Highest sequence number that has begun executing.
     last_seq: u64,
     /// A cancel that arrived before its statement began.
     pending_cancel: Option<u64>,
 }
 
+struct InFlight {
+    seq: u64,
+    token: Arc<AtomicBool>,
+    /// When the deadline thread times the statement out; `None` once
+    /// it has (or when the timeout is too large to represent).
+    deadline: Option<Instant>,
+    /// The deadline thread, not a cancel, flipped the token.
+    timed_out: bool,
+}
+
 impl ActiveQuery {
-    /// Registers statement `seq` as in-flight. A cancel already
-    /// recorded against this sequence number flips the token
-    /// immediately (the cancel raced ahead of the execute).
-    fn begin(&self, seq: u64, token: &Arc<AtomicBool>) {
+    /// Registers statement `seq` as in-flight until `deadline`. A
+    /// cancel already recorded against this sequence number flips the
+    /// token immediately (the cancel raced ahead of the execute).
+    fn begin(&self, seq: u64, token: &Arc<AtomicBool>, deadline: Option<Instant>) {
         let mut inner = self.inner.lock().expect("active query");
         inner.last_seq = seq;
         if inner.pending_cancel == Some(seq) {
             inner.pending_cancel = None;
             token.store(true, Ordering::SeqCst);
         }
-        inner.current = Some((seq, Arc::clone(token)));
+        inner.current = Some(InFlight {
+            seq,
+            token: Arc::clone(token),
+            deadline,
+            timed_out: false,
+        });
     }
 
     /// Unregisters the in-flight statement.
@@ -196,7 +217,7 @@ impl ActiveQuery {
     fn cancel(&self, seq: u64) {
         let mut inner = self.inner.lock().expect("active query");
         match &inner.current {
-            Some((cur, token)) if *cur == seq => token.store(true, Ordering::SeqCst),
+            Some(run) if run.seq == seq => run.token.store(true, Ordering::SeqCst),
             _ if seq > inner.last_seq => inner.pending_cancel = Some(seq),
             _ => {} // Already finished; the stream's terminal frame answered it.
         }
@@ -204,8 +225,125 @@ impl ActiveQuery {
 
     /// Cancels whatever is in flight (the drain path).
     fn cancel_current(&self) {
-        if let Some((_, token)) = &self.inner.lock().expect("active query").current {
-            token.store(true, Ordering::SeqCst);
+        if let Some(run) = &self.inner.lock().expect("active query").current {
+            run.token.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Times the in-flight statement out if its deadline is at or
+    /// before `now`; otherwise returns the deadline still pending. A
+    /// statement a cancel already stopped stays cancelled.
+    fn expire(&self, now: Instant) -> Option<Instant> {
+        let mut inner = self.inner.lock().expect("active query");
+        let run = inner.current.as_mut()?;
+        let deadline = run.deadline?;
+        if deadline > now {
+            return Some(deadline);
+        }
+        run.deadline = None;
+        run.timed_out = !run.token.swap(true, Ordering::SeqCst);
+        None
+    }
+
+    /// Whether the in-flight statement's token was flipped by its
+    /// deadline.
+    fn timed_out(&self) -> bool {
+        let inner = self.inner.lock().expect("active query");
+        inner.current.as_ref().is_some_and(|run| run.timed_out)
+    }
+}
+
+/// The admission gate: at most `workers` statements run at once and at
+/// most `capacity` wait for a slot.
+pub(crate) struct Admission {
+    slots: Mutex<Slots>,
+    /// Signalled when a slot frees up or a waiting statement's token
+    /// may have flipped.
+    changed: Condvar,
+    workers: usize,
+    capacity: usize,
+}
+
+#[derive(Default)]
+struct Slots {
+    running: usize,
+    waiting: usize,
+}
+
+/// Why [`Admission::admit`] did not hand out a slot.
+enum Refusal {
+    /// The wait queue is full.
+    Full,
+    /// The statement's token flipped before it got a slot.
+    Cancelled,
+}
+
+/// A held execution slot; dropping it frees the slot.
+struct Slot<'a>(&'a Admission);
+
+impl Admission {
+    fn new(workers: usize, capacity: usize) -> Admission {
+        Admission {
+            slots: Mutex::new(Slots::default()),
+            changed: Condvar::new(),
+            workers: workers.max(1),
+            capacity: capacity.max(1),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().expect("admission slots")
+    }
+
+    /// Takes a slot, waiting for one while all are taken. Refuses when
+    /// the wait queue is full, or once `token` flips (checked before
+    /// the statement would start, so a cancelled statement never runs).
+    fn admit(&self, token: &AtomicBool) -> Result<Slot<'_>, Refusal> {
+        let mut slots = self.lock();
+        if slots.running >= self.workers {
+            if slots.waiting >= self.capacity {
+                return Err(Refusal::Full);
+            }
+            slots.waiting += 1;
+            while slots.running >= self.workers && !token.load(Ordering::SeqCst) {
+                slots = self.changed.wait(slots).expect("admission slots");
+            }
+            slots.waiting -= 1;
+        }
+        if token.load(Ordering::SeqCst) {
+            return Err(Refusal::Cancelled);
+        }
+        slots.running += 1;
+        Ok(Slot(self))
+    }
+
+    /// Wakes the waiting statements to re-check their tokens. Taking
+    /// the lock first orders the wake after any waiter's token check.
+    fn wake(&self) {
+        if self.lock().waiting > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Statements executing now.
+    pub(crate) fn running(&self) -> usize {
+        self.lock().running
+    }
+
+    /// Statements waiting for a slot now.
+    pub(crate) fn waiting(&self) -> usize {
+        self.lock().waiting
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // Every update of the counts is one step, so a poisoned lock
+        // still holds valid counts; a panic here would abort.
+        let mut slots = self.0.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        slots.running -= 1;
+        if slots.waiting > 0 {
+            self.0.changed.notify_all();
         }
     }
 }
@@ -232,7 +370,7 @@ pub(crate) struct LiveSession {
 
 pub(crate) struct Shared {
     pub(crate) db: Arc<dyn SqlEngine>,
-    pub(crate) pool: WorkerPool,
+    pub(crate) admission: Admission,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) config: ServerConfig,
     /// The bound listener address (for shutdown self-wakes).
@@ -250,7 +388,7 @@ pub(crate) struct Shared {
     /// paging cursor). Assigned at completion, so ids are
     /// retention-ordered.
     next_trace_id: AtomicU64,
-    /// Server-wide query id, minted at admission — before queueing —
+    /// Server-wide query id, minted at admission — before waiting for a slot —
     /// and threaded through `ExecOptions` into every span and WAL
     /// commit the statement produces. The join key
     /// across `RowsHeader`, `sys.queries`, `sys.spans`, and the
@@ -321,7 +459,7 @@ pub fn serve(db: Arc<dyn SqlEngine>, config: ServerConfig) -> io::Result<ServerH
         )
     });
     let shared = Arc::new(Shared {
-        pool: WorkerPool::new(config.workers, config.queue_capacity),
+        admission: Admission::new(config.workers, config.queue_capacity),
         metrics: Arc::new(Metrics::new()),
         db,
         addr,
@@ -396,7 +534,43 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Runs the accept loop and the drain, with the deadline thread alive
+/// until every session has ended.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let deadlines = std::thread::Builder::new()
+            .name("nlq-deadlines".into())
+            .spawn_scoped(scope, || deadline_loop(shared, &stop))
+            .expect("spawn deadline thread");
+        accept_and_drain(listener, shared);
+        stop.store(true, Ordering::SeqCst);
+        deadlines.thread().unpark();
+    });
+}
+
+/// Times out every statement past its deadline. Every deadline is its
+/// statement's start plus `query_timeout`, so a statement that begins
+/// while this thread sleeps is due no earlier than `query_timeout`
+/// after the thread last looked — which bounds the sleep. Nothing
+/// needs to wake it.
+fn deadline_loop(shared: &Shared, stop: &AtomicBool) {
+    let timeout = shared.config.query_timeout;
+    while !stop.load(Ordering::SeqCst) {
+        let now = Instant::now();
+        let mut sleep = timeout;
+        for s in shared.live.lock().expect("live list").iter() {
+            if let Some(deadline) = s.active.expire(now) {
+                sleep = sleep.min(deadline - now);
+            }
+        }
+        // A statement timed out while waiting for a slot must notice.
+        shared.admission.wake();
+        std::thread::park_timeout(sleep);
+    }
+}
+
+fn accept_and_drain(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shared.shutting_down.load(Ordering::SeqCst) {
@@ -474,6 +648,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         for s in shared.live.lock().expect("live list").iter() {
             s.active.cancel_current();
         }
+        shared.admission.wake();
         if !wait_sessions(&sessions, grace) {
             // Phase 3: force-close the sockets. A session blocked
             // writing to a client that stopped reading can only be
@@ -604,6 +779,8 @@ fn session_loop(
                     Ok(Request::Cancel { seq }) => {
                         let started = Instant::now();
                         reader_active.cancel(seq);
+                        // A statement waiting for a slot answers at once.
+                        reader_shared.admission.wake();
                         // Counted only after delivery, so the counter
                         // doubles as an is-the-token-flipped signal.
                         reader_shared
@@ -804,7 +981,8 @@ fn command_of(req: &Request) -> Command {
 /// Runs one `BatchScore` request: keyed PK point lookups scored
 /// through the model's scalar UDF, one reply frame for the whole key
 /// batch. Key-count limits are enforced by the engine
-/// ([`nlq_engine::MAX_SCORE_KEYS`]).
+/// ([`nlq_engine::MAX_SCORE_KEYS`]). Traced like an `Execute`: one
+/// `sys.queries` record per request, whatever its outcome.
 fn batch_score(
     table: &str,
     model: &str,
@@ -814,20 +992,31 @@ fn batch_score(
     shared: &Arc<Shared>,
 ) -> Response {
     let started = Instant::now();
+    let query_id = shared.next_query_id.fetch_add(1, Ordering::Relaxed);
+    let trace = Trace::new();
     let opts = ExecOptions {
         block_scan: session.block_scan,
         cancel: None,
-        trace: None,
-        query_id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
+        trace: Some(trace.clone()),
+        query_id,
     };
-    match shared.db.batch_score(table, model, keys, explain, &opts) {
+    let result = match panic::catch_unwind(AssertUnwindSafe(|| {
+        shared.db.batch_score(table, model, keys, explain, &opts)
+    })) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(payload) => Err(format!(
+            "statement panicked: {}",
+            panic_message(payload.as_ref())
+        )),
+    };
+    let (response, outcome, detail) = match result {
         Ok(rs) => {
             shared
                 .metrics
                 .batch_score_keys
                 .fetch_add(keys.len() as u64, Ordering::Relaxed);
             session.info.statements.fetch_add(1, Ordering::Relaxed);
-            Response::Result {
+            let response = Response::Result {
                 columns: rs.columns,
                 rows: rs.rows,
                 stats: WireStats {
@@ -841,13 +1030,25 @@ fn batch_score(
                     elapsed_micros: started.elapsed().as_micros() as u64,
                     cancelled: false,
                 },
-            }
+            };
+            (response, Outcome::Ok, String::new())
         }
-        Err(e) => Response::Error {
-            code: ErrorCode::Sql,
-            message: e.to_string(),
-        },
-    }
+        Err(message) => {
+            let response = Response::Error {
+                code: ErrorCode::Sql,
+                message: message.clone(),
+            };
+            (response, Outcome::Error, message)
+        }
+    };
+    // A batch score is not an `Execute`, so it has no stream seq.
+    let text = format!(
+        "{}BATCH SCORE {table} USING {model} ({} keys)",
+        if explain { "EXPLAIN " } else { "" },
+        keys.len()
+    );
+    finish_trace(session, shared, 0, query_id, &text, trace, outcome, detail);
+    response
 }
 
 fn handle_request(request: Request, session: &mut Session, shared: &Arc<Shared>) -> Response {
@@ -898,117 +1099,209 @@ fn set_option(session: &mut Session, name: &str, value: &str) -> Response {
     Response::Ok
 }
 
-/// What the pool worker streams back to the session thread. Chunk
-/// payloads are pre-encoded so the session does pure frame relay.
-enum StreamMsg {
-    Header {
-        columns: Vec<String>,
-    },
-    Chunk(Vec<u8>),
-    Done {
-        payload: Vec<u8>,
-        stats: ExecStats,
-    },
-    Failed {
-        code: ErrorCode,
-        message: String,
-        stats: Option<ExecStats>,
-        /// The statement was cancelled while still queued — the
-        /// worker skipped it at dequeue without executing anything.
-        cancelled_queued: bool,
-    },
+/// A statement that ended without its `RowsDone`: the error frame it
+/// answers with, and what it is accounted as.
+struct Failed {
+    code: ErrorCode,
+    message: String,
+    /// It never executed: its token flipped while it waited for a slot.
+    queued: bool,
 }
 
-/// How many chunks may sit between worker and session before the
-/// worker blocks — the streaming backpressure bound.
-const STREAM_BUFFER: usize = 4;
+impl Failed {
+    fn new(code: ErrorCode, message: String) -> Failed {
+        Failed {
+            code,
+            message,
+            queued: false,
+        }
+    }
+}
 
-/// Runs one `Execute` to its terminal frame. `Ok(ok)` reports whether
-/// the statement succeeded (for command metrics); `Err` means the
-/// socket died and the session should end.
+/// How a statement ended, as its trace record and the command
+/// metrics see it.
+struct StreamEnd {
+    /// Whether the statement succeeded (for command metrics).
+    ok: bool,
+    /// The trace-record outcome.
+    outcome: Outcome,
+    /// Detail for non-`Ok` outcomes.
+    detail: String,
+}
+
+/// One statement's view of the session writer: frames go in
+/// unflushed, and the time and bytes spent writing them are the
+/// statement's `stream` span.
+struct FrameOut<'w> {
+    writer: &'w mut BufWriter<TcpStream>,
+    nanos: u64,
+    bytes: u64,
+}
+
+impl FrameOut<'_> {
+    fn put(&mut self, payload: &[u8]) -> io::Result<()> {
+        let started = Instant::now();
+        let out = put_frame(self.writer, payload);
+        self.nanos += started.elapsed().as_nanos() as u64;
+        self.bytes += payload.len() as u64;
+        out
+    }
+
+    fn put_error(&mut self, code: ErrorCode, message: &str) -> io::Result<()> {
+        self.put(
+            &Response::Error {
+                code,
+                message: message.into(),
+            }
+            .encode(),
+        )
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let started = Instant::now();
+        let out = self.writer.flush();
+        self.nanos += started.elapsed().as_nanos() as u64;
+        out
+    }
+}
+
+/// Runs one `Execute` on the session thread to its terminal frame,
+/// then flushes the response. `Ok(ok)` reports whether the statement
+/// succeeded (for command metrics); `Err` means the socket died and the
+/// session should end.
 fn execute_streaming(
     sql: String,
     session: &mut Session,
-    active: &Arc<ActiveQuery>,
-    shared: &Arc<Shared>,
+    active: &ActiveQuery,
+    shared: &Shared,
     writer: &mut BufWriter<TcpStream>,
 ) -> io::Result<bool> {
     // Every Execute consumes a sequence number, even refused ones —
     // the client counts its own sends and the two ledgers must agree.
     session.execute_seq += 1;
     let seq = session.execute_seq;
+    let mut out = FrameOut {
+        writer,
+        nanos: 0,
+        bytes: 0,
+    };
     if shared.shutting_down.load(Ordering::SeqCst) {
-        write_error(writer, ErrorCode::ShuttingDown, "server is draining")?;
+        out.put_error(ErrorCode::ShuttingDown, "server is draining")?;
+        out.flush()?;
         return Ok(false);
     }
 
-    // Minted at admission — before queueing — so the id exists even
-    // for statements that never reach a worker, and admission order
-    // is observable next to the completion-ordered trace id.
+    // Minted at admission — before waiting for a slot — so the id
+    // exists even for statements that never execute, and admission
+    // order is observable next to the completion-ordered trace id.
     let query_id = shared.next_query_id.fetch_add(1, Ordering::Relaxed);
     let token = Arc::new(AtomicBool::new(false));
-    active.begin(seq, &token);
-    let trace = Trace::new();
-    let (tx, rx) = mpsc::sync_channel::<StreamMsg>(STREAM_BUFFER);
-    let job = stream_job(
-        sql.clone(),
+    active.begin(
         seq,
-        ExecOptions {
-            block_scan: session.block_scan,
-            cancel: Some(Arc::clone(&token)),
-            trace: Some(trace.clone()),
-            query_id,
-        },
-        Arc::clone(&shared.db),
-        shared.config.clone(),
-        tx.clone(),
+        &token,
+        Instant::now().checked_add(shared.config.query_timeout),
     );
-    // A cancel that lands while the job still sits in the pool queue
-    // skips execution entirely: the worker answers through this cheap
-    // path instead of starting a scan it would immediately abandon.
-    let on_skip = move || {
-        let _ = tx.send(StreamMsg::Failed {
-            code: ErrorCode::Cancelled,
-            message: "query cancelled while queued".into(),
-            stats: None,
-            cancelled_queued: true,
-        });
-    };
-    match shared
-        .pool
-        .submit_with_token(Arc::clone(&token), Box::new(job), Box::new(on_skip))
-    {
-        Ok(()) => {}
-        Err(SubmitError::Full) => {
+    let trace = Trace::new();
+    let result = match shared.admission.admit(&token) {
+        Err(Refusal::Full) => {
             shared
                 .metrics
                 .queue_rejections
                 .fetch_add(1, Ordering::Relaxed);
             active.end();
-            write_error(writer, ErrorCode::Busy, "query queue is full")?;
+            out.put_error(ErrorCode::Busy, "query queue is full")?;
+            out.flush()?;
             return Ok(false);
         }
-        Err(SubmitError::ShuttingDown) => {
-            active.end();
-            write_error(writer, ErrorCode::ShuttingDown, "server is draining")?;
-            return Ok(false);
+        // Cancelled (or timed out) while waiting: never executed.
+        Err(Refusal::Cancelled) => Ok(Err(Failed {
+            queued: true,
+            ..Failed::new(ErrorCode::Cancelled, "query cancelled while queued".into())
+        })),
+        Ok(_slot) => {
+            let opts = ExecOptions {
+                block_scan: session.block_scan,
+                cancel: Some(Arc::clone(&token)),
+                trace: Some(trace.clone()),
+                query_id,
+            };
+            // A panic inside the statement (in a user UDF, say) fails
+            // this statement alone: the client gets an error naming it,
+            // and the session lives on.
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                stream_statement(&sql, seq, query_id, &opts, shared, &mut out)
+            }))
+            .unwrap_or_else(|payload| {
+                Ok(Err(Failed::new(
+                    ErrorCode::Sql,
+                    format!("statement panicked: {}", panic_message(payload.as_ref())),
+                )))
+            })
         }
-    }
-
-    let out = relay_stream(seq, query_id, session, shared, &token, &trace, &rx, writer);
-    if out.is_err() {
-        // The socket died mid-stream; free the worker.
-        token.store(true, Ordering::SeqCst);
-    }
+    };
+    let end = result.and_then(|result| {
+        let end = match result {
+            Ok(()) => StreamEnd {
+                ok: true,
+                outcome: Outcome::Ok,
+                detail: String::new(),
+            },
+            Err(failed) => answer_failure(failed, active, shared, &mut out)?,
+        };
+        out.flush()?;
+        session.info.statements.fetch_add(1, Ordering::Relaxed);
+        trace.record(Span::new(Phase::Stream, out.nanos).bytes(out.bytes));
+        Ok(end)
+    });
     active.end();
-    let end = match &out {
+    let (outcome, detail) = match &end {
         Ok(end) => (end.outcome, end.detail.clone()),
         Err(e) => (Outcome::Error, e.to_string()),
     };
-    finish_trace(session, shared, seq, query_id, &sql, trace, end.0, end.1);
-    // `rx` drops here: a worker still streaming fails its next send
-    // and abandons the statement.
-    out.map(|end| end.ok)
+    finish_trace(session, shared, seq, query_id, &sql, trace, outcome, detail);
+    end.map(|end| end.ok)
+}
+
+/// Puts a failed statement's terminal error frame and accounts for
+/// it. A cancel from the deadline thread answers `Timeout`.
+fn answer_failure(
+    failed: Failed,
+    active: &ActiveQuery,
+    shared: &Shared,
+    out: &mut FrameOut<'_>,
+) -> io::Result<StreamEnd> {
+    let metrics = &shared.metrics;
+    let (code, message, outcome) = match failed.code {
+        ErrorCode::Cancelled if active.timed_out() => {
+            metrics.query_timeouts.fetch_add(1, Ordering::Relaxed);
+            let message = format!(
+                "query exceeded {} ms",
+                shared.config.query_timeout.as_millis()
+            );
+            (ErrorCode::Timeout, message, Outcome::Timeout)
+        }
+        ErrorCode::Cancelled if failed.queued => {
+            metrics
+                .queries_cancelled_queued
+                .fetch_add(1, Ordering::Relaxed);
+            (failed.code, failed.message, Outcome::CancelledQueued)
+        }
+        ErrorCode::Cancelled => {
+            metrics.queries_cancelled.fetch_add(1, Ordering::Relaxed);
+            (failed.code, failed.message, Outcome::Cancelled)
+        }
+        ErrorCode::TooLarge => {
+            metrics.results_too_large.fetch_add(1, Ordering::Relaxed);
+            (failed.code, failed.message, Outcome::Error)
+        }
+        code => (code, failed.message, Outcome::Error),
+    };
+    out.put_error(code, &message)?;
+    Ok(StreamEnd {
+        ok: false,
+        outcome,
+        detail: message,
+    })
 }
 
 /// Retains one completed statement's trace: assign the server-wide
@@ -1017,7 +1310,7 @@ fn execute_streaming(
 #[allow(clippy::too_many_arguments)]
 fn finish_trace(
     session: &Session,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     seq: u64,
     query_id: u64,
     sql: &str,
@@ -1070,178 +1363,128 @@ fn finish_trace(
     shared.traces.push(record);
 }
 
-/// How `relay_stream` saw the statement end.
-struct StreamEnd {
-    /// Whether the statement succeeded (for command metrics).
-    ok: bool,
-    /// The trace-record outcome.
-    outcome: Outcome,
-    /// Detail for non-`Ok` outcomes.
-    detail: String,
-}
-
-/// The pool-worker half of a streamed execute: run the statement,
-/// then encode and push frames until done, cancelled, over budget, or
-/// the session stopped listening (send failure).
-fn stream_job(
-    sql: String,
+/// Runs an admitted statement and puts its frames — `RowsHeader`,
+/// each `RowsChunk` as soon as it is cut, `RowsDone` — into the
+/// session writer, unflushed. Returns once `RowsDone` is in, or with
+/// the failure whose error frame ends the stream; `Err` means the
+/// socket died.
+fn stream_statement(
+    sql: &str,
     seq: u64,
-    opts: ExecOptions,
-    db: Arc<dyn SqlEngine>,
-    config: ServerConfig,
-    tx: mpsc::SyncSender<StreamMsg>,
-) -> impl FnOnce() + Send + 'static {
-    let panic_tx = tx.clone();
-    let run = move || {
-        let started = Instant::now();
-        let token = opts.cancel.as_ref().expect("stream job has a token");
-        let trace = opts.trace.clone();
-        let result = db.execute_blocks(&sql, &opts);
-        let mut rs = match result {
-            Err(EngineError::Cancelled { rows_scanned }) => {
-                let stats = ExecStats {
-                    rows_scanned,
-                    cancelled: true,
-                    ..ExecStats::default()
-                };
-                let _ = tx.send(StreamMsg::Failed {
-                    code: ErrorCode::Cancelled,
-                    message: format!("query cancelled after {rows_scanned} rows"),
-                    stats: Some(stats),
-                    cancelled_queued: false,
-                });
-                return;
-            }
-            Err(e) => {
-                let _ = tx.send(StreamMsg::Failed {
-                    code: ErrorCode::Sql,
-                    message: e.to_string(),
-                    stats: None,
-                    cancelled_queued: false,
-                });
-                return;
-            }
-            Ok(rs) => rs,
-        };
-        if rs.len() > config.max_result_rows {
-            let _ = tx.send(StreamMsg::Failed {
-                code: ErrorCode::TooLarge,
-                message: format!(
-                    "result has {} rows (limit {})",
-                    rs.len(),
-                    config.max_result_rows
-                ),
-                stats: Some(rs.stats),
-                cancelled_queued: false,
-            });
-            return;
+    query_id: u64,
+    opts: &ExecOptions,
+    shared: &Shared,
+    out: &mut FrameOut<'_>,
+) -> io::Result<Result<(), Failed>> {
+    let started = Instant::now();
+    let config = &shared.config;
+    let token = opts.cancel.as_deref().expect("a statement has a token");
+    let mut rs = match shared.db.execute_blocks(sql, opts) {
+        Err(EngineError::Cancelled { rows_scanned }) => {
+            let message = format!("query cancelled after {rows_scanned} rows");
+            return Ok(Err(Failed::new(ErrorCode::Cancelled, message)));
         }
-        let ncols = rs.columns.len();
-        if tx
-            .send(StreamMsg::Header {
-                columns: std::mem::take(&mut rs.columns),
-            })
-            .is_err()
-        {
-            return;
-        }
-        let mut enc = ChunkEncoder::new(seq, ncols, config.chunk_bytes);
-        let encode_started = Instant::now();
-        // Row-path rows go in one at a time; block-path blocks are
-        // encoded straight from their columns a chunk at a time.
-        let sources =
-            std::iter::once(Source::Rows(&rs.rows)).chain(rs.blocks().iter().map(Source::Block));
-        for source in sources {
-            let mut next = 0;
-            while next < source.len() {
-                // The engine finished, but the stream is still
-                // cancellable between chunks.
-                if token.load(Ordering::Relaxed) {
-                    let _ = tx.send(StreamMsg::Failed {
-                        code: ErrorCode::Cancelled,
-                        message: format!(
-                            "query cancelled after streaming {} rows",
-                            enc.total_rows()
-                        ),
-                        stats: Some(ExecStats {
-                            cancelled: true,
-                            ..rs.stats
-                        }),
-                        cancelled_queued: false,
-                    });
-                    return;
-                }
-                let chunk;
-                (next, chunk) = match source {
-                    Source::Rows(rows) => (next + 1, enc.push_row(&rows[next])),
-                    Source::Block(block) => enc.push_block(block, next),
-                };
-                // Incremental byte budget: refuse as soon as the
-                // encoded size crosses the line, never after
-                // materializing the whole encoding.
-                if enc.total_bytes() > config.max_result_bytes as u64 {
-                    let _ = tx.send(StreamMsg::Failed {
-                        code: ErrorCode::TooLarge,
-                        message: format!(
-                            "result exceeds {} encoded bytes (limit reached after {} rows)",
-                            config.max_result_bytes,
-                            enc.total_rows()
-                        ),
-                        stats: Some(rs.stats),
-                        cancelled_queued: false,
-                    });
-                    return;
-                }
-                if let Some(payload) = chunk {
-                    if tx.send(StreamMsg::Chunk(payload)).is_err() {
-                        return;
-                    }
-                }
-            }
-        }
-        if let Some(payload) = enc.finish() {
-            if tx.send(StreamMsg::Chunk(payload)).is_err() {
-                return;
-            }
-        }
-        if let Some(trace) = &trace {
-            // Encode covers chunking plus any backpressure stalls
-            // waiting on the relay (the channel send blocks).
-            trace.record(
-                Span::new(Phase::Encode, encode_started.elapsed().as_nanos() as u64)
-                    .rows(enc.total_rows())
-                    .bytes(enc.total_bytes()),
-            );
-        }
-        let wire = WireStats {
-            rows_scanned: rs.stats.rows_scanned,
-            blocks_scanned: rs.stats.blocks_scanned,
-            block_path: rs.stats.block_path,
-            summary_path: rs.stats.summary_path,
-            summary_hits: rs.stats.summary_hits,
-            summary_misses: rs.stats.summary_misses,
-            summary_stale_rebuilds: rs.stats.summary_stale_rebuilds,
-            elapsed_micros: started.elapsed().as_micros() as u64,
-            cancelled: false,
-        };
-        let _ = tx.send(StreamMsg::Done {
-            payload: enc.done_payload(&wire),
-            stats: rs.stats,
-        });
+        Err(e) => return Ok(Err(Failed::new(ErrorCode::Sql, e.to_string()))),
+        Ok(rs) => rs,
     };
-    // A panic inside the statement (in a user UDF, say) fails this
-    // statement alone: the client gets an error naming it, and the
-    // worker thread lives on.
-    move || {
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(run)) {
-            let _ = panic_tx.send(StreamMsg::Failed {
-                code: ErrorCode::Sql,
-                message: format!("statement panicked: {}", panic_message(payload.as_ref())),
-                stats: None,
-                cancelled_queued: false,
-            });
+    shared.metrics.record_summary(
+        rs.stats.summary_hits,
+        rs.stats.summary_misses,
+        rs.stats.summary_stale_rebuilds,
+    );
+    if rs.len() > config.max_result_rows {
+        let message = format!(
+            "result has {} rows (limit {})",
+            rs.len(),
+            config.max_result_rows
+        );
+        return Ok(Err(Failed::new(ErrorCode::TooLarge, message)));
+    }
+    let ncols = rs.columns.len();
+    out.put(
+        &Response::RowsHeader {
+            seq,
+            query_id,
+            columns: std::mem::take(&mut rs.columns),
+        }
+        .encode(),
+    )?;
+    let mut enc = ChunkEncoder::new(seq, ncols, config.chunk_bytes);
+    let encode_started = Instant::now();
+    let written_before = out.nanos;
+    // Row-path rows go in one at a time; block-path blocks are encoded
+    // straight from their columns a chunk at a time.
+    let sources =
+        std::iter::once(Source::Rows(&rs.rows)).chain(rs.blocks().iter().map(Source::Block));
+    for source in sources {
+        let mut next = 0;
+        while next < source.len() {
+            // The engine finished, but the stream is still cancellable
+            // between chunks.
+            if token.load(Ordering::Relaxed) {
+                let message = format!("query cancelled after streaming {} rows", enc.total_rows());
+                return Ok(Err(Failed::new(ErrorCode::Cancelled, message)));
+            }
+            let chunk;
+            (next, chunk) = match source {
+                Source::Rows(rows) => (next + 1, enc.push_row(&rows[next])),
+                Source::Block(block) => enc.push_block(block, next),
+            };
+            // Incremental byte budget: refuse as soon as the encoded
+            // size crosses the line, never after materializing the
+            // whole encoding.
+            if enc.total_bytes() > config.max_result_bytes as u64 {
+                let message = format!(
+                    "result exceeds {} encoded bytes (limit reached after {} rows)",
+                    config.max_result_bytes,
+                    enc.total_rows()
+                );
+                return Ok(Err(Failed::new(ErrorCode::TooLarge, message)));
+            }
+            if let Some(payload) = chunk {
+                put_chunk(out, shared, &payload)?;
+            }
         }
     }
+    if let Some(payload) = enc.finish() {
+        put_chunk(out, shared, &payload)?;
+    }
+    if let Some(trace) = &opts.trace {
+        // Encode is the chunking alone; writing the chunks is the
+        // stream span.
+        let encode_nanos = encode_started.elapsed().as_nanos() as u64;
+        trace.record(
+            Span::new(
+                Phase::Encode,
+                encode_nanos.saturating_sub(out.nanos - written_before),
+            )
+            .rows(enc.total_rows())
+            .bytes(enc.total_bytes()),
+        );
+    }
+    let wire = WireStats {
+        rows_scanned: rs.stats.rows_scanned,
+        blocks_scanned: rs.stats.blocks_scanned,
+        block_path: rs.stats.block_path,
+        summary_path: rs.stats.summary_path,
+        summary_hits: rs.stats.summary_hits,
+        summary_misses: rs.stats.summary_misses,
+        summary_stale_rebuilds: rs.stats.summary_stale_rebuilds,
+        elapsed_micros: started.elapsed().as_micros() as u64,
+        cancelled: false,
+    };
+    out.put(&enc.done_payload(&wire))?;
+    Ok(Ok(()))
+}
+
+/// Puts one encoded `RowsChunk` and counts it.
+fn put_chunk(out: &mut FrameOut<'_>, shared: &Shared, payload: &[u8]) -> io::Result<()> {
+    let metrics = &shared.metrics;
+    metrics
+        .bytes_streamed
+        .fetch_add(payload.len() as u64, Ordering::Relaxed);
+    metrics.chunks_streamed.fetch_add(1, Ordering::Relaxed);
+    out.put(payload)
 }
 
 /// The message a panic was raised with, if it was raised with one.
@@ -1270,178 +1513,4 @@ impl Source<'_> {
             Source::Block(block) => block.len(),
         }
     }
-}
-
-/// The session half of a streamed execute: relay worker messages to
-/// the socket until a terminal frame, enforcing the query deadline.
-#[allow(clippy::too_many_arguments)]
-fn relay_stream(
-    seq: u64,
-    query_id: u64,
-    session: &mut Session,
-    shared: &Arc<Shared>,
-    token: &Arc<AtomicBool>,
-    trace: &Trace,
-    rx: &mpsc::Receiver<StreamMsg>,
-    writer: &mut BufWriter<TcpStream>,
-) -> io::Result<StreamEnd> {
-    let deadline = Instant::now() + shared.config.query_timeout;
-    // Socket time only — excludes waiting on the worker, so the
-    // stream span reflects relay cost rather than query runtime.
-    let write_nanos = std::cell::Cell::new(0u64);
-    let stream_bytes = std::cell::Cell::new(0u64);
-    let timed_write = |writer: &mut BufWriter<TcpStream>, payload: &[u8]| -> io::Result<()> {
-        let started = Instant::now();
-        let out = write_frame(writer, payload);
-        write_nanos.set(write_nanos.get() + started.elapsed().as_nanos() as u64);
-        stream_bytes.set(stream_bytes.get() + payload.len() as u64);
-        out
-    };
-    let finish = |session: &mut Session, end: StreamEnd| -> StreamEnd {
-        session.info.statements.fetch_add(1, Ordering::Relaxed);
-        trace.record(Span::new(Phase::Stream, write_nanos.get()).bytes(stream_bytes.get()));
-        end
-    };
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(remaining) {
-            Ok(StreamMsg::Header { columns }) => {
-                timed_write(
-                    writer,
-                    &Response::RowsHeader {
-                        seq,
-                        query_id,
-                        columns,
-                    }
-                    .encode(),
-                )?;
-            }
-            Ok(StreamMsg::Chunk(payload)) => {
-                shared
-                    .metrics
-                    .bytes_streamed
-                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                shared
-                    .metrics
-                    .chunks_streamed
-                    .fetch_add(1, Ordering::Relaxed);
-                timed_write(writer, &payload)?;
-            }
-            Ok(StreamMsg::Done { payload, stats }) => {
-                shared.metrics.record_summary(
-                    stats.summary_hits,
-                    stats.summary_misses,
-                    stats.summary_stale_rebuilds,
-                );
-                timed_write(writer, &payload)?;
-                return Ok(finish(
-                    session,
-                    StreamEnd {
-                        ok: true,
-                        outcome: Outcome::Ok,
-                        detail: String::new(),
-                    },
-                ));
-            }
-            Ok(StreamMsg::Failed {
-                code,
-                message,
-                stats,
-                cancelled_queued,
-            }) => {
-                if let Some(stats) = stats {
-                    shared.metrics.record_summary(
-                        stats.summary_hits,
-                        stats.summary_misses,
-                        stats.summary_stale_rebuilds,
-                    );
-                }
-                let outcome = match code {
-                    ErrorCode::Cancelled if cancelled_queued => {
-                        shared
-                            .metrics
-                            .queries_cancelled_queued
-                            .fetch_add(1, Ordering::Relaxed);
-                        Outcome::CancelledQueued
-                    }
-                    ErrorCode::Cancelled => {
-                        shared
-                            .metrics
-                            .queries_cancelled
-                            .fetch_add(1, Ordering::Relaxed);
-                        Outcome::Cancelled
-                    }
-                    ErrorCode::TooLarge => {
-                        shared
-                            .metrics
-                            .results_too_large
-                            .fetch_add(1, Ordering::Relaxed);
-                        Outcome::Error
-                    }
-                    _ => Outcome::Error,
-                };
-                write_error(writer, code, &message)?;
-                return Ok(finish(
-                    session,
-                    StreamEnd {
-                        ok: false,
-                        outcome,
-                        detail: message,
-                    },
-                ));
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Deadline: cancel the statement (the worker stops at
-                // its next check and frees up) and report Timeout.
-                // The caller drops `rx`, so any frame the worker
-                // already queued dies with it.
-                token.store(true, Ordering::SeqCst);
-                shared
-                    .metrics
-                    .query_timeouts
-                    .fetch_add(1, Ordering::Relaxed);
-                let message = format!(
-                    "query exceeded {} ms",
-                    shared.config.query_timeout.as_millis()
-                );
-                write_error(writer, ErrorCode::Timeout, &message)?;
-                return Ok(finish(
-                    session,
-                    StreamEnd {
-                        ok: false,
-                        outcome: Outcome::Timeout,
-                        detail: message,
-                    },
-                ));
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // The worker died without a terminal message (pool
-                // shutdown mid-statement).
-                write_error(writer, ErrorCode::ShuttingDown, "query aborted")?;
-                return Ok(finish(
-                    session,
-                    StreamEnd {
-                        ok: false,
-                        outcome: Outcome::Error,
-                        detail: "query aborted".into(),
-                    },
-                ));
-            }
-        }
-    }
-}
-
-fn write_error(
-    writer: &mut BufWriter<TcpStream>,
-    code: ErrorCode,
-    message: &str,
-) -> io::Result<()> {
-    write_frame(
-        writer,
-        &Response::Error {
-            code,
-            message: message.into(),
-        }
-        .encode(),
-    )
 }

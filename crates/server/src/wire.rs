@@ -400,14 +400,20 @@ fn bad(msg: &'static str) -> io::Error {
 // Frame I/O
 // ---------------------------------------------------------------------------
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame and flushes it.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    put_frame(w, payload)?;
+    w.flush()
+}
+
+/// Writes one length-prefixed frame without flushing, so a response of
+/// several frames into a buffered writer leaves in one flush.
+pub fn put_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(bad("frame exceeds MAX_FRAME"));
     }
     w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    w.write_all(payload)
 }
 
 /// Reads one length-prefixed frame, `None` on clean EOF at a frame

@@ -663,6 +663,63 @@ fn cancel_of_a_queued_statement_skips_execution_entirely() {
     assert_live_scrape_valid(&mut c1);
 }
 
+#[test]
+fn a_cancelled_waiting_statement_answers_before_any_slot_frees() {
+    let gate = Arc::new(GateState::default());
+    let db = Arc::new(Db::new(1));
+    db.with_registry_mut(|r| r.register_scalar(Arc::new(GateUdf(Arc::clone(&gate)))));
+    let ts = TestServer::start_with(
+        db,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut c1 = ts.client();
+    load_rows(&mut c1, "Q", 2);
+    c1.set_option("block_scan", "off").unwrap();
+    let mut running = c1.query("SELECT gate(X1) FROM Q").unwrap();
+    gate.wait_entered(1);
+
+    let mut c2 = ts.client();
+    let mut waiting = c2.query("SELECT X1 FROM Q").unwrap();
+    waiting.cancel().unwrap();
+    // The slot stays taken unless no answer comes within 5 s; then this
+    // backstop frees it, and the answer comes too late.
+    let released = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (answered, answered_rx) = std::sync::mpsc::channel::<()>();
+    let backstop = {
+        let (gate, released) = (Arc::clone(&gate), Arc::clone(&released));
+        std::thread::spawn(move || {
+            if answered_rx.recv_timeout(Duration::from_secs(5)).is_err() {
+                released.store(true, Ordering::SeqCst);
+                gate.release();
+            }
+        })
+    };
+    match waiting.next() {
+        Some(Err(ClientError::Server { code, .. })) => assert_eq!(code, ErrorCode::Cancelled),
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+    assert!(
+        !released.load(Ordering::SeqCst),
+        "the cancel was answered only once the slot freed"
+    );
+    let _ = answered.send(());
+    drop(waiting);
+    assert_eq!(
+        ts.metrics()
+            .queries_cancelled_queued
+            .load(Ordering::Relaxed),
+        1
+    );
+    gate.release();
+    let rows: Vec<_> = running.by_ref().map(|r| r.unwrap()).collect();
+    assert_eq!(rows.len(), 2);
+    drop(running);
+    backstop.join().unwrap();
+}
+
 /// `boom(x)`: panics, as a faulty user UDF might.
 #[derive(Debug)]
 struct Boom;
@@ -705,6 +762,209 @@ fn a_panicking_statement_fails_alone_and_the_worker_keeps_serving() {
     assert_eq!(rs.value(0, 0), &Value::Int(3));
     let rs = ts.client().execute("SELECT count(*) FROM B").unwrap();
     assert_eq!(rs.value(0, 0), &Value::Int(3));
+}
+
+/// `whoami(x)`: records the name of the thread that evaluates it.
+#[derive(Debug, Default)]
+struct WhoAmI(Mutex<Option<String>>);
+
+impl ScalarUdf for WhoAmI {
+    fn name(&self) -> &str {
+        "whoami"
+    }
+    fn eval(&self, args: &[Value]) -> nlq_udf::Result<Value> {
+        *self.0.lock().unwrap() = std::thread::current().name().map(str::to_owned);
+        Ok(args[0].clone())
+    }
+}
+
+#[test]
+fn statements_run_on_their_session_thread() {
+    let who = Arc::new(WhoAmI::default());
+    let db = Arc::new(Db::new(1));
+    db.with_registry_mut(|r| r.register_scalar(Arc::clone(&who) as Arc<dyn ScalarUdf>));
+    let ts = TestServer::start_with(db, ServerConfig::default());
+    let mut c = ts.client();
+    load_rows(&mut c, "T", 1);
+    c.set_option("block_scan", "off").unwrap();
+    let rs = c.execute("SELECT whoami(X1) FROM T").unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Float(0.5)]]);
+    let name = who
+        .0
+        .lock()
+        .unwrap()
+        .clone()
+        .expect("a named thread ran the UDF");
+    assert!(
+        name.starts_with("nlq-session-"),
+        "the statement ran on {name:?}"
+    );
+    // No thread of this process is a statement-pool worker.
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        let comm = std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap_or_default();
+        assert!(!comm.starts_with("nlq-pool-"), "found thread {comm:?}");
+    }
+}
+
+/// `nlq_workers_busy` and `nlq_queue_depth`, read from a live scrape.
+fn admission_gauges(c: &mut Client) -> (f64, f64) {
+    let scrape = scrape_series(&c.metrics_prometheus().unwrap());
+    let gauge = |name: &str| {
+        let found = scrape.iter().find(|((n, _), _)| n == name);
+        found.unwrap_or_else(|| panic!("scrape missing {name}")).1
+    };
+    (gauge("nlq_workers_busy"), gauge("nlq_queue_depth"))
+}
+
+#[test]
+fn admission_runs_workers_queues_capacity_and_refuses_the_rest() {
+    let gate = Arc::new(GateState::default());
+    let db = Arc::new(Db::new(1));
+    db.with_registry_mut(|r| r.register_scalar(Arc::new(GateUdf(Arc::clone(&gate)))));
+    let ts = TestServer::start_with(
+        db,
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let metrics = ts.metrics();
+    let mut c1 = ts.client();
+    load_rows(&mut c1, "Q", 2);
+    c1.set_option("block_scan", "off").unwrap();
+
+    // The one slot: a gated statement, provably executing.
+    let mut running = c1.query("SELECT gate(X1) FROM Q").unwrap();
+    gate.wait_entered(1);
+    // The one queue place: a second statement waits for the slot.
+    let mut c2 = ts.client();
+    let mut waiting = c2.query("SELECT X1 FROM Q").unwrap();
+    let mut c3 = ts.client();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let gauges = admission_gauges(&mut c3);
+        if gauges == (1.0, 1.0) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "gauges read {gauges:?}");
+        std::thread::yield_now();
+    }
+    // A third has nowhere to go.
+    match c3.execute("SELECT X1 FROM Q") {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Busy, "{message}");
+            assert!(message.contains("queue is full"), "{message}");
+        }
+        other => panic!("expected Busy, got {other:?}"),
+    }
+    assert_eq!(metrics.queue_rejections.load(Ordering::Relaxed), 1);
+
+    // Freeing the slot runs the waiting statement to completion.
+    gate.release();
+    let rows: Vec<_> = running.by_ref().map(|r| r.unwrap()).collect();
+    assert_eq!(rows.len(), 2);
+    drop(running);
+    let rows: Vec<_> = waiting.by_ref().map(|r| r.unwrap()).collect();
+    assert_eq!(rows, vec![vec![Value::Float(0.5)], vec![Value::Float(1.5)]]);
+    drop(waiting);
+    assert_eq!(admission_gauges(&mut c3), (0.0, 0.0));
+    assert_live_scrape_valid(&mut c3);
+}
+
+#[test]
+fn a_statement_waiting_past_its_deadline_times_out() {
+    let gate = Arc::new(GateState::default());
+    let db = Arc::new(Db::new(1));
+    db.with_registry_mut(|r| r.register_scalar(Arc::new(GateUdf(Arc::clone(&gate)))));
+    let ts = TestServer::start_with(
+        db,
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            query_timeout: Duration::from_millis(200),
+            ..ServerConfig::default()
+        },
+    );
+    let metrics = ts.metrics();
+    let mut c1 = ts.client();
+    load_rows(&mut c1, "Q", 2);
+    c1.set_option("block_scan", "off").unwrap();
+    let mut running = c1.query("SELECT gate(X1) FROM Q").unwrap();
+    gate.wait_entered(1);
+
+    // The slot stays taken; the waiting statement answers Timeout.
+    let mut c2 = ts.client();
+    match c2.execute("SELECT X1 FROM Q") {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Timeout),
+        other => panic!("expected Timeout for the waiting statement, got {other:?}"),
+    }
+    // The gated one is past its deadline too; it answers Timeout once
+    // it can check its token.
+    gate.release();
+    match running.next() {
+        Some(Err(ClientError::Server { code, .. })) => assert_eq!(code, ErrorCode::Timeout),
+        other => panic!("expected Timeout for the gated statement, got {other:?}"),
+    }
+    drop(running);
+    assert_eq!(metrics.query_timeouts.load(Ordering::Relaxed), 2);
+    // Asked on c1, whose session retained its statement's trace before
+    // reading this one.
+    let rs = c1
+        .execute("SELECT count(*) FROM sys.queries WHERE outcome = 'timeout'")
+        .unwrap();
+    assert_eq!(rs.value(0, 0), &Value::Int(2));
+    c2.ping().unwrap();
+}
+
+#[test]
+fn batch_score_is_traced_once_per_request_on_every_outcome() {
+    let ts = TestServer::start(ServerConfig::default());
+    let mut c = ts.client();
+    c.execute("CREATE TABLE F (i INT, X1 FLOAT)").unwrap();
+    c.execute("INSERT INTO F VALUES (1, 1.0), (2, 2.0)")
+        .unwrap();
+    c.execute("CREATE TABLE BETA (b0 FLOAT, b1 FLOAT)").unwrap();
+    c.execute("INSERT INTO BETA VALUES (1.0, 0.5)").unwrap();
+
+    let rs = c.batch_score("F", "BETA", &[1, 2], false).unwrap();
+    assert_eq!(rs.rows.len(), 2);
+    match c.batch_score("F", "NO_MODEL", &[1], false) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Sql),
+        other => panic!("expected an Sql error, got {other:?}"),
+    }
+
+    let rs = c
+        .execute(&format!(
+            "SELECT sql, outcome, detail, total_us FROM sys.queries WHERE session = {} \
+             ORDER BY trace_id",
+            c.session_id()
+        ))
+        .unwrap();
+    let scored: Vec<&Vec<Value>> = rs
+        .rows
+        .iter()
+        .filter(|r| r[0].as_str().is_some_and(|sql| sql.contains("BATCH SCORE")))
+        .collect();
+    assert_eq!(scored.len(), 2, "{:?}", rs.rows);
+    assert_eq!(
+        scored[0][0],
+        Value::Str("BATCH SCORE F USING BETA (2 keys)".into())
+    );
+    assert_eq!(scored[0][1], Value::Str("ok".into()));
+    assert!(scored[0][3].as_f64().unwrap() > 0.0);
+    assert_eq!(
+        scored[1][0],
+        Value::Str("BATCH SCORE F USING NO_MODEL (1 keys)".into())
+    );
+    assert_eq!(scored[1][1], Value::Str("error".into()));
+    assert!(
+        scored[1][2]
+            .as_str()
+            .is_some_and(|d| d.contains("NO_MODEL")),
+        "{:?}",
+        scored[1]
+    );
 }
 
 #[test]
