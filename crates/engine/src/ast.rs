@@ -188,8 +188,7 @@ pub enum Statement {
         /// triangular).
         shape: Option<String>,
         /// Whether the summary answers min/max (`false` after
-        /// `NO MINMAX`). Forgoing min/max makes DELETE exactly
-        /// subtractable, so such summaries never go stale under it.
+        /// `NO MINMAX`, which stores no bounds).
         minmax: bool,
         /// Optional single GROUP BY key column.
         group_by: Option<String>,

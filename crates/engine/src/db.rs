@@ -50,24 +50,18 @@ pub struct ExecStats {
     pub block_path: bool,
     /// Whether a materialized Γ summary answered the query (no scan).
     pub summary_path: bool,
-    /// Queries answered from a fresh (or just-rebuilt) summary.
+    /// Queries answered from a summary.
     pub summary_hits: u64,
     /// Aggregate queries on a summarized table that no summary could
     /// answer (fell back to a scan).
     pub summary_misses: u64,
-    /// Stale summaries rebuilt on-demand while answering.
-    pub summary_stale_rebuilds: u64,
-    /// Base-table rows scanned by on-demand stale-summary rebuilds
-    /// (also counted into [`ExecStats::rows_scanned`] — the rebuild is
-    /// a real scan, not free work).
-    pub summary_rebuild_rows: u64,
     /// Wall-clock time parsing the SQL text.
     pub parse_nanos: u64,
     /// Wall-clock time planning (table resolution, predicate
     /// classification, join-product construction).
     pub plan_nanos: u64,
-    /// Wall-clock time probing the Γ summary store, including any
-    /// on-demand stale rebuild.
+    /// Wall-clock time probing the Γ summary store and answering from
+    /// it.
     pub summary_nanos: u64,
     /// Wall-clock time of the row/block scan (workers running in
     /// parallel plus the partial merge).
@@ -420,8 +414,8 @@ impl Db {
         self.registry.read().expect("registry lock").clone()
     }
 
-    /// The materialized Γ summary store (inspect registered summaries
-    /// and their freshness; DDL goes through [`Db::execute`]).
+    /// The materialized Γ summary store (inspect registered summaries;
+    /// DDL goes through [`Db::execute`]).
     pub fn summaries(&self) -> &SummaryStore {
         &self.summaries
     }
@@ -636,9 +630,7 @@ impl Db {
                 ResultSet::empty()
             }
             Statement::Drop { name } => {
-                self.catalog.remove(name)?;
-                // Summaries die with their base table.
-                self.summaries.drop_for_table(name);
+                self.drop_table(name)?;
                 ResultSet::empty()
             }
             Statement::CreateSummary {
@@ -649,6 +641,10 @@ impl Db {
                 minmax,
                 group_by,
             } => {
+                // Under the DML lock: an INSERT lands before the build
+                // (and is scanned) or after the registration (and is
+                // folded), never between.
+                let _dml = self.dml_lock.lock().expect("dml lock");
                 let t = self.base_table(table)?;
                 let shape = match shape {
                     None => MatrixShape::Triangular,
@@ -693,12 +689,10 @@ impl Db {
     }
 
     /// DELETE (no `sets`) or UPDATE of the rows `predicate` matches:
-    /// rebuilds the table (and its PK index) under the DML lock. Γ is
-    /// additive, so a DELETE subtracts the deleted batch from the
-    /// summaries that track no min/max (min/max are not invertible from
-    /// sums — those summaries degrade to stale and rebuild lazily); an
-    /// UPDATE may have touched any row and column, so every summary on
-    /// the table goes stale.
+    /// rewrites the table (and its PK index) under the DML lock, then
+    /// builds every summary on it from the rewritten table. Only when
+    /// both succeed are the table and the summaries published, so a
+    /// failure or a cancel in either step changes nothing.
     fn rewrite(
         &self,
         ctx: &ExecContext<'_>,
@@ -723,7 +717,6 @@ impl Db {
             })
             .collect::<Result<_>>()?;
         let mut replacement = Table::new(t.schema().clone(), t.partition_count());
-        let mut deleted = Vec::new();
         for (scanned, row) in t.scan_all().enumerate() {
             check_cancelled(ctx.cancel.as_deref(), scanned as u64)?;
             let mut row = row?;
@@ -732,7 +725,6 @@ impl Db {
                 None => true,
             };
             if hit && sets.is_empty() {
-                deleted.push(row);
                 continue;
             }
             if hit {
@@ -747,13 +739,11 @@ impl Db {
             }
             replacement.insert(row)?;
         }
+        let states = self
+            .summaries
+            .build_for_table(table, &replacement, ctx.cancel.as_deref())?;
         self.catalog.replace_table(table, Arc::new(replacement));
-        if sets.is_empty() {
-            self.summaries
-                .fold_deleted_rows(table, t.schema(), &deleted);
-        } else {
-            self.summaries.mark_stale_for_table(table);
-        }
+        states.install();
         Ok(())
     }
 
@@ -775,8 +765,8 @@ impl Db {
 
     /// Appends pre-evaluated rows under the DML lock. Copy-on-write:
     /// clone the table (sharing its sealed chunks and index layers),
-    /// append, swap back in; fresh summaries on the table fold the
-    /// batch incrementally (Γ additivity — no rescan).
+    /// append, swap back in; the summaries on the table fold the batch
+    /// incrementally (Γ additivity — no rescan).
     fn append_rows(&self, name: &str, rows: &[Row]) -> Result<()> {
         let _dml = self.dml_lock.lock().expect("dml lock");
         let Some(CatalogEntry::Table(arc)) = self.catalog.get(name) else {
@@ -804,9 +794,17 @@ impl Db {
 
     /// Drops a table or view if it exists (with its summaries).
     pub fn drop_if_exists(&self, name: &str) {
-        if self.catalog.remove(name).is_ok() {
-            self.summaries.drop_for_table(name);
-        }
+        let _ = self.drop_table(name);
+    }
+
+    /// Drops a table or view and the summaries on it, under the DML
+    /// lock: a `CREATE SUMMARY` that already took the table then
+    /// registers before the drop, never after it.
+    fn drop_table(&self, name: &str) -> Result<()> {
+        let _dml = self.dml_lock.lock().expect("dml lock");
+        self.catalog.remove(name)?;
+        self.summaries.drop_for_table(name);
+        Ok(())
     }
 
     /// Bulk-loads a point matrix as the table `X(i, X1..Xd[, Y])`: row
@@ -1024,13 +1022,9 @@ fn phase_spans(stats: &ExecStats) -> Vec<Span> {
         spans.push(Span::new(Phase::Plan, stats.plan_nanos));
     }
     if stats.summary_nanos > 0 || stats.summary_path {
-        spans.push(
-            Span::new(Phase::SummaryLookup, stats.summary_nanos).rows(stats.summary_rebuild_rows),
-        );
+        spans.push(Span::new(Phase::SummaryLookup, stats.summary_nanos));
     }
-    // Rows scanned by a stale-summary rebuild belong to the
-    // summary-lookup span above, not to a (never-run) scan phase.
-    if stats.scan_nanos > 0 || stats.rows_scanned > stats.summary_rebuild_rows {
+    if stats.scan_nanos > 0 || stats.rows_scanned > 0 {
         spans.push(
             Span::new(Phase::Scan, stats.scan_nanos)
                 .rows(stats.rows_scanned)
@@ -1068,11 +1062,7 @@ fn plan_result(lines: Vec<String>) -> ResultSet {
 fn explain_analyze_footer(stats: &ExecStats) -> Vec<String> {
     let mut lines = Vec::new();
     let mode = if stats.summary_path {
-        if stats.summary_stale_rebuilds > 0 {
-            "summary (stale; rebuilt by scanning the base table, then answered from Γ)".to_owned()
-        } else {
-            "summary (answered from materialized Γ, no scan)".to_owned()
-        }
+        "summary (answered from materialized Γ, no scan)".to_owned()
     } else if stats.block_path {
         format!("block ({} column blocks decoded)", stats.blocks_scanned)
     } else {
@@ -1080,10 +1070,10 @@ fn explain_analyze_footer(stats: &ExecStats) -> Vec<String> {
     };
     lines.push(format!("scan mode: {mode}"));
     lines.push(format!("rows scanned: {}", stats.rows_scanned));
-    if stats.summary_hits + stats.summary_misses + stats.summary_stale_rebuilds > 0 {
+    if stats.summary_hits + stats.summary_misses > 0 {
         lines.push(format!(
-            "summary: {} hit(s), {} miss(es), {} stale rebuild(s)",
-            stats.summary_hits, stats.summary_misses, stats.summary_stale_rebuilds
+            "summary: {} hit(s), {} miss(es)",
+            stats.summary_hits, stats.summary_misses
         ));
     }
     lines
@@ -1125,13 +1115,11 @@ pub struct SummaryRefreshState {
     /// Summarized float columns, in declaration order (a refresh
     /// daemon projects these to warm-start iterative models).
     pub columns: Vec<String>,
-    /// Monotonic change counter (folds, subtractions, stale edges,
-    /// rebuilds).
+    /// Generation of the state: 1 at create, bumped each time DELETE
+    /// or UPDATE builds it again (a structural change).
     pub version: u64,
-    /// Cumulative rows folded in or subtracted out.
+    /// Cumulative rows folded in by INSERT and ingest.
     pub rows_folded: u64,
-    /// Whether the maintained state is fresh.
-    pub fresh: bool,
     /// Dimensionality of the summarized statistics.
     pub d: usize,
     /// Shape of the maintained `Q` matrix (a Diagonal state cannot
@@ -1166,7 +1154,7 @@ pub trait SqlEngine: Send + Sync {
     /// Appends pre-evaluated rows to a table (the streamed-ingest
     /// commit). The batch is atomic from the reader's point of view:
     /// the table generation swaps once, after every row validated.
-    /// Fresh Γ summaries on the table fold the delta in incrementally.
+    /// The Γ summaries on the table fold the delta in incrementally.
     /// Returns the number of rows accepted.
     fn ingest_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64>;
 
@@ -1190,9 +1178,8 @@ pub trait SqlEngine: Send + Sync {
     /// Refresh signals for every registered summary, name-sorted.
     fn summary_refresh_states(&self) -> Vec<SummaryRefreshState>;
 
-    /// The maintained global Γ state of one summary, rebuilding it
-    /// first if stale. Errors for grouped summaries (no single global
-    /// state exists).
+    /// The maintained global Γ state of one summary. Errors for grouped
+    /// summaries (no single global state exists).
     fn summary_gamma(&self, name: &str) -> Result<Nlq>;
 
     /// Publishes (or replaces) a model table — one of the layouts
@@ -1278,7 +1265,6 @@ impl SqlEngine for Db {
                 columns: e.def().columns.clone(),
                 version: e.version(),
                 rows_folded: e.rows_folded(),
-                fresh: e.is_fresh(),
                 d: e.def().d(),
                 shape: e.def().shape,
                 grouped: e.def().group_by.is_some(),
@@ -1293,10 +1279,6 @@ impl SqlEngine for Db {
             .summaries
             .get(name)
             .ok_or_else(|| EngineError::Summary(format!("unknown summary '{name}'")))?;
-        if !entry.is_fresh() {
-            let t = self.base_table(&entry.def().table)?;
-            entry.rebuild(&t)?;
-        }
         match entry.snapshot().data {
             SummaryData::Global(nlq) => Ok(nlq),
             SummaryData::Grouped(_) => Err(EngineError::Unsupported(format!(

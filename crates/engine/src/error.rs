@@ -99,8 +99,8 @@ impl From<nlq_models::ModelError> for EngineError {
 impl From<nlq_summary::SummaryError> for EngineError {
     fn from(e: nlq_summary::SummaryError) -> Self {
         match e {
-            // A cancelled rebuild is the statement's own cancellation,
-            // not a summary failure.
+            // A cancelled summary build is the statement's own
+            // cancellation, not a summary failure.
             nlq_summary::SummaryError::Cancelled { rows_scanned } => {
                 EngineError::Cancelled { rows_scanned }
             }

@@ -10,7 +10,7 @@ use nlq_storage::{
     parallel_scan_partitions, Column, ColumnBlock, DataType, Row, Schema, Table, Value, BLOCK_ROWS,
 };
 use nlq_summary::{
-    project_nlq, shape_covers, SummaryData, SummaryDef, SummaryEntry, SummarySnapshot, SummaryStore,
+    project_nlq, shape_covers, SummaryData, SummaryDef, SummarySnapshot, SummaryStore,
 };
 use nlq_udf::{check_heap, BatchArg, FloatBatch, ScalarBatchArg, ScalarUdf, UdfRegistry};
 
@@ -123,9 +123,9 @@ fn is_aggregate_select(stmt: &SelectStmt, registry: &UdfRegistry) -> bool {
 /// [`ExecContext::choose`]: the executor runs it and EXPLAIN prints it.
 enum AccessPath {
     /// Answer an aggregate from a materialized Γ summary, one recipe
-    /// per aggregate call; `snap` is the state the choice was made on.
+    /// per aggregate call; `snap` is the state the choice was made on
+    /// and the one the answer comes from.
     Summary {
-        entry: Arc<SummaryEntry>,
         snap: SummarySnapshot,
         recipes: Vec<SummaryRecipe>,
     },
@@ -143,13 +143,9 @@ impl AccessPath {
     /// The `scan mode:` line EXPLAIN prints for this path.
     fn explain_line(&self) -> String {
         match self {
-            AccessPath::Summary { snap, .. } if snap.fresh => {
-                format!("scan mode: summary ({}, fresh)", snap.def.name)
+            AccessPath::Summary { snap, .. } => {
+                format!("scan mode: summary ({})", snap.def.name)
             }
-            AccessPath::Summary { snap, .. } => format!(
-                "scan mode: summary ({}, stale; rebuilt on execute)",
-                snap.def.name
-            ),
             AccessPath::BlockAggregate(bp) => block_line(bp.cols.len(), &bp.predicate, "float"),
             AccessPath::BlockScalar(bp) => block_line(bp.cols.len(), &bp.predicate, "numeric"),
             AccessPath::RowAggregate(why) | AccessPath::RowScalar(why) => {
@@ -507,10 +503,7 @@ impl ExecContext<'_> {
     }
 
     /// The first summary on the statement's table that answers every
-    /// aggregate call, judged on its current state. A stale candidate
-    /// is gated on the NULL-skip count it had before the rebuild that
-    /// execution runs, so the executor never rebuilds a summary only
-    /// to decline it for NULL rows it had already skipped.
+    /// aggregate call, judged on the snapshot it will answer from.
     fn choose_summary(
         &self,
         stmt: &SelectStmt,
@@ -540,11 +533,7 @@ impl ExecContext<'_> {
             };
             let snap = entry.snapshot();
             if null_gate(entry.def(), &recipes, snap.null_rows_skipped) {
-                return Some(AccessPath::Summary {
-                    entry,
-                    snap,
-                    recipes,
-                });
+                return Some(AccessPath::Summary { snap, recipes });
             }
         }
         stats.summary_misses += 1;
@@ -787,30 +776,15 @@ impl ExecContext<'_> {
         bindings: Bindings,
         mut stats: ExecStats,
     ) -> Result<ResultSet> {
-        let path = match self.choose(stmt, plan, &bindings, &mut stats) {
-            AccessPath::Summary {
-                entry,
-                snap,
-                recipes,
-            } => {
-                let started = Instant::now();
-                let answer = self.summary_answer(
-                    &plan.base,
-                    &entry,
-                    snap,
-                    &recipes,
-                    &bindings.agg_calls,
-                    &mut stats,
-                );
-                stats.summary_nanos += started.elapsed().as_nanos() as u64;
-                if let Some(groups) = answer? {
-                    return finalize(stmt, groups, bindings, stats);
-                }
-                stats.summary_misses += 1;
-                self.choose_scan(stmt, plan, &bindings)
-            }
-            path => path,
-        };
+        let path = self.choose(stmt, plan, &bindings, &mut stats);
+        if let AccessPath::Summary { snap, recipes } = &path {
+            let started = Instant::now();
+            let groups = summary_accum_groups(snap, recipes, &bindings.agg_calls)?;
+            stats.summary_nanos += started.elapsed().as_nanos() as u64;
+            stats.summary_path = true;
+            stats.summary_hits += 1;
+            return finalize(stmt, groups, bindings, stats);
+        }
         let block_plan = match &path {
             AccessPath::BlockAggregate(bp) => Some(bp),
             _ => None,
@@ -925,50 +899,6 @@ impl ExecContext<'_> {
         stats.merge_nanos = merge_start.elapsed().as_nanos() as u64;
         stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
         finalize(stmt, merged, bindings, stats)
-    }
-
-    /// Answers from the chosen summary, rebuilding a stale one first
-    /// (the stale → fresh edge). A rebuilt state is checked again —
-    /// fresh, and past the NULL gate with its new skip count — which
-    /// keeps the answer correct when the rebuild changed what the
-    /// summary covers. `None` declines to a scan.
-    fn summary_answer(
-        &self,
-        base: &Table,
-        entry: &SummaryEntry,
-        snap: SummarySnapshot,
-        recipes: &[SummaryRecipe],
-        agg_calls: &[AggCall],
-        stats: &mut ExecStats,
-    ) -> Result<Option<GroupMap>> {
-        let snap = if snap.fresh {
-            snap
-        } else {
-            match entry.rebuild_with_cancel(base, self.cancel.as_deref()) {
-                // The rebuild scanned the table for real; account its
-                // rows so EXPLAIN ANALYZE shows the work.
-                Ok(rebuild_rows) => {
-                    stats.summary_stale_rebuilds += 1;
-                    stats.summary_rebuild_rows += rebuild_rows;
-                    stats.rows_scanned += rebuild_rows;
-                }
-                // A cancelled rebuild cancels the statement; the entry
-                // stays stale for the next reader.
-                Err(e @ nlq_summary::SummaryError::Cancelled { .. }) => return Err(e.into()),
-                // E.g. the table was replaced with an incompatible
-                // schema; the summary stays stale and unusable.
-                Err(_) => return Ok(None),
-            }
-            let snap = entry.snapshot();
-            if !snap.fresh || !null_gate(entry.def(), recipes, snap.null_rows_skipped) {
-                return Ok(None);
-            }
-            snap
-        };
-        let groups = summary_accum_groups(&snap, recipes, agg_calls)?;
-        stats.summary_path = true;
-        stats.summary_hits += 1;
-        Ok(Some(groups))
     }
 }
 

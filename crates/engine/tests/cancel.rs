@@ -7,9 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nlq_engine::{Db, EngineError, ExecOptions};
-use nlq_models::MatrixShape;
-use nlq_storage::{Column, DataType, Schema, Table, Value};
-use nlq_summary::{SummaryDef, SummaryError, SummaryStore};
+use nlq_storage::Value;
 use nlq_udf::ScalarUdf;
 
 /// `trip(x)`: returns `x`, flipping the captured cancel token once it
@@ -43,7 +41,12 @@ fn cancel_opts(token: &Arc<AtomicBool>) -> ExecOptions {
 /// A single-partition Db (deterministic scan order) with `n` rows and
 /// a `trip` UDF wired to `token`.
 fn tripping_db(n: usize, token: &Arc<AtomicBool>, after: u64) -> Db {
-    let db = Db::new(1);
+    with_trip(Db::new(1), n, token, after)
+}
+
+/// `db` with the table `T` of `n` rows and a `trip` UDF wired to
+/// `token`.
+fn with_trip(db: Db, n: usize, token: &Arc<AtomicBool>, after: u64) -> Db {
     db.with_registry_mut(|r| {
         r.register_scalar(Arc::new(TripAfter {
             token: Arc::clone(token),
@@ -145,74 +148,46 @@ fn cancelled_delete_removes_nothing() {
 }
 
 #[test]
-fn stale_summary_rebuild_honors_the_token() {
-    // Direct summary-store check: a cancelled rebuild reports
-    // `SummaryError::Cancelled` and leaves the entry stale.
-    let schema = Schema::new(vec![
-        Column::new("i", DataType::Int),
-        Column::new("x1", DataType::Float),
-    ]);
-    let mut table = Table::new(schema, 1);
-    for i in 0..2000 {
-        table
-            .insert(vec![Value::Int(i), Value::Float(i as f64 * 0.5)])
-            .unwrap();
+fn cancel_in_the_summary_build_changes_nothing() {
+    // The token flips on the DELETE's last row, after the rewrite loop
+    // checked it for that row: the loop finishes, and building the
+    // summary from the rewritten table sees the token. Neither the
+    // table nor the summary may change, and on a durable engine the
+    // DELETE must not commit.
+    let n = 50;
+    let dir = std::env::temp_dir().join(format!("nlq-cancel-build-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for durable in [false, true] {
+        let token = Arc::new(AtomicBool::new(false));
+        let db = if durable {
+            Db::open_durable(1, &dir, false).unwrap()
+        } else {
+            Db::new(1)
+        };
+        let db = with_trip(db, n, &token, n as u64);
+        db.execute("CREATE SUMMARY s ON T (X1)").unwrap();
+        let version = db.summaries().get("s").unwrap().version();
+        match db.execute_with("DELETE FROM T WHERE trip(X1) < 10.0", &cancel_opts(&token)) {
+            Err(EngineError::Cancelled { .. }) => {}
+            other => panic!("durable={durable}: expected Cancelled, got {other:?}"),
+        }
+        let count = Value::Int(n as i64);
+        let scan = db.execute("SELECT count(*) FROM T WHERE X1 = X1").unwrap();
+        assert!(!scan.stats.summary_path);
+        assert_eq!(scan.value(0, 0), &count, "durable={durable}: table");
+        let hit = db.execute("SELECT count(*) FROM T").unwrap();
+        assert!(hit.stats.summary_path);
+        assert_eq!(hit.value(0, 0), &count, "durable={durable}: summary");
+        assert_eq!(db.summaries().get("s").unwrap().version(), version);
+        if durable {
+            drop(db);
+            let db = Db::open_durable(1, &dir, false).unwrap();
+            // CREATE TABLE, INSERT and CREATE SUMMARY; the DELETE
+            // logged a payload but no commit marker.
+            assert_eq!(db.recovery_info().unwrap().replayed_records, 3);
+            let rs = db.execute("SELECT count(*) FROM T WHERE X1 = X1").unwrap();
+            assert_eq!(rs.value(0, 0), &count);
+        }
     }
-    let store = SummaryStore::new();
-    store
-        .create(
-            SummaryDef {
-                name: "s".into(),
-                table: "t".into(),
-                columns: vec!["x1".into()],
-                shape: MatrixShape::Triangular,
-                minmax: true,
-                group_by: None,
-            },
-            &table,
-        )
-        .unwrap();
-    let entry = store.get("s").unwrap();
-    entry.mark_stale();
-    assert!(!entry.is_fresh());
-
-    let flipped = AtomicBool::new(true);
-    match entry.rebuild_with_cancel(&table, Some(&flipped)) {
-        Err(SummaryError::Cancelled { rows_scanned }) => assert_eq!(rows_scanned, 0),
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
-    assert!(!entry.is_fresh(), "cancelled rebuild must stay stale");
-
-    // Without the token the same rebuild completes.
-    entry.rebuild_with_cancel(&table, None).unwrap();
-    assert!(entry.is_fresh());
-}
-
-#[test]
-fn stale_rebuild_through_the_query_path_respects_cancel() {
-    // DELETE makes a minmax summary stale; the next aggregate wants a
-    // rebuild. With a pre-flipped token the statement dies before
-    // touching the entry, which must remain stale.
-    let token = Arc::new(AtomicBool::new(false));
-    let db = tripping_db(50, &token, u64::MAX);
-    db.execute("CREATE SUMMARY s ON T (X1)").unwrap();
-    db.execute("DELETE FROM T WHERE i = 0").unwrap();
-    let entry = db.summaries().get("s").unwrap();
-    assert!(!entry.is_fresh(), "DELETE must stale a minmax summary");
-
-    token.store(true, Ordering::SeqCst);
-    match db.execute_with("SELECT count(*), sum(X1) FROM T", &cancel_opts(&token)) {
-        Err(EngineError::Cancelled { .. }) => {}
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
-    assert!(!entry.is_fresh(), "cancelled statement must not rebuild");
-
-    // Cleared token: the query rebuilds and answers from the summary.
-    token.store(false, Ordering::SeqCst);
-    let rs = db
-        .execute_with("SELECT count(*), sum(X1) FROM T", &cancel_opts(&token))
-        .unwrap();
-    assert_eq!(rs.value(0, 0), &Value::Int(49));
-    assert!(rs.stats.summary_stale_rebuilds >= 1 || rs.stats.summary_path);
-    assert!(entry.is_fresh());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -296,10 +296,12 @@ fn scan_mode(plan: &str) -> String {
     line.split_whitespace().next().unwrap().to_owned()
 }
 
-/// `X(i, X1, X2)` with 100 points, four centroids `C`, and three
-/// 30-row tables `(a, b)` with a summary each: on `F` it is fresh, on
-/// `G` stale, and on `N` stale with the rows whose `b` is NULL skipped
-/// (every third row, so every partition holds some at four workers).
+/// `X(i, X1, X2)` with 100 points, four centroids `C`, and four
+/// 30-row tables `(a, b)` with a summary each: on `F` it is as
+/// created, on `G` and `N` built again by an UPDATE, on `N` with the
+/// rows whose `b` is NULL skipped (every third row, so every partition
+/// holds some at four workers), and on `U` NULL-free until an UPDATE
+/// sets some `b` to NULL — so it may no longer answer `sum(a)`.
 fn agreement_db(workers: usize) -> Db {
     let db = Db::new(workers);
     let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, (i % 7) as f64]).collect();
@@ -308,7 +310,7 @@ fn agreement_db(workers: usize) -> Db {
         .map(|j| nlq_linalg::Vector::from_vec(vec![j as f64 * 25.0, 3.0]))
         .collect();
     db.register_centroids("C", &centroids).unwrap();
-    for t in ["F", "G", "N"] {
+    for t in ["F", "G", "N", "U"] {
         db.execute(&format!("CREATE TABLE {t} (a FLOAT, b FLOAT)"))
             .unwrap();
         let values: Vec<String> = (0..30)
@@ -322,10 +324,10 @@ fn agreement_db(workers: usize) -> Db {
         db.execute(&format!("CREATE SUMMARY s{t} ON {t} (a, b)"))
             .unwrap();
     }
-    // An UPDATE leaves the table's summaries stale.
     for t in ["G", "N"] {
         db.execute(&format!("UPDATE {t} SET a = a + 1.0")).unwrap();
     }
+    db.execute("UPDATE U SET b = NULL WHERE a < 10.0").unwrap();
     db
 }
 
@@ -354,12 +356,11 @@ fn explain_agrees_with_execution() {
         ("SELECT sum(a), count(*) FROM F".to_owned(), false),
         ("SELECT sum(a) FROM G".to_owned(), false),
         ("SELECT sum(a) FROM N".to_owned(), false),
+        ("SELECT sum(a) FROM U".to_owned(), false),
         ("SELECT X1 FROM X ORDER BY 5".to_owned(), true),
         ("SELECT X1 FROM X HAVING X1 > 1.0".to_owned(), true),
     ];
     for workers in [1, 4] {
-        // EXPLAIN before EXPLAIN ANALYZE: executing rebuilds the stale
-        // summaries.
         let db = agreement_db(workers);
         for (sql, fails) in &statements {
             let ctx = format!("{workers} worker(s): {sql}");

@@ -1,8 +1,8 @@
 //! Selection-bitmap predicate evaluation: filtered queries on the
 //! block path must reproduce the row interpreter's SQL three-valued
-//! logic exactly, stale-summary rebuilds must account the rows they
-//! scan, and Int columns beyond the exact-`f64` range must fall back
-//! to the row path.
+//! logic exactly, a summary read after DML must scan nothing, and Int
+//! columns beyond the exact-`f64` range must fall back to the row
+//! path.
 
 use nlq_engine::{sqlgen, Db, ExecOptions, ResultSet};
 use nlq_linalg::Vector;
@@ -253,42 +253,32 @@ fn int_columns_beyond_exact_f64_range_fall_back() {
 }
 
 #[test]
-fn stale_summary_rebuild_reports_scanned_rows() {
+fn summary_reads_after_dml_scan_nothing() {
     let db = Db::new(2);
     let rows: Vec<Vec<f64>> = (0..600)
         .map(|i| vec![(i % 23) as f64 - 11.0, (i % 17) as f64 - 8.0])
         .collect();
     db.load_points("X", &rows, false).unwrap();
     db.execute("CREATE SUMMARY sx ON X (X1, X2)").unwrap();
-    // Freshly built: answered with no scan.
-    let rs = db.execute("SELECT sum(X1) FROM X").unwrap();
-    assert!(rs.stats.summary_path);
-    assert_eq!(rs.stats.rows_scanned, 0);
 
-    // DELETE marks the min/max summary stale; the next read rebuilds
-    // on the spot by scanning the whole table, and must say so instead
-    // of reporting a free answer.
-    db.execute("DELETE FROM X WHERE i > 599").unwrap();
-    let rs = db.execute("SELECT sum(X1) FROM X").unwrap();
-    assert!(rs.stats.summary_path);
-    assert_eq!(rs.stats.summary_stale_rebuilds, 1);
-    assert_eq!(rs.stats.summary_rebuild_rows, 599);
-    assert_eq!(rs.stats.rows_scanned, 599);
-
-    // EXPLAIN ANALYZE surfaces the same through the phase spans: the
-    // rebuild rows ride the summary-lookup span, not a phantom scan.
-    db.execute("UPDATE X SET X1 = 0.5 WHERE i = 1").unwrap();
-    let plan = plan_text(&db, "EXPLAIN ANALYZE SELECT sum(X1) FROM X");
-    let lookup = plan
-        .lines()
-        .find(|l| l.starts_with("phase summary-lookup: "))
-        .unwrap_or_else(|| panic!("no summary-lookup span: {plan}"));
-    assert!(lookup.contains("rows=599"), "{plan}");
-    assert!(!plan.contains("phase scan: "), "{plan}");
-    assert!(plan.contains("rows scanned: 599"), "{plan}");
-    assert!(plan.contains("1 stale rebuild(s)"), "{plan}");
-    assert!(
-        plan.contains("scan mode: summary (stale; rebuilt by scanning the base table"),
-        "{plan}"
-    );
+    // DELETE and UPDATE build the summary again as part of the
+    // statement, so the read after each is a free answer, and EXPLAIN
+    // ANALYZE shows a summary lookup and no scan phase.
+    for dml in [
+        "DELETE FROM X WHERE i > 599",
+        "UPDATE X SET X1 = 0.5 WHERE i = 1",
+    ] {
+        db.execute(dml).unwrap();
+        let rs = db.execute("SELECT sum(X1) FROM X").unwrap();
+        assert!(rs.stats.summary_path, "{dml}");
+        assert_eq!(rs.stats.rows_scanned, 0, "{dml}");
+        let plan = plan_text(&db, "EXPLAIN ANALYZE SELECT sum(X1) FROM X");
+        assert!(plan.contains("phase summary-lookup: "), "{plan}");
+        assert!(!plan.contains("phase scan: "), "{plan}");
+        assert!(plan.contains("rows scanned: 0"), "{plan}");
+        assert!(
+            plan.contains("scan mode: summary (answered from materialized Γ, no scan)"),
+            "{plan}"
+        );
+    }
 }

@@ -2,10 +2,10 @@
 //! index, streamed ingest over table partitions, refresh signals, and
 //! the shared DML write-invalidation hook.
 //!
-//! The satellite regression here: DELETE/UPDATE rebuild the
-//! table (and its PK index) and fold Γ deltas via `Nlq::subtract`,
-//! but historically left the plan cache untouched. All three caches
-//! must now invalidate on the same dispatch path.
+//! The regression here: DELETE/UPDATE rewrite the table (and its PK
+//! index) and build its Γ summaries again, but historically left the
+//! plan cache untouched. All three must now follow on the same
+//! dispatch path.
 
 use nlq_engine::{Db, ExecOptions, SqlEngine};
 use nlq_linalg::Vector;
@@ -49,10 +49,10 @@ fn insert_points(engine: &dyn SqlEngine, table: &str, ids: std::ops::Range<i64>)
 }
 
 /// DELETE invalidates the plan cache on the same path that rebuilds
-/// the PK index and subtracts from NO MINMAX summaries — the
-/// audited write-invalidation hook.
+/// the PK index and the summaries — the audited write-invalidation
+/// hook.
 #[test]
-fn delete_invalidates_plan_cache_pk_index_and_folds_summary() {
+fn delete_invalidates_plan_cache_pk_index_and_builds_summary() {
     let db = Db::new(3);
     db.execute("CREATE TABLE pts (i INT, X1 FLOAT, X2 FLOAT)")
         .unwrap();
@@ -82,11 +82,11 @@ fn delete_invalidates_plan_cache_pk_index_and_folds_summary() {
     let stats = db.engine_stats().plan_cache;
     assert_eq!(stats.entries, 0, "DELETE must invalidate cached plans");
 
-    // NO MINMAX summary folded the deletion and stays fresh; its Γ
-    // sees exactly the surviving rows.
+    // The summary was built again: a structural version bump, no
+    // folded rows, and a Γ over exactly the surviving rows.
     let states = SqlEngine::summary_refresh_states(&db);
     let s = states.iter().find(|st| st.name == "s").expect("summary s");
-    assert!(s.fresh, "NO MINMAX summary must stay fresh across DELETE");
+    assert_eq!((s.version, s.rows_folded), (2, 0));
     let gamma = SqlEngine::summary_gamma(&db, "s").unwrap();
     assert_eq!(gamma.n(), 200.0);
 
@@ -220,10 +220,10 @@ fn ingest_rows_partitions_folds_and_serves() {
         assert!(held > 100, "partition {p} holds {held} rows");
     }
 
-    // The summary folded the streamed delta without going stale.
+    // The summary folded the streamed delta: no structural change.
     let states = SqlEngine::summary_refresh_states(&db);
     let s = states.iter().find(|st| st.name == "s").expect("summary s");
-    assert!(s.fresh, "ingest must fold, not invalidate");
+    assert_eq!(s.version, 1, "ingest must fold, not build again");
     assert_eq!(s.rows_folded, 400, "every streamed row folds into Γ");
     assert_eq!(SqlEngine::summary_gamma(&db, "s").unwrap().n(), 500.0);
 

@@ -1,7 +1,8 @@
 //! End-to-end tests for the materialized Γ summary store: DDL, the
-//! planner rewrite, incremental maintenance under INSERT, the
-//! stale/rebuild lifecycle under DELETE/UPDATE, and EXPLAIN output
-//! (including the block-path fallback reasons).
+//! planner rewrite, incremental maintenance under INSERT, the build
+//! from the rewritten table under DELETE/UPDATE, CREATE SUMMARY beside
+//! concurrent INSERTs, and EXPLAIN output (including the block-path
+//! fallback reasons).
 
 use nlq_engine::{Db, ExecOptions};
 use nlq_models::Nlq;
@@ -69,10 +70,7 @@ fn summary_lifecycle_matches_block_scan() {
 
     db.execute("CREATE SUMMARY s ON pts (X1, X2, X3, X4)")
         .unwrap();
-    assert_eq!(
-        db.summaries().list(),
-        vec![("s".into(), "pts".into(), true)]
-    );
+    assert_eq!(db.summaries().list(), vec![("s".into(), "pts".into())]);
 
     // Hit: answered from the summary with no scan at all, identical
     // statistics to within 1e-12 relative.
@@ -83,37 +81,33 @@ fn summary_lifecycle_matches_block_scan() {
     assert_eq!(stats.blocks_scanned, 0);
     assert_nlq_close(&hit, &scan0, 1e-12);
     let plan = plan_text(&db, &format!("EXPLAIN {q}"));
-    assert!(plan.contains("scan mode: summary (s, fresh)"), "{plan}");
+    assert!(plan.contains("scan mode: summary (s)"), "{plan}");
 
-    // INSERT folds the delta in: the summary stays fresh and keeps
-    // matching a from-scratch scan exactly.
+    // INSERT folds the delta in: the next read is still a hit.
     db.execute(
         "INSERT INTO pts VALUES (5001, 3.5, -1.25, 8.0, 0.5), \
          (5002, -2.0, 4.75, 1.0, 9.5)",
     )
     .unwrap();
     let (hit, stats) = unpack_cell(&db, q);
-    assert!(stats.summary_path && stats.summary_stale_rebuilds == 0);
+    assert!(stats.summary_path && stats.rows_scanned == 0);
     assert_eq!(hit.n(), 5002.0);
 
-    // DELETE marks it stale; the next read rebuilds on the spot.
+    // DELETE builds it again from the rewritten table, so the next
+    // read is a hit too.
     db.execute("DELETE FROM pts WHERE i <= 100").unwrap();
     let plan = plan_text(&db, &format!("EXPLAIN {q}"));
-    assert!(
-        plan.contains("scan mode: summary (s, stale; rebuilt on execute)"),
-        "{plan}"
-    );
-    let (rebuilt, stats) = unpack_cell(&db, q);
-    assert!(stats.summary_path);
-    assert_eq!(stats.summary_stale_rebuilds, 1);
-    assert_eq!(rebuilt.n(), 4902.0);
+    assert!(plan.contains("scan mode: summary (s)"), "{plan}");
+    let (built, stats) = unpack_cell(&db, q);
+    assert!(stats.summary_path && stats.rows_scanned == 0);
+    assert_eq!(built.n(), 4902.0);
 
     // Drop the summary: the same query falls back to the block scan
-    // and agrees with the rebuilt answer to within 1e-12.
+    // and agrees with the summary's answer to within 1e-12.
     db.execute("DROP SUMMARY s").unwrap();
     let (scan1, stats) = unpack_cell(&db, q);
     assert!(!stats.summary_path && stats.block_path);
-    assert_nlq_close(&rebuilt, &scan1, 1e-12);
+    assert_nlq_close(&built, &scan1, 1e-12);
 }
 
 #[test]
@@ -262,20 +256,18 @@ fn summary_ddl_errors() {
 }
 
 #[test]
-fn update_marks_stale_and_rebuild_reflects_new_values() {
+fn update_builds_the_summary_from_the_new_values() {
     let db = points_db(100, 2);
     db.execute("CREATE SUMMARY s ON pts (X1, X2)").unwrap();
     db.execute("UPDATE pts SET X1 = X1 + 100.0 WHERE i <= 50")
         .unwrap();
-    let entry = db.summaries().get("s").unwrap();
-    assert!(!entry.is_fresh());
 
     let q = "SELECT nlq_list(2, 'triang', X1, X2) FROM pts";
-    let (rebuilt, stats) = unpack_cell(&db, q);
-    assert_eq!(stats.summary_stale_rebuilds, 1);
+    let (built, stats) = unpack_cell(&db, q);
+    assert!(stats.summary_path && stats.rows_scanned == 0);
     db.execute("DROP SUMMARY s").unwrap();
     let (scan, _) = unpack_cell(&db, q);
-    assert_nlq_close(&rebuilt, &scan, 1e-12);
+    assert_nlq_close(&built, &scan, 1e-12);
 }
 
 #[test]
@@ -322,22 +314,16 @@ fn explain_states_block_fallback_reason() {
 }
 
 #[test]
-fn delete_folds_into_no_minmax_summary() {
+fn delete_keeps_no_minmax_summary_exact() {
     let db = points_db(400, 2);
     db.execute("CREATE SUMMARY s ON pts (X1, X2) SHAPE diag NO MINMAX")
         .unwrap();
 
-    // DELETE subtracts the removed rows' Γ contribution instead of
-    // marking the summary stale: no min/max means exact inversion.
     db.execute("DELETE FROM pts WHERE i <= 150").unwrap();
-    let entry = db.summaries().get("s").unwrap();
-    assert!(entry.is_fresh(), "NO MINMAX summary must stay fresh");
-
     let q = "SELECT nlq_list(2, 'diag', X1, X2) FROM pts";
     let (folded, stats) = unpack_cell(&db, q);
     assert!(stats.summary_path, "{stats:?}");
     assert_eq!(stats.rows_scanned, 0, "DELETE must not force a rescan");
-    assert_eq!(stats.summary_stale_rebuilds, 0);
     assert_eq!(folded.n(), 250.0);
 
     // Plain aggregates also answer scan-free from the folded summary.
@@ -371,19 +357,25 @@ fn no_minmax_summary_does_not_answer_min_max() {
 }
 
 #[test]
-fn delete_still_marks_minmax_summary_stale() {
+fn delete_of_the_extremes_moves_the_summary_bounds() {
     let db = points_db(100, 2);
     db.execute("CREATE SUMMARY s ON pts (X1, X2)").unwrap();
-    db.execute("DELETE FROM pts WHERE i <= 10").unwrap();
-    let entry = db.summaries().get("s").unwrap();
-    assert!(
-        !entry.is_fresh(),
-        "min/max summaries cannot invert DELETE and must go stale"
-    );
+    // Row i holds X1 = (i - 1) * 0.25: these are the ten smallest and
+    // the ten largest.
+    db.execute("DELETE FROM pts WHERE i <= 10 OR i > 90")
+        .unwrap();
+    let q = "SELECT min(X1), max(X1), min(X2), max(X2) FROM pts";
+    let hit = db.execute(q).unwrap();
+    assert!(hit.stats.summary_path && hit.stats.rows_scanned == 0);
+    assert_eq!(hit.f64(0, 0), Some(2.5));
+    db.execute("DROP SUMMARY s").unwrap();
+    let scan = db.execute(q).unwrap();
+    assert!(!scan.stats.summary_path);
+    assert_eq!(hit.rows, scan.rows);
 }
 
 #[test]
-fn delete_with_null_coordinates_folds_exactly() {
+fn delete_with_null_coordinates_stays_exact() {
     let db = Db::new(2);
     db.execute("CREATE TABLE pts (i INT, X1 FLOAT, X2 FLOAT)")
         .unwrap();
@@ -395,10 +387,17 @@ fn delete_with_null_coordinates_folds_exactly() {
     db.execute("CREATE SUMMARY s ON pts (X1, X2) NO MINMAX")
         .unwrap();
 
-    // Deleted batch mixes complete rows and NULL-coordinate rows; the
-    // latter only decrement the null-skip counter.
+    // The deleted batch mixes a complete row and a NULL-coordinate
+    // one; the built state skips exactly the surviving NULL row.
     db.execute("DELETE FROM pts WHERE i <= 2").unwrap();
-    assert!(db.summaries().get("s").unwrap().is_fresh());
+    assert_eq!(
+        db.summaries()
+            .get("s")
+            .unwrap()
+            .snapshot()
+            .null_rows_skipped,
+        1
+    );
 
     let q = "SELECT nlq_list(2, 'triang', X1, X2) FROM pts";
     let (folded, stats) = unpack_cell(&db, q);
@@ -408,4 +407,54 @@ fn delete_with_null_coordinates_folds_exactly() {
     db.execute("DROP SUMMARY s").unwrap();
     let (scan, _) = unpack_cell(&db, q);
     assert_nlq_close(&folded, &scan, 1e-12);
+}
+
+/// CREATE SUMMARY builds and registers under the DML lock: a
+/// single-row INSERT from another session lands either before the
+/// build (and is scanned) or after the registration (and is folded),
+/// never between, so the summary counts what a scan counts.
+#[test]
+fn create_summary_misses_no_concurrent_insert() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    // One partition, so the build is one long scan that single-row
+    // INSERTs from another session keep landing beside.
+    let db = Arc::new(Db::new(1));
+    let n = 300_000;
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| vec![(i % 97) as f64 * 0.5, (i % 89) as f64 - 40.0])
+        .collect();
+    db.load_points("pts", &rows, false).unwrap();
+    let next_id = Arc::new(AtomicU64::new(n as u64 + 1));
+    for round in 0..4 {
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (db, stop, next_id) = (Arc::clone(&db), Arc::clone(&stop), Arc::clone(&next_id));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    let id = next_id.fetch_add(1, Ordering::AcqRel);
+                    db.execute(&format!("INSERT INTO pts VALUES ({id}, 1.5, -2.5)"))
+                        .unwrap();
+                }
+            })
+        };
+        // Let the writer get going before the build starts.
+        let started = next_id.load(Ordering::Acquire);
+        while next_id.load(Ordering::Acquire) < started + 2 {
+            std::thread::yield_now();
+        }
+        db.execute("CREATE SUMMARY s ON pts (X1, X2)").unwrap();
+        stop.store(true, Ordering::Release);
+        writer.join().unwrap();
+
+        let hit = db.execute("SELECT count(*) FROM pts").unwrap();
+        assert!(hit.stats.summary_path, "round {round}: {:?}", hit.stats);
+        let scan = db
+            .execute("SELECT count(*) FROM pts WHERE X1 = X1")
+            .unwrap();
+        assert!(!scan.stats.summary_path);
+        assert_eq!(hit.rows, scan.rows, "round {round}");
+        db.execute("DROP SUMMARY s").unwrap();
+    }
 }

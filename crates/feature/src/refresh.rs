@@ -98,10 +98,10 @@ impl Binding {
 pub struct RefreshConfig {
     /// How long the daemon sleeps between ticks.
     pub cadence: Duration,
-    /// Minimum `rows_folded` advance since the last refresh before a
-    /// fold-driven version bump triggers a refit. Structural changes
-    /// (deletes, rebuilds — version moved without new folded rows)
-    /// always trigger. `0` refreshes on any movement.
+    /// Minimum `rows_folded` advance since the last refresh before
+    /// folds trigger a refit. Structural changes (DELETE and UPDATE,
+    /// which bump the summary's version) always trigger. `0` refreshes
+    /// on any fold.
     pub min_delta_rows: u64,
     /// Automatically bind every eligible summary (global,
     /// non-diagonal, `d ≥ 2`) the engine reports: a
@@ -329,8 +329,8 @@ impl RefreshLoop {
                 None => true,
                 Some((v, rows)) => {
                     st.version != v
-                        && (st.rows_folded.saturating_sub(rows) >= self.config.min_delta_rows
-                            || st.rows_folded == rows)
+                        || (st.rows_folded > rows
+                            && st.rows_folded - rows >= self.config.min_delta_rows)
                 }
             };
             if !due {

@@ -4,8 +4,8 @@
 //!   boundaries straddling the storage layer's seal batches) must be
 //!   observationally identical to bulk loading the same rows — scores
 //!   and aggregates agree at 1e-12 — on engines of 1, 2 or 4 partitions.
-//! * A daemon-refreshed regression model after streamed ingest must
-//!   match a cold full-table refit at 1e-9.
+//! * A daemon-refreshed regression model after streamed ingest, or
+//!   after a DELETE, must match a cold full-table refit at 1e-9.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -159,49 +159,87 @@ fn daemon_refresh_matches_cold_full_table_refit() {
         assert_eq!(lp.tick().unwrap(), 1);
         assert_eq!(lp.refreshes(), 2);
 
-        // Cold refit: Γ from the raw rows, closed-form OLS, compared
-        // against the published s_beta table at 1e-9.
-        let data: Vec<Vec<f64>> = all
-            .iter()
-            .map(|r| {
-                r[1..]
-                    .iter()
-                    .map(|v| match v {
-                        Value::Float(x) => *x,
-                        _ => unreachable!("no NULLs in this test"),
-                    })
-                    .collect()
-            })
-            .collect();
-        let gamma = Nlq::from_rows(3, MatrixShape::Triangular, &data);
-        let cold = LinearRegression::fit(&gamma).unwrap();
-
-        let rs = engine
-            .execute_with("SELECT b0, b1, b2 FROM s_beta", &opts)
-            .unwrap();
-        let published: Vec<f64> = rs.rows[0]
-            .iter()
-            .map(|v| match v {
-                Value::Float(x) => *x,
-                v => panic!("beta cell {v:?}"),
-            })
-            .collect();
-        assert!(
-            tight(published[0], cold.intercept(), 1e-9),
-            "b0 {} vs {}",
-            published[0],
-            cold.intercept()
-        );
-        for j in 0..2 {
-            assert!(
-                tight(published[j + 1], cold.coefficients()[j], 1e-9),
-                "b{} {} vs {}",
-                j + 1,
-                published[j + 1],
-                cold.coefficients()[j]
-            );
-        }
+        assert_matches_cold_refit(engine.as_ref(), &all);
     });
+}
+
+/// Cold refit: Γ from the raw NULL-free `rows`, closed-form OLS,
+/// compared against the published `s_beta` table at 1e-9.
+fn assert_matches_cold_refit(engine: &dyn SqlEngine, rows: &[Row]) {
+    let data: Vec<Vec<f64>> = rows
+        .iter()
+        .map(|r| {
+            r[1..]
+                .iter()
+                .map(|v| match v {
+                    Value::Float(x) => *x,
+                    _ => unreachable!("no NULLs in these rows"),
+                })
+                .collect()
+        })
+        .collect();
+    let gamma = Nlq::from_rows(3, MatrixShape::Triangular, &data);
+    let cold = LinearRegression::fit(&gamma).unwrap();
+
+    let rs = engine
+        .execute_with("SELECT b0, b1, b2 FROM s_beta", &ExecOptions::default())
+        .unwrap();
+    let published: Vec<f64> = rs.rows[0]
+        .iter()
+        .map(|v| match v {
+            Value::Float(x) => *x,
+            v => panic!("beta cell {v:?}"),
+        })
+        .collect();
+    assert!(
+        tight(published[0], cold.intercept(), 1e-9),
+        "b0 {} vs {}",
+        published[0],
+        cold.intercept()
+    );
+    for j in 0..2 {
+        assert!(
+            tight(published[j + 1], cold.coefficients()[j], 1e-9),
+            "b{} {} vs {}",
+            j + 1,
+            published[j + 1],
+            cold.coefficients()[j]
+        );
+    }
+}
+
+#[test]
+fn delete_refits_below_the_delta_threshold() {
+    // Folds refit only past `min_delta_rows`; a DELETE is structural
+    // (a version bump, no folded rows) and refits on the next tick,
+    // even with a small fold still pending below the threshold.
+    let engine: Arc<dyn SqlEngine> = Arc::new(Db::new(2));
+    setup(engine.as_ref());
+    let opts = ExecOptions::default();
+    engine
+        .execute_with("CREATE SUMMARY s ON pts (X1, X2, Y)", &opts)
+        .unwrap();
+    let rows = gen_rows(&mut Rng::new(0xde1e), 400, false);
+    engine.ingest_rows("pts", rows[..390].to_vec()).unwrap();
+    let cfg = RefreshConfig {
+        min_delta_rows: 1_000,
+        ..RefreshConfig::default()
+    };
+    let mut lp = RefreshLoop::new(Arc::clone(&engine), vec![Binding::regression("s")], cfg);
+    assert_eq!(lp.tick().unwrap(), 1, "the first tick always publishes");
+
+    engine.ingest_rows("pts", rows[390..].to_vec()).unwrap();
+    assert_eq!(lp.tick().unwrap(), 0, "10 folded rows stay below 1000");
+
+    engine
+        .execute_with("DELETE FROM pts WHERE i % 3 = 0", &opts)
+        .unwrap();
+    assert_eq!(lp.tick().unwrap(), 1, "a DELETE refits on the next tick");
+    let kept: Vec<Row> = rows
+        .into_iter()
+        .filter(|r| r[0].as_i64().unwrap() % 3 != 0)
+        .collect();
+    assert_matches_cold_refit(engine.as_ref(), &kept);
 }
 
 #[test]

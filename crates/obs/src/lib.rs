@@ -82,8 +82,8 @@ pub enum Phase {
     /// Planning and rewrite (table resolution, predicate
     /// classification, join-product construction).
     Plan,
-    /// Probing the materialized Γ summary store (including any
-    /// on-demand stale rebuild).
+    /// Probing the materialized Γ summary store and answering from
+    /// it.
     SummaryLookup,
     /// The row- or block-at-a-time scan, including the partial merge.
     Scan,

@@ -196,8 +196,6 @@ pub struct Metrics {
     pub summary_hits: AtomicU64,
     /// Summary-store misses accumulated across statements.
     pub summary_misses: AtomicU64,
-    /// Stale summaries rebuilt on demand across statements.
-    pub summary_stale_rebuilds: AtomicU64,
     /// Completed queries slower than the slow-query threshold.
     pub slow_queries: AtomicU64,
     /// Rows committed through streamed-ingest envelopes.
@@ -229,11 +227,9 @@ impl Metrics {
     }
 
     /// Folds one statement's summary-store counters in.
-    pub fn record_summary(&self, hits: u64, misses: u64, stale_rebuilds: u64) {
+    pub fn record_summary(&self, hits: u64, misses: u64) {
         self.summary_hits.fetch_add(hits, Ordering::Relaxed);
         self.summary_misses.fetch_add(misses, Ordering::Relaxed);
-        self.summary_stale_rebuilds
-            .fetch_add(stale_rebuilds, Ordering::Relaxed);
     }
 
     /// Every sample this struct owns: the plain counters, then the
@@ -243,7 +239,7 @@ impl Metrics {
     fn samples(&self, out: &mut Vec<Sample>) {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         #[rustfmt::skip]
-        let counters: [(&'static str, &'static str, &AtomicU64); 17] = [
+        let counters: [(&'static str, &'static str, &AtomicU64); 16] = [
             ("connections_accepted", "Connections accepted", &self.connections_accepted),
             ("connections_rejected", "Connections refused by admission control", &self.connections_rejected),
             ("query_timeouts", "Queries that hit the per-query wall-clock limit", &self.query_timeouts),
@@ -256,7 +252,6 @@ impl Metrics {
             ("chunks_streamed", "RowsChunk frames written to sockets", &self.chunks_streamed),
             ("summary_hits", "Statements answered from a materialized summary", &self.summary_hits),
             ("summary_misses", "Summary probes that fell back to a scan", &self.summary_misses),
-            ("summary_stale_rebuilds", "Stale summaries rebuilt on demand", &self.summary_stale_rebuilds),
             ("slow_queries", "Queries at or above the slow-query threshold", &self.slow_queries),
             ("ingest_rows_total", "Rows committed through ingest envelopes", &self.ingest_rows),
             ("batch_score_keys_total", "Keys scored through BatchScore requests", &self.batch_score_keys),
@@ -489,7 +484,7 @@ mod tests {
         m.record(Command::Execute, Duration::from_millis(20), false);
         m.record(Command::Ping, Duration::from_micros(2), true);
         m.record(Command::Cancel, Duration::from_micros(3), true);
-        m.record_summary(3, 1, 2);
+        m.record_summary(3, 1);
         m.queries_cancelled.fetch_add(1, Ordering::Relaxed);
         m.bytes_streamed.fetch_add(4096, Ordering::Relaxed);
         m.chunks_streamed.fetch_add(2, Ordering::Relaxed);
@@ -511,7 +506,6 @@ mod tests {
         assert_eq!(get("command_requests_total", "command=\"ping\""), 1.0);
         assert_eq!(get("summary_hits", ""), 3.0);
         assert_eq!(get("summary_misses", ""), 1.0);
-        assert_eq!(get("summary_stale_rebuilds", ""), 2.0);
         // Both execute latencies landed in the histogram.
         assert_eq!(
             get(

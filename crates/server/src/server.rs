@@ -1026,7 +1026,6 @@ fn batch_score(
                     summary_path: rs.stats.summary_path,
                     summary_hits: rs.stats.summary_hits,
                     summary_misses: rs.stats.summary_misses,
-                    summary_stale_rebuilds: rs.stats.summary_stale_rebuilds,
                     elapsed_micros: started.elapsed().as_micros() as u64,
                     cancelled: false,
                 },
@@ -1387,11 +1386,9 @@ fn stream_statement(
         Err(e) => return Ok(Err(Failed::new(ErrorCode::Sql, e.to_string()))),
         Ok(rs) => rs,
     };
-    shared.metrics.record_summary(
-        rs.stats.summary_hits,
-        rs.stats.summary_misses,
-        rs.stats.summary_stale_rebuilds,
-    );
+    shared
+        .metrics
+        .record_summary(rs.stats.summary_hits, rs.stats.summary_misses);
     if rs.len() > config.max_result_rows {
         let message = format!(
             "result has {} rows (limit {})",
@@ -1469,7 +1466,6 @@ fn stream_statement(
         summary_path: rs.stats.summary_path,
         summary_hits: rs.stats.summary_hits,
         summary_misses: rs.stats.summary_misses,
-        summary_stale_rebuilds: rs.stats.summary_stale_rebuilds,
         elapsed_micros: started.elapsed().as_micros() as u64,
         cancelled: false,
     };

@@ -251,7 +251,6 @@ fn summaries(shared: &Arc<Shared>) -> Table {
         ("tbl", DataType::Str),
         ("d", DataType::Int),
         ("grouped", DataType::Int),
-        ("fresh", DataType::Int),
         ("version", DataType::Int),
         ("rows_folded", DataType::Int),
         ("published_rows", DataType::Int),
@@ -286,7 +285,6 @@ fn summaries(shared: &Arc<Shared>) -> Table {
                 Value::Str(st.table),
                 int(st.d as u64),
                 Value::Int(i64::from(st.grouped)),
-                Value::Int(i64::from(st.fresh)),
                 int(st.version),
                 int(st.rows_folded),
                 published_rows,

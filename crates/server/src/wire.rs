@@ -47,7 +47,7 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// introspection is SQL over the `sys.*` catalog through `Execute`.
 /// Request tags `0x03`, `0x04` and `0x08` are unassigned and answered
 /// with [`ErrorCode::Protocol`] like any unknown tag.
-pub const PROTOCOL_VERSION: u32 = 7;
+pub const PROTOCOL_VERSION: u32 = 8;
 
 // Request tags.
 const REQ_EXECUTE: u8 = 0x01;
@@ -223,8 +223,6 @@ pub struct WireStats {
     pub summary_hits: u64,
     /// Summary misses (fell back to a scan).
     pub summary_misses: u64,
-    /// Stale summaries rebuilt on demand.
-    pub summary_stale_rebuilds: u64,
     /// Server-side wall-clock for the statement, microseconds.
     pub elapsed_micros: u64,
     /// Whether the statement was cancelled mid-execution.
@@ -586,7 +584,6 @@ fn put_stats(buf: &mut Vec<u8>, s: &WireStats) {
     );
     buf.extend_from_slice(&s.summary_hits.to_be_bytes());
     buf.extend_from_slice(&s.summary_misses.to_be_bytes());
-    buf.extend_from_slice(&s.summary_stale_rebuilds.to_be_bytes());
     buf.extend_from_slice(&s.elapsed_micros.to_be_bytes());
 }
 
@@ -602,7 +599,6 @@ fn read_stats(r: &mut Reader<'_>) -> io::Result<WireStats> {
         cancelled: flags & 4 != 0,
         summary_hits: r.u64()?,
         summary_misses: r.u64()?,
-        summary_stale_rebuilds: r.u64()?,
         elapsed_micros: r.u64()?,
     })
 }
@@ -1238,7 +1234,6 @@ mod tests {
                 summary_path: true,
                 summary_hits: 1,
                 summary_misses: 0,
-                summary_stale_rebuilds: 3,
                 elapsed_micros: 1234,
                 cancelled: false,
             },

@@ -1,32 +1,29 @@
 #![warn(missing_docs)]
 
-//! Materialized Γ summary store: catalog-registered, incrementally
-//! maintained `(n, L, Q)` sufficient statistics.
+//! Materialized Γ summary store: catalog-registered `(n, L, Q)`
+//! sufficient statistics that always equal a scan of their table.
 //!
 //! The paper's central observation is that correlation, linear
 //! regression, PCA, and clustering all reduce to the additive
-//! statistics `n, L, Q` (Γ). Additivity means Γ never has to be
-//! recomputed from scratch: a [`SummaryStore`] keeps one materialized
+//! statistics `n, L, Q` (Γ). A [`SummaryStore`] keeps one materialized
 //! [`Nlq`] state per registered summary (optionally keyed by one
-//! GROUP BY column) and maintains it under DML:
+//! GROUP BY column). The engine computes every state under its DML
+//! lock from the table generation it publishes the state with:
 //!
-//! * `CREATE SUMMARY` computes the initial state with the existing
-//!   block scan, one partial aggregate-UDF state per partition merged
-//!   through the UDF **partial-merge phase** (§3.4 step 3);
-//! * `INSERT` folds the new rows in — O(batch) work, no rescan: a
-//!   global summary computes the batch's Γ on the UDF's block path
-//!   and merges it, a grouped one updates each row's group;
-//! * `DELETE` *subtracts* the removed batch from global summaries
-//!   declared `NO MINMAX` (Γ additivity runs both ways; min/max are
-//!   the one non-invertible part, so summaries that keep them mark
-//!   **stale** instead and rebuild on the next read);
-//! * `UPDATE` marks the summary **stale** (assignments may rewrite
-//!   arbitrary rows and columns);
+//! * `CREATE SUMMARY` builds the initial state with the block scan,
+//!   one partial aggregate-UDF state per partition merged through the
+//!   UDF **partial-merge phase** (§3.4 step 3);
+//! * `INSERT` and streamed ingest fold the new rows in — O(batch)
+//!   work, no rescan, because Γ is additive: a global summary computes
+//!   the batch's Γ on the UDF's block path and merges it, a grouped
+//!   one updates each row's group;
+//! * `DELETE` and `UPDATE` rewrite the table, and every summary on it
+//!   is built again from the rewritten table
+//!   ([`SummaryStore::build_for_table`]) before either is published;
 //! * `DROP TABLE` drops the table's summaries.
 //!
-//! The state machine per summary is `fresh → stale → (rebuilt) fresh`.
 //! Readers (the engine's planner rewrite) answer eligible statistical
-//! queries from a fresh summary in O(d²) with no scan at all.
+//! queries from a summary in O(d²) with no scan at all.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -37,7 +34,7 @@ use nlq_linalg::{Matrix, Vector};
 use nlq_models::{MatrixShape, Nlq};
 use nlq_storage::{DataType, Row, Schema, Table, Value};
 use nlq_udf::pack::unpack_nlq;
-use nlq_udf::{nlq_of_columns, AggregateUdf, BatchArg, NlqUdf, ParamStyle};
+use nlq_udf::{nlq_of_columns, AggregateUdf, BatchArg, NlqUdf, ParamStyle, MAX_D};
 
 /// Errors raised by the summary store.
 #[derive(Debug)]
@@ -60,14 +57,17 @@ pub enum SummaryError {
     },
     /// A summary needs at least one column.
     NoColumns,
+    /// A global summary folds on the `nlq` UDF's path, which takes at
+    /// most [`MAX_D`] columns.
+    TooManyColumns(usize),
     /// Error from the storage layer while scanning.
     Storage(nlq_storage::StorageError),
     /// Error from the UDF machinery while building a state.
     Udf(nlq_udf::UdfError),
     /// Error from the model layer while assembling statistics.
     Model(nlq_models::ModelError),
-    /// A rebuild was cooperatively cancelled mid-scan. The entry's
-    /// maintained state is untouched (it stays stale).
+    /// A build was cooperatively cancelled mid-scan; nothing was
+    /// installed.
     Cancelled {
         /// Rows scanned before the cancellation took effect.
         rows_scanned: u64,
@@ -86,6 +86,10 @@ impl fmt::Display for SummaryError {
                 write!(f, "summary column '{column}' must be a float column")
             }
             SummaryError::NoColumns => write!(f, "a summary needs at least one column"),
+            SummaryError::TooManyColumns(d) => write!(
+                f,
+                "a summary without GROUP BY takes at most {MAX_D} columns, not {d}"
+            ),
             SummaryError::Storage(e) => write!(f, "storage error: {e}"),
             SummaryError::Udf(e) => write!(f, "udf error: {e}"),
             SummaryError::Model(e) => write!(f, "model error: {e}"),
@@ -144,9 +148,11 @@ pub struct SummaryDef {
     /// Shape of the maintained `Q` matrix.
     pub shape: MatrixShape,
     /// Whether the summary answers per-dimension min/max queries
-    /// (`false` for `NO MINMAX` summaries). Min/max are not invertible
-    /// from sums, so forgoing them buys exact DELETE subtraction: a
-    /// `NO MINMAX` global summary stays fresh under DELETE.
+    /// (`false` for `NO MINMAX` summaries, which store no bounds and
+    /// answer no min/max). It buys nothing else: DELETE and UPDATE
+    /// build every summary again from the rewritten table. The field
+    /// stays because the repository benchmark constructs definitions
+    /// with it.
     pub minmax: bool,
     /// Optional single GROUP BY key column.
     pub group_by: Option<String>,
@@ -167,10 +173,14 @@ impl SummaryDef {
     }
 
     /// Resolves the summarized columns (and the group key, if any)
-    /// against a table schema, validating existence and float type.
+    /// against a table schema, validating existence, float type and,
+    /// for a global summary, the UDF's column limit.
     fn resolve(&self, schema: &Schema) -> Result<(Vec<usize>, Option<usize>)> {
         if self.columns.is_empty() {
             return Err(SummaryError::NoColumns);
+        }
+        if self.group_by.is_none() && self.columns.len() > MAX_D {
+            return Err(SummaryError::TooManyColumns(self.columns.len()));
         }
         let mut cols = Vec::with_capacity(self.columns.len());
         for c in &self.columns {
@@ -224,8 +234,6 @@ pub struct SummarySnapshot {
     /// summary's `n`/`L`/`Q` cover a strict subset of the table's
     /// rows, which restricts which plain aggregates it may answer.
     pub null_rows_skipped: u64,
-    /// Whether the state reflects the current table contents.
-    pub fresh: bool,
 }
 
 /// Mutable maintained state behind each entry's lock.
@@ -233,7 +241,6 @@ pub struct SummarySnapshot {
 struct SummaryContent {
     data: SummaryData,
     null_rows_skipped: u64,
-    fresh: bool,
 }
 
 /// One registered summary: immutable definition plus lock-protected
@@ -241,13 +248,19 @@ struct SummaryContent {
 #[derive(Debug)]
 pub struct SummaryEntry {
     def: SummaryDef,
+    /// Positions of the summarized columns, resolved once at create
+    /// (a table's schema never changes while its summaries live).
+    cols: Vec<usize>,
+    /// Position of the GROUP BY key, if any.
+    group: Option<usize>,
     content: RwLock<SummaryContent>,
-    /// Monotonic change counter: bumped on every state transition
-    /// (fold, subtraction, stale edge, rebuild). Refresh daemons poll
-    /// it to detect that the maintained Γ moved without holding locks.
+    /// Generation of the state: 1 at create, bumped each time DELETE
+    /// or UPDATE builds it again from the rewritten table. Folds move
+    /// [`SummaryEntry::rows_folded`] instead, so a refresh daemon can
+    /// tell a structural change from a small delta.
     version: AtomicU64,
-    /// Cumulative rows folded in or subtracted out since creation —
-    /// the delta-volume signal behind threshold-triggered refreshes.
+    /// Cumulative rows folded in since creation — the delta-volume
+    /// signal behind threshold-triggered refreshes.
     rows_folded: AtomicU64,
 }
 
@@ -257,17 +270,12 @@ impl SummaryEntry {
         &self.def
     }
 
-    /// Whether the maintained state is fresh.
-    pub fn is_fresh(&self) -> bool {
-        self.content.read().expect("summary lock").fresh
-    }
-
-    /// Monotonic change counter (see the field docs).
+    /// Generation of the state (see the field docs).
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Cumulative rows folded in or subtracted out since creation.
+    /// Cumulative rows folded in since creation.
     pub fn rows_folded(&self) -> u64 {
         self.rows_folded.load(Ordering::Acquire)
     }
@@ -279,88 +287,45 @@ impl SummaryEntry {
             def: self.def.clone(),
             data: c.data.clone(),
             null_rows_skipped: c.null_rows_skipped,
-            fresh: c.fresh,
         }
     }
 
-    /// Recomputes the state from the table (the stale → fresh edge),
-    /// returning the number of rows scanned.
-    pub fn rebuild(&self, table: &Table) -> Result<u64> {
-        self.rebuild_with_cancel(table, None)
-    }
-
-    /// [`SummaryEntry::rebuild`] with a cooperative cancellation
-    /// token, checked per block (global builds) or per row (grouped
-    /// builds). A cancelled rebuild returns
-    /// [`SummaryError::Cancelled`] before the maintained state is
-    /// touched — the entry stays stale for the next reader. On success
-    /// the returned row count lets callers account the hidden scan
-    /// (e.g. into `EXPLAIN ANALYZE` statistics).
-    pub fn rebuild_with_cancel(&self, table: &Table, cancel: Option<&AtomicBool>) -> Result<u64> {
-        let (content, scanned) = build_content(&self.def, table, cancel)?;
-        *self.content.write().expect("summary lock") = content;
-        self.version.fetch_add(1, Ordering::AcqRel);
-        Ok(scanned)
-    }
-
-    /// Marks the state stale (the fresh → stale edge).
-    pub fn mark_stale(&self) {
-        self.content.write().expect("summary lock").fresh = false;
-        self.version.fetch_add(1, Ordering::AcqRel);
+    /// Builds the state from `table` with the block scan.
+    fn build(&self, table: &Table, cancel: Option<&AtomicBool>) -> Result<SummaryContent> {
+        build_content(&self.def, &self.cols, self.group, table, cancel)
     }
 
     /// Folds a batch of freshly inserted rows into the maintained
     /// state: builds a delta state with the `nlq` UDF machinery and
-    /// merges it in. A stale summary stays stale (the delta would be
-    /// merged into an already-wrong base); any error also degrades to
-    /// stale rather than failing the caller's INSERT.
-    fn fold_rows(&self, schema: &Schema, rows: &[Row]) {
+    /// merges it in.
+    fn fold_rows(&self, rows: &[Row]) {
         let mut c = self.content.write().expect("summary lock");
-        if !c.fresh {
-            return;
-        }
-        match fold_delta(&self.def, schema, rows, &mut c) {
-            Ok(()) => {
-                self.rows_folded
-                    .fetch_add(rows.len() as u64, Ordering::AcqRel);
-            }
-            Err(_) => c.fresh = false,
-        }
-        self.version.fetch_add(1, Ordering::AcqRel);
+        fold_delta(self, rows, &mut c);
+        self.rows_folded
+            .fetch_add(rows.len() as u64, Ordering::AcqRel);
     }
+}
 
-    /// Folds a batch of deleted rows *out* of the maintained state by
-    /// Γ subtraction. Only a fresh, global, `NO MINMAX` summary
-    /// qualifies: min/max are not invertible from sums, and a grouped
-    /// state cannot tell a drained group (which a rebuild would drop)
-    /// from one that only ever held NULL-coordinate rows. Everything
-    /// else marks stale, as before.
-    fn fold_deleted(&self, schema: &Schema, rows: &[Row]) {
-        let mut c = self.content.write().expect("summary lock");
-        if !c.fresh {
-            return;
+/// The states of every summary on one table, built from one generation
+/// of it by [`SummaryStore::build_for_table`] and not yet installed.
+#[derive(Debug)]
+#[must_use = "the states take effect only once installed"]
+pub struct BuiltStates(Vec<(Arc<SummaryEntry>, SummaryContent)>);
+
+impl BuiltStates {
+    /// Installs every state, bumping each summary's version.
+    pub fn install(self) {
+        for (entry, content) in self.0 {
+            *entry.content.write().expect("summary lock") = content;
+            entry.version.fetch_add(1, Ordering::AcqRel);
         }
-        if self.def.minmax || self.def.group_by.is_some() {
-            c.fresh = false;
-            self.version.fetch_add(1, Ordering::AcqRel);
-            return;
-        }
-        match subtract_delta(&self.def, schema, rows, &mut c) {
-            Ok(()) => {
-                self.rows_folded
-                    .fetch_add(rows.len() as u64, Ordering::AcqRel);
-            }
-            Err(_) => c.fresh = false,
-        }
-        self.version.fetch_add(1, Ordering::AcqRel);
     }
 }
 
 /// The catalog of registered summaries, keyed by lowercase name.
 ///
-/// Interior mutability mirrors the engine's table catalog: readers
-/// executing queries hold `&SummaryStore` yet may trigger a
-/// stale-summary rebuild.
+/// Interior mutability mirrors the engine's table catalog: one store
+/// serves every session, and the engine's DML lock orders its writers.
 #[derive(Debug, Default)]
 pub struct SummaryStore {
     map: RwLock<HashMap<String, Arc<SummaryEntry>>>,
@@ -373,12 +338,15 @@ impl SummaryStore {
     }
 
     /// Registers a summary and computes its initial state from the
-    /// table via the block scan + UDF merge phase.
+    /// table via the block scan + UDF merge phase. The caller holds
+    /// whatever orders it with writes to `table` (the engine's DML
+    /// lock), so no row lands between the build and the registration.
     pub fn create(&self, def: SummaryDef, table: &Table) -> Result<()> {
         let key = def.name.to_ascii_lowercase();
-        // Validate and build before taking the write lock; the build
-        // is the expensive part.
-        let (content, _scanned) = build_content(&def, table, None)?;
+        let (cols, group) = def.resolve(table.schema())?;
+        // Build before taking the write lock; the build is the
+        // expensive part.
+        let content = build_content(&def, &cols, group, table, None)?;
         let mut map = self.map.write().expect("summary store lock");
         if map.contains_key(&key) {
             return Err(SummaryError::DuplicateSummary(def.name));
@@ -387,12 +355,35 @@ impl SummaryStore {
             key,
             Arc::new(SummaryEntry {
                 def,
+                cols,
+                group,
                 content: RwLock::new(content),
                 version: AtomicU64::new(1),
                 rows_folded: AtomicU64::new(0),
             }),
         );
         Ok(())
+    }
+
+    /// Builds every summary on `table` from `t`, the table's next
+    /// generation (the DELETE / UPDATE hook), checking `cancel` per
+    /// block or row. Nothing is installed until
+    /// [`BuiltStates::install`], so a failed or cancelled build leaves
+    /// every summary as it was.
+    pub fn build_for_table(
+        &self,
+        table: &str,
+        t: &Table,
+        cancel: Option<&AtomicBool>,
+    ) -> Result<BuiltStates> {
+        self.for_table(table)
+            .into_iter()
+            .map(|e| {
+                let content = e.build(t, cancel)?;
+                Ok((e, content))
+            })
+            .collect::<Result<_>>()
+            .map(BuiltStates)
     }
 
     /// Looks a summary up by name (case-insensitive).
@@ -438,22 +429,6 @@ impl SummaryStore {
             .any(|e| e.def.table == table)
     }
 
-    /// Marks every summary on `table` stale (UPDATE/replace hook).
-    pub fn mark_stale_for_table(&self, table: &str) {
-        for e in self.for_table(table) {
-            e.mark_stale();
-        }
-    }
-
-    /// Subtracts a deleted batch from every summary on `table` that
-    /// can absorb it exactly (fresh, global, `NO MINMAX`); the rest
-    /// mark stale (DELETE hook). Never fails.
-    pub fn fold_deleted_rows(&self, table: &str, schema: &Schema, rows: &[Row]) {
-        for e in self.for_table(table) {
-            e.fold_deleted(schema, rows);
-        }
-    }
-
     /// Drops every summary on `table` (DROP TABLE hook).
     pub fn drop_for_table(&self, table: &str) {
         let table = table.to_ascii_lowercase();
@@ -463,12 +438,14 @@ impl SummaryStore {
             .retain(|_, e| e.def.table != table);
     }
 
-    /// Folds freshly inserted rows into every fresh summary on
-    /// `table` (INSERT hook). Never fails: a summary that cannot
-    /// absorb the delta is marked stale instead.
-    pub fn fold_rows(&self, table: &str, schema: &Schema, rows: &[Row]) {
+    /// Folds freshly inserted rows into every summary on `table` (the
+    /// INSERT hook). Never fails: the columns were resolved and typed
+    /// at create, and the table accepted the rows, so each value is a
+    /// number or NULL. `_schema` is the table's schema, which the
+    /// columns were already resolved against.
+    pub fn fold_rows(&self, table: &str, _schema: &Schema, rows: &[Row]) {
         for e in self.for_table(table) {
-            e.fold_rows(schema, rows);
+            e.fold_rows(rows);
         }
     }
 
@@ -481,12 +458,12 @@ impl SummaryStore {
         v
     }
 
-    /// `(name, table, fresh)` for every registered summary, name-sorted.
-    pub fn list(&self) -> Vec<(String, String, bool)> {
+    /// `(name, table)` for every registered summary, name-sorted.
+    pub fn list(&self) -> Vec<(String, String)> {
         let map = self.map.read().expect("summary store lock");
         let mut v: Vec<_> = map
             .values()
-            .map(|e| (e.def.name.clone(), e.def.table.clone(), e.is_fresh()))
+            .map(|e| (e.def.name.clone(), e.def.table.clone()))
             .collect();
         v.sort();
         v
@@ -544,21 +521,23 @@ pub fn project_nlq(nlq: &Nlq, dims: &[usize], shape: MatrixShape) -> Result<Nlq>
     Ok(Nlq::from_parts(shape, nlq.n(), l, q, min, max)?)
 }
 
-/// Builds the initial (or rebuilt) state for a definition, returning
-/// it with the number of rows scanned.
+/// Builds a definition's state from `table` over its resolved columns.
+/// The token is checked once up front, so even a build over an empty
+/// table honours it.
 fn build_content(
     def: &SummaryDef,
+    cols: &[usize],
+    group: Option<usize>,
     table: &Table,
     cancel: Option<&AtomicBool>,
-) -> Result<(SummaryContent, u64)> {
-    let (cols, group) = def.resolve(table.schema())?;
-    let (mut content, scanned) = match group {
-        None => build_global(def, table, &cols, cancel)?,
-        Some(g) => build_grouped(def, table, &cols, g, cancel)?,
+) -> Result<SummaryContent> {
+    check_cancelled(cancel, 0)?;
+    let mut content = match group {
+        None => build_global(def, table, cols, cancel)?,
+        Some(g) => build_grouped(def, table, cols, g, cancel)?,
     };
     // A `NO MINMAX` summary stores no bounds: the −∞/+∞ sentinels the
-    // pure-SQL path also uses. With no bounds to maintain, the state
-    // is exactly subtractable and DELETE never makes it stale.
+    // pure-SQL path also uses.
     if !def.minmax {
         match &mut content.data {
             SummaryData::Global(nlq) => *nlq = strip_bounds(nlq)?,
@@ -569,7 +548,7 @@ fn build_content(
             }
         }
     }
-    Ok((content, scanned))
+    Ok(content)
 }
 
 /// Replaces a state's min/max with the "not computed" sentinels.
@@ -585,48 +564,6 @@ fn strip_bounds(nlq: &Nlq) -> Result<Nlq> {
     )?)
 }
 
-/// Subtracts the Γ of a deleted batch from a fresh global state (the
-/// `NO MINMAX` DELETE fast path). Deleted rows with a NULL coordinate
-/// were never folded in, so they only decrement the skip counter.
-fn subtract_delta(
-    def: &SummaryDef,
-    schema: &Schema,
-    rows: &[Row],
-    content: &mut SummaryContent,
-) -> Result<()> {
-    let (cols, _) = def.resolve(schema)?;
-    let d = cols.len();
-    let mut delta = Nlq::new(d, def.shape);
-    let mut coords = vec![0.0f64; d];
-    let mut skipped = 0u64;
-    for row in rows {
-        let mut any_null = false;
-        for (k, &c) in cols.iter().enumerate() {
-            match row[c].as_f64() {
-                Some(v) => coords[k] = v,
-                None => {
-                    any_null = true;
-                    break;
-                }
-            }
-        }
-        if any_null {
-            skipped += 1;
-        } else {
-            delta.update(&coords);
-        }
-    }
-    let SummaryData::Global(nlq) = &mut content.data else {
-        return Err(SummaryError::Udf(nlq_udf::UdfError::InvalidArgument {
-            udf: "nlq_list".into(),
-            message: "DELETE subtraction requires a global state".into(),
-        }));
-    };
-    nlq.subtract(&delta);
-    content.null_rows_skipped = content.null_rows_skipped.saturating_sub(skipped);
-    Ok(())
-}
-
 /// Ungrouped build: the existing vectorized block scan feeds one
 /// partial `nlq_list` UDF state per partition; partials are combined
 /// with the UDF merge phase and unpacked into the stored [`Nlq`].
@@ -635,7 +572,7 @@ fn build_global(
     table: &Table,
     cols: &[usize],
     cancel: Option<&AtomicBool>,
-) -> Result<(SummaryContent, u64)> {
+) -> Result<SummaryContent> {
     let d = cols.len();
     let udf = NlqUdf::new(ParamStyle::List);
     let mut args: Vec<BatchArg> = Vec::with_capacity(d + 2);
@@ -669,14 +606,10 @@ fn build_global(
             }))
         }
     };
-    Ok((
-        SummaryContent {
-            data: SummaryData::Global(nlq),
-            null_rows_skipped: skipped,
-            fresh: true,
-        },
-        scanned,
-    ))
+    Ok(SummaryContent {
+        data: SummaryData::Global(nlq),
+        null_rows_skipped: skipped,
+    })
 }
 
 /// Rows of `block` with at least one NULL among its first `d` columns
@@ -711,27 +644,21 @@ fn build_grouped(
     cols: &[usize],
     g: usize,
     cancel: Option<&AtomicBool>,
-) -> Result<(SummaryContent, u64)> {
+) -> Result<SummaryContent> {
     let d = cols.len();
     let mut groups: Vec<(Value, Nlq)> = Vec::new();
     let mut skipped = 0u64;
-    let mut total = 0u64;
     let mut coords = vec![0.0f64; d];
     for (scanned, row) in table.scan_all().enumerate() {
         check_cancelled(cancel, scanned as u64)?;
-        total += 1;
         if fold_grouped_row(&mut groups, &row?, cols, g, def.shape, &mut coords) {
             skipped += 1;
         }
     }
-    Ok((
-        SummaryContent {
-            data: SummaryData::Grouped(groups),
-            null_rows_skipped: skipped,
-            fresh: true,
-        },
-        total,
-    ))
+    Ok(SummaryContent {
+        data: SummaryData::Grouped(groups),
+        null_rows_skipped: skipped,
+    })
 }
 
 /// Finds (or creates) the group entry for `key`.
@@ -743,28 +670,23 @@ fn group_slot(groups: &mut Vec<(Value, Nlq)>, key: &Value, d: usize, shape: Matr
     groups.len() - 1
 }
 
-/// Folds an INSERT batch into fresh content (additivity of n, L, Q).
+/// Folds an INSERT batch into the content (additivity of n, L, Q).
 /// A global summary transposes the batch into columns and folds them
 /// on the `nlq_list` block path, then merges the batch's Γ in; a
 /// grouped summary folds row by row into each group's Γ, as the
 /// grouped build does.
-fn fold_delta(
-    def: &SummaryDef,
-    schema: &Schema,
-    rows: &[Row],
-    content: &mut SummaryContent,
-) -> Result<()> {
-    let (cols, group) = def.resolve(schema)?;
-    let nlq = match (&mut content.data, group) {
+fn fold_delta(entry: &SummaryEntry, rows: &[Row], content: &mut SummaryContent) {
+    let (cols, shape) = (&entry.cols, entry.def.shape);
+    let nlq = match (&mut content.data, entry.group) {
         (SummaryData::Global(nlq), _) => nlq,
         (SummaryData::Grouped(groups), Some(g)) => {
             let mut coords = vec![0.0f64; cols.len()];
             for row in rows {
-                if fold_grouped_row(groups, row, &cols, g, def.shape, &mut coords) {
+                if fold_grouped_row(groups, row, cols, g, shape, &mut coords) {
                     content.null_rows_skipped += 1;
                 }
             }
-            return Ok(());
+            return;
         }
         (SummaryData::Grouped(_), None) => {
             unreachable!("grouped data belongs to a GROUP BY summary")
@@ -778,16 +700,9 @@ fn fold_delta(
     for (i, row) in rows.iter().enumerate() {
         let mut any_null = false;
         for (k, &c) in cols.iter().enumerate() {
-            match &row[c] {
-                Value::Null => any_null = true,
-                v => {
-                    values[k * m + i] = v.as_f64().ok_or_else(|| {
-                        SummaryError::Udf(nlq_udf::UdfError::InvalidArgument {
-                            udf: "nlq_list".into(),
-                            message: format!("X{} is not numeric", k + 1),
-                        })
-                    })?;
-                }
+            match row[c].as_f64() {
+                Some(v) => values[k * m + i] = v,
+                None => any_null = true,
             }
         }
         if any_null {
@@ -799,10 +714,11 @@ fn fold_delta(
     let columns: Vec<&[f64]> = (0..cols.len())
         .map(|k| &values[k * m..(k + 1) * m])
         .collect();
-    if let Some(delta) = nlq_of_columns(def.shape, &columns, Some(&active))? {
+    // `resolve` bounded a global summary's columns by the UDF's limit.
+    if let Some(delta) = nlq_of_columns(shape, &columns, Some(&active)).expect("1..=MAX_D columns")
+    {
         nlq.merge(&delta);
     }
-    Ok(())
 }
 
 /// Folds one row into its group's Γ, creating the group if needed
@@ -879,12 +795,11 @@ mod tests {
                 );
             }
         }
-        assert!(snap.fresh);
         assert_eq!(snap.null_rows_skipped, 0);
     }
 
     #[test]
-    fn fold_equals_rebuild() {
+    fn fold_equals_build() {
         let rows: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, -0.5 * i as f64]).collect();
         let mut t = points_table(&rows, 3);
         let store = SummaryStore::new();
@@ -908,11 +823,10 @@ mod tests {
         store.fold_rows("x", t.schema(), &batch);
 
         let entry = store.get("s").unwrap();
-        assert!(entry.is_fresh());
         let folded = entry.snapshot();
-        entry.rebuild(&t).unwrap();
-        let rebuilt = entry.snapshot();
-        let (SummaryData::Global(a), SummaryData::Global(b)) = (&folded.data, &rebuilt.data) else {
+        store.build_for_table("x", &t, None).unwrap().install();
+        let built = entry.snapshot();
+        let (SummaryData::Global(a), SummaryData::Global(b)) = (&folded.data, &built.data) else {
             panic!("expected global data");
         };
         assert_eq!(a.n(), b.n());
@@ -966,7 +880,6 @@ mod tests {
         let g = store.get("g").unwrap();
         assert_eq!(g.rows_folded(), 4);
         let snap = g.snapshot();
-        assert!(snap.fresh);
         assert_eq!(snap.null_rows_skipped, 2);
         let SummaryData::Global(nlq) = &snap.data else {
             panic!()
@@ -1036,61 +949,53 @@ mod tests {
     }
 
     #[test]
-    fn staleness_lifecycle() {
+    fn built_states_install_together_and_only_when_installed() {
+        let mut t = points_table(&[vec![1.0], vec![2.0]], 1);
+        let store = SummaryStore::new();
+        store
+            .create(def("a", &["X1"], MatrixShape::Diagonal, None), &t)
+            .unwrap();
+        store
+            .create(def("b", &["X1"], MatrixShape::Diagonal, Some("X1")), &t)
+            .unwrap();
+        let n_of = |name: &str| match store.get(name).unwrap().snapshot().data {
+            SummaryData::Global(nlq) => nlq.n(),
+            SummaryData::Grouped(groups) => groups.iter().map(|(_, g)| g.n()).sum(),
+        };
+        t.insert(vec![Value::Int(3), Value::Float(9.0)]).unwrap();
+
+        // A cancelled build installs nothing.
+        let flipped = AtomicBool::new(true);
+        assert!(matches!(
+            store.build_for_table("x", &t, Some(&flipped)),
+            Err(SummaryError::Cancelled { rows_scanned: 0 })
+        ));
+        // A built but uninstalled state is not visible either.
+        let built = store.build_for_table("x", &t, None).unwrap();
+        assert_eq!((n_of("a"), n_of("b")), (2.0, 2.0));
+        built.install();
+        assert_eq!((n_of("a"), n_of("b")), (3.0, 3.0));
+    }
+
+    #[test]
+    fn folds_move_rows_folded_and_installs_move_the_version() {
         let t = points_table(&[vec![1.0], vec![2.0]], 1);
         let store = SummaryStore::new();
         store
             .create(def("s", &["X1"], MatrixShape::Diagonal, None), &t)
             .unwrap();
         let entry = store.get("s").unwrap();
-        assert!(entry.is_fresh());
-        store.mark_stale_for_table("x");
-        assert!(!entry.is_fresh());
-        // Stale summaries ignore folds (the base is already wrong).
+        assert_eq!((entry.version(), entry.rows_folded()), (1, 0));
+
         store.fold_rows("x", t.schema(), &[vec![Value::Int(3), Value::Float(9.0)]]);
-        assert!(!entry.is_fresh());
-        entry.rebuild(&t).unwrap();
-        assert!(entry.is_fresh());
+        assert_eq!((entry.version(), entry.rows_folded()), (1, 1));
+
+        store.build_for_table("x", &t, None).unwrap().install();
+        assert_eq!((entry.version(), entry.rows_folded()), (2, 1));
         let SummaryData::Global(nlq) = entry.snapshot().data else {
             panic!()
         };
         assert_eq!(nlq.n(), 2.0);
-    }
-
-    #[test]
-    fn version_and_rows_folded_advance_on_every_transition() {
-        let t = points_table(&[vec![1.0], vec![2.0]], 1);
-        let store = SummaryStore::new();
-        store
-            .create(def("s", &["X1"], MatrixShape::Diagonal, None), &t)
-            .unwrap();
-        let entry = store.get("s").unwrap();
-        assert_eq!(entry.version(), 1);
-        assert_eq!(entry.rows_folded(), 0);
-
-        store.fold_rows("x", t.schema(), &[vec![Value::Int(3), Value::Float(9.0)]]);
-        assert_eq!(entry.version(), 2);
-        assert_eq!(entry.rows_folded(), 1);
-
-        store.mark_stale_for_table("x");
-        assert_eq!(entry.version(), 3);
-        // Stale summaries ignore folds: neither counter moves.
-        store.fold_rows("x", t.schema(), &[vec![Value::Int(4), Value::Float(1.0)]]);
-        assert_eq!(entry.version(), 3);
-        assert_eq!(entry.rows_folded(), 1);
-
-        entry.rebuild(&t).unwrap();
-        assert_eq!(entry.version(), 4);
-
-        // NO MINMAX global summaries also count subtracted rows.
-        let mut nm = def("nm", &["X1"], MatrixShape::Diagonal, None);
-        nm.minmax = false;
-        store.create(nm, &t).unwrap();
-        let nm = store.get("nm").unwrap();
-        store.fold_deleted_rows("x", t.schema(), &[vec![Value::Int(1), Value::Float(1.0)]]);
-        assert_eq!(nm.version(), 2);
-        assert_eq!(nm.rows_folded(), 1);
-        assert!(nm.is_fresh());
     }
 
     #[test]
@@ -1108,6 +1013,13 @@ mod tests {
         assert!(matches!(
             store.create(def("s", &[], MatrixShape::Diagonal, None), &t),
             Err(SummaryError::NoColumns)
+        ));
+        // Even over an empty table, where no fold would run yet.
+        let wide: Vec<&str> = vec!["X1"; MAX_D + 1];
+        let empty = Table::new(Schema::points(1, false), 1);
+        assert!(matches!(
+            store.create(def("s", &wide, MatrixShape::Diagonal, None), &empty),
+            Err(SummaryError::TooManyColumns(_))
         ));
         store
             .create(def("s", &["X1"], MatrixShape::Diagonal, None), &t)

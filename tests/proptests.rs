@@ -129,8 +129,10 @@ fn covariance_is_psd_and_correlation_bounded() {
 fn block_scan_matches_row_scan() {
     // Every aggregate builtin must answer the same value *of the same
     // type* on every path: the block-at-a-time scan, the row-at-a-time
-    // scan, four shards, and a materialized Γ summary. Floats agree
-    // within reassociation noise (1e-12 relative), Ints bit for bit.
+    // scan, four shards, and a materialized Γ summary — as loaded, then
+    // after a DELETE, then after an UPDATE, where the summary must
+    // still answer without scanning a row. Floats agree within
+    // reassociation noise (1e-12 relative), Ints bit for bit.
     // The data crosses the 1024-row block boundary in some cases, has
     // tables smaller than the worker count (empty partitions), NULL
     // holes in most cases (a summary answers only NULL-free data), and
@@ -151,7 +153,6 @@ fn block_scan_matches_row_scan() {
 
         let mut table = Table::new(Schema::points(d, false), workers);
         let mut inserts = Vec::new();
-        let mut any_null = false;
         for i in 0..n {
             let mut row = vec![Value::Int(i as i64 + 1)];
             for _ in 0..d {
@@ -171,7 +172,6 @@ fn block_scan_matches_row_scan() {
                 })
                 .collect();
             inserts.push(format!("({})", cells.join(", ")));
-            any_null |= row.contains(&Value::Null);
             table.insert(row).unwrap();
         }
 
@@ -225,17 +225,14 @@ fn block_scan_matches_row_scan() {
             format!("SELECT {} FROM X", list.join(", "))
         };
 
-        let via_rows = row_db.execute_with(&select(false), &row_scan()).unwrap();
-        let via_blocks = block_db.execute(&select(false)).unwrap();
-        let via_partitions: Vec<(usize, nlq::engine::ResultSet)> = partitioned
-            .iter()
-            .map(|(w, db)| (*w, db.execute(&select(false)).unwrap()))
-            .collect();
-        let via_summary = summary_db.execute(&select(true)).unwrap();
-        assert!(via_blocks.stats.block_path);
-        assert!(!via_rows.stats.block_path);
-        assert_eq!(via_summary.stats.summary_path, !any_null);
-
+        let null_rows = format!(
+            "SELECT count(*) FROM X WHERE {}",
+            coords
+                .iter()
+                .map(|c| format!("{c} IS NULL"))
+                .collect::<Vec<_>>()
+                .join(" OR ")
+        );
         let tight = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + a.abs().max(b.abs()));
         let same = |got: &Value, want: &Value, ctx: &str| match (got, want) {
             (Value::Float(a), Value::Float(b)) => assert!(tight(*a, *b), "{ctx}: {a} vs {b}"),
@@ -253,20 +250,58 @@ fn block_scan_matches_row_scan() {
             }
             _ => assert_eq!(got, want, "{ctx}"),
         };
-        let mut summary_col = 0;
-        for (col, (call, summary_ok)) in calls.iter().enumerate() {
-            let want = via_rows.value(0, col);
-            same(via_blocks.value(0, col), want, &format!("block {call}"));
-            for (w, rs) in &via_partitions {
-                same(rs.value(0, col), want, &format!("{w} partition(s) {call}"));
+        for (round, dml) in [
+            None,
+            Some("DELETE FROM X WHERE i % 3 = 0"),
+            Some("UPDATE X SET X1 = X2 + 0.5, X2 = 7 WHERE i % 4 = 1"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            if let Some(dml) = dml {
+                let dbs = [&block_db, &row_db, &summary_db].into_iter();
+                for db in dbs.chain(partitioned.iter().map(|(_, db)| db)) {
+                    db.execute(dml).unwrap();
+                }
             }
-            if *summary_ok {
+            let any_null = row_db.execute(&null_rows).unwrap().value(0, 0) != &Value::Int(0);
+            let via_rows = row_db.execute_with(&select(false), &row_scan()).unwrap();
+            let via_blocks = block_db.execute(&select(false)).unwrap();
+            let via_partitions: Vec<(usize, nlq::engine::ResultSet)> = partitioned
+                .iter()
+                .map(|(w, db)| (*w, db.execute(&select(false)).unwrap()))
+                .collect();
+            let via_summary = summary_db.execute(&select(true)).unwrap();
+            assert!(via_blocks.stats.block_path);
+            assert!(!via_rows.stats.block_path);
+            assert_eq!(via_summary.stats.summary_path, !any_null, "round {round}");
+            if !any_null {
+                assert_eq!(via_summary.stats.rows_scanned, 0, "round {round}");
+            }
+
+            let mut summary_col = 0;
+            for (col, (call, summary_ok)) in calls.iter().enumerate() {
+                let want = via_rows.value(0, col);
                 same(
-                    via_summary.value(0, summary_col),
+                    via_blocks.value(0, col),
                     want,
-                    &format!("summary {call}"),
+                    &format!("round {round} block {call}"),
                 );
-                summary_col += 1;
+                for (w, rs) in &via_partitions {
+                    same(
+                        rs.value(0, col),
+                        want,
+                        &format!("round {round} {w} partition(s) {call}"),
+                    );
+                }
+                if *summary_ok {
+                    same(
+                        via_summary.value(0, summary_col),
+                        want,
+                        &format!("round {round} summary {call}"),
+                    );
+                    summary_col += 1;
+                }
             }
         }
     });
@@ -503,7 +538,8 @@ fn partition_count_does_not_change_results() {
 #[test]
 fn concurrent_mixed_sessions_match_serial_replay() {
     // N threads hammer one shared `Db` with interleaved DDL, INSERTs,
-    // summary builds, aggregates, and scoring queries. Each thread
+    // DELETEs, UPDATEs, summary builds, aggregates, and scoring
+    // queries. Each thread
     // owns its tables, so the answers it observes must be exactly the
     // answers a serial replay of that thread's script produces —
     // regardless of how the threads interleave on the shared catalog,
@@ -541,6 +577,14 @@ fn concurrent_mixed_sessions_match_serial_replay() {
                     rng.range_f64(-50.0, 50.0)
                 ));
                 next_id += 1;
+            }
+            let r = rng.range_usize(0, 3);
+            match rng.range_usize(0, 3) {
+                0 => out.push(format!("DELETE FROM {t} WHERE i % 4 = {r}")),
+                1 => out.push(format!(
+                    "UPDATE {t} SET X1 = X2 * 0.5, X2 = X1 + 1.25 WHERE i % 3 = {r}"
+                )),
+                _ => {}
             }
             match rng.range_usize(0, 3) {
                 0 => out.push(format!("SELECT count(*), sum(X1), sum(X2) FROM {t}")),
