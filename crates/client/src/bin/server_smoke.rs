@@ -31,9 +31,11 @@
 //! and batch scores must still match the ingested formula.
 //! `--sys` runs the introspection script instead: real statements must
 //! be visible in `sys.queries` under their stream-minted query ids
-//! with nonzero phase times, Γ aggregates must ride the block path over the catalog, and `sys.wal`
-//! must reflect a `CHECKPOINT` on a durable server. It creates table
-//! `SY` and drops it again, so it can run more than once against one
+//! with nonzero phase times, Γ aggregates must ride the block path over the catalog, `sys.wal`
+//! must reflect a `CHECKPOINT` on a durable server, and a batch score,
+//! an ingest envelope and the checkpoint must each leave one
+//! `sys.queries` row of their kind. It creates tables `SY` and `SYB`
+//! and drops them again, so it can run more than once against one
 //! durable directory.
 
 use std::process::ExitCode;
@@ -291,25 +293,32 @@ fn run(
 /// turn the engine on itself. `sys.queries` must see them — under the
 /// query id the stream header carried — with nonzero phase times; Γ
 /// aggregates must answer over the telemetry snapshot
-/// through the normal block path; and after a `CHECKPOINT`, `sys.wal`
+/// through the normal block path; after a `CHECKPOINT`, `sys.wal`
 /// must reflect it on a durable server (a volatile server serves an
-/// empty `sys.wal` instead).
+/// empty `sys.wal` instead); and the batch score, the ingest envelope
+/// and the checkpoint must each leave one `sys.queries` row of their
+/// kind.
 fn run_sys(addr: &str, skip_shutdown: bool) -> Result<(), String> {
     let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
     c.ping().map_err(|e| format!("ping: {e}"))?;
     let session = c.session_id();
     println!("sys session {session} established");
 
-    // A durable server keeps `SY` across restarts if an earlier run
-    // stopped before its final DROP; only its absence is fine here.
-    match c.execute("DROP TABLE SY") {
-        Ok(_) => println!("dropped a leftover SY"),
-        Err(ClientError::Server { code, message })
-            if code == ErrorCode::Sql && message.starts_with("unknown table or view") => {}
-        Err(e) => return Err(format!("drop leftover SY: {e}")),
+    // A durable server keeps the tables across restarts if an earlier
+    // run stopped before its final DROPs; only their absence is fine.
+    for table in ["SY", "SYB"] {
+        match c.execute(&format!("DROP TABLE {table}")) {
+            Ok(_) => println!("dropped a leftover {table}"),
+            Err(ClientError::Server { code, message })
+                if code == ErrorCode::Sql && message.starts_with("unknown table or view") => {}
+            Err(e) => return Err(format!("drop leftover {table}: {e}")),
+        }
     }
     c.execute("CREATE TABLE SY (i INT, X1 FLOAT)")
         .map_err(|e| format!("create SY: {e}"))?;
+    c.execute("CREATE TABLE SYB (b0 FLOAT, b1 FLOAT)")
+        .and_then(|_| c.execute("INSERT INTO SYB VALUES (1.0, 0.5)"))
+        .map_err(|e| format!("create SYB: {e}"))?;
     let values: Vec<String> = (1..=2000).map(|i| format!("({i}, {i}.0)")).collect();
     for batch in values.chunks(500) {
         c.execute(&format!("INSERT INTO SY VALUES {}", batch.join(", ")))
@@ -362,6 +371,25 @@ fn run_sys(addr: &str, skip_shutdown: bool) -> Result<(), String> {
         ));
     }
     println!("sys.queries ok (query {qid}: total={total_us:.1}µs, parse={parse_us:.1}µs)");
+
+    // The other request kinds that do work: a batch score and a
+    // two-row ingest envelope (the checkpoint follows below).
+    let scored = c.batch_score("SY", "SYB", &[1, 2], false);
+    let scored = scored.map_err(|e| format!("batch score: {e}"))?.rows.len();
+    let mut ing = c
+        .begin_ingest("SY", &[])
+        .map_err(|e| format!("ingest: {e}"))?;
+    let rows = vec![
+        vec![Value::Int(2001), Value::Float(1.0)],
+        vec![Value::Int(2002), Value::Float(2.0)],
+    ];
+    let acked = ing.chunk(rows).and_then(|_| ing.finish());
+    let acked = acked.map_err(|e| format!("ingest: {e}"))?;
+    if (scored, acked) != (2, 2) {
+        return Err(format!(
+            "{scored} rows scored, {acked} ingested; want 2 and 2"
+        ));
+    }
 
     // Γ over telemetry: the paper's summary aggregate runs over the
     // catalog snapshot like any other table...
@@ -417,6 +445,19 @@ fn run_sys(addr: &str, skip_shutdown: bool) -> Result<(), String> {
         println!("sys.wal ok (durable server, {checkpoints} checkpoint(s))");
     }
 
+    // Every request that does work left its record, of its kind.
+    let rs = c
+        .execute(&format!(
+            "SELECT kind FROM sys.queries WHERE session = {session} \
+             AND kind <> 'execute' ORDER BY kind"
+        ))
+        .map_err(|e| format!("sys.queries kinds: {e}"))?;
+    let kinds: Vec<&str> = rs.rows.iter().filter_map(|r| r[0].as_str()).collect();
+    if kinds != ["batch_score", "checkpoint", "ingest"] {
+        return Err(format!("sys.queries kinds {kinds:?}, want one of each"));
+    }
+    println!("sys.queries kinds ok (one batch_score, ingest and checkpoint record)");
+
     let prom = c
         .metrics_prometheus()
         .map_err(|e| format!("metrics prometheus: {e}"))?;
@@ -426,8 +467,10 @@ fn run_sys(addr: &str, skip_shutdown: bool) -> Result<(), String> {
 
     // Leave the durable directory as the script found it, so `--sys`
     // can run again after a restart.
-    c.execute("DROP TABLE SY")
-        .map_err(|e| format!("drop SY: {e}"))?;
+    for table in ["SY", "SYB"] {
+        c.execute(&format!("DROP TABLE {table}"))
+            .map_err(|e| format!("drop {table}: {e}"))?;
+    }
 
     if !skip_shutdown {
         c.shutdown().map_err(|e| format!("shutdown: {e}"))?;

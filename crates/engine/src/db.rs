@@ -17,7 +17,7 @@ use nlq_udf::{ParamStyle, UdfRegistry};
 use crate::ast::{Expr, Statement};
 use crate::cache::{CacheOutcome, PlanCache};
 use crate::catalog::{Catalog, CatalogEntry};
-use crate::durable::{DurabilityStats, LogSet, Payload, Recovered, RecoveryInfo};
+use crate::durable::{DurabilityStats, EnvelopeCost, LogSet, Payload, Recovered, RecoveryInfo};
 use crate::exec::{check_cancelled, result_to_table, ExecContext};
 use crate::expr::{Binder, BoundSchema};
 use crate::output::ResultBlock;
@@ -73,6 +73,12 @@ pub struct ExecStats {
     pub merge_nanos: u64,
     /// Phase 4 (finalize + HAVING + projection) time on the master.
     pub finalize_nanos: u64,
+    /// Wall-clock time resolving keyed rows through the primary-key
+    /// index (batch scoring's gather, in place of a scan).
+    pub lookup_nanos: u64,
+    /// Wall-clock time applying an ingest batch to its table and
+    /// folding it into the table's summaries.
+    pub ingest_nanos: u64,
     /// Wall-clock time spent appending write-ahead-log records and
     /// waiting on the commit fsync. Always 0 on a non-durable engine
     /// and for read-only statements.
@@ -90,12 +96,6 @@ pub struct ExecStats {
     /// around each, into a sink that outlives an error). Its trace
     /// takes the same total.
     pub cpu_nanos: u64,
-    /// Whether the statement was cancelled mid-execution. The engine
-    /// never returns a [`ResultSet`] for a cancelled statement (it
-    /// returns [`EngineError::Cancelled`]); this flag exists so
-    /// serving layers can report "last statement was cancelled after
-    /// `rows_scanned` rows" through the same stats struct.
-    pub cancelled: bool,
 }
 
 /// Fewest blocks worth a row-building task of their own: a block's
@@ -468,13 +468,8 @@ impl Db {
         let parse_started = Instant::now();
         let (stmt, outcome) = match self.cache.get_or_parse(sql) {
             Ok(parsed) => parsed,
-            Err(e) => {
-                // A failed parse burned CPU too.
-                if let Some(trace) = &opts.trace {
-                    trace.add_cpu_nanos(thread_cpu_nanos().saturating_sub(cpu_started));
-                }
-                return Err(e);
-            }
+            // A failed parse burned CPU too.
+            Err(e) => return settle(Err(e), cpu_started, AtomicU64::new(0), opts),
         };
         let parse_nanos = match outcome {
             CacheOutcome::Hit => 0,
@@ -510,8 +505,7 @@ impl Db {
         Ok(rs)
     }
 
-    /// Runs one statement as an envelope, then charges its log cost,
-    /// parse time and CPU and records its phase spans.
+    /// Runs one statement as an envelope, then [`settle`]s it.
     fn run(
         &self,
         stmt: &Statement,
@@ -523,31 +517,11 @@ impl Db {
     ) -> Result<ResultSet> {
         let helper_cpu = AtomicU64::new(0);
         let done = LogSet::envelope(self.logs.as_ref(), payload, || {
-            self.dispatch(stmt, opts, outcome, parse_nanos, &helper_cpu)
+            let mut rs = self.dispatch(stmt, opts, outcome, parse_nanos, &helper_cpu)?;
+            rs.stats.parse_nanos = parse_nanos;
+            Ok(rs)
         });
-        // The calling thread's CPU and its scan helpers' count on
-        // either outcome: the helpers' sink outlives an error.
-        let cpu = thread_cpu_nanos().saturating_sub(cpu_started) + helper_cpu.into_inner();
-        let (mut rs, cost) = match done {
-            Ok(done) => done,
-            Err(e) => {
-                if let Some(trace) = &opts.trace {
-                    trace.add_cpu_nanos(cpu);
-                }
-                return Err(e);
-            }
-        };
-        cost.charge(&mut rs.stats);
-        rs.stats.parse_nanos = parse_nanos;
-        rs.stats.cpu_nanos = cpu;
-        if let Some(trace) = &opts.trace {
-            trace.add_cpu_nanos(cpu);
-            trace.add_wal(rs.stats.wal_bytes, rs.stats.wal_fsyncs);
-            for span in phase_spans(&rs.stats) {
-                trace.record(span);
-            }
-        }
-        Ok(rs)
+        settle(done, cpu_started, helper_cpu, opts)
     }
 
     fn dispatch(
@@ -974,6 +948,39 @@ impl Db {
     pub fn checkpoint(&self) -> Result<bool> {
         SqlEngine::checkpoint(self, 0)
     }
+
+    /// [`SqlEngine::ingest`], untraced.
+    pub fn ingest_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
+        SqlEngine::ingest(self, table, rows, &ExecOptions::default())
+    }
+}
+
+/// The epilogue of every engine call a serving layer traces — a
+/// statement, a batch score, an ingest commit. It charges the calling
+/// thread's CPU since `cpu_started`, plus what its scan helpers put in
+/// `helper_cpu`, on either outcome (the sink outlives an error); on
+/// success it charges the envelope's log cost and records the phase
+/// spans.
+fn settle(
+    done: Result<(ResultSet, EnvelopeCost)>,
+    cpu_started: u64,
+    helper_cpu: AtomicU64,
+    opts: &ExecOptions,
+) -> Result<ResultSet> {
+    let cpu = thread_cpu_nanos().saturating_sub(cpu_started) + helper_cpu.into_inner();
+    if let Some(trace) = &opts.trace {
+        trace.add_cpu_nanos(cpu);
+    }
+    let (mut rs, cost) = done?;
+    cost.charge(&mut rs.stats);
+    rs.stats.cpu_nanos = cpu;
+    if let Some(trace) = &opts.trace {
+        trace.add_wal(rs.stats.wal_bytes, rs.stats.wal_fsyncs);
+        for span in phase_spans(&rs.stats) {
+            trace.record(span);
+        }
+    }
+    Ok(rs)
 }
 
 /// Parses the wide one-row result of the pure-SQL `n, L, Q` query into
@@ -1024,7 +1031,10 @@ fn phase_spans(stats: &ExecStats) -> Vec<Span> {
     if stats.summary_nanos > 0 || stats.summary_path {
         spans.push(Span::new(Phase::SummaryLookup, stats.summary_nanos));
     }
-    if stats.scan_nanos > 0 || stats.rows_scanned > 0 {
+    if stats.lookup_nanos > 0 {
+        // A keyed lookup replaces the scan.
+        spans.push(Span::new(Phase::PointLookup, stats.lookup_nanos).rows(stats.rows_scanned));
+    } else if stats.scan_nanos > 0 || stats.rows_scanned > 0 {
         spans.push(
             Span::new(Phase::Scan, stats.scan_nanos)
                 .rows(stats.rows_scanned)
@@ -1033,6 +1043,9 @@ fn phase_spans(stats: &ExecStats) -> Vec<Span> {
     }
     if stats.finalize_nanos > 0 {
         spans.push(Span::new(Phase::Finalize, stats.finalize_nanos));
+    }
+    if stats.ingest_nanos > 0 {
+        spans.push(Span::new(Phase::Ingest, stats.ingest_nanos));
     }
     if stats.wal_nanos > 0 {
         spans.push(Span::new(Phase::Wal, stats.wal_nanos).bytes(stats.wal_bytes));
@@ -1135,8 +1148,7 @@ pub struct SummaryRefreshState {
 /// model publication) and observability hooks. [`Db`] is its only
 /// implementation; the trait stays because the server holds an
 /// `Arc<dyn SqlEngine>` and the repository benchmark names it
-/// (`Arc<Db> as Arc<dyn SqlEngine>`, `SqlEngine::{batch_score,
-/// ingest_rows}`).
+/// (`Arc<Db> as Arc<dyn SqlEngine>`, `SqlEngine::batch_score`).
 pub trait SqlEngine: Send + Sync {
     /// Parses and executes one SQL statement with per-statement
     /// execution options.
@@ -1152,11 +1164,12 @@ pub trait SqlEngine: Send + Sync {
     fn engine_stats(&self) -> EngineStats;
 
     /// Appends pre-evaluated rows to a table (the streamed-ingest
-    /// commit). The batch is atomic from the reader's point of view:
-    /// the table generation swaps once, after every row validated.
-    /// The Γ summaries on the table fold the delta in incrementally.
-    /// Returns the number of rows accepted.
-    fn ingest_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64>;
+    /// commit), traced per `opts` like a statement. The batch is
+    /// atomic from the reader's point of view: the table generation
+    /// swaps once, after every row validated. The Γ summaries on the
+    /// table fold the delta in incrementally. Returns the number of
+    /// rows accepted.
+    fn ingest(&self, table: &str, rows: Vec<Row>, opts: &ExecOptions) -> Result<u64>;
 
     /// The schema of a base table (ingest headers validate against it
     /// before any chunk is accepted).
@@ -1218,14 +1231,19 @@ impl SqlEngine for Db {
 
     /// Streamed-ingest commit. On a durable engine the batch is one
     /// envelope, so ack-at-Done implies durable-at-Done.
-    fn ingest_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
-        let n = rows.len() as u64;
+    fn ingest(&self, table: &str, rows: Vec<Row>, opts: &ExecOptions) -> Result<u64> {
+        let cpu_started = thread_cpu_nanos();
         let schema = self.table_schema(table)?;
         let payload = Payload::rows(table, &schema, &rows);
-        LogSet::envelope(self.logs.as_ref(), payload, || {
-            self.append_rows(table, &rows)
-        })?;
-        Ok(n)
+        let done = LogSet::envelope(self.logs.as_ref(), payload, || {
+            let started = Instant::now();
+            self.append_rows(table, &rows)?;
+            let mut rs = ResultSet::empty();
+            rs.stats.ingest_nanos = started.elapsed().as_nanos() as u64;
+            Ok(rs)
+        });
+        settle(done, cpu_started, AtomicU64::new(0), opts)?;
+        Ok(rows.len() as u64)
     }
 
     fn table_schema(&self, name: &str) -> Result<Schema> {
@@ -1243,14 +1261,15 @@ impl SqlEngine for Db {
         explain: bool,
         opts: &ExecOptions,
     ) -> Result<ResultSet> {
-        let cpu = AtomicU64::new(0);
-        crate::serve::batch_score(
-            &self.ctx(opts, &cpu),
-            table,
-            model,
-            keys,
-            explain,
-            opts.trace.as_ref(),
+        let cpu_started = thread_cpu_nanos();
+        let helper_cpu = AtomicU64::new(0);
+        let done =
+            crate::serve::batch_score(&self.ctx(opts, &helper_cpu), table, model, keys, explain);
+        settle(
+            done.map(|rs| (rs, EnvelopeCost::default())),
+            cpu_started,
+            helper_cpu,
+            opts,
         )
     }
 

@@ -11,7 +11,6 @@
 use std::time::Instant;
 
 use nlq_linalg::{Matrix, Vector};
-use nlq_obs::{Phase, Span, Trace};
 use nlq_storage::{bitmap_mask_tail, bitmap_words, Column, DataType, Row, Schema, Table, Value};
 use nlq_udf::ScalarBatchArg;
 
@@ -276,7 +275,6 @@ pub(crate) fn batch_score(
     model: &str,
     keys: &[i64],
     explain: bool,
-    trace: Option<&Trace>,
 ) -> Result<ResultSet> {
     if keys.len() > MAX_SCORE_KEYS {
         return Err(EngineError::Unsupported(format!(
@@ -370,10 +368,8 @@ pub(crate) fn batch_score(
     }
     let mut rs = ResultSet::new(vec![key_name, "score".into()], out_rows);
     rs.stats.rows_scanned = n as u64;
-    if let Some(trace) = trace {
-        trace.record(Span::new(Phase::PointLookup, lookup_nanos).rows(n as u64));
-        trace.record(Span::new(Phase::Finalize, score_nanos));
-    }
+    rs.stats.lookup_nanos = lookup_nanos;
+    rs.stats.finalize_nanos = score_nanos;
     Ok(rs)
 }
 

@@ -41,7 +41,8 @@ fn reopen_replays_statements_and_envelopes(engine: Engine) {
         sql(&*e, "CREATE TABLE t (i INT, x FLOAT)").unwrap();
         sql(&*e, "CREATE SUMMARY st ON t (x) NO MINMAX").unwrap();
         sql(&*e, "INSERT INTO t VALUES (1, 1.5), (2, 2.5), (3, 3.5)").unwrap();
-        e.ingest_rows("t", vec![row(4, 4.5), row(5, 5.5)]).unwrap();
+        e.ingest("t", vec![row(4, 4.5), row(5, 5.5)], &ExecOptions::default())
+            .unwrap();
     }
     let e = engine.open(&dir, true);
     let info = durability(&*e).recovery;
@@ -60,8 +61,12 @@ fn checkpoint_truncates_log_and_survives_reopen(engine: Engine) {
         let e = engine.open(&dir, true);
         sql(&*e, "CREATE TABLE t (i INT, x FLOAT)").unwrap();
         sql(&*e, "CREATE VIEW v AS SELECT x FROM t WHERE i < 3").unwrap();
-        e.ingest_rows("t", (1..=8).map(|i| row(i, i as f64)).collect())
-            .unwrap();
+        e.ingest(
+            "t",
+            (1..=8).map(|i| row(i, i as f64)).collect(),
+            &ExecOptions::default(),
+        )
+        .unwrap();
         assert!(e.checkpoint(0).unwrap());
         assert_eq!(durability(&*e).log_bytes, 0, "checkpoint resets the log");
         sql(&*e, "INSERT INTO t VALUES (9, 9.0)").unwrap();
@@ -90,7 +95,8 @@ fn concurrent_threshold_crossings_checkpoint_exactly_once(engine: Engine) {
             .map(|k| {
                 let (e, barrier) = (&*e, &barrier);
                 s.spawn(move || {
-                    e.ingest_rows("t", vec![row(k, 1.0)]).unwrap();
+                    e.ingest("t", vec![row(k, 1.0)], &ExecOptions::default())
+                        .unwrap();
                     // Every envelope is committed — the log is past the
                     // threshold for all of them — before anyone checks it.
                     barrier.wait();
@@ -138,12 +144,13 @@ fn crash_mid_envelope_commits_nothing_and_acked_survives(engine: Engine) {
     {
         let e = engine.open(&dir, true);
         sql(&*e, "CREATE TABLE t (i INT, x FLOAT)").unwrap();
-        e.ingest_rows("t", vec![row(1, 1.0)]).unwrap();
+        e.ingest("t", vec![row(1, 1.0)], &ExecOptions::default())
+            .unwrap();
     }
     // Allow 10 more appended bytes: the next envelope's payload record
     // tears mid-append, so its ingest never acks.
     let (e, ff) = engine.open_faulted(&dir, Some(10));
-    let torn = e.ingest_rows("t", vec![row(2, 2.0)]);
+    let torn = e.ingest("t", vec![row(2, 2.0)], &ExecOptions::default());
     assert!(torn.is_err(), "append crossed the budget: simulated crash");
     drop(e);
     engine.corrupt_tail(&dir, &ff, &mut Rng::new(7));
@@ -231,7 +238,9 @@ fn gen_trace(rng: &mut Rng) -> Vec<Op> {
 fn apply(e: &dyn SqlEngine, op: &Op) -> nlq_engine::Result<()> {
     match op {
         Op::Sql(s) => sql(e, s).map(|_| ()),
-        Op::Ingest(rows) => e.ingest_rows("t", rows.clone()).map(|_| ()),
+        Op::Ingest(rows) => e
+            .ingest("t", rows.clone(), &ExecOptions::default())
+            .map(|_| ()),
         Op::Checkpoint => e.checkpoint(0).map(|_| ()),
     }
 }

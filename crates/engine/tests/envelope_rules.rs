@@ -4,6 +4,7 @@
 
 use std::sync::Barrier;
 
+use nlq_engine::ExecOptions;
 use nlq_storage::Value;
 
 #[macro_use]
@@ -19,7 +20,8 @@ fn single_log_envelopes_cost_one_fsync_and_two_records(engine: Engine) {
     sql(&*e, "CREATE TABLE t (i INT, x FLOAT)").unwrap();
     let before = durability(&*e).wal;
     for k in 0..N {
-        e.ingest_rows("t", vec![row(k as i64, 1.0)]).unwrap();
+        e.ingest("t", vec![row(k as i64, 1.0)], &ExecOptions::default())
+            .unwrap();
     }
     let after = durability(&*e).wal;
     assert_eq!(after.fsyncs - before.fsyncs, N);
@@ -35,9 +37,12 @@ fn bad_row_rejects_the_whole_envelope(engine: Engine) {
     let dir = engine.temp_dir("badrow");
     for e in [engine.volatile(), engine.open(&dir, true)] {
         sql(&*e, "CREATE TABLE t (i INT, x FLOAT)").unwrap();
-        e.ingest_rows("t", vec![row(1, 1.0), row(2, 2.0)]).unwrap();
+        e.ingest("t", vec![row(1, 1.0), row(2, 2.0)], &ExecOptions::default())
+            .unwrap();
         for _ in 0..4 {
-            assert!(e.ingest_rows("t", batch.clone()).is_err());
+            assert!(e
+                .ingest("t", batch.clone(), &ExecOptions::default())
+                .is_err());
             assert_count_sum(&*e, 2, 3.0);
         }
     }
@@ -68,7 +73,7 @@ fn reopen_equals_live_state_under_racing_sessions(engine: Engine) {
                 let fresh = format!("INSERT INTO t VALUES ({i}, 1.0), ({}, 1.0)", i + 1);
                 sql(&*e, &fresh).unwrap();
                 let fresh = (i + 2..i + 6).map(|i| row(i, 1.0)).collect();
-                e.ingest_rows("t", fresh).unwrap();
+                e.ingest("t", fresh, &ExecOptions::default()).unwrap();
             }
         });
     });

@@ -207,7 +207,7 @@ fn ingest_rows_partitions_folds_and_serves() {
             ]
         })
         .collect();
-    let accepted = SqlEngine::ingest_rows(&db, "pts", rows).unwrap();
+    let accepted = SqlEngine::ingest(&db, "pts", rows, &ExecOptions::default()).unwrap();
     assert_eq!(accepted, 400);
     assert_eq!(count_rows(&db, "pts"), 500);
 

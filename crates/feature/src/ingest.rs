@@ -22,12 +22,12 @@
 //!   the header did not name.
 //! * Nothing is visible to readers until [`IngestStream::done`]: the
 //!   buffered rows commit as one
-//!   [`ingest_rows`](nlq_engine::SqlEngine::ingest_rows) batch, which
+//!   [`ingest`](nlq_engine::SqlEngine::ingest) batch, which
 //!   appends through the seal-on-write segment path and folds the
 //!   delta into eligible Γ summaries. Dropping the stream (client
 //!   disconnect, explicit abort) commits nothing.
 
-use nlq_engine::SqlEngine;
+use nlq_engine::{ExecOptions, SqlEngine};
 use nlq_storage::{DataType, Row, Schema, Value};
 
 use crate::{FeatureError, Result};
@@ -166,9 +166,9 @@ impl IngestStream {
 
     /// Commits the stream (`InsertDone`): every buffered row goes to
     /// the engine as one atomic batch. Returns the rows accepted — the
-    /// value the `InsertAck` carries. Consumes the stream either way;
-    /// on error nothing was committed.
-    pub fn done(self, engine: &dyn SqlEngine) -> Result<u64> {
+    /// value the `InsertAck` carries. The commit is traced per `opts`.
+    /// Consumes the stream either way; on error nothing was committed.
+    pub fn done(self, engine: &dyn SqlEngine, opts: &ExecOptions) -> Result<u64> {
         if self.state == IngestState::Failed {
             return Err(FeatureError::Protocol(
                 "stream already failed; nothing to commit".into(),
@@ -177,7 +177,7 @@ impl IngestStream {
         if self.rows.is_empty() {
             return Ok(0);
         }
-        Ok(engine.ingest_rows(&self.table, self.rows)?)
+        Ok(engine.ingest(&self.table, self.rows, opts)?)
     }
 }
 
@@ -224,7 +224,7 @@ mod tests {
         let rs = db.execute("SELECT count(*) FROM pts").unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(0));
         assert_eq!(s.rows_buffered(), 3);
-        assert_eq!(s.done(&db).unwrap(), 3);
+        assert_eq!(s.done(&db, &ExecOptions::default()).unwrap(), 3);
         let rs = db.execute("SELECT count(*) FROM pts").unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(3));
     }
@@ -235,7 +235,7 @@ mod tests {
         let mut s = IngestStream::begin(&db, "pts", &cols(&["X2", "i"])).unwrap();
         s.chunk(0, vec![vec![Value::Float(7.0), Value::Int(42)]])
             .unwrap();
-        s.done(&db).unwrap();
+        s.done(&db, &ExecOptions::default()).unwrap();
         let rs = db.execute("SELECT i, X1, X2 FROM pts").unwrap();
         assert_eq!(
             rs.rows[0],
@@ -253,7 +253,7 @@ mod tests {
         assert_eq!(s.state(), IngestState::Failed);
         // Every further frame fails, including the commit.
         assert!(s.chunk(1, vec![]).is_err());
-        assert!(s.done(&db).is_err());
+        assert!(s.done(&db, &ExecOptions::default()).is_err());
         let rs = db.execute("SELECT count(*) FROM pts").unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(0));
     }
@@ -276,7 +276,7 @@ mod tests {
         let mut s = IngestStream::begin(&db, "pts", &[]).unwrap();
         s.chunk(0, vec![vec![Value::Int(1), Value::Int(3), Value::Int(4)]])
             .unwrap();
-        s.done(&db).unwrap();
+        s.done(&db, &ExecOptions::default()).unwrap();
         let rs = db.execute("SELECT X1 FROM pts").unwrap();
         assert_eq!(rs.rows[0][0], Value::Float(3.0));
     }

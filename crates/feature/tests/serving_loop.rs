@@ -64,7 +64,7 @@ fn stream_in(engine: &dyn SqlEngine, rng: &mut Rng, rows: &[Row], max_chunk: usi
         seq += 1;
         off += take;
     }
-    s.done(engine).unwrap()
+    s.done(engine, &ExecOptions::default()).unwrap()
 }
 
 #[test]
@@ -83,7 +83,8 @@ fn streaming_ingest_matches_bulk_load_then_score() {
 
         let accepted = stream_in(streamed.as_ref(), rng, &rows, 700);
         assert_eq!(accepted, n as u64);
-        bulk.ingest_rows("pts", rows.clone()).unwrap();
+        bulk.ingest("pts", rows.clone(), &ExecOptions::default())
+            .unwrap();
 
         // Same model on both engines.
         let beta =
@@ -141,7 +142,7 @@ fn daemon_refresh_matches_cold_full_table_refit() {
         let n0 = rng.range_i64(300, 600);
         let all = gen_rows(rng, n0 + 500, false);
         engine
-            .ingest_rows("pts", all[..n0 as usize].to_vec())
+            .ingest("pts", all[..n0 as usize].to_vec(), &ExecOptions::default())
             .unwrap();
         let mut lp = RefreshLoop::new(
             Arc::clone(&engine),
@@ -220,7 +221,9 @@ fn delete_refits_below_the_delta_threshold() {
         .execute_with("CREATE SUMMARY s ON pts (X1, X2, Y)", &opts)
         .unwrap();
     let rows = gen_rows(&mut Rng::new(0xde1e), 400, false);
-    engine.ingest_rows("pts", rows[..390].to_vec()).unwrap();
+    engine
+        .ingest("pts", rows[..390].to_vec(), &ExecOptions::default())
+        .unwrap();
     let cfg = RefreshConfig {
         min_delta_rows: 1_000,
         ..RefreshConfig::default()
@@ -228,7 +231,9 @@ fn delete_refits_below_the_delta_threshold() {
     let mut lp = RefreshLoop::new(Arc::clone(&engine), vec![Binding::regression("s")], cfg);
     assert_eq!(lp.tick().unwrap(), 1, "the first tick always publishes");
 
-    engine.ingest_rows("pts", rows[390..].to_vec()).unwrap();
+    engine
+        .ingest("pts", rows[390..].to_vec(), &ExecOptions::default())
+        .unwrap();
     assert_eq!(lp.tick().unwrap(), 0, "10 folded rows stay below 1000");
 
     engine
@@ -263,7 +268,7 @@ fn kmeans_binding_warm_starts_and_publishes_centroids() {
             ]
         })
         .collect();
-    engine.ingest_rows("pts", rows).unwrap();
+    engine.ingest("pts", rows, &ExecOptions::default()).unwrap();
 
     let mut lp = RefreshLoop::new(
         Arc::clone(&engine),
@@ -297,7 +302,7 @@ fn kmeans_binding_warm_starts_and_publishes_centroids() {
             ]
         })
         .collect();
-    engine.ingest_rows("pts", more).unwrap();
+    engine.ingest("pts", more, &ExecOptions::default()).unwrap();
     assert_eq!(lp.tick().unwrap(), 1);
     assert_eq!(lp.refreshes(), 2);
 }
@@ -312,7 +317,11 @@ fn pca_binding_publishes_component_led_loadings() {
         .unwrap();
     let mut rng = Rng::new(0x9ca);
     engine
-        .ingest_rows("pts", gen_rows(&mut rng, 300, false))
+        .ingest(
+            "pts",
+            gen_rows(&mut rng, 300, false),
+            &ExecOptions::default(),
+        )
         .unwrap();
 
     let mut lp = RefreshLoop::new(
@@ -341,7 +350,11 @@ fn pca_binding_publishes_component_led_loadings() {
 
     // More rows move the version; the closed-form refit republishes.
     engine
-        .ingest_rows("pts", gen_rows(&mut rng, 100, false))
+        .ingest(
+            "pts",
+            gen_rows(&mut rng, 100, false),
+            &ExecOptions::default(),
+        )
         .unwrap();
     assert_eq!(lp.tick().unwrap(), 1);
     assert_eq!(lp.refreshes(), 2);
@@ -357,7 +370,11 @@ fn auto_discovery_adopts_regression_kmeans_and_pca_bindings() {
         .unwrap();
     let mut rng = Rng::new(0xd15c);
     engine
-        .ingest_rows("pts", gen_rows(&mut rng, 200, false))
+        .ingest(
+            "pts",
+            gen_rows(&mut rng, 200, false),
+            &ExecOptions::default(),
+        )
         .unwrap();
 
     // Pre-existing model tables from "a previous process lifetime":
@@ -410,7 +427,11 @@ fn gated_daemon_reports_growing_staleness_without_sleeps() {
         .unwrap();
     let mut rng = Rng::new(0x57a1e);
     engine
-        .ingest_rows("pts", gen_rows(&mut rng, 100, false))
+        .ingest(
+            "pts",
+            gen_rows(&mut rng, 100, false),
+            &ExecOptions::default(),
+        )
         .unwrap();
 
     let gate = Arc::new(TickGate::default());
@@ -431,11 +452,19 @@ fn gated_daemon_reports_growing_staleness_without_sleeps() {
 
     // The daemon is now frozen (no step): every ingest grows the lag.
     engine
-        .ingest_rows("pts", gen_rows(&mut rng, 40, false))
+        .ingest(
+            "pts",
+            gen_rows(&mut rng, 40, false),
+            &ExecOptions::default(),
+        )
         .unwrap();
     assert_eq!(daemon.staleness(), 40);
     engine
-        .ingest_rows("pts", gen_rows(&mut rng, 25, false))
+        .ingest(
+            "pts",
+            gen_rows(&mut rng, 25, false),
+            &ExecOptions::default(),
+        )
         .unwrap();
     assert_eq!(daemon.staleness(), 65);
 
@@ -456,7 +485,11 @@ fn daemon_thread_refreshes_on_cadence_and_stops() {
         .unwrap();
     let mut rng = Rng::new(0xdaea);
     engine
-        .ingest_rows("pts", gen_rows(&mut rng, 200, false))
+        .ingest(
+            "pts",
+            gen_rows(&mut rng, 200, false),
+            &ExecOptions::default(),
+        )
         .unwrap();
 
     let daemon = RefreshDaemon::spawn(
@@ -486,7 +519,9 @@ fn daemon_thread_refreshes_on_cadence_and_stops() {
             ]
         })
         .collect();
-    engine.ingest_rows("pts", delta).unwrap();
+    engine
+        .ingest("pts", delta, &ExecOptions::default())
+        .unwrap();
     let target = daemon.ticks() + 3;
     assert!(daemon.wait_ticks(target, Duration::from_secs(5)));
     assert!(

@@ -184,11 +184,13 @@ pub enum Outcome {
     Error,
     /// Cancelled mid-execution (client cancel or server drain).
     Cancelled,
-    /// Cancelled while still waiting in the pool queue — no worker
-    /// ever executed it.
+    /// Cancelled while still waiting for an admission slot — it never
+    /// executed.
     CancelledQueued,
     /// Hit the per-query wall-clock limit.
     Timeout,
+    /// Refused by admission: the wait queue was full.
+    Busy,
 }
 
 impl Outcome {
@@ -200,6 +202,7 @@ impl Outcome {
             Outcome::Cancelled => "cancelled",
             Outcome::CancelledQueued => "cancelled-queued",
             Outcome::Timeout => "timeout",
+            Outcome::Busy => "busy",
         }
     }
 }
@@ -320,11 +323,15 @@ pub struct TraceRecord {
     pub query_id: u64,
     /// Session that ran the statement.
     pub session: u64,
+    /// The request kind: `execute`, `batch_score`, `ingest` or
+    /// `checkpoint`.
+    pub kind: &'static str,
     /// Peer address of the session's connection.
     pub peer: String,
-    /// The statement's 1-based `Execute` sequence on its session.
+    /// The statement's 1-based `Execute` sequence on its session (0
+    /// for the other kinds).
     pub seq: u64,
-    /// The SQL text.
+    /// The SQL text, or a description of a request that has none.
     pub sql: String,
     /// How the statement ended.
     pub outcome: Outcome,
@@ -654,6 +661,7 @@ mod tests {
             id,
             query_id: id,
             session,
+            kind: "execute",
             peer: String::new(),
             seq,
             sql,

@@ -66,6 +66,13 @@ const COMMANDS: [(Command, &str); NCOMMANDS] = [
     (Command::Checkpoint, "checkpoint"),
 ];
 
+impl Command {
+    /// Stable lowercase name (the `cmd` label, and `sys.queries.kind`).
+    pub fn name(self) -> &'static str {
+        COMMANDS[slot(self)].1
+    }
+}
+
 fn slot(cmd: Command) -> usize {
     COMMANDS
         .iter()

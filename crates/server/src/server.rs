@@ -13,9 +13,9 @@
 //! statement's cancel token the moment the frame arrives, even while
 //! the session thread is busy executing or streaming that statement.
 //!
-//! The session thread runs each `Execute` itself, with a cancellation
-//! token threaded into the engine's scan loops, and writes the
-//! result straight into its buffered socket writer —
+//! The session thread runs each request itself, with a cancellation
+//! token threaded into the engine's scan loops, and writes an
+//! `Execute`'s result straight into its buffered socket writer —
 //! [`Response::RowsHeader`], each [`Response::RowsChunk`] as it is
 //! cut, then a [`Response::RowsDone`] trailer — flushing once, after
 //! the terminal frame. The socket is the backpressure: a slow client
@@ -32,10 +32,12 @@
 //!
 //! * At most `max_connections` sessions: the `(max+1)`-th connection
 //!   is answered with one [`ErrorCode::Busy`] error frame and closed.
-//! * At most `workers` statements execute at once, and at most
-//!   `queue_capacity` more wait for a slot; past that, `Execute`
-//!   answers `Busy` without waiting. A statement cancelled (or timed
-//!   out) while it waits never executes.
+//! * At most `workers` requests that do work (`Execute`, `BatchScore`,
+//!   `InsertDone`, `Checkpoint`) execute at once, and at most
+//!   `queue_capacity` more wait for a slot; past that, the request
+//!   answers `Busy` without waiting. A request cancelled (or timed
+//!   out) while it waits never executes. All four kinds run through
+//!   one function, `Session::run`, and each leaves one trace record.
 //! * `max_result_rows` and `max_result_bytes` are streaming budgets:
 //!   the row budget is checked before the stream opens, the byte
 //!   budget incrementally as rows are encoded — a result that exceeds
@@ -62,7 +64,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nlq_engine::{EngineError, ExecOptions, ResultBlock, SqlEngine};
+use nlq_engine::{EngineError, ExecOptions, ExecStats, ResultBlock, SqlEngine};
 use nlq_feature::{IngestStream, RefreshConfig, RefreshDaemon, TickGate};
 use nlq_obs::{Outcome, Phase, Span, Trace, TraceRecord, TraceRing};
 use nlq_storage::Row;
@@ -78,18 +80,19 @@ use crate::wire::{
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Statements executing at once, each on its own session thread.
-    /// Also the engine's scan fan-out in the `nlq-server` binary.
+    /// Requests that do work executing at once, each on its own
+    /// session thread. Also the engine's scan fan-out in the
+    /// `nlq-server` binary.
     pub workers: usize,
-    /// Statements that may wait for an execution slot; past that,
-    /// `Execute` answers [`ErrorCode::Busy`].
+    /// Requests that may wait for an execution slot; past that, a
+    /// request answers [`ErrorCode::Busy`].
     pub queue_capacity: usize,
     /// Maximum concurrent sessions.
     pub max_connections: usize,
-    /// Per-query wall-clock limit, counted from admission (waiting for
-    /// a slot included). On expiry the deadline thread flips the
-    /// statement's cancel token; the statement stops at its next
-    /// cancel check and the client gets [`ErrorCode::Timeout`].
+    /// Per-request wall-clock limit, counted from admission (waiting
+    /// for a slot included). On expiry the deadline thread flips the
+    /// request's cancel token; it stops at its next cancel check and
+    /// the client gets [`ErrorCode::Timeout`].
     pub query_timeout: Duration,
     /// Per-result row budget, checked before the stream opens.
     pub max_result_rows: usize,
@@ -189,12 +192,15 @@ struct InFlight {
 }
 
 impl ActiveQuery {
-    /// Registers statement `seq` as in-flight until `deadline`. A
+    /// Registers request `seq` as in-flight until `deadline`. A
     /// cancel already recorded against this sequence number flips the
-    /// token immediately (the cancel raced ahead of the execute).
+    /// token immediately (the cancel raced ahead of the execute). Only
+    /// an `Execute` has a sequence number; every other request is 0,
+    /// which no client `Cancel` names and which leaves `last_seq` as
+    /// it is.
     fn begin(&self, seq: u64, token: &Arc<AtomicBool>, deadline: Option<Instant>) {
         let mut inner = self.inner.lock().expect("active query");
-        inner.last_seq = seq;
+        inner.last_seq = inner.last_seq.max(seq);
         if inner.pending_cancel == Some(seq) {
             inner.pending_cancel = None;
             token.store(true, Ordering::SeqCst);
@@ -214,10 +220,11 @@ impl ActiveQuery {
 
     /// Delivers a client cancel for `seq`: flips the matching live
     /// token, remembers a future sequence number, ignores the past.
+    /// Sequence number 0 names no stream, so it cancels nothing.
     fn cancel(&self, seq: u64) {
         let mut inner = self.inner.lock().expect("active query");
         match &inner.current {
-            Some(run) if run.seq == seq => run.token.store(true, Ordering::SeqCst),
+            Some(run) if run.seq == seq && seq > 0 => run.token.store(true, Ordering::SeqCst),
             _ if seq > inner.last_seq => inner.pending_cancel = Some(seq),
             _ => {} // Already finished; the stream's terminal frame answered it.
         }
@@ -351,7 +358,8 @@ impl Drop for Slot<'_> {
 /// What `sys.sessions` reads of a live session, shared between the
 /// session thread (writer) and catalog snapshots (readers).
 pub(crate) struct SessionInfo {
-    /// Statements the session has completed.
+    /// Requests that do work the session has answered, refusals
+    /// included.
     pub(crate) statements: AtomicU64,
     /// The session's `block_scan` option as set: `default`, `on`, `off`.
     pub(crate) block_scan: Mutex<&'static str>,
@@ -411,26 +419,21 @@ impl Shared {
         all
     }
 
-    /// Whether an `InsertDone` must be refused with a retry hint:
-    /// `Some(lag)` when the refresh daemon has fallen further behind
-    /// than the configured staleness bound.
-    fn ingest_backpressure(&self) -> Option<u64> {
+    /// Back-pressure: an `InsertDone` is refused with a retry hint,
+    /// before anything commits, while the refresh daemon has fallen
+    /// further behind than the configured staleness bound. The whole
+    /// envelope is discarded — `Retry` means "resend the envelope
+    /// later", never "partially applied".
+    fn ingest_backpressure(&self) -> Option<Failed> {
         let bound = self.config.staleness_bound?;
         let lag = self.daemon.lock().expect("daemon").as_ref()?.staleness();
-        (lag > bound).then_some(lag)
-    }
-
-    /// Checkpoints inline after a committed envelope once the live WAL
-    /// crosses the configured size threshold (the engine re-checks the
-    /// size under its checkpoint gate, so sessions crossing together
-    /// snapshot once). Failures are logged, not fatal — the log is
-    /// still intact, so durability is unaffected.
-    fn maybe_checkpoint(&self) {
-        if let Some(threshold) = self.config.checkpoint_bytes {
-            if let Err(e) = self.db.checkpoint(threshold) {
-                eprintln!("auto-checkpoint failed: {e}");
-            }
-        }
+        (lag > bound).then(|| {
+            let message = format!(
+                "refresh daemon is {lag} rows behind (bound {bound}); \
+                 envelope not committed, retry later"
+            );
+            Failed::new(ErrorCode::Retry, message)
+        })
     }
 }
 
@@ -690,7 +693,7 @@ fn refuse(stream: TcpStream, code: ErrorCode, message: &str) {
     let _ = w.flush();
 }
 
-/// Per-session mutable state.
+/// Per-session state.
 struct Session {
     id: u64,
     /// Peer address of the connection (stamped on trace records).
@@ -709,6 +712,12 @@ struct Session {
     /// are unacknowledged, so a failure anywhere mid-envelope parks
     /// here as `Failed` and is reported once, at `InsertDone`.
     ingest: IngestSlot,
+    /// The session's cancellation registry, shared with its reader,
+    /// the deadline thread and the drain.
+    active: Arc<ActiveQuery>,
+    shared: Arc<Shared>,
+    /// The write side of the connection.
+    writer: BufWriter<TcpStream>,
 }
 
 /// Where the session's ingest envelope stands.
@@ -741,7 +750,6 @@ fn session_loop(
     let (Ok(read_stream), Ok(write_stream)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
-    let mut writer = BufWriter::new(write_stream);
     let mut session = Session {
         id,
         peer,
@@ -749,17 +757,15 @@ fn session_loop(
         info,
         execute_seq: 0,
         ingest: IngestSlot::Idle,
+        active: Arc::clone(active),
+        shared: Arc::clone(shared),
+        writer: BufWriter::new(write_stream),
     };
-    if write_frame(
-        &mut writer,
-        &Response::Hello {
-            session_id: id,
-            version: PROTOCOL_VERSION,
-        }
-        .encode(),
-    )
-    .is_err()
-    {
+    let hello = Response::Hello {
+        session_id: id,
+        version: PROTOCOL_VERSION,
+    };
+    if write_frame(&mut session.writer, &hello.encode()).is_err() {
         return;
     }
 
@@ -811,33 +817,42 @@ fn session_loop(
         let request = match incoming {
             Incoming::Req(r) => r,
             Incoming::Bad(message) => {
-                if write_frame(
-                    &mut writer,
-                    &Response::Error {
-                        code: ErrorCode::Protocol,
-                        message,
-                    }
-                    .encode(),
-                )
-                .is_err()
-                {
+                let error = Response::Error {
+                    code: ErrorCode::Protocol,
+                    message,
+                };
+                if write_frame(&mut session.writer, &error.encode()).is_err() {
                     break;
                 }
                 continue;
             }
         };
-        match request {
+        let written = match request {
             Request::Execute { sql } => {
-                match execute_streaming(sql, &mut session, active, shared, &mut writer) {
-                    Ok(ok) => shared
-                        .metrics
-                        .record(Command::Execute, started.elapsed(), ok),
-                    Err(_) => break,
-                }
+                // Every Execute consumes a sequence number, even refused
+                // ones — the client counts its own sends and the two
+                // ledgers must agree.
+                session.execute_seq += 1;
+                let seq = session.execute_seq;
+                session.run(Command::Execute, &sql, seq, None, |opts, out| {
+                    stream_statement(&sql, seq, opts, shared, out)
+                })
             }
-            // Cancels never reach this channel (the reader intercepts
-            // them); tolerate one anyway as fire-and-forget.
-            Request::Cancel { .. } => {}
+            Request::BatchScore {
+                table,
+                model,
+                keys,
+                explain,
+            } => {
+                let text = format!(
+                    "{}BATCH SCORE {table} USING {model} ({} keys)",
+                    if explain { "EXPLAIN " } else { "" },
+                    keys.len()
+                );
+                session.run(Command::BatchScore, &text, 0, None, |opts, out| {
+                    batch_score(&table, &model, &keys, explain, opts, shared, out)
+                })
+            }
             // The ingest envelope: header and chunks are
             // unacknowledged (errors poison the slot and surface at
             // Done), Done is the envelope's one reply, Abort is
@@ -849,111 +864,75 @@ fn session_loop(
                     Ok(s) => IngestSlot::Active(s),
                     Err(e) => IngestSlot::Failed(e.to_string()),
                 };
+                Ok(())
             }
-            Request::InsertChunk { seq, rows } => match &mut session.ingest {
-                IngestSlot::Active(s) => {
-                    if let Err(e) = s.chunk(seq, rows) {
-                        session.ingest = IngestSlot::Failed(e.to_string());
+            Request::InsertChunk { seq, rows } => {
+                match &mut session.ingest {
+                    IngestSlot::Active(s) => {
+                        if let Err(e) = s.chunk(seq, rows) {
+                            session.ingest = IngestSlot::Failed(e.to_string());
+                        }
+                    }
+                    // Already poisoned: the first error wins; Done reports it.
+                    IngestSlot::Failed(_) => {}
+                    IngestSlot::Idle => {
+                        session.ingest =
+                            IngestSlot::Failed("InsertChunk without an open ingest stream".into());
                     }
                 }
-                // Already poisoned: the first error wins; Done reports it.
-                IngestSlot::Failed(_) => {}
-                IngestSlot::Idle => {
-                    session.ingest =
-                        IngestSlot::Failed("InsertChunk without an open ingest stream".into());
-                }
-            },
+                Ok(())
+            }
             Request::InsertDone => {
-                let response = match std::mem::replace(&mut session.ingest, IngestSlot::Idle) {
-                    // Back-pressure: when the refresh daemon has fallen
-                    // past the staleness bound, refuse the envelope with
-                    // a retry hint *before* committing anything. The
-                    // whole stream is discarded — `Retry` means "resend
-                    // the envelope later", never "partially applied".
-                    IngestSlot::Active(_) if shared.ingest_backpressure().is_some() => {
-                        let lag = shared.ingest_backpressure().unwrap_or(0);
-                        shared
-                            .metrics
-                            .ingest_backpressure
-                            .fetch_add(1, Ordering::Relaxed);
-                        Response::Error {
-                            code: ErrorCode::Retry,
-                            message: format!(
-                                "refresh daemon is {lag} rows behind (bound {}); \
-                                 envelope not committed, retry later",
-                                shared.config.staleness_bound.unwrap_or(0)
-                            ),
-                        }
-                    }
-                    IngestSlot::Active(s) => match s.done(shared.db.as_ref()) {
-                        Ok(rows) => {
-                            shared
-                                .metrics
-                                .ingest_rows
-                                .fetch_add(rows, Ordering::Relaxed);
-                            shared.maybe_checkpoint();
-                            Response::InsertAck { rows }
-                        }
-                        Err(e) => Response::Error {
-                            code: ErrorCode::Sql,
-                            message: e.to_string(),
-                        },
-                    },
-                    IngestSlot::Failed(message) => Response::Error {
-                        code: ErrorCode::Protocol,
-                        message,
-                    },
-                    IngestSlot::Idle => Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: "InsertDone without an open ingest stream".into(),
-                    },
+                let slot = std::mem::replace(&mut session.ingest, IngestSlot::Idle);
+                let (text, refusal) = match &slot {
+                    IngestSlot::Active(s) => (
+                        format!("INGEST {} ({} rows)", s.table(), s.rows_buffered()),
+                        shared.ingest_backpressure(),
+                    ),
+                    _ => ("INGEST".to_owned(), None),
                 };
-                let ok = !matches!(response, Response::Error { .. });
-                shared
-                    .metrics
-                    .record(Command::Ingest, started.elapsed(), ok);
-                if write_frame(&mut writer, &response.encode()).is_err() {
-                    break;
-                }
+                session.run(Command::Ingest, &text, 0, refusal, |opts, out| {
+                    insert_done(slot, opts, shared, out)
+                })
             }
             Request::InsertAbort => {
                 session.ingest = IngestSlot::Idle;
+                Ok(())
             }
-            Request::BatchScore {
-                table,
-                model,
-                keys,
-                explain,
-            } => {
-                let response = batch_score(&table, &model, &keys, explain, &mut session, shared);
-                let ok = !matches!(response, Response::Error { .. });
-                shared
-                    .metrics
-                    .record(Command::BatchScore, started.elapsed(), ok);
-                if write_frame(&mut writer, &response.encode()).is_err() {
-                    break;
-                }
+            Request::Checkpoint => session.run(
+                Command::Checkpoint,
+                "CHECKPOINT",
+                0,
+                None,
+                |_, out| match shared.db.checkpoint(0) {
+                    Ok(_) => out.put(&Response::Ok.encode()).map(Ok),
+                    Err(e) => Ok(Err(Failed::engine(e))),
+                },
+            ),
+            // Cancels never reach this channel (the reader intercepts
+            // them); tolerate one anyway as fire-and-forget.
+            Request::Cancel { .. } => Ok(()),
+            Request::Ping => session.reply(Command::Ping, started, Response::Pong),
+            Request::SetOption { name, value } => {
+                let response = set_option(&mut session, &name, &value);
+                session.reply(Command::SetOption, started, response)
+            }
+            Request::MetricsProm => {
+                let text = crate::metrics::render_prometheus(&crate::metrics::samples(shared));
+                let response = Response::MetricsText { text };
+                session.reply(Command::MetricsProm, started, response)
             }
             Request::Shutdown => {
-                shared
-                    .metrics
-                    .record(Command::Shutdown, started.elapsed(), true);
-                let _ = write_frame(&mut writer, &Response::Ok.encode());
+                let _ = session.reply(Command::Shutdown, started, Response::Ok);
                 // Trigger the server drain from inside a session: flip
                 // the flag and nudge the accept loop awake.
                 shared.shutting_down.store(true, Ordering::SeqCst);
                 let _ = TcpStream::connect(shared.addr);
                 break;
             }
-            other => {
-                let cmd = command_of(&other);
-                let response = handle_request(other, &mut session, shared);
-                let ok = !matches!(response, Response::Error { .. });
-                shared.metrics.record(cmd, started.elapsed(), ok);
-                if write_frame(&mut writer, &response.encode()).is_err() {
-                    break;
-                }
-            }
+        };
+        if written.is_err() {
+            break;
         }
     }
     // Unblock the reader (it may be parked in read_frame) and reap it.
@@ -961,124 +940,77 @@ fn session_loop(
     let _ = reader.join();
 }
 
-fn command_of(req: &Request) -> Command {
-    match req {
-        Request::Execute { .. } => Command::Execute,
-        Request::SetOption { .. } => Command::SetOption,
-        Request::MetricsProm => Command::MetricsProm,
-        Request::Ping => Command::Ping,
-        Request::Shutdown => Command::Shutdown,
-        Request::Cancel { .. } => Command::Cancel,
-        Request::InsertHeader { .. }
-        | Request::InsertChunk { .. }
-        | Request::InsertDone
-        | Request::InsertAbort => Command::Ingest,
-        Request::BatchScore { .. } => Command::BatchScore,
-        Request::Checkpoint => Command::Checkpoint,
-    }
-}
-
-/// Runs one `BatchScore` request: keyed PK point lookups scored
-/// through the model's scalar UDF, one reply frame for the whole key
-/// batch. Key-count limits are enforced by the engine
-/// ([`nlq_engine::MAX_SCORE_KEYS`]). Traced like an `Execute`: one
-/// `sys.queries` record per request, whatever its outcome.
+/// Runs one `BatchScore`: keyed PK point lookups scored through the
+/// model's scalar UDF, one reply frame for the whole key batch. Key-count
+/// limits are enforced by the engine ([`nlq_engine::MAX_SCORE_KEYS`]).
 fn batch_score(
     table: &str,
     model: &str,
     keys: &[i64],
     explain: bool,
-    session: &mut Session,
-    shared: &Arc<Shared>,
-) -> Response {
+    opts: &ExecOptions,
+    shared: &Shared,
+    out: &mut FrameOut<'_>,
+) -> io::Result<Result<(), Failed>> {
     let started = Instant::now();
-    let query_id = shared.next_query_id.fetch_add(1, Ordering::Relaxed);
-    let trace = Trace::new();
-    let opts = ExecOptions {
-        block_scan: session.block_scan,
-        cancel: None,
-        trace: Some(trace.clone()),
-        query_id,
+    let rs = match shared.db.batch_score(table, model, keys, explain, opts) {
+        Ok(rs) => rs,
+        Err(e) => return Ok(Err(Failed::engine(e))),
     };
-    let result = match panic::catch_unwind(AssertUnwindSafe(|| {
-        shared.db.batch_score(table, model, keys, explain, &opts)
-    })) {
-        Ok(result) => result.map_err(|e| e.to_string()),
-        Err(payload) => Err(format!(
-            "statement panicked: {}",
-            panic_message(payload.as_ref())
-        )),
+    shared
+        .metrics
+        .batch_score_keys
+        .fetch_add(keys.len() as u64, Ordering::Relaxed);
+    let response = Response::Result {
+        stats: wire_stats(&rs.stats, started),
+        columns: rs.columns,
+        rows: rs.rows,
     };
-    let (response, outcome, detail) = match result {
-        Ok(rs) => {
-            shared
-                .metrics
-                .batch_score_keys
-                .fetch_add(keys.len() as u64, Ordering::Relaxed);
-            session.info.statements.fetch_add(1, Ordering::Relaxed);
-            let response = Response::Result {
-                columns: rs.columns,
-                rows: rs.rows,
-                stats: WireStats {
-                    rows_scanned: rs.stats.rows_scanned,
-                    blocks_scanned: rs.stats.blocks_scanned,
-                    block_path: rs.stats.block_path,
-                    summary_path: rs.stats.summary_path,
-                    summary_hits: rs.stats.summary_hits,
-                    summary_misses: rs.stats.summary_misses,
-                    elapsed_micros: started.elapsed().as_micros() as u64,
-                    cancelled: false,
-                },
-            };
-            (response, Outcome::Ok, String::new())
-        }
-        Err(message) => {
-            let response = Response::Error {
-                code: ErrorCode::Sql,
-                message: message.clone(),
-            };
-            (response, Outcome::Error, message)
-        }
-    };
-    // A batch score is not an `Execute`, so it has no stream seq.
-    let text = format!(
-        "{}BATCH SCORE {table} USING {model} ({} keys)",
-        if explain { "EXPLAIN " } else { "" },
-        keys.len()
-    );
-    finish_trace(session, shared, 0, query_id, &text, trace, outcome, detail);
-    response
+    out.put(&response.encode()).map(Ok)
 }
 
-fn handle_request(request: Request, session: &mut Session, shared: &Arc<Shared>) -> Response {
-    match request {
-        Request::Ping => Response::Pong,
-        Request::SetOption { name, value } => set_option(session, &name, &value),
-        Request::Checkpoint => match shared.db.checkpoint(0) {
-            Ok(_) => Response::Ok,
-            Err(e) => Response::Error {
-                code: ErrorCode::Sql,
-                message: e.to_string(),
-            },
-        },
-        Request::MetricsProm => Response::MetricsText {
-            text: crate::metrics::render_prometheus(&crate::metrics::samples(shared)),
-        },
-        // Execute, Shutdown, Cancel, and the ingest/scoring family are
-        // handled in the session loop (they need the writer, the drain
-        // flag, the reader, or the session's ingest slot).
-        Request::Execute { .. }
-        | Request::Shutdown
-        | Request::Cancel { .. }
-        | Request::InsertHeader { .. }
-        | Request::InsertChunk { .. }
-        | Request::InsertDone
-        | Request::InsertAbort
-        | Request::BatchScore { .. } => Response::Error {
-            code: ErrorCode::Protocol,
-            message: "request not routable here".into(),
-        },
+/// Commits one ingest envelope (`InsertDone`), then checkpoints inline
+/// once the live log crosses the configured size (the engine re-checks
+/// the size under its checkpoint gate, so sessions crossing together
+/// snapshot once). A failed checkpoint is logged, not fatal: the log is
+/// intact. The token is read once, before the commit: a committed
+/// envelope answers `InsertAck` whatever its token reads afterwards.
+fn insert_done(
+    slot: IngestSlot,
+    opts: &ExecOptions,
+    shared: &Shared,
+    out: &mut FrameOut<'_>,
+) -> io::Result<Result<(), Failed>> {
+    let stream = match slot {
+        IngestSlot::Active(stream) => stream,
+        IngestSlot::Failed(message) => return Ok(Err(Failed::new(ErrorCode::Protocol, message))),
+        IngestSlot::Idle => {
+            let message = "InsertDone without an open ingest stream".into();
+            return Ok(Err(Failed::new(ErrorCode::Protocol, message)));
+        }
+    };
+    let cancelled = opts
+        .cancel
+        .as_ref()
+        .is_some_and(|t| t.load(Ordering::SeqCst));
+    if cancelled {
+        let message = "envelope cancelled before its commit".into();
+        return Ok(Err(Failed::new(ErrorCode::Cancelled, message)));
     }
+    let rows = match stream.done(shared.db.as_ref(), opts) {
+        Ok(rows) => rows,
+        Err(e) => return Ok(Err(Failed::new(ErrorCode::Sql, e.to_string()))),
+    };
+    shared
+        .metrics
+        .ingest_rows
+        .fetch_add(rows, Ordering::Relaxed);
+    if let Some(threshold) = shared.config.checkpoint_bytes {
+        if let Err(e) = shared.db.checkpoint(threshold) {
+            eprintln!("auto-checkpoint failed: {e}");
+        }
+    }
+    out.put(&Response::InsertAck { rows }.encode()).map(Ok)
 }
 
 fn set_option(session: &mut Session, name: &str, value: &str) -> Response {
@@ -1098,8 +1030,8 @@ fn set_option(session: &mut Session, name: &str, value: &str) -> Response {
     Response::Ok
 }
 
-/// A statement that ended without its `RowsDone`: the error frame it
-/// answers with, and what it is accounted as.
+/// A request that ended without its reply: the error frame it answers
+/// with, and what it is accounted as.
 struct Failed {
     code: ErrorCode,
     message: String,
@@ -1115,22 +1047,22 @@ impl Failed {
             queued: false,
         }
     }
+
+    /// The failure an engine error answers with.
+    fn engine(e: EngineError) -> Failed {
+        match e {
+            EngineError::Cancelled { rows_scanned } => Failed::new(
+                ErrorCode::Cancelled,
+                format!("query cancelled after {rows_scanned} rows"),
+            ),
+            e => Failed::new(ErrorCode::Sql, e.to_string()),
+        }
+    }
 }
 
-/// How a statement ended, as its trace record and the command
-/// metrics see it.
-struct StreamEnd {
-    /// Whether the statement succeeded (for command metrics).
-    ok: bool,
-    /// The trace-record outcome.
-    outcome: Outcome,
-    /// Detail for non-`Ok` outcomes.
-    detail: String,
-}
-
-/// One statement's view of the session writer: frames go in
-/// unflushed, and the time and bytes spent writing them are the
-/// statement's `stream` span.
+/// One request's view of the session writer: frames go in unflushed,
+/// and the time and bytes spent writing them are the request's
+/// `stream` span.
 struct FrameOut<'w> {
     writer: &'w mut BufWriter<TcpStream>,
     nanos: u64,
@@ -1146,16 +1078,6 @@ impl FrameOut<'_> {
         out
     }
 
-    fn put_error(&mut self, code: ErrorCode, message: &str) -> io::Result<()> {
-        self.put(
-            &Response::Error {
-                code,
-                message: message.into(),
-            }
-            .encode(),
-        )
-    }
-
     fn flush(&mut self) -> io::Result<()> {
         let started = Instant::now();
         let out = self.writer.flush();
@@ -1164,202 +1086,203 @@ impl FrameOut<'_> {
     }
 }
 
-/// Runs one `Execute` on the session thread to its terminal frame,
-/// then flushes the response. `Ok(ok)` reports whether the statement
-/// succeeded (for command metrics); `Err` means the socket died and the
-/// session should end.
-fn execute_streaming(
-    sql: String,
-    session: &mut Session,
-    active: &ActiveQuery,
-    shared: &Shared,
-    writer: &mut BufWriter<TcpStream>,
-) -> io::Result<bool> {
-    // Every Execute consumes a sequence number, even refused ones —
-    // the client counts its own sends and the two ledgers must agree.
-    session.execute_seq += 1;
-    let seq = session.execute_seq;
-    let mut out = FrameOut {
-        writer,
-        nanos: 0,
-        bytes: 0,
-    };
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        out.put_error(ErrorCode::ShuttingDown, "server is draining")?;
-        out.flush()?;
-        return Ok(false);
+impl Session {
+    /// Answers a request that does no work with its one frame, and
+    /// counts it.
+    fn reply(&mut self, cmd: Command, started: Instant, response: Response) -> io::Result<()> {
+        let ok = !matches!(response, Response::Error { .. });
+        self.shared.metrics.record(cmd, started.elapsed(), ok);
+        write_frame(&mut self.writer, &response.encode())
     }
 
-    // Minted at admission — before waiting for a slot — so the id
-    // exists even for statements that never execute, and admission
-    // order is observable next to the completion-ordered trace id.
-    let query_id = shared.next_query_id.fetch_add(1, Ordering::Relaxed);
-    let token = Arc::new(AtomicBool::new(false));
-    active.begin(
-        seq,
-        &token,
-        Instant::now().checked_add(shared.config.query_timeout),
-    );
-    let trace = Trace::new();
-    let result = match shared.admission.admit(&token) {
-        Err(Refusal::Full) => {
-            shared
-                .metrics
-                .queue_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            active.end();
-            out.put_error(ErrorCode::Busy, "query queue is full")?;
-            out.flush()?;
-            return Ok(false);
-        }
-        // Cancelled (or timed out) while waiting: never executed.
-        Err(Refusal::Cancelled) => Ok(Err(Failed {
-            queued: true,
-            ..Failed::new(ErrorCode::Cancelled, "query cancelled while queued".into())
-        })),
-        Ok(_slot) => {
-            let opts = ExecOptions {
-                block_scan: session.block_scan,
-                cancel: Some(Arc::clone(&token)),
-                trace: Some(trace.clone()),
-                query_id,
-            };
-            // A panic inside the statement (in a user UDF, say) fails
-            // this statement alone: the client gets an error naming it,
-            // and the session lives on.
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                stream_statement(&sql, seq, query_id, &opts, shared, &mut out)
-            }))
-            .unwrap_or_else(|payload| {
-                Ok(Err(Failed::new(
-                    ErrorCode::Sql,
-                    format!("statement panicked: {}", panic_message(payload.as_ref())),
-                )))
-            })
-        }
-    };
-    let end = result.and_then(|result| {
-        let end = match result {
-            Ok(()) => StreamEnd {
-                ok: true,
-                outcome: Outcome::Ok,
-                detail: String::new(),
-            },
-            Err(failed) => answer_failure(failed, active, shared, &mut out)?,
+    /// Runs one request that does work — an `Execute`, `BatchScore`,
+    /// `InsertDone` or `Checkpoint` — to its reply, the same way for
+    /// every kind. It refuses while draining, or with `refusal` (a
+    /// verdict the caller reached before admission); otherwise it
+    /// registers the cancel token and deadline, takes an admission
+    /// slot and runs `body` under `catch_unwind`. A failure is answered
+    /// with its error frame. Every request, refusals included, leaves
+    /// exactly one trace record and one command sample. `Err` means
+    /// the socket died and the session should end.
+    fn run(
+        &mut self,
+        kind: Command,
+        text: &str,
+        seq: u64,
+        refusal: Option<Failed>,
+        body: impl FnOnce(&ExecOptions, &mut FrameOut<'_>) -> io::Result<Result<(), Failed>>,
+    ) -> io::Result<()> {
+        let started = Instant::now();
+        let (shared, active) = (&*self.shared, &*self.active);
+        // Minted before waiting for a slot, so the id exists even for
+        // requests that never execute, and admission order is
+        // observable next to the completion-ordered trace id.
+        let query_id = shared.next_query_id.fetch_add(1, Ordering::Relaxed);
+        let trace = Trace::new();
+        let mut out = FrameOut {
+            writer: &mut self.writer,
+            nanos: 0,
+            bytes: 0,
         };
-        out.flush()?;
-        session.info.statements.fetch_add(1, Ordering::Relaxed);
-        trace.record(Span::new(Phase::Stream, out.nanos).bytes(out.bytes));
-        Ok(end)
-    });
-    active.end();
-    let (outcome, detail) = match &end {
-        Ok(end) => (end.outcome, end.detail.clone()),
-        Err(e) => (Outcome::Error, e.to_string()),
-    };
-    finish_trace(session, shared, seq, query_id, &sql, trace, outcome, detail);
-    end.map(|end| end.ok)
+        let draining = shared
+            .shutting_down
+            .load(Ordering::SeqCst)
+            .then(|| Failed::new(ErrorCode::ShuttingDown, "server is draining".into()));
+        let result = if let Some(refused) = draining.or(refusal) {
+            Ok(Err(refused))
+        } else {
+            let token = Arc::new(AtomicBool::new(false));
+            let deadline = Instant::now().checked_add(shared.config.query_timeout);
+            active.begin(seq, &token, deadline);
+            match shared.admission.admit(&token) {
+                Err(Refusal::Full) => Ok(Err(Failed::new(
+                    ErrorCode::Busy,
+                    "query queue is full".into(),
+                ))),
+                // Cancelled (or timed out) while waiting: never executed.
+                Err(Refusal::Cancelled) => Ok(Err(Failed {
+                    queued: true,
+                    ..Failed::new(ErrorCode::Cancelled, "query cancelled while queued".into())
+                })),
+                Ok(_slot) => {
+                    let opts = ExecOptions {
+                        block_scan: self.block_scan,
+                        cancel: Some(token),
+                        trace: Some(trace.clone()),
+                        query_id,
+                    };
+                    // A panic inside the request (in a user UDF, say)
+                    // fails this request alone: the client gets an
+                    // error naming it, and the session lives on.
+                    panic::catch_unwind(AssertUnwindSafe(|| body(&opts, &mut out))).unwrap_or_else(
+                        |payload| {
+                            let message = panic_message(payload.as_ref());
+                            let message = format!("statement panicked: {message}");
+                            Ok(Err(Failed::new(ErrorCode::Sql, message)))
+                        },
+                    )
+                }
+            }
+        };
+        let end = result.and_then(|result| {
+            let end = match result {
+                Ok(()) => (Outcome::Ok, String::new()),
+                Err(failed) => answer_failure(failed, active, shared, &mut out)?,
+            };
+            out.flush()?;
+            self.info.statements.fetch_add(1, Ordering::Relaxed);
+            trace.record(Span::new(Phase::Stream, out.nanos).bytes(out.bytes));
+            Ok(end)
+        });
+        active.end();
+        let (outcome, detail) = match &end {
+            Ok(end) => end.clone(),
+            Err(e) => (Outcome::Error, e.to_string()),
+        };
+        let ok = outcome == Outcome::Ok;
+        shared.metrics.record(kind, started.elapsed(), ok);
+        self.finish_trace(kind, seq, query_id, text, trace, (outcome, detail));
+        end.map(drop)
+    }
+
+    /// Retains one completed request's trace: assign the server-wide
+    /// id, push into the recent ring, and — past the slow threshold —
+    /// into the slow ring plus the stderr slow-query log.
+    fn finish_trace(
+        &self,
+        kind: Command,
+        seq: u64,
+        query_id: u64,
+        sql: &str,
+        trace: Trace,
+        (outcome, detail): (Outcome, String),
+    ) {
+        let shared = &self.shared;
+        let total_nanos = trace.elapsed_nanos();
+        let slow = Duration::from_nanos(total_nanos) >= shared.config.slow_query;
+        let spans = trace.spans();
+        let record = TraceRecord {
+            id: shared.next_trace_id.fetch_add(1, Ordering::Relaxed),
+            query_id,
+            session: self.id,
+            kind: kind.name(),
+            peer: self.peer.clone(),
+            seq,
+            sql: sql.to_owned(),
+            outcome,
+            detail,
+            total_nanos,
+            slow,
+            wal_bytes: trace.wal_bytes(),
+            fsyncs: trace.wal_fsyncs(),
+            cpu_nanos: trace.cpu_nanos(),
+            spans,
+        };
+        shared
+            .metrics
+            .query_cpu_nanos
+            .fetch_add(record.cpu_nanos, Ordering::Relaxed);
+        if slow {
+            shared.metrics.slow_queries.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "slow query: query_id={} session={} peer={} kind={} seq={} total={} outcome={} sql={:?}{}",
+                record.query_id,
+                record.session,
+                record.peer,
+                record.kind,
+                record.seq,
+                nlq_obs::fmt_nanos(record.total_nanos),
+                record.outcome.name(),
+                record.sql,
+                if record.detail.is_empty() {
+                    String::new()
+                } else {
+                    format!(" detail={:?}", record.detail)
+                }
+            );
+            shared.slow_traces.push(record.clone());
+        }
+        shared.traces.push(record);
+    }
 }
 
-/// Puts a failed statement's terminal error frame and accounts for
-/// it. A cancel from the deadline thread answers `Timeout`.
+/// Puts a failed request's terminal error frame and accounts for it,
+/// returning its trace outcome and detail. A cancel from the deadline
+/// thread answers `Timeout`.
 fn answer_failure(
-    failed: Failed,
+    mut failed: Failed,
     active: &ActiveQuery,
     shared: &Shared,
     out: &mut FrameOut<'_>,
-) -> io::Result<StreamEnd> {
-    let metrics = &shared.metrics;
-    let (code, message, outcome) = match failed.code {
+) -> io::Result<(Outcome, String)> {
+    let m = &shared.metrics;
+    let (counter, outcome) = match failed.code {
         ErrorCode::Cancelled if active.timed_out() => {
-            metrics.query_timeouts.fetch_add(1, Ordering::Relaxed);
-            let message = format!(
-                "query exceeded {} ms",
-                shared.config.query_timeout.as_millis()
-            );
-            (ErrorCode::Timeout, message, Outcome::Timeout)
+            let limit = shared.config.query_timeout.as_millis();
+            failed = Failed::new(ErrorCode::Timeout, format!("query exceeded {limit} ms"));
+            (Some(&m.query_timeouts), Outcome::Timeout)
         }
         ErrorCode::Cancelled if failed.queued => {
-            metrics
-                .queries_cancelled_queued
-                .fetch_add(1, Ordering::Relaxed);
-            (failed.code, failed.message, Outcome::CancelledQueued)
+            (Some(&m.queries_cancelled_queued), Outcome::CancelledQueued)
         }
-        ErrorCode::Cancelled => {
-            metrics.queries_cancelled.fetch_add(1, Ordering::Relaxed);
-            (failed.code, failed.message, Outcome::Cancelled)
-        }
-        ErrorCode::TooLarge => {
-            metrics.results_too_large.fetch_add(1, Ordering::Relaxed);
-            (failed.code, failed.message, Outcome::Error)
-        }
-        code => (code, failed.message, Outcome::Error),
+        ErrorCode::Cancelled => (Some(&m.queries_cancelled), Outcome::Cancelled),
+        ErrorCode::Busy => (Some(&m.queue_rejections), Outcome::Busy),
+        ErrorCode::Retry => (Some(&m.ingest_backpressure), Outcome::Error),
+        ErrorCode::TooLarge => (Some(&m.results_too_large), Outcome::Error),
+        _ => (None, Outcome::Error),
     };
-    out.put_error(code, &message)?;
-    Ok(StreamEnd {
-        ok: false,
-        outcome,
-        detail: message,
-    })
-}
-
-/// Retains one completed statement's trace: assign the server-wide
-/// id, push into the recent ring, and — past the slow threshold —
-/// into the slow ring plus the stderr slow-query log.
-#[allow(clippy::too_many_arguments)]
-fn finish_trace(
-    session: &Session,
-    shared: &Shared,
-    seq: u64,
-    query_id: u64,
-    sql: &str,
-    trace: Trace,
-    outcome: Outcome,
-    detail: String,
-) {
-    let total_nanos = trace.elapsed_nanos();
-    let slow = Duration::from_nanos(total_nanos) >= shared.config.slow_query;
-    let spans = trace.spans();
-    let record = TraceRecord {
-        id: shared.next_trace_id.fetch_add(1, Ordering::Relaxed),
-        query_id,
-        session: session.id,
-        peer: session.peer.clone(),
-        seq,
-        sql: sql.to_owned(),
-        outcome,
-        detail,
-        total_nanos,
-        slow,
-        wal_bytes: trace.wal_bytes(),
-        fsyncs: trace.wal_fsyncs(),
-        cpu_nanos: trace.cpu_nanos(),
-        spans,
-    };
-    shared
-        .metrics
-        .query_cpu_nanos
-        .fetch_add(record.cpu_nanos, Ordering::Relaxed);
-    if slow {
-        shared.metrics.slow_queries.fetch_add(1, Ordering::Relaxed);
-        eprintln!(
-            "slow query: query_id={} session={} peer={} seq={} total={} outcome={} sql={:?}{}",
-            record.query_id,
-            record.session,
-            record.peer,
-            record.seq,
-            nlq_obs::fmt_nanos(record.total_nanos),
-            record.outcome.name(),
-            record.sql,
-            if record.detail.is_empty() {
-                String::new()
-            } else {
-                format!(" detail={:?}", record.detail)
-            }
-        );
-        shared.slow_traces.push(record.clone());
+    if let Some(counter) = counter {
+        counter.fetch_add(1, Ordering::Relaxed);
     }
-    shared.traces.push(record);
+    let Failed { code, message, .. } = failed;
+    out.put(
+        &Response::Error {
+            code,
+            message: message.clone(),
+        }
+        .encode(),
+    )?;
+    Ok((outcome, message))
 }
 
 /// Runs an admitted statement and puts its frames — `RowsHeader`,
@@ -1370,7 +1293,6 @@ fn finish_trace(
 fn stream_statement(
     sql: &str,
     seq: u64,
-    query_id: u64,
     opts: &ExecOptions,
     shared: &Shared,
     out: &mut FrameOut<'_>,
@@ -1379,12 +1301,8 @@ fn stream_statement(
     let config = &shared.config;
     let token = opts.cancel.as_deref().expect("a statement has a token");
     let mut rs = match shared.db.execute_blocks(sql, opts) {
-        Err(EngineError::Cancelled { rows_scanned }) => {
-            let message = format!("query cancelled after {rows_scanned} rows");
-            return Ok(Err(Failed::new(ErrorCode::Cancelled, message)));
-        }
-        Err(e) => return Ok(Err(Failed::new(ErrorCode::Sql, e.to_string()))),
         Ok(rs) => rs,
+        Err(e) => return Ok(Err(Failed::engine(e))),
     };
     shared
         .metrics
@@ -1401,7 +1319,7 @@ fn stream_statement(
     out.put(
         &Response::RowsHeader {
             seq,
-            query_id,
+            query_id: opts.query_id,
             columns: std::mem::take(&mut rs.columns),
         }
         .encode(),
@@ -1459,18 +1377,22 @@ fn stream_statement(
             .bytes(enc.total_bytes()),
         );
     }
-    let wire = WireStats {
-        rows_scanned: rs.stats.rows_scanned,
-        blocks_scanned: rs.stats.blocks_scanned,
-        block_path: rs.stats.block_path,
-        summary_path: rs.stats.summary_path,
-        summary_hits: rs.stats.summary_hits,
-        summary_misses: rs.stats.summary_misses,
+    out.put(&enc.done_payload(&wire_stats(&rs.stats, started)))?;
+    Ok(Ok(()))
+}
+
+/// The wire form of a completed statement's stats.
+fn wire_stats(stats: &ExecStats, started: Instant) -> WireStats {
+    WireStats {
+        rows_scanned: stats.rows_scanned,
+        blocks_scanned: stats.blocks_scanned,
+        block_path: stats.block_path,
+        summary_path: stats.summary_path,
+        summary_hits: stats.summary_hits,
+        summary_misses: stats.summary_misses,
         elapsed_micros: started.elapsed().as_micros() as u64,
         cancelled: false,
-    };
-    out.put(&enc.done_payload(&wire))?;
-    Ok(Ok(()))
+    }
 }
 
 /// Puts one encoded `RowsChunk` and counts it.

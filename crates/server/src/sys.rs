@@ -117,11 +117,14 @@ fn phase_micros(record: &TraceRecord, phase: Phase) -> Value {
 
 /// `sys.queries`: one row per retained trace record — the union of the
 /// recent and slow rings (each ring's capacity is its retention bound).
+/// Every request that does work leaves one, refusals included; `kind`
+/// says which (`execute`, `batch_score`, `ingest`, `checkpoint`).
 fn queries(shared: &Arc<Shared>) -> Table {
     let cols = [
         ("query_id", DataType::Int),
         ("trace_id", DataType::Int),
         ("session", DataType::Int),
+        ("kind", DataType::Str),
         ("seq", DataType::Int),
         ("peer", DataType::Str),
         ("sql", DataType::Str),
@@ -152,6 +155,7 @@ fn queries(shared: &Arc<Shared>) -> Table {
                 int(r.query_id),
                 int(r.id),
                 int(r.session),
+                Value::Str(r.kind.to_owned()),
                 int(r.seq),
                 Value::Str(r.peer.clone()),
                 Value::Str(r.sql.clone()),

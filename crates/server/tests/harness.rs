@@ -90,6 +90,18 @@ impl GateState {
     }
 }
 
+/// Opens the gate when dropped. Declared right after the gated
+/// statement's stream, it lets a test that fails midway drop that
+/// stream (which reads to its end) and the server (whose drain waits
+/// for it) instead of hanging on the gate.
+struct OpenOnDrop(Arc<GateState>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
 /// `gate(x)`: signals entry, then blocks until the test releases it.
 #[derive(Debug)]
 struct GateUdf(Arc<GateState>);
@@ -158,6 +170,25 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// Polls a one-value query on `c` until it reads `want`. A client sees
+/// its reply before the session that sent it retains the request's
+/// trace record, so a catalog read on another session can run between
+/// the two.
+fn wait_for_value(c: &mut Client, sql: &str, want: Value) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let got = c.execute(sql).unwrap().value(0, 0).clone();
+        if got == want {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{sql} read {got:?}, want {want:?}"
+        );
         std::thread::yield_now();
     }
 }
@@ -908,12 +939,12 @@ fn a_statement_waiting_past_its_deadline_times_out() {
     }
     drop(running);
     assert_eq!(metrics.query_timeouts.load(Ordering::Relaxed), 2);
-    // Asked on c1, whose session retained its statement's trace before
-    // reading this one.
-    let rs = c1
-        .execute("SELECT count(*) FROM sys.queries WHERE outcome = 'timeout'")
-        .unwrap();
-    assert_eq!(rs.value(0, 0), &Value::Int(2));
+    // c2's session may still be retaining its record.
+    wait_for_value(
+        &mut c1,
+        "SELECT count(*) FROM sys.queries WHERE outcome = 'timeout'",
+        Value::Int(2),
+    );
     c2.ping().unwrap();
 }
 
@@ -936,7 +967,7 @@ fn batch_score_is_traced_once_per_request_on_every_outcome() {
 
     let rs = c
         .execute(&format!(
-            "SELECT sql, outcome, detail, total_us FROM sys.queries WHERE session = {} \
+            "SELECT sql, outcome, detail, total_us, cpu_us FROM sys.queries WHERE session = {} \
              ORDER BY trace_id",
             c.session_id()
         ))
@@ -953,6 +984,11 @@ fn batch_score_is_traced_once_per_request_on_every_outcome() {
     );
     assert_eq!(scored[0][1], Value::Str("ok".into()));
     assert!(scored[0][3].as_f64().unwrap() > 0.0);
+    assert!(
+        scored[0][4].as_f64().unwrap() > 0.0,
+        "no CPU charged: {:?}",
+        scored[0]
+    );
     assert_eq!(
         scored[1][0],
         Value::Str("BATCH SCORE F USING NO_MODEL (1 keys)".into())
@@ -1611,5 +1647,462 @@ fn prometheus_scrape_and_sys_metrics_name_the_same_series() {
             assert!(queried.iter().any(|(n, _)| *n == name), "{kind}: {name}");
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// CPU each call of a [`Probe`] UDF burns.
+const PROBE_SPIN: Duration = Duration::from_millis(2);
+
+/// A test UDF under any name: it burns [`PROBE_SPIN`] of thread CPU per
+/// call and counts what it burned into a shared sink, or panics. Under
+/// the name `linearregscore` it replaces the scoring UDF a `BatchScore`
+/// on a regression model calls.
+#[derive(Debug)]
+struct Probe {
+    name: &'static str,
+    panics: bool,
+    burned: Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl ScalarUdf for Probe {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn eval(&self, _args: &[Value]) -> nlq_udf::Result<Value> {
+        assert!(!self.panics, "probe UDF exploded");
+        let started = nlq_obs::thread_cpu_nanos();
+        let spin = PROBE_SPIN.as_nanos() as u64;
+        while nlq_obs::thread_cpu_nanos() - started < spin {
+            std::hint::black_box(started);
+        }
+        let burned = nlq_obs::thread_cpu_nanos() - started;
+        self.burned.fetch_add(burned, Ordering::Relaxed);
+        Ok(Value::Float(1.0))
+    }
+}
+
+/// The request kinds that do work, as a client sends them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Execute,
+    BatchScore,
+    Ingest,
+    Checkpoint,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Execute => "execute",
+            Kind::BatchScore => "batch_score",
+            Kind::Ingest => "ingest",
+            Kind::Checkpoint => "checkpoint",
+        }
+    }
+
+    /// Sends one request of this kind on `c` — failing with an SQL or
+    /// protocol error when `fail` — and waits for its reply.
+    fn send(self, c: &mut Client, fail: bool) -> Result<(), ClientError> {
+        match self {
+            Kind::Execute => {
+                let sql = if fail {
+                    "SELECT nope FROM T"
+                } else {
+                    "SELECT probe(X1) FROM T"
+                };
+                c.execute(sql).map(drop)
+            }
+            Kind::BatchScore => {
+                let model = if fail { "NO_MODEL" } else { "BETA" };
+                c.batch_score("T", model, &[1, 2], false).map(drop)
+            }
+            Kind::Ingest => {
+                // A row of the wrong arity poisons the envelope.
+                let row = if fail {
+                    vec![Value::Int(3)]
+                } else {
+                    vec![Value::Int(3), Value::Float(3.0)]
+                };
+                let mut ing = c.begin_ingest("T", &[])?;
+                ing.chunk(vec![row])?;
+                ing.finish().map(drop)
+            }
+            Kind::Checkpoint => c.checkpoint(),
+        }
+    }
+}
+
+/// How a request ends in one cell of the matrix.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum End {
+    Ok,
+    SqlError,
+    /// A test UDF panics inside the request.
+    Panic,
+    /// The drain cancels the request while it waits for a slot.
+    DrainCancel,
+    /// The request's deadline passes while it waits for a slot.
+    Timeout,
+    /// The wait queue is full.
+    Busy,
+}
+
+const ENDS: [End; 6] = [
+    End::Ok,
+    End::SqlError,
+    End::Panic,
+    End::DrainCancel,
+    End::Timeout,
+    End::Busy,
+];
+
+/// Kind × end: the `sys.queries` outcome each cell must leave, or
+/// [`SKIPPED`] where the cell cannot happen (no UDF runs inside an
+/// ingest commit or a checkpoint). A checkpoint fails through a file
+/// squatting on its `checkpoint.tmp` directory.
+#[rustfmt::skip]
+const MATRIX: [(Kind, [&str; 6]); 4] = [
+    //                  Ok    SqlError Panic    DrainCancel         Timeout    Busy
+    (Kind::Execute,    ["ok", "error", "error", "cancelled-queued", "timeout", "busy"]),
+    (Kind::BatchScore, ["ok", "error", "error", "cancelled-queued", "timeout", "busy"]),
+    (Kind::Ingest,     ["ok", "error", SKIPPED, "cancelled-queued", "timeout", "busy"]),
+    (Kind::Checkpoint, ["ok", "error", SKIPPED, "cancelled-queued", "timeout", "busy"]),
+];
+
+/// A cell of [`MATRIX`] that cannot happen.
+const SKIPPED: &str = "skipped";
+
+/// The error code the client sees in each cell.
+fn expected_code(kind: Kind, end: End) -> Option<ErrorCode> {
+    match end {
+        End::Ok => None,
+        End::SqlError if kind == Kind::Ingest => Some(ErrorCode::Protocol),
+        End::SqlError | End::Panic => Some(ErrorCode::Sql),
+        End::DrainCancel => Some(ErrorCode::Cancelled),
+        End::Timeout => Some(ErrorCode::Timeout),
+        End::Busy => Some(ErrorCode::Busy),
+    }
+}
+
+/// Runs one cell on a server of its own. One slot, one queue place:
+/// the waiting ends queue the request behind a gated `Execute`, and
+/// `Busy` finds the place taken by a second one.
+fn run_cell(kind: Kind, end: End, want: &str) -> Result<(), String> {
+    let dir = std::env::temp_dir().join(format!(
+        "nlq-harness-cell-{}-{}-{end:?}",
+        std::process::id(),
+        kind.name()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = if kind == Kind::Checkpoint && end == End::SqlError {
+        let db = Db::open_durable(1, &dir, true).unwrap();
+        std::fs::write(dir.join("checkpoint.tmp"), b"in the way").unwrap();
+        db
+    } else {
+        Db::new(1)
+    };
+    let gate = Arc::new(GateState::default());
+    let burned = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    db.with_registry_mut(|r| {
+        r.register_scalar(Arc::new(GateUdf(Arc::clone(&gate))));
+        for name in ["probe", "linearregscore"] {
+            r.register_scalar(Arc::new(Probe {
+                name,
+                panics: end == End::Panic,
+                burned: Arc::clone(&burned),
+            }));
+        }
+    });
+    let TestServer { db, mut handle } = TestServer::start_with(
+        Arc::new(db),
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            query_timeout: if end == End::Timeout {
+                Duration::from_millis(300)
+            } else {
+                Duration::from_secs(30)
+            },
+            drain_grace: Duration::from_millis(300),
+            refresh_cadence: None,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+    let mut setup = Client::connect(addr).unwrap();
+    setup.execute("CREATE TABLE T (i INT, X1 FLOAT)").unwrap();
+    setup
+        .execute("INSERT INTO T VALUES (1, 1.0), (2, 2.0)")
+        .unwrap();
+    setup
+        .execute("CREATE TABLE BETA (b0 FLOAT, b1 FLOAT)")
+        .unwrap();
+    setup.execute("INSERT INTO BETA VALUES (1.0, 0.5)").unwrap();
+
+    let mut c = Client::connect(addr).unwrap();
+    let session = c.session_id();
+    let got = if matches!(end, End::Ok | End::SqlError | End::Panic) {
+        kind.send(&mut c, end == End::SqlError)
+    } else {
+        let mut holder = Client::connect(addr).unwrap();
+        holder.set_option("block_scan", "off").unwrap();
+        let mut held = holder.query("SELECT gate(X1) FROM T").unwrap();
+        let _open = OpenOnDrop(Arc::clone(&gate));
+        gate.wait_entered(1);
+        let filler = (end == End::Busy).then(|| {
+            std::thread::spawn(move || {
+                let mut f = Client::connect(addr).unwrap();
+                f.execute("SELECT X1 FROM T").map(drop)
+            })
+        });
+        if end == End::Busy {
+            wait_gauges(&mut setup, (1.0, 1.0))?;
+        }
+        let waiter = std::thread::spawn(move || kind.send(&mut c, false));
+        let got = match end {
+            End::Busy => waiter.join().unwrap(),
+            End::Timeout => {
+                wait_gauges(&mut setup, (1.0, 1.0))?;
+                waiter.join().unwrap()
+            }
+            _ => {
+                wait_gauges(&mut setup, (1.0, 1.0))?;
+                std::thread::scope(|s| {
+                    let drain = s.spawn(|| handle.shutdown());
+                    let got = waiter.join().unwrap();
+                    gate.release();
+                    drain.join().unwrap();
+                    got
+                })
+            }
+        };
+        gate.release();
+        let _ = held.by_ref().count();
+        drop(held);
+        if let Some(filler) = filler {
+            filler.join().unwrap().unwrap();
+        }
+        got
+    };
+    match (got, expected_code(kind, end)) {
+        (Ok(()), None) => {}
+        (Err(ClientError::Server { code, .. }), Some(want)) if code == want => {}
+        (got, want) => return Err(format!("client saw {got:?}, want {want:?}")),
+    }
+
+    // The session's one record, read in process: a drained server
+    // still serves its catalog to the engine.
+    let sql = format!("SELECT kind, outcome, cpu_us FROM sys.queries WHERE session = {session}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let rows = loop {
+        let rows = db.execute(&sql).unwrap().rows;
+        if !rows.is_empty() || Instant::now() > deadline {
+            break rows;
+        }
+        std::thread::yield_now();
+    };
+    let [row] = rows.as_slice() else {
+        return Err(format!("{} records: {rows:?}", rows.len()));
+    };
+    if row[0] != Value::Str(kind.name().into()) || row[1] != Value::Str(want.into()) {
+        return Err(format!("record reads {row:?}"));
+    }
+    let cpu_nanos = row[2].as_f64().unwrap() * 1e3;
+    let spun = burned.load(Ordering::Relaxed) as f64;
+    if end == End::Ok && matches!(kind, Kind::Execute | Kind::BatchScore) && spun == 0.0 {
+        return Err("the probe UDF never ran".into());
+    }
+    if cpu_nanos < spun {
+        return Err(format!(
+            "cpu_us {} below the {} µs a UDF burned",
+            cpu_nanos / 1e3,
+            spun / 1e3
+        ));
+    }
+    drop(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
+/// Polls the admission gauges until they read `want`.
+fn wait_gauges(c: &mut Client, want: (f64, f64)) -> Result<(), String> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let gauges = admission_gauges(c);
+        if gauges == want {
+            return Ok(());
+        }
+        if Instant::now() > deadline {
+            return Err(format!("gauges read {gauges:?}, want {want:?}"));
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Every request that does work passes one path: each cell of kind ×
+/// end leaves exactly one `sys.queries` row with the right kind and
+/// outcome, and with at least the CPU its UDFs burned.
+#[test]
+fn every_request_kind_leaves_one_record_on_every_outcome() {
+    let mut failures = Vec::new();
+    for (kind, wants) in MATRIX {
+        for (end, want) in ENDS.into_iter().zip(wants) {
+            if want == SKIPPED {
+                continue;
+            }
+            if let Err(why) = run_cell(kind, end, want) {
+                failures.push(format!("{kind:?} × {end:?}: {why}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// With the one slot held by an `Execute`, a `BatchScore` and an
+/// `InsertDone` wait for it as statements do and run once it frees;
+/// the envelope is visible only after its ack. A `Cancel { seq: 0 }`
+/// sent while the batch waits cancels nothing: 0 names no stream.
+#[test]
+fn batch_score_and_ingest_wait_for_a_slot_like_statements() {
+    use nlq_server::wire::{read_frame, write_frame, Request, Response};
+
+    let gate = Arc::new(GateState::default());
+    let db = Arc::new(Db::new(1));
+    db.with_registry_mut(|r| r.register_scalar(Arc::new(GateUdf(Arc::clone(&gate)))));
+    let ts = TestServer::start_with(
+        db,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = ts.handle.addr();
+    let mut c = ts.client();
+    c.execute("CREATE TABLE T (i INT, X1 FLOAT)").unwrap();
+    c.execute("INSERT INTO T VALUES (1, 1.0), (2, 2.0)")
+        .unwrap();
+    c.execute("CREATE TABLE BETA (b0 FLOAT, b1 FLOAT)").unwrap();
+    c.execute("INSERT INTO BETA VALUES (1.0, 0.5)").unwrap();
+    c.set_option("block_scan", "off").unwrap();
+    let mut held = c.query("SELECT gate(X1) FROM T").unwrap();
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    gate.wait_entered(1);
+
+    // The scorer speaks raw frames, so it can send the `Cancel`.
+    let scorer = std::net::TcpStream::connect(addr).unwrap();
+    let read = || Response::decode(&read_frame(&mut &scorer).unwrap().expect("a reply")).unwrap();
+    assert!(matches!(read(), Response::Hello { .. }));
+    let score = Request::BatchScore {
+        table: "T".into(),
+        model: "BETA".into(),
+        keys: vec![1, 2],
+        explain: false,
+    };
+    write_frame(&mut &scorer, &score.encode()).unwrap();
+    let writer = std::thread::spawn(move || {
+        let mut w = Client::connect(addr).unwrap();
+        let mut ing = w.begin_ingest("T", &[])?;
+        ing.chunk(vec![vec![Value::Int(3), Value::Float(3.0)]])?;
+        ing.finish()
+    });
+    let mut observer = ts.client();
+    wait_gauges(&mut observer, (1.0, 2.0)).unwrap();
+    write_frame(&mut &scorer, &Request::Cancel { seq: 0 }.encode()).unwrap();
+    let metrics = ts.metrics();
+    wait_until("the cancel is delivered", || {
+        metrics.cancel_requests.load(Ordering::Relaxed) == 1
+    });
+    // Read in process: a statement over the wire would queue as well.
+    let count = || ts.db.execute("SELECT count(*) FROM T").unwrap().rows[0][0].clone();
+    assert_eq!(
+        count(),
+        Value::Int(2),
+        "the envelope committed before its slot"
+    );
+    assert!(!writer.is_finished());
+
+    gate.release();
+    let rows: Vec<_> = held.by_ref().map(|r| r.unwrap()).collect();
+    assert_eq!(rows.len(), 2);
+    drop(held);
+    match read() {
+        Response::Result { rows, .. } => assert_eq!(rows.len(), 2),
+        other => panic!("expected the batch's scores, got {other:?}"),
+    }
+    assert_eq!(writer.join().unwrap().unwrap(), 1);
+    assert_eq!(count(), Value::Int(3));
+    assert_eq!(admission_gauges(&mut observer), (0.0, 0.0));
+}
+
+/// An ingest envelope is one request on the record: its row carries
+/// its log cost, its spans name the apply and the log write, and the
+/// auto-checkpoint it triggers is inside its wall time.
+#[test]
+fn ingest_envelopes_are_attributable_with_their_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("nlq-harness-attrib-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Db::open_durable(1, &dir, true).unwrap();
+    // Enough rows that a checkpoint takes milliseconds to write.
+    let points: Vec<Vec<f64>> = (0..50_000).map(|i| vec![f64::from(i), 0.5]).collect();
+    db.load_points("T", &points, false).unwrap();
+    let ts = TestServer::start_with(
+        Arc::new(db),
+        ServerConfig {
+            checkpoint_bytes: Some(1),
+            refresh_cadence: None,
+            ..ServerConfig::default()
+        },
+    );
+    let mut c = ts.client();
+    let session = c.session_id();
+    // The snapshot the envelope will take, taken by hand first.
+    for _ in 0..3 {
+        c.checkpoint().unwrap();
+    }
+    let mut ing = c.begin_ingest("T", &[]).unwrap();
+    ing.chunk(
+        (50_001..=50_002)
+            .map(|i| vec![Value::Int(i), Value::Float(1.0), Value::Float(2.0)])
+            .collect(),
+    )
+    .unwrap();
+    assert_eq!(ing.finish().unwrap(), 2);
+
+    let rs = c
+        .execute(&format!(
+            "SELECT query_id, kind, wal_bytes, fsyncs, total_us FROM sys.queries \
+             WHERE session = {session} ORDER BY trace_id"
+        ))
+        .unwrap();
+    let kinds: Vec<&str> = rs.rows.iter().filter_map(|r| r[1].as_str()).collect();
+    assert_eq!(kinds, ["checkpoint", "checkpoint", "checkpoint", "ingest"]);
+    let fastest_checkpoint = rs.rows[..3]
+        .iter()
+        .map(|r| r[4].as_f64().unwrap())
+        .fold(f64::INFINITY, f64::min);
+    let envelope = &rs.rows[3];
+    assert!(envelope[2].as_i64().unwrap() > 0, "{envelope:?}");
+    assert!(envelope[3].as_i64().unwrap() >= 1, "{envelope:?}");
+
+    let spans = c
+        .execute(&format!(
+            "SELECT phase, dur_us FROM sys.spans WHERE query_id = {}",
+            envelope[0]
+        ))
+        .unwrap()
+        .rows;
+    let phases: Vec<&str> = spans.iter().filter_map(|s| s[0].as_str()).collect();
+    for want in ["ingest", "wal", "stream"] {
+        assert!(phases.contains(&want), "missing {want} span in {phases:?}");
+    }
+    // The checkpoint has no span of its own, so it is the envelope's
+    // unattributed time.
+    let attributed: f64 = spans.iter().map(|s| s[1].as_f64().unwrap()).sum();
+    let other = envelope[4].as_f64().unwrap() - attributed;
+    assert!(
+        other >= 0.5 * fastest_checkpoint,
+        "{other} µs outside the spans, a checkpoint takes {fastest_checkpoint} µs"
+    );
+    assert_eq!(c.metric("checkpoints_total", "").unwrap(), 4.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
